@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -25,12 +26,14 @@ __all__ = [
     "MODE_RAW",
     "MODE_BLOCKWISE",
     "BlockStructure",
+    "LazyNorm",
     "AlignedPerturbation",
     "VcReport",
     "group_eigenvalues",
     "conjugate_to_eigenbasis",
     "blockwise_diagonalize",
     "scaled",
+    "norm_allows",
     "m_matrix",
     "vc_membership",
     "align_columns",
@@ -106,6 +109,69 @@ def group_eigenvalues(lam, rel_gap_tol: float = DEFAULT_REL_GAP_TOL) -> BlockStr
     return BlockStructure(groups=tuple(groups), rep_values=reps)
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+# Outside this range of max|entry| the oracle's off-diagonal mass under- or
+# overflows, so its value can leave any bound; there the bounds abstain.
+_TRUSTED_PEAK = (2.0**-400, 2.0**400)
+
+
+class LazyNorm:
+    """``||E||`` as the oracle computes it, evaluated on first read and cached,
+    with certified bounds ``lower <= value <= upper`` available up front.
+
+    The bounds hold for the oracle's value, not merely for the exact norm:
+    they are widened by a slack covering the oracle's termination error and
+    its round-off, so a decision the bounds settle is the decision the
+    oracle's value would give.
+    """
+
+    __slots__ = ("lower", "upper", "_compute", "_value")
+
+    def __init__(self, lower: float, upper: float, compute: Callable[[], float]) -> None:
+        self.lower = lower
+        self.upper = upper
+        self._compute = compute
+        self._value: float | None = None
+
+    @classmethod
+    def of(cls, e_hat: np.ndarray) -> "LazyNorm":
+        """Bounds from the column norms and the Frobenius norm of ``e_hat``,
+        the oracle norm ``max |eigh(e_hat).lam|`` deferred."""
+        n = e_hat.shape[0]
+        mag = np.abs(e_hat)
+        peak = float(mag.max())
+        if peak == 0.0:
+            lower = upper = 0.0
+        elif not _TRUSTED_PEAK[0] <= peak <= _TRUSTED_PEAK[1]:
+            lower, upper = 0.0, math.inf
+        else:
+            # Normalized first so that squaring neither underflows nor overflows.
+            col = ((mag / peak) ** 2).sum(axis=0)
+            fro = peak * math.sqrt(float(col.sum()))
+            # Termination leaves off-diagonal mass at most 1e-13 n max|entry|
+            # (jacobi.eigh's default tolerance); each of at most
+            # DEFAULT_MAX_SWEEPS sweeps of n(n-1)/2 rotations moves the
+            # spectrum by a few ulps of ||E||_F.
+            slack = 1e-13 * n * peak + 16.0 * jacobi.DEFAULT_MAX_SWEEPS * n * n * _EPS * fro
+            lower = max(0.0, peak * math.sqrt(float(col.max())) - slack)
+            upper = fro + slack
+        return cls(lower, upper, lambda: float(np.abs(jacobi.eigh(e_hat).lam).max()))
+
+    @property
+    def value(self) -> float:
+        if self._value is None:
+            self._value = self._compute()
+            self._compute = None
+        return self._value
+
+    def scaled(self, t: float) -> "LazyNorm":
+        """The norm of ``t E`` for ``t > 0``: ``t`` times this value, so the
+        oracle still runs at most once for the whole chain.  Rounded
+        multiplication by ``t`` is monotone, so the bounds stay certified."""
+        return LazyNorm(t * self.lower, t * self.upper, lambda: t * self.value)
+
+
 @dataclass(frozen=True)
 class AlignedPerturbation:
     """A Hermitian perturbation expressed in the eigenbasis of the base matrix.
@@ -114,6 +180,11 @@ class AlignedPerturbation:
     ``e_hat_off`` the complementary zero-diagonal part, so that
     ``diag(e_hat_diag) + e_hat_off == e_hat`` exactly.  ``mode`` records
     whether the basis has been rotated to make ``e_hat`` block-wise diagonal.
+    ``norm`` holds ``||E||`` lazily; it is shared with every perturbation
+    derived by :func:`blockwise_diagonalize` and (scaled) by :func:`scaled`.
+    Guards that compare ``||E||`` with a threshold go through
+    :func:`norm_allows`, which runs the oracle only when the certified bounds
+    cannot decide.
     """
 
     base: jacobi.SpectralDecomposition
@@ -123,12 +194,33 @@ class AlignedPerturbation:
     e_hat_diag: np.ndarray
     e_hat_off: np.ndarray
     mode: str
-    e_norm: float
+    norm: LazyNorm
     tied_block_diagonals: bool = False
 
     @property
     def n(self) -> int:
         return int(self.base.lam.size)
+
+    @property
+    def e_norm(self) -> float:
+        """``||E||`` from the oracle; the first read on a chain computes it."""
+        return self.norm.value
+
+
+def norm_allows(ap: AlignedPerturbation, ok: Callable[[float], bool]) -> bool:
+    """``ok(ap.e_norm)`` for a guard ``ok`` that holds below some norm and
+    fails above it, such as ``lambda e: margin > 2.0 * e``.
+
+    The certified bounds decide first: ``ok(upper)`` implies ``ok`` at the
+    oracle's value and ``not ok(lower)`` implies its failure there, because
+    rounded arithmetic is monotone.  Only a threshold between the bounds
+    costs an oracle call.
+    """
+    if ok(ap.norm.upper):
+        return True
+    if not ok(ap.norm.lower):
+        return False
+    return ok(ap.e_norm)
 
 
 def _split_parts(e_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,15 +229,16 @@ def _split_parts(e_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag, off
 
 
-def _tied_diagonals(diag: np.ndarray, blocks: BlockStructure, e_norm: float) -> bool:
-    thr = TIED_DIAGONAL_TOL * e_norm
-    for start, stop in blocks.groups:
-        if stop - start < 2:
-            continue
-        gaps = diag[start : stop - 1] - diag[start + 1 : stop]
-        if gaps.size and float(gaps.min()) <= thr:
-            return True
-    return False
+def _tied_diagonals(diag: np.ndarray, ap: AlignedPerturbation) -> bool:
+    gaps = [
+        float((diag[start : stop - 1] - diag[start + 1 : stop]).min())
+        for start, stop in ap.blocks.groups
+        if stop - start >= 2
+    ]
+    if not gaps:
+        return False
+    least = min(gaps)
+    return not norm_allows(ap, lambda e: least > TIED_DIAGONAL_TOL * e)
 
 
 def conjugate_to_eigenbasis(
@@ -165,17 +258,18 @@ def conjugate_to_eigenbasis(
     e_hat = base.u.conj().T @ e @ base.u
     e_hat = 0.5 * (e_hat + e_hat.conj().T)
     diag, off = _split_parts(e_hat)
-    # ||E|| equals max |eigenvalue of E_hat|; one oracle call, reused downstream.
-    e_norm = float(np.abs(jacobi.eigh(e_hat).lam).max())
+    e_hat = as_readonly(e_hat)
     return AlignedPerturbation(
         base=base,
         blocks=blocks,
         e=as_readonly(e),
-        e_hat=as_readonly(e_hat),
+        e_hat=e_hat,
         e_hat_diag=as_readonly(diag),
         e_hat_off=as_readonly(off),
         mode=MODE_RAW,
-        e_norm=e_norm,
+        # ||E|| equals max |eigenvalue of E_hat|; the oracle computes it only
+        # when a guard's threshold falls between the bounds.
+        norm=LazyNorm.of(e_hat),
     )
 
 
@@ -207,8 +301,8 @@ def blockwise_diagonalize(ap: AlignedPerturbation) -> AlignedPerturbation:
         e_hat_diag=as_readonly(diag),
         e_hat_off=as_readonly(off),
         mode=MODE_BLOCKWISE,
-        e_norm=ap.e_norm,
-        tied_block_diagonals=_tied_diagonals(diag, ap.blocks, ap.e_norm),
+        norm=ap.norm,
+        tied_block_diagonals=_tied_diagonals(diag, ap),
     )
 
 
@@ -227,7 +321,7 @@ def scaled(ap: AlignedPerturbation, t: float) -> AlignedPerturbation:
         e_hat=as_readonly(t * ap.e_hat),
         e_hat_diag=as_readonly(t * ap.e_hat_diag),
         e_hat_off=as_readonly(t * ap.e_hat_off),
-        e_norm=t * ap.e_norm,
+        norm=ap.norm.scaled(t),
     )
 
 

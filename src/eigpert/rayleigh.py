@@ -22,6 +22,7 @@ from .alignment import (
     AlignedPerturbation,
     aligned_perturbation,
     m_matrix,
+    norm_allows,
 )
 from .errors import DegenerateDirectionError, GapTooSmallError, ModeError
 from .matrices import as_readonly, hermitian
@@ -51,6 +52,32 @@ def _require_blockwise(ap: AlignedPerturbation, what: str) -> None:
         )
 
 
+def _require_untied(ap: AlignedPerturbation, strict_tol: float) -> None:
+    """Reject in-block diagonal gaps of ``F_hat`` at most
+    ``strict_tol * max(1, ||F||)``."""
+    for start, stop in ap.blocks.groups:
+        if stop - start < 2:
+            continue
+        gap = float((ap.e_hat_diag[start : stop - 1] - ap.e_hat_diag[start + 1 : stop]).min())
+        if not norm_allows(ap, lambda e: gap > strict_tol * max(1.0, e)):
+            raise DegenerateDirectionError(
+                f"direction has tied diagonal entries (gap {gap:.3e}) "
+                f"inside eigenvalue block [{start}, {stop}); the perturbed "
+                "eigenvector branches are not determined to first order"
+            )
+
+
+def _require_line_gap(ap: AlignedPerturbation, t: float) -> None:
+    """Reject ``t`` unless ``2 |t| ||F||`` is below the smallest inter-block
+    gap, so the perturbed eigenvalues cannot migrate between blocks."""
+    gap = ap.blocks.min_gap()
+    if len(ap.blocks.groups) > 1 and not norm_allows(ap, lambda e: 2.0 * abs(t) * e < gap):
+        raise GapTooSmallError(
+            f"|t| ||F|| = {abs(t) * ap.e_norm:.3e} reaches half the smallest "
+            f"inter-block gap {gap:.3e}; blocks may mix"
+        )
+
+
 def _cross_block_weights(ap: AlignedPerturbation, j: int, scale: float) -> np.ndarray:
     """Reciprocal gaps ``1 / (lam_k - lam_j)`` with the whole block of ``j``
     zeroed.  The block mask, not the reciprocal threshold, is what removes
@@ -67,9 +94,12 @@ def rs_coefficients(ap: AlignedPerturbation) -> tuple[np.ndarray, np.ndarray, np
 
     ``a0 = lam``, ``a1 = diag(F_hat)`` and
     ``a2_j = sum_k |F_hat[k, j]|^2 / (lam_j - lam_k)`` over ``k`` outside the
-    block of ``j``.
+    block of ``j``.  That ``a2`` misses the in-block coupling that a tie
+    leaves undetermined, so tied directions raise
+    ``DegenerateDirectionError`` exactly as :func:`n_matrix` does.
     """
     _require_blockwise(ap, "the second-order eigenvalue expansion")
+    _require_untied(ap, STRICT_DIAGONAL_TOL)
     n = ap.n
     scale = float(np.abs(ap.base.lam).max())
     a2 = np.zeros(n, dtype=np.float64)
@@ -96,17 +126,7 @@ def n_matrix(ap: AlignedPerturbation, strict_tol: float = STRICT_DIAGONAL_TOL) -
     ``strict_tol * max(1, ||F||)`` raise ``DegenerateDirectionError``.
     """
     _require_blockwise(ap, "the eigenvector derivative")
-    thr = strict_tol * max(1.0, ap.e_norm)
-    for start, stop in ap.blocks.groups:
-        if stop - start < 2:
-            continue
-        gaps = ap.e_hat_diag[start : stop - 1] - ap.e_hat_diag[start + 1 : stop]
-        if float(gaps.min()) <= thr:
-            raise DegenerateDirectionError(
-                f"direction has tied diagonal entries (gap {float(gaps.min()):.3e}) "
-                f"inside eigenvalue block [{start}, {stop}); the perturbed "
-                "eigenvector branches are not determined to first order"
-            )
+    _require_untied(ap, strict_tol)
     n = ap.n
     scale = float(np.abs(ap.base.lam).max())
     out = np.zeros((n, n), dtype=np.complex128)
@@ -138,6 +158,13 @@ class EigensystemPrediction:
     u_hat: np.ndarray
 
 
+def _evaluate(u, a0, a1, a2, u_prime, t: float) -> EigensystemPrediction:
+    return EigensystemPrediction(
+        xi_hat=as_readonly(a0 + t * a1 + t * t * a2),
+        u_hat=as_readonly(u + t * u_prime),
+    )
+
+
 def predict_eigensystem(
     ap: AlignedPerturbation,
     mmat: np.ndarray,
@@ -149,18 +176,9 @@ def predict_eigensystem(
     perturbed eigenvalues cannot migrate between blocks.
     """
     t = float(t)
-    gap = ap.blocks.min_gap()
-    if len(ap.blocks.groups) > 1 and not (2.0 * abs(t) * ap.e_norm < gap):
-        raise GapTooSmallError(
-            f"|t| ||F|| = {abs(t) * ap.e_norm:.3e} reaches half the smallest "
-            f"inter-block gap {gap:.3e}; blocks may mix"
-        )
+    _require_line_gap(ap, t)
     a0, a1, a2 = rs_coefficients(ap)
-    u_prime = eigenvector_derivative(ap, mmat)
-    return EigensystemPrediction(
-        xi_hat=as_readonly(a0 + t * a1 + t * t * a2),
-        u_hat=as_readonly(ap.base.u + t * u_prime),
-    )
+    return _evaluate(ap.base.u, a0, a1, a2, eigenvector_derivative(ap, mmat), t)
 
 
 @dataclass(frozen=True)
@@ -178,16 +196,8 @@ class LineExpansion:
 
     def at(self, t: float) -> EigensystemPrediction:
         t = float(t)
-        gap = self.ap.blocks.min_gap()
-        if len(self.ap.blocks.groups) > 1 and not (2.0 * abs(t) * self.ap.e_norm < gap):
-            raise GapTooSmallError(
-                f"|t| ||F|| = {abs(t) * self.ap.e_norm:.3e} reaches half the "
-                f"smallest inter-block gap {gap:.3e}; blocks may mix"
-            )
-        return EigensystemPrediction(
-            xi_hat=as_readonly(self.a0 + t * self.a1 + t * t * self.a2),
-            u_hat=as_readonly(self.base.u + t * self.u_prime),
-        )
+        _require_line_gap(self.ap, t)
+        return _evaluate(self.base.u, self.a0, self.a1, self.a2, self.u_prime, t)
 
 
 def line_expansion(a, f, rel_gap_tol: float = DEFAULT_REL_GAP_TOL) -> LineExpansion:

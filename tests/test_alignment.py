@@ -183,7 +183,7 @@ class TestScaled:
         assert np.array_equal(ap_t.e, t * ap.e)
         assert np.array_equal(ap_t.e_hat, t * ap.e_hat)
         assert np.array_equal(ap_t.e_hat_diag, t * ap.e_hat_diag)
-        assert ap_t.e_norm == pytest.approx(t * ap.e_norm, rel=1e-15)
+        assert ap_t.e_norm == t * ap.e_norm
 
     def test_rejects_nonpositive(self):
         rng = np.random.default_rng(67)

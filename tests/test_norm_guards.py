@@ -1,0 +1,234 @@
+"""Guards that compare ||E|| with a threshold decide on certified bounds
+first; these tests pin that every decision, and every message, is the one
+the oracle's exact norm gives, and that a prediction never runs the oracle
+on an n x n matrix."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from conftest import rand_hermitian
+from eigpert import jacobi
+from eigpert import (
+    DegenerateDirectionError,
+    GapTooSmallError,
+    SpectralDecomposition,
+    blockwise_diagonalize,
+    conjugate_to_eigenbasis,
+    eigenvector_derivative,
+    eigh,
+    first_order_eigenvalues,
+    hermitian,
+    line_expansion,
+    m_matrix,
+    n_matrix,
+    predict_eigensystem,
+    refined_eigenvalues,
+    rs_coefficients,
+    scaled,
+    schur_data,
+    u_approx,
+    vc_membership,
+)
+from eigpert.alignment import TIED_DIAGONAL_TOL, LazyNorm
+
+# Relative offsets of a guard's threshold from ||E||: inside the bounds'
+# slack, so the oracle decides, and far outside it, so the bounds do.
+NEAR = (-1e-12, 0.0, 1e-12)
+FAR = (-0.5, 0.5)
+
+
+def exact_only(ap):
+    """The same perturbation with both bounds equal to the oracle's norm, so
+    every guard decides on that value, as it did before bounds existed."""
+    value = ap.e_norm
+    return replace(ap, norm=LazyNorm(value, value, lambda: value))
+
+
+def outcome(call):
+    try:
+        result = call()
+    except (GapTooSmallError, DegenerateDirectionError) as exc:
+        return type(exc), str(exc)
+    arrays = result if isinstance(result, tuple) else (result,)
+    return "ok", tuple(np.asarray(x).tobytes() for x in arrays)
+
+
+def identity_base(lam):
+    lam = np.asarray(lam, dtype=np.float64)
+    return SpectralDecomposition(u=np.eye(lam.size, dtype=np.complex128), lam=lam)
+
+
+def directions(n, seed):
+    """A rank-one direction (Frobenius norm equals the operator norm) and a
+    full-rank one, both exactly Hermitian.  The seeds used below give
+    rank-one directions whose oracle norm exceeds their computed Frobenius
+    norm by about an ulp, so bounds without slack would decide wrongly."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return (
+        ("rank_one", hermitian(np.outer(x, x.conj()))),
+        ("full_rank", rand_hermitian(rng, n)),
+    )
+
+
+def assert_same(ap, call):
+    assert outcome(lambda: call(ap)) == outcome(lambda: call(exact_only(ap)))
+
+
+@pytest.mark.parametrize("kind, e", directions(5, 4))
+@pytest.mark.parametrize("offset", NEAR + FAR)
+def test_schur_margin_guard(kind, e, offset):
+    base = identity_base([2.0, 2.0, 0.5, -1.0, -3.0])
+    ap = blockwise_diagonalize(conjugate_to_eigenbasis(base, e))
+    margin = 1.5  # block 0 sits 1.5 above its nearest neighbour
+    factor = margin / ap.e_norm * (1.0 + offset)
+    for variant in ("full", "simplified"):
+        assert_same(ap, lambda x: refined_eigenvalues(x, variant=variant, margin_factor=factor))
+
+
+@pytest.mark.parametrize("kind, e", directions(4, 3))
+@pytest.mark.parametrize("offset", NEAR + FAR)
+def test_tie_guard(kind, e, offset):
+    # ||E|| above 1, so the threshold strict_tol * max(1, ||E||) tracks it.
+    base = identity_base([1e3, 1e3, 0.0, -1e3])
+    ap = blockwise_diagonalize(conjugate_to_eigenbasis(base, 5.0 * e))
+    assert ap.e_norm > 1.0
+    gap = float(ap.e_hat_diag[0] - ap.e_hat_diag[1])
+    tol = gap / ap.e_norm * (1.0 + offset)
+    assert_same(ap, lambda x: n_matrix(x, strict_tol=tol))
+
+
+def tied_diagonal_instance(rank_one, offset):
+    """Block {0, 1} already diagonal with gap ``g``; ``g`` is iterated to
+    ``TIED_DIAGONAL_TOL * ||E|| * (1 + offset)``."""
+    base = identity_base([1.0, 1.0, -2.0])
+    g = TIED_DIAGONAL_TOL
+    for _ in range(4):
+        if rank_one:
+            x = np.array([math.sqrt(g), 0.0, 1.0])
+            e = hermitian(np.outer(x, x))
+        else:
+            e = hermitian([[g, 0.0, 0.7], [0.0, 0.0, 0.4], [0.7, 0.4, 0.3]])
+        raw = conjugate_to_eigenbasis(base, e)
+        g = TIED_DIAGONAL_TOL * raw.e_norm * (1.0 + offset)
+    return conjugate_to_eigenbasis(base, e)
+
+
+@pytest.mark.parametrize("rank_one", (True, False))
+@pytest.mark.parametrize("offset", NEAR + FAR)
+def test_tied_diagonals_flag(rank_one, offset):
+    raw = tied_diagonal_instance(rank_one, offset)
+    gap = float(raw.e_hat_diag[0] - raw.e_hat_diag[1])
+    assert abs(gap / (TIED_DIAGONAL_TOL * raw.e_norm) - (1.0 + offset)) <= 1e-14
+    flag = blockwise_diagonalize(raw).tied_block_diagonals
+    assert flag == blockwise_diagonalize(exact_only(raw)).tied_block_diagonals
+    assert flag == (gap <= TIED_DIAGONAL_TOL * raw.e_norm)
+
+
+@pytest.mark.parametrize("kind, e", directions(5, 8))
+@pytest.mark.parametrize("offset", NEAR + FAR)
+def test_line_gap_guard(kind, e, offset):
+    base = identity_base([3.0, 3.0, 1.0, -0.5, -2.0])
+    ap = blockwise_diagonalize(conjugate_to_eigenbasis(base, e))
+    mmat = m_matrix(ap.base, ap.blocks)
+    t = ap.blocks.min_gap() / (2.0 * ap.e_norm) * (1.0 + offset)
+    assert_same(ap, lambda x: predict_eigensystem(x, mmat, t).xi_hat)
+    assert_same(ap, lambda x: predict_eigensystem(x, mmat, -t).u_hat)
+    lex = line_expansion(np.diag(base.lam), e)
+    assert outcome(lambda: lex.at(t).xi_hat) == outcome(
+        lambda: replace(lex, ap=exact_only(lex.ap)).at(t).xi_hat
+    )
+
+
+@pytest.mark.parametrize("t", (0.03, 0.1, 7.0))
+def test_scaled_norm_is_exactly_t_times(t):
+    rng = np.random.default_rng(5)
+    base = eigh(rand_hermitian(rng, 5))
+    ap = blockwise_diagonalize(conjugate_to_eigenbasis(base, rand_hermitian(rng, 5)))
+    ap_t = scaled(ap, t)
+    assert ap_t.e_norm == t * ap.e_norm
+    assert scaled(ap_t, 0.5).e_norm == 0.5 * (t * ap.e_norm)
+    assert ap_t.norm.lower <= ap_t.e_norm <= ap_t.norm.upper
+
+
+def test_vc_membership_reads_the_exact_norm():
+    rng = np.random.default_rng(7)
+    base = identity_base([2.0, 2.0, 2.0, -1.0])
+    ap = scaled(blockwise_diagonalize(conjugate_to_eigenbasis(base, rand_hermitian(rng, 4))), 0.1)
+    report = vc_membership(ap, 0.5, 1e-3)
+    assert report == vc_membership(exact_only(ap), 0.5, 1e-3)
+    beta = schur_data(ap, 0).beta
+    pair_gap = min(abs(float(beta[i] - beta[j])) for i in range(3) for j in range(i + 1, 3))
+    assert report.worst_gap_ratio == pair_gap / (0.5 * ap.e_norm)
+
+
+def test_bounds_enclose_the_oracle_norm():
+    rng = np.random.default_rng(11)
+    for scale in (1e-100, 1e-8, 1.0, 1e8, 1e100):
+        for _ in range(5):
+            n = int(rng.integers(1, 8))
+            base = eigh(rand_hermitian(rng, n))
+            ap = conjugate_to_eigenbasis(base, rand_hermitian(rng, n, scale))
+            assert 0.0 < ap.norm.lower <= ap.e_norm <= ap.norm.upper < math.inf
+    # Where the oracle's own value is unreliable the bounds decide nothing.
+    for scale in (1e-200, 1e200):
+        ap = conjugate_to_eigenbasis(eigh(np.eye(3)), rand_hermitian(rng, 3, scale))
+        assert (ap.norm.lower, ap.norm.upper) == (0.0, math.inf)
+    zero = conjugate_to_eigenbasis(eigh(np.eye(3)), np.zeros((3, 3)))
+    assert zero.norm.lower == zero.norm.upper == zero.e_norm == 0.0
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """Record the dimension of every oracle call made after it is set up."""
+    sizes = []
+    real = jacobi.eigh
+
+    def counting(h, *args, **kwargs):
+        sizes.append(np.shape(h)[0])
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(jacobi, "eigh", counting)
+    return sizes
+
+
+def test_prediction_makes_no_full_size_oracle_call(eigh_sizes):
+    n = 12
+    rng = np.random.default_rng(13)
+    lam = np.repeat([3.0, 1.0, -1.5, -4.0], 3)
+    q = np.array(eigh(rand_hermitian(rng, n)).u)
+    a = hermitian(q @ np.diag(lam.astype(np.complex128)) @ q.conj().T)
+    e = 0.05 * rand_hermitian(rng, n)
+    base = eigh(a)
+    eigh_sizes.clear()
+    ap = blockwise_diagonalize(conjugate_to_eigenbasis(base, e))
+    mmat = m_matrix(ap.base, ap.blocks)
+    first_order_eigenvalues(ap)
+    u_approx(ap, mmat)
+    refined_eigenvalues(ap, variant="full")
+    refined_eigenvalues(ap, variant="simplified")
+    rs_coefficients(ap)
+    eigenvector_derivative(ap, mmat)
+    predict_eigensystem(ap, mmat, 0.5)
+    # One 3 x 3 solve per block each for the block-wise rotation and the two
+    # Schur variants; the norm guards all settle on the bounds.
+    assert eigh_sizes == [3] * 12
+
+
+def test_norm_oracle_runs_once_per_chain(eigh_sizes):
+    rng = np.random.default_rng(17)
+    base = eigh(rand_hermitian(rng, 6))
+    e = rand_hermitian(rng, 6)
+    eigh_sizes.clear()
+    raw = conjugate_to_eigenbasis(base, e)
+    ap = blockwise_diagonalize(raw)
+    ap_t = scaled(ap, 0.2)
+    assert eigh_sizes == []
+    first = ap.e_norm
+    assert (raw.e_norm, ap.e_norm, ap_t.e_norm, scaled(ap_t, 3.0).e_norm) == (
+        first, first, 0.2 * first, 3.0 * (0.2 * first)
+    )
+    assert eigh_sizes == [6]

@@ -72,6 +72,14 @@ class TestCoefficients:
         assert np.array_equal(a1, [0.0, 1.0, 0.0])
         assert np.abs(a2 - [2.0, -1.0, -1.0]).max() <= 1e-14
 
+    def test_tied_direction_rejected(self):
+        # The block {0, 0} of diag(0, 0, 1) sees F_hat with tied diagonal
+        # (0, 0); the oracle's (xi - a0 - t a1) / t^2 tends to [2, 0, -2],
+        # which the cross-block a2 formula cannot produce.
+        ap = aligned_perturbation(EXAMPLE_A3, hermitian([[0, 0, 1], [0, 0, 1], [1, 1, 0]]))
+        with pytest.raises(DegenerateDirectionError, match="tied diagonal"):
+            rs_coefficients(ap)
+
     def test_quadratic_form_route_agrees(self):
         rng = np.random.default_rng(71)
         for _ in range(10):

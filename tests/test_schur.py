@@ -99,6 +99,14 @@ class TestSchurData:
                 assert np.array_equal(sd.c, ap.e_hat[order[: sd.l][:, None], order[sd.l :]])
                 assert np.array_equal(sd.d, ap.e_hat[order[sd.l :][:, None], order[sd.l :]])
 
+    def test_scalar_complement_is_its_oracle_eigenvalue(self):
+        rng = np.random.default_rng(59)
+        a, f = degenerate_instance(rng, (2, 1, 1))
+        ap = scaled(aligned_perturbation(a, f), 0.05)
+        for g in (1, 2):
+            sd = schur_data(ap, g)
+            assert np.array_equal(sd.beta, eigh(sd.b).lam)
+
     def test_beta_sorted_nonincreasing(self):
         rng = np.random.default_rng(31)
         a, f = degenerate_instance(rng, (3, 1))
