@@ -2,7 +2,7 @@
 
 The package predicts how the eigenvalues and eigenvectors of a Hermitian
 matrix move under a perturbation, to first or second order, and checks
-every prediction against a self-contained cyclic Jacobi eigensolver.
+every prediction against a self-contained round-robin Jacobi eigensolver.
 """
 
 from .errors import (
@@ -19,10 +19,11 @@ from .matrices import (
     format_matrix,
     hermitian,
     operator_norm,
+    operator_norms,
     parse_hermitian,
     parse_matrix,
 )
-from .jacobi import SpectralDecomposition, eigh, normalize_column_phases, residual
+from .jacobi import SpectralDecomposition, eigh, eigh_stack, normalize_column_phases, residual
 from .alignment import (
     MODE_BLOCKWISE,
     MODE_RAW,
@@ -41,6 +42,7 @@ from .alignment import (
 from .first_order import (
     FirstOrderPrediction,
     approx_decomposition_residual,
+    decomposition_residual,
     first_order_eigenvalues,
     first_order_prediction,
     gershgorin_intervals,

@@ -43,6 +43,11 @@ __all__ = [
 # Relative gap below which adjacent eigenvalues share a degeneracy block.
 DEFAULT_REL_GAP_TOL = 1e-8
 
+# Oracle tolerance for the in-block rotations.  The default, 1e-13 times the
+# block size, bounds the in-block off-diagonal mass left in E_hat only by
+# 1e-13 * size * ||E||; this bounds it by 1e-14 ||E|| at any block size.
+BLOCK_TOL = 1e-14
+
 # Same-block diagonal entries of E_hat closer than this (relative to ||E||)
 # are flagged as tied; derivative formulas that need strict decrease refuse them.
 TIED_DIAGONAL_TOL = 1e-10
@@ -111,11 +116,6 @@ def group_eigenvalues(lam, rel_gap_tol: float = DEFAULT_REL_GAP_TOL) -> BlockStr
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Outside this range of max|entry| the oracle's off-diagonal mass under- or
-# overflows, so its value can leave any bound; there the bounds abstain.
-_TRUSTED_PEAK = (2.0**-400, 2.0**400)
-
-
 class LazyNorm:
     """``||E||`` as the oracle computes it, evaluated on first read and cached,
     with certified bounds ``lower <= value <= upper`` available up front.
@@ -143,8 +143,6 @@ class LazyNorm:
         peak = float(mag.max())
         if peak == 0.0:
             lower = upper = 0.0
-        elif not _TRUSTED_PEAK[0] <= peak <= _TRUSTED_PEAK[1]:
-            lower, upper = 0.0, math.inf
         else:
             # Normalized first so that squaring neither underflows nor overflows.
             col = ((mag / peak) ** 2).sum(axis=0)
@@ -277,16 +275,17 @@ def blockwise_diagonalize(ap: AlignedPerturbation) -> AlignedPerturbation:
     """Rotate the base inside each degeneracy block so ``e_hat`` is block-wise
     diagonal with non-increasing in-block diagonal entries.
 
-    The eigenvalue vector is untouched and the rotated basis still
-    diagonalizes the base matrix.  Applying this to input that is already
+    The blocks' rotations are solved as one oracle call, all blocks of one
+    size stacked.  The eigenvalue vector is untouched and the rotated basis
+    still diagonalizes the base matrix.  Applying this to input that is already
     block-wise diagonal only re-imposes the column phase convention.
     """
     u_new = np.array(ap.base.u, copy=True)
-    for start, stop in ap.blocks.groups:
-        if stop - start < 2:
-            continue
-        block = np.array(ap.e_hat[start:stop, start:stop], copy=True)
-        rot = jacobi.eigh(block)
+    multi = [(start, stop) for start, stop in ap.blocks.groups if stop - start >= 2]
+    rotations = jacobi.eigh_stack(
+        [ap.e_hat[start:stop, start:stop] for start, stop in multi], tol=BLOCK_TOL
+    )
+    for (start, stop), rot in zip(multi, rotations):
         u_new[:, start:stop] = u_new[:, start:stop] @ rot.u
     u_new = jacobi.normalize_column_phases(u_new)
     base = jacobi.SpectralDecomposition(u=as_readonly(u_new), lam=ap.base.lam)

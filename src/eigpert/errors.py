@@ -11,11 +11,13 @@ class MatrixParseError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The eigensolver missed its off-diagonal target; carries the final mass."""
+    """The eigensolver missed its off-diagonal target; carries the final mass
+    and the index of the failing member of the solved stack."""
 
-    def __init__(self, message: str, off_mass: float):
+    def __init__(self, message: str, off_mass: float, member: int):
         super().__init__(message)
         self.off_mass = off_mass
+        self.member = member
 
 
 class PreconditionError(ValueError):

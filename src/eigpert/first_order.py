@@ -21,6 +21,7 @@ __all__ = [
     "first_order_eigenvalues",
     "gershgorin_intervals",
     "u_approx",
+    "decomposition_residual",
     "approx_decomposition_residual",
     "first_order_prediction",
 ]
@@ -66,14 +67,21 @@ def u_approx(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
     return ap.base.u @ correction
 
 
-def approx_decomposition_residual(ap: AlignedPerturbation, mmat: np.ndarray) -> float:
-    """Operator-norm gap between ``A + E`` and its first-order reconstruction
-    ``U_ap diag(lam + E_hat_diag) U_ap*``.  Decays quadratically in ``||E||``."""
+def decomposition_residual(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
+    """The first-order reconstruction ``U_ap diag(lam + E_hat_diag) U_ap*``
+    minus ``A + E``."""
     _require_blockwise(ap, "the first-order reconstruction")
     u_ap = u_approx(ap, mmat)
     target = ap.base.u @ np.diag(ap.base.lam).astype(np.complex128) @ ap.base.u.conj().T + ap.e
     rebuilt = u_ap @ np.diag(first_order_eigenvalues(ap)).astype(np.complex128) @ u_ap.conj().T
-    return operator_norm(rebuilt - target)
+    return rebuilt - target
+
+
+def approx_decomposition_residual(ap: AlignedPerturbation, mmat: np.ndarray) -> float:
+    """Operator-norm gap between ``A + E`` and its first-order reconstruction,
+    the norm of :func:`decomposition_residual`.  Decays quadratically in
+    ``||E||``."""
+    return operator_norm(decomposition_residual(ap, mmat))
 
 
 @dataclass(frozen=True)

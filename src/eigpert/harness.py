@@ -16,7 +16,7 @@ import numpy as np
 
 from . import alignment, first_order, jacobi, rayleigh, schur
 from .errors import PreconditionError, StudyError
-from .matrices import as_readonly, hermitian, operator_norm
+from .matrices import as_readonly, hermitian, operator_norm, operator_norms
 
 __all__ = [
     "DEFAULT_T_GRID",
@@ -253,30 +253,34 @@ def _trial_errors(
         a0, a1, a2 = rayleigh.rs_coefficients(ap)
         u_prime = rayleigh.eigenvector_derivative(ap, mmat)
     points: list[tuple[float, float, float]] = []
-    for t in t_grid:
-        exact = jacobi.eigh(hermitian(a + t * f))
+    # Matrix-valued predictors collect their error matrices; the norms of
+    # all of them are one oracle call.
+    gaps: list[np.ndarray] = []
+    # One oracle call for the whole grid; the residual needs no exact solve.
+    exacts = (
+        jacobi.eigh_stack([a + t * f for t in t_grid])
+        if predictor != "u_ap_residual"
+        else [None] * len(t_grid)
+    )
+    for t, exact in zip(t_grid, exacts):
         if predictor == "first_order":
             pred = first_order.first_order_eigenvalues(alignment.scaled(ap, t))
-            diffs = np.abs(exact.lam - pred)
-            worst, mean = float(diffs.max()), float(diffs.mean())
         elif predictor in ("schur_full", "schur_simplified"):
             variant = "full" if predictor == "schur_full" else "simplified"
             pred = schur.refined_eigenvalues(alignment.scaled(ap, t), variant=variant)
-            diffs = np.abs(exact.lam - pred)
-            worst, mean = float(diffs.max()), float(diffs.mean())
         elif predictor == "rs_second_order":
             pred = a0 + t * a1 + t * t * a2
-            diffs = np.abs(exact.lam - pred)
-            worst, mean = float(diffs.max()), float(diffs.mean())
         elif predictor == "eigvec_first_order":
             u_hat = ap.base.u + t * u_prime
-            matched = alignment.align_columns(exact.u, u_hat, ap.blocks)
-            worst = mean = operator_norm(matched - u_hat)
+            gaps.append(alignment.align_columns(exact.u, u_hat, ap.blocks) - u_hat)
+            continue
         else:  # u_ap_residual
-            worst = mean = first_order.approx_decomposition_residual(
-                alignment.scaled(ap, t), mmat
-            )
-        points.append((t, worst, mean))
+            gaps.append(first_order.decomposition_residual(alignment.scaled(ap, t), mmat))
+            continue
+        diffs = np.abs(exact.lam - pred)
+        points.append((t, float(diffs.max()), float(diffs.mean())))
+    if gaps:
+        points = [(t, e, e) for t, e in zip(t_grid, operator_norms(gaps))]
     return points, scale
 
 

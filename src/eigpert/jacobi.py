@@ -1,27 +1,39 @@
-"""Ground-truth Hermitian eigensolver: cyclic-by-rows Jacobi with complex
-plane rotations.
+"""Ground-truth Hermitian eigensolver: Jacobi with complex plane rotations in
+the Brent-Luk round-robin ordering, over stacks of equal-size matrices.
 
 Every prediction formula in this package is measured against this solver, so
 it deliberately shares no code with those formulas.  It is pure and
 deterministic: identical input always produces the identical decomposition,
 with eigenvalues sorted non-increasingly (stable under ties) and each
 eigenvector column phased so its largest-modulus entry is real nonnegative.
+
+One sweep is a sequence of steps; each step rotates a set of disjoint pivot
+pairs, so all of them are applied at once as array operations, and together
+the steps of a sweep pivot every pair once (Brent & Luk 1985, SIAM J. Sci.
+Stat. Comput. 6(1)).  The same operations act on a stack ``(k, n, n)`` of
+matrices at once.  Every member keeps its own tolerance, pivot floor, sweep
+count and termination, a member that has converged is no longer touched, and
+all arithmetic is elementwise or per member, so each member of a stack gets
+exactly the bits it would get if solved alone.  Each member is scaled by an
+exact power of two to unit largest entry before solving, so the off-diagonal
+mass neither underflows nor overflows at any representable input scale.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .matrices import as_readonly, hermitian, operator_norm
+from .matrices import _ldexp, as_readonly, hermitian, operator_norm
 
 __all__ = [
     "DEFAULT_MAX_SWEEPS",
     "SpectralDecomposition",
     "eigh",
+    "eigh_stack",
     "residual",
     "normalize_column_phases",
 ]
@@ -31,10 +43,17 @@ DEFAULT_MAX_SWEEPS = 64
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Unitary eigenvector matrix ``u`` and non-increasing real eigenvalues ``lam``."""
+    """Unitary eigenvector matrix ``u`` and non-increasing real eigenvalues ``lam``.
+
+    ``sweeps`` and ``off_mass`` are the solver's work and the off-diagonal
+    Frobenius mass it stopped at; they are ``None`` for decompositions that
+    did not come from the solver.
+    """
 
     u: np.ndarray
     lam: np.ndarray
+    sweeps: int | None = None
+    off_mass: float | None = None
 
     @property
     def n(self) -> int:
@@ -45,110 +64,245 @@ def normalize_column_phases(u: np.ndarray) -> np.ndarray:
     """Phase each column so its largest-modulus entry is real and nonnegative.
 
     Ties in modulus resolve to the smallest row index, which keeps the
-    convention deterministic.
+    convention deterministic.  ``u`` may be a stack ``(..., n, m)``; every
+    column of every matrix is phased independently.
     """
-    out = np.array(u, copy=True)
-    for j in range(out.shape[1]):
-        k = int(np.argmax(np.abs(out[:, j])))
-        z = out[k, j]
-        az = abs(z)
-        if az > 0.0:
-            out[:, j] *= z.conjugate() / az
-            out[k, j] = out[k, j].real  # drop the round-off imaginary residue
+    out = np.array(u, dtype=np.complex128, copy=True)
+    stack = out.reshape(-1, *out.shape[-2:])
+    member = np.arange(stack.shape[0])[:, None]
+    col = np.arange(stack.shape[2])
+    row = np.argmax(np.abs(stack), axis=1)
+    z = stack[member, row, col]
+    az = np.abs(z)
+    phase = np.ones_like(z)
+    np.divide(z.conj(), az, out=phase, where=az > 0.0)
+    stack *= phase[:, None, :]
+    # Drop the round-off imaginary residue of the phased entry.
+    stack[member, row, col] = stack[member, row, col].real
     return out
 
 
-def _off_mass(a: np.ndarray) -> float:
-    # Summed directly over off-diagonal entries: subtracting the diagonal
-    # mass from the total cannot resolve below sqrt(eps) * ||a||_F.
-    off = np.array(a, copy=True)
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
+@functools.lru_cache(maxsize=None)
+def _schedule(n: int) -> tuple[tuple[int, ...], ...]:
+    """Index orders of the steps of one round-robin sweep of size ``n``.
+
+    Step ``r`` pivots the pairs ``(L[i], L[m + i])`` for ``i < m = n // 2``,
+    where ``L`` is its order; for odd ``n`` the last index of ``L`` sits the
+    step out.  The first order is the identity, and over the sweep every
+    pair of indices is pivoted exactly once.  This is the circle method:
+    one player stays put while the others rotate a seat per step, with a
+    dummy player for odd ``n`` whose partner sits out.
+    """
+    players = list(range(n + n % 2))
+    half = len(players) // 2
+    orders = []
+    for _ in range(len(players) - 1):
+        pairs = [(players[i], players[-1 - i]) for i in range(half)]
+        kept = [pair for pair in pairs if n not in pair]
+        idle = [p for pair in pairs if n in pair for p in pair if p != n]
+        orders.append([p for p, _ in kept] + [q for _, q in kept] + idle)
+        players = [players[0], players[-1]] + players[1:-1]
+    # Relabel so that the first step's order is the identity.
+    label = {old: new for new, old in enumerate(orders[0])}
+    return tuple(tuple(label[x] for x in order) for order in orders)
 
 
-def _rotate(a: np.ndarray, u: np.ndarray, p: int, q: int) -> None:
-    """Annihilate a[p, q] with a unitary plane rotation, updating a and u in place."""
-    b = a[p, q]
-    absb = abs(b)
-    app = a[p, p].real
-    aqq = a[q, q].real
-    tau = (aqq - app) / (2.0 * absb)
-    sign = 1.0 if tau >= 0.0 else -1.0
-    # Smaller-modulus root of t^2 - 2*tau*t - 1 = 0 keeps the angle below 45 deg.
-    t = -sign / (abs(tau) + math.hypot(tau, 1.0))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = (t * c) * (b.conjugate() / absb)
+@functools.lru_cache(maxsize=None)
+def _moves(n: int) -> tuple[np.ndarray, ...]:
+    """Per step, the gather that takes the stacked ``[a; u]``, flattened per
+    member, from that step's index order to the next step's (the last step
+    returns to the first): rows and columns of ``a`` and columns of ``u``
+    move, rows of ``u`` stay."""
+    orders = _schedule(n)
+    moves = []
+    for order, following in zip(orders, orders[1:] + orders[:1]):
+        seat = {index: position for position, index in enumerate(order)}
+        cols = np.array([seat[index] for index in following], dtype=np.intp)
+        rows = np.concatenate((cols, np.arange(n, 2 * n)))
+        gather = (rows[:, None] * n + cols).ravel()
+        gather.setflags(write=False)
+        moves.append(gather)
+    return tuple(moves)
 
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p + s * col_q
-    a[:, q] = -np.conj(s) * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p + np.conj(s) * row_q
-    a[q, :] = -s * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
 
-    ucol_p = u[:, p].copy()
-    ucol_q = u[:, q].copy()
-    u[:, p] = c * ucol_p + s * ucol_q
-    u[:, q] = -np.conj(s) * ucol_p + c * ucol_q
+def _off_mass(a: np.ndarray) -> np.ndarray:
+    """Off-diagonal Frobenius mass of each member of a stack ``(k, n, n)``.
+
+    Summed directly over off-diagonal entries: subtracting the diagonal mass
+    from the total cannot resolve below sqrt(eps) * ||a||_F.  Each member is
+    reduced along one contiguous row, the same way whatever the stack size.
+    """
+    k, n, _ = a.shape
+    sq = (a.real**2 + a.imag**2).reshape(k, n * n)
+    sq[:, :: n + 1] = 0.0
+    return np.sqrt(sq.sum(axis=1))
+
+
+def _sweep(w: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """One round-robin sweep over ``w = [a; u]``, a stack ``(k, 2n, n)`` of
+    matrices ``a`` stacked over the eigenvector accumulators ``u``.
+
+    Each step rotates its pivots in every member at once; a pivot whose
+    modulus is at most its member's ``floor`` rotates by the identity
+    (``c = 1, s = 0``), which leaves every value as it was.  Returns the
+    stack in the first step's index order.
+    """
+    k, _, n = w.shape
+    m = n // 2
+    # Work arrays reused by every step: allocating them afresh each step
+    # costs more than the arithmetic at n = 60.
+    spare = np.empty_like(w)
+    col_c = np.empty((k, 2 * n, 2, m), dtype=np.complex128)
+    col_s = np.empty_like(col_c)
+    row_c = np.empty((k, 2, m, n), dtype=np.complex128)
+    row_s = np.empty_like(row_c)
+    for move in _moves(n):
+        flat = w.reshape(k, 2 * n * n)
+        app = flat[:, : m * (n + 1) : n + 1]  # a[i, i]
+        aqq = flat[:, m * (n + 1) : 2 * m * (n + 1) : n + 1]  # a[m + i, m + i]
+        b = flat[:, m : m + m * (n + 1) : n + 1]  # a[i, m + i]
+        b_low = flat[:, m * n : m * n + m * (n + 1) : n + 1]  # a[m + i, i]
+        absb = np.abs(b)
+        rotate = absb > floor
+        # t = tan of the rotation angle, the smaller-modulus root of
+        # t^2 - 2 tau t - 1 = 0 with tau = (a[q, q] - a[p, p]) / (2 |b|), so
+        # the angle stays below 45 degrees; written as r = t / |b| so that
+        # no division by |b| is needed.  Pivots that do not rotate get r = 0.
+        d = app.real - aqq.real
+        r = np.copysign(2.0 / (np.abs(d) + np.hypot(d, 2.0 * absb)), d)
+        r = np.where(rotate, r, 0.0)
+        c = 1.0 / np.hypot(1.0, r * absb)
+        # Columns of a and u: x' = c x + s y, y' = c y - conj(s) x for the
+        # column pair (x, y) = (i, m + i), with s = c r conj(b); then the rows
+        # of a with the conjugate coefficients.
+        coef = np.empty((k, 2, m), dtype=np.complex128)
+        np.multiply(c * r, b.conj(), out=coef[:, 0])
+        np.negative(coef[:, 0].conj(), out=coef[:, 1])
+        cols = w[:, :, : 2 * m].reshape(k, 2 * n, 2, m)
+        np.multiply(cols, c[:, None, None, :], out=col_c)
+        np.multiply(cols[:, :, ::-1], coef[:, None], out=col_s)
+        np.add(col_c, col_s, out=cols)
+        rows = w[:, : 2 * m].reshape(k, 2, m, n)
+        np.multiply(rows, c[:, None, :, None], out=row_c)
+        np.multiply(rows[:, ::-1], coef.conj()[..., None], out=row_s)
+        np.add(row_c, row_s, out=rows)
+        np.copyto(b, 0.0, where=rotate)
+        np.copyto(b_low, 0.0, where=rotate)
+        flat[:, : n * n : n + 1].imag = 0.0
+        np.take(flat, move, axis=1, out=spare.reshape(k, 2 * n * n), mode="clip")
+        w, spare = spare, w
+    return w
+
+
+def _solve(
+    a: np.ndarray, index: list[int], total: int, tol: float, max_sweeps: int
+) -> tuple[SpectralDecomposition, ...]:
+    """Diagonalize the Hermitian stack ``a`` of shape ``(k, n, n)``; ``index``
+    holds the members' positions among the ``total`` matrices of the call,
+    which a :class:`ConvergenceError` reports."""
+    k, n, _ = a.shape
+    # Largest entry of each member brought into [0.5, 1) by an exact power
+    # of two; every rotation parameter is scale-invariant, so this changes
+    # no bits for inputs whose squared entries stay in range.
+    peak_mantissa, exponent = np.frexp(np.abs(a).reshape(k, n * n).max(axis=1))
+    w = np.empty((k, 2 * n, n), dtype=np.complex128)
+    w[:, :n] = _ldexp(a, -exponent[:, None, None])
+    w[:, n:] = np.eye(n)
+    target = tol * peak_mantissa
+    # Entries below this floor cannot push the off mass back over target.
+    floor = (target / (2.0 * n))[:, None]
+    off = _off_mass(w[:, :n])
+    sweeps = np.zeros(k, dtype=np.intp)
+    # A pivot block with b = 0 and equal diagonal entries divides by zero;
+    # its rotation is masked.
+    with np.errstate(divide="ignore"):
+        for _ in range(max_sweeps):
+            live = np.flatnonzero(off > target)
+            if live.size == 0:
+                break
+            # Converged members are left out of the sweep, so they keep
+            # exactly the bits they stopped at.
+            part = _sweep(w if live.size == k else w[live], floor[live])
+            part[:, :n] = 0.5 * (part[:, :n] + part[:, :n].conj().swapaxes(1, 2))
+            off[live] = _off_mass(part[:, :n])
+            sweeps[live] += 1
+            if live.size == k:
+                w = part
+            else:
+                w[live] = part
+    failed = np.flatnonzero(off > target)
+    off = np.ldexp(off, exponent)
+    if failed.size:
+        i = int(failed[0])
+        where = f"stack member {index[i]} of {total}: " if total > 1 else ""
+        raise ConvergenceError(
+            f"{where}Jacobi sweep limit {max_sweeps} reached with off-diagonal mass "
+            f"{off[i]:.3e} (target {tol * np.abs(a[i]).max():.3e})",
+            off_mass=float(off[i]),
+            member=index[i],
+        )
+    member = np.arange(k)[:, None]
+    lam_unit = np.diagonal(w[:, :n], axis1=1, axis2=2).real
+    order = np.argsort(-lam_unit, axis=1, kind="stable")
+    lam = np.ldexp(lam_unit[member, order], exponent[:, None])
+    u = normalize_column_phases(w[:, n:][member[:, :, None], np.arange(n)[:, None], order[:, None, :]])
+    return tuple(
+        SpectralDecomposition(
+            u=as_readonly(u[i]), lam=as_readonly(lam[i]), sweeps=int(sweeps[i]), off_mass=float(off[i])
+        )
+        for i in range(k)
+    )
+
+
+def eigh_stack(
+    hs, tol: float | None = None, max_sweeps: int = DEFAULT_MAX_SWEEPS
+) -> tuple[SpectralDecomposition, ...]:
+    """Diagonalize many Hermitian matrices, those of one size as one stack.
+
+    ``hs`` is a sequence of square matrices, or an array ``(k, n, n)``; each
+    is validated and symmetrized on entry.  Matrices of equal size are
+    solved together, every step of the solver acting on all of them at once,
+    so stacking small solves shares their per-step overhead.  Entry ``i`` of
+    the result is bit for bit ``eigh(hs[i], tol, max_sweeps)``.
+
+    Parameters
+    ----------
+    tol : float, optional
+        Termination tolerance, at least 1e-15.  Defaults to ``1e-13 * n``.
+        A matrix stops sweeping once its off-diagonal Frobenius mass falls
+        below ``tol`` times a lower bound on its spectral norm (its largest
+        entry modulus), so the mass is below ``tol * ||h||`` at termination.
+    max_sweeps : int
+        Sweep budget per matrix.  If a matrix is still above its target
+        after that many sweeps, :class:`ConvergenceError` names the first
+        such matrix and carries its final off-diagonal mass.
+    """
+    if tol is not None and tol < 1e-15:
+        raise ValueError(f"tol must be at least 1e-15, got {tol}")
+    members = [hermitian(h) for h in hs]
+    by_size: dict[int, list[int]] = {}
+    for i, h in enumerate(members):
+        by_size.setdefault(h.shape[0], []).append(i)
+    out: list[SpectralDecomposition | None] = [None] * len(members)
+    for n, index in by_size.items():
+        a = np.stack([members[i] for i in index])
+        solved = _solve(a, index, len(members), 1e-13 * n if tol is None else tol, max_sweeps)
+        for i, d in zip(index, solved):
+            out[i] = d
+    return tuple(out)
 
 
 def eigh(h, tol: float | None = None, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> SpectralDecomposition:
-    """Diagonalize a Hermitian matrix by cyclic-by-rows Jacobi rotations.
+    """Diagonalize one Hermitian matrix: :func:`eigh_stack` of one member.
 
     Parameters
     ----------
     h : array_like
         Square Hermitian matrix (validated and symmetrized on entry).
-    tol : float, optional
-        Termination tolerance, at least 1e-15.  Defaults to ``1e-13 * n``.
-        Sweeping stops once the off-diagonal Frobenius mass falls below
-        ``tol`` times a lower bound on the spectral norm of ``h`` (its
-        largest entry modulus), so the mass is below ``tol * ||h||`` at
-        termination.
-    max_sweeps : int
-        Sweep budget; exceeding it raises :class:`ConvergenceError` carrying
-        the final off-diagonal mass.
+    tol, max_sweeps
+        As for :func:`eigh_stack`.
     """
-    a = hermitian(h)
-    n = a.shape[0]
-    if tol is None:
-        tol = 1e-13 * n
-    if tol < 1e-15:
-        raise ValueError(f"tol must be at least 1e-15, got {tol}")
-    u = np.eye(n, dtype=np.complex128)
-    scale = float(np.abs(a).max())
-    if n > 1 and scale > 0.0:
-        target = tol * scale
-        # Entries below this floor cannot push the off mass back over target.
-        pivot_floor = target / (2.0 * n)
-        off = _off_mass(a)
-        for _sweep in range(max_sweeps):
-            if off <= target:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    if abs(a[p, q]) > pivot_floor:
-                        _rotate(a, u, p, q)
-            a = 0.5 * (a + a.conj().T)  # keep round-off drift Hermitian
-            off = _off_mass(a)
-        else:
-            if off > target:
-                raise ConvergenceError(
-                    f"Jacobi sweep limit {max_sweeps} reached with off-diagonal "
-                    f"mass {off:.3e} (target {target:.3e})",
-                    off_mass=off,
-                )
-    lam = np.diag(a).real.copy()
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    u = normalize_column_phases(u[:, order])
-    return SpectralDecomposition(u=as_readonly(u), lam=as_readonly(lam))
+    return eigh_stack([h], tol=tol, max_sweeps=max_sweeps)[0]
 
 
 def residual(h, d: SpectralDecomposition) -> float:

@@ -20,6 +20,7 @@ __all__ = [
     "dense",
     "hermitian",
     "operator_norm",
+    "operator_norms",
     "parse_matrix",
     "parse_hermitian",
     "format_matrix",
@@ -34,6 +35,15 @@ def as_readonly(a: np.ndarray) -> np.ndarray:
     """Mark an array immutable; results stored in result records go through this."""
     a.setflags(write=False)
     return a
+
+
+def _ldexp(m: np.ndarray, exponent) -> np.ndarray:
+    """``m * 2**exponent`` for a complex array, exact unless a result leaves
+    the normal range; ``exponent`` broadcasts against ``m``."""
+    out = np.empty_like(m)
+    out.real = np.ldexp(m.real, exponent)
+    out.imag = np.ldexp(m.imag, exponent)
+    return out
 
 
 def dense(entries) -> np.ndarray:
@@ -74,24 +84,43 @@ def operator_norm(m) -> float:
 
     Computed as the square root of the top eigenvalue of the Gram matrix,
     which goes through the package's own eigensolver so that every norm used
-    in error measurements rests on the same ground truth.
+    in error measurements rests on the same ground truth.  The matrix is
+    first scaled by an exact power of two to unit largest entry, so the Gram
+    matrix neither underflows nor overflows at any representable scale.
     """
+    return operator_norms([m])[0]
+
+
+def operator_norms(ms) -> list[float]:
+    """:func:`operator_norm` of each matrix in ``ms``, with one oracle call
+    for all of their Gram matrices."""
     from . import jacobi  # deferred; jacobi imports this module's constructors
 
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got {m.ndim}-d data")
-    if m.size == 0:
-        return 0.0
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite (no NaN or Inf)")
-    # Form the Gram matrix on the smaller side; same nonzero spectrum.
-    g = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
-    g = 0.5 * (g + g.conj().T)
-    top = float(jacobi.eigh(g).lam[0])
-    return math.sqrt(max(top, 0.0))
+    out = [0.0] * len(ms)
+    index, exponents, grams = [], [], []
+    for i, m in enumerate(ms):
+        m = np.asarray(m, dtype=np.complex128)
+        if m.ndim == 1:
+            m = m.reshape(1, -1)
+        if m.ndim != 2:
+            raise ValueError(f"expected a matrix, got {m.ndim}-d data")
+        if m.size == 0:
+            continue
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite (no NaN or Inf)")
+        peak = float(np.abs(m).max())
+        if peak == 0.0:
+            continue
+        exponent = math.frexp(peak)[1]
+        m = _ldexp(m, -exponent)
+        # Form the Gram matrix on the smaller side; same nonzero spectrum.
+        g = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
+        index.append(i)
+        exponents.append(exponent)
+        grams.append(0.5 * (g + g.conj().T))
+    for i, exponent, d in zip(index, exponents, jacobi.eigh_stack(grams)):
+        out[i] = math.ldexp(math.sqrt(max(float(d.lam[0]), 0.0)), exponent)
+    return out
 
 
 # ---- text exchange format ----

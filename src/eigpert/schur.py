@@ -99,12 +99,31 @@ def _coupling(ap: AlignedPerturbation, start: int, stop: int, rest: np.ndarray) 
     return ap.e_hat[np.arange(start, stop)[:, None], rest[None, :]]
 
 
-def _complement_eigenvalues(b: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetrized Schur complement.  A 1 x 1 complement is
-    its own (exactly real) eigenvalue; the oracle would return it bit for bit."""
-    if b.shape[0] == 1:
-        return as_readonly(np.array([b[0, 0].real]))
-    return jacobi.eigh(b).lam
+def _complement_eigenvalues(bs: list[np.ndarray]) -> list[np.ndarray]:
+    """Eigenvalues of symmetrized Schur complements, all in one oracle call
+    that stacks the complements of each size.  A 1 x 1 complement is its own
+    (exactly real) eigenvalue; the oracle would return it bit for bit."""
+    multi = [i for i, b in enumerate(bs) if b.shape[0] > 1]
+    solved = dict(zip(multi, jacobi.eigh_stack([bs[i] for i in multi])))
+    return [
+        solved[i].lam if i in solved else as_readonly(np.array([b[0, 0].real]))
+        for i, b in enumerate(bs)
+    ]
+
+
+def _full_complement(ap: AlignedPerturbation, block_index: int, margin_factor: float) -> tuple:
+    """The block-first partition of ``E_hat`` around one block and its
+    symmetrized Schur complement ``B = E11 - C K^{-1} C*``."""
+    start, stop, rho, rest, tau = _block_margin(ap, block_index, margin_factor)
+    e11 = ap.e_hat[start:stop, start:stop]
+    c = _coupling(ap, start, stop, rest)
+    d = ap.e_hat[rest[:, None], rest[None, :]]
+    if rest.size:
+        k = np.diag((tau - rho).astype(np.complex128)) + d
+        b = e11 - c @ np.linalg.solve(k, c.conj().T)
+    else:
+        b = np.array(e11, copy=True)
+    return rho, tau, c, d, 0.5 * (b + b.conj().T)
 
 
 def schur_data(
@@ -113,19 +132,9 @@ def schur_data(
     margin_factor: float = DEFAULT_MARGIN_FACTOR,
 ) -> SchurData:
     """Partition ``E_hat`` around one block and form its Schur complement."""
-    start, stop, rho, rest, tau = _block_margin(ap, block_index, margin_factor)
-    l = stop - start
-    m = int(rest.size)
-    e11 = ap.e_hat[start:stop, start:stop]
-    c = _coupling(ap, start, stop, rest)
-    d = ap.e_hat[rest[:, None], rest[None, :]]
-    if m:
-        k = np.diag((tau - rho).astype(np.complex128)) + d
-        b = e11 - c @ np.linalg.solve(k, c.conj().T)
-    else:
-        b = np.array(e11, copy=True)
-    b = 0.5 * (b + b.conj().T)
-    beta = _complement_eigenvalues(b)
+    rho, tau, c, d, b = _full_complement(ap, block_index, margin_factor)
+    l = b.shape[0]
+    (beta,) = _complement_eigenvalues([b])
     ambiguous = False
     if l >= 2:
         ambiguous = bool(float((beta[:-1] - beta[1:]).min()) < BETA_GAP_TOL)
@@ -133,7 +142,7 @@ def schur_data(
         block_index=block_index,
         rho=rho,
         l=l,
-        m=m,
+        m=int(tau.size),
         b=as_readonly(b),
         c=as_readonly(np.array(c, copy=True)),
         d=as_readonly(np.array(d, copy=True)),
@@ -153,23 +162,27 @@ def refined_eigenvalues(
     ``variant="full"`` solves with ``K`` (error ``O(||B|| ||C||^2)`` per
     block); ``variant="simplified"`` uses the thresholded reciprocal of
     ``tau - rho`` instead (error ``O(||E||^3)``).  Entry ``j`` of the result
-    pairs with the ``j``-th exact eigenvalue in non-increasing order.
+    pairs with the ``j``-th exact eigenvalue in non-increasing order.  The
+    complements' eigenvalues come from one oracle call.
     """
     if variant not in ("full", "simplified"):
         raise ValueError(f"unknown variant {variant!r}; expected 'full' or 'simplified'")
-    out = np.array(ap.base.lam, copy=True)
     scale = float(np.abs(ap.base.lam).max())
+    rhos, bs = [], []
     for g, (start, stop) in enumerate(ap.blocks.groups):
         if variant == "full":
-            sd = schur_data(ap, g, margin_factor=margin_factor)
-            rho, beta = sd.rho, sd.beta
+            rho, _, _, _, b = _full_complement(ap, g, margin_factor)
         else:
             # Only the margin check and C; K is never formed.
             _, _, rho, rest, tau = _block_margin(ap, g, margin_factor)
             c = _coupling(ap, start, stop, rest)
             w = diag_pseudo_inverse(tau - rho, scale)
             b = ap.e_hat[start:stop, start:stop] - (c * w) @ c.conj().T
-            beta = _complement_eigenvalues(0.5 * (b + b.conj().T))
+            b = 0.5 * (b + b.conj().T)
+        rhos.append(rho)
+        bs.append(b)
+    out = np.array(ap.base.lam, copy=True)
+    for (start, stop), rho, beta in zip(ap.blocks.groups, rhos, _complement_eigenvalues(bs)):
         out[start:stop] = rho + beta
     return out
 

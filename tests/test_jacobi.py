@@ -1,7 +1,11 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_hermitian, rand_unitary
 from eigpert import (
@@ -9,10 +13,12 @@ from eigpert import (
     SpectralDecomposition,
     align_columns,
     eigh,
+    eigh_stack,
     hermitian,
     operator_norm,
     residual,
 )
+from eigpert.jacobi import _schedule
 
 
 def fro(m) -> float:
@@ -153,3 +159,168 @@ class TestResidual:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             residual(np.zeros((3, 3)), eigh(np.eye(2)))
+
+
+def same_bits(d1, d2) -> bool:
+    return (
+        d1.lam.tobytes() == d2.lam.tobytes()
+        and d1.u.tobytes() == d2.u.tobytes()
+        and (d1.sweeps, d1.off_mass) == (d2.sweeps, d2.off_mass)
+    )
+
+
+def tied_hermitian(rng, lam):
+    q = rand_unitary(rng, len(lam))
+    return hermitian(q @ np.diag(np.asarray(lam, dtype=complex)) @ q.conj().T)
+
+
+class TestStack:
+    def test_mixed_stack_matches_solo_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        members = [
+            rand_hermitian(rng, 6),
+            np.diag([3.0, -1.0, 2.0, 0.5, 0.5, 7.0]),  # already diagonal
+            np.zeros((6, 6)),
+            tied_hermitian(rng, [2.0, 2.0, 2.0, -1.0, -1.0, 5.0]),
+            rand_hermitian(rng, 6, scale=1e-7),
+            rand_hermitian(rng, 6, scale=1e5) + 1e3 * np.eye(6),
+        ]
+        stacked = eigh_stack(members)
+        for h, d in zip(members, stacked):
+            assert same_bits(d, eigh(h))
+        # The members stop after different numbers of sweeps; the diagonal
+        # and zero members never sweep.
+        sweeps = [d.sweeps for d in stacked]
+        assert sweeps[1] == sweeps[2] == 0
+        assert len(set(sweeps)) >= 3
+        # The same matrices as an array, and in another order.
+        for d, e in zip(stacked, eigh_stack(np.stack(members))):
+            assert same_bits(d, e)
+        for d, e in zip(stacked[::-1], eigh_stack(members[::-1])):
+            assert same_bits(d, e)
+
+    def test_sizes_are_solved_separately_in_input_order(self):
+        rng = np.random.default_rng(43)
+        members = [rand_hermitian(rng, n) for n in (1, 4, 2, 4, 1, 7, 2)]
+        members.append(np.array([[-3.5]]))
+        for h, d in zip(members, eigh_stack(members)):
+            assert d.n == h.shape[0]
+            assert same_bits(d, eigh(h))
+        assert eigh_stack([]) == ()
+
+    def test_random_stacks_match_solo(self):
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            n = int(rng.integers(1, 10))
+            members = [
+                rand_hermitian(rng, n, scale=10.0 ** rng.integers(-4, 5))
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            for h, d in zip(members, eigh_stack(members)):
+                assert same_bits(d, eigh(h))
+
+    def test_convergence_error_names_the_failing_member(self):
+        rng = np.random.default_rng(53)
+        members = [np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), rand_hermitian(rng, 6), rand_hermitian(rng, 6)]
+        with pytest.raises(ConvergenceError) as solo:
+            eigh(members[1], max_sweeps=2)
+        with pytest.raises(ConvergenceError) as stacked:
+            eigh_stack(members, max_sweeps=2)
+        assert stacked.value.member == 1
+        assert stacked.value.off_mass == solo.value.off_mass > 0.0
+        assert "stack member 1 of 3" in str(stacked.value)
+        assert solo.value.member == 0
+
+    def test_stats_on_results(self):
+        rng = np.random.default_rng(59)
+        h = rand_hermitian(rng, 8)
+        d = eigh(h)
+        assert d.sweeps >= 1
+        assert 0.0 <= d.off_mass <= 1e-13 * 8 * float(np.abs(h).max())
+        # Decompositions built outside the solver carry no stats.
+        built = SpectralDecomposition(u=np.eye(2, dtype=complex), lam=np.zeros(2))
+        assert (built.sweeps, built.off_mass) == (None, None)
+        moved = replace(d, lam=d.lam + 1.0)
+        assert (moved.sweeps, moved.off_mass) == (d.sweeps, d.off_mass)
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_every_pair_once_per_sweep(self, n):
+        orders = _schedule(n)
+        assert len(orders) == (n - 1 if n % 2 == 0 else n)
+        assert orders[0] == tuple(range(n))
+        m = n // 2
+        pivots = Counter()
+        for order in orders:
+            assert sorted(order) == list(range(n))
+            step = [tuple(sorted((order[i], order[m + i]))) for i in range(m)]
+            assert len({p for pair in step for p in pair}) == 2 * m  # disjoint
+            pivots.update(step)
+        assert sorted(pivots) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+        assert set(pivots.values()) <= {1}
+
+
+# Entries j / 1024 with |j| <= 1024: scaled by 2**k for |k| <= 1000 they
+# stay normal and finite, so the scaling itself is exact.
+_ENTRY = st.integers(-1024, 1024)
+
+
+@st.composite
+def dyadic_matrices(draw, square):
+    rows = draw(st.integers(1, 6))
+    cols = rows if square else draw(st.integers(1, 6))
+    parts = draw(st.lists(_ENTRY, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    g = (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(rows, cols) / 1024.0
+    return 0.5 * (g + g.conj().T) if square else g
+
+
+def scale_by(m, k):
+    out = np.empty_like(m)
+    out.real = np.ldexp(m.real, k)
+    out.imag = np.ldexp(m.imag, k)
+    return out
+
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestScaleEquivariance:
+    @_PROPERTY
+    @given(h=dyadic_matrices(square=True), k=st.integers(-1000, 1000))
+    def test_eigh_exact_under_powers_of_two(self, h, k):
+        d = eigh(h)
+        dk = eigh(scale_by(h, k))
+        assert dk.lam.tobytes() == (2.0**k * d.lam).tobytes()
+        assert dk.u.tobytes() == d.u.tobytes()
+        assert dk.sweeps == d.sweeps
+
+    @_PROPERTY
+    @given(m=dyadic_matrices(square=False), k=st.integers(-1000, 1000))
+    def test_operator_norm_exact_under_powers_of_two(self, m, k):
+        assert operator_norm(scale_by(m, k)) == 2.0**k * operator_norm(m)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+    def test_extreme_scales_match_lapack(self, scale):
+        rng = np.random.default_rng(61)
+        for n in (2, 3, 5, 9):
+            h = rand_hermitian(rng, n, scale=scale)
+            ref = np.linalg.eigvalsh(h)[::-1]
+            assert np.abs(eigh(h).lam - ref).max() <= 1e-12 * n * np.abs(ref).max()
+            m = h[:, : n - 1] if n > 2 else h
+            assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-12 * n)
+
+
+class TestAgainstLapack:
+    """Test-only cross-check; the package never calls LAPACK at run time."""
+
+    @pytest.mark.parametrize("n", list(range(2, 13)) + [60])
+    def test_eigenvalues_match_eigvalsh(self, n):
+        rng = np.random.default_rng(1000 + n)
+        ensemble = [rand_hermitian(rng, n, scale=10.0 ** rng.integers(-3, 4)) for _ in range(3)]
+        spectrum = np.repeat(rng.standard_normal((n + 1) // 2), 2)[:n]
+        ensemble.append(tied_hermitian(rng, spectrum))
+        for h in ensemble:
+            ref = np.linalg.eigvalsh(h)[::-1]
+            lam = eigh(h).lam
+            assert np.abs(lam - ref).max() <= 1e-12 * n * max(1e-300, float(np.abs(ref).max()))
