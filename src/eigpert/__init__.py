@@ -29,7 +29,6 @@ from .alignment import (
     MODE_RAW,
     AlignedPerturbation,
     BlockStructure,
-    VcReport,
     align_columns,
     aligned_perturbation,
     blockwise_diagonalize,
@@ -37,24 +36,22 @@ from .alignment import (
     group_eigenvalues,
     m_matrix,
     scaled,
-    vc_membership,
 )
 from .first_order import (
-    FirstOrderPrediction,
     approx_decomposition_residual,
     decomposition_residual,
     first_order_eigenvalues,
-    first_order_prediction,
     gershgorin_intervals,
     u_approx,
 )
 from .schur import (
     SchurData,
     SimilarityDiagnostic,
-    diag_pseudo_inverse,
+    VcReport,
     refined_eigenvalues,
     schur_data,
     schur_similarity_diagnostic,
+    vc_membership,
 )
 from .rayleigh import (
     EigensystemPrediction,

@@ -4,9 +4,8 @@ Given ``A = U diag(lam) U*`` and a Hermitian perturbation ``E``, everything
 downstream works with the conjugated perturbation ``E_hat = U* E U``.  This
 module groups eigenvalues into degeneracy blocks, rotates ``U`` inside each
 block so ``E_hat`` becomes block-wise diagonal with non-increasing in-block
-diagonal, builds the inverse-gap matrix ``M``, and decides membership in the
-cone of perturbation directions along which every block stays diagonal and
-well separated.
+diagonal, and builds the inverse-gap matrix ``M``.  The cone-membership test,
+which needs Schur complements, lives in :mod:`eigpert.schur`.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import jacobi
-from .errors import GapTooSmallError, ModeError
+from .errors import ModeError
 from .matrices import as_readonly, hermitian
 
 __all__ = [
@@ -28,14 +27,12 @@ __all__ = [
     "BlockStructure",
     "LazyNorm",
     "AlignedPerturbation",
-    "VcReport",
     "group_eigenvalues",
     "conjugate_to_eigenbasis",
     "blockwise_diagonalize",
     "scaled",
     "norm_allows",
     "m_matrix",
-    "vc_membership",
     "align_columns",
     "aligned_perturbation",
 ]
@@ -48,12 +45,16 @@ DEFAULT_REL_GAP_TOL = 1e-8
 # 1e-13 * size * ||E||; this bounds it by 1e-14 ||E|| at any block size.
 BLOCK_TOL = 1e-14
 
-# Same-block diagonal entries of E_hat closer than this (relative to ||E||)
-# are flagged as tied; derivative formulas that need strict decrease refuse them.
-TIED_DIAGONAL_TOL = 1e-10
-
 MODE_RAW = "raw"
 MODE_BLOCKWISE = "blockwise_diagonal"
+
+
+def _require_blockwise(ap: AlignedPerturbation, what: str) -> None:
+    if ap.mode != MODE_BLOCKWISE:
+        raise ModeError(
+            f"{what} needs a block-wise diagonal perturbation; "
+            f"apply blockwise_diagonalize first (mode is {ap.mode!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -94,15 +95,17 @@ def group_eigenvalues(lam, rel_gap_tol: float = DEFAULT_REL_GAP_TOL) -> BlockStr
     """Split a non-increasing eigenvalue vector into degeneracy groups.
 
     Adjacent values belong to one group when their gap is at most
-    ``rel_gap_tol * max(1, max|lam|)``; a gap exactly at the tolerance still
-    joins (the boundary tie goes to the earlier, larger-eigenvalue group).
+    ``rel_gap_tol * max|lam|``; a gap exactly at the tolerance still joins
+    (the boundary tie goes to the earlier, larger-eigenvalue group).  With no
+    absolute floor, scaling ``lam`` by a positive factor leaves the groups
+    unchanged except for a gap within rounding of the tolerance.
     """
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("expected a nonempty 1-d eigenvalue vector")
     if np.any(np.diff(lam) > 0):
         raise ValueError("eigenvalues must be non-increasing")
-    tol = rel_gap_tol * max(1.0, float(np.abs(lam).max()))
+    tol = rel_gap_tol * float(np.abs(lam).max())
     groups = []
     start = 0
     for i in range(1, lam.size):
@@ -193,7 +196,6 @@ class AlignedPerturbation:
     e_hat_off: np.ndarray
     mode: str
     norm: LazyNorm
-    tied_block_diagonals: bool = False
 
     @property
     def n(self) -> int:
@@ -225,18 +227,6 @@ def _split_parts(e_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diag = np.diag(e_hat).real.copy()
     off = e_hat - np.diag(diag)
     return diag, off
-
-
-def _tied_diagonals(diag: np.ndarray, ap: AlignedPerturbation) -> bool:
-    gaps = [
-        float((diag[start : stop - 1] - diag[start + 1 : stop]).min())
-        for start, stop in ap.blocks.groups
-        if stop - start >= 2
-    ]
-    if not gaps:
-        return False
-    least = min(gaps)
-    return not norm_allows(ap, lambda e: least > TIED_DIAGONAL_TOL * e)
 
 
 def conjugate_to_eigenbasis(
@@ -301,7 +291,6 @@ def blockwise_diagonalize(ap: AlignedPerturbation) -> AlignedPerturbation:
         e_hat_off=as_readonly(off),
         mode=MODE_BLOCKWISE,
         norm=ap.norm,
-        tied_block_diagonals=_tied_diagonals(diag, ap),
     )
 
 
@@ -349,74 +338,6 @@ def m_matrix(base: jacobi.SpectralDecomposition, blocks: BlockStructure) -> np.n
     diff = lam[:, None] - lam[None, :]
     out[cross] = 1.0 / diff[cross]
     return out
-
-
-@dataclass(frozen=True)
-class VcReport:
-    """Witnesses for the diagonal-cone membership test."""
-
-    member: bool
-    per_block_off_diagonal: tuple[float, ...]
-    worst_gap_ratio: float
-    degenerate_zero: bool
-
-
-def vc_membership(ap: AlignedPerturbation, c: float, diag_tol: float) -> VcReport:
-    """Test whether ``E`` points into the cone where, for every eigenvalue
-    block, the block's Schur complement is diagonal (off-diagonal entries at
-    most ``diag_tol * ||E||``) and its eigenvalues are pairwise separated by
-    at least ``c * ||E||``.
-
-    ``E = 0`` with a repeated eigenvalue present is reported as a non-member
-    with the ``degenerate_zero`` flag set: the separation requirement reads
-    strictly and all-zero Schur eigenvalues cannot satisfy it.
-    """
-    from .schur import schur_data  # deferred; schur consumes this module's types
-
-    if c < 0.0 or diag_tol < 0.0:
-        raise ValueError("c and diag_tol must be nonnegative")
-    gap = ap.blocks.min_gap()
-    if not (ap.e_norm < 0.5 * gap):
-        raise GapTooSmallError(
-            f"perturbation norm {ap.e_norm:.3e} is not below half the smallest "
-            f"inter-block gap {gap:.3e}"
-        )
-    has_multi = any(stop - start >= 2 for start, stop in ap.blocks.groups)
-    if ap.e_norm == 0.0:
-        return VcReport(
-            member=not has_multi,
-            per_block_off_diagonal=tuple(0.0 for _ in ap.blocks.groups),
-            worst_gap_ratio=math.inf,
-            degenerate_zero=has_multi,
-        )
-    off_witness = []
-    worst_ratio = math.inf
-    member = True
-    for g, (start, stop) in enumerate(ap.blocks.groups):
-        sd = schur_data(ap, g)
-        size = stop - start
-        if size >= 2:
-            off = np.abs(sd.b - np.diag(np.diag(sd.b)))
-            worst_off = float(off.max())
-            beta = sd.beta
-            pair_gap = min(
-                abs(float(beta[i] - beta[j]))
-                for i in range(size)
-                for j in range(i + 1, size)
-            )
-            ratio = pair_gap / (c * ap.e_norm) if c > 0.0 else math.inf
-            worst_ratio = min(worst_ratio, ratio)
-            if worst_off > diag_tol * ap.e_norm or pair_gap < c * ap.e_norm:
-                member = False
-        else:
-            worst_off = 0.0
-        off_witness.append(worst_off)
-    return VcReport(
-        member=member,
-        per_block_off_diagonal=tuple(off_witness),
-        worst_gap_ratio=worst_ratio,
-        degenerate_zero=False,
-    )
 
 
 def align_columns(candidate: np.ndarray, reference: np.ndarray, groups) -> np.ndarray:

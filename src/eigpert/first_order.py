@@ -8,31 +8,18 @@ eigenvector matrix whose reconstruction misses ``A + E`` by ``O(||E||^2)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .alignment import MODE_BLOCKWISE, AlignedPerturbation, BlockStructure
-from .errors import ModeError
-from .matrices import as_readonly, operator_norm
+from .alignment import AlignedPerturbation, _require_blockwise
+from .matrices import operator_norm
 
 __all__ = [
-    "FirstOrderPrediction",
     "first_order_eigenvalues",
     "gershgorin_intervals",
     "u_approx",
     "decomposition_residual",
     "approx_decomposition_residual",
-    "first_order_prediction",
 ]
-
-
-def _require_blockwise(ap: AlignedPerturbation, what: str) -> None:
-    if ap.mode != MODE_BLOCKWISE:
-        raise ModeError(
-            f"{what} needs a block-wise diagonal perturbation; "
-            f"apply blockwise_diagonalize first (mode is {ap.mode!r})"
-        )
 
 
 def first_order_eigenvalues(ap: AlignedPerturbation) -> np.ndarray:
@@ -82,20 +69,3 @@ def approx_decomposition_residual(ap: AlignedPerturbation, mmat: np.ndarray) -> 
     the norm of :func:`decomposition_residual`.  Decays quadratically in
     ``||E||``."""
     return operator_norm(decomposition_residual(ap, mmat))
-
-
-@dataclass(frozen=True)
-class FirstOrderPrediction:
-    """Bundle of the first-order eigenvalue vector and eigenvector matrix."""
-
-    xi_hat: np.ndarray
-    u_ap: np.ndarray
-    blocks: BlockStructure
-
-
-def first_order_prediction(ap: AlignedPerturbation, mmat: np.ndarray) -> FirstOrderPrediction:
-    return FirstOrderPrediction(
-        xi_hat=as_readonly(first_order_eigenvalues(ap)),
-        u_ap=as_readonly(u_approx(ap, mmat)),
-        blocks=ap.blocks,
-    )

@@ -221,7 +221,6 @@ class StudyRow:
     trial: int
     t: float
     error: float
-    mean_error: float
 
 
 @dataclass(frozen=True)
@@ -238,12 +237,12 @@ class ConvergenceReport:
 
 def _trial_errors(
     predictor: str, a: np.ndarray, f: np.ndarray, t_grid: tuple[float, ...]
-) -> tuple[list[tuple[float, float, float]], float]:
+) -> tuple[list[tuple[float, float]], float]:
     """Errors of one predictor against the oracle along the t-grid.
 
-    Returns ``(t, worst_error, mean_error)`` triples and the scale used for
-    the noise floor.  Eigenvalue predictors report the max and mean over
-    indices; matrix-valued metrics report the same number twice.
+    Returns ``(t, error)`` pairs and the scale used for the noise floor.
+    Eigenvalue predictors report the largest error over indices,
+    matrix-valued ones the operator norm of the error matrix.
     """
     base = jacobi.eigh(a)
     ap = alignment.blockwise_diagonalize(alignment.conjugate_to_eigenbasis(base, f))
@@ -252,7 +251,7 @@ def _trial_errors(
     if predictor in ("rs_second_order", "eigvec_first_order"):
         a0, a1, a2 = rayleigh.rs_coefficients(ap)
         u_prime = rayleigh.eigenvector_derivative(ap, mmat)
-    points: list[tuple[float, float, float]] = []
+    points: list[tuple[float, float]] = []
     # Matrix-valued predictors collect their error matrices; the norms of
     # all of them are one oracle call.
     gaps: list[np.ndarray] = []
@@ -277,10 +276,9 @@ def _trial_errors(
         else:  # u_ap_residual
             gaps.append(first_order.decomposition_residual(alignment.scaled(ap, t), mmat))
             continue
-        diffs = np.abs(exact.lam - pred)
-        points.append((t, float(diffs.max()), float(diffs.mean())))
+        points.append((t, float(np.abs(exact.lam - pred).max())))
     if gaps:
-        points = [(t, e, e) for t, e in zip(t_grid, operator_norms(gaps))]
+        points = list(zip(t_grid, operator_norms(gaps)))
     return points, scale
 
 
@@ -301,7 +299,7 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
         except PreconditionError:
             failed.append(trial)
             continue
-        rows.extend(StudyRow(trial, t, worst, mean) for t, worst, mean in points)
+        rows.extend(StudyRow(trial, t, error) for t, error in points)
         fits.append(fit_loglog([p[0] for p in points], [p[1] for p in points], scale))
     if 2 * len(failed) > cfg.trials:
         raise StudyError(

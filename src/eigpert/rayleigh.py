@@ -4,9 +4,12 @@ Here the perturbation is read as a direction: for ``A + t F`` the eigenvalues
 admit ``xi_j(t) = a0_j + t a1_j + t^2 a2_j + O(t^3)`` and the eigenvector
 matrix has derivative ``U'(0) = U (N - M * F_hat)`` at ``t = 0``, where ``N``
 captures the rotation inside degeneracy blocks that the inverse-gap term
-``M * F_hat`` cannot see.  All formulas need ``F_hat`` block-wise diagonal
-with strictly decreasing in-block diagonals; ties leave the perturbed
-eigenvector branches underdetermined and raise ``DegenerateDirectionError``.
+``M * F_hat`` cannot see.  Both second-order pieces are closed forms over the
+inverse-gap matrix ``M``: ``a2 = -colsum(M * |F_hat|^2)``, and ``N`` is
+``F_hat* (M * F_hat)`` on same-block pairs divided by the in-block diagonal
+gaps of ``F_hat``.  All formulas need ``F_hat`` block-wise diagonal with
+strictly decreasing in-block diagonals; ties leave the perturbed eigenvector
+branches underdetermined and raise ``DegenerateDirectionError``.
 """
 
 from __future__ import annotations
@@ -18,15 +21,14 @@ import numpy as np
 from . import jacobi
 from .alignment import (
     DEFAULT_REL_GAP_TOL,
-    MODE_BLOCKWISE,
     AlignedPerturbation,
+    _require_blockwise,
     aligned_perturbation,
     m_matrix,
     norm_allows,
 )
-from .errors import DegenerateDirectionError, GapTooSmallError, ModeError
+from .errors import DegenerateDirectionError, GapTooSmallError
 from .matrices import as_readonly, hermitian
-from .schur import diag_pseudo_inverse
 
 __all__ = [
     "STRICT_DIAGONAL_TOL",
@@ -42,14 +44,6 @@ __all__ = [
 # In-block diagonal gaps of F_hat must exceed this (relative) for the
 # eigenvector branch to be well determined.
 STRICT_DIAGONAL_TOL = 1e-8
-
-
-def _require_blockwise(ap: AlignedPerturbation, what: str) -> None:
-    if ap.mode != MODE_BLOCKWISE:
-        raise ModeError(
-            f"{what} needs a block-wise diagonal direction; "
-            f"apply blockwise_diagonalize first (mode is {ap.mode!r})"
-        )
 
 
 def _require_untied(ap: AlignedPerturbation, strict_tol: float) -> None:
@@ -78,34 +72,22 @@ def _require_line_gap(ap: AlignedPerturbation, t: float) -> None:
         )
 
 
-def _cross_block_weights(ap: AlignedPerturbation, j: int, scale: float) -> np.ndarray:
-    """Reciprocal gaps ``1 / (lam_k - lam_j)`` with the whole block of ``j``
-    zeroed.  The block mask, not the reciprocal threshold, is what removes
-    the degenerate directions; the threshold only guards exact ties that
-    leak across blocks."""
-    w = diag_pseudo_inverse(ap.base.lam - ap.base.lam[j], scale)
-    bid = ap.blocks.block_id()
-    w[bid == bid[j]] = 0.0
-    return w
-
-
 def rs_coefficients(ap: AlignedPerturbation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-index expansion coefficients ``(a0, a1, a2)`` of ``xi_j(t)``.
 
     ``a0 = lam``, ``a1 = diag(F_hat)`` and
     ``a2_j = sum_k |F_hat[k, j]|^2 / (lam_j - lam_k)`` over ``k`` outside the
-    block of ``j``.  That ``a2`` misses the in-block coupling that a tie
-    leaves undetermined, so tied directions raise
-    ``DegenerateDirectionError`` exactly as :func:`n_matrix` does.
+    block of ``j``, that is ``a2 = -colsum(M * |F_hat|^2)``.  That ``a2``
+    misses the in-block coupling that a tie leaves undetermined, so tied
+    directions raise ``DegenerateDirectionError`` exactly as :func:`n_matrix`
+    does.
     """
     _require_blockwise(ap, "the second-order eigenvalue expansion")
     _require_untied(ap, STRICT_DIAGONAL_TOL)
-    n = ap.n
-    scale = float(np.abs(ap.base.lam).max())
-    a2 = np.zeros(n, dtype=np.float64)
-    for j in range(n):
-        w = _cross_block_weights(ap, j, scale)
-        a2[j] = -float(np.sum(w * np.abs(ap.e_hat[:, j]) ** 2))
+    weighted = m_matrix(ap.base, ap.blocks) * np.abs(ap.e_hat) ** 2
+    # Row sums of the contiguous transpose round exactly as summing each
+    # column on its own does; a strided column sum would not.
+    a2 = -np.ascontiguousarray(weighted.T).sum(axis=1)
     return (
         np.array(ap.base.lam, copy=True),
         np.array(ap.e_hat_diag, copy=True),
@@ -118,28 +100,28 @@ def n_matrix(ap: AlignedPerturbation, strict_tol: float = STRICT_DIAGONAL_TOL) -
 
     For ``i != j`` in the same block,
 
-        N[i, j] = (F_hat* P_j F_hat)[i, j] / (F_hat[i, i] - F_hat[j, j])
+        N[i, j] = (F_hat* (M * F_hat))[i, j] / (F_hat[i, i] - F_hat[j, j])
 
-    with ``P_j`` the reciprocal of ``lam - lam_j`` away from the block;
-    all other entries are zero.  The result is skew-Hermitian.  Blocks whose
-    in-block diagonal gaps of ``F_hat`` do not exceed
-    ``strict_tol * max(1, ||F||)`` raise ``DegenerateDirectionError``.
+    with ``M`` the inverse-gap matrix; all other entries are zero.  The
+    result is skew-Hermitian.  Blocks whose in-block diagonal gaps of
+    ``F_hat`` do not exceed ``strict_tol * max(1, ||F||)`` raise
+    ``DegenerateDirectionError``.
     """
     _require_blockwise(ap, "the eigenvector derivative")
     _require_untied(ap, strict_tol)
     n = ap.n
-    scale = float(np.abs(ap.base.lam).max())
+    bid = ap.blocks.block_id()
+    same = (bid[:, None] == bid[None, :]) & ~np.eye(n, dtype=bool)
+    mf = m_matrix(ap.base, ap.blocks) * ap.e_hat
+    fh = ap.e_hat.conj().T
+    # One matrix-vector product per column of a multi-member block rounds
+    # exactly as the per-column definition does; one matrix product would not.
+    num = np.zeros((n, n), dtype=np.complex128)
+    for j in np.flatnonzero(same.any(axis=0)):
+        num[:, j] = fh @ np.ascontiguousarray(mf[:, j])
+    d = ap.e_hat_diag
     out = np.zeros((n, n), dtype=np.complex128)
-    for g, (start, stop) in enumerate(ap.blocks.groups):
-        if stop - start < 2:
-            continue
-        for j in range(start, stop):
-            w = _cross_block_weights(ap, j, scale)
-            v = ap.e_hat.conj().T @ (w * ap.e_hat[:, j])
-            for i in range(start, stop):
-                if i == j:
-                    continue
-                out[i, j] = v[i] / (ap.e_hat_diag[i] - ap.e_hat_diag[j])
+    np.divide(num, d[:, None] - d[None, :], out=out, where=same)
     return out
 
 

@@ -8,14 +8,18 @@ complementary eigenvalues ``tau``, the Schur complement
     B = E11 - C K^{-1} C*
 
 predicts the block's perturbed eigenvalues as ``rho + beta_k`` with error
-``O(||B|| ||C||^2)``; replacing ``K`` by the thresholded pseudo-inverse of
-``diag(tau - rho)`` costs only ``O(||E||^3)``.  ``B`` is invariant under
-unitary rotations inside eigenvalue blocks, so none of this requires the
-block-wise diagonal mode.
+``O(||B|| ||C||^2)``; replacing ``K`` by ``diag(tau - rho)`` costs only
+``O(||E||^3)``.  ``B`` is invariant under unitary rotations inside eigenvalue
+blocks, so none of this requires the block-wise diagonal mode.
+
+The complements also decide membership in the cone of perturbation
+directions along which every block's complement stays diagonal and its
+eigenvalues well separated (:func:`vc_membership`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,31 +33,18 @@ __all__ = [
     "DEFAULT_MARGIN_FACTOR",
     "SchurData",
     "SimilarityDiagnostic",
-    "diag_pseudo_inverse",
+    "VcReport",
     "schur_data",
     "refined_eigenvalues",
+    "vc_membership",
     "schur_similarity_diagnostic",
 ]
 
 # Require min |tau - rho| to exceed this multiple of ||E|| before inverting K.
 DEFAULT_MARGIN_FACTOR = 2.0
 
-# Relative threshold below which a diagonal value is treated as exactly zero.
-PSEUDO_INVERSE_RTOL = 1e-12
-
 # Schur eigenvalues closer than this are reported as an ambiguous pairing.
 BETA_GAP_TOL = 1e-12
-
-
-def diag_pseudo_inverse(values, scale: float) -> np.ndarray:
-    """Entrywise reciprocal with a threshold: values of magnitude at most
-    ``1e-12 * max(1, scale)`` invert to zero instead of blowing up."""
-    values = np.asarray(values, dtype=np.float64)
-    thr = PSEUDO_INVERSE_RTOL * max(1.0, float(scale))
-    out = np.zeros_like(values)
-    keep = np.abs(values) > thr
-    out[keep] = 1.0 / values[keep]
-    return out
 
 
 @dataclass(frozen=True)
@@ -160,23 +151,23 @@ def refined_eigenvalues(
     """Schur-refined eigenvalue predictions for every block.
 
     ``variant="full"`` solves with ``K`` (error ``O(||B|| ||C||^2)`` per
-    block); ``variant="simplified"`` uses the thresholded reciprocal of
-    ``tau - rho`` instead (error ``O(||E||^3)``).  Entry ``j`` of the result
-    pairs with the ``j``-th exact eigenvalue in non-increasing order.  The
-    complements' eigenvalues come from one oracle call.
+    block); ``variant="simplified"`` uses the reciprocal of ``tau - rho``
+    instead (error ``O(||E||^3)``).  Entry ``j`` of the result pairs with the
+    ``j``-th exact eigenvalue in non-increasing order.  The complements'
+    eigenvalues come from one oracle call.
     """
     if variant not in ("full", "simplified"):
         raise ValueError(f"unknown variant {variant!r}; expected 'full' or 'simplified'")
-    scale = float(np.abs(ap.base.lam).max())
     rhos, bs = [], []
     for g, (start, stop) in enumerate(ap.blocks.groups):
         if variant == "full":
             rho, _, _, _, b = _full_complement(ap, g, margin_factor)
         else:
-            # Only the margin check and C; K is never formed.
+            # Only the margin check and C; K is never formed.  The margin
+            # check has already made every |tau - rho| exceed 2 ||E|| >= 0.
             _, _, rho, rest, tau = _block_margin(ap, g, margin_factor)
             c = _coupling(ap, start, stop, rest)
-            w = diag_pseudo_inverse(tau - rho, scale)
+            w = 1.0 / (tau - rho)
             b = ap.e_hat[start:stop, start:stop] - (c * w) @ c.conj().T
             b = 0.5 * (b + b.conj().T)
         rhos.append(rho)
@@ -185,6 +176,72 @@ def refined_eigenvalues(
     for (start, stop), rho, beta in zip(ap.blocks.groups, rhos, _complement_eigenvalues(bs)):
         out[start:stop] = rho + beta
     return out
+
+
+@dataclass(frozen=True)
+class VcReport:
+    """Witnesses for the diagonal-cone membership test."""
+
+    member: bool
+    per_block_off_diagonal: tuple[float, ...]
+    worst_gap_ratio: float
+    degenerate_zero: bool
+
+
+def vc_membership(ap: AlignedPerturbation, c: float, diag_tol: float) -> VcReport:
+    """Test whether ``E`` points into the cone where, for every eigenvalue
+    block, the block's Schur complement is diagonal (off-diagonal entries at
+    most ``diag_tol * ||E||``) and its eigenvalues are pairwise separated by
+    at least ``c * ||E||``.
+
+    ``E = 0`` with a repeated eigenvalue present is reported as a non-member
+    with the ``degenerate_zero`` flag set: the separation requirement reads
+    strictly and all-zero Schur eigenvalues cannot satisfy it.
+    """
+    if c < 0.0 or diag_tol < 0.0:
+        raise ValueError("c and diag_tol must be nonnegative")
+    gap = ap.blocks.min_gap()
+    if not (ap.e_norm < 0.5 * gap):
+        raise GapTooSmallError(
+            f"perturbation norm {ap.e_norm:.3e} is not below half the smallest "
+            f"inter-block gap {gap:.3e}"
+        )
+    has_multi = any(stop - start >= 2 for start, stop in ap.blocks.groups)
+    if ap.e_norm == 0.0:
+        return VcReport(
+            member=not has_multi,
+            per_block_off_diagonal=tuple(0.0 for _ in ap.blocks.groups),
+            worst_gap_ratio=math.inf,
+            degenerate_zero=has_multi,
+        )
+    off_witness = []
+    worst_ratio = math.inf
+    member = True
+    for g, (start, stop) in enumerate(ap.blocks.groups):
+        sd = schur_data(ap, g)
+        size = stop - start
+        if size >= 2:
+            off = np.abs(sd.b - np.diag(np.diag(sd.b)))
+            worst_off = float(off.max())
+            beta = sd.beta
+            pair_gap = min(
+                abs(float(beta[i] - beta[j]))
+                for i in range(size)
+                for j in range(i + 1, size)
+            )
+            ratio = pair_gap / (c * ap.e_norm) if c > 0.0 else math.inf
+            worst_ratio = min(worst_ratio, ratio)
+            if worst_off > diag_tol * ap.e_norm or pair_gap < c * ap.e_norm:
+                member = False
+        else:
+            worst_off = 0.0
+        off_witness.append(worst_off)
+    return VcReport(
+        member=member,
+        per_block_off_diagonal=tuple(off_witness),
+        worst_gap_ratio=worst_ratio,
+        degenerate_zero=False,
+    )
 
 
 @dataclass(frozen=True)

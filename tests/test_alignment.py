@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import degenerate_instance, rand_hermitian, rand_unitary
 from eigpert import (
@@ -13,10 +15,12 @@ from eigpert import (
     blockwise_diagonalize,
     conjugate_to_eigenbasis,
     eigh,
+    first_order_eigenvalues,
     group_eigenvalues,
     hermitian,
     m_matrix,
     operator_norm,
+    refined_eigenvalues,
     scaled,
     vc_membership,
 )
@@ -44,7 +48,7 @@ class TestGrouping:
         assert bs.min_gap() == pytest.approx(1.0)
 
     def test_boundary_tie_joins(self):
-        tol = 2.0**-20  # exactly representable, relative to max(1, max |lam|) = 1
+        tol = 2.0**-20  # exactly representable, relative to max |lam| = 1
         bs = group_eigenvalues([1.0, 1.0 - 2.0**-20], rel_gap_tol=tol)
         assert len(bs.groups) == 1
         bs = group_eigenvalues([1.0, 1.0 - 2.0**-19], rel_gap_tol=tol)
@@ -67,6 +71,56 @@ class TestGrouping:
         bs = group_eigenvalues([5.0, 5.0, 3.0])
         assert list(bs.block_id()) == [0, 0, 1]
         assert bs.min_gap() == pytest.approx(2.0)
+
+
+# Relative offsets inside a cluster, on both sides of the default tolerance.
+_OFFSETS = (0.0, 1e-12, 3e-9, 1e-8, 3e-8, 1e-6, 1e-3)
+
+
+@st.composite
+def spectra(draw):
+    """Non-increasing eigenvalue vectors of near-tied clusters.  Entries are 0
+    or of magnitude in [2^-20, 2^21), so every ``2^k`` multiple with
+    ``|k| <= 1000`` is exact."""
+    lam = [0.0] if draw(st.booleans()) else []
+    for center in draw(st.lists(st.floats(2.0**-20, 2.0**20), min_size=1, max_size=4)):
+        sign = draw(st.sampled_from((1.0, -1.0)))
+        for rel in draw(st.lists(st.sampled_from(_OFFSETS), min_size=1, max_size=3)):
+            lam.append(sign * center * (1.0 + rel))
+    return np.sort(lam)[::-1]
+
+
+class TestScaleInvariantGrouping:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(lam=spectra(), k=st.integers(-1000, 1000))
+    def test_groups_unchanged_by_powers_of_two(self, lam, k):
+        assert group_eigenvalues(np.ldexp(lam, k)).groups == group_eigenvalues(lam).groups
+
+    def test_predictions_scale_with_the_matrix(self):
+        # An absolute floor on the grouping tolerance would merge the three
+        # pairs into one block of 6 below scale about 1e-8, and every
+        # prediction would lose its order of accuracy.
+        rng = np.random.default_rng(2024)
+        q = rand_unitary(rng, 6)
+        f = rand_hermitian(rng, 6)
+        f = hermitian(f / operator_norm(f))
+        d = np.diag([3.0, 3.0, 1.0, 1.0, -1.5, -1.5]).astype(np.complex128)
+        relative = {}
+        for s in (1.0, 1e-20, 1e-100, 1e-200):
+            a = hermitian(s * (q @ d @ q.conj().T))
+            e = hermitian(1e-3 * s * f)
+            ap = aligned_perturbation(a, e)
+            assert ap.blocks.sizes == (2, 2, 2)
+            exact = eigh(a + e).lam
+            predictions = (
+                first_order_eigenvalues(ap),
+                refined_eigenvalues(ap, "full"),
+                refined_eigenvalues(ap, "simplified"),
+            )
+            relative[s] = [float(np.abs(p - exact).max()) / s for p in predictions]
+        for s, errors in relative.items():
+            for error, at_one in zip(errors, relative[1.0]):
+                assert error <= 2.0 * at_one, (s, errors, relative[1.0])
 
 
 class TestConjugate:

@@ -9,7 +9,6 @@ from eigpert import (
     conjugate_to_eigenbasis,
     eigh,
     first_order_eigenvalues,
-    first_order_prediction,
     gershgorin_intervals,
     hermitian,
     m_matrix,
@@ -167,14 +166,3 @@ class TestConvergenceRate:
             errs.append(np.abs(xi - exact).max())
         slope = np.polyfit(np.log10(ts), np.log10(errs), 1)[0]
         assert slope >= 1.8
-
-
-class TestBundle:
-    def test_fields_match_the_pieces(self):
-        ap, mmat = two_level_instance()
-        pred = first_order_prediction(ap, mmat)
-        assert np.array_equal(pred.xi_hat, first_order_eigenvalues(ap))
-        assert np.array_equal(pred.u_ap, u_approx(ap, mmat))
-        assert pred.blocks is ap.blocks
-        assert not pred.xi_hat.flags.writeable
-        assert not pred.u_ap.flags.writeable

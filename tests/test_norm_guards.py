@@ -32,7 +32,7 @@ from eigpert import (
     u_approx,
     vc_membership,
 )
-from eigpert.alignment import TIED_DIAGONAL_TOL, LazyNorm
+from eigpert.alignment import LazyNorm
 
 # Relative offsets of a guard's threshold from ||E||: inside the bounds'
 # slack, so the oracle decides, and far outside it, so the bounds do.
@@ -99,33 +99,6 @@ def test_tie_guard(kind, e, offset):
     gap = float(ap.e_hat_diag[0] - ap.e_hat_diag[1])
     tol = gap / ap.e_norm * (1.0 + offset)
     assert_same(ap, lambda x: n_matrix(x, strict_tol=tol))
-
-
-def tied_diagonal_instance(rank_one, offset):
-    """Block {0, 1} already diagonal with gap ``g``; ``g`` is iterated to
-    ``TIED_DIAGONAL_TOL * ||E|| * (1 + offset)``."""
-    base = identity_base([1.0, 1.0, -2.0])
-    g = TIED_DIAGONAL_TOL
-    for _ in range(4):
-        if rank_one:
-            x = np.array([math.sqrt(g), 0.0, 1.0])
-            e = hermitian(np.outer(x, x))
-        else:
-            e = hermitian([[g, 0.0, 0.7], [0.0, 0.0, 0.4], [0.7, 0.4, 0.3]])
-        raw = conjugate_to_eigenbasis(base, e)
-        g = TIED_DIAGONAL_TOL * raw.e_norm * (1.0 + offset)
-    return conjugate_to_eigenbasis(base, e)
-
-
-@pytest.mark.parametrize("rank_one", (True, False))
-@pytest.mark.parametrize("offset", NEAR + FAR)
-def test_tied_diagonals_flag(rank_one, offset):
-    raw = tied_diagonal_instance(rank_one, offset)
-    gap = float(raw.e_hat_diag[0] - raw.e_hat_diag[1])
-    assert abs(gap / (TIED_DIAGONAL_TOL * raw.e_norm) - (1.0 + offset)) <= 1e-14
-    flag = blockwise_diagonalize(raw).tied_block_diagonals
-    assert flag == blockwise_diagonalize(exact_only(raw)).tied_block_diagonals
-    assert flag == (gap <= TIED_DIAGONAL_TOL * raw.e_norm)
 
 
 @pytest.mark.parametrize("kind, e", directions(5, 8))

@@ -133,7 +133,6 @@ class TestNMatrix:
         a = np.diag([4.0, 4.0, 1.0])
         f = hermitian([[0.3, 0.0, 1.0], [0.0, 0.3, 0.0], [1.0, 0.0, 0.0]])
         ap = aligned_perturbation(a, f)
-        assert ap.tied_block_diagonals
         with pytest.raises(DegenerateDirectionError, match="tied diagonal"):
             n_matrix(ap)
 
@@ -165,6 +164,53 @@ class TestNMatrix:
             assert np.abs(g + g.conj().T).max() <= 1e-13 * scale
         # random directions essentially never tie a block diagonal
         assert checked >= 28
+
+
+def cross_block_weights(ap, j):
+    """``1 / (lam_k - lam_j)`` for ``k`` outside the block of ``j``, else 0."""
+    lam, bid = ap.base.lam, ap.blocks.block_id()
+    cross = bid != bid[j]
+    w = np.zeros(ap.n)
+    w[cross] = 1.0 / (lam[cross] - lam[j])
+    return w
+
+
+def reference_a2(ap):
+    """``a2_j = sum_k |F_hat[k, j]|^2 / (lam_j - lam_k)``, one index at a time."""
+    return np.array(
+        [-np.sum(cross_block_weights(ap, j) * np.abs(ap.e_hat[:, j]) ** 2) for j in range(ap.n)]
+    )
+
+
+def reference_n(ap):
+    """``N[i, j] = (F_hat* P_j F_hat)[i, j] / (F_hat[i, i] - F_hat[j, j])`` for
+    ``i != j`` in one block, with ``P_j`` the cross-block weights of ``j``."""
+    out = np.zeros((ap.n, ap.n), dtype=np.complex128)
+    d = ap.e_hat_diag
+    for start, stop in ap.blocks.groups:
+        for j in range(start, stop):
+            v = ap.e_hat.conj().T @ (cross_block_weights(ap, j) * ap.e_hat[:, j])
+            for i in range(start, stop):
+                if i != j:
+                    out[i, j] = v[i] / (d[i] - d[j])
+    return out
+
+
+class TestClosedForms:
+    """The array forms over ``M`` reproduce the per-index definitions bit for
+    bit, which also pins the sign and orientation of the antisymmetric ``M``."""
+
+    @pytest.mark.parametrize(
+        "spec, count",
+        [((4,) * 15, 2), ((2, 2, 1, 1), 6), ((3, 2, 2, 1), 6), ((1,) * 7, 4), ((5,), 2)],
+        ids=["15x4", "2211", "3221", "7x1", "5"],
+    )
+    def test_match_per_index_definitions(self, spec, count):
+        rng = np.random.default_rng(sum(spec) * 100 + len(spec))
+        for _ in range(count):
+            ap = aligned_perturbation(*degenerate_instance(rng, spec))
+            assert np.array_equal(rs_coefficients(ap)[2], reference_a2(ap))
+            assert np.array_equal(n_matrix(ap), reference_n(ap))
 
 
 class TestPredict:

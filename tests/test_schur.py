@@ -5,7 +5,6 @@ from conftest import degenerate_instance, rand_hermitian
 from eigpert import (
     GapTooSmallError,
     aligned_perturbation,
-    diag_pseudo_inverse,
     eigh,
     first_order_eigenvalues,
     hermitian,
@@ -24,20 +23,6 @@ def block_first_order(ap, block_index):
     start, stop = ap.blocks.groups[block_index]
     rest = np.r_[np.arange(0, start), np.arange(stop, ap.n)]
     return np.concatenate([np.arange(start, stop), rest])
-
-
-class TestDiagPseudoInverse:
-    def test_plain_reciprocal(self):
-        assert np.array_equal(diag_pseudo_inverse([2.0, -4.0], scale=1.0), [0.5, -0.25])
-
-    def test_threshold_zeroes_small_values(self):
-        out = diag_pseudo_inverse([1e-13, 2.0, 0.0], scale=1.0)
-        assert np.array_equal(out, [0.0, 0.5, 0.0])
-
-    def test_threshold_scales(self):
-        # 2^-30 is far above the cutoff for scale 1 but below it for scale 1e4
-        assert diag_pseudo_inverse([2.0**-30], scale=1.0)[0] == 2.0**30
-        assert diag_pseudo_inverse([2.0**-30], scale=1e4)[0] == 0.0
 
 
 class TestSchurData:
@@ -163,11 +148,10 @@ class TestRefinedEigenvalues:
         rng = np.random.default_rng(47)
         a, f = degenerate_instance(rng, (2, 2))
         ap = aligned_perturbation(a, hermitian(0.1 * f))
-        scale = float(np.abs(ap.base.lam).max())
         simplified = refined_eigenvalues(ap, "simplified")
         for g, (start, stop) in enumerate(ap.blocks.groups):
             sd = schur_data(ap, g)
-            w = diag_pseudo_inverse(sd.lambda_tau - sd.rho, scale)
+            w = 1.0 / (sd.lambda_tau - sd.rho)
             b_tilde = ap.e_hat[start:stop, start:stop] - (sd.c * w) @ sd.c.conj().T
             b_tilde = 0.5 * (b_tilde + b_tilde.conj().T)
             beta = eigh(b_tilde).lam
