@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import jacobi
-from .errors import ModeError
+from .errors import GapTooSmallError, ModeError
 from .matrices import as_readonly, hermitian
 
 __all__ = [
@@ -91,21 +91,21 @@ class BlockStructure:
         return min(reps[g] - reps[g + 1] for g in range(len(reps) - 1))
 
 
-def group_eigenvalues(lam, rel_gap_tol: float = DEFAULT_REL_GAP_TOL) -> BlockStructure:
+def group_eigenvalues(lam) -> BlockStructure:
     """Split a non-increasing eigenvalue vector into degeneracy groups.
 
     Adjacent values belong to one group when their gap is at most
-    ``rel_gap_tol * max|lam|``; a gap exactly at the tolerance still joins
-    (the boundary tie goes to the earlier, larger-eigenvalue group).  With no
-    absolute floor, scaling ``lam`` by a positive factor leaves the groups
-    unchanged except for a gap within rounding of the tolerance.
+    ``DEFAULT_REL_GAP_TOL * max|lam|``; a gap exactly at the tolerance still
+    joins (the boundary tie goes to the earlier, larger-eigenvalue group).
+    With no absolute floor, scaling ``lam`` by a positive factor leaves the
+    groups unchanged except for a gap within rounding of the tolerance.
     """
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("expected a nonempty 1-d eigenvalue vector")
     if np.any(np.diff(lam) > 0):
         raise ValueError("eigenvalues must be non-increasing")
-    tol = rel_gap_tol * float(np.abs(lam).max())
+    tol = DEFAULT_REL_GAP_TOL * float(np.abs(lam).max())
     groups = []
     start = 0
     for i in range(1, lam.size):
@@ -223,33 +223,36 @@ def norm_allows(ap: AlignedPerturbation, ok: Callable[[float], bool]) -> bool:
     return ok(ap.e_norm)
 
 
+def _require_line_gap(ap: AlignedPerturbation, t: float) -> None:
+    """Reject ``t`` unless ``2 |t| ||F||`` is below the smallest inter-block
+    gap, with ``F`` the perturbation read as a direction, so the perturbed
+    eigenvalues of ``A + t F`` cannot migrate between blocks."""
+    gap = ap.blocks.min_gap()
+    if len(ap.blocks.groups) > 1 and not norm_allows(ap, lambda e: 2.0 * abs(t) * e < gap):
+        raise GapTooSmallError(
+            f"|t| ||F|| = {abs(t) * ap.e_norm:.3e} reaches half the smallest "
+            f"inter-block gap {gap:.3e}; blocks may mix"
+        )
+
+
 def _split_parts(e_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diag = np.diag(e_hat).real.copy()
     off = e_hat - np.diag(diag)
     return diag, off
 
 
-def conjugate_to_eigenbasis(
-    base: jacobi.SpectralDecomposition,
-    e,
-    blocks: BlockStructure | None = None,
-    rel_gap_tol: float = DEFAULT_REL_GAP_TOL,
-) -> AlignedPerturbation:
+def conjugate_to_eigenbasis(base: jacobi.SpectralDecomposition, e) -> AlignedPerturbation:
     """Express a Hermitian perturbation in the eigenbasis of ``base`` (raw mode)."""
     e = hermitian(e)
     if e.shape != base.u.shape:
         raise ValueError(f"perturbation shape {e.shape} does not match base {base.u.shape}")
-    if blocks is None:
-        blocks = group_eigenvalues(base.lam, rel_gap_tol=rel_gap_tol)
-    if blocks.n != base.lam.size:
-        raise ValueError("block structure does not cover the eigenvalue vector")
     e_hat = base.u.conj().T @ e @ base.u
     e_hat = 0.5 * (e_hat + e_hat.conj().T)
     diag, off = _split_parts(e_hat)
     e_hat = as_readonly(e_hat)
     return AlignedPerturbation(
         base=base,
-        blocks=blocks,
+        blocks=group_eigenvalues(base.lam),
         e=as_readonly(e),
         e_hat=e_hat,
         e_hat_diag=as_readonly(diag),
@@ -313,17 +316,11 @@ def scaled(ap: AlignedPerturbation, t: float) -> AlignedPerturbation:
     )
 
 
-def aligned_perturbation(
-    a,
-    e,
-    rel_gap_tol: float = DEFAULT_REL_GAP_TOL,
-    blockwise: bool = True,
-) -> AlignedPerturbation:
-    """One-call pipeline: decompose ``a``, conjugate ``e``, optionally rotate
-    block-wise.  Convenience entry point used by the CLI and the demos."""
+def aligned_perturbation(a, e) -> AlignedPerturbation:
+    """One-call pipeline: decompose ``a``, conjugate ``e``, rotate block-wise.
+    Convenience entry point used by the CLI and the demos."""
     base = jacobi.eigh(hermitian(a))
-    ap = conjugate_to_eigenbasis(base, e, rel_gap_tol=rel_gap_tol)
-    return blockwise_diagonalize(ap) if blockwise else ap
+    return blockwise_diagonalize(conjugate_to_eigenbasis(base, e))
 
 
 def m_matrix(base: jacobi.SpectralDecomposition, blocks: BlockStructure) -> np.ndarray:

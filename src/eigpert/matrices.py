@@ -58,23 +58,24 @@ def dense(entries) -> np.ndarray:
     return m
 
 
-def hermitian(entries, asym_tol: float = DEFAULT_ASYMMETRY_TOL) -> np.ndarray:
+def hermitian(entries) -> np.ndarray:
     """Build a Hermitian matrix, averaging away round-off level asymmetry.
 
     The result equals its conjugate transpose exactly as stored and has exactly
     real diagonal entries (the average of ``z`` and ``conj(z)`` has zero
     imaginary part in IEEE arithmetic).  Input whose asymmetry exceeds
-    ``asym_tol`` relative to the largest entry is rejected, not repaired.
+    ``DEFAULT_ASYMMETRY_TOL`` relative to the largest entry is rejected, not
+    repaired.
     """
     m = dense(entries)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"Hermitian matrix must be square, got {m.shape}")
     scale = float(np.abs(m).max())
     asym = float(np.abs(m - m.conj().T).max())
-    if asym > asym_tol * max(scale, 1e-300):
+    if asym > DEFAULT_ASYMMETRY_TOL * max(scale, 1e-300):
         raise ValueError(
             f"input is not Hermitian: asymmetry {asym:.3e} exceeds "
-            f"{asym_tol:.1e} relative to scale {scale:.3e}"
+            f"{DEFAULT_ASYMMETRY_TOL:.1e} relative to scale {scale:.3e}"
         )
     return 0.5 * (m + m.conj().T)
 
@@ -211,12 +212,12 @@ def parse_matrix(text: str) -> np.ndarray:
     return out
 
 
-def parse_hermitian(text: str, asym_tol: float = DEFAULT_ASYMMETRY_TOL) -> np.ndarray:
+def parse_hermitian(text: str) -> np.ndarray:
     """Parse a square matrix and validate/symmetrize it as Hermitian."""
     m = parse_matrix(text)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got {m.shape}")
-    return hermitian(m, asym_tol=asym_tol)
+    return hermitian(m)
 
 
 def _format_real(x: float) -> str:
@@ -234,18 +235,12 @@ def _format_entry(z: complex) -> str:
     return f"{_format_real(re_part)}{sign}{_format_real(abs(im_part))}i"
 
 
-def format_matrix(m, hermitian_header: bool = False) -> str:
-    """Render a matrix in the text exchange format (17 significant digits, LF).
-
-    ``hermitian_header=True`` writes the single-integer dimension line used
-    for square Hermitian matrices; otherwise the header is ``"rows cols"``.
-    """
+def format_matrix(m) -> str:
+    """Render a matrix in the text exchange format (17 significant digits, LF,
+    header ``"rows cols"``)."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"expected a nonempty 2-d matrix, got shape {m.shape}")
     rows, cols = m.shape
-    if hermitian_header and rows != cols:
-        raise ValueError("hermitian_header requires a square matrix")
-    header = str(rows) if hermitian_header else f"{rows} {cols}"
     body = [" ".join(_format_entry(z) for z in m[i, :]) for i in range(rows)]
-    return "\n".join([header] + body) + "\n"
+    return "\n".join([f"{rows} {cols}"] + body) + "\n"

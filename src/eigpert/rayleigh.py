@@ -14,21 +14,22 @@ branches underdetermined and raise ``DegenerateDirectionError``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jacobi
 from .alignment import (
-    DEFAULT_REL_GAP_TOL,
     AlignedPerturbation,
     _require_blockwise,
+    _require_line_gap,
     aligned_perturbation,
     m_matrix,
     norm_allows,
 )
-from .errors import DegenerateDirectionError, GapTooSmallError
-from .matrices import as_readonly, hermitian
+from .errors import DegenerateDirectionError
+from .matrices import as_readonly
 
 __all__ = [
     "STRICT_DIAGONAL_TOL",
@@ -41,35 +42,24 @@ __all__ = [
     "line_expansion",
 ]
 
-# In-block diagonal gaps of F_hat must exceed this (relative) for the
+# In-block diagonal gaps of F_hat must exceed this times ||F|| for the
 # eigenvector branch to be well determined.
 STRICT_DIAGONAL_TOL = 1e-8
 
 
-def _require_untied(ap: AlignedPerturbation, strict_tol: float) -> None:
+def _require_untied(ap: AlignedPerturbation) -> None:
     """Reject in-block diagonal gaps of ``F_hat`` at most
-    ``strict_tol * max(1, ||F||)``."""
+    ``STRICT_DIAGONAL_TOL * ||F||``."""
     for start, stop in ap.blocks.groups:
         if stop - start < 2:
             continue
         gap = float((ap.e_hat_diag[start : stop - 1] - ap.e_hat_diag[start + 1 : stop]).min())
-        if not norm_allows(ap, lambda e: gap > strict_tol * max(1.0, e)):
+        if not norm_allows(ap, lambda e: gap > STRICT_DIAGONAL_TOL * e):
             raise DegenerateDirectionError(
                 f"direction has tied diagonal entries (gap {gap:.3e}) "
                 f"inside eigenvalue block [{start}, {stop}); the perturbed "
                 "eigenvector branches are not determined to first order"
             )
-
-
-def _require_line_gap(ap: AlignedPerturbation, t: float) -> None:
-    """Reject ``t`` unless ``2 |t| ||F||`` is below the smallest inter-block
-    gap, so the perturbed eigenvalues cannot migrate between blocks."""
-    gap = ap.blocks.min_gap()
-    if len(ap.blocks.groups) > 1 and not norm_allows(ap, lambda e: 2.0 * abs(t) * e < gap):
-        raise GapTooSmallError(
-            f"|t| ||F|| = {abs(t) * ap.e_norm:.3e} reaches half the smallest "
-            f"inter-block gap {gap:.3e}; blocks may mix"
-        )
 
 
 def rs_coefficients(ap: AlignedPerturbation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -80,14 +70,18 @@ def rs_coefficients(ap: AlignedPerturbation) -> tuple[np.ndarray, np.ndarray, np
     block of ``j``, that is ``a2 = -colsum(M * |F_hat|^2)``.  That ``a2``
     misses the in-block coupling that a tie leaves undetermined, so tied
     directions raise ``DegenerateDirectionError`` exactly as :func:`n_matrix`
-    does.
+    does.  ``|F_hat|`` is scaled by an exact power of two to unit largest
+    entry before it is squared, so the square neither underflows nor
+    overflows.
     """
     _require_blockwise(ap, "the second-order eigenvalue expansion")
-    _require_untied(ap, STRICT_DIAGONAL_TOL)
-    weighted = m_matrix(ap.base, ap.blocks) * np.abs(ap.e_hat) ** 2
+    _require_untied(ap)
+    mag = np.abs(ap.e_hat)
+    exponent = math.frexp(float(mag.max()))[1]
+    weighted = m_matrix(ap.base, ap.blocks) * np.ldexp(mag, -exponent) ** 2
     # Row sums of the contiguous transpose round exactly as summing each
     # column on its own does; a strided column sum would not.
-    a2 = -np.ascontiguousarray(weighted.T).sum(axis=1)
+    a2 = np.ldexp(-np.ascontiguousarray(weighted.T).sum(axis=1), 2 * exponent)
     return (
         np.array(ap.base.lam, copy=True),
         np.array(ap.e_hat_diag, copy=True),
@@ -95,7 +89,7 @@ def rs_coefficients(ap: AlignedPerturbation) -> tuple[np.ndarray, np.ndarray, np
     )
 
 
-def n_matrix(ap: AlignedPerturbation, strict_tol: float = STRICT_DIAGONAL_TOL) -> np.ndarray:
+def n_matrix(ap: AlignedPerturbation) -> np.ndarray:
     """In-block rotation generator of the eigenvector derivative.
 
     For ``i != j`` in the same block,
@@ -104,11 +98,11 @@ def n_matrix(ap: AlignedPerturbation, strict_tol: float = STRICT_DIAGONAL_TOL) -
 
     with ``M`` the inverse-gap matrix; all other entries are zero.  The
     result is skew-Hermitian.  Blocks whose in-block diagonal gaps of
-    ``F_hat`` do not exceed ``strict_tol * max(1, ||F||)`` raise
+    ``F_hat`` do not exceed ``STRICT_DIAGONAL_TOL * ||F||`` raise
     ``DegenerateDirectionError``.
     """
     _require_blockwise(ap, "the eigenvector derivative")
-    _require_untied(ap, strict_tol)
+    _require_untied(ap)
     n = ap.n
     bid = ap.blocks.block_id()
     same = (bid[:, None] == bid[None, :]) & ~np.eye(n, dtype=bool)
@@ -182,13 +176,11 @@ class LineExpansion:
         return _evaluate(self.base.u, self.a0, self.a1, self.a2, self.u_prime, t)
 
 
-def line_expansion(a, f, rel_gap_tol: float = DEFAULT_REL_GAP_TOL) -> LineExpansion:
+def line_expansion(a, f) -> LineExpansion:
     """Build the full second-order expansion of ``A + t F`` from dense input."""
-    ap = aligned_perturbation(hermitian(a), hermitian(f), rel_gap_tol=rel_gap_tol)
+    ap = aligned_perturbation(a, f)
     mmat = m_matrix(ap.base, ap.blocks)
     a0, a1, a2 = rs_coefficients(ap)
-    nm = n_matrix(ap)
-    u_prime = ap.base.u @ (nm - mmat * ap.e_hat)
     return LineExpansion(
         base=ap.base,
         ap=ap,
@@ -196,6 +188,6 @@ def line_expansion(a, f, rel_gap_tol: float = DEFAULT_REL_GAP_TOL) -> LineExpans
         a0=as_readonly(a0),
         a1=as_readonly(a1),
         a2=as_readonly(a2),
-        n_mat=as_readonly(nm),
-        u_prime=as_readonly(u_prime),
+        n_mat=as_readonly(n_matrix(ap)),
+        u_prime=as_readonly(eigenvector_derivative(ap, mmat)),
     )

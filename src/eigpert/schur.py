@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jacobi
-from .alignment import AlignedPerturbation, norm_allows
+from .alignment import AlignedPerturbation, _require_line_gap, norm_allows
 from .errors import GapTooSmallError
 from .matrices import as_readonly, operator_norm
 
@@ -67,7 +67,7 @@ class SchurData:
     beta_gap_ambiguous: bool
 
 
-def _block_margin(ap: AlignedPerturbation, block_index: int, margin_factor: float) -> tuple:
+def _block_margin(ap: AlignedPerturbation, block_index: int) -> tuple:
     groups = ap.blocks.groups
     if not 0 <= block_index < len(groups):
         raise ValueError(f"block index {block_index} out of range for {len(groups)} blocks")
@@ -77,10 +77,11 @@ def _block_margin(ap: AlignedPerturbation, block_index: int, margin_factor: floa
     tau = ap.base.lam[rest]
     if rest.size:
         margin = float(np.abs(tau - rho).min())
-        if not norm_allows(ap, lambda e: margin > margin_factor * e):
+        if not norm_allows(ap, lambda e: margin > DEFAULT_MARGIN_FACTOR * e):
             raise GapTooSmallError(
                 f"block {block_index}: separation {margin:.3e} from other eigenvalues "
-                f"does not exceed {margin_factor:g} * ||E|| = {margin_factor * ap.e_norm:.3e}"
+                f"does not exceed {DEFAULT_MARGIN_FACTOR:g} * ||E|| = "
+                f"{DEFAULT_MARGIN_FACTOR * ap.e_norm:.3e}"
             )
     return start, stop, rho, rest, tau
 
@@ -102,10 +103,10 @@ def _complement_eigenvalues(bs: list[np.ndarray]) -> list[np.ndarray]:
     ]
 
 
-def _full_complement(ap: AlignedPerturbation, block_index: int, margin_factor: float) -> tuple:
+def _full_complement(ap: AlignedPerturbation, block_index: int) -> tuple:
     """The block-first partition of ``E_hat`` around one block and its
     symmetrized Schur complement ``B = E11 - C K^{-1} C*``."""
-    start, stop, rho, rest, tau = _block_margin(ap, block_index, margin_factor)
+    start, stop, rho, rest, tau = _block_margin(ap, block_index)
     e11 = ap.e_hat[start:stop, start:stop]
     c = _coupling(ap, start, stop, rest)
     d = ap.e_hat[rest[:, None], rest[None, :]]
@@ -117,13 +118,9 @@ def _full_complement(ap: AlignedPerturbation, block_index: int, margin_factor: f
     return rho, tau, c, d, 0.5 * (b + b.conj().T)
 
 
-def schur_data(
-    ap: AlignedPerturbation,
-    block_index: int,
-    margin_factor: float = DEFAULT_MARGIN_FACTOR,
-) -> SchurData:
+def schur_data(ap: AlignedPerturbation, block_index: int) -> SchurData:
     """Partition ``E_hat`` around one block and form its Schur complement."""
-    rho, tau, c, d, b = _full_complement(ap, block_index, margin_factor)
+    rho, tau, c, d, b = _full_complement(ap, block_index)
     l = b.shape[0]
     (beta,) = _complement_eigenvalues([b])
     ambiguous = False
@@ -143,11 +140,7 @@ def schur_data(
     )
 
 
-def refined_eigenvalues(
-    ap: AlignedPerturbation,
-    variant: str = "full",
-    margin_factor: float = DEFAULT_MARGIN_FACTOR,
-) -> np.ndarray:
+def refined_eigenvalues(ap: AlignedPerturbation, variant: str = "full") -> np.ndarray:
     """Schur-refined eigenvalue predictions for every block.
 
     ``variant="full"`` solves with ``K`` (error ``O(||B|| ||C||^2)`` per
@@ -161,11 +154,11 @@ def refined_eigenvalues(
     rhos, bs = [], []
     for g, (start, stop) in enumerate(ap.blocks.groups):
         if variant == "full":
-            rho, _, _, _, b = _full_complement(ap, g, margin_factor)
+            rho, _, _, _, b = _full_complement(ap, g)
         else:
             # Only the margin check and C; K is never formed.  The margin
             # check has already made every |tau - rho| exceed 2 ||E|| >= 0.
-            _, _, rho, rest, tau = _block_margin(ap, g, margin_factor)
+            _, _, rho, rest, tau = _block_margin(ap, g)
             c = _coupling(ap, start, stop, rest)
             w = 1.0 / (tau - rho)
             b = ap.e_hat[start:stop, start:stop] - (c * w) @ c.conj().T
@@ -200,12 +193,7 @@ def vc_membership(ap: AlignedPerturbation, c: float, diag_tol: float) -> VcRepor
     """
     if c < 0.0 or diag_tol < 0.0:
         raise ValueError("c and diag_tol must be nonnegative")
-    gap = ap.blocks.min_gap()
-    if not (ap.e_norm < 0.5 * gap):
-        raise GapTooSmallError(
-            f"perturbation norm {ap.e_norm:.3e} is not below half the smallest "
-            f"inter-block gap {gap:.3e}"
-        )
+    _require_line_gap(ap, 1.0)
     has_multi = any(stop - start >= 2 for start, stop in ap.blocks.groups)
     if ap.e_norm == 0.0:
         return VcReport(
@@ -214,21 +202,15 @@ def vc_membership(ap: AlignedPerturbation, c: float, diag_tol: float) -> VcRepor
             worst_gap_ratio=math.inf,
             degenerate_zero=has_multi,
         )
+    bs = [_full_complement(ap, g)[4] for g in range(len(ap.blocks.groups))]
     off_witness = []
     worst_ratio = math.inf
     member = True
-    for g, (start, stop) in enumerate(ap.blocks.groups):
-        sd = schur_data(ap, g)
-        size = stop - start
-        if size >= 2:
-            off = np.abs(sd.b - np.diag(np.diag(sd.b)))
-            worst_off = float(off.max())
-            beta = sd.beta
-            pair_gap = min(
-                abs(float(beta[i] - beta[j]))
-                for i in range(size)
-                for j in range(i + 1, size)
-            )
+    for b, beta in zip(bs, _complement_eigenvalues(bs)):
+        if b.shape[0] >= 2:
+            worst_off = float(np.abs(b - np.diag(np.diag(b))).max())
+            # beta is sorted, so the closest pair is adjacent.
+            pair_gap = float((beta[:-1] - beta[1:]).min())
             ratio = pair_gap / (c * ap.e_norm) if c > 0.0 else math.inf
             worst_ratio = min(worst_ratio, ratio)
             if worst_off > diag_tol * ap.e_norm or pair_gap < c * ap.e_norm:
@@ -259,12 +241,8 @@ class SimilarityDiagnostic:
     q3_norm: float
 
 
-def schur_similarity_diagnostic(
-    ap: AlignedPerturbation,
-    block_index: int,
-    margin_factor: float = DEFAULT_MARGIN_FACTOR,
-) -> SimilarityDiagnostic:
-    sd = schur_data(ap, block_index, margin_factor=margin_factor)
+def schur_similarity_diagnostic(ap: AlignedPerturbation, block_index: int) -> SimilarityDiagnostic:
+    sd = schur_data(ap, block_index)
     if sd.m == 0:
         t = sd.b + sd.rho * np.eye(sd.l, dtype=np.complex128)
         return SimilarityDiagnostic(transformed=as_readonly(t), q2_norm=0.0, q3_norm=0.0)

@@ -24,6 +24,7 @@ from eigpert import (
     scaled,
     vc_membership,
 )
+from eigpert.alignment import DEFAULT_REL_GAP_TOL
 
 # Sorting A = diag(0, 0, 1) non-increasingly permutes the input frame by this.
 PERM3 = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
@@ -48,15 +49,17 @@ class TestGrouping:
         assert bs.min_gap() == pytest.approx(1.0)
 
     def test_boundary_tie_joins(self):
-        tol = 2.0**-20  # exactly representable, relative to max |lam| = 1
-        bs = group_eigenvalues([1.0, 1.0 - 2.0**-20], rel_gap_tol=tol)
-        assert len(bs.groups) == 1
-        bs = group_eigenvalues([1.0, 1.0 - 2.0**-19], rel_gap_tol=tol)
-        assert len(bs.groups) == 2
+        # max |lam| = 1, so the tolerance is exactly DEFAULT_REL_GAP_TOL and
+        # so is the last gap, 0 - (-tol).
+        tol = DEFAULT_REL_GAP_TOL
+        bs = group_eigenvalues([1.0, 0.0, -tol])
+        assert bs.groups == ((0, 1), (1, 3))
+        bs = group_eigenvalues([1.0, 0.0, -np.nextafter(tol, 1.0)])
+        assert bs.groups == ((0, 1), (1, 2), (2, 3))
 
     def test_tolerance_scales_with_magnitude(self):
         # A gap of 1 is far below tol * max|lam| here, so it must merge.
-        bs = group_eigenvalues([1e12, 1e12 - 1.0], rel_gap_tol=1e-8)
+        bs = group_eigenvalues([1e12, 1e12 - 1.0])
         assert len(bs.groups) == 1
 
     def test_rejects_increasing(self):

@@ -267,9 +267,9 @@ _ENTRY = st.integers(-1024, 1024)
 
 
 @st.composite
-def dyadic_matrices(draw, square):
-    rows = draw(st.integers(1, 6))
-    cols = rows if square else draw(st.integers(1, 6))
+def dyadic_matrices(draw, square, rows=None, cols=None):
+    rows = draw(st.integers(1, 6)) if rows is None else rows
+    cols = rows if square else draw(st.integers(1, 6)) if cols is None else cols
     parts = draw(st.lists(_ENTRY, min_size=2 * rows * cols, max_size=2 * rows * cols))
     g = (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(rows, cols) / 1024.0
     return 0.5 * (g + g.conj().T) if square else g
@@ -309,6 +309,52 @@ class TestScaleEquivariance:
             assert np.abs(eigh(h).lam - ref).max() <= 1e-12 * n * np.abs(ref).max()
             m = h[:, : n - 1] if n > 2 else h
             assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-12 * n)
+
+
+@st.composite
+def hermitian_pairs(draw):
+    """Two dyadic Hermitian matrices of one size; the second scaled by a
+    power of two in [2^-20, 1], so it ranges from a comparable to a small
+    perturbation of the first."""
+    n = draw(st.integers(1, 6))
+    a, e = (draw(dyadic_matrices(square=True, rows=n)) for _ in range(2))
+    return a, scale_by(e, draw(st.integers(-20, 0)))
+
+
+@st.composite
+def unitaries(draw, n):
+    """A diagonal phase times a Householder reflection, both built without
+    the oracle."""
+    v = draw(dyadic_matrices(square=False, rows=n, cols=1))[:, 0]
+    angles = draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n))
+    q = np.diag(np.exp(1j * np.array(angles)))
+    norm2 = float(np.vdot(v, v).real)
+    if norm2 > 0.0:
+        q = q @ (np.eye(n) - (2.0 / norm2) * np.outer(v, v.conj()))
+    return q
+
+
+class TestProperties:
+    """Derandomized property versions of the seeded invariance checks in
+    :class:`TestSolverInvariants`.  Each bound carries the oracle's own error,
+    ``1e-13 n`` per unit of norm, with room for round-off."""
+
+    @_PROPERTY
+    @given(data=st.data())
+    def test_eigenvalues_unitarily_invariant(self, data):
+        h = data.draw(dyadic_matrices(square=True))
+        n = h.shape[0]
+        q = data.draw(unitaries(n))
+        rotated = hermitian(q.conj().T @ h @ q)
+        assert np.abs(eigh(rotated).lam - eigh(h).lam).max() <= 1e-12 * n * fro(h)
+
+    @_PROPERTY
+    @given(pair=hermitian_pairs())
+    def test_weyl_bound(self, pair):
+        a, e = pair
+        n = a.shape[0]
+        shift = np.abs(eigh(hermitian(a + e)).lam - eigh(a).lam).max()
+        assert shift <= operator_norm(e) + 1e-12 * n * (fro(a) + fro(e))
 
 
 class TestAgainstLapack:

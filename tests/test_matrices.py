@@ -126,14 +126,6 @@ class TestRoundTrip:
         m = np.array([[1e-308, 1e308], [5e-324, -1e-200]], dtype=complex)
         assert bit_equal(parse_matrix(format_matrix(m)), m)
 
-    def test_hermitian_header(self):
-        m = np.eye(3, dtype=complex)
-        text = format_matrix(m, hermitian_header=True)
-        assert text.splitlines()[0] == "3"
-        assert bit_equal(parse_matrix(text), m)
-        with pytest.raises(ValueError):
-            format_matrix(np.ones((2, 3)), hermitian_header=True)
-
 
 class TestConstructors:
     def test_dense_rejections(self):

@@ -33,6 +33,8 @@ from eigpert import (
     vc_membership,
 )
 from eigpert.alignment import LazyNorm
+from eigpert.rayleigh import STRICT_DIAGONAL_TOL
+from eigpert.schur import DEFAULT_MARGIN_FACTOR
 
 # Relative offsets of a guard's threshold from ||E||: inside the bounds'
 # slack, so the oracle decides, and far outside it, so the bounds do.
@@ -84,21 +86,28 @@ def test_schur_margin_guard(kind, e, offset):
     base = identity_base([2.0, 2.0, 0.5, -1.0, -3.0])
     ap = blockwise_diagonalize(conjugate_to_eigenbasis(base, e))
     margin = 1.5  # block 0 sits 1.5 above its nearest neighbour
-    factor = margin / ap.e_norm * (1.0 + offset)
+    ap = scaled(ap, margin / (DEFAULT_MARGIN_FACTOR * ap.e_norm) * (1.0 + offset))
     for variant in ("full", "simplified"):
-        assert_same(ap, lambda x: refined_eigenvalues(x, variant=variant, margin_factor=factor))
+        assert_same(ap, lambda x: refined_eigenvalues(x, variant=variant))
 
 
 @pytest.mark.parametrize("kind, e", directions(4, 3))
 @pytest.mark.parametrize("offset", NEAR + FAR)
 def test_tie_guard(kind, e, offset):
-    # ||E|| above 1, so the threshold strict_tol * max(1, ||E||) tracks it.
+    # The base is diagonal and block 0 is {0, 1}, so with the in-block
+    # off-diagonal zeroed E_hat = E and the in-block gap is exactly e[0, 0].
+    # That entry moves ||E|| slightly, so it is set from the oracle norm it
+    # yields, to a fixed point.
     base = identity_base([1e3, 1e3, 0.0, -1e3])
-    ap = blockwise_diagonalize(conjugate_to_eigenbasis(base, 5.0 * e))
-    assert ap.e_norm > 1.0
-    gap = float(ap.e_hat_diag[0] - ap.e_hat_diag[1])
-    tol = gap / ap.e_norm * (1.0 + offset)
-    assert_same(ap, lambda x: n_matrix(x, strict_tol=tol))
+    e = np.array(5.0 * e)
+    e[0, 1] = e[1, 0] = 0.0
+    for _ in range(4):
+        norm = blockwise_diagonalize(conjugate_to_eigenbasis(base, e)).e_norm
+        e[0, 0], e[1, 1] = STRICT_DIAGONAL_TOL * norm * (1.0 + offset), 0.0
+    ap = blockwise_diagonalize(conjugate_to_eigenbasis(base, e))
+    assert ap.e_norm == norm
+    assert ap.e_hat_diag[0] - ap.e_hat_diag[1] == STRICT_DIAGONAL_TOL * norm * (1.0 + offset)
+    assert_same(ap, n_matrix)
 
 
 @pytest.mark.parametrize("kind, e", directions(5, 8))

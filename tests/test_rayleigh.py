@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import degenerate_instance, rand_hermitian
+from conftest import degenerate_instance, rand_hermitian, rand_unitary
 from eigpert import (
     DegenerateDirectionError,
     GapTooSmallError,
@@ -14,6 +14,7 @@ from eigpert import (
     line_expansion,
     m_matrix,
     n_matrix,
+    operator_norm,
     predict_eigensystem,
     refined_eigenvalues,
     rs_coefficients,
@@ -211,6 +212,31 @@ class TestClosedForms:
             ap = aligned_perturbation(*degenerate_instance(rng, spec))
             assert np.array_equal(rs_coefficients(ap)[2], reference_a2(ap))
             assert np.array_equal(n_matrix(ap), reference_n(ap))
+
+
+class TestScaleEquivariance:
+    @pytest.mark.parametrize("s", [2.0**-66, 1e-20, 1e-200, 1e-300, 1e200])
+    def test_second_order_scales_with_the_matrix(self, s):
+        # A and F scaled together by s: a2 scales by s and N is unchanged.
+        # A tie guard with an absolute floor would refuse this direction
+        # below scale about 1e-8, and |F_hat|^2 formed without a prescale
+        # would underflow to a2 = 0 at 1e-200 and overflow to NaN at 1e200.
+        rng = np.random.default_rng(2024)
+        q = rand_unitary(rng, 6)
+        f = rand_hermitian(rng, 6)
+        f = hermitian(f / operator_norm(f))
+        a = q @ np.diag([3.0, 3.0, 1.0, 1.0, -1.5, -1.5]).astype(np.complex128) @ q.conj().T
+
+        def second_order(scale):
+            ap = aligned_perturbation(hermitian(scale * a), hermitian(scale * f))
+            return rs_coefficients(ap)[2] / scale, n_matrix(ap)
+
+        a2_one, n_one = second_order(1.0)
+        a2, n = second_order(s)
+        if s == 2.0**-66:
+            assert np.array_equal(a2, a2_one) and np.array_equal(n, n_one)
+        assert np.abs(a2 - a2_one).max() <= 1e-14 * np.abs(a2_one).max()
+        assert np.abs(n - n_one).max() <= 1e-14 * np.abs(n_one).max()
 
 
 class TestPredict:
