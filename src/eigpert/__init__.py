@@ -81,7 +81,6 @@ from .harness import (
     generate_instance,
     paper_example_regression,
     random_hermitian,
-    random_unitary,
     report_to_csv,
 )
 

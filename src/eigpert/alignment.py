@@ -273,28 +273,44 @@ def blockwise_diagonalize(ap: AlignedPerturbation) -> AlignedPerturbation:
     still diagonalizes the base matrix.  Applying this to input that is already
     block-wise diagonal only re-imposes the column phase convention.
     """
-    u_new = np.array(ap.base.u, copy=True)
-    multi = [(start, stop) for start, stop in ap.blocks.groups if stop - start >= 2]
-    rotations = jacobi.eigh_stack(
-        [ap.e_hat[start:stop, start:stop] for start, stop in multi], tol=BLOCK_TOL
-    )
-    for (start, stop), rot in zip(multi, rotations):
-        u_new[:, start:stop] = u_new[:, start:stop] @ rot.u
-    u_new = jacobi.normalize_column_phases(u_new)
-    base = jacobi.SpectralDecomposition(u=as_readonly(u_new), lam=ap.base.lam)
-    e_hat = base.u.conj().T @ ap.e @ base.u
-    e_hat = 0.5 * (e_hat + e_hat.conj().T)
-    diag, off = _split_parts(e_hat)
-    return AlignedPerturbation(
-        base=base,
-        blocks=ap.blocks,
-        e=ap.e,
-        e_hat=as_readonly(e_hat),
-        e_hat_diag=as_readonly(diag),
-        e_hat_off=as_readonly(off),
-        mode=MODE_BLOCKWISE,
-        norm=ap.norm,
-    )
+    return _blockwise_diagonalize_stack([ap])[0]
+
+
+def _blockwise_diagonalize_stack(aps: list[AlignedPerturbation]) -> list[AlignedPerturbation]:
+    """:func:`blockwise_diagonalize` of each perturbation, with one oracle
+    call for the blocks of all of them; each result has the bits of its
+    solo rotation."""
+    multi = [
+        ap.e_hat[start:stop, start:stop]
+        for ap in aps
+        for start, stop in ap.blocks.groups
+        if stop - start >= 2
+    ]
+    rotations = iter(jacobi.eigh_stack(multi, tol=BLOCK_TOL))
+    out = []
+    for ap in aps:
+        u_new = np.array(ap.base.u, copy=True)
+        for start, stop in ap.blocks.groups:
+            if stop - start >= 2:
+                u_new[:, start:stop] = u_new[:, start:stop] @ next(rotations).u
+        u_new = jacobi.normalize_column_phases(u_new)
+        base = jacobi.SpectralDecomposition(u=as_readonly(u_new), lam=ap.base.lam)
+        e_hat = base.u.conj().T @ ap.e @ base.u
+        e_hat = 0.5 * (e_hat + e_hat.conj().T)
+        diag, off = _split_parts(e_hat)
+        out.append(
+            AlignedPerturbation(
+                base=base,
+                blocks=ap.blocks,
+                e=ap.e,
+                e_hat=as_readonly(e_hat),
+                e_hat_diag=as_readonly(diag),
+                e_hat_off=as_readonly(off),
+                mode=MODE_BLOCKWISE,
+                norm=ap.norm,
+            )
+        )
+    return out
 
 
 def scaled(ap: AlignedPerturbation, t: float) -> AlignedPerturbation:

@@ -5,6 +5,10 @@ from a self-contained splitmix-class 64-bit generator rather than a library
 RNG, so that studies reproduce bit-identically across library versions; the
 convergence studies pair each predictor against the eigendecomposition
 oracle over a decreasing t-grid and fit the error's log-log slope.
+
+A study stacks its oracle calls across its trials, one call per stage (see
+:func:`convergence_study`), so it makes at most six calls whatever its
+number of trials, with the same output as solving trial by trial.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import numpy as np
 
 from . import alignment, first_order, jacobi, rayleigh, schur
 from .errors import PreconditionError, StudyError
-from .matrices import as_readonly, hermitian, operator_norm, operator_norms
+# operator_norm is not called here; the benchmark's tracer test wraps this binding.
+from .matrices import as_readonly, hermitian, operator_norm, operator_norms  # noqa: F401
 
 __all__ = [
     "DEFAULT_T_GRID",
@@ -105,7 +110,12 @@ def random_hermitian(rng: SplitMix64, n: int) -> np.ndarray:
 
 
 def random_unitary(rng: SplitMix64, n: int) -> np.ndarray:
-    """Random unitary: eigenvector matrix of a random Hermitian draw."""
+    """Random unitary: eigenvector matrix of a random Hermitian draw.
+
+    Studies draw theirs stacked across trials instead (see
+    :func:`generate_instance`); this stays a public name of this module
+    because the benchmark's per-layer metrics are listed by it.
+    """
     return np.array(jacobi.eigh(random_hermitian(rng, n)).u, copy=True)
 
 
@@ -162,19 +172,34 @@ def generate_instance(cfg: EnsembleConfig, trial: int) -> tuple[np.ndarray, np.n
     representative eigenvalues separated by at least 1; F is a random
     Hermitian direction of unit operator norm.
     """
-    rng = _substream(cfg.seed, trial)
-    reps = np.empty(len(cfg.block_spec))
-    value = rng.uniform()
-    reps[0] = value
-    for k in range(1, reps.size):
-        value = value - 1.0 - rng.uniform()
-        reps[k] = value
-    lam = np.repeat(reps, cfg.block_spec)
-    q = random_unitary(rng, cfg.n)
-    a = hermitian(q @ np.diag(lam.astype(np.complex128)) @ q.conj().T)
-    g = random_hermitian(rng, cfg.n)
-    f = hermitian(g / operator_norm(g))
-    return a, f
+    return _instances(cfg, [trial])[0]
+
+
+def _instances(cfg: EnsembleConfig, trials) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`generate_instance` of each trial.  Every trial draws from its
+    own substream, in a fixed order: the representative values, a Hermitian
+    matrix whose eigenvectors ``Q`` rotate A's spectrum, then the direction.
+    One oracle call diagonalizes all the ``Q`` draws and one computes all the
+    directions' norms."""
+    lams, q_draws, directions = [], [], []
+    for trial in trials:
+        rng = _substream(cfg.seed, trial)
+        reps = np.empty(len(cfg.block_spec))
+        value = rng.uniform()
+        reps[0] = value
+        for k in range(1, reps.size):
+            value = value - 1.0 - rng.uniform()
+            reps[k] = value
+        lams.append(np.repeat(reps, cfg.block_spec).astype(np.complex128))
+        q_draws.append(random_hermitian(rng, cfg.n))
+        directions.append(random_hermitian(rng, cfg.n))
+    out = []
+    for lam, d, g, norm in zip(
+        lams, jacobi.eigh_stack(q_draws), directions, operator_norms(directions)
+    ):
+        q = d.u
+        out.append((hermitian(q @ np.diag(lam) @ q.conj().T), hermitian(g / norm)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -235,79 +260,101 @@ class ConvergenceReport:
     failed_trials: tuple[int, ...] = field(default=())
 
 
-def _trial_errors(
-    predictor: str, a: np.ndarray, f: np.ndarray, t_grid: tuple[float, ...]
-) -> tuple[list[tuple[float, float]], float]:
-    """Errors of one predictor against the oracle along the t-grid.
+def _predictions(predictor: str, ap: alignment.AlignedPerturbation, t_grid) -> list:
+    """One trial's predictions along the t-grid, all formed before any exact
+    solve; raises :class:`PreconditionError` when the predictor's
+    preconditions fail.
 
-    Returns ``(t, error)`` pairs and the scale used for the noise floor.
-    Eigenvalue predictors report the largest error over indices,
-    matrix-valued ones the operator norm of the error matrix.
+    The entries are eigenvalue vectors, except for the Schur variants, whose
+    entries are the ``(rhos, bs)`` complements left to be solved, for
+    ``eigvec_first_order``, whose entries are eigenvector matrices, and for
+    ``u_ap_residual``, whose entries are already the error matrices.
     """
-    base = jacobi.eigh(a)
-    ap = alignment.blockwise_diagonalize(alignment.conjugate_to_eigenbasis(base, f))
-    mmat = alignment.m_matrix(ap.base, ap.blocks)
-    scale = max(1.0, float(np.abs(base.lam).max()))
-    if predictor in ("rs_second_order", "eigvec_first_order"):
+    if predictor == "first_order":
+        return [first_order.first_order_eigenvalues(alignment.scaled(ap, t)) for t in t_grid]
+    if predictor in ("schur_full", "schur_simplified"):
+        variant = "full" if predictor == "schur_full" else "simplified"
+        return [schur._complements(alignment.scaled(ap, t), variant) for t in t_grid]
+    if predictor == "rs_second_order":
         a0, a1, a2 = rayleigh.rs_coefficients(ap)
+        return [a0 + t * a1 + t * t * a2 for t in t_grid]
+    mmat = alignment.m_matrix(ap.base, ap.blocks)
+    if predictor == "eigvec_first_order":
         u_prime = rayleigh.eigenvector_derivative(ap, mmat)
-    points: list[tuple[float, float]] = []
-    # Matrix-valued predictors collect their error matrices; the norms of
-    # all of them are one oracle call.
-    gaps: list[np.ndarray] = []
-    # One oracle call for the whole grid; the residual needs no exact solve.
-    exacts = (
-        jacobi.eigh_stack([a + t * f for t in t_grid])
-        if predictor != "u_ap_residual"
-        else [None] * len(t_grid)
-    )
-    for t, exact in zip(t_grid, exacts):
-        if predictor == "first_order":
-            pred = first_order.first_order_eigenvalues(alignment.scaled(ap, t))
-        elif predictor in ("schur_full", "schur_simplified"):
-            variant = "full" if predictor == "schur_full" else "simplified"
-            pred = schur.refined_eigenvalues(alignment.scaled(ap, t), variant=variant)
-        elif predictor == "rs_second_order":
-            pred = a0 + t * a1 + t * t * a2
-        elif predictor == "eigvec_first_order":
-            u_hat = ap.base.u + t * u_prime
-            gaps.append(alignment.align_columns(exact.u, u_hat, ap.blocks) - u_hat)
-            continue
-        else:  # u_ap_residual
-            gaps.append(first_order.decomposition_residual(alignment.scaled(ap, t), mmat))
-            continue
-        points.append((t, float(np.abs(exact.lam - pred).max())))
-    if gaps:
-        points = list(zip(t_grid, operator_norms(gaps)))
-    return points, scale
+        return [ap.base.u + t * u_prime for t in t_grid]
+    return [first_order.decomposition_residual(alignment.scaled(ap, t), mmat) for t in t_grid]
 
 
 def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     """Run the configured predictor against the oracle over all trials.
 
-    Trials whose predictor preconditions fail are recorded and skipped; more
-    than half failing aborts the study.  The reported slope is the worst
-    (smallest) per-trial slope.
+    Eigenvalue predictors report the largest error over indices at each t,
+    matrix-valued ones the operator norm of the error matrix.  Trials whose
+    predictor preconditions fail are recorded and skipped; more than half
+    failing aborts the study.  The reported slope is the worst (smallest)
+    per-trial slope.
+
+    Each oracle stage is one call for all trials: the instances' ``Q``
+    draws, their directions' norms, the base decompositions, the block-wise
+    rotations, the exact solves of ``A + t F`` over the surviving trials and
+    the t-grid, the Schur complements and the error matrices' norms.  The
+    oracle gives every stack member the bits of its solo solve, so the study
+    is the same as one solved trial by trial.
     """
-    rows: list[StudyRow] = []
-    fits: list[LoglogFit] = []
+    grid = cfg.t_grid
+    instances = _instances(cfg, range(cfg.trials))
+    bases = jacobi.eigh_stack([a for a, _ in instances])
+    aps = alignment._blockwise_diagonalize_stack(
+        [alignment.conjugate_to_eigenbasis(base, f) for base, (_, f) in zip(bases, instances)]
+    )
+    # Preconditions are all checked before any exact solve, so a failed
+    # trial costs no solve and is skipped as a whole.
+    kept: list[tuple[int, list]] = []
     failed: list[int] = []
-    for trial in range(cfg.trials):
-        a, f = generate_instance(cfg, trial)
+    for trial, ap in enumerate(aps):
         try:
-            points, scale = _trial_errors(cfg.predictor, a, f, cfg.t_grid)
+            kept.append((trial, _predictions(cfg.predictor, ap, grid)))
         except PreconditionError:
             failed.append(trial)
-            continue
-        rows.extend(StudyRow(trial, t, error) for t, error in points)
-        fits.append(fit_loglog([p[0] for p in points], [p[1] for p in points], scale))
+    if cfg.predictor in ("schur_full", "schur_simplified"):
+        # The blocks are contiguous and cover every index in order.
+        betas = iter(
+            schur._complement_eigenvalues(
+                [b for _, preds in kept for _, bs in preds for b in bs]
+            )
+        )
+        kept = [
+            (trial, [np.concatenate([rho + next(betas) for rho in rhos]) for rhos, _ in preds])
+            for trial, preds in kept
+        ]
+    flat = [(trial, t, pred) for trial, preds in kept for t, pred in zip(grid, preds)]
+    if cfg.predictor == "u_ap_residual":
+        errors = operator_norms([gap for _, _, gap in flat])
+    else:
+        exacts = jacobi.eigh_stack([instances[k][0] + t * instances[k][1] for k, t, _ in flat])
+        if cfg.predictor == "eigvec_first_order":
+            errors = operator_norms(
+                [
+                    alignment.align_columns(exact.u, u_hat, aps[k].blocks) - u_hat
+                    for (k, _, u_hat), exact in zip(flat, exacts)
+                ]
+            )
+        else:
+            errors = [
+                float(np.abs(exact.lam - pred).max()) for (_, _, pred), exact in zip(flat, exacts)
+            ]
+    rows = tuple(StudyRow(trial, t, error) for (trial, t, _), error in zip(flat, errors))
+    fits: list[LoglogFit] = []
+    for k, (trial, _) in enumerate(kept):
+        scale = max(1.0, float(np.abs(aps[trial].base.lam).max()))
+        fits.append(fit_loglog(grid, errors[k * len(grid) : (k + 1) * len(grid)], scale))
     if 2 * len(failed) > cfg.trials:
         raise StudyError(
             f"{len(failed)} of {cfg.trials} trials failed predictor preconditions"
         )
     worst = min(range(len(fits)), key=lambda k: fits[k].slope)
     return ConvergenceReport(
-        rows=tuple(rows),
+        rows=rows,
         slope=fits[worst].slope,
         intercept=fits[worst].intercept,
         r_squared=fits[worst].r_squared,

@@ -77,7 +77,16 @@ def hermitian(entries) -> np.ndarray:
             f"input is not Hermitian: asymmetry {asym:.3e} exceeds "
             f"{DEFAULT_ASYMMETRY_TOL:.1e} relative to scale {scale:.3e}"
         )
-    return 0.5 * (m + m.conj().T)
+    if scale < 2.0**1022:
+        # No sum of two entries can overflow.
+        return 0.5 * (m + m.conj().T)
+    with np.errstate(over="ignore"):
+        total = m + m.conj().T
+    if np.isfinite(total).all():
+        return 0.5 * total
+    # The sum overflowed.  Halving first cannot overflow; it is not the
+    # default because halving a subnormal entry rounds it.
+    return 0.5 * m + 0.5 * m.conj().T
 
 
 def operator_norm(m) -> float:

@@ -123,7 +123,12 @@ def eigenvector_derivative(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndar
     """Derivative at ``t = 0`` of the eigenvector matrix of ``A + t F``:
     ``U (N - M * F_hat)``.  Dropping ``N`` is wrong whenever a degeneracy
     block reacts to the direction by rotating internally."""
-    return ap.base.u @ (n_matrix(ap) - mmat * ap.e_hat)
+    return _derivative(ap, mmat, n_matrix(ap))
+
+
+def _derivative(ap: AlignedPerturbation, mmat: np.ndarray, n_mat: np.ndarray) -> np.ndarray:
+    """``U (N - M * F_hat)`` from an ``N`` already computed."""
+    return ap.base.u @ (n_mat - mmat * ap.e_hat)
 
 
 @dataclass(frozen=True)
@@ -181,6 +186,7 @@ def line_expansion(a, f) -> LineExpansion:
     ap = aligned_perturbation(a, f)
     mmat = m_matrix(ap.base, ap.blocks)
     a0, a1, a2 = rs_coefficients(ap)
+    n_mat = n_matrix(ap)
     return LineExpansion(
         base=ap.base,
         ap=ap,
@@ -188,6 +194,6 @@ def line_expansion(a, f) -> LineExpansion:
         a0=as_readonly(a0),
         a1=as_readonly(a1),
         a2=as_readonly(a2),
-        n_mat=as_readonly(n_matrix(ap)),
-        u_prime=as_readonly(eigenvector_derivative(ap, mmat)),
+        n_mat=as_readonly(n_mat),
+        u_prime=as_readonly(_derivative(ap, mmat, n_mat)),
     )

@@ -151,6 +151,16 @@ def refined_eigenvalues(ap: AlignedPerturbation, variant: str = "full") -> np.nd
     """
     if variant not in ("full", "simplified"):
         raise ValueError(f"unknown variant {variant!r}; expected 'full' or 'simplified'")
+    rhos, bs = _complements(ap, variant)
+    # The blocks are contiguous and cover every index in order.
+    return np.concatenate([rho + beta for rho, beta in zip(rhos, _complement_eigenvalues(bs))])
+
+
+def _complements(ap: AlignedPerturbation, variant: str) -> tuple[list[float], list[np.ndarray]]:
+    """Every block's representative value and symmetrized Schur complement,
+    in block order; the margin check raises ``GapTooSmallError``.  Their
+    eigenvalues are left to :func:`_complement_eigenvalues`, so that callers
+    can solve the complements of many perturbations in one oracle call."""
     rhos, bs = [], []
     for g, (start, stop) in enumerate(ap.blocks.groups):
         if variant == "full":
@@ -165,10 +175,7 @@ def refined_eigenvalues(ap: AlignedPerturbation, variant: str = "full") -> np.nd
             b = 0.5 * (b + b.conj().T)
         rhos.append(rho)
         bs.append(b)
-    out = np.array(ap.base.lam, copy=True)
-    for (start, stop), rho, beta in zip(ap.blocks.groups, rhos, _complement_eigenvalues(bs)):
-        out[start:stop] = rho + beta
-    return out
+    return rhos, bs
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Shared builders for seeded test instances.
+"""Shared builders for seeded test instances, and a recorder of oracle calls.
 
 Test-local randomness uses numpy's Generator (seeded per test); the package's
 own SplitMix64 streams are exercised separately in the harness tests.
@@ -7,8 +7,9 @@ own SplitMix64 streams are exercised separately in the harness tests.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from eigpert import eigh, hermitian, operator_norm
+from eigpert import eigh, hermitian, jacobi, operator_norm
 
 
 def rand_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -36,3 +37,20 @@ def degenerate_instance(
     a = hermitian(q @ np.diag(lam.astype(np.complex128)) @ q.conj().T)
     f = rand_hermitian(rng, n)
     return a, hermitian(f / operator_norm(f))
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Record every oracle call made after it is set up, as the list of its
+    matrices' dimensions.  ``eigh`` goes through ``eigh_stack``, so single
+    solves are recorded too, as one-member calls."""
+    calls = []
+    real = jacobi.eigh_stack
+
+    def counting(hs, *args, **kwargs):
+        hs = list(hs)
+        calls.append([np.shape(h)[0] for h in hs])
+        return real(hs, *args, **kwargs)
+
+    monkeypatch.setattr(jacobi, "eigh_stack", counting)
+    return calls

@@ -8,20 +8,35 @@ from eigpert import (
     EXAMPLE_N,
     EXAMPLE_U_PRIME,
     PREDICTORS,
+    ConvergenceReport,
     EnsembleConfig,
+    PreconditionError,
     SplitMix64,
     StudyError,
+    StudyRow,
+    align_columns,
+    blockwise_diagonalize,
+    conjugate_to_eigenbasis,
     convergence_study,
+    decomposition_residual,
+    eigenvector_derivative,
     eigh,
+    eigh_stack,
+    first_order_eigenvalues,
     fit_loglog,
     generate_instance,
     hermitian,
+    m_matrix,
     operator_norm,
+    operator_norms,
     paper_example_regression,
     random_hermitian,
-    random_unitary,
+    refined_eigenvalues,
     report_to_csv,
+    rs_coefficients,
+    scaled,
 )
+from eigpert.harness import random_unitary
 
 
 class TestSplitMix64:
@@ -181,6 +196,99 @@ class TestConvergenceStudy:
         )
         with pytest.raises(StudyError, match="failed predictor preconditions"):
             convergence_study(cfg)
+
+
+def reference_trial_errors(predictor, a, f, t_grid):
+    """Errors of one predictor against the oracle along the t-grid, one
+    trial at a time, and the scale of its noise floor."""
+    base = eigh(a)
+    ap = blockwise_diagonalize(conjugate_to_eigenbasis(base, f))
+    mmat = m_matrix(ap.base, ap.blocks)
+    scale = max(1.0, float(np.abs(base.lam).max()))
+    if predictor in ("rs_second_order", "eigvec_first_order"):
+        a0, a1, a2 = rs_coefficients(ap)
+        u_prime = eigenvector_derivative(ap, mmat)
+    points = []
+    gaps = []
+    exacts = (
+        eigh_stack([a + t * f for t in t_grid])
+        if predictor != "u_ap_residual"
+        else [None] * len(t_grid)
+    )
+    for t, exact in zip(t_grid, exacts):
+        if predictor == "first_order":
+            pred = first_order_eigenvalues(scaled(ap, t))
+        elif predictor in ("schur_full", "schur_simplified"):
+            variant = "full" if predictor == "schur_full" else "simplified"
+            pred = refined_eigenvalues(scaled(ap, t), variant=variant)
+        elif predictor == "rs_second_order":
+            pred = a0 + t * a1 + t * t * a2
+        elif predictor == "eigvec_first_order":
+            u_hat = ap.base.u + t * u_prime
+            gaps.append(align_columns(exact.u, u_hat, ap.blocks) - u_hat)
+            continue
+        else:
+            gaps.append(decomposition_residual(scaled(ap, t), mmat))
+            continue
+        points.append((t, float(np.abs(exact.lam - pred).max())))
+    if gaps:
+        points = list(zip(t_grid, operator_norms(gaps)))
+    return points, scale
+
+
+def reference_study(cfg):
+    """The convergence study solved trial by trial, with the package's public
+    functions: the reference that the stacked study must reproduce bit for
+    bit."""
+    rows, fits, failed = [], [], []
+    for trial in range(cfg.trials):
+        a, f = generate_instance(cfg, trial)
+        try:
+            points, scale = reference_trial_errors(cfg.predictor, a, f, cfg.t_grid)
+        except PreconditionError:
+            failed.append(trial)
+            continue
+        rows.extend(StudyRow(trial, t, error) for t, error in points)
+        fits.append(fit_loglog([p[0] for p in points], [p[1] for p in points], scale))
+    if 2 * len(failed) > cfg.trials:
+        raise StudyError(f"{len(failed)} of {cfg.trials} trials failed predictor preconditions")
+    worst = min(range(len(fits)), key=lambda k: fits[k].slope)
+    return ConvergenceReport(
+        rows=tuple(rows),
+        slope=fits[worst].slope,
+        intercept=fits[worst].intercept,
+        r_squared=fits[worst].r_squared,
+        trial_slopes=tuple(f.slope for f in fits),
+        failed_trials=tuple(failed),
+    )
+
+
+# The acceptance ensemble, and one whose largest t fails the Schur margin
+# check on trials 4, 6 and 8 only, with blocks of two sizes.
+ACCEPTANCE = dict(seed=1, n=6, block_spec=(2, 2, 1, 1))
+PARTIAL = dict(seed=6, n=6, block_spec=(3, 2, 1), trials=10, t_grid=(0.55, 0.1, 0.03, 0.01))
+
+
+class TestStackedStudy:
+    @pytest.mark.parametrize("predictor", PREDICTORS)
+    @pytest.mark.parametrize(
+        "ensemble", [dict(ACCEPTANCE, trials=12), PARTIAL], ids=["acceptance", "partial"]
+    )
+    def test_matches_the_per_trial_reference(self, predictor, ensemble):
+        cfg = EnsembleConfig(predictor=predictor, **ensemble)
+        report = convergence_study(cfg)
+        assert report == reference_study(cfg)
+        if ensemble is PARTIAL and predictor.startswith("schur"):
+            assert report.failed_trials == (4, 6, 8)
+
+    @pytest.mark.parametrize("predictor", PREDICTORS)
+    def test_oracle_calls_do_not_depend_on_trials(self, predictor, oracle_calls):
+        counts = []
+        for trials in (3, 20):
+            oracle_calls.clear()
+            convergence_study(EnsembleConfig(predictor=predictor, trials=trials, **ACCEPTANCE))
+            counts.append(len(oracle_calls))
+        assert counts[0] == counts[1] <= 6
 
 
 class TestCsv:

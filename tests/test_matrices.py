@@ -153,6 +153,37 @@ class TestConstructors:
         with pytest.raises(ValueError, match="square"):
             hermitian(np.ones((2, 3)))
 
+    def test_hermitian_does_not_overflow(self):
+        h = hermitian([[1e308, 0], [0, 1]])
+        assert bit_equal(h, np.array([[1e308, 0], [0, 1]], dtype=complex))
+        h = hermitian([[1.5e308, 1e308 - 1.7e308j], [1e308 + 1.7e308j, -1.7e308]])
+        assert np.isfinite(h).all()
+        assert np.array_equal(h, h.conj().T)
+        assert h[0, 0] == 1.5e308 and h[0, 1] == 1e308 - 1.7e308j
+
+    def test_hermitian_keeps_subnormal_entries(self):
+        m = np.array([[5e-324, complex(0, 5e-324)], [complex(0, -5e-324), 1]])
+        assert bit_equal(hermitian(m), m)
+
+    def test_hermitian_is_the_average_when_it_is_finite(self):
+        rng = np.random.default_rng(23)
+        overflowed = 0
+        for scale in (5e-324, 1e-310, 1e-300, 1.0, 1e300, 3e307, 1e308):
+            for n in (1, 2, 5):
+                g = scale * (rng.uniform(-1.7, 1.7, (n, n)) + 1j * rng.uniform(-1.7, 1.7, (n, n)))
+                m = 0.5 * g + 0.5 * g.conj().T
+                # A subnormal entry, which halving before adding would round.
+                m[-1, -1] = 5e-324
+                with np.errstate(over="ignore", invalid="ignore"):
+                    average = 0.5 * (m + m.conj().T)
+                h = hermitian(m)
+                if np.isfinite(average).all():
+                    assert bit_equal(h, average)
+                else:
+                    overflowed += 1
+                    assert np.isfinite(h).all() and np.array_equal(h, h.conj().T)
+        assert overflowed > 0
+
     def test_hermitian_tolerates_roundoff(self):
         base = np.array([[1.0, 0.25 + 0.5j], [0.25 - 0.5j, 2.0]])
         bumped = base.copy()

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from conftest import rand_hermitian
-from eigpert import jacobi
 from eigpert import (
     DegenerateDirectionError,
     GapTooSmallError,
@@ -157,23 +156,6 @@ def test_bounds_enclose_the_oracle_norm():
             assert 0.0 < ap.norm.lower <= ap.e_norm <= ap.norm.upper < math.inf
     zero = conjugate_to_eigenbasis(eigh(np.eye(3)), np.zeros((3, 3)))
     assert zero.norm.lower == zero.norm.upper == zero.e_norm == 0.0
-
-
-@pytest.fixture
-def oracle_calls(monkeypatch):
-    """Record every oracle call made after it is set up, as the list of its
-    matrices' dimensions.  ``eigh`` goes through ``eigh_stack``, so single
-    solves are recorded too, as one-member calls."""
-    calls = []
-    real = jacobi.eigh_stack
-
-    def counting(hs, *args, **kwargs):
-        hs = list(hs)
-        calls.append([np.shape(h)[0] for h in hs])
-        return real(hs, *args, **kwargs)
-
-    monkeypatch.setattr(jacobi, "eigh_stack", counting)
-    return calls
 
 
 def test_prediction_makes_no_full_size_oracle_call(oracle_calls):

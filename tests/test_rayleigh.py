@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import degenerate_instance, rand_hermitian, rand_unitary
+from eigpert import rayleigh
 from eigpert import (
     DegenerateDirectionError,
     GapTooSmallError,
@@ -296,6 +297,18 @@ class TestLineExpansion:
         assert np.array_equal(lex.m_mat, m_matrix(ap.base, ap.blocks))
         assert np.array_equal(lex.u_prime, eigenvector_derivative(ap, lex.m_mat))
         assert lex.base is ap.base
+
+    def test_computes_n_matrix_once(self, monkeypatch):
+        calls = []
+        real = rayleigh.n_matrix
+
+        def counting(ap):
+            calls.append(ap)
+            return real(ap)
+
+        monkeypatch.setattr(rayleigh, "n_matrix", counting)
+        line_expansion(EXAMPLE_A3, EXAMPLE_F3)
+        assert len(calls) == 1
 
     def test_at_matches_predict(self):
         rng = np.random.default_rng(101)
