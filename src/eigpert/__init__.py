@@ -33,12 +33,10 @@ from .alignment import (
     aligned_perturbation,
     blockwise_diagonalize,
     conjugate_to_eigenbasis,
-    group_eigenvalues,
     m_matrix,
     scaled,
 )
 from .first_order import (
-    approx_decomposition_residual,
     decomposition_residual,
     first_order_eigenvalues,
     gershgorin_intervals,
@@ -74,13 +72,10 @@ from .harness import (
     EnsembleConfig,
     LoglogFit,
     RegressionReport,
-    SplitMix64,
     StudyRow,
     convergence_study,
-    fit_loglog,
     generate_instance,
     paper_example_regression,
-    random_hermitian,
     report_to_csv,
 )
 

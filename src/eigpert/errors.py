@@ -11,8 +11,8 @@ class MatrixParseError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The eigensolver missed its off-diagonal target; carries the final mass
-    and the index of the failing member of the solved stack."""
+    """An iteration missed its target: the eigensolver's off-diagonal mass or
+    the Schur fixed point's update, carried with the failing stack member."""
 
     def __init__(self, message: str, off_mass: float, member: int):
         super().__init__(message)

@@ -290,9 +290,10 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
 
     Eigenvalue predictors report the largest error over indices at each t,
     matrix-valued ones the operator norm of the error matrix.  Trials whose
-    predictor preconditions fail are recorded and skipped; more than half
-    failing aborts the study.  The reported slope is the worst (smallest)
-    per-trial slope.
+    predictor preconditions fail, or whose errors leave too few points above
+    the noise floor to fit, are recorded in ``failed_trials`` and give no
+    rows and no slope; more than half failing aborts the study.  The
+    reported slope is the worst (smallest) per-trial slope.
 
     Each oracle stage is one call for all trials: the instances' ``Q``
     draws, their directions' norms, the base decompositions, the block-wise
@@ -318,11 +319,8 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
             failed.append(trial)
     if cfg.predictor in ("schur_full", "schur_simplified"):
         # The blocks are contiguous and cover every index in order.
-        betas = iter(
-            schur._complement_eigenvalues(
-                [b for _, preds in kept for _, bs in preds for b in bs]
-            )
-        )
+        complements = [b for _, preds in kept for _, bs in preds for b in bs]
+        betas = iter(schur._complement_eigenvalues(complements))
         kept = [
             (trial, [np.concatenate([rho + next(betas) for rho in rhos]) for rhos, _ in preds])
             for trial, preds in kept
@@ -343,23 +341,28 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
             errors = [
                 float(np.abs(exact.lam - pred).max()) for (_, _, pred), exact in zip(flat, exacts)
             ]
-    rows = tuple(StudyRow(trial, t, error) for (trial, t, _), error in zip(flat, errors))
-    fits: list[LoglogFit] = []
+    rows, fits = [], []
     for k, (trial, _) in enumerate(kept):
         scale = max(1.0, float(np.abs(aps[trial].base.lam).max()))
-        fits.append(fit_loglog(grid, errors[k * len(grid) : (k + 1) * len(grid)], scale))
+        trial_errors = errors[k * len(grid) : (k + 1) * len(grid)]
+        try:
+            fits.append(fit_loglog(grid, trial_errors, scale))
+        except StudyError:
+            failed.append(trial)
+            continue
+        rows.extend(StudyRow(trial, t, error) for t, error in zip(grid, trial_errors))
     if 2 * len(failed) > cfg.trials:
         raise StudyError(
-            f"{len(failed)} of {cfg.trials} trials failed predictor preconditions"
+            f"{len(failed)} of {cfg.trials} trials failed predictor preconditions or their fit"
         )
     worst = min(range(len(fits)), key=lambda k: fits[k].slope)
     return ConvergenceReport(
-        rows=rows,
+        rows=tuple(rows),
         slope=fits[worst].slope,
         intercept=fits[worst].intercept,
         r_squared=fits[worst].r_squared,
         trial_slopes=tuple(f.slope for f in fits),
-        failed_trials=tuple(failed),
+        failed_trials=tuple(sorted(failed)),
     )
 
 

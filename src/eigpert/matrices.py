@@ -70,12 +70,17 @@ def hermitian(entries) -> np.ndarray:
     m = dense(entries)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"Hermitian matrix must be square, got {m.shape}")
-    scale = float(np.abs(m).max())
-    asym = float(np.abs(m - m.conj().T).max())
-    if asym > DEFAULT_ASYMMETRY_TOL * max(scale, 1e-300):
+    with np.errstate(over="ignore"):
+        scale = float(np.abs(m).max())
+    # From 2**1022 up, |m| and m - m^H can overflow; m / 4 decides instead.
+    shift = 2 if scale >= 2.0**1022 else 0
+    q = _ldexp(m, -shift) if shift else m
+    asym = float(np.abs(q - q.conj().T).max())
+    q_scale = float(np.abs(q).max()) if shift else scale
+    if asym > DEFAULT_ASYMMETRY_TOL * max(q_scale, 1e-300):
         raise ValueError(
-            f"input is not Hermitian: asymmetry {asym:.3e} exceeds "
-            f"{DEFAULT_ASYMMETRY_TOL:.1e} relative to scale {scale:.3e}"
+            f"input is not Hermitian: asymmetry {asym * 2.0**shift:.3e} exceeds "
+            f"{DEFAULT_ASYMMETRY_TOL:.1e} relative to scale {q_scale * 2.0**shift:.3e}"
         )
     if scale < 2.0**1022:
         # No sum of two entries can overflow.

@@ -16,7 +16,6 @@ from eigpert import (
     conjugate_to_eigenbasis,
     eigh,
     first_order_eigenvalues,
-    group_eigenvalues,
     hermitian,
     m_matrix,
     operator_norm,
@@ -24,7 +23,7 @@ from eigpert import (
     scaled,
     vc_membership,
 )
-from eigpert.alignment import DEFAULT_REL_GAP_TOL
+from eigpert.alignment import DEFAULT_REL_GAP_TOL, group_eigenvalues
 
 # Sorting A = diag(0, 0, 1) non-increasingly permutes the input frame by this.
 PERM3 = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)

@@ -5,7 +5,6 @@ from conftest import degenerate_instance, rand_hermitian
 from eigpert import (
     ModeError,
     aligned_perturbation,
-    approx_decomposition_residual,
     conjugate_to_eigenbasis,
     eigh,
     first_order_eigenvalues,
@@ -16,6 +15,7 @@ from eigpert import (
     scaled,
     u_approx,
 )
+from eigpert.first_order import approx_decomposition_residual
 
 EXAMPLE_A3 = np.diag([0.0, 0.0, 1.0])
 EXAMPLE_F3 = np.array([[1, 0, 1], [0, 0, 1], [1, 1, 0]], dtype=float)

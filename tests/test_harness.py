@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from eigpert import (
     ConvergenceReport,
     EnsembleConfig,
     PreconditionError,
-    SplitMix64,
     StudyError,
     StudyRow,
     align_columns,
@@ -23,20 +24,19 @@ from eigpert import (
     eigh,
     eigh_stack,
     first_order_eigenvalues,
-    fit_loglog,
     generate_instance,
     hermitian,
     m_matrix,
     operator_norm,
     operator_norms,
     paper_example_regression,
-    random_hermitian,
     refined_eigenvalues,
     report_to_csv,
     rs_coefficients,
     scaled,
 )
-from eigpert.harness import random_unitary
+from eigpert import harness
+from eigpert.harness import SplitMix64, fit_loglog, random_hermitian, random_unitary
 
 
 class TestSplitMix64:
@@ -248,8 +248,12 @@ def reference_study(cfg):
         except PreconditionError:
             failed.append(trial)
             continue
+        try:
+            fits.append(fit_loglog([p[0] for p in points], [p[1] for p in points], scale))
+        except StudyError:
+            failed.append(trial)
+            continue
         rows.extend(StudyRow(trial, t, error) for t, error in points)
-        fits.append(fit_loglog([p[0] for p in points], [p[1] for p in points], scale))
     if 2 * len(failed) > cfg.trials:
         raise StudyError(f"{len(failed)} of {cfg.trials} trials failed predictor preconditions")
     worst = min(range(len(fits)), key=lambda k: fits[k].slope)
@@ -259,7 +263,7 @@ def reference_study(cfg):
         intercept=fits[worst].intercept,
         r_squared=fits[worst].r_squared,
         trial_slopes=tuple(f.slope for f in fits),
-        failed_trials=tuple(failed),
+        failed_trials=tuple(sorted(failed)),
     )
 
 
@@ -280,6 +284,39 @@ class TestStackedStudy:
         assert report == reference_study(cfg)
         if ensemble is PARTIAL and predictor.startswith("schur"):
             assert report.failed_trials == (4, 6, 8)
+
+    @staticmethod
+    def failing_fits(monkeypatch, calls):
+        """Make ``fit_loglog`` raise ``StudyError`` on the given calls (0-based)."""
+        count = itertools.count()
+
+        def fit(*args):
+            if next(count) in calls:
+                raise StudyError("too few points above the noise floor")
+            return fit_loglog(*args)
+
+        monkeypatch.setattr(harness, "fit_loglog", fit)
+
+    def test_failed_fit_fails_only_its_trial(self, monkeypatch):
+        cfg = EnsembleConfig(predictor="schur_full", **PARTIAL)
+        clean = convergence_study(cfg)
+        # The fits run over the trials that met the preconditions, in order:
+        # 0, 1, 2, 3, 5, 7, 9.  The third is trial 2.
+        self.failing_fits(monkeypatch, {2})
+        report = convergence_study(cfg)
+        assert report.failed_trials == (2, 4, 6, 8)
+        assert report.rows == tuple(row for row in clean.rows if row.trial != 2)
+        kept = [k for k in range(7) if k != 2]
+        assert report.trial_slopes == tuple(clean.trial_slopes[k] for k in kept)
+        assert report.slope == min(report.trial_slopes)
+
+    def test_more_than_half_failing_counts_failed_fits(self, monkeypatch):
+        cfg = EnsembleConfig(predictor="schur_full", **PARTIAL)
+        self.failing_fits(monkeypatch, {0, 1})
+        assert convergence_study(cfg).failed_trials == (0, 1, 4, 6, 8)
+        self.failing_fits(monkeypatch, {0, 1, 2})
+        with pytest.raises(StudyError, match="6 of 10 trials failed"):
+            convergence_study(cfg)
 
     @pytest.mark.parametrize("predictor", PREDICTORS)
     def test_oracle_calls_do_not_depend_on_trials(self, predictor, oracle_calls):

@@ -161,6 +161,17 @@ class TestConstructors:
         assert np.array_equal(h, h.conj().T)
         assert h[0, 0] == 1.5e308 and h[0, 1] == 1e308 - 1.7e308j
 
+    def test_hermitian_rejects_asymmetry_near_overflow(self):
+        # |z| and z - conj(z) both overflow here; the imaginary diagonal must
+        # still be rejected, with no floating-point warning on the way.
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian([[1.5e308 + 1.5e308j, 0], [0, 1]])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian([[1.0, 1.7e308], [-1.7e308, 1.0]])
+        # Round-off asymmetry at the same scale is still averaged away.
+        h = hermitian([[1.0, 1.7e308 + 1e292j], [1.7e308, 1.0]])
+        assert np.array_equal(h, h.conj().T) and h[0, 1] == 1.7e308 + 5e291j
+
     def test_hermitian_keeps_subnormal_entries(self):
         m = np.array([[5e-324, complex(0, 5e-324)], [complex(0, -5e-324), 1]])
         assert bit_equal(hermitian(m), m)

@@ -3,10 +3,16 @@ import pytest
 
 from conftest import degenerate_instance, rand_hermitian
 from eigpert import (
+    ConvergenceError,
+    EnsembleConfig,
     GapTooSmallError,
+    SpectralDecomposition,
     aligned_perturbation,
+    blockwise_diagonalize,
+    conjugate_to_eigenbasis,
     eigh,
     first_order_eigenvalues,
+    generate_instance,
     hermitian,
     operator_norm,
     refined_eigenvalues,
@@ -14,6 +20,7 @@ from eigpert import (
     schur_data,
     schur_similarity_diagnostic,
 )
+from eigpert import schur
 
 EXAMPLE_A3 = np.diag([0.0, 0.0, 1.0])
 EXAMPLE_F3 = np.array([[1, 0, 1], [0, 0, 1], [1, 1, 0]], dtype=float)
@@ -228,3 +235,82 @@ class TestSimilarityDiagnostic:
         # leading corner is exactly B + rho I
         corner = diag.transformed[: sd.l, : sd.l] - sd.rho * np.eye(sd.l)
         assert np.abs(corner - sd.b).max() <= 1e-13
+
+
+def diagonal_problem(sizes, e_norm, seed):
+    """Aligned perturbation over the base ``SpectralDecomposition(I, lam)``,
+    ``lam`` with the multiplicities ``sizes`` and representative values a
+    unit apart, and ``E`` a random Hermitian matrix with ``||E|| = e_norm``."""
+    rng = np.random.default_rng(seed)
+    lam = np.repeat(-np.arange(len(sizes), dtype=float), sizes)
+    n = lam.size
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    e = 0.5 * (g + g.conj().T)
+    e = e * (e_norm / max(np.abs(np.linalg.eigvalsh(e)).max(), 1e-300))
+    base = SpectralDecomposition(u=np.eye(n, dtype=complex), lam=lam)
+    return conjugate_to_eigenbasis(base, hermitian(e))
+
+
+def solved_complement(ap, g):
+    """The symmetrized ``B = E11 - C K^{-1} C*`` of block ``g`` by one dense
+    solve with ``K``: the fixed point's reference."""
+    start, stop = ap.blocks.groups[g]
+    rest = np.r_[0:start, stop : ap.n]
+    e11 = ap.e_hat[start:stop, start:stop]
+    if rest.size == 0:
+        return np.array(e11)
+    c = ap.e_hat[start:stop, rest]
+    k = np.diag(ap.base.lam[rest] - ap.blocks.rep_values[g]) + ap.e_hat[np.ix_(rest, rest)]
+    b = e11 - c @ np.linalg.solve(k, c.conj().T)
+    return 0.5 * (b + b.conj().T)
+
+
+class TestFixedPoint:
+    @pytest.mark.parametrize(
+        "sizes, e_norm",
+        [
+            ((4,) * 15, 0.05),
+            ((2, 2, 1, 1), 0.1),
+            ((1,) * 7, 0.1),
+            ((10,) * 6, 0.05),
+            ((5,), 0.3),
+            ((2, 2, 1, 1), 0.0),
+            # 2 ||E|| = 0.9998 * margin: the slowest contraction the guard admits.
+            ((10, 4, 2, 1), 0.4999),
+        ],
+        ids=["4x15", "2211", "1x7", "10x6", "one_block", "zero", "margin_edge"],
+    )
+    def test_matches_per_block_solves(self, sizes, e_norm):
+        ap = diagonal_problem(sizes, e_norm, seed=len(sizes))
+        _, bs = schur._complements(ap, "full")
+        for g in range(len(sizes)):
+            want = solved_complement(ap, g)
+            tol = 1e-14 * max(float(np.abs(want).max()), 1e-300)
+            assert np.abs(bs[g] - want).max() <= tol
+            assert np.abs(schur_data(ap, g).b - want).max() <= tol
+        if e_norm == 0.0:
+            assert all(np.all(b == 0) for b in bs)
+
+    def test_stops_on_a_round_off_cycle(self):
+        # A prediction at n = 60 whose iterates end up flipping by two ulps of
+        # the largest entry of X: a stop rule of eps * max|X| never fires.
+        cfg = EnsembleConfig(seed=1, n=60, block_spec=(4,) * 15, trials=1, predictor="first_order")
+        a, _ = generate_instance(cfg, 0)
+        rng = np.random.default_rng([1, 522])
+        g = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
+        h = 0.5 * (g + g.conj().T)
+        ap = blockwise_diagonalize(conjugate_to_eigenbasis(eigh(a), (0.05 / np.linalg.norm(h, 2)) * h))
+        _, bs = schur._complements(ap, "full")
+        for k, b in enumerate(bs):
+            want = solved_complement(ap, k)
+            assert np.abs(b - want).max() <= 1e-14 * float(np.abs(want).max())
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        ap = diagonal_problem((2, 2, 1, 1), 0.1, seed=5)
+        monkeypatch.setattr(schur, "MAX_ITERATIONS", 1)
+        with pytest.raises(ConvergenceError, match="after 1 iterations"):
+            refined_eigenvalues(ap, "full")
+        with pytest.raises(ConvergenceError):
+            schur_data(ap, 0)
+        # The simplified variant is one iteration and never reaches the cap.
+        refined_eigenvalues(ap, "simplified")
