@@ -4,7 +4,8 @@ Given ``A = U diag(lam) U*`` and a Hermitian perturbation ``E``, everything
 downstream works with the conjugated perturbation ``E_hat = U* E U``.  This
 module groups eigenvalues into degeneracy blocks, rotates ``U`` inside each
 block so ``E_hat`` becomes block-wise diagonal with non-increasing in-block
-diagonal, and builds the inverse-gap matrix ``M``.  The cone-membership test,
+diagonal, and builds the inverse-gap matrix ``M``.  Every record is built by
+``_aligned``, or rescaled by :func:`scaled`.  The cone-membership test,
 which needs Schur complements, lives in :mod:`eigpert.schur`.
 """
 
@@ -78,17 +79,14 @@ class BlockStructure:
 
     def block_id(self) -> np.ndarray:
         """Per-index group number, as an int array of length n."""
-        out = np.empty(self.n, dtype=np.intp)
-        for g, (start, stop) in enumerate(self.groups):
-            out[start:stop] = g
-        return out
+        return np.repeat(np.arange(len(self.groups), dtype=np.intp), self.sizes)
 
     def min_gap(self) -> float:
         """Smallest gap between representative values of adjacent groups."""
         if len(self.rep_values) < 2:
             return math.inf
-        reps = self.rep_values
-        return min(reps[g] - reps[g + 1] for g in range(len(reps) - 1))
+        # Negating a rounded difference is exact.
+        return float(-np.diff(self.rep_values).min())
 
 
 def group_eigenvalues(lam) -> BlockStructure:
@@ -106,15 +104,10 @@ def group_eigenvalues(lam) -> BlockStructure:
     if np.any(np.diff(lam) > 0):
         raise ValueError("eigenvalues must be non-increasing")
     tol = DEFAULT_REL_GAP_TOL * float(np.abs(lam).max())
-    groups = []
-    start = 0
-    for i in range(1, lam.size):
-        if lam[i - 1] - lam[i] > tol:
-            groups.append((start, i))
-            start = i
-    groups.append((start, lam.size))
+    bounds = [0, *(np.flatnonzero(lam[:-1] - lam[1:] > tol) + 1).tolist(), lam.size]
+    groups = tuple(zip(bounds[:-1], bounds[1:]))
     reps = tuple(float(np.mean(lam[s:e])) for s, e in groups)
-    return BlockStructure(groups=tuple(groups), rep_values=reps)
+    return BlockStructure(groups=groups, rep_values=reps)
 
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -177,8 +170,8 @@ class LazyNorm:
 class AlignedPerturbation:
     """A Hermitian perturbation expressed in the eigenbasis of the base matrix.
 
-    ``e_hat = base.u* @ e @ base.u``; ``e_hat_diag`` is its real diagonal and
-    ``e_hat_off`` the complementary zero-diagonal part, so that
+    ``e_hat = base.u* @ e @ base.u``; its properties ``e_hat_diag`` (the real
+    diagonal) and ``e_hat_off`` (the zero-diagonal rest) satisfy
     ``diag(e_hat_diag) + e_hat_off == e_hat`` exactly.  ``mode`` records
     whether the basis has been rotated to make ``e_hat`` block-wise diagonal.
     ``norm`` holds ``||E||`` lazily; it is shared with every perturbation
@@ -192,14 +185,20 @@ class AlignedPerturbation:
     blocks: BlockStructure
     e: np.ndarray
     e_hat: np.ndarray
-    e_hat_diag: np.ndarray
-    e_hat_off: np.ndarray
     mode: str
     norm: LazyNorm
 
     @property
     def n(self) -> int:
         return int(self.base.lam.size)
+
+    @property
+    def e_hat_diag(self) -> np.ndarray:
+        return as_readonly(np.diag(self.e_hat).real.copy())
+
+    @property
+    def e_hat_off(self) -> np.ndarray:
+        return as_readonly(self.e_hat - np.diag(self.e_hat_diag))
 
     @property
     def e_norm(self) -> float:
@@ -226,7 +225,10 @@ def norm_allows(ap: AlignedPerturbation, ok: Callable[[float], bool]) -> bool:
 def _require_line_gap(ap: AlignedPerturbation, t: float) -> None:
     """Reject ``t`` unless ``2 |t| ||F||`` is below the smallest inter-block
     gap, with ``F`` the perturbation read as a direction, so the perturbed
-    eigenvalues of ``A + t F`` cannot migrate between blocks."""
+    eigenvalues of ``A + t F`` cannot migrate between blocks.  A non-finite
+    ``t`` is a usage error, not a precondition failure."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     gap = ap.blocks.min_gap()
     if len(ap.blocks.groups) > 1 and not norm_allows(ap, lambda e: 2.0 * abs(t) * e < gap):
         raise GapTooSmallError(
@@ -235,10 +237,17 @@ def _require_line_gap(ap: AlignedPerturbation, t: float) -> None:
         )
 
 
-def _split_parts(e_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    diag = np.diag(e_hat).real.copy()
-    off = e_hat - np.diag(diag)
-    return diag, off
+def _aligned(
+    base: jacobi.SpectralDecomposition, blocks: BlockStructure, e: np.ndarray, mode: str, norm
+) -> AlignedPerturbation:
+    """The record of the read-only Hermitian ``e`` in the eigenbasis of
+    ``base``; a ``norm`` of ``None`` is bounded from ``E_hat``."""
+    e_hat = base.u.conj().T @ e @ base.u
+    e_hat = as_readonly(0.5 * (e_hat + e_hat.conj().T))
+    # ||E|| equals max |eigenvalue of E_hat|; the oracle computes it only
+    # when a guard's threshold falls between the bounds.
+    norm = LazyNorm.of(e_hat) if norm is None else norm
+    return AlignedPerturbation(base=base, blocks=blocks, e=e, e_hat=e_hat, mode=mode, norm=norm)
 
 
 def conjugate_to_eigenbasis(base: jacobi.SpectralDecomposition, e) -> AlignedPerturbation:
@@ -246,22 +255,7 @@ def conjugate_to_eigenbasis(base: jacobi.SpectralDecomposition, e) -> AlignedPer
     e = hermitian(e)
     if e.shape != base.u.shape:
         raise ValueError(f"perturbation shape {e.shape} does not match base {base.u.shape}")
-    e_hat = base.u.conj().T @ e @ base.u
-    e_hat = 0.5 * (e_hat + e_hat.conj().T)
-    diag, off = _split_parts(e_hat)
-    e_hat = as_readonly(e_hat)
-    return AlignedPerturbation(
-        base=base,
-        blocks=group_eigenvalues(base.lam),
-        e=as_readonly(e),
-        e_hat=e_hat,
-        e_hat_diag=as_readonly(diag),
-        e_hat_off=as_readonly(off),
-        mode=MODE_RAW,
-        # ||E|| equals max |eigenvalue of E_hat|; the oracle computes it only
-        # when a guard's threshold falls between the bounds.
-        norm=LazyNorm.of(e_hat),
-    )
+    return _aligned(base, group_eigenvalues(base.lam), as_readonly(e), MODE_RAW, None)
 
 
 def blockwise_diagonalize(ap: AlignedPerturbation) -> AlignedPerturbation:
@@ -295,21 +289,7 @@ def _blockwise_diagonalize_stack(aps: list[AlignedPerturbation]) -> list[Aligned
                 u_new[:, start:stop] = u_new[:, start:stop] @ next(rotations).u
         u_new = jacobi.normalize_column_phases(u_new)
         base = jacobi.SpectralDecomposition(u=as_readonly(u_new), lam=ap.base.lam)
-        e_hat = base.u.conj().T @ ap.e @ base.u
-        e_hat = 0.5 * (e_hat + e_hat.conj().T)
-        diag, off = _split_parts(e_hat)
-        out.append(
-            AlignedPerturbation(
-                base=base,
-                blocks=ap.blocks,
-                e=ap.e,
-                e_hat=as_readonly(e_hat),
-                e_hat_diag=as_readonly(diag),
-                e_hat_off=as_readonly(off),
-                mode=MODE_BLOCKWISE,
-                norm=ap.norm,
-            )
-        )
+        out.append(_aligned(base, ap.blocks, ap.e, MODE_BLOCKWISE, ap.norm))
     return out
 
 
@@ -322,14 +302,8 @@ def scaled(ap: AlignedPerturbation, t: float) -> AlignedPerturbation:
     t = float(t)
     if not (t > 0.0) or not math.isfinite(t):
         raise ValueError(f"scale factor must be positive and finite, got {t}")
-    return replace(
-        ap,
-        e=as_readonly(t * ap.e),
-        e_hat=as_readonly(t * ap.e_hat),
-        e_hat_diag=as_readonly(t * ap.e_hat_diag),
-        e_hat_off=as_readonly(t * ap.e_hat_off),
-        norm=ap.norm.scaled(t),
-    )
+    e, e_hat = as_readonly(t * ap.e), as_readonly(t * ap.e_hat)
+    return replace(ap, e=e, e_hat=e_hat, norm=ap.norm.scaled(t))
 
 
 def aligned_perturbation(a, e) -> AlignedPerturbation:

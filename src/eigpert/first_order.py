@@ -49,9 +49,7 @@ def u_approx(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
     ``||M * E_hat||^2`` exactly, not merely to first order.
     """
     _require_blockwise(ap, "the first-order eigenvector formula")
-    n = ap.n
-    correction = np.eye(n, dtype=np.complex128) - mmat * ap.e_hat
-    return ap.base.u @ correction
+    return ap.base.u @ (np.eye(ap.n, dtype=np.complex128) - mmat * ap.e_hat)
 
 
 def decomposition_residual(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:

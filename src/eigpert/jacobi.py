@@ -268,7 +268,7 @@ def eigh_stack(
     Parameters
     ----------
     tol : float, optional
-        Termination tolerance, at least 1e-15.  Defaults to ``1e-13 * n``.
+        Termination tolerance, finite and at least 1e-15.  Defaults to ``1e-13 * n``.
         A matrix stops sweeping once its off-diagonal Frobenius mass falls
         below ``tol`` times a lower bound on its spectral norm (its largest
         entry modulus), so the mass is below ``tol * ||h||`` at termination.
@@ -277,8 +277,8 @@ def eigh_stack(
         after that many sweeps, :class:`ConvergenceError` names the first
         such matrix and carries its final off-diagonal mass.
     """
-    if tol is not None and tol < 1e-15:
-        raise ValueError(f"tol must be at least 1e-15, got {tol}")
+    if tol is not None and not 1e-15 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and at least 1e-15, got {tol}")
     members = [hermitian(h) for h in hs]
     by_size: dict[int, list[int]] = {}
     for i, h in enumerate(members):

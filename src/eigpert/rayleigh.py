@@ -10,6 +10,9 @@ inverse-gap matrix ``M``: ``a2 = -colsum(M * |F_hat|^2)``, and ``N`` is
 gaps of ``F_hat``.  All formulas need ``F_hat`` block-wise diagonal with
 strictly decreasing in-block diagonals; ties leave the perturbed eigenvector
 branches underdetermined and raise ``DegenerateDirectionError``.
+
+:func:`line_expansion` and :func:`predict_eigensystem` build their
+:class:`LineExpansion` with one helper, ``_expansion``.
 """
 
 from __future__ import annotations
@@ -50,10 +53,11 @@ STRICT_DIAGONAL_TOL = 1e-8
 def _require_untied(ap: AlignedPerturbation) -> None:
     """Reject in-block diagonal gaps of ``F_hat`` at most
     ``STRICT_DIAGONAL_TOL * ||F||``."""
+    d = ap.e_hat_diag
     for start, stop in ap.blocks.groups:
         if stop - start < 2:
             continue
-        gap = float((ap.e_hat_diag[start : stop - 1] - ap.e_hat_diag[start + 1 : stop]).min())
+        gap = float((d[start : stop - 1] - d[start + 1 : stop]).min())
         if not norm_allows(ap, lambda e: gap > STRICT_DIAGONAL_TOL * e):
             raise DegenerateDirectionError(
                 f"direction has tied diagonal entries (gap {gap:.3e}) "
@@ -82,11 +86,7 @@ def rs_coefficients(ap: AlignedPerturbation) -> tuple[np.ndarray, np.ndarray, np
     # Row sums of the contiguous transpose round exactly as summing each
     # column on its own does; a strided column sum would not.
     a2 = np.ldexp(-np.ascontiguousarray(weighted.T).sum(axis=1), 2 * exponent)
-    return (
-        np.array(ap.base.lam, copy=True),
-        np.array(ap.e_hat_diag, copy=True),
-        a2,
-    )
+    return np.array(ap.base.lam, copy=True), np.array(ap.e_hat_diag, copy=True), a2
 
 
 def n_matrix(ap: AlignedPerturbation) -> np.ndarray:
@@ -123,12 +123,7 @@ def eigenvector_derivative(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndar
     """Derivative at ``t = 0`` of the eigenvector matrix of ``A + t F``:
     ``U (N - M * F_hat)``.  Dropping ``N`` is wrong whenever a degeneracy
     block reacts to the direction by rotating internally."""
-    return _derivative(ap, mmat, n_matrix(ap))
-
-
-def _derivative(ap: AlignedPerturbation, mmat: np.ndarray, n_mat: np.ndarray) -> np.ndarray:
-    """``U (N - M * F_hat)`` from an ``N`` already computed."""
-    return ap.base.u @ (n_mat - mmat * ap.e_hat)
+    return ap.base.u @ (n_matrix(ap) - mmat * ap.e_hat)
 
 
 @dataclass(frozen=True)
@@ -139,13 +134,6 @@ class EigensystemPrediction:
     u_hat: np.ndarray
 
 
-def _evaluate(u, a0, a1, a2, u_prime, t: float) -> EigensystemPrediction:
-    return EigensystemPrediction(
-        xi_hat=as_readonly(a0 + t * a1 + t * t * a2),
-        u_hat=as_readonly(u + t * u_prime),
-    )
-
-
 def predict_eigensystem(
     ap: AlignedPerturbation,
     mmat: np.ndarray,
@@ -153,13 +141,12 @@ def predict_eigensystem(
 ) -> EigensystemPrediction:
     """Evaluate the expansion at parameter ``t`` (may be negative).
 
-    Requires ``2 |t| ||F||`` below the smallest inter-block gap so the
-    perturbed eigenvalues cannot migrate between blocks.
+    Requires ``2 |t| ||F||`` below the smallest inter-block gap, checked
+    first, so the perturbed eigenvalues cannot migrate between blocks.
     """
     t = float(t)
     _require_line_gap(ap, t)
-    a0, a1, a2 = rs_coefficients(ap)
-    return _evaluate(ap.base.u, a0, a1, a2, eigenvector_derivative(ap, mmat), t)
+    return _expansion(ap, mmat).at(t)
 
 
 @dataclass(frozen=True)
@@ -178,22 +165,29 @@ class LineExpansion:
     def at(self, t: float) -> EigensystemPrediction:
         t = float(t)
         _require_line_gap(self.ap, t)
-        return _evaluate(self.base.u, self.a0, self.a1, self.a2, self.u_prime, t)
+        return EigensystemPrediction(
+            xi_hat=as_readonly(self.a0 + t * self.a1 + t * t * self.a2),
+            u_hat=as_readonly(self.base.u + t * self.u_prime),
+        )
 
 
-def line_expansion(a, f) -> LineExpansion:
-    """Build the full second-order expansion of ``A + t F`` from dense input."""
-    ap = aligned_perturbation(a, f)
-    mmat = m_matrix(ap.base, ap.blocks)
+def _expansion(ap: AlignedPerturbation, mmat: np.ndarray) -> LineExpansion:
+    """The expansion of ``ap``; ``mmat`` is stored as given, flags and all."""
     a0, a1, a2 = rs_coefficients(ap)
     n_mat = n_matrix(ap)
     return LineExpansion(
         base=ap.base,
         ap=ap,
-        m_mat=as_readonly(mmat),
+        m_mat=mmat,
         a0=as_readonly(a0),
         a1=as_readonly(a1),
         a2=as_readonly(a2),
         n_mat=as_readonly(n_mat),
-        u_prime=as_readonly(_derivative(ap, mmat, n_mat)),
+        u_prime=as_readonly(ap.base.u @ (n_mat - mmat * ap.e_hat)),
     )
+
+
+def line_expansion(a, f) -> LineExpansion:
+    """Build the full second-order expansion of ``A + t F`` from dense input."""
+    ap = aligned_perturbation(a, f)
+    return _expansion(ap, as_readonly(m_matrix(ap.base, ap.blocks)))

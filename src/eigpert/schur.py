@@ -90,9 +90,11 @@ def _require_margin(ap: AlignedPerturbation, block_index: int) -> tuple[int, int
     if not 0 <= block_index < len(groups):
         raise ValueError(f"block index {block_index} out of range for {len(groups)} blocks")
     start, stop = groups[block_index]
-    tau = np.r_[ap.base.lam[:start], ap.base.lam[stop:]]
-    if tau.size:
-        margin = float(np.abs(tau - ap.blocks.rep_values[block_index]).min())
+    lam, rho = ap.base.lam, ap.blocks.rep_values[block_index]
+    # lam is sorted and rho inside its block: the nearest others are its neighbours.
+    gaps = [abs(lam[i] - rho) for i in (start - 1, stop) if 0 <= i < lam.size]
+    if gaps:
+        margin = float(min(gaps))
         if not norm_allows(ap, lambda e: margin > DEFAULT_MARGIN_FACTOR * e):
             raise GapTooSmallError(
                 f"block {block_index}: separation {margin:.3e} from other eigenvalues "
@@ -130,24 +132,26 @@ def _complement(ap: AlignedPerturbation, x: np.ndarray, start: int, stop: int) -
 
 
 def _complement_eigenvalues(bs: list[np.ndarray]) -> list[np.ndarray]:
-    """Eigenvalues of symmetrized Schur complements, all in one oracle call
-    that stacks the complements of each size.  A 1 x 1 complement is its own
-    (exactly real) eigenvalue; the oracle would return it bit for bit."""
-    multi = [i for i, b in enumerate(bs) if b.shape[0] > 1]
-    solved = dict(zip(multi, jacobi.eigh_stack([bs[i] for i in multi])))
-    return [
-        solved[i].lam if i in solved else as_readonly(np.array([b[0, 0].real]))
-        for i, b in enumerate(bs)
-    ]
+    """Eigenvalues of symmetrized Schur complements, from one oracle call that
+    stacks the complements of each size; a 1 x 1 complement needs no sweep
+    and comes back as its own entry, the power-of-two prescale being exact."""
+    return [d.lam for d in jacobi.eigh_stack(bs)]
 
 
 def schur_data(ap: AlignedPerturbation, block_index: int) -> SchurData:
     """Partition ``E_hat`` around one block and form its Schur complement."""
+    return _schur_data(ap, block_index)[0]
+
+
+def _schur_data(ap: AlignedPerturbation, block_index: int) -> tuple[SchurData, np.ndarray]:
+    """:func:`schur_data` and ``X = K^{-1} C*``, the block's columns of the
+    fixed point on the rest rows."""
     start, stop = _require_margin(ap, block_index)
-    b = _complement(ap, _fixed_point(ap, start, stop, "full"), start, stop)
+    x = _fixed_point(ap, start, stop, "full")
+    b = _complement(ap, x, start, stop)
     (beta,) = _complement_eigenvalues([b])
     rest = np.r_[0:start, stop : ap.n]
-    return SchurData(
+    sd = SchurData(
         block_index=block_index,
         rho=ap.blocks.rep_values[block_index],
         l=stop - start,
@@ -159,6 +163,7 @@ def schur_data(ap: AlignedPerturbation, block_index: int) -> SchurData:
         beta=beta,
         beta_gap_ambiguous=beta.size >= 2 and bool((beta[:-1] - beta[1:]).min() < BETA_GAP_TOL),
     )
+    return sd, x[rest]
 
 
 def refined_eigenvalues(ap: AlignedPerturbation, variant: str = "full") -> np.ndarray:
@@ -208,7 +213,7 @@ def vc_membership(ap: AlignedPerturbation, c: float, diag_tol: float) -> VcRepor
     with the ``degenerate_zero`` flag set: the separation requirement reads
     strictly and all-zero Schur eigenvalues cannot satisfy it.
     """
-    if c < 0.0 or diag_tol < 0.0:
+    if not (c >= 0.0 and diag_tol >= 0.0):
         raise ValueError("c and diag_tol must be nonnegative")
     _require_line_gap(ap, 1.0)
     has_multi = any(stop - start >= 2 for start, stop in ap.blocks.groups)
@@ -247,10 +252,7 @@ class SimilarityDiagnostic:
 
 
 def schur_similarity_diagnostic(ap: AlignedPerturbation, block_index: int) -> SimilarityDiagnostic:
-    sd = schur_data(ap, block_index)
-    start, stop = ap.blocks.groups[block_index]
-    # X = K^{-1} C*, the rest rows of the block's columns of the fixed point.
-    x = _fixed_point(ap, start, stop, "full")[np.r_[0:start, stop : ap.n]]
+    sd, x = _schur_data(ap, block_index)
     k = np.diag((sd.lambda_tau - sd.rho).astype(np.complex128)) + sd.d
     lower_left = x @ sd.b
     t = np.block([[sd.b, sd.c], [lower_left, k + x @ sd.c]]) + sd.rho * np.eye(ap.n)

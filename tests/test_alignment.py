@@ -238,7 +238,9 @@ class TestScaled:
         assert ap_t.mode == ap.mode
         assert np.array_equal(ap_t.e, t * ap.e)
         assert np.array_equal(ap_t.e_hat, t * ap.e_hat)
-        assert np.array_equal(ap_t.e_hat_diag, t * ap.e_hat_diag)
+        # By bytes, so that signed zeros count as well.
+        assert ap_t.e_hat_diag.tobytes() == (t * ap.e_hat_diag).tobytes()
+        assert ap_t.e_hat_off.tobytes() == (t * ap.e_hat_off).tobytes()
         assert ap_t.e_norm == t * ap.e_norm
 
     def test_rejects_nonpositive(self):
@@ -327,6 +329,12 @@ class TestVcMembership:
         ap = aligned_perturbation(np.diag([1.0, 1.0, 0.0]), hermitian(0.6 * np.eye(3)))
         with pytest.raises(GapTooSmallError):
             vc_membership(ap, c=1.0, diag_tol=1e-8)
+
+    @pytest.mark.parametrize("c, diag_tol", [(math.nan, 1e-8), (1.0, math.nan), (-1.0, 1e-8)])
+    def test_rejects_negative_or_nan_thresholds(self, c, diag_tol):
+        ap = aligned_perturbation(np.diag([1.0, 1.0, 0.0]), hermitian(0.01 * EXAMPLE_F3))
+        with pytest.raises(ValueError, match="nonnegative"):
+            vc_membership(ap, c=c, diag_tol=diag_tol)
 
 
 class TestAlignColumns:

@@ -108,6 +108,15 @@ class TestPredict:
         code, _ = self.run(tmp_path, capsys, "3")
         assert code == 2
 
+    @pytest.mark.parametrize("a", [np.eye(2), A], ids=["one_block", "two_blocks"])
+    def test_non_finite_t_is_a_usage_error(self, tmp_path, capsys, a):
+        a = write_matrix(tmp_path, "a.txt", a)
+        e = write_matrix(tmp_path, "e.txt", self.E)
+        assert main(["predict", "--order", "2", "--a", a, "--e", e, "--t", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_gap_too_small_exit_code(self, tmp_path, capsys):
         a = write_matrix(tmp_path, "a.txt", np.diag([1.0, 0.0]))
         e = write_matrix(tmp_path, "e.txt", [[0.0, 3.0], [3.0, 0.0]])

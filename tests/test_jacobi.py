@@ -132,6 +132,14 @@ class TestControls:
         with pytest.raises(ValueError, match="1e-15"):
             eigh(np.eye(2), tol=1e-16)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        # Such a tolerance used to stop after 0 sweeps and return the diagonal.
+        with pytest.raises(ValueError, match="finite"):
+            eigh([[1.0, 2.0], [2.0, -1.0]], tol=tol)
+        with pytest.raises(ValueError, match="finite"):
+            eigh_stack([np.eye(2)], tol=tol)
+
     def test_tighter_tol_accepted(self):
         d = eigh([[3.0, 0.1], [0.1, 1.0]], tol=1e-15)
         assert d.lam[0] == pytest.approx(2 + math.sqrt(1.01), abs=1e-14)

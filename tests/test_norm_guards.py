@@ -79,15 +79,30 @@ def assert_same(ap, call):
     assert outcome(lambda: call(ap)) == outcome(lambda: call(exact_only(ap)))
 
 
+# Spectra whose guarded block, the double eigenvalue, sits at the top, in the
+# middle (its nearer neighbour above it) and at the bottom; it is 1.5 from its
+# nearest neighbour in each.
+MARGIN_LAYOUTS = (
+    ([2.0, 2.0, 0.5, -1.0, -3.0], 0),
+    ([2.5, 1.0, 1.0, -1.0, -3.0], 1),
+    ([3.0, 1.0, -0.5, -2.0, -2.0], 3),
+)
+
+
 @pytest.mark.parametrize("kind, e", directions(5, 4))
 @pytest.mark.parametrize("offset", NEAR + FAR)
 def test_schur_margin_guard(kind, e, offset):
-    base = identity_base([2.0, 2.0, 0.5, -1.0, -3.0])
-    ap = blockwise_diagonalize(conjugate_to_eigenbasis(base, e))
-    margin = 1.5  # block 0 sits 1.5 above its nearest neighbour
-    ap = scaled(ap, margin / (DEFAULT_MARGIN_FACTOR * ap.e_norm) * (1.0 + offset))
-    for variant in ("full", "simplified"):
-        assert_same(ap, lambda x: refined_eigenvalues(x, variant=variant))
+    margin = 1.5
+    for lam, block in MARGIN_LAYOUTS:
+        ap = blockwise_diagonalize(conjugate_to_eigenbasis(identity_base(lam), e))
+        ap = scaled(ap, margin / (DEFAULT_MARGIN_FACTOR * ap.e_norm) * (1.0 + offset))
+        assert_same(ap, lambda x: schur_data(x, block).b)
+        if offset != 0.0:
+            # Off the threshold, the outcome pins the margin the guard measured.
+            guarded = outcome(lambda: schur_data(ap, block).b)[0] is GapTooSmallError
+            assert guarded == (offset > 0.0)
+        for variant in ("full", "simplified"):
+            assert_same(ap, lambda x: refined_eigenvalues(x, variant=variant))
 
 
 @pytest.mark.parametrize("kind, e", directions(4, 3))

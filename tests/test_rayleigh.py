@@ -7,6 +7,7 @@ from eigpert import (
     DegenerateDirectionError,
     GapTooSmallError,
     ModeError,
+    PreconditionError,
     aligned_perturbation,
     conjugate_to_eigenbasis,
     eigenvector_derivative,
@@ -267,6 +268,11 @@ class TestPredict:
         pred = predict_eigensystem(ap, mmat, -0.01)
         assert pred.xi_hat.shape == (3,)
 
+    def test_leaves_the_callers_mmat_writable(self):
+        ap, mmat = worked_example()
+        predict_eigensystem(ap, mmat, 0.01)
+        assert mmat.flags.writeable
+
     def test_agrees_with_schur_refinement_to_third_order(self):
         rng = np.random.default_rng(89)
         a = rand_hermitian(rng, 5)
@@ -324,3 +330,15 @@ class TestLineExpansion:
         lex = line_expansion(EXAMPLE_A3, EXAMPLE_F3)
         with pytest.raises(GapTooSmallError):
             lex.at(0.5)
+
+
+# One block, where no gap guard applies, and the worked example's two blocks.
+@pytest.mark.parametrize("a", [np.eye(3), EXAMPLE_A3], ids=["one_block", "two_blocks"])
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_t_is_a_usage_error(a, t):
+    lex = line_expansion(a, EXAMPLE_F3)
+    calls = (lambda: lex.at(t), lambda: predict_eigensystem(lex.ap, lex.m_mat, t))
+    for call in calls:
+        with pytest.raises(ValueError, match="finite") as exc:
+            call()
+        assert not isinstance(exc.value, PreconditionError)

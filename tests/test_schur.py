@@ -224,6 +224,19 @@ class TestSimilarityDiagnostic:
                 ]
                 assert np.abs(eigh(h_perm).lam - eigh(a + e).lam).max() <= 1e-12
 
+    def test_runs_the_fixed_point_once(self, monkeypatch):
+        calls = []
+        real = schur._fixed_point
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(schur, "_fixed_point", counting)
+        ap = aligned_perturbation(EXAMPLE_A3, hermitian(0.1 * EXAMPLE_F3))
+        schur_similarity_diagnostic(ap, 0)
+        assert len(calls) == 1
+
     def test_block_norms(self):
         rng = np.random.default_rng(67)
         a, f = degenerate_instance(rng, (2, 2))
