@@ -4,7 +4,8 @@ Given ``A = U diag(lam) U*`` and a Hermitian perturbation ``E``, everything
 downstream works with the conjugated perturbation ``E_hat = U* E U``.  This
 module groups eigenvalues into degeneracy blocks, rotates ``U`` inside each
 block so ``E_hat`` becomes block-wise diagonal with non-increasing in-block
-diagonal, and builds the inverse-gap matrix ``M``.  Every record is built by
+diagonal, and builds the inverse-gap matrix ``M``.  Its one gap guard serves
+Schur refinement and the line expansion alike.  Every record is built by
 ``_aligned``, or rescaled by :func:`scaled`.  The cone-membership test,
 which needs Schur complements, lives in :mod:`eigpert.schur`.
 """
@@ -40,6 +41,9 @@ __all__ = [
 
 # Relative gap below which adjacent eigenvalues share a degeneracy block.
 DEFAULT_REL_GAP_TOL = 1e-8
+
+# Each block must stand farther than this times ||E|| from the other eigenvalues.
+DEFAULT_MARGIN_FACTOR = 2.0
 
 # Oracle tolerance for the in-block rotations.  The default, 1e-13 times the
 # block size, bounds the in-block off-diagonal mass left in E_hat only by
@@ -80,13 +84,6 @@ class BlockStructure:
     def block_id(self) -> np.ndarray:
         """Per-index group number, as an int array of length n."""
         return np.repeat(np.arange(len(self.groups), dtype=np.intp), self.sizes)
-
-    def min_gap(self) -> float:
-        """Smallest gap between representative values of adjacent groups."""
-        if len(self.rep_values) < 2:
-            return math.inf
-        # Negating a rounded difference is exact.
-        return float(-np.diff(self.rep_values).min())
 
 
 def group_eigenvalues(lam) -> BlockStructure:
@@ -222,19 +219,34 @@ def norm_allows(ap: AlignedPerturbation, ok: Callable[[float], bool]) -> bool:
     return ok(ap.e_norm)
 
 
-def _require_line_gap(ap: AlignedPerturbation, t: float) -> None:
-    """Reject ``t`` unless ``2 |t| ||F||`` is below the smallest inter-block
-    gap, with ``F`` the perturbation read as a direction, so the perturbed
-    eigenvalues of ``A + t F`` cannot migrate between blocks.  A non-finite
-    ``t`` is a usage error, not a precondition failure."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    gap = ap.blocks.min_gap()
-    if len(ap.blocks.groups) > 1 and not norm_allows(ap, lambda e: 2.0 * abs(t) * e < gap):
-        raise GapTooSmallError(
-            f"|t| ||F|| = {abs(t) * ap.e_norm:.3e} reaches half the smallest "
-            f"inter-block gap {gap:.3e}; blocks may mix"
-        )
+def _require_above(ap: AlignedPerturbation, values, factor: float, refuse) -> None:
+    """Raise ``refuse(k)`` unless every ``values[k]`` exceeds ``factor * ||E||``.
+    The guard is monotone in the value, so one :func:`norm_allows` decision
+    on the smallest value decides them all; a refusal names the smallest."""
+    if len(values) == 0:
+        return
+    k = int(np.argmin(values))
+    if not norm_allows(ap, lambda e: float(values[k]) > factor * e):
+        raise refuse(k)
+
+
+def _require_gap(ap: AlignedPerturbation, factor: float, blocks=None) -> None:
+    """Reject ``ap`` unless each listed block (by default every block) stands
+    farther than ``factor * ||E||`` from all other eigenvalues: by Weyl's
+    bound no eigenvalue can then cross into another block, and at
+    ``DEFAULT_MARGIN_FACTOR`` the Schur fixed point contracts."""
+    if len(ap.blocks.groups) < 2:
+        return
+    starts, stops = np.array(ap.blocks.groups).T
+    # lam is sorted and rho inside its block: the nearest others are its
+    # neighbours, and a missing neighbour is infinitely far.
+    lam, rho = np.r_[np.inf, ap.base.lam, -np.inf], np.asarray(ap.blocks.rep_values)
+    margin = np.minimum(np.abs(lam[starts] - rho), np.abs(lam[stops + 1] - rho))
+    index = np.arange(starts.size) if blocks is None else np.asarray(blocks)
+    _require_above(ap, margin[index], factor, lambda k: GapTooSmallError(
+        f"block {index[k]}: separation {margin[index[k]]:.3e} from other eigenvalues "
+        f"does not exceed {factor:g} * ||E|| = {factor * ap.e_norm:.3e}; blocks may mix"
+    ))
 
 
 def _aligned(
@@ -309,7 +321,7 @@ def scaled(ap: AlignedPerturbation, t: float) -> AlignedPerturbation:
 def aligned_perturbation(a, e) -> AlignedPerturbation:
     """One-call pipeline: decompose ``a``, conjugate ``e``, rotate block-wise.
     Convenience entry point used by the CLI and the demos."""
-    base = jacobi.eigh(hermitian(a))
+    base = jacobi.eigh(a)
     return blockwise_diagonalize(conjugate_to_eigenbasis(base, e))
 
 

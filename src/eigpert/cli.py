@@ -50,7 +50,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         sys.stdout.write(matrices.format_matrix(prediction.u_hat))
         return 0
     # Remaining orders predict for the fixed perturbation t * E.
-    ap = alignment.aligned_perturbation(a, matrices.hermitian(args.t * e))
+    ap = alignment.aligned_perturbation(a, args.t * e)
     if args.order == "1":
         xi = first_order_eigenvalues(ap)
     else:

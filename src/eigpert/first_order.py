@@ -36,7 +36,6 @@ def gershgorin_intervals(ap: AlignedPerturbation) -> list[tuple[float, float]]:
     The discs of ``diag(lam) + E_hat`` are real intervals since both center
     matrices are Hermitian; each perturbed eigenvalue lies in the union.
     """
-    _require_blockwise(ap, "Gershgorin enclosure")
     centers = first_order_eigenvalues(ap)
     radii = np.abs(ap.e_hat_off).sum(axis=1)
     return [(float(c), float(r)) for c, r in zip(centers, radii)]
@@ -55,7 +54,6 @@ def u_approx(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
 def decomposition_residual(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
     """The first-order reconstruction ``U_ap diag(lam + E_hat_diag) U_ap*``
     minus ``A + E``."""
-    _require_blockwise(ap, "the first-order reconstruction")
     u_ap = u_approx(ap, mmat)
     target = ap.base.u @ np.diag(ap.base.lam).astype(np.complex128) @ ap.base.u.conj().T + ap.e
     rebuilt = u_ap @ np.diag(first_order_eigenvalues(ap)).astype(np.complex128) @ u_ap.conj().T

@@ -132,7 +132,7 @@ def operator_norms(ms) -> list[float]:
         g = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
         index.append(i)
         exponents.append(exponent)
-        grams.append(0.5 * (g + g.conj().T))
+        grams.append(g)  # the oracle symmetrizes on entry
     for i, exponent, d in zip(index, exponents, jacobi.eigh_stack(grams)):
         out[i] = math.ldexp(math.sqrt(max(float(d.lam[0]), 0.0)), exponent)
     return out

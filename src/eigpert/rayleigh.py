@@ -24,12 +24,13 @@ import numpy as np
 
 from . import jacobi
 from .alignment import (
+    DEFAULT_MARGIN_FACTOR,
     AlignedPerturbation,
+    _require_above,
     _require_blockwise,
-    _require_line_gap,
+    _require_gap,
     aligned_perturbation,
     m_matrix,
-    norm_allows,
 )
 from .errors import DegenerateDirectionError
 from .matrices import as_readonly
@@ -54,16 +55,13 @@ def _require_untied(ap: AlignedPerturbation) -> None:
     """Reject in-block diagonal gaps of ``F_hat`` at most
     ``STRICT_DIAGONAL_TOL * ||F||``."""
     d = ap.e_hat_diag
-    for start, stop in ap.blocks.groups:
-        if stop - start < 2:
-            continue
-        gap = float((d[start : stop - 1] - d[start + 1 : stop]).min())
-        if not norm_allows(ap, lambda e: gap > STRICT_DIAGONAL_TOL * e):
-            raise DegenerateDirectionError(
-                f"direction has tied diagonal entries (gap {gap:.3e}) "
-                f"inside eigenvalue block [{start}, {stop}); the perturbed "
-                "eigenvector branches are not determined to first order"
-            )
+    multi = [(start, stop) for start, stop in ap.blocks.groups if stop - start >= 2]
+    gaps = [(d[start : stop - 1] - d[start + 1 : stop]).min() for start, stop in multi]
+    _require_above(ap, gaps, STRICT_DIAGONAL_TOL, lambda k: DegenerateDirectionError(
+        f"direction has tied diagonal entries (gap {gaps[k]:.3e}) inside eigenvalue block "
+        f"[{multi[k][0]}, {multi[k][1]}); the perturbed eigenvector branches are not "
+        "determined to first order"
+    ))
 
 
 def rs_coefficients(ap: AlignedPerturbation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,13 +137,9 @@ def predict_eigensystem(
     mmat: np.ndarray,
     t: float,
 ) -> EigensystemPrediction:
-    """Evaluate the expansion at parameter ``t`` (may be negative).
-
-    Requires ``2 |t| ||F||`` below the smallest inter-block gap, checked
-    first, so the perturbed eigenvalues cannot migrate between blocks.
-    """
-    t = float(t)
-    _require_line_gap(ap, t)
+    """Evaluate at ``t`` (may be negative) the expansion that
+    :func:`line_expansion` builds, here on ``ap`` and ``mmat``: a tied
+    direction raises first, then :meth:`LineExpansion.at` guards the gaps."""
     return _expansion(ap, mmat).at(t)
 
 
@@ -163,8 +157,12 @@ class LineExpansion:
     u_prime: np.ndarray
 
     def at(self, t: float) -> EigensystemPrediction:
+        """The expansion at a finite ``t``, once every block stands farther
+        than ``DEFAULT_MARGIN_FACTOR |t| ||F||`` from the other eigenvalues."""
         t = float(t)
-        _require_line_gap(self.ap, t)
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
+        _require_gap(self.ap, DEFAULT_MARGIN_FACTOR * abs(t))
         return EigensystemPrediction(
             xi_hat=as_readonly(self.a0 + t * self.a1 + t * t * self.a2),
             u_hat=as_readonly(self.base.u + t * self.u_prime),

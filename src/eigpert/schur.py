@@ -16,9 +16,10 @@ No block solves with ``K``: every block's ``X = K^{-1} C*`` is its columns of
 the fixed point of ``X = W o (E_hat - E_hat X)``, with ``o`` the entrywise
 product, ``W[i, j] = 1 / (lam_i - rho_block(j))`` across blocks and 0 inside
 them, and ``B`` is the in-block part of ``E_hat - E_hat X``.  One ``n x n``
-product per iteration serves all blocks, and the margin guard
-``min |tau - rho| > 2 ||E||`` makes the map contract by less than 1/2 (Stewart,
-SIAM Review 15(4), 1973).  The simplified variant is the first iterate; the
+product per iteration serves all blocks, and the gap guard of
+:mod:`eigpert.alignment`, ``min |tau - rho| > DEFAULT_MARGIN_FACTOR ||E||``
+with the factor 2, makes the map contract by less than 1/2 (Stewart, SIAM
+Review 15(4), 1973).  The simplified variant is the first iterate; the
 full one stops once an update is at most ``4 eps max|X|``.
 
 The complements also decide membership in the cone of perturbation
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jacobi
-from .alignment import _EPS, AlignedPerturbation, _require_line_gap, norm_allows
-from .errors import ConvergenceError, GapTooSmallError
+from .alignment import _EPS, DEFAULT_MARGIN_FACTOR, AlignedPerturbation, _require_gap
+from .errors import ConvergenceError
 from .matrices import as_readonly, operator_norm
 
 __all__ = [
@@ -49,18 +50,12 @@ __all__ = [
     "schur_similarity_diagnostic",
 ]
 
-# Require min |tau - rho| to exceed this multiple of ||E|| before inverting K.
-DEFAULT_MARGIN_FACTOR = 2.0
-
 # Fixed-point iterations, the first included, before ConvergenceError.
 MAX_ITERATIONS = 60
 
 # The full variant stops at an update of at most _STOP_TOL * max|X|, not eps: round-off
 # can keep iterates flipping by two ulps (1.23 eps max|X| in 1 of 1800 predictions at n=60).
 _STOP_TOL = 4.0 * _EPS
-
-# Schur eigenvalues closer than this are reported as an ambiguous pairing.
-BETA_GAP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -80,28 +75,6 @@ class SchurData:
     d: np.ndarray
     lambda_tau: np.ndarray
     beta: np.ndarray
-    beta_gap_ambiguous: bool
-
-
-def _require_margin(ap: AlignedPerturbation, block_index: int) -> tuple[int, int]:
-    """The block's index range, once its separation from every other
-    eigenvalue is known to exceed ``DEFAULT_MARGIN_FACTOR * ||E||``."""
-    groups = ap.blocks.groups
-    if not 0 <= block_index < len(groups):
-        raise ValueError(f"block index {block_index} out of range for {len(groups)} blocks")
-    start, stop = groups[block_index]
-    lam, rho = ap.base.lam, ap.blocks.rep_values[block_index]
-    # lam is sorted and rho inside its block: the nearest others are its neighbours.
-    gaps = [abs(lam[i] - rho) for i in (start - 1, stop) if 0 <= i < lam.size]
-    if gaps:
-        margin = float(min(gaps))
-        if not norm_allows(ap, lambda e: margin > DEFAULT_MARGIN_FACTOR * e):
-            raise GapTooSmallError(
-                f"block {block_index}: separation {margin:.3e} from other eigenvalues "
-                f"does not exceed {DEFAULT_MARGIN_FACTOR:g} * ||E|| = "
-                f"{DEFAULT_MARGIN_FACTOR * ap.e_norm:.3e}"
-            )
-    return start, stop
 
 
 def _fixed_point(ap: AlignedPerturbation, start: int, stop: int, variant: str) -> np.ndarray:
@@ -146,7 +119,11 @@ def schur_data(ap: AlignedPerturbation, block_index: int) -> SchurData:
 def _schur_data(ap: AlignedPerturbation, block_index: int) -> tuple[SchurData, np.ndarray]:
     """:func:`schur_data` and ``X = K^{-1} C*``, the block's columns of the
     fixed point on the rest rows."""
-    start, stop = _require_margin(ap, block_index)
+    groups = ap.blocks.groups
+    if not 0 <= block_index < len(groups):
+        raise ValueError(f"block index {block_index} out of range for {len(groups)} blocks")
+    _require_gap(ap, DEFAULT_MARGIN_FACTOR, [block_index])
+    start, stop = groups[block_index]
     x = _fixed_point(ap, start, stop, "full")
     b = _complement(ap, x, start, stop)
     (beta,) = _complement_eigenvalues([b])
@@ -161,7 +138,6 @@ def _schur_data(ap: AlignedPerturbation, block_index: int) -> tuple[SchurData, n
         d=as_readonly(ap.e_hat[rest[:, None], rest]),
         lambda_tau=as_readonly(ap.base.lam[rest]),
         beta=beta,
-        beta_gap_ambiguous=beta.size >= 2 and bool((beta[:-1] - beta[1:]).min() < BETA_GAP_TOL),
     )
     return sd, x[rest]
 
@@ -188,9 +164,10 @@ def _complements(ap: AlignedPerturbation, variant: str) -> tuple[list[float], li
     in block order, from one fixed point.  Their eigenvalues are left to
     :func:`_complement_eigenvalues`, so that callers can solve the
     complements of many perturbations in one oracle call."""
-    spans = [_require_margin(ap, g) for g in range(len(ap.blocks.groups))]
+    _require_gap(ap, DEFAULT_MARGIN_FACTOR)
     x = _fixed_point(ap, 0, ap.n, variant)
-    return list(ap.blocks.rep_values), [_complement(ap, x[:, s:e], s, e) for s, e in spans]
+    bs = [_complement(ap, x[:, s:e], s, e) for s, e in ap.blocks.groups]
+    return list(ap.blocks.rep_values), bs
 
 
 @dataclass(frozen=True)
@@ -211,11 +188,11 @@ def vc_membership(ap: AlignedPerturbation, c: float, diag_tol: float) -> VcRepor
 
     ``E = 0`` with a repeated eigenvalue present is reported as a non-member
     with the ``degenerate_zero`` flag set: the separation requirement reads
-    strictly and all-zero Schur eigenvalues cannot satisfy it.
+    strictly and all-zero Schur eigenvalues cannot satisfy it.  Otherwise the
+    complements need the gap guard that :func:`refined_eigenvalues` applies.
     """
     if not (c >= 0.0 and diag_tol >= 0.0):
         raise ValueError("c and diag_tol must be nonnegative")
-    _require_line_gap(ap, 1.0)
     has_multi = any(stop - start >= 2 for start, stop in ap.blocks.groups)
     if ap.e_norm == 0.0:
         return VcReport(

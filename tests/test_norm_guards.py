@@ -31,6 +31,7 @@ from eigpert import (
     u_approx,
     vc_membership,
 )
+from eigpert import alignment, rayleigh, schur
 from eigpert.alignment import LazyNorm
 from eigpert.rayleigh import STRICT_DIAGONAL_TOL
 from eigpert.schur import DEFAULT_MARGIN_FACTOR
@@ -130,13 +131,81 @@ def test_line_gap_guard(kind, e, offset):
     base = identity_base([3.0, 3.0, 1.0, -0.5, -2.0])
     ap = blockwise_diagonalize(conjugate_to_eigenbasis(base, e))
     mmat = m_matrix(ap.base, ap.blocks)
-    t = ap.blocks.min_gap() / (2.0 * ap.e_norm) * (1.0 + offset)
+    # Every block's margin, and the smallest, is 1.5.
+    t = 1.5 / (DEFAULT_MARGIN_FACTOR * ap.e_norm) * (1.0 + offset)
     assert_same(ap, lambda x: predict_eigensystem(x, mmat, t).xi_hat)
     assert_same(ap, lambda x: predict_eigensystem(x, mmat, -t).u_hat)
     lex = line_expansion(np.diag(base.lam), e)
     assert outcome(lambda: lex.at(t).xi_hat) == outcome(
         lambda: replace(lex, ap=exact_only(lex.ap)).at(t).xi_hat
     )
+
+
+# A double eigenvalue 1e-9 wide, one block: its representative value, the
+# mean, stands 1.4999999995 from 0.5, but 0.5 stands 1.499999999 from the
+# block's lower member, so every guard must hold ||E|| below 0.7499999995.
+SLIVER = [2.0, 2.0 - 1e-9, 0.5, -1.0]
+
+
+@pytest.mark.parametrize("norm, refused", ((0.749999999625, True), (0.749999999375, False)))
+def test_one_gap_for_every_predictor(norm, refused):
+    rng = np.random.default_rng(19)
+    e = rand_hermitian(rng, 4)
+    ap = blockwise_diagonalize(conjugate_to_eigenbasis(identity_base(SLIVER), e))
+    ap = scaled(ap, norm / ap.e_norm)
+    mmat = m_matrix(ap.base, ap.blocks)
+    lex = line_expansion(np.diag(SLIVER), ap.e)
+    calls = (
+        lambda: schur_data(ap, 1),
+        lambda: refined_eigenvalues(ap, variant="full"),
+        lambda: refined_eigenvalues(ap, variant="simplified"),
+        lambda: vc_membership(ap, 0.0, 1.0),
+        lambda: predict_eigensystem(ap, mmat, 1.0),
+        lambda: lex.at(1.0),
+    )
+    for call in calls:
+        if refused:
+            with pytest.raises(GapTooSmallError, match="block 1: separation 1.500e"):
+                call()
+        else:
+            call()
+
+
+@pytest.fixture
+def norm_decisions(monkeypatch):
+    """Count calls of ``alignment.norm_allows``, patched in every module that
+    binds the name so that a guard anywhere is counted."""
+    calls = []
+    real = alignment.norm_allows
+
+    def counting(ap, ok):
+        calls.append(ap)
+        return real(ap, ok)
+
+    for module in (alignment, rayleigh, schur):
+        if hasattr(module, "norm_allows"):
+            monkeypatch.setattr(module, "norm_allows", counting)
+    return calls
+
+
+def test_one_norm_decision_per_guard(norm_decisions):
+    rng = np.random.default_rng(23)
+    lam = np.repeat(np.arange(15.0, 0.0, -1.0), 4)
+    e = 0.01 * rand_hermitian(rng, 60)
+    ap = blockwise_diagonalize(conjugate_to_eigenbasis(identity_base(lam), e))
+    refined_eigenvalues(ap)
+    assert len(norm_decisions) == 1
+    rs_coefficients(ap)
+    assert len(norm_decisions) == 2
+
+
+def test_tie_refusal_names_the_smallest_gap():
+    e = np.diag([0.5, 0.5 - 1e-12, 0.25, 0.25, 0.0]).astype(np.complex128)
+    base = identity_base([3.0, 3.0, 1.0, 1.0, -1.0])
+    ap = blockwise_diagonalize(conjugate_to_eigenbasis(base, e))
+    # Both blocks are tied; the refusal names the one with gap 0.
+    with pytest.raises(DegenerateDirectionError, match=r"gap 0\.000e\+00\) inside .* \[2, 4\)"):
+        rs_coefficients(ap)
 
 
 @pytest.mark.parametrize("t", (0.03, 0.1, 7.0))

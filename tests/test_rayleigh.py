@@ -268,6 +268,16 @@ class TestPredict:
         pred = predict_eigensystem(ap, mmat, -0.01)
         assert pred.xi_hat.shape == (3,)
 
+    def test_tied_direction_past_the_gap_raises_as_line_expansion_does(self):
+        # Tied inside the double eigenvalue, and 2 |t| ||F|| = 10 passes the gap 1.
+        a, f = np.diag([1.0, 1.0, 0.0]), np.diag([0.5, 0.5, 0.0])
+        ap = aligned_perturbation(a, f)
+        mmat = m_matrix(ap.base, ap.blocks)
+        with pytest.raises(DegenerateDirectionError):
+            line_expansion(a, f).at(10.0)
+        with pytest.raises(DegenerateDirectionError):
+            predict_eigensystem(ap, mmat, 10.0)
+
     def test_leaves_the_callers_mmat_writable(self):
         ap, mmat = worked_example()
         predict_eigensystem(ap, mmat, 0.01)

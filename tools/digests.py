@@ -8,13 +8,16 @@ and diff the two outputs:
 Each line is ``name sha256``.  The outputs cover the ``eigpert converge``
 CSVs of every predictor, ``paper-example``, ``predict`` and ``derivative``
 on generated instances, the demos, full predictions at n = 60 and the bytes
-of the library's result records.  All inputs come from
+of the library's result records.  The refusal paths are covered too: a
+``predict`` whose ``t`` passes the gap between eigenvalue blocks, and
+studies whose largest ``t`` does so for some trials.  All inputs come from
 ``harness.generate_instance``.  A command's digest covers its exit code and
 stdout.  The script exits 1 if any command it runs exits otherwise than
-expected, which is 0 except for the single-block studies: there every
+expected, or prints to stdout when it is expected to fail.  Commands are
+expected to exit 0 except for the single-block studies, where every
 prediction is exact to round-off, so the fit finds no points above its
-noise floor and the study fails by design.  The other digests are still
-printed.
+noise floor and the study fails by design, and for the refused
+``predict``, which exits 3.  The other digests are still printed.
 """
 
 from __future__ import annotations
@@ -48,8 +51,19 @@ STUDIES = (
     ((4,), (2,), 9, 1),
 )
 
+# (predictors, seed, block_spec, trials, t-grid) of studies whose first t
+# passes the gap in trials 4, 6 and 8: the Schur variants refuse those
+# trials, and the second order, which has no guard in a study, keeps them.
+GAP_STUDY = (
+    ("schur_full", "schur_simplified", "rs_second_order"), 6, (3, 2, 1), 10, "0.55,0.1,0.03,0.01"
+)
+
 # (seed, block_spec) of the small instances for `predict`, `derivative` and the records.
 SMALL = ((1, (2, 2, 1, 1)), (2, (3, 2, 1)), (3, (4,)))
+
+# A t past every gap of the first small instance: its gaps are below 2 and
+# ||F|| = 1, so both the line expansion and the Schur refinement refuse.
+REFUSED_T = "1"
 
 # Seeds of the n = 60 instances, their layout, and the scales t of E = t F.
 LARGE_SEEDS = (1, 2)
@@ -79,7 +93,7 @@ class Runner:
 
     def run(self, name: str, argv: list[str], expect: int = 0) -> None:
         proc = subprocess.run(argv, capture_output=True, env=ENV, cwd=ROOT)
-        if proc.returncode != expect:
+        if proc.returncode != expect or (expect != 0 and proc.stdout):
             self.failed = True
             sys.stderr.write(f"{name}: exit {proc.returncode}\n{proc.stderr.decode()}")
         _record(name, proc.returncode, proc.stdout)
@@ -106,6 +120,15 @@ def studies(runner: Runner) -> None:
                     "--n", str(sum(spec)), "--blocks", blocks, "--trials", str(trials),
                     expect=expect,
                 )
+    predictors, seed, spec, trials, grid = GAP_STUDY
+    blocks = ",".join(map(str, spec))
+    for predictor in predictors:
+        runner.cli(
+            f"converge/{predictor}/{blocks}/seed{seed}/tgrid{grid}",
+            "converge", "--predictor", predictor, "--seed", str(seed),
+            "--n", str(sum(spec)), "--blocks", blocks, "--trials", str(trials),
+            "--tgrid", grid,
+        )
 
 
 def small_instances(runner: Runner, tmp: Path) -> None:
@@ -124,6 +147,15 @@ def small_instances(runner: Runner, tmp: Path) -> None:
                 )
         runner.cli(f"derivative/{tag}", "derivative", "--a", str(files["a"]), "--f", str(files["f"]))
         records(tag, a, f)
+    seed, spec = SMALL[0]
+    tag = f"seed{seed}/{','.join(map(str, spec))}"
+    for order in ("2", "schur"):
+        runner.cli(
+            f"predict/{order}/t{REFUSED_T}/{tag}",
+            "predict", "--order", order,
+            "--a", str(tmp / f"a{seed}.txt"), "--e", str(tmp / f"f{seed}.txt"), "--t", REFUSED_T,
+            expect=3,
+        )
 
 
 def records(tag: str, a: np.ndarray, f: np.ndarray) -> None:
@@ -145,7 +177,7 @@ def records(tag: str, a: np.ndarray, f: np.ndarray) -> None:
         _record(
             f"schur_data/block{g}/{tag}",
             sd.block_index, sd.rho, sd.l, sd.m, sd.b, sd.c, sd.d,
-            sd.lambda_tau, sd.beta, sd.beta_gap_ambiguous,
+            sd.lambda_tau, sd.beta,
         )
         diag = schur.schur_similarity_diagnostic(e, g)
         _record(
