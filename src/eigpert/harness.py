@@ -1,8 +1,10 @@
 """Experiment driver: seeded ensembles, convergence-order fits, regression.
 
 Everything here is deterministic given the configuration.  Randomness comes
-from a self-contained splitmix-class 64-bit generator rather than a library
-RNG, so that studies reproduce bit-identically across library versions; the
+from SplitMix64 streams (Steele, Lea & Flood) rather than a library RNG, so
+that studies reproduce bit-identically across library versions.  The
+generator is a counter, so a study draws every trial's stream as one
+``uint64`` array and its matrices from it, with no generator object.  The
 convergence studies pair each predictor against the eigendecomposition
 oracle over a decreasing t-grid and fit the error's log-log slope.
 
@@ -14,6 +16,7 @@ number of trials, with the same output as solving trial by trial.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,14 +29,12 @@ from .matrices import as_readonly, hermitian, operator_norm, operator_norms  # n
 __all__ = [
     "DEFAULT_T_GRID",
     "PREDICTORS",
-    "SplitMix64",
     "EnsembleConfig",
     "LoglogFit",
     "StudyRow",
     "ConvergenceReport",
     "ClauseResult",
     "RegressionReport",
-    "random_hermitian",
     "random_unitary",
     "generate_instance",
     "fit_loglog",
@@ -50,74 +51,56 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 
 
-def _mix(x: int) -> int:
-    """SplitMix64 output scramble (Steele, Lea & Flood's finalizer)."""
-    z = x & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 output scramble (Steele, Lea & Flood's finalizer).  Every
+    operand is a ``uint64`` array, whose products wrap modulo 2**64; numpy
+    scalars would warn on the overflow instead."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-class SplitMix64:
-    """Deterministic 64-bit generator with uniform and normal draws.
-
-    Chosen over a library RNG so that stream contents are pinned by this
-    file alone; reordering draw sites is a breaking change.
-    """
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK
-        self._spare: float | None = None
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        return _mix(self._state)
-
-    def uniform(self) -> float:
-        """Uniform draw in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def normal(self) -> float:
-        """Standard normal via Box-Muller; the paired draw is cached."""
-        if self._spare is not None:
-            out, self._spare = self._spare, None
-            return out
-        # +1 keeps u1 in (0, 1] so the logarithm is finite.
-        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
-        u2 = (self.next_u64() >> 11) * 2.0**-53
-        r = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._spare = r * math.sin(theta)
-        return r * math.cos(theta)
+def _stream(states: np.ndarray, count: int) -> np.ndarray:
+    """Outputs ``1..count`` of the SplitMix64 stream at each ``uint64`` state,
+    one row per state.  The generator is a counter: output ``k`` of the
+    stream at ``s`` is ``mix(s + k * golden)``, so a stream is one expression."""
+    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return _mix(states[:, None] + steps)
 
 
-def _substream(seed: int, trial: int) -> SplitMix64:
-    """Independent per-trial stream.  The seed offset is re-scrambled because
-    raw offsets of a splitmix state produce shifted copies of one stream."""
-    return SplitMix64(_mix((seed + (trial + 1) * _GOLDEN) & _MASK))
+def _uniforms(x: np.ndarray) -> np.ndarray:
+    """Uniform draws in [0, 1) with 53 random bits, one per output."""
+    return (x >> np.uint64(11)) * 2.0**-53
 
 
-def random_hermitian(rng: SplitMix64, n: int) -> np.ndarray:
-    """Hermitian draw with complex-normal off-diagonal entries (GUE-like).
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """``f`` of the ``math`` module on each entry: the streams are pinned to the
+    C library's ``log``, ``cos`` and ``sin``, and numpy's SIMD kernels may round differently."""
+    return np.array(list(map(f, x.ravel().tolist()))).reshape(x.shape)
 
-    Entries are consumed row-major, real part before imaginary part.
-    """
-    g = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = complex(rng.normal(), rng.normal())
+
+def _hermitian_draws(x: np.ndarray, n: int) -> np.ndarray:
+    """Hermitian ``n x n`` draws (GUE-like), one per ``2 n^2`` outputs of a
+    row.  Entry ``(i, j)`` is ``r cos(theta) + i r sin(theta)``, Box-Muller on
+    outputs ``2(i n + j)`` and ``2(i n + j) + 1``."""
+    # +1 keeps u1 in (0, 1] so the logarithm is finite.
+    u1 = _uniforms(x[:, 0::2]) + 2.0**-53
+    theta = 2.0 * math.pi * _uniforms(x[:, 1::2])
+    r = np.sqrt(-2.0 * _libm(math.log, u1))
+    g = np.empty(u1.shape, dtype=np.complex128)
+    g.real = r * _libm(math.cos, theta)
+    g.imag = r * _libm(math.sin, theta)
+    g = g.reshape(-1, n, n)
     # Exactly Hermitian as stored, with a real diagonal: nothing to validate.
-    return 0.5 * (g + g.conj().T)
+    return 0.5 * (g + g.conj().transpose(0, 2, 1))
 
 
-def random_unitary(rng: SplitMix64, n: int) -> np.ndarray:
-    """Random unitary: eigenvector matrix of a random Hermitian draw.
-
-    Studies draw theirs stacked across trials instead (see
-    :func:`generate_instance`); this stays a public name of this module
-    because the benchmark's per-layer metrics are listed by it.
-    """
-    return np.array(jacobi.eigh(random_hermitian(rng, n)).u, copy=True)
+def random_unitary(seed: int, n: int) -> np.ndarray:
+    """Eigenvector matrix of the Hermitian draw from the stream at ``seed``.
+    Studies draw theirs stacked (see :func:`_instances`); this stays public
+    because the benchmark's per-layer metrics are listed by it."""
+    h = _hermitian_draws(_stream(np.array([seed & _MASK], np.uint64), 2 * n * n), n)[0]
+    return np.array(jacobi.eigh(h).u, copy=True)
 
 
 PREDICTORS = (
@@ -144,7 +127,12 @@ class EnsembleConfig:
     t_grid: tuple[float, ...] = DEFAULT_T_GRID
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "block_spec", tuple(int(b) for b in self.block_spec))
+        try:
+            for name in ("seed", "n", "trials"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, "block_spec", tuple(map(operator.index, self.block_spec)))
+        except TypeError as exc:
+            raise ValueError(f"seed, n, trials and block sizes must be integers: {exc}") from None
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
         if self.n < 1:
             raise ValueError("dimension must be at least 1")
@@ -177,30 +165,29 @@ def generate_instance(cfg: EnsembleConfig, trial: int) -> tuple[np.ndarray, np.n
 
 
 def _instances(cfg: EnsembleConfig, trials) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`generate_instance` of each trial.  Every trial draws from its
-    own substream, in a fixed order: the representative values, a Hermitian
-    matrix whose eigenvectors ``Q`` rotate A's spectrum, then the direction.
-    One oracle call diagonalizes all the ``Q`` draws and one computes all the
-    directions' norms."""
-    lams, q_draws, directions = [], [], []
-    for trial in trials:
-        rng = _substream(cfg.seed, trial)
-        reps = np.empty(len(cfg.block_spec))
-        value = rng.uniform()
-        reps[0] = value
-        for k in range(1, reps.size):
-            value = value - 1.0 - rng.uniform()
-            reps[k] = value
-        lams.append(np.repeat(reps, cfg.block_spec).astype(np.complex128))
-        q_draws.append(random_hermitian(rng, cfg.n))
-        directions.append(random_hermitian(rng, cfg.n))
-    out = []
-    for lam, d, g, norm in zip(
-        lams, jacobi.eigh_stack(q_draws), directions, operator_norms(directions)
-    ):
-        q = d.u
-        out.append((hermitian(q @ np.diag(lam) @ q.conj().T), g / norm))
-    return out
+    """:func:`generate_instance` of each trial, drawn as one array: row ``k``
+    is the stream at ``mix(seed + (k + 1) * golden)`` (re-scrambled, as raw
+    offsets give shifted copies of one stream).  It holds one uniform per
+    block for the representative values, ``2 n^2`` outputs for a Hermitian
+    matrix whose eigenvectors ``Q`` rotate A's spectrum, then ``2 n^2`` for
+    the direction.  One oracle call diagonalizes all the ``Q`` draws and one
+    computes all the directions' norms."""
+    n, blocks = cfg.n, len(cfg.block_spec)
+    keys = np.array([(cfg.seed + (k + 1) * _GOLDEN) & _MASK for k in trials], np.uint64)
+    x = _stream(_mix(keys), blocks + 4 * n * n)
+    u = _uniforms(x[:, :blocks])
+    # Block by block, as one running value: a cumsum would round differently.
+    reps = u.copy()
+    for k in range(1, blocks):
+        reps[:, k] = reps[:, k - 1] - 1.0 - u[:, k]
+    lams = np.repeat(reps, cfg.block_spec, axis=1).astype(np.complex128)
+    draws = _hermitian_draws(x[:, blocks:], n)
+    q_draws, directions = draws[0::2], draws[1::2]
+    qs = [d.u for d in jacobi.eigh_stack(q_draws)]
+    return [
+        (hermitian(q @ np.diag(lam) @ q.conj().T), g / norm)
+        for q, lam, g, norm in zip(qs, lams, directions, operator_norms(directions))
+    ]
 
 
 @dataclass(frozen=True)
@@ -276,14 +263,13 @@ def _predictions(predictor: str, ap: alignment.AlignedPerturbation, t_grid) -> l
     if predictor in ("schur_full", "schur_simplified"):
         variant = "full" if predictor == "schur_full" else "simplified"
         return [schur._complements(alignment.scaled(ap, t), variant) for t in t_grid]
-    if predictor == "rs_second_order":
-        a0, a1, a2 = rayleigh.rs_coefficients(ap)
-        return [a0 + t * a1 + t * t * a2 for t in t_grid]
     mmat = alignment.m_matrix(ap.base, ap.blocks)
-    if predictor == "eigvec_first_order":
-        u_prime = rayleigh.eigenvector_derivative(ap, mmat)
-        return [ap.base.u + t * u_prime for t in t_grid]
-    return [first_order.decomposition_residual(alignment.scaled(ap, t), mmat) for t in t_grid]
+    if predictor == "u_ap_residual":
+        return [first_order.decomposition_residual(alignment.scaled(ap, t), mmat) for t in t_grid]
+    expansion = rayleigh._expansion(ap, mmat)
+    if predictor == "rs_second_order":
+        return [expansion.at(t).xi_hat for t in t_grid]
+    return [expansion.at(t).u_hat for t in t_grid]
 
 
 def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:

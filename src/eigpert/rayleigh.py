@@ -11,8 +11,8 @@ gaps of ``F_hat``.  All formulas need ``F_hat`` block-wise diagonal with
 strictly decreasing in-block diagonals; ties leave the perturbed eigenvector
 branches underdetermined and raise ``DegenerateDirectionError``.
 
-:func:`line_expansion` and :func:`predict_eigensystem` build their
-:class:`LineExpansion` with one helper, ``_expansion``.
+:func:`line_expansion`, :func:`predict_eigensystem` and the convergence
+studies build their :class:`LineExpansion` with one helper, ``_expansion``.
 """
 
 from __future__ import annotations

@@ -7,17 +7,19 @@ and diff the two outputs:
 
 Each line is ``name sha256``.  The outputs cover the ``eigpert converge``
 CSVs of every predictor, ``paper-example``, ``predict`` and ``derivative``
-on generated instances, the demos, full predictions at n = 60 and the bytes
-of the library's result records.  The refusal paths are covered too: a
-``predict`` whose ``t`` passes the gap between eigenvalue blocks, and
-studies whose largest ``t`` does so for some trials.  All inputs come from
-``harness.generate_instance``.  A command's digest covers its exit code and
-stdout.  The script exits 1 if any command it runs exits otherwise than
-expected, or prints to stdout when it is expected to fail.  Commands are
-expected to exit 0 except for the single-block studies, where every
-prediction is exact to round-off, so the fit finds no points above its
-noise floor and the study fails by design, and for the refused
-``predict``, which exits 3.  The other digests are still printed.
+on generated instances, the demos, full predictions at n = 60, the bytes
+of the library's result records and the raw bytes of the generated instances
+themselves, so that a change to the random streams shows as its own line.
+The refusal paths are covered too: a ``predict`` whose ``t`` passes the gap
+between eigenvalue blocks, and studies whose largest ``t`` does so for some
+trials.  All inputs come from ``harness.generate_instance``.  A command's
+digest covers its exit code and stdout.  The script exits 1 if any command
+it runs exits otherwise than expected, or prints to stdout when it is
+expected to fail.  Commands are expected to exit 0 except for the
+single-block studies, where every prediction is exact to round-off, so the
+fit finds no points above its noise floor and the study fails by design,
+and for the refused ``predict``, which exits 3.  The other digests are
+still printed.
 """
 
 from __future__ import annotations
@@ -52,10 +54,12 @@ STUDIES = (
 )
 
 # (predictors, seed, block_spec, trials, t-grid) of studies whose first t
-# passes the gap in trials 4, 6 and 8: the Schur variants refuse those
-# trials, and the second order, which has no guard in a study, keeps them.
+# passes the gap in trials 4, 6 and 8: the Schur variants and the line
+# expansion's second-order eigenvalues and first-order eigenvectors share one
+# gap guard, and all four refuse those trials.
 GAP_STUDY = (
-    ("schur_full", "schur_simplified", "rs_second_order"), 6, (3, 2, 1), 10, "0.55,0.1,0.03,0.01"
+    ("schur_full", "schur_simplified", "rs_second_order", "eigvec_first_order"),
+    6, (3, 2, 1), 10, "0.55,0.1,0.03,0.01",
 )
 
 # (seed, block_spec) of the small instances for `predict`, `derivative` and the records.
@@ -102,11 +106,25 @@ class Runner:
         self.run(name, [sys.executable, "-m", "eigpert", *args], expect)
 
 
-def _instance(seed: int, spec: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _instance(seed: int, spec: tuple[int, ...], trial: int = 0) -> tuple[np.ndarray, np.ndarray]:
     cfg = harness.EnsembleConfig(
-        seed=seed, n=sum(spec), block_spec=spec, trials=1, predictor="first_order"
+        seed=seed, n=sum(spec), block_spec=spec, trials=trial + 1, predictor="first_order"
     )
-    return harness.generate_instance(cfg, 0)
+    return harness.generate_instance(cfg, trial)
+
+
+def instances() -> None:
+    """The raw bytes of every trial's ``(A, F)`` of each study ensemble, and
+    of each n = 60 instance."""
+    ensembles = [(spec, seed, trials) for spec, seeds, trials, _ in STUDIES for seed in seeds]
+    _, seed, spec, trials, _ = GAP_STUDY
+    ensembles.append((spec, seed, trials))
+    ensembles.extend((LARGE_SPEC, seed, 1) for seed in LARGE_SEEDS)
+    for spec, seed, trials in ensembles:
+        _record(
+            f"instances/{','.join(map(str, spec))}/seed{seed}/trials{trials}",
+            *(_instance(seed, spec, trial) for trial in range(trials)),
+        )
 
 
 def studies(runner: Runner) -> None:
@@ -209,6 +227,7 @@ def large_instances() -> None:
 
 def main() -> int:
     runner = Runner()
+    instances()
     studies(runner)
     runner.cli("paper-example", "paper-example")
     with tempfile.TemporaryDirectory() as tmp:
