@@ -147,7 +147,7 @@ class LazyNorm:
             slack = 1e-13 * n * peak + 16.0 * jacobi.DEFAULT_MAX_SWEEPS * n * n * _EPS * fro
             lower = max(0.0, peak * math.sqrt(float(col.max())) - slack)
             upper = fro + slack
-        return cls(lower, upper, lambda: float(np.abs(jacobi.eigh(e_hat).lam).max()))
+        return cls(lower, upper, lambda: float(np.abs(jacobi._eigvalsh_stack([e_hat])[0].lam).max()))
 
     @property
     def value(self) -> float:

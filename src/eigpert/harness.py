@@ -184,10 +184,8 @@ def _instances(cfg: EnsembleConfig, trials) -> list[tuple[np.ndarray, np.ndarray
     draws = _hermitian_draws(x[:, blocks:], n)
     q_draws, directions = draws[0::2], draws[1::2]
     qs = [d.u for d in jacobi.eigh_stack(q_draws)]
-    return [
-        (hermitian(q @ np.diag(lam) @ q.conj().T), g / norm)
-        for q, lam, g, norm in zip(qs, lams, directions, operator_norms(directions))
-    ]
+    a = hermitian(np.stack([q @ np.diag(lam) @ q.conj().T for q, lam in zip(qs, lams)]))
+    return [(a_k, g / norm) for a_k, g, norm in zip(a, directions, operator_norms(directions))]
 
 
 @dataclass(frozen=True)
@@ -316,7 +314,9 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     if cfg.predictor == "u_ap_residual":
         errors = operator_norms([gap for _, _, gap in flat])
     else:
-        exacts = jacobi.eigh_stack([instances[k][0] + t * instances[k][1] for k, t, _ in flat])
+        # Only the eigenvector predictor reads the exact eigenvectors.
+        solve = jacobi.eigh_stack if cfg.predictor == "eigvec_first_order" else jacobi._eigvalsh_stack
+        exacts = solve([instances[k][0] + t * instances[k][1] for k, t, _ in flat])
         if cfg.predictor == "eigvec_first_order":
             errors = operator_norms(
                 [

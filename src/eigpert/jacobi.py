@@ -17,6 +17,9 @@ all arithmetic is elementwise or per member, so each member of a stack gets
 exactly the bits it would get if solved alone.  Each member is scaled by an
 exact power of two to unit largest entry before solving, so the off-diagonal
 mass neither underflows nor overflows at any representable input scale.
+The rotations act on ``a`` stacked over the eigenvector accumulator ``u``;
+callers that read only eigenvalues sweep ``a`` alone.  Nothing computed from
+``a`` reads ``u``, so ``lam``, sweeps, off mass and errors keep their bits.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .matrices import _ldexp, as_readonly, hermitian, operator_norm
+from .matrices import _ldexp, as_readonly, dense, hermitian, operator_norm
 
 __all__ = [
     "DEFAULT_MAX_SWEEPS",
@@ -47,10 +50,11 @@ class SpectralDecomposition:
 
     ``sweeps`` and ``off_mass`` are the solver's work and the off-diagonal
     Frobenius mass it stopped at; they are ``None`` for decompositions that
-    did not come from the solver.
+    did not come from the solver.  ``u`` is ``None`` where the package's
+    own callers asked the solver for eigenvalues only.
     """
 
-    u: np.ndarray
+    u: np.ndarray | None
     lam: np.ndarray
     sweeps: int | None = None
     off_mass: float | None = None
@@ -112,7 +116,8 @@ def _moves(n: int) -> tuple[np.ndarray, ...]:
     """Per step, the gather that takes the stacked ``[a; u]``, flattened per
     member, from that step's index order to the next step's (the last step
     returns to the first): rows and columns of ``a`` and columns of ``u``
-    move, rows of ``u`` stay."""
+    move, rows of ``u`` stay.  Its first ``n * n`` entries are the gather
+    of ``a`` alone."""
     orders = _schedule(n)
     moves = []
     for order, following in zip(orders, orders[1:] + orders[:1]):
@@ -140,24 +145,25 @@ def _off_mass(a: np.ndarray) -> np.ndarray:
 
 def _sweep(w: np.ndarray, floor: np.ndarray) -> np.ndarray:
     """One round-robin sweep over ``w = [a; u]``, a stack ``(k, 2n, n)`` of
-    matrices ``a`` stacked over the eigenvector accumulators ``u``.
+    matrices ``a`` stacked over the eigenvector accumulators ``u``, or over
+    ``w = a`` alone, a stack ``(k, n, n)``.
 
     Each step rotates its pivots in every member at once; a pivot whose
     modulus is at most its member's ``floor`` rotates by the identity
     (``c = 1, s = 0``), which leaves every value as it was.  Returns the
     stack in the first step's index order.
     """
-    k, _, n = w.shape
+    k, height, n = w.shape
     m = n // 2
     # Work arrays reused by every step: allocating them afresh each step
     # costs more than the arithmetic at n = 60.
     spare = np.empty_like(w)
-    col_c = np.empty((k, 2 * n, 2, m), dtype=np.complex128)
+    col_c = np.empty((k, height, 2, m), dtype=np.complex128)
     col_s = np.empty_like(col_c)
     row_c = np.empty((k, 2, m, n), dtype=np.complex128)
     row_s = np.empty_like(row_c)
     for move in _moves(n):
-        flat = w.reshape(k, 2 * n * n)
+        flat = w.reshape(k, height * n)
         app = flat[:, : m * (n + 1) : n + 1]  # a[i, i]
         aqq = flat[:, m * (n + 1) : 2 * m * (n + 1) : n + 1]  # a[m + i, m + i]
         b = flat[:, m : m + m * (n + 1) : n + 1]  # a[i, m + i]
@@ -178,7 +184,7 @@ def _sweep(w: np.ndarray, floor: np.ndarray) -> np.ndarray:
         coef = np.empty((k, 2, m), dtype=np.complex128)
         np.multiply(c * r, b.conj(), out=coef[:, 0])
         np.negative(coef[:, 0].conj(), out=coef[:, 1])
-        cols = w[:, :, : 2 * m].reshape(k, 2 * n, 2, m)
+        cols = w[:, :, : 2 * m].reshape(k, height, 2, m)
         np.multiply(cols, c[:, None, None, :], out=col_c)
         np.multiply(cols[:, :, ::-1], coef[:, None], out=col_s)
         np.add(col_c, col_s, out=cols)
@@ -189,25 +195,26 @@ def _sweep(w: np.ndarray, floor: np.ndarray) -> np.ndarray:
         np.copyto(b, 0.0, where=rotate)
         np.copyto(b_low, 0.0, where=rotate)
         flat[:, : n * n : n + 1].imag = 0.0
-        np.take(flat, move, axis=1, out=spare.reshape(k, 2 * n * n), mode="clip")
+        np.take(flat, move[: height * n], axis=1, out=spare.reshape(k, height * n), mode="clip")
         w, spare = spare, w
     return w
 
 
 def _solve(
-    a: np.ndarray, index: list[int], total: int, tol: float, max_sweeps: int
+    a: np.ndarray, index: list[int], total: int, tol: float, max_sweeps: int, vectors: bool
 ) -> tuple[SpectralDecomposition, ...]:
-    """Diagonalize the Hermitian stack ``a`` of shape ``(k, n, n)``; ``index``
-    holds the members' positions among the ``total`` matrices of the call,
-    which a :class:`ConvergenceError` reports."""
+    """Diagonalize the Hermitian stack ``a`` of shape ``(k, n, n)``, with ``u = None``
+    unless ``vectors``; ``index`` holds the members' positions among the ``total``
+    matrices of the call, which a :class:`ConvergenceError` reports."""
     k, n, _ = a.shape
     # Largest entry of each member brought into [0.5, 1) by an exact power
     # of two; every rotation parameter is scale-invariant, so this changes
     # no bits for inputs whose squared entries stay in range.
     peak_mantissa, exponent = np.frexp(np.abs(a).reshape(k, n * n).max(axis=1))
-    w = np.empty((k, 2 * n, n), dtype=np.complex128)
+    w = np.empty((k, 2 * n if vectors else n, n), dtype=np.complex128)
     w[:, :n] = _ldexp(a, -exponent[:, None, None])
-    w[:, n:] = np.eye(n)
+    if vectors:
+        w[:, n:] = np.eye(n)
     target = tol * peak_mantissa
     # Entries below this floor cannot push the off mass back over target.
     floor = (target / (2.0 * n))[:, None]
@@ -244,11 +251,12 @@ def _solve(
     member = np.arange(k)[:, None]
     lam_unit = np.diagonal(w[:, :n], axis1=1, axis2=2).real
     order = np.argsort(-lam_unit, axis=1, kind="stable")
-    lam = np.ldexp(lam_unit[member, order], exponent[:, None])
-    u = normalize_column_phases(w[:, n:][member[:, :, None], np.arange(n)[:, None], order[:, None, :]])
+    lam = as_readonly(np.ldexp(lam_unit[member, order], exponent[:, None]))
+    if vectors:
+        u = as_readonly(normalize_column_phases(w[:, n:].swapaxes(1, 2)[member, order].swapaxes(1, 2)))
     return tuple(
         SpectralDecomposition(
-            u=as_readonly(u[i]), lam=as_readonly(lam[i]), sweeps=int(sweeps[i]), off_mass=float(off[i])
+            u=u[i] if vectors else None, lam=lam[i], sweeps=int(sweeps[i]), off_mass=float(off[i])
         )
         for i in range(k)
     )
@@ -277,19 +285,32 @@ def eigh_stack(
         after that many sweeps, :class:`ConvergenceError` names the first
         such matrix and carries its final off-diagonal mass.
     """
+    return _stack(hs, tol, max_sweeps)
+
+
+def _stack(hs, tol: float | None = None, max_sweeps: int = DEFAULT_MAX_SWEEPS, vectors: bool = True):
     if tol is not None and not 1e-15 <= tol < np.inf:
         raise ValueError(f"tol must be finite and at least 1e-15, got {tol}")
-    members = [hermitian(h) for h in hs]
-    by_size: dict[int, list[int]] = {}
+    members = [np.asarray(h, dtype=np.complex128) for h in hs]
+    by_shape: dict[tuple[int, ...], list[int]] = {}
     for i, h in enumerate(members):
-        by_size.setdefault(h.shape[0], []).append(i)
-    out: list[SpectralDecomposition | None] = [None] * len(members)
-    for n, index in by_size.items():
-        a = np.stack([members[i] for i in index])
-        solved = _solve(a, index, len(members), 1e-13 * n if tol is None else tol, max_sweeps)
-        for i, d in zip(index, solved):
-            out[i] = d
-    return tuple(out)
+        if h.ndim != 2:
+            dense(h)  # raises: a stack of them would read as one matrix
+        by_shape.setdefault(h.shape, []).append(i)
+    try:
+        stacks = [hermitian(np.stack([members[i] for i in index])) for index in by_shape.values()]
+    except ValueError:
+        for h in members:
+            hermitian(h)  # raises the error of the first invalid member
+        raise
+    out: dict[int, SpectralDecomposition] = {}
+    for (n, _), index, a in zip(by_shape, by_shape.values(), stacks):
+        tol_n = 1e-13 * n if tol is None else tol
+        out.update(zip(index, _solve(a, index, len(members), tol_n, max_sweeps, vectors)))
+    return tuple(out[i] for i in range(len(members)))
+
+
+_eigvalsh_stack = functools.partial(_stack, vectors=False)
 
 
 def eigh(h, tol: float | None = None, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> SpectralDecomposition:

@@ -65,33 +65,40 @@ def hermitian(entries) -> np.ndarray:
     real diagonal entries (the average of ``z`` and ``conj(z)`` has zero
     imaginary part in IEEE arithmetic).  Input whose asymmetry exceeds
     ``DEFAULT_ASYMMETRY_TOL`` relative to the largest entry is rejected, not
-    repaired.
+    repaired.  A stack ``(k, n, n)`` is checked and symmetrized in one pass:
+    each member gets the bits it gets alone, and the first member that fails
+    raises the error it raises alone.
     """
-    m = dense(entries)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"Hermitian matrix must be square, got {m.shape}")
-    with np.errstate(over="ignore"):
-        scale = float(np.abs(m).max())
-    # From 2**1022 up, |m| and m - m^H can overflow; m / 4 decides instead.
-    shift = 2 if scale >= 2.0**1022 else 0
-    q = _ldexp(m, -shift) if shift else m
-    asym = float(np.abs(q - q.conj().T).max())
-    q_scale = float(np.abs(q).max()) if shift else scale
-    if asym > DEFAULT_ASYMMETRY_TOL * max(q_scale, 1e-300):
-        raise ValueError(
-            f"input is not Hermitian: asymmetry {asym * 2.0**shift:.3e} exceeds "
-            f"{DEFAULT_ASYMMETRY_TOL:.1e} relative to scale {q_scale * 2.0**shift:.3e}"
-        )
-    if scale < 2.0**1022:
-        # No sum of two entries can overflow.
-        return 0.5 * (m + m.conj().T)
-    with np.errstate(over="ignore"):
-        total = m + m.conj().T
-    if np.isfinite(total).all():
-        return 0.5 * total
-    # The sum overflowed.  Halving first cannot overflow; it is not the
-    # default because halving a subnormal entry rounds it.
-    return 0.5 * m + 0.5 * m.conj().T
+    m = np.asarray(entries, dtype=np.complex128)
+    stacked = m.ndim == 3 and len(m) > 0
+    # The members share one shape, so the first fails any check of it first.
+    first = dense(m[0] if stacked else m)
+    if first.shape[0] != first.shape[1]:
+        raise ValueError(f"Hermitian matrix must be square, got {first.shape}")
+    m = m if stacked else first[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.abs(m).max(axis=(1, 2))
+        # From 2**1022 up, |m| and m - m^H can overflow; m / 4 decides instead.
+        shift = 2 * (scale >= 2.0**1022)
+        big = shift.any()
+        q = _ldexp(m, -shift[:, None, None]) if big else m
+        q_scale = np.abs(q).max(axis=(1, 2)) if big else scale
+        asym = np.abs(q - q.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        bad = (asym > DEFAULT_ASYMMETRY_TOL * q_scale.clip(1e-300)) | ~np.isfinite(m).all(axis=(1, 2))
+        if bad.any():
+            i = int(np.argmax(bad))
+            dense(m[i])  # raises if that member is not finite
+            raise ValueError(
+                f"input is not Hermitian: asymmetry {asym[i] * 2.0 ** shift[i]:.3e} exceeds "
+                f"{DEFAULT_ASYMMETRY_TOL:.1e} relative to scale {q_scale[i] * 2.0 ** shift[i]:.3e}"
+            )
+        out = 0.5 * (m + m.conj().swapaxes(1, 2))
+    # A sum overflows only from 2**1022 up.  Halving first cannot overflow;
+    # it is not the default because halving a subnormal entry rounds it.
+    for i in np.flatnonzero(shift) if big else ():
+        if not np.isfinite(out[i]).all():
+            out[i] = 0.5 * m[i] + 0.5 * m[i].conj().T
+    return out if stacked else out[0]
 
 
 def operator_norm(m) -> float:
@@ -133,7 +140,7 @@ def operator_norms(ms) -> list[float]:
         index.append(i)
         exponents.append(exponent)
         grams.append(g)  # the oracle symmetrizes on entry
-    for i, exponent, d in zip(index, exponents, jacobi.eigh_stack(grams)):
+    for i, exponent, d in zip(index, exponents, jacobi._eigvalsh_stack(grams)):
         out[i] = math.ldexp(math.sqrt(max(float(d.lam[0]), 0.0)), exponent)
     return out
 

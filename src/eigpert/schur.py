@@ -108,7 +108,7 @@ def _complement_eigenvalues(bs: list[np.ndarray]) -> list[np.ndarray]:
     """Eigenvalues of symmetrized Schur complements, from one oracle call that
     stacks the complements of each size; a 1 x 1 complement needs no sweep
     and comes back as its own entry, the power-of-two prescale being exact."""
-    return [d.lam for d in jacobi.eigh_stack(bs)]
+    return [d.lam for d in jacobi._eigvalsh_stack(bs)]
 
 
 def schur_data(ap: AlignedPerturbation, block_index: int) -> SchurData:

@@ -39,18 +39,35 @@ def degenerate_instance(
     return a, hermitian(f / operator_norm(f))
 
 
+class OracleCalls(list):
+    """Per oracle call, in call order, the list of its matrices' dimensions;
+    ``vectors[i]`` tells whether call ``i`` solved for eigenvectors too."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.vectors: list[bool] = []
+
+    def clear(self) -> None:
+        super().clear()
+        self.vectors.clear()
+
+
 @pytest.fixture
 def oracle_calls(monkeypatch):
-    """Record every oracle call made after it is set up, as the list of its
-    matrices' dimensions.  ``eigh`` goes through ``eigh_stack``, so single
-    solves are recorded too, as one-member calls."""
-    calls = []
-    real = jacobi.eigh_stack
+    """Record every oracle call made after it is set up, full solves and
+    eigenvalue-only ones alike.  ``eigh`` goes through ``eigh_stack``, so
+    single solves are recorded too, as one-member calls."""
+    calls = OracleCalls()
 
-    def counting(hs, *args, **kwargs):
-        hs = list(hs)
-        calls.append([np.shape(h)[0] for h in hs])
-        return real(hs, *args, **kwargs)
+    def recording(real, vectors):
+        def counting(hs, *args, **kwargs):
+            hs = list(hs)
+            calls.append([np.shape(h)[0] for h in hs])
+            calls.vectors.append(vectors)
+            return real(hs, *args, **kwargs)
 
-    monkeypatch.setattr(jacobi, "eigh_stack", counting)
+        return counting
+
+    monkeypatch.setattr(jacobi, "eigh_stack", recording(jacobi.eigh_stack, True))
+    monkeypatch.setattr(jacobi, "_eigvalsh_stack", recording(jacobi._eigvalsh_stack, False))
     return calls

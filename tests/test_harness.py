@@ -411,6 +411,20 @@ class TestStackedStudy:
             counts.append(len(oracle_calls))
         assert counts[0] == counts[1] <= 6
 
+    @pytest.mark.parametrize("predictor", PREDICTORS)
+    def test_only_eigenvector_reads_solve_for_eigenvectors(self, predictor, oracle_calls):
+        convergence_study(EnsembleConfig(predictor=predictor, trials=3, **ACCEPTANCE))
+        # The Q draws, the bases and the block-wise rotations read
+        # eigenvectors; the norms, the Schur complements and the exact solves
+        # of an eigenvalue predictor do not.
+        stages = [True, False, True, True]
+        if predictor in ("schur_full", "schur_simplified"):
+            stages.append(False)
+        if predictor == "eigvec_first_order":
+            stages.append(True)
+        stages.append(False)
+        assert oracle_calls.vectors == stages
+
 
 class TestCsv:
     def test_structure_and_determinism(self):

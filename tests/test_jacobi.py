@@ -18,7 +18,7 @@ from eigpert import (
     operator_norm,
     residual,
 )
-from eigpert.jacobi import _schedule
+from eigpert.jacobi import _eigvalsh_stack, _schedule
 
 
 def fro(m) -> float:
@@ -227,6 +227,24 @@ class TestStack:
             for h, d in zip(members, eigh_stack(members)):
                 assert same_bits(d, eigh(h))
 
+    def test_rejects_as_the_first_invalid_member_alone(self):
+        # The members of each size are validated as one stack; the error is
+        # still that of the first invalid member in input order.
+        good2, good3 = np.eye(2), np.diag([1.0, 2.0, 3.0])
+        asym3 = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+        nan2 = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        for members, first_bad in (
+            ([good3, nan2, asym3, good2], nan2),
+            ([good2, asym3, good3, nan2], asym3),
+            ([good3, good2, [1.0, 2.0], asym3], [1.0, 2.0]),
+            ([good2, np.ones((2, 3)), nan2], np.ones((2, 3))),
+        ):
+            with pytest.raises(ValueError) as alone:
+                hermitian(first_bad)
+            with pytest.raises(ValueError) as stacked:
+                eigh_stack(members)
+            assert str(stacked.value) == str(alone.value)
+
     def test_convergence_error_names_the_failing_member(self):
         rng = np.random.default_rng(53)
         members = [np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), rand_hermitian(rng, 6), rand_hermitian(rng, 6)]
@@ -317,6 +335,62 @@ class TestScaleEquivariance:
             assert np.abs(eigh(h).lam - ref).max() <= 1e-12 * n * np.abs(ref).max()
             m = h[:, : n - 1] if n > 2 else h
             assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-12 * n)
+
+
+def same_values(d, full) -> bool:
+    """An eigenvalue-only record with the bits of the full solve's stats."""
+    return (
+        d.u is None
+        and d.lam.tobytes() == full.lam.tobytes()
+        and (d.sweeps, d.off_mass) == (full.sweeps, full.off_mass)
+    )
+
+
+class TestEigenvaluesOnly:
+    """The eigenvalue-only solve sweeps ``a`` without the accumulator ``u``;
+    it keeps the bits of the full solve's ``lam``, ``sweeps`` and ``off_mass``."""
+
+    @_PROPERTY
+    @given(data=st.data())
+    def test_matches_the_full_solve(self, data):
+        # Sizes 1-8 mixed in one call, each member scaled from 2**-1000 to
+        # 2**996 (about 6.7e299).
+        sizes = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
+        members = [
+            scale_by(data.draw(dyadic_matrices(square=True, rows=n)), data.draw(st.integers(-1000, 996)))
+            for n in sizes
+        ]
+        for d, full in zip(_eigvalsh_stack(members), eigh_stack(members)):
+            assert same_values(d, full)
+
+    @pytest.mark.parametrize("scale", [2.0**-1000, 1e-300, 1e-7, 1.0, 1e5, 1e300])
+    def test_seeded_stacks_of_mixed_sizes(self, scale):
+        rng = np.random.default_rng(67)
+        members = [rand_hermitian(rng, n, scale=scale) for n in (1, 2, 3, 4, 5, 6, 7, 8, 3, 8, 1)]
+        members += [
+            tied_hermitian(rng, [2.0, 2.0, 2.0, -1.0, -1.0, 5.0]),
+            np.diag([3.0, -1.0, 2.0, 0.5, 0.5, 7.0]),
+            np.zeros((5, 5)),
+        ]
+        stacked = _eigvalsh_stack(members)
+        for d, full in zip(stacked, eigh_stack(members)):
+            assert same_values(d, full)
+        assert len({d.sweeps for d in stacked}) >= 3
+        for h in (members[4], members[7]):
+            assert same_values(_eigvalsh_stack([h], tol=1e-15)[0], eigh(h, tol=1e-15))
+
+    def test_convergence_error_is_the_full_solves(self):
+        rng = np.random.default_rng(71)
+        members = [np.diag([1.0, 2.0, 3.0])] + [rand_hermitian(rng, n) for n in (5, 3, 5)]
+        raised = []
+        for solve in (eigh_stack, _eigvalsh_stack):
+            with pytest.raises(ConvergenceError) as info:
+                solve(members, max_sweeps=1)
+            raised.append(info.value)
+        full, values = raised
+        assert values.member == full.member == 2
+        assert values.off_mass == full.off_mass > 0.0
+        assert str(values) == str(full)
 
 
 @st.composite

@@ -264,6 +264,8 @@ def test_prediction_makes_no_full_size_oracle_call(oracle_calls):
     # Schur variants, each of the three stacking its four blocks into one
     # call; the norm guards all settle on the bounds.
     assert oracle_calls == [[3] * 4] * 3
+    # The Schur complements need eigenvalues only.
+    assert oracle_calls.vectors == [True, False, False]
 
 
 def test_norm_oracle_runs_once_per_chain(oracle_calls):
@@ -281,3 +283,4 @@ def test_norm_oracle_runs_once_per_chain(oracle_calls):
         first, first, 0.2 * first, 3.0 * (0.2 * first)
     )
     assert oracle_calls == [[], [6]]
+    assert oracle_calls.vectors == [True, False]
