@@ -173,7 +173,7 @@ def _instances(cfg: EnsembleConfig, trials) -> list[tuple[np.ndarray, np.ndarray
     the direction.  One oracle call diagonalizes all the ``Q`` draws and one
     computes all the directions' norms."""
     n, blocks = cfg.n, len(cfg.block_spec)
-    keys = np.array([(cfg.seed + (k + 1) * _GOLDEN) & _MASK for k in trials], np.uint64)
+    keys = np.array([(cfg.seed + (operator.index(k) + 1) * _GOLDEN) & _MASK for k in trials], np.uint64)
     x = _stream(_mix(keys), blocks + 4 * n * n)
     u = _uniforms(x[:, :blocks])
     # Block by block, as one running value: a cumsum would round differently.

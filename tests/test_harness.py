@@ -150,6 +150,15 @@ class TestGenerators:
             a1, f1 = generate_instance(cfg, trial)
             assert a.tobytes() == a1.tobytes() and f.tobytes() == f1.tobytes()
 
+    def test_numpy_trial_index_gives_the_same_instance(self):
+        cfg = EnsembleConfig(seed=5, n=5, block_spec=(2, 2, 1), trials=4, predictor="first_order")
+        for index in (np.int64(3), np.uint64(3), np.int32(3)):
+            a, f = generate_instance(cfg, index)
+            a3, f3 = generate_instance(cfg, 3)
+            assert a.tobytes() == a3.tobytes() and f.tobytes() == f3.tobytes()
+        with pytest.raises(TypeError):
+            generate_instance(cfg, 3.0)
+
     def test_instance_is_reproducible(self):
         cfg = EnsembleConfig(seed=5, n=5, block_spec=(2, 2, 1), trials=3, predictor="first_order")
         a1, f1 = generate_instance(cfg, 1)
