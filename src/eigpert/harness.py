@@ -214,14 +214,16 @@ def fit_loglog(ts, errors, scale: float) -> LoglogFit:
         )
     x = np.log10(ts[keep])
     y = np.log10(errors[keep])
-    slope, intercept = np.polyfit(x, y, 1)
+    dx = x - x.mean()  # the least-squares line in closed form, about the means
+    slope = float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
+    intercept = float(y.mean() - slope * x.mean())
     fitted = slope * x + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
     return LoglogFit(
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         r_squared=r_squared,
         points_kept=int(keep.sum()),
     )

@@ -30,8 +30,10 @@ LAPACK_ENTRY_POINTS = ("solve", "inv", "eigh", "eigvalsh", "eig", "svd", "lstsq"
 def no_lapack(monkeypatch):
     """Make every dense LAPACK entry point of ``numpy.linalg`` raise, both as
     the public attribute and in the implementation module that
-    ``numpy.linalg``'s own helpers (``norm`` with ``ord=2``, say) call."""
+    ``numpy.linalg``'s own helpers (``norm`` with ``ord=2``, say) call, and
+    the ``lstsq`` and ``inv`` that ``np.polyfit``'s module binds at import."""
     impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    polynomial = getattr(np.lib, "_polynomial_impl", None) or np.lib.polynomial
 
     def refuse(name):
         def call(*args, **kwargs):
@@ -39,14 +41,17 @@ def no_lapack(monkeypatch):
 
         return call
 
-    for module in (np.linalg, impl):
+    for module in (np.linalg, impl, polynomial):
         for name in LAPACK_ENTRY_POINTS:
-            monkeypatch.setattr(module, name, refuse(name))
+            if module is not polynomial or hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse(name))
 
 
 def test_the_fixture_refuses(no_lapack):
     with pytest.raises(AssertionError, match="solve"):
         np.linalg.solve(np.eye(2), np.ones(2))
+    with pytest.raises(AssertionError, match="lstsq"):
+        np.polyfit([0.0, 1.0, 2.0], [1.0, 0.0, 2.0], 1)
 
 
 def test_prediction(no_lapack):
