@@ -6,7 +6,8 @@ module groups eigenvalues into degeneracy blocks, rotates ``U`` inside each
 block so ``E_hat`` becomes block-wise diagonal with non-increasing in-block
 diagonal, and builds the inverse-gap matrix ``M``.  Its one gap guard serves
 Schur refinement and the line expansion alike.  Every record is built by
-``_aligned``, or rescaled by :func:`scaled`.  The cone-membership test,
+``_aligned_stack``, one batched conjugation for a stack of perturbations,
+or rescaled by :func:`scaled`.  The cone-membership test,
 which needs Schur complements, lives in :mod:`eigpert.schur`.
 """
 
@@ -98,13 +99,29 @@ def group_eigenvalues(lam) -> BlockStructure:
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("expected a nonempty 1-d eigenvalue vector")
-    if np.any(np.diff(lam) > 0):
+    return _group_stack(lam[None])[0]
+
+
+def _group_stack(lam: np.ndarray) -> list[BlockStructure]:
+    """:func:`group_eigenvalues` of each row of ``lam`` ``(k, n)``, the rows
+    that split alike averaged as one stack, each row's block summed along
+    its own contiguous run as a lone vector is."""
+    if np.any(lam[:, 1:] > lam[:, :-1]):
         raise ValueError("eigenvalues must be non-increasing")
-    tol = DEFAULT_REL_GAP_TOL * float(np.abs(lam).max())
-    bounds = [0, *(np.flatnonzero(lam[:-1] - lam[1:] > tol) + 1).tolist(), lam.size]
-    groups = tuple(zip(bounds[:-1], bounds[1:]))
-    reps = tuple(float(np.mean(lam[s:e])) for s, e in groups)
-    return BlockStructure(groups=groups, rep_values=reps)
+    tol = DEFAULT_REL_GAP_TOL * np.abs(lam).max(axis=1)
+    split = lam[:, :-1] - lam[:, 1:] > tol[:, None]
+    patterns: dict[bytes, list[int]] = {}
+    for i, row in enumerate(split):
+        patterns.setdefault(row.tobytes(), []).append(i)
+    out: list = [None] * len(lam)
+    for members in patterns.values():
+        bounds = [0, *(np.flatnonzero(split[members[0]]) + 1).tolist(), lam.shape[1]]
+        groups = tuple(zip(bounds[:-1], bounds[1:]))
+        rows = lam[members]
+        reps = [(rows[:, s:e].sum(axis=1) / (e - s)).tolist() for s, e in groups]
+        for i, rep_values in zip(members, zip(*reps)):
+            out[i] = BlockStructure(groups=groups, rep_values=rep_values)
+    return out
 
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -131,23 +148,7 @@ class LazyNorm:
     def of(cls, e_hat: np.ndarray) -> "LazyNorm":
         """Bounds from the column norms and the Frobenius norm of ``e_hat``,
         the oracle norm ``max |eigh(e_hat).lam|`` deferred."""
-        n = e_hat.shape[0]
-        mag = np.abs(e_hat)
-        peak = float(mag.max())
-        if peak == 0.0:
-            lower = upper = 0.0
-        else:
-            # Normalized first so that squaring neither underflows nor overflows.
-            col = ((mag / peak) ** 2).sum(axis=0)
-            fro = peak * math.sqrt(float(col.sum()))
-            # Termination leaves off-diagonal mass at most 1e-13 n max|entry|
-            # (jacobi.eigh's default tolerance); each of at most
-            # DEFAULT_MAX_SWEEPS sweeps of n(n-1)/2 rotations moves the
-            # spectrum by a few ulps of ||E||_F.
-            slack = 1e-13 * n * peak + 16.0 * jacobi.DEFAULT_MAX_SWEEPS * n * n * _EPS * fro
-            lower = max(0.0, peak * math.sqrt(float(col.max())) - slack)
-            upper = fro + slack
-        return cls(lower, upper, lambda: float(np.abs(jacobi._eigvalsh_stack([e_hat])[0].lam).max()))
+        return _lazy_norms(e_hat[None])[0]
 
     @property
     def value(self) -> float:
@@ -161,6 +162,30 @@ class LazyNorm:
         oracle still runs at most once for the whole chain.  Rounded
         multiplication by ``t`` is monotone, so the bounds stay certified."""
         return LazyNorm(t * self.lower, t * self.upper, lambda: t * self.value)
+
+
+def _lazy_norms(e_hat: np.ndarray) -> list[LazyNorm]:
+    """:meth:`LazyNorm.of` of each member of a stack ``(k, n, n)``, the bounds
+    of all of them as one expression."""
+    _, n, _ = e_hat.shape
+    mag = np.abs(e_hat)
+    peak = mag.max(axis=(1, 2))
+    # Normalized first so that squaring neither underflows nor overflows; a
+    # zero member stays zero, and so do its bounds.
+    col = ((mag / np.where(peak > 0.0, peak, 1.0)[:, None, None]) ** 2).sum(axis=1)
+    fro = peak * np.sqrt(col.sum(axis=1))
+    # Termination leaves off-diagonal mass at most 1e-13 n max|entry|
+    # (jacobi.eigh's default tolerance); each of at most
+    # DEFAULT_MAX_SWEEPS sweeps of n(n-1)/2 rotations moves the
+    # spectrum by a few ulps of ||E||_F.
+    slack = 1e-13 * n * peak + 16.0 * jacobi.DEFAULT_MAX_SWEEPS * n * n * _EPS * fro
+    lower = np.maximum(0.0, peak * np.sqrt(col.max(axis=1)) - slack)
+    upper = fro + slack
+
+    def oracle(m: np.ndarray) -> Callable[[], float]:
+        return lambda: float(np.abs(jacobi._eigvalsh_stack([m])[0].lam).max())
+
+    return [LazyNorm(lo, up, oracle(m)) for lo, up, m in zip(lower.tolist(), upper.tolist(), e_hat)]
 
 
 @dataclass(frozen=True)
@@ -249,17 +274,22 @@ def _require_gap(ap: AlignedPerturbation, factor: float, blocks=None) -> None:
     ))
 
 
-def _aligned(
-    base: jacobi.SpectralDecomposition, blocks: BlockStructure, e: np.ndarray, mode: str, norm
-) -> AlignedPerturbation:
-    """The record of the read-only Hermitian ``e`` in the eigenbasis of
-    ``base``; a ``norm`` of ``None`` is bounded from ``E_hat``."""
-    e_hat = base.u.conj().T @ e @ base.u
-    e_hat = as_readonly(0.5 * (e_hat + e_hat.conj().T))
+def _aligned_stack(
+    bases: list[jacobi.SpectralDecomposition], blocks: list[BlockStructure], e: np.ndarray, mode: str, norms
+) -> list[AlignedPerturbation]:
+    """The records of the read-only Hermitian stack ``e`` ``(k, n, n)``, member
+    ``i`` in the eigenbasis of ``bases[i]``, conjugated as one batched
+    product; ``norms`` of ``None`` are bounded from the ``E_hat``."""
+    u = np.array([base.u for base in bases])
+    e_hat = u.conj().swapaxes(1, 2) @ e @ u
+    e_hat = as_readonly(0.5 * (e_hat + e_hat.conj().swapaxes(1, 2)))
     # ||E|| equals max |eigenvalue of E_hat|; the oracle computes it only
     # when a guard's threshold falls between the bounds.
-    norm = LazyNorm.of(e_hat) if norm is None else norm
-    return AlignedPerturbation(base=base, blocks=blocks, e=e, e_hat=e_hat, mode=mode, norm=norm)
+    norms = _lazy_norms(e_hat) if norms is None else norms
+    return [
+        AlignedPerturbation(base=base, blocks=g, e=e_k, e_hat=h, mode=mode, norm=norm)
+        for base, g, e_k, h, norm in zip(bases, blocks, e, e_hat, norms)
+    ]
 
 
 def conjugate_to_eigenbasis(base: jacobi.SpectralDecomposition, e) -> AlignedPerturbation:
@@ -267,7 +297,14 @@ def conjugate_to_eigenbasis(base: jacobi.SpectralDecomposition, e) -> AlignedPer
     e = hermitian(e)
     if e.shape != base.u.shape:
         raise ValueError(f"perturbation shape {e.shape} does not match base {base.u.shape}")
-    return _aligned(base, group_eigenvalues(base.lam), as_readonly(e), MODE_RAW, None)
+    return _conjugate_stack([base], e[None])[0]
+
+
+def _conjugate_stack(bases: list[jacobi.SpectralDecomposition], e: np.ndarray) -> list[AlignedPerturbation]:
+    """:func:`conjugate_to_eigenbasis` of each member of the Hermitian stack
+    ``e`` ``(k, n, n)`` in the eigenbasis of its base, which has its shape."""
+    blocks = _group_stack(np.array([base.lam for base in bases]))
+    return _aligned_stack(bases, blocks, as_readonly(e), MODE_RAW, None)
 
 
 def blockwise_diagonalize(ap: AlignedPerturbation) -> AlignedPerturbation:
@@ -283,26 +320,34 @@ def blockwise_diagonalize(ap: AlignedPerturbation) -> AlignedPerturbation:
 
 
 def _blockwise_diagonalize_stack(aps: list[AlignedPerturbation]) -> list[AlignedPerturbation]:
-    """:func:`blockwise_diagonalize` of each perturbation, with one oracle
-    call for the blocks of all of them; each result has the bits of its
-    solo rotation."""
-    multi = [
-        ap.e_hat[start:stop, start:stop]
-        for ap in aps
-        for start, stop in ap.blocks.groups
-        if stop - start >= 2
-    ]
-    rotations = iter(jacobi.eigh_stack(multi, tol=BLOCK_TOL))
-    out = []
-    for ap in aps:
-        u_new = np.array(ap.base.u, copy=True)
+    """:func:`blockwise_diagonalize` of each perturbation of one size, with one
+    oracle call for the blocks of all of them, and the rotations of all the
+    blocks of one size applied as one batched product; each result has the
+    bits of its solo rotation."""
+    e_hat = np.array([ap.e_hat for ap in aps])
+    u = np.array([ap.base.u for ap in aps])
+    by_size: dict[int, list[tuple[int, int]]] = {}
+    for i, ap in enumerate(aps):
         for start, stop in ap.blocks.groups:
             if stop - start >= 2:
-                u_new[:, start:stop] = u_new[:, start:stop] @ next(rotations).u
-        u_new = jacobi.normalize_column_phases(u_new)
-        base = jacobi.SpectralDecomposition(u=as_readonly(u_new), lam=ap.base.lam)
-        out.append(_aligned(base, ap.blocks, ap.e, MODE_BLOCKWISE, ap.norm))
-    return out
+                by_size.setdefault(stop - start, []).append((i, start))
+    # Per block size, each block's member (a column) and its index range.
+    blocks = [(np.array(pairs)[:, :1], np.array(pairs)[:, 1:] + np.arange(size)) for size, pairs in by_size.items()]
+    rotations = jacobi.eigh_stack(
+        [h for member, cols in blocks for h in e_hat[member[:, :, None], cols[:, :, None], cols[:, None, :]]],
+        tol=BLOCK_TOL,
+    )
+    done = 0
+    for member, cols in blocks:
+        r = np.array([d.u for d in rotations[done : done + len(member)]])
+        done += len(member)
+        # u[member, :, cols] is (blocks, size, n): each block's columns as rows.
+        rotated = np.ascontiguousarray(u[member, :, cols].swapaxes(1, 2)) @ r
+        u[member, :, cols] = rotated.swapaxes(1, 2)
+    u = as_readonly(jacobi.normalize_column_phases(u))
+    bases = [jacobi.SpectralDecomposition(u=u_k, lam=ap.base.lam) for u_k, ap in zip(u, aps)]
+    e = as_readonly(np.array([ap.e for ap in aps]))
+    return _aligned_stack(bases, [ap.blocks for ap in aps], e, MODE_BLOCKWISE, [ap.norm for ap in aps])
 
 
 def scaled(ap: AlignedPerturbation, t: float) -> AlignedPerturbation:
@@ -328,14 +373,20 @@ def aligned_perturbation(a, e) -> AlignedPerturbation:
 def m_matrix(base: jacobi.SpectralDecomposition, blocks: BlockStructure) -> np.ndarray:
     """Inverse-gap matrix: ``M[i, j] = 1 / (lam[i] - lam[j])`` across blocks,
     zero inside blocks and on the diagonal.  Real and exactly antisymmetric."""
-    lam = base.lam
-    if blocks.n != lam.size:
+    if blocks.n != base.lam.size:
         raise ValueError("block structure does not cover the eigenvalue vector")
-    bid = blocks.block_id()
-    cross = bid[:, None] != bid[None, :]
-    out = np.zeros((lam.size, lam.size), dtype=np.float64)
-    diff = lam[:, None] - lam[None, :]
-    out[cross] = 1.0 / diff[cross]
+    return _inverse_gaps(base.lam[None], blocks.block_id()[None], base.lam[None])[0]
+
+
+def _inverse_gaps(lam: np.ndarray, bid: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``1 / (lam[i] - rho[j])`` where indices ``i`` and ``j`` lie in
+    different blocks and 0 where they share one, for stacks ``(k, n)`` of
+    eigenvalues, block ids and column values.  With ``rho = lam`` this is
+    :func:`m_matrix`; with each block's representative value it is the
+    Schur fixed point's weight matrix."""
+    cross = bid[:, :, None] != bid[:, None, :]
+    out = np.zeros(cross.shape)
+    np.divide(1.0, lam[:, :, None] - rho[:, None, :], out=out, where=cross)
     return out
 
 

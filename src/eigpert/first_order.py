@@ -25,7 +25,13 @@ __all__ = [
 def first_order_eigenvalues(ap: AlignedPerturbation) -> np.ndarray:
     """Predicted eigenvalues ``lam_j + E_hat[j, j]``, accurate to O(||E||^2)."""
     _require_blockwise(ap, "the first-order eigenvalue formula")
-    return ap.base.lam + ap.e_hat_diag
+    return _eigenvalues(ap.base.lam, ap.e_hat)
+
+
+def _eigenvalues(lam: np.ndarray, e_hat: np.ndarray) -> np.ndarray:
+    """``lam + diag(E_hat)`` over stacks: ``lam`` ``(..., n)`` against
+    ``e_hat`` ``(..., n, n)``."""
+    return lam + np.diagonal(e_hat, axis1=-2, axis2=-1).real
 
 
 def gershgorin_intervals(ap: AlignedPerturbation) -> list[tuple[float, float]]:
@@ -48,16 +54,37 @@ def u_approx(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
     ``||M * E_hat||^2`` exactly, not merely to first order.
     """
     _require_blockwise(ap, "the first-order eigenvector formula")
-    return ap.base.u @ (np.eye(ap.n, dtype=np.complex128) - mmat * ap.e_hat)
+    return _u_approx(ap.base.u, mmat, ap.e_hat)
+
+
+def _u_approx(u: np.ndarray, mmat: np.ndarray, e_hat: np.ndarray) -> np.ndarray:
+    """``U (I - M * E_hat)`` over stacks that broadcast against each other."""
+    return u @ (np.eye(e_hat.shape[-1], dtype=np.complex128) - mmat * e_hat)
 
 
 def decomposition_residual(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
     """The first-order reconstruction ``U_ap diag(lam + E_hat_diag) U_ap*``
     minus ``A + E``."""
-    u_ap = u_approx(ap, mmat)
-    target = ap.base.u @ np.diag(ap.base.lam).astype(np.complex128) @ ap.base.u.conj().T + ap.e
-    rebuilt = u_ap @ np.diag(first_order_eigenvalues(ap)).astype(np.complex128) @ u_ap.conj().T
+    _require_blockwise(ap, "the first-order eigenvector formula")
+    return _residuals(ap.base.u, ap.base.lam, ap.e, ap.e_hat, mmat)
+
+
+def _residuals(u, lam, e, e_hat, mmat) -> np.ndarray:
+    """:func:`decomposition_residual` over stacks: ``u``, ``e``, ``e_hat``
+    and ``mmat`` ``(..., n, n)`` and ``lam`` ``(..., n)`` broadcast against
+    each other, every product batched."""
+    u_ap = _u_approx(u, mmat, e_hat)
+    target = u @ _diag(lam) @ u.conj().swapaxes(-1, -2) + e
+    rebuilt = u_ap @ _diag(_eigenvalues(lam, e_hat)) @ u_ap.conj().swapaxes(-1, -2)
     return rebuilt - target
+
+
+def _diag(d: np.ndarray) -> np.ndarray:
+    """Complex diagonal matrices with the real diagonals ``d`` ``(..., n)``."""
+    n = d.shape[-1]
+    out = np.zeros(d.shape + (n,), dtype=np.complex128)
+    out[..., np.arange(n), np.arange(n)] = d
+    return out
 
 
 def approx_decomposition_residual(ap: AlignedPerturbation, mmat: np.ndarray) -> float:

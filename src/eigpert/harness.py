@@ -10,7 +10,13 @@ oracle over a decreasing t-grid and fit the error's log-log slope.
 
 A study stacks its oracle calls across its trials, one call per stage (see
 :func:`convergence_study`), so it makes at most six calls whatever its
-number of trials, with the same output as solving trial by trial.
+number of trials.  Every other stage is an array expression over the
+``(trials, t, n, n)`` stack: the conjugations, the Schur fixed point (each
+member stopping on its own test), the expansion's coefficients, the
+residuals, the error norms and the least-squares fits.  The guards decide
+once per trial, at the largest ``t``.  Each member of a batched product or
+a per-member reduction rounds as it does alone, so the output is the same,
+bit for bit, as solving trial by trial.
 """
 
 from __future__ import annotations
@@ -148,6 +154,8 @@ class EnsembleConfig:
             raise ValueError("t-grid entries must be positive and finite")
         if any(later >= earlier for earlier, later in zip(self.t_grid, self.t_grid[1:])):
             raise ValueError("t-grid must be strictly decreasing")
+        if len(self.t_grid) < 3:
+            raise ValueError(f"t-grid needs at least 3 values to fit a slope, got {len(self.t_grid)}")
         if self.predictor not in PREDICTORS:
             raise ValueError(
                 f"unknown predictor {self.predictor!r}; expected one of {PREDICTORS}"
@@ -180,12 +188,14 @@ def _instances(cfg: EnsembleConfig, trials) -> list[tuple[np.ndarray, np.ndarray
     reps = u.copy()
     for k in range(1, blocks):
         reps[:, k] = reps[:, k - 1] - 1.0 - u[:, k]
-    lams = np.repeat(reps, cfg.block_spec, axis=1).astype(np.complex128)
+    spectra = np.zeros((len(keys), n, n), dtype=np.complex128)
+    spectra[:, np.arange(n), np.arange(n)] = np.repeat(reps, cfg.block_spec, axis=1)
     draws = _hermitian_draws(x[:, blocks:], n)
     q_draws, directions = draws[0::2], draws[1::2]
-    qs = [d.u for d in jacobi.eigh_stack(q_draws)]
-    a = hermitian(np.stack([q @ np.diag(lam) @ q.conj().T for q, lam in zip(qs, lams)]))
-    return [(a_k, g / norm) for a_k, g, norm in zip(a, directions, operator_norms(directions))]
+    q = np.array([d.u for d in jacobi.eigh_stack(q_draws)])
+    a = hermitian(q @ spectra @ q.conj().swapaxes(1, 2))
+    f = directions / np.array(operator_norms(directions))[:, None, None]
+    return list(zip(a, f))
 
 
 @dataclass(frozen=True)
@@ -199,34 +209,65 @@ class LoglogFit:
 def fit_loglog(ts, errors, scale: float) -> LoglogFit:
     """Least-squares slope of log10(error) against log10(t).
 
+    ``ts`` must be positive and finite and ``errors`` finite and
+    non-negative, one error per t; other input raises ``ValueError``.
     Points at or below the noise floor ``1000 * eps * max(1, scale)`` are
-    dropped; fewer than 3 surviving points make the slope meaningless and
-    raise :class:`StudyError` instead of returning one.
+    dropped; fewer than 3 surviving points, or fewer than 2 distinct t among
+    them, make the slope meaningless and raise :class:`StudyError` instead
+    of returning one.
     """
     ts = np.asarray(ts, dtype=np.float64)
     errors = np.asarray(errors, dtype=np.float64)
-    floor = 1000.0 * np.finfo(np.float64).eps * max(1.0, float(scale))
-    keep = errors > floor
-    if int(keep.sum()) < 3:
-        raise StudyError(
-            f"only {int(keep.sum())} of {errors.size} error samples exceed the "
-            f"noise floor {floor:.3e}; no reliable slope"
+    if ts.ndim != 1 or errors.shape != ts.shape:
+        raise ValueError(f"need one error per t, got shapes {ts.shape} and {errors.shape}")
+    (fit,) = _fits(ts, errors[None], [scale])
+    if isinstance(fit, StudyError):
+        raise fit
+    return fit
+
+
+def _fits(ts: np.ndarray, errors: np.ndarray, scales) -> list[LoglogFit | StudyError]:
+    """:func:`fit_loglog` of each row of ``errors`` ``(k, len(ts))`` with its
+    scale: the fit, or the :class:`StudyError` it raises.  The rows that keep
+    equally many points are fitted as one array expression, each row
+    reduced along its own contiguous run, so that it rounds as alone."""
+    if not np.all((ts > 0.0) & np.isfinite(ts)):
+        raise ValueError("t samples must be positive and finite")
+    if not np.all(np.isfinite(errors) & (errors >= 0.0)):
+        raise ValueError("error samples must be finite and non-negative")
+    floor = 1000.0 * np.finfo(np.float64).eps * np.fmax(1.0, np.asarray(scales, dtype=np.float64))
+    keep = errors > floor[:, None]
+    counts = keep.sum(axis=1)
+    out: list = [None] * len(errors)
+    for k in np.flatnonzero(counts < 3):
+        out[k] = StudyError(
+            f"only {counts[k]} of {errors.shape[1]} error samples exceed the "
+            f"noise floor {floor[k]:.3e}; no reliable slope"
         )
-    x = np.log10(ts[keep])
-    y = np.log10(errors[keep])
-    dx = x - x.mean()  # the least-squares line in closed form, about the means
-    slope = float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
-    intercept = float(y.mean() - slope * x.mean())
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return LoglogFit(
-        slope=slope,
-        intercept=intercept,
-        r_squared=r_squared,
-        points_kept=int(keep.sum()),
-    )
+    for count in np.unique(counts[counts >= 3]):
+        rows = np.flatnonzero(counts == count)
+        kept = keep[rows]
+        xs = np.log10(np.broadcast_to(ts, kept.shape)[kept]).reshape(-1, count)
+        ys = np.log10(errors[rows][kept]).reshape(-1, count)
+        # The least-squares line in closed form, about the means; a row
+        # whose points share one t has none, and is refused below.
+        x_mean, y_mean = xs.mean(axis=1, keepdims=True), ys.mean(axis=1, keepdims=True)
+        dx = xs - x_mean
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.sum(dx * (ys - y_mean), axis=1) / np.sum(dx * dx, axis=1)
+            intercept = y_mean[:, 0] - slope * x_mean[:, 0]
+            fitted = slope[:, None] * xs + intercept[:, None]
+            ss_res = np.sum((ys - fitted) ** 2, axis=1)
+            ss_tot = np.sum((ys - y_mean) ** 2, axis=1)
+            r_squared = np.where(ss_tot > 0.0, 1.0 - ss_res / ss_tot, 1.0)
+        spread = xs.max(axis=1) > xs.min(axis=1)
+        fits = zip(slope.tolist(), intercept.tolist(), r_squared.tolist())
+        for k, ok, fit in zip(rows, spread, fits):
+            out[k] = LoglogFit(*fit, points_kept=int(count)) if ok else StudyError(
+                f"the {count} error samples above the noise floor {floor[k]:.3e} share "
+                "one t; no reliable slope"
+            )
+    return out
 
 
 @dataclass(frozen=True)
@@ -248,28 +289,89 @@ class ConvergenceReport:
     failed_trials: tuple[int, ...] = field(default=())
 
 
-def _predictions(predictor: str, ap: alignment.AlignedPerturbation, t_grid) -> list:
-    """One trial's predictions along the t-grid, all formed before any exact
-    solve; raises :class:`PreconditionError` when the predictor's
-    preconditions fail.
+def _admit(predictor: str, ap: alignment.AlignedPerturbation, t_max: float) -> None:
+    """Raise :class:`PreconditionError` unless the predictor's guards admit
+    ``ap`` along a t-grid whose largest entry is ``t_max``.  The gap guard
+    holds for every ``t`` once it holds for the largest, so one decision
+    decides the grid."""
+    if predictor in ("rs_second_order", "eigvec_first_order"):
+        rayleigh._require_untied(ap)
+    if predictor not in ("first_order", "u_ap_residual"):
+        alignment._require_gap(ap, alignment.DEFAULT_MARGIN_FACTOR * t_max)
 
-    The entries are eigenvalue vectors, except for the Schur variants, whose
-    entries are the ``(rhos, bs)`` complements left to be solved, for
-    ``eigvec_first_order``, whose entries are eigenvector matrices, and for
-    ``u_ap_residual``, whose entries are already the error matrices.
-    """
-    if predictor == "first_order":
-        return [first_order.first_order_eigenvalues(alignment.scaled(ap, t)) for t in t_grid]
-    if predictor in ("schur_full", "schur_simplified"):
-        variant = "full" if predictor == "schur_full" else "simplified"
-        return [schur._complements(alignment.scaled(ap, t), variant) for t in t_grid]
-    mmat = alignment.m_matrix(ap.base, ap.blocks)
+
+def _errors(predictor: str, aps: list, instances: list, grid: np.ndarray) -> np.ndarray:
+    """Errors ``(trials, t)`` of the predictor against the oracle over trials
+    whose guards have admitted them, each stage one array expression over
+    the ``(trials, t, n, n)`` stack or one oracle call.
+
+    Eigenvalue predictors report the largest error over indices, matrix-valued
+    ones the operator norm of the error matrix."""
+    trials, steps, n = len(aps), grid.size, aps[0].n
+    t = grid[:, None, None]
+    u = np.array([ap.base.u for ap in aps])[:, None]
+    lam = np.array([ap.base.lam for ap in aps])
+    e_hat = np.array([ap.e_hat for ap in aps])
+    e_hat_t = t * e_hat[:, None]
+    if predictor in ("u_ap_residual", "rs_second_order", "eigvec_first_order"):
+        mmat = alignment._inverse_gaps(lam, np.array([ap.blocks.block_id() for ap in aps]), lam)
     if predictor == "u_ap_residual":
-        return [first_order.decomposition_residual(alignment.scaled(ap, t), mmat) for t in t_grid]
-    expansion = rayleigh._expansion(ap, mmat)
-    if predictor == "rs_second_order":
-        return [expansion.at(t).xi_hat for t in t_grid]
-    return [expansion.at(t).u_hat for t in t_grid]
+        e_t = t * np.array([ap.e for ap in aps])[:, None]
+        gaps = first_order._residuals(u, lam[:, None], e_t, e_hat_t, mmat[:, None])
+        return np.reshape(operator_norms(gaps.reshape(-1, n, n)), (trials, steps))
+    exact = np.array([a for a, _ in instances])[:, None] + t * np.array([f for _, f in instances])[:, None]
+    exact = exact.reshape(-1, n, n)
+    if predictor == "eigvec_first_order":
+        u_prime = np.array([rayleigh.eigenvector_derivative(ap, m) for ap, m in zip(aps, mmat)])
+        u_hat = rayleigh._series(t, u, u_prime[:, None]).reshape(-1, n, n)
+        # Column matching stays per member: batched overlaps round unlike np.vdot.
+        blocks = [ap.blocks for ap in aps for _ in range(steps)]
+        gaps = [alignment.align_columns(d.u, v, g) - v for d, v, g in zip(jacobi.eigh_stack(exact), u_hat, blocks)]
+        return np.reshape(operator_norms(gaps), (trials, steps))
+    if predictor == "first_order":
+        pred = first_order._eigenvalues(lam[:, None], e_hat_t)
+    elif predictor == "rs_second_order":
+        a1 = np.diagonal(e_hat, axis1=1, axis2=2).real
+        pred = rayleigh._series(grid[:, None], lam[:, None], a1[:, None], rayleigh._a2(e_hat, mmat)[:, None])
+    else:
+        pred = _schur_predictions(predictor, aps, e_hat_t)
+    lams = np.array([d.lam for d in jacobi._eigvalsh_stack(exact)])
+    return np.abs(lams - pred.reshape(-1, n)).max(axis=1).reshape(trials, steps)
+
+
+def _by_structure(aps: list) -> dict[tuple[tuple[int, int], ...], np.ndarray]:
+    """Positions of the records in ``aps`` by their degeneracy groups."""
+    index: dict[tuple[tuple[int, int], ...], list[int]] = {}
+    for i, ap in enumerate(aps):
+        index.setdefault(ap.blocks.groups, []).append(i)
+    return {groups: np.array(members) for groups, members in index.items()}
+
+
+def _schur_predictions(predictor: str, aps: list, e_hat_t: np.ndarray) -> np.ndarray:
+    """Schur-refined eigenvalues ``(trials, t, n)`` from ``E_hat`` stacked
+    as ``(trials, t, n, n)``: one fixed point for all the trials that share
+    a degeneracy structure and all their t, each trial's weights shared by
+    its t, and one oracle call for every complement."""
+    variant = "full" if predictor == "schur_full" else "simplified"
+    trials, steps, n = e_hat_t.shape[:3]
+    w = schur._weights(aps)
+    complements, where = [], []
+    for groups, members in _by_structure(aps).items():
+        stack = e_hat_t[members].reshape(-1, n, n)
+        bs = schur._complements_stack(stack, np.repeat(w[members], steps, axis=0), groups, variant)
+        rho = np.array([aps[k].blocks.rep_values for k in members])
+        for g, ((start, stop), b) in enumerate(zip(groups, bs)):
+            complements.extend(b)
+            where.append((members, start, stop, rho[:, g, None, None]))
+    betas = schur._complement_eigenvalues(complements)
+    pred = np.empty((trials, steps, n))
+    done = 0
+    for members, start, stop, rho in where:
+        beta = np.array(betas[done : done + members.size * steps])
+        done += members.size * steps
+        # The blocks are contiguous and cover every index in order.
+        pred[members, :, start:stop] = rho + beta.reshape(-1, steps, stop - start)
+    return pred
 
 
 def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
@@ -284,62 +386,40 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
 
     Each oracle stage is one call for all trials: the instances' ``Q``
     draws, their directions' norms, the base decompositions, the block-wise
-    rotations, the exact solves of ``A + t F`` over the surviving trials and
-    the t-grid, the Schur complements and the error matrices' norms.  The
-    oracle gives every stack member the bits of its solo solve, so the study
-    is the same as one solved trial by trial.
+    rotations, the Schur complements, the exact solves of ``A + t F`` over
+    the admitted trials and the t-grid, and the error matrices' norms.  The
+    oracle gives every stack member the bits of its solo solve, and every
+    other stage is a batched array expression over the ``(trials, t)``
+    stack whose members round as they do alone, so the study is the same
+    as one solved trial by trial.  The guards decide once per trial, at the
+    largest ``t``, before any exact solve, so a refused trial costs none.
     """
-    grid = cfg.t_grid
+    grid = np.array(cfg.t_grid)
     instances = _instances(cfg, range(cfg.trials))
     bases = jacobi.eigh_stack([a for a, _ in instances])
     aps = alignment._blockwise_diagonalize_stack(
-        [alignment.conjugate_to_eigenbasis(base, f) for base, (_, f) in zip(bases, instances)]
+        alignment._conjugate_stack(bases, hermitian(np.array([f for _, f in instances])))
     )
-    # Preconditions are all checked before any exact solve, so a failed
-    # trial costs no solve and is skipped as a whole.
-    kept: list[tuple[int, list]] = []
+    kept: list[int] = []
     failed: list[int] = []
     for trial, ap in enumerate(aps):
         try:
-            kept.append((trial, _predictions(cfg.predictor, ap, grid)))
+            # The grid is strictly decreasing: its first entry is the largest.
+            _admit(cfg.predictor, ap, cfg.t_grid[0])
         except PreconditionError:
             failed.append(trial)
-    if cfg.predictor in ("schur_full", "schur_simplified"):
-        # The blocks are contiguous and cover every index in order.
-        complements = [b for _, preds in kept for _, bs in preds for b in bs]
-        betas = iter(schur._complement_eigenvalues(complements))
-        kept = [
-            (trial, [np.concatenate([rho + next(betas) for rho in rhos]) for rhos, _ in preds])
-            for trial, preds in kept
-        ]
-    flat = [(trial, t, pred) for trial, preds in kept for t, pred in zip(grid, preds)]
-    if cfg.predictor == "u_ap_residual":
-        errors = operator_norms([gap for _, _, gap in flat])
-    else:
-        # Only the eigenvector predictor reads the exact eigenvectors.
-        solve = jacobi.eigh_stack if cfg.predictor == "eigvec_first_order" else jacobi._eigvalsh_stack
-        exacts = solve([instances[k][0] + t * instances[k][1] for k, t, _ in flat])
-        if cfg.predictor == "eigvec_first_order":
-            errors = operator_norms(
-                [
-                    alignment.align_columns(exact.u, u_hat, aps[k].blocks) - u_hat
-                    for (k, _, u_hat), exact in zip(flat, exacts)
-                ]
-            )
         else:
-            errors = [
-                float(np.abs(exact.lam - pred).max()) for (_, _, pred), exact in zip(flat, exacts)
-            ]
+            kept.append(trial)
     rows, fits = [], []
-    for k, (trial, _) in enumerate(kept):
-        scale = float(np.abs(aps[trial].base.lam).max())
-        trial_errors = errors[k * len(grid) : (k + 1) * len(grid)]
-        try:
-            fits.append(fit_loglog(grid, trial_errors, scale))
-        except StudyError:
-            failed.append(trial)
-            continue
-        rows.extend(StudyRow(trial, t, error) for t, error in zip(grid, trial_errors))
+    if kept:
+        errors = _errors(cfg.predictor, [aps[k] for k in kept], [instances[k] for k in kept], grid)
+        scales = [float(np.abs(aps[k].base.lam).max()) for k in kept]
+        for trial, fit, trial_errors in zip(kept, _fits(grid, errors, scales), errors.tolist()):
+            if isinstance(fit, StudyError):
+                failed.append(trial)
+                continue
+            fits.append(fit)
+            rows.extend(StudyRow(trial, t, error) for t, error in zip(cfg.t_grid, trial_errors))
     if 2 * len(failed) > cfg.trials:
         raise StudyError(
             f"{len(failed)} of {cfg.trials} trials failed predictor preconditions or their fit"

@@ -114,35 +114,42 @@ def operator_norm(m) -> float:
 
 
 def operator_norms(ms) -> list[float]:
-    """:func:`operator_norm` of each matrix in ``ms``, with one oracle call
-    for all of their Gram matrices."""
+    """:func:`operator_norm` of each matrix in ``ms``, a sequence of matrices
+    or an array ``(k, r, c)``.  The matrices of one shape are checked,
+    scaled and multiplied as one stack, and one oracle call serves all of
+    their Gram matrices."""
     from . import jacobi  # deferred; jacobi imports this module's constructors
 
-    out = [0.0] * len(ms)
-    index, exponents, grams = [], [], []
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    members = []
     for i, m in enumerate(ms):
         m = np.asarray(m, dtype=np.complex128)
         if m.ndim == 1:
             m = m.reshape(1, -1)
         if m.ndim != 2:
             raise ValueError(f"expected a matrix, got {m.ndim}-d data")
-        if m.size == 0:
-            continue
+        members.append(m)
+        if m.size:
+            by_shape.setdefault(m.shape, []).append(i)
+    out = np.zeros(len(members))
+    index, exponents, grams = [], [], []
+    for (rows, cols), group in by_shape.items():
+        m = np.array([members[i] for i in group])
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite (no NaN or Inf)")
-        peak = float(np.abs(m).max())
-        if peak == 0.0:
-            continue
-        exponent = math.frexp(peak)[1]
-        m = _ldexp(m, -exponent)
+        peak = np.abs(m).max(axis=(1, 2))
+        live = np.flatnonzero(peak)  # a zero matrix has norm 0 and needs no solve
+        exponent = np.frexp(peak[live])[1]
+        m = _ldexp(m[live], -exponent[:, None, None])
         # Form the Gram matrix on the smaller side; same nonzero spectrum.
-        g = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
-        index.append(i)
+        mh = m.conj().swapaxes(1, 2)
+        index.extend(group[j] for j in live)
         exponents.append(exponent)
-        grams.append(g)  # the oracle symmetrizes on entry
-    for i, exponent, d in zip(index, exponents, jacobi._eigvalsh_stack(grams)):
-        out[i] = math.ldexp(math.sqrt(max(float(d.lam[0]), 0.0)), exponent)
-    return out
+        grams.extend(m @ mh if rows <= cols else mh @ m)  # the oracle symmetrizes on entry
+    top = np.array([d.lam[0] for d in jacobi._eigvalsh_stack(grams)])
+    if index:
+        out[index] = np.ldexp(np.sqrt(np.maximum(top, 0.0)), np.concatenate(exponents))
+    return out.tolist()
 
 
 # ---- text exchange format ----

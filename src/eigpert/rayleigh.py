@@ -11,8 +11,11 @@ gaps of ``F_hat``.  All formulas need ``F_hat`` block-wise diagonal with
 strictly decreasing in-block diagonals; ties leave the perturbed eigenvector
 branches underdetermined and raise ``DegenerateDirectionError``.
 
-:func:`line_expansion`, :func:`predict_eigensystem` and the convergence
-studies build their :class:`LineExpansion` with one helper, ``_expansion``.
+:func:`line_expansion` and :func:`predict_eigensystem` build their
+:class:`LineExpansion` with one helper, ``_expansion``.  The convergence
+studies read the same coefficients for all their trials at once (``a2`` with
+``_a2``, which needs no ``N``) and evaluate them over the t-grid with
+``_series``, as :meth:`LineExpansion.at` does at one ``t``.
 """
 
 from __future__ import annotations
@@ -78,13 +81,20 @@ def rs_coefficients(ap: AlignedPerturbation) -> tuple[np.ndarray, np.ndarray, np
     """
     _require_blockwise(ap, "the second-order eigenvalue expansion")
     _require_untied(ap)
-    mag = np.abs(ap.e_hat)
-    exponent = math.frexp(float(mag.max()))[1]
-    weighted = m_matrix(ap.base, ap.blocks) * np.ldexp(mag, -exponent) ** 2
+    a2 = _a2(ap.e_hat[None], m_matrix(ap.base, ap.blocks)[None])[0]
+    return np.array(ap.base.lam, copy=True), np.array(ap.e_hat_diag, copy=True), a2
+
+
+def _a2(e_hat: np.ndarray, mmat: np.ndarray) -> np.ndarray:
+    """``a2 = -colsum(M * |F_hat|^2)`` of each member of the stacks ``e_hat``
+    and ``mmat`` ``(k, n, n)``, each member's ``|F_hat|`` scaled by its own
+    power of two."""
+    mag = np.abs(e_hat)
+    exponent = np.frexp(mag.max(axis=(1, 2)))[1]
+    weighted = mmat * np.ldexp(mag, -exponent[:, None, None]) ** 2
     # Row sums of the contiguous transpose round exactly as summing each
     # column on its own does; a strided column sum would not.
-    a2 = np.ldexp(-np.ascontiguousarray(weighted.T).sum(axis=1), 2 * exponent)
-    return np.array(ap.base.lam, copy=True), np.array(ap.e_hat_diag, copy=True), a2
+    return np.ldexp(-np.ascontiguousarray(weighted.swapaxes(1, 2)).sum(axis=2), 2 * exponent[:, None])
 
 
 def n_matrix(ap: AlignedPerturbation) -> np.ndarray:
@@ -164,9 +174,18 @@ class LineExpansion:
             raise ValueError(f"t must be finite, got {t}")
         _require_gap(self.ap, DEFAULT_MARGIN_FACTOR * abs(t))
         return EigensystemPrediction(
-            xi_hat=as_readonly(self.a0 + t * self.a1 + t * t * self.a2),
-            u_hat=as_readonly(self.base.u + t * self.u_prime),
+            xi_hat=as_readonly(_series(t, self.a0, self.a1, self.a2)),
+            u_hat=as_readonly(_series(t, self.base.u, self.u_prime)),
         )
+
+
+def _series(t, *coefficients):
+    """``c0 + t c1 + t t c2 + ...``, the expansion's value at ``t``, with
+    ``t`` broadcasting against the coefficients."""
+    out, power = coefficients[0], t
+    for c in coefficients[1:]:
+        out, power = out + power * c, power * t
+    return out
 
 
 def _expansion(ap: AlignedPerturbation, mmat: np.ndarray) -> LineExpansion:

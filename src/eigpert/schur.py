@@ -20,7 +20,12 @@ product per iteration serves all blocks, and the gap guard of
 :mod:`eigpert.alignment`, ``min |tau - rho| > DEFAULT_MARGIN_FACTOR ||E||``
 with the factor 2, makes the map contract by less than 1/2 (Stewart, SIAM
 Review 15(4), 1973).  The simplified variant is the first iterate; the
-full one stops once an update is at most ``4 eps max|X|``.
+full one stops once an update is at most ``4 eps max|X|``.  The fixed point
+runs on a stack of perturbations, one batched product per iteration, and
+each member stops on its own test, as the oracle's members do, so a member
+gets the bits of its solo run.  ``W`` depends on the base alone: a
+convergence study iterates all of its ``(trial, t)`` members at once, each
+trial's ``W`` shared by its t-grid.
 
 The complements also decide membership in the cone of perturbation
 directions along which every block's complement stays diagonal and its
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jacobi
-from .alignment import _EPS, DEFAULT_MARGIN_FACTOR, AlignedPerturbation, _require_gap
+from .alignment import _EPS, DEFAULT_MARGIN_FACTOR, AlignedPerturbation, _inverse_gaps, _require_gap
 from .errors import ConvergenceError
 from .matrices import as_readonly, operator_norm
 
@@ -77,34 +82,55 @@ class SchurData:
     beta: np.ndarray
 
 
-def _fixed_point(ap: AlignedPerturbation, start: int, stop: int, variant: str) -> np.ndarray:
+def _weights(aps: list[AlignedPerturbation]) -> np.ndarray:
+    """``W`` of each record, stacked ``(k, n, n)``: ``1 / (lam_i - rho_j)``,
+    ``rho_j`` the representative value of the block of ``j``, across blocks
+    and 0 inside them.  It depends on the base alone, so every scaling of a
+    perturbation shares it."""
+    bid = np.array([ap.blocks.block_id() for ap in aps])
+    rho = np.array([np.asarray(ap.blocks.rep_values)[b] for ap, b in zip(aps, bid)])
+    return _inverse_gaps(np.array([ap.base.lam for ap in aps]), bid, rho)
+
+
+def _fixed_point(e_hat: np.ndarray, w: np.ndarray, start: int, stop: int, variant: str) -> np.ndarray:
     """Columns ``start:stop`` of the fixed point, or of its first iterate for
-    the simplified variant; their blocks' margins must have been checked."""
-    bid = ap.blocks.block_id()
-    rho = np.asarray(ap.blocks.rep_values)[bid[start:stop]]
-    cross = bid[:, None] != bid[None, start:stop]
-    w = np.zeros(cross.shape)
-    w[cross] = 1.0 / (ap.base.lam[:, None] - rho[None, :])[cross]
-    c = ap.e_hat[:, start:stop]
-    x, step = w * c, math.inf  # the first iterate, from X = 0
+    the simplified variant, of each member of the stack ``e_hat`` ``(m, n, n)``
+    with its weights ``w`` ``(m, n, stop - start)``; their blocks' margins
+    must have been checked.  All members iterate as one batched product and
+    each stops on its own test, so each gets the bits of its solo call."""
+    c = e_hat[:, :, start:stop]
+    x = w * c  # the first iterate, from X = 0
     if variant == "simplified":
         return x
+    live, step = np.arange(len(x)), np.full(len(x), math.inf)
     for _ in range(1, MAX_ITERATIONS):
-        x, prev = w * (c - ap.e_hat @ x), x
-        step = float(np.abs(x - prev).max())
-        if step <= _STOP_TOL * float(np.abs(x).max()):
+        # Members that have stopped are left out, so they keep their bits.
+        whole = live.size == len(x)
+        part = slice(None) if whole else live
+        prev = x[part]
+        new = w[part] * (c[part] - e_hat[part] @ prev)
+        step = np.abs(new - prev).max(axis=(1, 2))
+        if whole:
+            x = new
+        else:
+            x[live] = new
+        going = step > _STOP_TOL * np.abs(new).max(axis=(1, 2))
+        live, step = live[going], step[going]
+        if live.size == 0:
             return x
-    message = f"Schur fixed point: update {step:.3e} after {MAX_ITERATIONS} iterations"
-    raise ConvergenceError(message, off_mass=step, member=0)
+    where = f"stack member {live[0]} of {len(x)}: " if len(x) > 1 else ""
+    message = f"Schur fixed point: {where}update {step[0]:.3e} after {MAX_ITERATIONS} iterations"
+    raise ConvergenceError(message, off_mass=float(step[0]), member=int(live[0]))
 
 
-def _complement(ap: AlignedPerturbation, x: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Symmetrized ``B = E11 - E_hat[block, :] X[:, block]``, ``x`` the block's columns."""
-    b = ap.e_hat[start:stop, start:stop] - ap.e_hat[start:stop] @ x
-    return 0.5 * (b + b.conj().T)
+def _complement(e_hat: np.ndarray, x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Symmetrized ``B = E11 - E_hat[block, :] X[:, block]`` of each member of
+    the stack ``e_hat``, ``x`` the block's columns."""
+    b = e_hat[:, start:stop, start:stop] - e_hat[:, start:stop] @ x
+    return 0.5 * (b + b.conj().swapaxes(1, 2))
 
 
-def _complement_eigenvalues(bs: list[np.ndarray]) -> list[np.ndarray]:
+def _complement_eigenvalues(bs) -> list[np.ndarray]:
     """Eigenvalues of symmetrized Schur complements, from one oracle call that
     stacks the complements of each size; a 1 x 1 complement needs no sweep
     and comes back as its own entry, the power-of-two prescale being exact."""
@@ -124,8 +150,9 @@ def _schur_data(ap: AlignedPerturbation, block_index: int) -> tuple[SchurData, n
         raise ValueError(f"block index {block_index} out of range for {len(groups)} blocks")
     _require_gap(ap, DEFAULT_MARGIN_FACTOR, [block_index])
     start, stop = groups[block_index]
-    x = _fixed_point(ap, start, stop, "full")
-    b = _complement(ap, x, start, stop)
+    e_hat = ap.e_hat[None]
+    x = _fixed_point(e_hat, _weights([ap])[:, :, start:stop], start, stop, "full")
+    b, x = _complement(e_hat, x, start, stop)[0], x[0]
     (beta,) = _complement_eigenvalues([b])
     rest = np.r_[0:start, stop : ap.n]
     sd = SchurData(
@@ -161,13 +188,22 @@ def refined_eigenvalues(ap: AlignedPerturbation, variant: str = "full") -> np.nd
 
 def _complements(ap: AlignedPerturbation, variant: str) -> tuple[list[float], list[np.ndarray]]:
     """Every block's representative value and symmetrized Schur complement,
-    in block order, from one fixed point.  Their eigenvalues are left to
+    in block order, once the gap guard admits ``ap``: the one-member case of
+    :func:`_complements_stack`."""
+    _require_gap(ap, DEFAULT_MARGIN_FACTOR)
+    bs = _complements_stack(ap.e_hat[None], _weights([ap]), ap.blocks.groups, variant)
+    return list(ap.blocks.rep_values), [b[0] for b in bs]
+
+
+def _complements_stack(e_hat: np.ndarray, w: np.ndarray, groups, variant: str) -> list[np.ndarray]:
+    """Every block's symmetrized Schur complement, one stack ``(m, l, l)`` per
+    block in block order, for the members of ``e_hat`` ``(m, n, n)`` that
+    share the degeneracy ``groups``, from one fixed point with weights ``w``.
+    The caller has applied the gap guard.  Their eigenvalues are left to
     :func:`_complement_eigenvalues`, so that callers can solve the
     complements of many perturbations in one oracle call."""
-    _require_gap(ap, DEFAULT_MARGIN_FACTOR)
-    x = _fixed_point(ap, 0, ap.n, variant)
-    bs = [_complement(ap, x[:, s:e], s, e) for s, e in ap.blocks.groups]
-    return list(ap.blocks.rep_values), bs
+    x = _fixed_point(e_hat, w, 0, e_hat.shape[-1], variant)
+    return [_complement(e_hat, x[:, :, start:stop], start, stop) for start, stop in groups]
 
 
 @dataclass(frozen=True)

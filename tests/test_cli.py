@@ -198,6 +198,12 @@ class TestConverge:
         assert main(argv) == 2
         assert "sum to n" in capsys.readouterr().err
 
+    def test_grid_too_short_to_fit(self, capsys):
+        argv = list(self.ARGS)
+        argv[argv.index("1e-1,1e-2,1e-3")] = "0.1,0.01"
+        assert main(argv) == 2
+        assert "at least 3" in capsys.readouterr().err
+
     def test_failed_study_exit_code(self, capsys):
         argv = [
             "converge",

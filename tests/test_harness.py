@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import math
 
 import numpy as np
@@ -36,7 +35,7 @@ from eigpert import (
     report_to_csv,
     scaled,
 )
-from eigpert import harness
+from eigpert import alignment, harness, rayleigh
 from eigpert.harness import (
     _hermitian_draws,
     _instances,
@@ -221,6 +220,7 @@ class TestEnsembleConfig:
             (dict(n=6.0, block_spec=(3, 3)), "integers"),
             (dict(n=4, block_spec=(2, 2), trials=2.5), "integers"),
             (dict(n=5, block_spec=(2.5, 3.5)), "integers"),
+            (dict(n=4, block_spec=(2, 2), t_grid=(1e-1, 1e-2)), "at least 3"),
         ],
     )
     def test_rejections(self, kwargs, message):
@@ -249,6 +249,23 @@ class TestFitLoglog:
         ts = np.array([1e-1, 1e-2, 1e-3])
         with pytest.raises(StudyError, match="noise floor"):
             fit_loglog(ts, [1e-15, 1e-16, 1e-17], scale=1.0)
+
+    @pytest.mark.parametrize(
+        "ts, errors, error",
+        [
+            ([1e-1, 1e-2, 1e-3], [1e-2, 1e-4], ValueError),
+            ([1e-1, -1e-2, 1e-3], [1e-2, 1e-4, 1e-6], ValueError),
+            ([1e-1, 1e-2, 1e-3], [1e-2, math.inf, 1e-6], ValueError),
+            # A NaN used to be dropped as if below the floor, leaving slope 2.
+            ([1e-1, 1e-2, 1e-3, 1e-4], [1e-2, math.nan, 1e-6, 1e-8], ValueError),
+            # Three points at one t used to give slope NaN.
+            ([1e-1] * 3, [1e-3, 2e-3, 3e-3], StudyError),
+        ],
+        ids=["lengths", "negative_t", "inf_error", "nan_error", "one_t"],
+    )
+    def test_rejects_samples_with_no_slope(self, ts, errors, error):
+        with pytest.raises(error):
+            fit_loglog(ts, errors, scale=1.0)
 
     def test_constant_errors_define_r_squared(self):
         ts = np.array([1e-1, 1e-2, 1e-3])
@@ -362,12 +379,16 @@ def reference_study(cfg):
 # trials 4, 6 and 8 only, with blocks of two sizes.
 ACCEPTANCE = dict(seed=1, n=6, block_spec=(2, 2, 1, 1))
 PARTIAL = dict(seed=6, n=6, block_spec=(3, 2, 1), trials=10, t_grid=(0.55, 0.1, 0.03, 0.01))
+# A simple spectrum: no block has two members for the tie guard to compare.
+SIMPLE = dict(seed=2, n=4, block_spec=(1, 1, 1, 1), trials=9)
 
 
 class TestStackedStudy:
     @pytest.mark.parametrize("predictor", PREDICTORS)
     @pytest.mark.parametrize(
-        "ensemble", [dict(ACCEPTANCE, trials=12), PARTIAL], ids=["acceptance", "partial"]
+        "ensemble",
+        [dict(ACCEPTANCE, trials=12), PARTIAL, SIMPLE],
+        ids=["acceptance", "partial", "simple"],
     )
     def test_matches_the_per_trial_reference(self, predictor, ensemble):
         cfg = EnsembleConfig(predictor=predictor, **ensemble)
@@ -379,21 +400,21 @@ class TestStackedStudy:
             assert report.failed_trials == ((4, 6, 8) if guarded else ())
 
     @staticmethod
-    def failing_fits(monkeypatch, calls):
-        """Make ``fit_loglog`` raise ``StudyError`` on the given calls (0-based)."""
-        count = itertools.count()
+    def failing_fits(monkeypatch, rows):
+        """Make the study's stacked fit report ``StudyError`` for the given
+        rows (0-based), one row per trial that met the preconditions."""
+        real = harness._fits
 
-        def fit(*args):
-            if next(count) in calls:
-                raise StudyError("too few points above the noise floor")
-            return fit_loglog(*args)
+        def fits(*args):
+            failure = StudyError("too few points above the noise floor")
+            return [failure if k in rows else fit for k, fit in enumerate(real(*args))]
 
-        monkeypatch.setattr(harness, "fit_loglog", fit)
+        monkeypatch.setattr(harness, "_fits", fits)
 
     def test_failed_fit_fails_only_its_trial(self, monkeypatch):
         cfg = EnsembleConfig(predictor="schur_full", **PARTIAL)
         clean = convergence_study(cfg)
-        # The fits run over the trials that met the preconditions, in order:
+        # The fit's rows are the trials that met the preconditions, in order:
         # 0, 1, 2, 3, 5, 7, 9.  The third is trial 2.
         self.failing_fits(monkeypatch, {2})
         report = convergence_study(cfg)
@@ -419,6 +440,47 @@ class TestStackedStudy:
             convergence_study(EnsembleConfig(predictor=predictor, trials=trials, **ACCEPTANCE))
             counts.append(len(oracle_calls))
         assert counts[0] == counts[1] <= 6
+
+    @pytest.mark.parametrize("predictor", ["schur_full", "schur_simplified"])
+    def test_schur_stack_mixes_block_structures(self, predictor):
+        # Trials whose degeneracy structures differ share the stack and the
+        # complements' oracle call; each keeps its solo bits.
+        aps = []
+        for spec in ((2, 2, 1, 1), (3, 2, 1), (2, 2, 1, 1)):
+            cfg = EnsembleConfig(seed=4, n=6, block_spec=spec, trials=2, predictor=predictor)
+            for a, f in harness._instances(cfg, range(2)):
+                aps.append(blockwise_diagonalize(conjugate_to_eigenbasis(eigh(a), f)))
+        grid = np.array([0.1, 0.01, 0.001])
+        e_hat_t = grid[:, None, None] * np.array([ap.e_hat for ap in aps])[:, None]
+        pred = harness._schur_predictions(predictor, aps, e_hat_t)
+        variant = predictor.removeprefix("schur_")
+        for ap, row in zip(aps, pred):
+            for t, p in zip(grid, row):
+                assert np.array_equal(p, refined_eigenvalues(scaled(ap, t), variant))
+
+    def test_second_order_eigenvalues_never_build_n(self, monkeypatch):
+        # The closed-form a2 needs no rotation generator.
+        def refuse(ap):
+            raise AssertionError("n_matrix called")
+
+        monkeypatch.setattr(rayleigh, "n_matrix", refuse)
+        report = convergence_study(EnsembleConfig(predictor="rs_second_order", trials=3, **ACCEPTANCE))
+        assert report.failed_trials == ()
+
+    @pytest.mark.parametrize("predictor, per_trial", [("schur_full", 1), ("rs_second_order", 2)])
+    def test_one_gap_decision_per_trial(self, monkeypatch, predictor, per_trial):
+        # The gap guard decides at the largest t, once per trial and not once
+        # per t; the expansion's tie guard adds its own one decision.
+        calls = []
+        real = alignment.norm_allows
+
+        def counting(ap, ok):
+            calls.append(ap)
+            return real(ap, ok)
+
+        monkeypatch.setattr(alignment, "norm_allows", counting)
+        convergence_study(EnsembleConfig(predictor=predictor, trials=20, **ACCEPTANCE))
+        assert len(calls) == 20 * per_trial
 
     @pytest.mark.parametrize("predictor", PREDICTORS)
     def test_only_eigenvector_reads_solve_for_eigenvectors(self, predictor, oracle_calls):

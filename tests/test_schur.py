@@ -325,3 +325,35 @@ class TestFixedPoint:
             schur_data(ap, 0)
         # The simplified variant is one iteration and never reaches the cap.
         refined_eigenvalues(ap, "simplified")
+
+    def test_stacked_members_keep_their_solo_bits(self, monkeypatch):
+        # Members closer to the margin contract more slowly, so each stops
+        # after its own number of iterations; a stopped member is never
+        # touched again.
+        aps = [diagonal_problem((2, 2, 1, 1), e_norm, seed=3) for e_norm in (0.01, 0.2, 0.3, 0.1)]
+        e_hat = np.stack([ap.e_hat for ap in aps])
+        w = schur._weights(aps)
+
+        def iterations(k):
+            for cap in range(1, 61):
+                monkeypatch.setattr(schur, "MAX_ITERATIONS", cap)
+                try:
+                    schur._fixed_point(e_hat[k : k + 1], w[k : k + 1], 0, 6, "full")
+                    return cap
+                except ConvergenceError:
+                    pass
+            raise AssertionError("no convergence")
+
+        counts = [iterations(k) for k in range(len(aps))]
+        assert len(set(counts)) == len(counts)
+        monkeypatch.setattr(schur, "MAX_ITERATIONS", 60)
+        for lo, hi in ((0, 4), (1, 3), (2, 4)):
+            stacked = schur._fixed_point(e_hat[lo:hi], w[lo:hi], 0, 6, "full")
+            for k in range(lo, hi):
+                alone = schur._fixed_point(e_hat[k : k + 1], w[k : k + 1], 0, 6, "full")
+                assert np.array_equal(stacked[k - lo], alone[0])
+        # A cap that stops the slowest member alone names it.
+        monkeypatch.setattr(schur, "MAX_ITERATIONS", max(counts) - 1)
+        with pytest.raises(ConvergenceError) as info:
+            schur._fixed_point(e_hat, w, 0, 6, "full")
+        assert info.value.member == int(np.argmax(counts))
