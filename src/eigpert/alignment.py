@@ -275,12 +275,17 @@ def _require_gap(ap: AlignedPerturbation, factor: float, blocks=None) -> None:
 
 
 def _aligned_stack(
-    bases: list[jacobi.SpectralDecomposition], blocks: list[BlockStructure], e: np.ndarray, mode: str, norms
+    bases: list[jacobi.SpectralDecomposition],
+    u: np.ndarray,
+    blocks: list[BlockStructure],
+    e: np.ndarray,
+    mode: str,
+    norms,
 ) -> list[AlignedPerturbation]:
     """The records of the read-only Hermitian stack ``e`` ``(k, n, n)``, member
-    ``i`` in the eigenbasis of ``bases[i]``, conjugated as one batched
-    product; ``norms`` of ``None`` are bounded from the ``E_hat``."""
-    u = np.array([base.u for base in bases])
+    ``i`` in the eigenbasis of ``bases[i]``, whose vectors ``u`` stacks,
+    conjugated as one batched product; ``norms`` of ``None`` are bounded
+    from the ``E_hat``."""
     e_hat = u.conj().swapaxes(1, 2) @ e @ u
     e_hat = as_readonly(0.5 * (e_hat + e_hat.conj().swapaxes(1, 2)))
     # ||E|| equals max |eigenvalue of E_hat|; the oracle computes it only
@@ -304,7 +309,7 @@ def _conjugate_stack(bases: list[jacobi.SpectralDecomposition], e: np.ndarray) -
     """:func:`conjugate_to_eigenbasis` of each member of the Hermitian stack
     ``e`` ``(k, n, n)`` in the eigenbasis of its base, which has its shape."""
     blocks = _group_stack(np.array([base.lam for base in bases]))
-    return _aligned_stack(bases, blocks, as_readonly(e), MODE_RAW, None)
+    return _aligned_stack(bases, np.array([base.u for base in bases]), blocks, as_readonly(e), MODE_RAW, None)
 
 
 def blockwise_diagonalize(ap: AlignedPerturbation) -> AlignedPerturbation:
@@ -324,21 +329,20 @@ def _blockwise_diagonalize_stack(aps: list[AlignedPerturbation]) -> list[Aligned
     oracle call for the blocks of all of them, and the rotations of all the
     blocks of one size applied as one batched product; each result has the
     bits of its solo rotation."""
-    e_hat = np.array([ap.e_hat for ap in aps])
-    u = np.array([ap.base.u for ap in aps])
     by_size: dict[int, list[tuple[int, int]]] = {}
     for i, ap in enumerate(aps):
         for start, stop in ap.blocks.groups:
             if stop - start >= 2:
                 by_size.setdefault(stop - start, []).append((i, start))
-    # Per block size, each block's member (a column) and its index range.
-    blocks = [(np.array(pairs)[:, :1], np.array(pairs)[:, 1:] + np.arange(size)) for size, pairs in by_size.items()]
     rotations = jacobi.eigh_stack(
-        [h for member, cols in blocks for h in e_hat[member[:, :, None], cols[:, :, None], cols[:, None, :]]],
+        [aps[i].e_hat[s : s + size, s : s + size] for size, pairs in by_size.items() for i, s in pairs],
         tol=BLOCK_TOL,
     )
+    # Per block size, each block's member (a column) and its index range.
+    ranges = [(np.array(p)[:, :1], np.array(p)[:, 1:] + np.arange(size)) for size, p in by_size.items()]
+    u = np.array([ap.base.u for ap in aps])
     done = 0
-    for member, cols in blocks:
+    for member, cols in ranges:
         r = np.array([d.u for d in rotations[done : done + len(member)]])
         done += len(member)
         # u[member, :, cols] is (blocks, size, n): each block's columns as rows.
@@ -347,7 +351,7 @@ def _blockwise_diagonalize_stack(aps: list[AlignedPerturbation]) -> list[Aligned
     u = as_readonly(jacobi.normalize_column_phases(u))
     bases = [jacobi.SpectralDecomposition(u=u_k, lam=ap.base.lam) for u_k, ap in zip(u, aps)]
     e = as_readonly(np.array([ap.e for ap in aps]))
-    return _aligned_stack(bases, [ap.blocks for ap in aps], e, MODE_BLOCKWISE, [ap.norm for ap in aps])
+    return _aligned_stack(bases, u, [ap.blocks for ap in aps], e, MODE_BLOCKWISE, [ap.norm for ap in aps])
 
 
 def scaled(ap: AlignedPerturbation, t: float) -> AlignedPerturbation:

@@ -326,7 +326,8 @@ def _errors(predictor: str, aps: list, instances: list, grid: np.ndarray) -> np.
         u_hat = rayleigh._series(t, u, u_prime[:, None]).reshape(-1, n, n)
         # Column matching stays per member: batched overlaps round unlike np.vdot.
         blocks = [ap.blocks for ap in aps for _ in range(steps)]
-        gaps = [alignment.align_columns(d.u, v, g) - v for d, v, g in zip(jacobi.eigh_stack(exact), u_hat, blocks)]
+        exacts = jacobi.eigh_stack(exact)
+        gaps = [alignment.align_columns(d.u, v, g) - v for d, v, g in zip(exacts, u_hat, blocks)]
         return np.reshape(operator_norms(gaps), (trials, steps))
     if predictor == "first_order":
         pred = first_order._eigenvalues(lam[:, None], e_hat_t)
