@@ -183,7 +183,7 @@ def _lazy_norms(e_hat: np.ndarray) -> list[LazyNorm]:
     upper = fro + slack
 
     def oracle(m: np.ndarray) -> Callable[[], float]:
-        return lambda: float(np.abs(jacobi._eigvalsh_stack([m])[0].lam).max())
+        return lambda: float(np.abs(jacobi._eigvalsh_stack([m])[0]).max())
 
     return [LazyNorm(lo, up, oracle(m)) for lo, up, m in zip(lower.tolist(), upper.tolist(), e_hat)]
 

@@ -9,7 +9,7 @@ convergence studies pair each predictor against the eigendecomposition
 oracle over a decreasing t-grid and fit the error's log-log slope.
 
 A study stacks its oracle calls across its trials, one call per stage (see
-:func:`convergence_study`), so it makes at most six calls whatever its
+:func:`convergence_study`), so it makes at most five calls whatever its
 number of trials.  Every other stage is an array expression over the
 ``(trials, t, n, n)`` stack: the conjugations, the Schur fixed point (each
 member stopping on its own test), the expansion's coefficients, the
@@ -30,7 +30,7 @@ import numpy as np
 from . import alignment, first_order, jacobi, rayleigh, schur
 from .errors import PreconditionError, StudyError
 # operator_norm is not called here; the benchmark's tracer test wraps this binding.
-from .matrices import as_readonly, hermitian, operator_norm, operator_norms  # noqa: F401
+from .matrices import _grams, _norms, as_readonly, hermitian, operator_norm, operator_norms  # noqa: F401
 
 __all__ = [
     "DEFAULT_T_GRID",
@@ -178,8 +178,9 @@ def _instances(cfg: EnsembleConfig, trials) -> list[tuple[np.ndarray, np.ndarray
     offsets give shifted copies of one stream).  It holds one uniform per
     block for the representative values, ``2 n^2`` outputs for a Hermitian
     matrix whose eigenvectors ``Q`` rotate A's spectrum, then ``2 n^2`` for
-    the direction.  One oracle call diagonalizes all the ``Q`` draws and one
-    computes all the directions' norms."""
+    the direction.  One oracle call diagonalizes all the ``Q`` draws and,
+    in the same stack, the Gram matrices of the directions, whose top
+    eigenvalues give their norms."""
     n, blocks = cfg.n, len(cfg.block_spec)
     keys = np.array([(cfg.seed + (operator.index(k) + 1) * _GOLDEN) & _MASK for k in trials], np.uint64)
     x = _stream(_mix(keys), blocks + 4 * n * n)
@@ -192,9 +193,13 @@ def _instances(cfg: EnsembleConfig, trials) -> list[tuple[np.ndarray, np.ndarray
     spectra[:, np.arange(n), np.arange(n)] = np.repeat(reps, cfg.block_spec, axis=1)
     draws = _hermitian_draws(x[:, blocks:], n)
     q_draws, directions = draws[0::2], draws[1::2]
-    q = np.array([d.u for d in jacobi.eigh_stack(q_draws)])
+    grams, where = _grams(directions)
+    # A member's lam does not depend on its stack or on whether u is solved for.
+    solved = jacobi.eigh_stack([*q_draws, *grams])
+    q = np.array([d.u for d in solved[: len(q_draws)]])
     a = hermitian(q @ spectra @ q.conj().swapaxes(1, 2))
-    f = directions / np.array(operator_norms(directions))[:, None, None]
+    norms = _norms([d.lam[0] for d in solved[len(q_draws) :]], where)
+    f = directions / np.array(norms)[:, None, None]
     return list(zip(a, f))
 
 
@@ -322,7 +327,8 @@ def _errors(predictor: str, aps: list, instances: list, grid: np.ndarray) -> np.
     exact = np.array([a for a, _ in instances])[:, None] + t * np.array([f for _, f in instances])[:, None]
     exact = exact.reshape(-1, n, n)
     if predictor == "eigvec_first_order":
-        u_prime = np.array([rayleigh.eigenvector_derivative(ap, m) for ap, m in zip(aps, mmat)])
+        # _admit has run the tie guard: the derivative is formed without it.
+        u_prime = np.array([rayleigh._derivative(ap, m, rayleigh._n_matrix(ap)) for ap, m in zip(aps, mmat)])
         u_hat = rayleigh._series(t, u, u_prime[:, None]).reshape(-1, n, n)
         # Column matching stays per member: batched overlaps round unlike np.vdot.
         blocks = [ap.blocks for ap in aps for _ in range(steps)]
@@ -336,7 +342,7 @@ def _errors(predictor: str, aps: list, instances: list, grid: np.ndarray) -> np.
         pred = rayleigh._series(grid[:, None], lam[:, None], a1[:, None], rayleigh._a2(e_hat, mmat)[:, None])
     else:
         pred = _schur_predictions(predictor, aps, e_hat_t)
-    lams = np.array([d.lam for d in jacobi._eigvalsh_stack(exact)])
+    lams = np.array(jacobi._eigvalsh_stack(exact))
     return np.abs(lams - pred.reshape(-1, n)).max(axis=1).reshape(trials, steps)
 
 
@@ -385,11 +391,19 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     rows and no slope; more than half failing aborts the study.  The
     reported slope is the worst (smallest) per-trial slope.
 
-    Each oracle stage is one call for all trials: the instances' ``Q``
-    draws, their directions' norms, the base decompositions, the block-wise
-    rotations, the Schur complements, the exact solves of ``A + t F`` over
-    the admitted trials and the t-grid, and the error matrices' norms.  The
-    oracle gives every stack member the bits of its solo solve, and every
+    Each oracle stage is one call for all trials:
+
+    1. the instances' ``Q`` draws together with the Gram matrices of their
+       directions, whose top eigenvalues give the directions' norms;
+    2. the base decompositions;
+    3. the block-wise rotations;
+    4. the Schur complements, for the Schur predictors;
+    5. the exact solves of ``A + t F`` over the admitted trials and the
+       t-grid, for every predictor but ``u_ap_residual``;
+    6. the error matrices' norms, for the matrix-valued predictors.
+
+    No predictor needs both 4 and 6, so a study makes at most five calls.
+    The oracle gives every stack member the bits of its solo solve, and every
     other stage is a batched array expression over the ``(trials, t)``
     stack whose members round as they do alone, so the study is the same
     as one solved trial by trial.  The guards decide once per trial, at the

@@ -10,16 +10,23 @@ eigenvector column phased so its largest-modulus entry is real nonnegative.
 One sweep is a sequence of steps; each step rotates a set of disjoint pivot
 pairs, so all of them are applied at once as array operations, and together
 the steps of a sweep pivot every pair once (Brent & Luk 1985, SIAM J. Sci.
-Stat. Comput. 6(1)).  The same operations act on a stack ``(k, n, n)`` of
-matrices at once.  Every member keeps its own tolerance, pivot floor, sweep
-count and termination, a member that has converged is no longer touched, and
-all arithmetic is elementwise or per member, so each member of a stack gets
-exactly the bits it would get if solved alone.  Each member is scaled by an
-exact power of two to unit largest entry before solving, so the off-diagonal
-mass neither underflows nor overflows at any representable input scale.
-The rotations act on ``a`` stacked over the eigenvector accumulator ``u``;
-callers that read only eigenvalues sweep ``a`` alone.  Nothing computed from
-``a`` reads ``u``, so ``lam``, sweeps, off mass and errors keep their bits.
+Stat. Comput. 6(1)).  The same operations act on a stack of matrices at
+once, laid out members last, ``(n, n, k)``: the innermost loop of every
+elementwise operation, slice and gather runs over the ``k`` members, so a
+step over a stack of small matrices costs little more than over one, and a
+stack of one is laid out as the matrix itself.  Every member keeps its own
+tolerance, pivot floor, sweep count and termination, and a member that has
+converged is no longer touched.  The arithmetic is elementwise, and the one
+reduction, the off-diagonal mass, runs on a member-major copy along one
+contiguous row per member, so each member of a stack gets exactly the bits
+it would get if solved alone.  Each member is scaled by an exact power of
+two to unit largest entry before solving, so the off-diagonal mass neither
+underflows nor overflows at any representable input scale; a 1 x 1 member
+needs no solve and is its own eigenvalue.  The rotations act on ``a``
+stacked over the eigenvector accumulator ``u``; callers that read only
+eigenvalues sweep ``a`` alone and get eigenvalue arrays back.  Nothing
+computed from ``a`` reads ``u``, so ``lam``, sweeps, off mass and errors
+keep their bits.
 """
 
 from __future__ import annotations
@@ -43,6 +50,9 @@ __all__ = [
 
 DEFAULT_MAX_SWEEPS = 64
 
+# The eigenvector matrix of every 1 x 1 member.
+_UNIT = as_readonly(np.ones((1, 1), dtype=np.complex128))
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -50,11 +60,10 @@ class SpectralDecomposition:
 
     ``sweeps`` and ``off_mass`` are the solver's work and the off-diagonal
     Frobenius mass it stopped at; they are ``None`` for decompositions that
-    did not come from the solver.  ``u`` is ``None`` where the package's
-    own callers asked the solver for eigenvalues only.
+    did not come from the solver.
     """
 
-    u: np.ndarray | None
+    u: np.ndarray
     lam: np.ndarray
     sweeps: int | None = None
     off_mass: float | None = None
@@ -113,11 +122,11 @@ def _schedule(n: int) -> tuple[tuple[int, ...], ...]:
 
 @functools.lru_cache(maxsize=None)
 def _moves(n: int) -> tuple[np.ndarray, ...]:
-    """Per step, the gather that takes the stacked ``[a; u]``, flattened per
-    member, from that step's index order to the next step's (the last step
-    returns to the first): rows and columns of ``a`` and columns of ``u``
-    move, rows of ``u`` stay.  Its first ``n * n`` entries are the gather
-    of ``a`` alone."""
+    """Per step, the gather that takes the stacked ``[a; u]``, its entries
+    flattened in row-major order, from that step's index order to the next
+    step's (the last step returns to the first): rows and columns of ``a``
+    and columns of ``u`` move, rows of ``u`` stay.  Its first ``n * n``
+    entries are the gather of ``a`` alone."""
     orders = _schedule(n)
     moves = []
     for order, following in zip(orders, orders[1:] + orders[:1]):
@@ -144,30 +153,33 @@ def _off_mass(a: np.ndarray) -> np.ndarray:
 
 
 def _sweep(w: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """One round-robin sweep over ``w = [a; u]``, a stack ``(k, 2n, n)`` of
+    """One round-robin sweep over ``w = [a; u]``, a stack ``(2n, n, k)`` of
     matrices ``a`` stacked over the eigenvector accumulators ``u``, or over
-    ``w = a`` alone, a stack ``(k, n, n)``.
+    ``w = a`` alone, a stack ``(n, n, k)``; the ``k`` members come last.
 
     Each step rotates its pivots in every member at once; a pivot whose
     modulus is at most its member's ``floor`` rotates by the identity
-    (``c = 1, s = 0``), which leaves every value as it was.  Returns the
-    stack in the first step's index order.
+    (``c = 1, s = 0``), which leaves every value as it was.  Every operation
+    is elementwise, so its innermost loop runs over the members and a step
+    costs about as much for a stack as for one matrix.  Returns the stack in
+    the first step's index order.
     """
-    k, height, n = w.shape
+    height, n, k = w.shape
     m = n // 2
     # Work arrays reused by every step: allocating them afresh each step
     # costs more than the arithmetic at n = 60.
     spare = np.empty_like(w)
-    col_c = np.empty((k, height, 2, m), dtype=np.complex128)
+    coef = np.empty((2, m, k), dtype=np.complex128)
+    col_c = np.empty((height, 2, m, k), dtype=np.complex128)
     col_s = np.empty_like(col_c)
-    row_c = np.empty((k, 2, m, n), dtype=np.complex128)
+    row_c = np.empty((2, m, n, k), dtype=np.complex128)
     row_s = np.empty_like(row_c)
     for move in _moves(n):
-        flat = w.reshape(k, height * n)
-        app = flat[:, : m * (n + 1) : n + 1]  # a[i, i]
-        aqq = flat[:, m * (n + 1) : 2 * m * (n + 1) : n + 1]  # a[m + i, m + i]
-        b = flat[:, m : m + m * (n + 1) : n + 1]  # a[i, m + i]
-        b_low = flat[:, m * n : m * n + m * (n + 1) : n + 1]  # a[m + i, i]
+        flat = w.reshape(height * n, k)
+        app = flat[: m * (n + 1) : n + 1]  # a[i, i]
+        aqq = flat[m * (n + 1) : 2 * m * (n + 1) : n + 1]  # a[m + i, m + i]
+        b = flat[m : m + m * (n + 1) : n + 1]  # a[i, m + i]
+        b_low = flat[m * n : m * n + m * (n + 1) : n + 1]  # a[m + i, i]
         absb = np.abs(b)
         rotate = absb > floor
         # t = tan of the rotation angle, the smaller-modulus root of
@@ -181,44 +193,45 @@ def _sweep(w: np.ndarray, floor: np.ndarray) -> np.ndarray:
         # Columns of a and u: x' = c x + s y, y' = c y - conj(s) x for the
         # column pair (x, y) = (i, m + i), with s = c r conj(b); then the rows
         # of a with the conjugate coefficients.
-        coef = np.empty((k, 2, m), dtype=np.complex128)
-        np.multiply(c * r, b.conj(), out=coef[:, 0])
-        np.negative(coef[:, 0].conj(), out=coef[:, 1])
-        cols = w[:, :, : 2 * m].reshape(k, height, 2, m)
-        np.multiply(cols, c[:, None, None, :], out=col_c)
-        np.multiply(cols[:, :, ::-1], coef[:, None], out=col_s)
+        np.multiply(c * r, b.conj(), out=coef[0])
+        np.negative(coef[0].conj(), out=coef[1])
+        cols = w[:, : 2 * m].reshape(height, 2, m, k)
+        np.multiply(cols, c, out=col_c)
+        np.multiply(cols[:, ::-1], coef, out=col_s)
         np.add(col_c, col_s, out=cols)
-        rows = w[:, : 2 * m].reshape(k, 2, m, n)
-        np.multiply(rows, c[:, None, :, None], out=row_c)
-        np.multiply(rows[:, ::-1], coef.conj()[..., None], out=row_s)
+        rows = w[: 2 * m].reshape(2, m, n, k)
+        np.multiply(rows, c[:, None], out=row_c)
+        np.multiply(rows[::-1], coef.conj()[:, :, None], out=row_s)
         np.add(row_c, row_s, out=rows)
         np.copyto(b, 0.0, where=rotate)
         np.copyto(b_low, 0.0, where=rotate)
-        flat[:, : n * n : n + 1].imag = 0.0
-        np.take(flat, move[: height * n], axis=1, out=spare.reshape(k, height * n), mode="clip")
+        flat[: n * n : n + 1].imag = 0.0
+        np.take(flat, move[: height * n], axis=0, out=spare.reshape(height * n, k), mode="clip")
         w, spare = spare, w
     return w
 
 
 def _solve(
     a: np.ndarray, index: list[int], total: int, tol: float, max_sweeps: int, vectors: bool
-) -> tuple[SpectralDecomposition, ...]:
-    """Diagonalize the Hermitian stack ``a`` of shape ``(k, n, n)``, with ``u = None``
-    unless ``vectors``; ``index`` holds the members' positions among the ``total``
-    matrices of the call, which a :class:`ConvergenceError` reports."""
+) -> tuple[SpectralDecomposition, ...] | np.ndarray:
+    """Diagonalize the Hermitian stack ``a`` of shape ``(k, n, n)``: one
+    :class:`SpectralDecomposition` per member if ``vectors``, else the
+    eigenvalues ``(k, n)``; ``index`` holds the members' positions among the
+    ``total`` matrices of the call, which a :class:`ConvergenceError` reports."""
     k, n, _ = a.shape
     # Largest entry of each member brought into [0.5, 1) by an exact power
     # of two; every rotation parameter is scale-invariant, so this changes
     # no bits for inputs whose squared entries stay in range.
     peak_mantissa, exponent = np.frexp(np.abs(a).reshape(k, n * n).max(axis=1))
-    w = np.empty((k, 2 * n if vectors else n, n), dtype=np.complex128)
-    w[:, :n] = _ldexp(a, -exponent[:, None, None])
+    unit = _ldexp(a, -exponent[:, None, None])
+    w = np.empty((2 * n if vectors else n, n, k), dtype=np.complex128)
+    w[:n] = unit.transpose(1, 2, 0)
     if vectors:
-        w[:, n:] = np.eye(n)
+        w[n:] = np.eye(n)[:, :, None]
     target = tol * peak_mantissa
     # Entries below this floor cannot push the off mass back over target.
-    floor = (target / (2.0 * n))[:, None]
-    off = _off_mass(w[:, :n])
+    floor = target / (2.0 * n)
+    off = _off_mass(unit)
     sweeps = np.zeros(k, dtype=np.intp)
     # A pivot block with b = 0 and equal diagonal entries divides by zero;
     # its rotation is masked.
@@ -229,14 +242,16 @@ def _solve(
                 break
             # Converged members are left out of the sweep, so they keep
             # exactly the bits they stopped at.
-            part = _sweep(w if live.size == k else w[live], floor[live])
-            part[:, :n] = 0.5 * (part[:, :n] + part[:, :n].conj().swapaxes(1, 2))
-            off[live] = _off_mass(part[:, :n])
+            part = _sweep(w if live.size == k else w[..., live], floor[live])
+            part[:n] = 0.5 * (part[:n] + part[:n].conj().swapaxes(0, 1))
+            # The mass is reduced member by member on a member-major copy,
+            # so each member rounds as it does alone.
+            off[live] = _off_mass(np.ascontiguousarray(part[:n].transpose(2, 0, 1)))
             sweeps[live] += 1
             if live.size == k:
                 w = part
             else:
-                w[live] = part
+                w[..., live] = part
     failed = np.flatnonzero(off > target)
     off = np.ldexp(off, exponent)
     if failed.size:
@@ -249,15 +264,14 @@ def _solve(
             member=index[i],
         )
     member = np.arange(k)[:, None]
-    lam_unit = np.diagonal(w[:, :n], axis1=1, axis2=2).real
+    lam_unit = np.diagonal(w[:n]).real
     order = np.argsort(-lam_unit, axis=1, kind="stable")
     lam = as_readonly(np.ldexp(lam_unit[member, order], exponent[:, None]))
-    if vectors:
-        u = as_readonly(normalize_column_phases(w[:, n:].swapaxes(1, 2)[member, order].swapaxes(1, 2)))
+    if not vectors:
+        return lam
+    u = as_readonly(normalize_column_phases(w[n:].transpose(2, 1, 0)[member, order].swapaxes(1, 2)))
     return tuple(
-        SpectralDecomposition(
-            u=u[i] if vectors else None, lam=lam[i], sweeps=int(sweeps[i]), off_mass=float(off[i])
-        )
+        SpectralDecomposition(u=u[i], lam=lam[i], sweeps=int(sweeps[i]), off_mass=float(off[i]))
         for i in range(k)
     )
 
@@ -289,6 +303,8 @@ def eigh_stack(
 
 
 def _stack(hs, tol: float | None = None, max_sweeps: int = DEFAULT_MAX_SWEEPS, vectors: bool = True):
+    """:func:`eigh_stack`, or with ``vectors`` false, the eigenvalues of each
+    matrix alone, with the bits of its ``lam``."""
     if tol is not None and not 1e-15 <= tol < np.inf:
         raise ValueError(f"tol must be finite and at least 1e-15, got {tol}")
     members = [np.asarray(h, dtype=np.complex128) for h in hs]
@@ -303,10 +319,18 @@ def _stack(hs, tol: float | None = None, max_sweeps: int = DEFAULT_MAX_SWEEPS, v
         for h in members:
             hermitian(h)  # raises the error of the first invalid member
         raise
-    out: dict[int, SpectralDecomposition] = {}
+    out: dict[int, SpectralDecomposition | np.ndarray] = {}
     for (n, _), index, a in zip(by_shape, by_shape.values(), stacks):
-        tol_n = 1e-13 * n if tol is None else tol
-        out.update(zip(index, _solve(a, index, len(members), tol_n, max_sweeps, vectors)))
+        if n == 1:
+            # A 1 x 1 member is diagonal: solving it would scale it by an
+            # exact power of two, make no sweep and scale it back, so its
+            # entry is its eigenvalue, bit for bit.
+            lam = as_readonly(a.real.reshape(-1, 1).copy())
+            solved = [SpectralDecomposition(_UNIT, x, 0, 0.0) for x in lam] if vectors else lam
+        else:
+            tol_n = 1e-13 * n if tol is None else tol
+            solved = _solve(a, index, len(members), tol_n, max_sweeps, vectors)
+        out.update(zip(index, solved))
     return tuple(out[i] for i in range(len(members)))
 
 

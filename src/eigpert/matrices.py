@@ -120,6 +120,16 @@ def operator_norms(ms) -> list[float]:
     their Gram matrices."""
     from . import jacobi  # deferred; jacobi imports this module's constructors
 
+    grams, where = _grams(ms)
+    return _norms([lam[0] for lam in jacobi._eigvalsh_stack(grams)], where)
+
+
+def _grams(ms) -> tuple[list[np.ndarray], tuple[list[int], list[np.ndarray], int]]:
+    """The Gram-forming half of :func:`operator_norms`: the Gram matrix of
+    each nonzero matrix in ``ms`` after scaling it by an exact power of two
+    to unit largest entry, formed on the smaller side (same nonzero
+    spectrum), and what :func:`_norms` needs to finish from their top
+    eigenvalues.  The oracle symmetrizes the Gram matrices on entry."""
     by_shape: dict[tuple[int, ...], list[int]] = {}
     members = []
     for i, m in enumerate(ms):
@@ -131,7 +141,6 @@ def operator_norms(ms) -> list[float]:
         members.append(m)
         if m.size:
             by_shape.setdefault(m.shape, []).append(i)
-    out = np.zeros(len(members))
     index, exponents, grams = [], [], []
     for (rows, cols), group in by_shape.items():
         m = np.array([members[i] for i in group])
@@ -141,12 +150,18 @@ def operator_norms(ms) -> list[float]:
         live = np.flatnonzero(peak)  # a zero matrix has norm 0 and needs no solve
         exponent = np.frexp(peak[live])[1]
         m = _ldexp(m[live], -exponent[:, None, None])
-        # Form the Gram matrix on the smaller side; same nonzero spectrum.
         mh = m.conj().swapaxes(1, 2)
         index.extend(group[j] for j in live)
         exponents.append(exponent)
-        grams.extend(m @ mh if rows <= cols else mh @ m)  # the oracle symmetrizes on entry
-    top = np.array([d.lam[0] for d in jacobi._eigvalsh_stack(grams)])
+        grams.extend(m @ mh if rows <= cols else mh @ m)
+    return grams, (index, exponents, len(members))
+
+
+def _norms(top, where: tuple[list[int], list[np.ndarray], int]) -> list[float]:
+    """The finishing half of :func:`operator_norms`: the norms from the top
+    eigenvalue of each Gram matrix that :func:`_grams` formed."""
+    index, exponents, count = where
+    out = np.zeros(count)
     if index:
         out[index] = np.ldexp(np.sqrt(np.maximum(top, 0.0)), np.concatenate(exponents))
     return out.tolist()

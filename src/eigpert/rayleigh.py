@@ -111,6 +111,11 @@ def n_matrix(ap: AlignedPerturbation) -> np.ndarray:
     """
     _require_blockwise(ap, "the eigenvector derivative")
     _require_untied(ap)
+    return _n_matrix(ap)
+
+
+def _n_matrix(ap: AlignedPerturbation) -> np.ndarray:
+    """:func:`n_matrix` without its guards, for callers that have run them."""
     n = ap.n
     bid = ap.blocks.block_id()
     same = (bid[:, None] == bid[None, :]) & ~np.eye(n, dtype=bool)
@@ -131,7 +136,12 @@ def eigenvector_derivative(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndar
     """Derivative at ``t = 0`` of the eigenvector matrix of ``A + t F``:
     ``U (N - M * F_hat)``.  Dropping ``N`` is wrong whenever a degeneracy
     block reacts to the direction by rotating internally."""
-    return ap.base.u @ (n_matrix(ap) - mmat * ap.e_hat)
+    return _derivative(ap, mmat, n_matrix(ap))
+
+
+def _derivative(ap: AlignedPerturbation, mmat: np.ndarray, n_mat: np.ndarray) -> np.ndarray:
+    """``U (N - M * F_hat)`` from ``N`` computed by the caller."""
+    return ap.base.u @ (n_mat - mmat * ap.e_hat)
 
 
 @dataclass(frozen=True)
@@ -200,7 +210,7 @@ def _expansion(ap: AlignedPerturbation, mmat: np.ndarray) -> LineExpansion:
         a1=as_readonly(a1),
         a2=as_readonly(a2),
         n_mat=as_readonly(n_mat),
-        u_prime=as_readonly(ap.base.u @ (n_mat - mmat * ap.e_hat)),
+        u_prime=as_readonly(_derivative(ap, mmat, n_mat)),
     )
 
 

@@ -130,11 +130,11 @@ def _complement(e_hat: np.ndarray, x: np.ndarray, start: int, stop: int) -> np.n
     return 0.5 * (b + b.conj().swapaxes(1, 2))
 
 
-def _complement_eigenvalues(bs) -> list[np.ndarray]:
+def _complement_eigenvalues(bs) -> tuple[np.ndarray, ...]:
     """Eigenvalues of symmetrized Schur complements, from one oracle call that
     stacks the complements of each size; a 1 x 1 complement needs no sweep
     and comes back as its own entry, the power-of-two prescale being exact."""
-    return [d.lam for d in jacobi._eigvalsh_stack(bs)]
+    return jacobi._eigvalsh_stack(bs)
 
 
 def schur_data(ap: AlignedPerturbation, block_index: int) -> SchurData:

@@ -464,10 +464,13 @@ class TestStackedStudy:
             raise AssertionError("n_matrix called")
 
         monkeypatch.setattr(rayleigh, "n_matrix", refuse)
+        monkeypatch.setattr(rayleigh, "_n_matrix", refuse)
         report = convergence_study(EnsembleConfig(predictor="rs_second_order", trials=3, **ACCEPTANCE))
         assert report.failed_trials == ()
 
-    @pytest.mark.parametrize("predictor, per_trial", [("schur_full", 1), ("rs_second_order", 2)])
+    @pytest.mark.parametrize(
+        "predictor, per_trial", [("schur_full", 1), ("rs_second_order", 2), ("eigvec_first_order", 2)]
+    )
     def test_one_gap_decision_per_trial(self, monkeypatch, predictor, per_trial):
         # The gap guard decides at the largest t, once per trial and not once
         # per t; the expansion's tie guard adds its own one decision.
@@ -485,10 +488,12 @@ class TestStackedStudy:
     @pytest.mark.parametrize("predictor", PREDICTORS)
     def test_only_eigenvector_reads_solve_for_eigenvectors(self, predictor, oracle_calls):
         convergence_study(EnsembleConfig(predictor=predictor, trials=3, **ACCEPTANCE))
-        # The Q draws, the bases and the block-wise rotations read
-        # eigenvectors; the norms, the Schur complements and the exact solves
-        # of an eigenvalue predictor do not.
-        stages = [True, False, True, True]
+        # The Q draws, solved in one call with the directions' Gram
+        # matrices, the bases and the block-wise rotations read eigenvectors;
+        # the Schur complements, the exact solves of an eigenvalue predictor
+        # and the error norms do not.
+        assert oracle_calls[0] == [6] * (2 * 3)
+        stages = [True, True, True]
         if predictor in ("schur_full", "schur_simplified"):
             stages.append(False)
         if predictor == "eigvec_first_order":

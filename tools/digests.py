@@ -8,8 +8,9 @@ and diff the two outputs:
 Each line is ``name sha256``.  The outputs cover the ``eigpert converge``
 CSVs of every predictor, ``paper-example``, ``predict`` and ``derivative``
 on generated instances, the demos, full predictions at n = 60, the bytes
-of the library's result records and the raw bytes of the generated instances
-themselves, so that a change to the random streams shows as its own line.
+of the library's result records, the raw bytes of the generated instances
+themselves, so that a change to the random streams shows as its own line,
+and the oracle's own outputs on a stack that mixes sizes 1 to 60.
 The refusal paths are covered too: a ``predict`` whose ``t`` passes the gap
 between eigenvalue blocks, and studies whose largest ``t`` does so for some
 trials.  All inputs come from ``harness.generate_instance``.  A command's
@@ -25,6 +26,7 @@ still printed.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -68,6 +70,13 @@ SMALL = ((1, (2, 2, 1, 1)), (2, (3, 2, 1)), (3, (4,)))
 # A t past every gap of the first small instance: its gaps are below 2 and
 # ||F|| = 1, so both the line expansion and the Schur refinement refuse.
 REFUSED_T = "1"
+
+# (size, members, block_spec) of the seeded stack that digests the oracle
+# itself; each (A, F) instance gives two members, scaled by powers of two.
+ORACLE_STACK = (
+    (1, 100, (1,)), (2, 100, (2,)), (5, 100, (2, 2, 1)), (6, 100, (2, 2, 1, 1)), (60, 10, (4,) * 15),
+)
+ORACLE_EXPONENTS = (0, -1000, 990, -300, 300)
 
 # Seeds of the n = 60 instances, their layout, and the scales t of E = t F.
 LARGE_SEEDS = (1, 2)
@@ -204,6 +213,24 @@ def records(tag: str, a: np.ndarray, f: np.ndarray) -> None:
         )
 
 
+def oracle() -> None:
+    """The oracle's own outputs, with and without eigenvectors, on one stack
+    that mixes the sizes of ``ORACLE_STACK`` in its input order; one line
+    per size and solver."""
+    by_size = []
+    for n, count, spec in ORACLE_STACK:
+        cfg = harness.EnsembleConfig(seed=7, n=n, block_spec=spec, trials=count // 2, predictor="first_order")
+        pairs = harness._instances(cfg, range(count // 2))
+        by_size.append([h * 2.0 ** ORACLE_EXPONENTS[j % 5] for j, h in enumerate(m for pair in pairs for m in pair)])
+    members = [m for row in itertools.zip_longest(*by_size) for m in row if m is not None]
+    full = jacobi.eigh_stack(members)
+    values = jacobi._eigvalsh_stack(members)
+    for n, *_ in ORACLE_STACK:
+        index = [i for i, m in enumerate(members) if m.shape[0] == n]
+        _record(f"oracle/eigh_stack/n{n}", *((full[i].lam, full[i].u, full[i].sweeps, full[i].off_mass) for i in index))
+        _record(f"oracle/_eigvalsh_stack/n{n}", *(values[i] for i in index))
+
+
 def large_instances() -> None:
     """Every output of a full prediction of ``A + t F`` at n = 60 from the
     stored decomposition of ``A``."""
@@ -233,6 +260,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         small_instances(runner, Path(tmp))
     large_instances()
+    oracle()
     for demo in sorted((ROOT / "demos").glob("*.py")):
         runner.run(f"demo/{demo.name}", [sys.executable, str(demo)])
     return 1 if runner.failed else 0
