@@ -399,11 +399,15 @@ def align_columns(candidate: np.ndarray, reference: np.ndarray, groups) -> np.nd
 
     Within each index group (a :class:`BlockStructure` or an iterable of
     ``(start, stop)`` ranges) the columns of ``candidate`` are greedily
-    assigned to reference columns by largest inner-product modulus (ties go
-    to the smallest candidate index), then each assigned column is rotated by
-    a unit phase so its inner product with the reference column is real
-    nonnegative.  Eigenvector matrices from different solvers agree only up
-    to exactly these gauge freedoms, so comparisons go through this map.
+    assigned to reference columns, in order, by largest inner-product
+    modulus; among equal moduli the smallest candidate index wins.  Each
+    assigned column is then rotated by a unit phase so its inner product
+    with the reference column is real nonnegative.  Eigenvector matrices
+    from different solvers agree only up to exactly these gauge freedoms, so
+    comparisons go through this map.  The ranges must satisfy
+    ``0 <= start < stop <= columns`` and must not overlap; columns outside
+    every range pass through unchanged.  This is the one-member case of the
+    stacked match a convergence study runs.
     """
     if isinstance(groups, BlockStructure):
         groups = groups.groups
@@ -411,13 +415,45 @@ def align_columns(candidate: np.ndarray, reference: np.ndarray, groups) -> np.nd
     reference = np.asarray(reference, dtype=np.complex128)
     if candidate.shape != reference.shape:
         raise ValueError("candidate and reference shapes differ")
+    if candidate.ndim != 2:
+        raise ValueError(f"expected matrices, got {candidate.ndim}-d data")
+    groups = [(start, stop) for start, stop in groups]
+    columns = candidate.shape[1]
+    if not all(0 <= start < stop <= columns for start, stop in groups):
+        raise ValueError(f"column groups {groups} are not ranges 0 <= start < stop <= {columns}")
+    ordered = sorted(groups)
+    if any(start < stop for (_, stop), (start, _) in zip(ordered, ordered[1:])):
+        raise ValueError(f"column groups {groups} overlap")
+    return _align_stack(candidate[None], reference[None], groups)[0]
+
+
+def _align_stack(candidate: np.ndarray, reference: np.ndarray, groups) -> np.ndarray:
+    """:func:`align_columns` of each member of the complex stacks ``(m, r, c)``,
+    all sharing the valid ``(start, stop)`` ranges ``groups``, each group's
+    greedy choice made for every member at once; each member gets the bits
+    of the per-column loop over ``np.vdot`` on its columns as laid out."""
     out = np.array(candidate, copy=True)
+    members = np.arange(len(candidate))
     for start, stop in groups:
-        available = list(range(start, stop))
-        for j in range(start, stop):
-            overlaps = [abs(np.vdot(candidate[:, k], reference[:, j])) for k in available]
-            k = available.pop(int(np.argmax(overlaps)))
-            z = np.vdot(candidate[:, k], reference[:, j])
-            phase = z / abs(z) if abs(z) > 0.0 else 1.0
-            out[:, j] = candidate[:, k] * phase
+        c, r = candidate[..., start:stop], reference[..., start:stop]
+        # z[i, k, j] is np.vdot(c[i, :, k], r[i, :, j]).  One vecdot over the
+        # column views, in the inputs' own layout, makes the BLAS call that
+        # np.vdot makes for each pair; copies in another layout go to another
+        # BLAS kernel, whose sums differ from 9 rows up.  A one-row column
+        # takes numpy's own loop instead, which rounds overflow differently.
+        if c.shape[1] == 1:
+            z = np.array([[[np.vdot(ck, rj) for rj in ri.T] for ck in ci.T] for ci, ri in zip(c, r)])
+        else:
+            z = np.vecdot(c.swapaxes(-1, -2)[..., :, None, :], r.swapaxes(-1, -2)[..., None, :, :])
+        # np.hypot rounds as the scalar abs of a complex; np.abs of a complex
+        # array does not, and a one-ulp difference can flip a choice.
+        modulus = np.hypot(z.real, z.imag)
+        for j in range(stop - start):
+            # argmax takes the first maximum: ties go to the smallest index.
+            k = np.argmax(modulus[..., j], axis=1)
+            modulus[members, k] = -np.inf
+            # Formed as the loop forms it, in scalar arithmetic: numpy's array
+            # loops for complex numbers need not round alike (np.abs does not).
+            phase = np.array([w / abs(w) if abs(w) > 0.0 else 1.0 for w in z[members, k, j]], dtype=np.complex128)
+            out[..., start + j] = c[members, :, k] * phase[:, None]
     return out

@@ -13,7 +13,8 @@ A study stacks its oracle calls across its trials, one call per stage (see
 number of trials.  Every other stage is an array expression over the
 ``(trials, t, n, n)`` stack: the conjugations, the Schur fixed point (each
 member stopping on its own test), the expansion's coefficients, the
-residuals, the error norms and the least-squares fits.  The guards decide
+residuals, the eigenvector study's column match, the error norms and the
+least-squares fits.  The guards decide
 once per trial, at the largest ``t``.  Each member of a batched product or
 a per-member reduction rounds as it does alone, so the output is the same,
 bit for bit, as solving trial by trial.
@@ -329,12 +330,17 @@ def _errors(predictor: str, aps: list, instances: list, grid: np.ndarray) -> np.
     if predictor == "eigvec_first_order":
         # _admit has run the tie guard: the derivative is formed without it.
         u_prime = np.array([rayleigh._derivative(ap, m, rayleigh._n_matrix(ap)) for ap, m in zip(aps, mmat)])
-        u_hat = rayleigh._series(t, u, u_prime[:, None]).reshape(-1, n, n)
-        # Column matching stays per member: batched overlaps round unlike np.vdot.
-        blocks = [ap.blocks for ap in aps for _ in range(steps)]
-        exacts = jacobi.eigh_stack(exact)
-        gaps = [alignment.align_columns(d.u, v, g) - v for d, v, g in zip(exacts, u_hat, blocks)]
-        return np.reshape(operator_norms(gaps), (trials, steps))
+        u_hat = rayleigh._series(t, u, u_prime[:, None])
+        # The oracle's u are column-major, and the column match rounds as
+        # np.vdot on columns so laid out: the stack keeps that layout.
+        exacts_t = np.array([d.u.T for d in jacobi.eigh_stack(exact)]).reshape(u_hat.shape)
+        # One column match per degeneracy structure, over all its (trial, t) members.
+        gaps = np.empty(u_hat.shape, dtype=np.complex128)
+        for groups, members in _by_structure(aps).items():
+            v = u_hat[members].reshape(-1, n, n)
+            matched = alignment._align_stack(exacts_t[members].reshape(-1, n, n).swapaxes(1, 2), v, groups)
+            gaps[members] = (matched - v).reshape(-1, steps, n, n)
+        return np.reshape(operator_norms(gaps.reshape(-1, n, n)), (trials, steps))
     if predictor == "first_order":
         pred = first_order._eigenvalues(lam[:, None], e_hat_t)
     elif predictor == "rs_second_order":
@@ -406,7 +412,9 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     The oracle gives every stack member the bits of its solo solve, and every
     other stage is a batched array expression over the ``(trials, t)``
     stack whose members round as they do alone, so the study is the same
-    as one solved trial by trial.  The guards decide once per trial, at the
+    as one solved trial by trial.  That includes the eigenvector study's
+    gauge match of the exact eigenvectors to the predicted ones, made once
+    per degeneracy structure for all its ``(trial, t)`` members.  The guards decide once per trial, at the
     largest ``t``, before any exact solve, so a refused trial costs none.
     """
     grid = np.array(cfg.t_grid)

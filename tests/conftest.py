@@ -1,4 +1,5 @@
-"""Shared builders for seeded test instances, and a recorder of oracle calls.
+"""Shared builders for seeded test instances, a recorder of oracle calls, and
+the per-column loop that the stacked column match must reproduce.
 
 Test-local randomness uses numpy's Generator (seeded per test); the package's
 own SplitMix64 streams are exercised separately in the harness tests.
@@ -37,6 +38,25 @@ def degenerate_instance(
     a = hermitian(q @ np.diag(lam.astype(np.complex128)) @ q.conj().T)
     f = rand_hermitian(rng, n)
     return a, hermitian(f / operator_norm(f))
+
+
+def align_columns_loop(candidate: np.ndarray, reference: np.ndarray, groups) -> np.ndarray:
+    """The reference column match, one column and one ``np.vdot`` at a time:
+    within each ``(start, stop)`` range the candidate column of largest
+    inner-product modulus (the first of equals) is taken for each reference
+    column in turn, then phased so the inner product is real nonnegative."""
+    candidate = np.asarray(candidate, dtype=np.complex128)
+    reference = np.asarray(reference, dtype=np.complex128)
+    out = np.array(candidate, copy=True)
+    for start, stop in groups:
+        available = list(range(start, stop))
+        for j in range(start, stop):
+            overlaps = [abs(np.vdot(candidate[:, k], reference[:, j])) for k in available]
+            k = available.pop(int(np.argmax(overlaps)))
+            z = np.vdot(candidate[:, k], reference[:, j])
+            phase = z / abs(z) if abs(z) > 0.0 else 1.0
+            out[:, j] = candidate[:, k] * phase
+    return out
 
 
 class OracleCalls(list):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import degenerate_instance, rand_hermitian, rand_unitary
+from conftest import align_columns_loop, degenerate_instance, rand_hermitian, rand_unitary
 from eigpert import (
     MODE_BLOCKWISE,
     MODE_RAW,
@@ -23,7 +23,7 @@ from eigpert import (
     scaled,
     vc_membership,
 )
-from eigpert.alignment import DEFAULT_REL_GAP_TOL, group_eigenvalues
+from eigpert.alignment import DEFAULT_REL_GAP_TOL, _align_stack, group_eigenvalues
 
 # Sorting A = diag(0, 0, 1) non-increasingly permutes the input frame by this.
 PERM3 = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
@@ -363,3 +363,120 @@ class TestAlignColumns:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             align_columns(np.eye(2), np.eye(3), [(0, 2)])
+
+    @pytest.mark.parametrize(
+        "groups",
+        [[(0, 5)], [(2, 1)], [(1, 1)], [(-1, 2)], [(0, 2), (1, 3)]],
+        ids=["past-the-end", "reversed", "empty", "negative", "overlapping"],
+    )
+    def test_rejects_invalid_groups(self, groups):
+        u = rand_unitary(np.random.default_rng(97), 3)
+        with pytest.raises(ValueError, match="column groups"):
+            align_columns(u, u, groups)
+
+    def test_fortran_order_matches_the_loop(self):
+        # The overlaps round as np.vdot's only on strided columns, so a
+        # column-major input is laid out row-major first.
+        rng = np.random.default_rng(101)
+        reference = rand_unitary(rng, 20)
+        candidate = np.asfortranarray(reference[:, rng.permutation(20)] * 1j + 1e-3 * rand_unitary(rng, 20))
+        want = align_columns_loop(candidate, reference, [(0, 20)])
+        assert same_bits(align_columns(candidate, reference, [(0, 20)]), want)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def column_groups(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:
+    """Random contiguous ranges over ``n`` columns, one of them left out when
+    there are several, so that some columns pass through unmatched."""
+    cuts = [0, *sorted(rng.choice(np.arange(1, n), size=min(n - 1, 3), replace=False).tolist()), n]
+    groups = list(zip(cuts[:-1], cuts[1:]))
+    if len(groups) > 2:
+        del groups[rng.integers(len(groups))]
+    return groups
+
+
+def gauge_stack(rng: np.random.Generator, members: int, rows: int, n: int, groups) -> tuple[np.ndarray, np.ndarray]:
+    """``members`` seeded (candidate, reference) pairs ``(rows, n)``: each
+    candidate is its reference with the columns of every group permuted,
+    phased and perturbed by up to 10%, each side scaled by its own power of
+    two in 2**-1000 .. 2**1000, so that some overlaps underflow to zero
+    and some overflow."""
+    shape = (members, rows, n)
+    reference = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    candidate = reference * np.exp(2j * np.pi * rng.uniform(size=(members, 1, n)))
+    for start, stop in groups:
+        for i in range(members):
+            candidate[i, :, start:stop] = candidate[i][:, start + rng.permutation(stop - start)]
+    candidate += 0.1 * rng.uniform() * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    scales = 2.0 ** rng.integers(-1000, 1001, size=(2, members, 1, 1)).astype(float)
+    return candidate * scales[0], reference * scales[1]
+
+
+class TestAlignStack:
+    """The stacked column match against the per-column ``np.vdot`` loop, bit
+    for bit, member by member."""
+
+    @staticmethod
+    def matches_the_loop(candidate: np.ndarray, reference: np.ndarray, groups) -> None:
+        # Overflowing overlaps give NaN phases, as they do in the loop.
+        with np.errstate(all="ignore"):
+            want = np.array([align_columns_loop(c, r, groups) for c, r in zip(candidate, reference)])
+            got = _align_stack(candidate, reference, groups)
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 9, 20, 60])
+    @pytest.mark.parametrize("extra_rows", [0, 3], ids=["square", "tall"])
+    def test_seeded_stacks_match_the_loop(self, n, extra_rows):
+        rng = np.random.default_rng(1000 + 10 * n + extra_rows)
+        groups = column_groups(rng, n)
+        candidate, reference = gauge_stack(rng, 40, n + extra_rows, n, groups)
+        # A zero column (its overlaps are 0 and its phase 1), and NaN and
+        # infinite entries in a few members.
+        candidate[0, :, 0] = 0.0
+        candidate[1, 0, n - 1] = np.nan
+        candidate[2, -1, 0] = np.inf
+        reference[3, 0, n // 2] = complex(-np.inf, 1.0)
+        reference[4, :, n - 1] = np.nan
+        self.matches_the_loop(candidate, reference, groups)
+
+    def test_wide_candidate_matches_the_loop(self):
+        rng = np.random.default_rng(103)
+        candidate, reference = gauge_stack(rng, 40, 4, 9, [(0, 5), (5, 9)])
+        self.matches_the_loop(candidate, reference, [(0, 5), (5, 9)])
+
+    def test_exact_ties_go_to_the_smallest_index(self):
+        # Three copies of one column tie exactly against every reference
+        # column: they are taken in index order.
+        rng = np.random.default_rng(107)
+        reference = rand_unitary(rng, 4)
+        candidate = np.repeat(reference[:, :1] * 1j, 4, axis=1)
+        candidate[:, 3] = reference[:, 3]
+        got = align_columns(candidate, reference, [(0, 4)])
+        assert same_bits(got, align_columns_loop(candidate, reference, [(0, 4)]))
+        self.matches_the_loop(np.stack([candidate] * 3), np.stack([reference] * 3), [(0, 4)])
+
+    def test_moduli_round_as_the_scalar_abs(self):
+        # Against the first unit vector the two candidate columns overlap in
+        # exactly these values.  The scalar abs (a libm hypot) puts the second
+        # one ulp above the first; numpy's array abs of a complex puts it one
+        # ulp below, which would pick the first column instead.
+        z = np.array([0.357380410658956 + 0.014831041497707096j, -0.3048785098245847 - 0.18705563867954195j])
+        assert abs(z[1]) > abs(z[0])
+        candidate = np.array([z.conj(), [0.0, 1.0]])
+        matched = align_columns(candidate, np.eye(2), [(0, 2)])
+        assert same_bits(matched, align_columns_loop(candidate, np.eye(2), [(0, 2)]))
+        # The second column was taken for the first reference column.
+        assert matched[1, 0] != 0.0 and matched[1, 1] == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 8, 9, 20, 60])
+    def test_strided_vecdot_rounds_as_vdot(self, n):
+        # The premise of the stacked match: over strided column views, one
+        # np.vecdot gives np.vdot's bits for every column pair.
+        rng = np.random.default_rng(109 + n)
+        c, r = (rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n)) for _ in range(2))
+        z = np.vecdot(c.swapaxes(-1, -2)[..., :, None, :], r.swapaxes(-1, -2)[..., None, :, :])
+        want = [[[np.vdot(ci[:, k], ri[:, j]) for j in range(n)] for k in range(n)] for ci, ri in zip(c, r)]
+        assert same_bits(z, np.array(want))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import align_columns_loop
 from eigpert import (
     DEFAULT_T_GRID,
     EXAMPLE_A,
@@ -16,7 +17,6 @@ from eigpert import (
     PreconditionError,
     StudyError,
     StudyRow,
-    align_columns,
     blockwise_diagonalize,
     conjugate_to_eigenbasis,
     convergence_study,
@@ -333,7 +333,7 @@ def reference_trial_errors(predictor, a, f, t_grid):
             pred = predict_eigensystem(ap, mmat, t).xi_hat
         elif predictor == "eigvec_first_order":
             u_hat = predict_eigensystem(ap, mmat, t).u_hat
-            gaps.append(align_columns(exact.u, u_hat, ap.blocks) - u_hat)
+            gaps.append(align_columns_loop(exact.u, u_hat, ap.blocks.groups) - u_hat)
             continue
         else:
             gaps.append(decomposition_residual(scaled(ap, t), mmat))
@@ -381,14 +381,16 @@ ACCEPTANCE = dict(seed=1, n=6, block_spec=(2, 2, 1, 1))
 PARTIAL = dict(seed=6, n=6, block_spec=(3, 2, 1), trials=10, t_grid=(0.55, 0.1, 0.03, 0.01))
 # A simple spectrum: no block has two members for the tie guard to compare.
 SIMPLE = dict(seed=2, n=4, block_spec=(1, 1, 1, 1), trials=9)
+# At n >= 9 np.vdot's sums depend on how the columns are laid out.
+LARGE = dict(seed=3, n=10, block_spec=(3, 3, 2, 1, 1), trials=4)
 
 
 class TestStackedStudy:
     @pytest.mark.parametrize("predictor", PREDICTORS)
     @pytest.mark.parametrize(
         "ensemble",
-        [dict(ACCEPTANCE, trials=12), PARTIAL, SIMPLE],
-        ids=["acceptance", "partial", "simple"],
+        [dict(ACCEPTANCE, trials=12), PARTIAL, SIMPLE, LARGE],
+        ids=["acceptance", "partial", "simple", "large"],
     )
     def test_matches_the_per_trial_reference(self, predictor, ensemble):
         cfg = EnsembleConfig(predictor=predictor, **ensemble)
@@ -484,6 +486,26 @@ class TestStackedStudy:
         monkeypatch.setattr(alignment, "norm_allows", counting)
         convergence_study(EnsembleConfig(predictor=predictor, trials=20, **ACCEPTANCE))
         assert len(calls) == 20 * per_trial
+
+    def test_one_column_match_per_block_structure(self, monkeypatch):
+        # Every (trial, t) member of one degeneracy structure is matched in one
+        # stacked call; no member goes through the one-member align_columns.
+        calls = []
+        real = alignment._align_stack
+
+        def counting(candidate, reference, groups):
+            calls.append((len(candidate), tuple(groups)))
+            return real(candidate, reference, groups)
+
+        def refuse(*args):
+            raise AssertionError("align_columns called")
+
+        monkeypatch.setattr(alignment, "_align_stack", counting)
+        monkeypatch.setattr(alignment, "align_columns", refuse)
+        cfg = EnsembleConfig(predictor="eigvec_first_order", **PARTIAL)
+        report = convergence_study(cfg)
+        kept = cfg.trials - len(report.failed_trials)
+        assert calls == [(kept * len(cfg.t_grid), ((0, 3), (3, 5), (5, 6)))]
 
     @pytest.mark.parametrize("predictor", PREDICTORS)
     def test_only_eigenvector_reads_solve_for_eigenvectors(self, predictor, oracle_calls):

@@ -10,7 +10,8 @@ CSVs of every predictor, ``paper-example``, ``predict`` and ``derivative``
 on generated instances, the demos, full predictions at n = 60, the bytes
 of the library's result records, the raw bytes of the generated instances
 themselves, so that a change to the random streams shows as its own line,
-and the oracle's own outputs on a stack that mixes sizes 1 to 60.
+the oracle's own outputs on a stack that mixes sizes 1 to 60, and the
+column match of ``align_columns`` at sizes 1 to 60.
 The refusal paths are covered too: a ``predict`` whose ``t`` passes the gap
 between eigenvalue blocks, and studies whose largest ``t`` does so for some
 trials.  All inputs come from ``harness.generate_instance``.  A command's
@@ -77,6 +78,16 @@ ORACLE_STACK = (
     (1, 100, (1,)), (2, 100, (2,)), (5, 100, (2, 2, 1)), (6, 100, (2, 2, 1, 1)), (60, 10, (4,) * 15),
 )
 ORACLE_EXPONENTS = (0, -1000, 990, -300, 300)
+
+# (size, members, block_spec) of the seeded column matches: each member
+# matches the oracle's eigenvectors of A + t F, scaled by a power of two, to
+# the block-wise rotated eigenvectors of A.  Odd members are copied to row-major
+# order, as np.vdot's sums depend on the layout from 9 rows up.
+ALIGN_STACK = (
+    (1, 10, (1,)), (2, 10, (2,)), (3, 10, (2, 1)), (6, 10, (2, 2, 1, 1)),
+    (9, 10, (3, 3, 2, 1)), (20, 6, (4, 4, 4, 4, 2, 2)), (60, 2, (4,) * 15),
+)
+ALIGN_T = 1e-2
 
 # Seeds of the n = 60 instances, their layout, and the scales t of E = t F.
 LARGE_SEEDS = (1, 2)
@@ -231,6 +242,20 @@ def oracle() -> None:
         _record(f"oracle/_eigvalsh_stack/n{n}", *(values[i] for i in index))
 
 
+def column_matches() -> None:
+    """``align_columns`` on the members of ``ALIGN_STACK``, one line per size."""
+    for n, count, spec in ALIGN_STACK:
+        cfg = harness.EnsembleConfig(seed=8, n=n, block_spec=spec, trials=count, predictor="first_order")
+        matched = []
+        for j, (a, f) in enumerate(harness._instances(cfg, range(count))):
+            ap = alignment.blockwise_diagonalize(alignment.conjugate_to_eigenbasis(jacobi.eigh(a), f))
+            candidate = jacobi.eigh(a + ALIGN_T * f).u * 2.0 ** ORACLE_EXPONENTS[j % 5]
+            if j % 2:
+                candidate = np.ascontiguousarray(candidate)
+            matched.append(alignment.align_columns(candidate, ap.base.u, ap.blocks))
+        _record(f"alignment/align_columns/n{n}", *matched)
+
+
 def large_instances() -> None:
     """Every output of a full prediction of ``A + t F`` at n = 60 from the
     stored decomposition of ``A``."""
@@ -263,6 +288,7 @@ def main() -> int:
     oracle()
     for demo in sorted((ROOT / "demos").glob("*.py")):
         runner.run(f"demo/{demo.name}", [sys.executable, str(demo)])
+    column_matches()
     return 1 if runner.failed else 0
 
 
