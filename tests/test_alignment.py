@@ -375,8 +375,8 @@ class TestAlignColumns:
             align_columns(u, u, groups)
 
     def test_fortran_order_matches_the_loop(self):
-        # The overlaps round as np.vdot's only on strided columns, so a
-        # column-major input is laid out row-major first.
+        # From 9 rows up np.vdot's sums depend on the columns' layout; the
+        # match keeps the input's own, so column-major input gets the loop's bits.
         rng = np.random.default_rng(101)
         reference = rand_unitary(rng, 20)
         candidate = np.asfortranarray(reference[:, rng.permutation(20)] * 1j + 1e-3 * rand_unitary(rng, 20))
@@ -472,11 +472,15 @@ class TestAlignStack:
         assert matched[1, 0] != 0.0 and matched[1, 1] == 0.0
 
     @pytest.mark.parametrize("n", [2, 3, 6, 8, 9, 20, 60])
-    def test_strided_vecdot_rounds_as_vdot(self, n):
-        # The premise of the stacked match: over strided column views, one
-        # np.vecdot gives np.vdot's bits for every column pair.
+    @pytest.mark.parametrize("column_major", [False, True], ids=["strided", "contiguous"])
+    def test_vecdot_rounds_as_vdot(self, n, column_major):
+        # The premise of the stacked match: over the column views of a stack,
+        # in either layout, one np.vecdot gives np.vdot's bits for every
+        # column pair.
         rng = np.random.default_rng(109 + n)
         c, r = (rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n)) for _ in range(2))
+        if column_major:
+            c, r = (np.ascontiguousarray(x.swapaxes(1, 2)).swapaxes(1, 2) for x in (c, r))
         z = np.vecdot(c.swapaxes(-1, -2)[..., :, None, :], r.swapaxes(-1, -2)[..., None, :, :])
         want = [[[np.vdot(ci[:, k], ri[:, j]) for j in range(n)] for k in range(n)] for ci, ri in zip(c, r)]
         assert same_bits(z, np.array(want))
