@@ -9,10 +9,19 @@ Schur refinement and the line expansion alike.  Every record is built by
 ``_aligned_stack``, one batched conjugation for a stack of perturbations,
 or rescaled by :func:`scaled`.  The cone-membership test,
 which needs Schur complements, lives in :mod:`eigpert.schur`.
+
+Each quantity that depends on the base alone (the grouping of one
+eigenvalue vector, ``M``, the gap margins, and in other modules the Schur
+weights and the same-block mask) has its own small memo, keyed on the exact
+bytes of ``lam`` and of the block structure by :func:`_base_key`, so many
+perturbations of one stored decomposition compute it once.  A miss computes
+what the call would compute without the memo, and the stacked paths of a
+convergence study, whose bases differ trial by trial, do not use them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -54,6 +63,9 @@ BLOCK_TOL = 1e-14
 MODE_RAW = "raw"
 MODE_BLOCKWISE = "blockwise_diagonal"
 
+# Stored decompositions whose base-only arrays each memo keeps.
+_MEMO_SIZE = 4
+
 
 def _require_blockwise(ap: AlignedPerturbation, what: str) -> None:
     if ap.mode != MODE_BLOCKWISE:
@@ -84,7 +96,7 @@ class BlockStructure:
 
     def block_id(self) -> np.ndarray:
         """Per-index group number, as an int array of length n."""
-        return np.repeat(np.arange(len(self.groups), dtype=np.intp), self.sizes)
+        return _block_ids(self.groups)
 
 
 def group_eigenvalues(lam) -> BlockStructure:
@@ -99,7 +111,13 @@ def group_eigenvalues(lam) -> BlockStructure:
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("expected a nonempty 1-d eigenvalue vector")
-    return _group_stack(lam[None])[0]
+    return _grouping(lam.tobytes())
+
+
+@functools.lru_cache(_MEMO_SIZE)
+def _grouping(lam: bytes) -> BlockStructure:
+    """:func:`group_eigenvalues` of the float64 vector with the bytes ``lam``."""
+    return _group_stack(np.frombuffer(lam)[None])[0]
 
 
 def _group_stack(lam: np.ndarray) -> list[BlockStructure]:
@@ -262,16 +280,39 @@ def _require_gap(ap: AlignedPerturbation, factor: float, blocks=None) -> None:
     ``DEFAULT_MARGIN_FACTOR`` the Schur fixed point contracts."""
     if len(ap.blocks.groups) < 2:
         return
-    starts, stops = np.array(ap.blocks.groups).T
-    # lam is sorted and rho inside its block: the nearest others are its
-    # neighbours, and a missing neighbour is infinitely far.
-    lam, rho = np.r_[np.inf, ap.base.lam, -np.inf], np.asarray(ap.blocks.rep_values)
-    margin = np.minimum(np.abs(lam[starts] - rho), np.abs(lam[stops + 1] - rho))
-    index = np.arange(starts.size) if blocks is None else np.asarray(blocks)
+    margin = _margins(*_base_key(ap.base.lam, ap.blocks))
+    index = np.arange(margin.size) if blocks is None else np.asarray(blocks)
     _require_above(ap, margin[index], factor, lambda k: GapTooSmallError(
         f"block {index[k]}: separation {margin[index[k]]:.3e} from other eigenvalues "
         f"does not exceed {factor:g} * ||E|| = {factor * ap.e_norm:.3e}; blocks may mix"
     ))
+
+
+@functools.lru_cache(_MEMO_SIZE)
+def _margins(lam: bytes, groups: tuple, rep_values: bytes) -> np.ndarray:
+    """Each block's distance from the other eigenvalues, for a :func:`_base_key`."""
+    starts, stops = np.array(groups).T
+    # lam is sorted and rho inside its block: the nearest others are its
+    # neighbours, and a missing neighbour is infinitely far.
+    lam, rho = np.r_[np.inf, np.frombuffer(lam), -np.inf], np.frombuffer(rep_values)
+    return as_readonly(np.minimum(np.abs(lam[starts] - rho), np.abs(lam[stops + 1] - rho)))
+
+
+def _base_key(lam: np.ndarray, blocks: BlockStructure) -> tuple:
+    """The key of every memo of a base-only quantity: the bytes of ``lam``
+    and of ``rep_values``, so that -0.0 and 0.0 differ, and the ``groups``
+    as pairs of ints, whose equality is exact."""
+    return (
+        np.asarray(lam, dtype=np.float64).tobytes(),
+        tuple(map(tuple, blocks.groups)),
+        np.asarray(blocks.rep_values, dtype=np.float64).tobytes(),
+    )
+
+
+def _block_ids(groups) -> np.ndarray:
+    """The group number of each index of the contiguous ``(start, stop)``
+    ranges ``groups``, as an int array."""
+    return np.repeat(np.arange(len(groups), dtype=np.intp), [stop - start for start, stop in groups])
 
 
 def _aligned_stack(
@@ -308,7 +349,10 @@ def conjugate_to_eigenbasis(base: jacobi.SpectralDecomposition, e) -> AlignedPer
 def _conjugate_stack(bases: list[jacobi.SpectralDecomposition], e: np.ndarray) -> list[AlignedPerturbation]:
     """:func:`conjugate_to_eigenbasis` of each member of the Hermitian stack
     ``e`` ``(k, n, n)`` in the eigenbasis of its base, which has its shape."""
-    blocks = _group_stack(np.array([base.lam for base in bases]))
+    if len(bases) == 1:
+        blocks = [group_eigenvalues(bases[0].lam)]
+    else:
+        blocks = _group_stack(np.array([base.lam for base in bases]))
     return _aligned_stack(bases, np.array([base.u for base in bases]), blocks, as_readonly(e), MODE_RAW, None)
 
 
@@ -376,10 +420,22 @@ def aligned_perturbation(a, e) -> AlignedPerturbation:
 
 def m_matrix(base: jacobi.SpectralDecomposition, blocks: BlockStructure) -> np.ndarray:
     """Inverse-gap matrix: ``M[i, j] = 1 / (lam[i] - lam[j])`` across blocks,
-    zero inside blocks and on the diagonal.  Real and exactly antisymmetric."""
+    zero inside blocks and on the diagonal.  Real and exactly antisymmetric.
+    Each call returns a fresh, writable copy of the memoized matrix."""
     if blocks.n != base.lam.size:
         raise ValueError("block structure does not cover the eigenvalue vector")
-    return _inverse_gaps(base.lam[None], blocks.block_id()[None], base.lam[None])[0]
+    return np.array(_m_matrix(base, blocks))
+
+
+def _m_matrix(base: jacobi.SpectralDecomposition, blocks: BlockStructure) -> np.ndarray:
+    """:func:`m_matrix` from its memo, read-only."""
+    return _m_memo(*_base_key(base.lam, blocks))
+
+
+@functools.lru_cache(_MEMO_SIZE)
+def _m_memo(lam: bytes, groups: tuple, rep_values: bytes) -> np.ndarray:
+    lam = np.frombuffer(lam)
+    return as_readonly(_inverse_gaps(lam[None], _block_ids(groups)[None], lam[None])[0])
 
 
 def _inverse_gaps(lam: np.ndarray, bid: np.ndarray, rho: np.ndarray) -> np.ndarray:

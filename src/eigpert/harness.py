@@ -329,7 +329,7 @@ def _errors(predictor: str, aps: list, instances: list, grid: np.ndarray) -> np.
     exact = exact.reshape(-1, n, n)
     if predictor == "eigvec_first_order":
         # _admit has run the tie guard: the derivative is formed without it.
-        u_prime = np.array([rayleigh._derivative(ap, m, rayleigh._n_matrix(ap)) for ap, m in zip(aps, mmat)])
+        u_prime = np.array([rayleigh._derivative(ap, m, rayleigh._n_matrix(ap, m)) for ap, m in zip(aps, mmat)])
         u_hat = rayleigh._series(t, u, u_prime[:, None])
         # The oracle's u are column-major, and the column match rounds as
         # np.vdot on columns so laid out: the stack keeps that layout.

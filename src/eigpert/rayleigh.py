@@ -20,6 +20,7 @@ studies read the same coefficients for all their trials at once (``a2`` with
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,13 +28,16 @@ import numpy as np
 
 from . import jacobi
 from .alignment import (
+    _MEMO_SIZE,
     DEFAULT_MARGIN_FACTOR,
     AlignedPerturbation,
+    _base_key,
+    _block_ids,
+    _m_matrix,
     _require_above,
     _require_blockwise,
     _require_gap,
     aligned_perturbation,
-    m_matrix,
 )
 from .errors import DegenerateDirectionError
 from .matrices import as_readonly
@@ -57,9 +61,18 @@ STRICT_DIAGONAL_TOL = 1e-8
 def _require_untied(ap: AlignedPerturbation) -> None:
     """Reject in-block diagonal gaps of ``F_hat`` at most
     ``STRICT_DIAGONAL_TOL * ||F||``."""
+    groups = ap.blocks.groups
+    multi = [(start, stop) for start, stop in groups if stop - start >= 2]
+    if not multi:
+        return
     d = ap.e_hat_diag
-    multi = [(start, stop) for start, stop in ap.blocks.groups if stop - start >= 2]
-    gaps = [(d[start : stop - 1] - d[start + 1 : stop]).min() for start, stop in multi]
+    # Each gap d[i] - d[i + 1] sits at i, and one across a block boundary
+    # counts as infinite, so the run from a multi-member block's start to the
+    # next such start has that block's smallest gap for minimum; min does
+    # not round and passes a NaN on, as the block's own min does.
+    gap = d[:-1] - d[1:]
+    gap[[stop - 1 for _, stop in groups[:-1]]] = np.inf
+    gaps = np.minimum.reduceat(gap, [start for start, _ in multi])
     _require_above(ap, gaps, STRICT_DIAGONAL_TOL, lambda k: DegenerateDirectionError(
         f"direction has tied diagonal entries (gap {gaps[k]:.3e}) inside eigenvalue block "
         f"[{multi[k][0]}, {multi[k][1]}); the perturbed eigenvector branches are not "
@@ -81,7 +94,7 @@ def rs_coefficients(ap: AlignedPerturbation) -> tuple[np.ndarray, np.ndarray, np
     """
     _require_blockwise(ap, "the second-order eigenvalue expansion")
     _require_untied(ap)
-    a2 = _a2(ap.e_hat[None], m_matrix(ap.base, ap.blocks)[None])[0]
+    a2 = _a2(ap.e_hat[None], _m_matrix(ap.base, ap.blocks)[None])[0]
     return np.array(ap.base.lam, copy=True), np.array(ap.e_hat_diag, copy=True), a2
 
 
@@ -111,25 +124,35 @@ def n_matrix(ap: AlignedPerturbation) -> np.ndarray:
     """
     _require_blockwise(ap, "the eigenvector derivative")
     _require_untied(ap)
-    return _n_matrix(ap)
+    return _n_matrix(ap, _m_matrix(ap.base, ap.blocks))
 
 
-def _n_matrix(ap: AlignedPerturbation) -> np.ndarray:
-    """:func:`n_matrix` without its guards, for callers that have run them."""
+def _n_matrix(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
+    """:func:`n_matrix` from ``M`` without its guards, for callers that have
+    run them."""
     n = ap.n
-    bid = ap.blocks.block_id()
-    same = (bid[:, None] == bid[None, :]) & ~np.eye(n, dtype=bool)
-    mf = m_matrix(ap.base, ap.blocks) * ap.e_hat
+    same, cols = _same_block(*_base_key(ap.base.lam, ap.blocks))
+    mf = mmat * ap.e_hat
     fh = ap.e_hat.conj().T
-    # One matrix-vector product per column of a multi-member block rounds
-    # exactly as the per-column definition does; one matrix product would not.
+    # Each column of a multi-member block as its own matrix-vector product,
+    # which rounds exactly as the per-column definition does; one matrix
+    # product would not.  np.matmul makes one such product per member of the
+    # stack of contiguous columns.
     num = np.zeros((n, n), dtype=np.complex128)
-    for j in np.flatnonzero(same.any(axis=0)):
-        num[:, j] = fh @ np.ascontiguousarray(mf[:, j])
+    num[:, cols] = np.matmul(fh, np.ascontiguousarray(mf[:, cols].T)[:, :, None])[:, :, 0].T
     d = ap.e_hat_diag
     out = np.zeros((n, n), dtype=np.complex128)
     np.divide(num, d[:, None] - d[None, :], out=out, where=same)
     return out
+
+
+@functools.lru_cache(_MEMO_SIZE)
+def _same_block(lam: bytes, groups: tuple, rep_values: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``i != j`` of one block, for a :func:`_base_key`, and the
+    columns that hold such a pair."""
+    bid = _block_ids(groups)
+    same = as_readonly((bid[:, None] == bid[None, :]) & ~np.eye(bid.size, dtype=bool))
+    return same, as_readonly(np.flatnonzero(same.any(axis=0)))
 
 
 def eigenvector_derivative(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
@@ -217,4 +240,4 @@ def _expansion(ap: AlignedPerturbation, mmat: np.ndarray) -> LineExpansion:
 def line_expansion(a, f) -> LineExpansion:
     """Build the full second-order expansion of ``A + t F`` from dense input."""
     ap = aligned_perturbation(a, f)
-    return _expansion(ap, as_readonly(m_matrix(ap.base, ap.blocks)))
+    return _expansion(ap, _m_matrix(ap.base, ap.blocks))

@@ -24,8 +24,11 @@ full one stops once an update is at most ``4 eps max|X|``.  The fixed point
 runs on a stack of perturbations, one batched product per iteration, and
 each member stops on its own test, as the oracle's members do, so a member
 gets the bits of its solo run.  ``W`` depends on the base alone: a
+prediction from a stored decomposition takes it from a memo, and a
 convergence study iterates all of its ``(trial, t)`` members at once, each
-trial's ``W`` shared by its t-grid.
+trial's ``W`` shared by its t-grid.  The complements of all the blocks of
+one size are formed as one batched product, each block's product with the
+strides of its own.
 
 The complements also decide membership in the cone of perturbation
 directions along which every block's complement stays diagonal and its
@@ -34,13 +37,23 @@ eigenvalues well separated (:func:`vc_membership`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jacobi
-from .alignment import _EPS, DEFAULT_MARGIN_FACTOR, AlignedPerturbation, _inverse_gaps, _require_gap
+from .alignment import (
+    _EPS,
+    _MEMO_SIZE,
+    DEFAULT_MARGIN_FACTOR,
+    AlignedPerturbation,
+    _base_key,
+    _block_ids,
+    _inverse_gaps,
+    _require_gap,
+)
 from .errors import ConvergenceError
 from .matrices import as_readonly, operator_norm
 
@@ -92,6 +105,18 @@ def _weights(aps: list[AlignedPerturbation]) -> np.ndarray:
     return _inverse_gaps(np.array([ap.base.lam for ap in aps]), bid, rho)
 
 
+def _weights_of(ap: AlignedPerturbation) -> np.ndarray:
+    """``W`` of one record from its memo, read-only: ``_weights([ap])[0]``."""
+    return _weights_memo(*_base_key(ap.base.lam, ap.blocks))
+
+
+@functools.lru_cache(_MEMO_SIZE)
+def _weights_memo(lam: bytes, groups: tuple, rep_values: bytes) -> np.ndarray:
+    bid = _block_ids(groups)
+    rho = np.frombuffer(rep_values)[bid]
+    return as_readonly(_inverse_gaps(np.frombuffer(lam)[None], bid[None], rho[None])[0])
+
+
 def _fixed_point(e_hat: np.ndarray, w: np.ndarray, start: int, stop: int, variant: str) -> np.ndarray:
     """Columns ``start:stop`` of the fixed point, or of its first iterate for
     the simplified variant, of each member of the stack ``e_hat`` ``(m, n, n)``
@@ -123,11 +148,14 @@ def _fixed_point(e_hat: np.ndarray, w: np.ndarray, start: int, stop: int, varian
     raise ConvergenceError(message, off_mass=float(step[0]), member=int(live[0]))
 
 
-def _complement(e_hat: np.ndarray, x: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Symmetrized ``B = E11 - E_hat[block, :] X[:, block]`` of each member of
-    the stack ``e_hat``, ``x`` the block's columns."""
-    b = e_hat[:, start:stop, start:stop] - e_hat[:, start:stop] @ x
-    return 0.5 * (b + b.conj().swapaxes(1, 2))
+def _complement(e_hat: np.ndarray, index: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Symmetrized ``B = E11 - E_hat[block, :] X[:, block]`` ``(m, k, l, l)``
+    of each member of the stack ``e_hat`` ``(m, n, n)`` and each of ``k``
+    blocks of size ``l``, whose indices are the rows of ``index``; ``rows``
+    ``(m, k, l, n)`` and ``cols`` ``(m, k, n, l)`` hold each block's rows of
+    ``E_hat`` and columns of ``X``."""
+    b = e_hat[:, index[:, :, None], index[:, None, :]] - rows @ cols
+    return 0.5 * (b + b.conj().swapaxes(-1, -2))
 
 
 def _complement_eigenvalues(bs) -> tuple[np.ndarray, ...]:
@@ -151,8 +179,9 @@ def _schur_data(ap: AlignedPerturbation, block_index: int) -> tuple[SchurData, n
     _require_gap(ap, DEFAULT_MARGIN_FACTOR, [block_index])
     start, stop = groups[block_index]
     e_hat = ap.e_hat[None]
-    x = _fixed_point(e_hat, _weights([ap])[:, :, start:stop], start, stop, "full")
-    b, x = _complement(e_hat, x, start, stop)[0], x[0]
+    x = _fixed_point(e_hat, _weights_of(ap)[None, :, start:stop], start, stop, "full")
+    b = _complement(e_hat, np.arange(start, stop)[None], e_hat[:, None, start:stop], x[:, None])[0, 0]
+    x = x[0]
     (beta,) = _complement_eigenvalues([b])
     rest = np.r_[0:start, stop : ap.n]
     sd = SchurData(
@@ -191,7 +220,7 @@ def _complements(ap: AlignedPerturbation, variant: str) -> tuple[list[float], li
     in block order, once the gap guard admits ``ap``: the one-member case of
     :func:`_complements_stack`."""
     _require_gap(ap, DEFAULT_MARGIN_FACTOR)
-    bs = _complements_stack(ap.e_hat[None], _weights([ap]), ap.blocks.groups, variant)
+    bs = _complements_stack(ap.e_hat[None], _weights_of(ap)[None], ap.blocks.groups, variant)
     return list(ap.blocks.rep_values), [b[0] for b in bs]
 
 
@@ -201,9 +230,35 @@ def _complements_stack(e_hat: np.ndarray, w: np.ndarray, groups, variant: str) -
     share the degeneracy ``groups``, from one fixed point with weights ``w``.
     The caller has applied the gap guard.  Their eigenvalues are left to
     :func:`_complement_eigenvalues`, so that callers can solve the
-    complements of many perturbations in one oracle call."""
-    x = _fixed_point(e_hat, w, 0, e_hat.shape[-1], variant)
-    return [_complement(e_hat, x[:, :, start:stop], start, stop) for start, stop in groups]
+    complements of many perturbations in one oracle call.
+
+    The blocks of one size make one batched product.  Each block's product
+    has the bits of ``E_hat[:, block] @ X[:, :, block]`` on views of the
+    whole matrices, as long as its columns of ``X`` keep a row stride of
+    ``n``: a 1 x 1 product's sum depends on that stride.  So the rows and
+    columns are gathered once, block by block in order of size, into
+    ``n x n`` matrices, and each size takes views of them."""
+    m, n = e_hat.shape[0], e_hat.shape[-1]
+    x = _fixed_point(e_hat, w, 0, n, variant)
+    by_size: dict[int, list[int]] = {}
+    for g, (start, stop) in enumerate(groups):
+        by_size.setdefault(stop - start, []).append(g)
+    order = np.concatenate([np.arange(*groups[g]) for blocks in by_size.values() for g in blocks])
+    rows, cols = e_hat[:, order], x[:, :, order]
+    out: list = [None] * len(groups)
+    done = 0
+    for size, blocks in by_size.items():
+        span = slice(done, done + len(blocks) * size)
+        done = span.stop
+        b = _complement(
+            e_hat,
+            order[span].reshape(-1, size),
+            rows[:, span].reshape(m, -1, size, n),
+            cols[:, :, span].reshape(m, n, -1, size).swapaxes(1, 2),
+        )
+        for i, g in enumerate(blocks):
+            out[g] = b[:, i]
+    return out
 
 
 @dataclass(frozen=True)
