@@ -244,7 +244,8 @@ def _complements_stack(e_hat: np.ndarray, w: np.ndarray, groups, variant: str) -
     for g, (start, stop) in enumerate(groups):
         by_size.setdefault(stop - start, []).append(g)
     order = np.concatenate([np.arange(*groups[g]) for blocks in by_size.values() for g in blocks])
-    rows, cols = e_hat[:, order], x[:, :, order]
+    # take lays its copies out row-major; x[:, :, order] would not.
+    rows, cols = e_hat.take(order, axis=1), x.take(order, axis=2)
     out: list = [None] * len(groups)
     done = 0
     for size, blocks in by_size.items():
