@@ -13,7 +13,7 @@ which needs Schur complements, lives in :mod:`eigpert.schur`.
 Each quantity that depends on the base alone (the grouping of one
 eigenvalue vector, ``M``, the gap margins, and in other modules the Schur
 weights and the same-block mask) has its own small memo, keyed on the exact
-bytes of ``lam`` and of the block structure by :func:`_base_key`, so many
+bytes of ``lam`` and of the block structure (:func:`_base_memo`), so many
 perturbations of one stored decomposition compute it once.  A miss computes
 what the call would compute without the memo, and the stacked paths of a
 convergence study, whose bases differ trial by trial, do not use them.
@@ -96,7 +96,7 @@ class BlockStructure:
 
     def block_id(self) -> np.ndarray:
         """Per-index group number, as an int array of length n."""
-        return _block_ids(self.groups)
+        return np.repeat(np.arange(len(self.groups), dtype=np.intp), self.sizes)
 
 
 def group_eigenvalues(lam) -> BlockStructure:
@@ -280,7 +280,7 @@ def _require_gap(ap: AlignedPerturbation, factor: float, blocks=None) -> None:
     ``DEFAULT_MARGIN_FACTOR`` the Schur fixed point contracts."""
     if len(ap.blocks.groups) < 2:
         return
-    margin = _margins(*_base_key(ap.base.lam, ap.blocks))
+    margin = _margins(ap.base.lam, ap.blocks)
     index = np.arange(margin.size) if blocks is None else np.asarray(blocks)
     _require_above(ap, margin[index], factor, lambda k: GapTooSmallError(
         f"block {index[k]}: separation {margin[index[k]]:.3e} from other eigenvalues "
@@ -288,31 +288,37 @@ def _require_gap(ap: AlignedPerturbation, factor: float, blocks=None) -> None:
     ))
 
 
-@functools.lru_cache(_MEMO_SIZE)
-def _margins(lam: bytes, groups: tuple, rep_values: bytes) -> np.ndarray:
-    """Each block's distance from the other eigenvalues, for a :func:`_base_key`."""
-    starts, stops = np.array(groups).T
+def _base_memo(compute):
+    """Memoize ``compute(lam, blocks)``, a quantity that depends on the base
+    alone.  The key is the bytes of ``lam`` and of ``blocks.rep_values``, so
+    that -0.0 and 0.0 differ, and ``blocks.groups`` as pairs of ints, whose
+    equality is exact.  ``compute`` gets ``lam`` as float64 and a block
+    structure equal to ``blocks``, and must return read-only data."""
+
+    @functools.lru_cache(_MEMO_SIZE)
+    def cached(lam: bytes, groups: tuple, rep_values: bytes):
+        return compute(np.frombuffer(lam), BlockStructure(groups, tuple(np.frombuffer(rep_values).tolist())))
+
+    @functools.wraps(compute)
+    def memoized(lam: np.ndarray, blocks: BlockStructure):
+        return cached(
+            np.asarray(lam, dtype=np.float64).tobytes(),
+            tuple(map(tuple, blocks.groups)),
+            np.asarray(blocks.rep_values, dtype=np.float64).tobytes(),
+        )
+
+    memoized.cache_info, memoized.cache_clear = cached.cache_info, cached.cache_clear
+    return memoized
+
+
+@_base_memo
+def _margins(lam: np.ndarray, blocks: BlockStructure) -> np.ndarray:
+    """Each block's distance from the other eigenvalues."""
+    starts, stops = np.array(blocks.groups).T
     # lam is sorted and rho inside its block: the nearest others are its
     # neighbours, and a missing neighbour is infinitely far.
-    lam, rho = np.r_[np.inf, np.frombuffer(lam), -np.inf], np.frombuffer(rep_values)
+    lam, rho = np.r_[np.inf, lam, -np.inf], np.asarray(blocks.rep_values)
     return as_readonly(np.minimum(np.abs(lam[starts] - rho), np.abs(lam[stops + 1] - rho)))
-
-
-def _base_key(lam: np.ndarray, blocks: BlockStructure) -> tuple:
-    """The key of every memo of a base-only quantity: the bytes of ``lam``
-    and of ``rep_values``, so that -0.0 and 0.0 differ, and the ``groups``
-    as pairs of ints, whose equality is exact."""
-    return (
-        np.asarray(lam, dtype=np.float64).tobytes(),
-        tuple(map(tuple, blocks.groups)),
-        np.asarray(blocks.rep_values, dtype=np.float64).tobytes(),
-    )
-
-
-def _block_ids(groups) -> np.ndarray:
-    """The group number of each index of the contiguous ``(start, stop)``
-    ranges ``groups``, as an int array."""
-    return np.repeat(np.arange(len(groups), dtype=np.intp), [stop - start for start, stop in groups])
 
 
 def _aligned_stack(
@@ -424,18 +430,13 @@ def m_matrix(base: jacobi.SpectralDecomposition, blocks: BlockStructure) -> np.n
     Each call returns a fresh, writable copy of the memoized matrix."""
     if blocks.n != base.lam.size:
         raise ValueError("block structure does not cover the eigenvalue vector")
-    return np.array(_m_matrix(base, blocks))
+    return np.array(_m_matrix(base.lam, blocks))
 
 
-def _m_matrix(base: jacobi.SpectralDecomposition, blocks: BlockStructure) -> np.ndarray:
-    """:func:`m_matrix` from its memo, read-only."""
-    return _m_memo(*_base_key(base.lam, blocks))
-
-
-@functools.lru_cache(_MEMO_SIZE)
-def _m_memo(lam: bytes, groups: tuple, rep_values: bytes) -> np.ndarray:
-    lam = np.frombuffer(lam)
-    return as_readonly(_inverse_gaps(lam[None], _block_ids(groups)[None], lam[None])[0])
+@_base_memo
+def _m_matrix(lam: np.ndarray, blocks: BlockStructure) -> np.ndarray:
+    """:func:`m_matrix`, read-only."""
+    return as_readonly(_inverse_gaps(lam[None], blocks.block_id()[None], lam[None])[0])
 
 
 def _inverse_gaps(lam: np.ndarray, bid: np.ndarray, rho: np.ndarray) -> np.ndarray:

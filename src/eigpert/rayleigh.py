@@ -20,7 +20,6 @@ studies read the same coefficients for all their trials at once (``a2`` with
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -28,11 +27,10 @@ import numpy as np
 
 from . import jacobi
 from .alignment import (
-    _MEMO_SIZE,
     DEFAULT_MARGIN_FACTOR,
     AlignedPerturbation,
-    _base_key,
-    _block_ids,
+    BlockStructure,
+    _base_memo,
     _m_matrix,
     _require_above,
     _require_blockwise,
@@ -94,7 +92,7 @@ def rs_coefficients(ap: AlignedPerturbation) -> tuple[np.ndarray, np.ndarray, np
     """
     _require_blockwise(ap, "the second-order eigenvalue expansion")
     _require_untied(ap)
-    a2 = _a2(ap.e_hat[None], _m_matrix(ap.base, ap.blocks)[None])[0]
+    a2 = _a2(ap.e_hat[None], _m_matrix(ap.base.lam, ap.blocks)[None])[0]
     return np.array(ap.base.lam, copy=True), np.array(ap.e_hat_diag, copy=True), a2
 
 
@@ -124,14 +122,14 @@ def n_matrix(ap: AlignedPerturbation) -> np.ndarray:
     """
     _require_blockwise(ap, "the eigenvector derivative")
     _require_untied(ap)
-    return _n_matrix(ap, _m_matrix(ap.base, ap.blocks))
+    return _n_matrix(ap, _m_matrix(ap.base.lam, ap.blocks))
 
 
 def _n_matrix(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
     """:func:`n_matrix` from ``M`` without its guards, for callers that have
     run them."""
     n = ap.n
-    same, cols = _same_block(*_base_key(ap.base.lam, ap.blocks))
+    same, cols = _same_block(ap.base.lam, ap.blocks)
     mf = mmat * ap.e_hat
     fh = ap.e_hat.conj().T
     # Each column of a multi-member block as its own matrix-vector product,
@@ -146,11 +144,10 @@ def _n_matrix(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(_MEMO_SIZE)
-def _same_block(lam: bytes, groups: tuple, rep_values: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs ``i != j`` of one block, for a :func:`_base_key`, and the
-    columns that hold such a pair."""
-    bid = _block_ids(groups)
+@_base_memo
+def _same_block(lam: np.ndarray, blocks: BlockStructure) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``i != j`` of one block, and the columns that hold such a pair."""
+    bid = blocks.block_id()
     same = as_readonly((bid[:, None] == bid[None, :]) & ~np.eye(bid.size, dtype=bool))
     return same, as_readonly(np.flatnonzero(same.any(axis=0)))
 
@@ -240,4 +237,4 @@ def _expansion(ap: AlignedPerturbation, mmat: np.ndarray) -> LineExpansion:
 def line_expansion(a, f) -> LineExpansion:
     """Build the full second-order expansion of ``A + t F`` from dense input."""
     ap = aligned_perturbation(a, f)
-    return _expansion(ap, _m_matrix(ap.base, ap.blocks))
+    return _expansion(ap, _m_matrix(ap.base.lam, ap.blocks))

@@ -37,7 +37,6 @@ eigenvalues well separated (:func:`vc_membership`).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -46,11 +45,10 @@ import numpy as np
 from . import jacobi
 from .alignment import (
     _EPS,
-    _MEMO_SIZE,
     DEFAULT_MARGIN_FACTOR,
     AlignedPerturbation,
-    _base_key,
-    _block_ids,
+    BlockStructure,
+    _base_memo,
     _inverse_gaps,
     _require_gap,
 )
@@ -105,16 +103,11 @@ def _weights(aps: list[AlignedPerturbation]) -> np.ndarray:
     return _inverse_gaps(np.array([ap.base.lam for ap in aps]), bid, rho)
 
 
-def _weights_of(ap: AlignedPerturbation) -> np.ndarray:
-    """``W`` of one record from its memo, read-only: ``_weights([ap])[0]``."""
-    return _weights_memo(*_base_key(ap.base.lam, ap.blocks))
-
-
-@functools.lru_cache(_MEMO_SIZE)
-def _weights_memo(lam: bytes, groups: tuple, rep_values: bytes) -> np.ndarray:
-    bid = _block_ids(groups)
-    rho = np.frombuffer(rep_values)[bid]
-    return as_readonly(_inverse_gaps(np.frombuffer(lam)[None], bid[None], rho[None])[0])
+@_base_memo
+def _weights_of(lam: np.ndarray, blocks: BlockStructure) -> np.ndarray:
+    """``W`` of one base, read-only: :func:`_weights` of one record."""
+    bid = blocks.block_id()
+    return as_readonly(_inverse_gaps(lam[None], bid[None], np.asarray(blocks.rep_values)[bid][None])[0])
 
 
 def _fixed_point(e_hat: np.ndarray, w: np.ndarray, start: int, stop: int, variant: str) -> np.ndarray:
@@ -179,7 +172,7 @@ def _schur_data(ap: AlignedPerturbation, block_index: int) -> tuple[SchurData, n
     _require_gap(ap, DEFAULT_MARGIN_FACTOR, [block_index])
     start, stop = groups[block_index]
     e_hat = ap.e_hat[None]
-    x = _fixed_point(e_hat, _weights_of(ap)[None, :, start:stop], start, stop, "full")
+    x = _fixed_point(e_hat, _weights_of(ap.base.lam, ap.blocks)[None, :, start:stop], start, stop, "full")
     b = _complement(e_hat, np.arange(start, stop)[None], e_hat[:, None, start:stop], x[:, None])[0, 0]
     x = x[0]
     (beta,) = _complement_eigenvalues([b])
@@ -220,7 +213,7 @@ def _complements(ap: AlignedPerturbation, variant: str) -> tuple[list[float], li
     in block order, once the gap guard admits ``ap``: the one-member case of
     :func:`_complements_stack`."""
     _require_gap(ap, DEFAULT_MARGIN_FACTOR)
-    bs = _complements_stack(ap.e_hat[None], _weights_of(ap)[None], ap.blocks.groups, variant)
+    bs = _complements_stack(ap.e_hat[None], _weights_of(ap.base.lam, ap.blocks)[None], ap.blocks.groups, variant)
     return list(ap.blocks.rep_values), [b[0] for b in bs]
 
 
