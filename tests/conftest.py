@@ -1,5 +1,7 @@
 """Shared builders for seeded test instances, a recorder of oracle calls, and
-the per-column loop that the stacked column match must reproduce.
+the per-column and per-block loops that the stacked column match, the
+stacked ``N``, the batched Schur complements and the stacked tie guard must
+reproduce.
 
 Test-local randomness uses numpy's Generator (seeded per test); the package's
 own SplitMix64 streams are exercised separately in the harness tests.
@@ -10,7 +12,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from eigpert import eigh, hermitian, jacobi, operator_norm
+from eigpert import SpectralDecomposition, conjugate_to_eigenbasis, eigh, hermitian, jacobi, operator_norm
+
+# Block layouts of the stacked-premise tests by size n: blocks of one size
+# are not all adjacent, (4,) x 10 + (3,) x 4 + (2,) x 4 mixes three sizes at
+# n = 60, and at n = 6 and 20 a 1 x 1 block is the only one of its size.
+STACK_SPECS = {
+    2: (1, 1),
+    3: (2, 1),
+    6: (3, 2, 1),
+    9: (2, 3, 1, 3),
+    20: (4, 1, 3, 2, 4, 2, 4),
+    60: (4, 3, 2) * 4 + (4,) * 6,
+}
+
+# Powers of two that scale the records of the stacked-premise tests.
+SCALE_EXPONENTS = (-1000, -500, 0, 500, 1000)
 
 
 def rand_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -40,6 +57,16 @@ def degenerate_instance(
     return a, hermitian(f / operator_norm(f))
 
 
+def scaled_record(rng: np.random.Generator, spec: tuple[int, ...], exponent: int):
+    """A raw record on the identity basis: eigenvalue blocks of the sizes
+    ``spec`` one apart and a Hermitian perturbation of Frobenius norm 0.05,
+    both scaled by ``2**exponent``."""
+    lam = np.repeat(-np.arange(len(spec), dtype=float), spec) * 2.0**exponent
+    e = rand_hermitian(rng, lam.size)
+    e = hermitian(e * (0.05 * 2.0**exponent / np.linalg.norm(e)))
+    return conjugate_to_eigenbasis(SpectralDecomposition(u=np.eye(lam.size, dtype=complex), lam=lam), e)
+
+
 def align_columns_loop(candidate: np.ndarray, reference: np.ndarray, groups) -> np.ndarray:
     """The reference column match, one column and one ``np.vdot`` at a time:
     within each ``(start, stop)`` range the candidate column of largest
@@ -57,6 +84,41 @@ def align_columns_loop(candidate: np.ndarray, reference: np.ndarray, groups) -> 
             phase = z / abs(z) if abs(z) > 0.0 else 1.0
             out[:, j] = candidate[:, k] * phase
     return out
+
+
+def n_matrix_loop(ap, mmat: np.ndarray) -> np.ndarray:
+    """The reference ``N``: one matrix-vector product ``F_hat* (M * F_hat)[:, j]``
+    per column ``j`` of a multi-member block, on the contiguous column."""
+    n = ap.n
+    bid = ap.blocks.block_id()
+    same = (bid[:, None] == bid[None, :]) & ~np.eye(n, dtype=bool)
+    mf = mmat * ap.e_hat
+    fh = ap.e_hat.conj().T
+    num = np.zeros((n, n), dtype=np.complex128)
+    for j in np.flatnonzero(same.any(axis=0)):
+        num[:, j] = fh @ np.ascontiguousarray(mf[:, j])
+    d = ap.e_hat_diag
+    out = np.zeros((n, n), dtype=np.complex128)
+    np.divide(num, d[:, None] - d[None, :], out=out, where=same)
+    return out
+
+
+def complements_loop(e_hat: np.ndarray, x: np.ndarray, groups) -> list[np.ndarray]:
+    """The reference Schur complements of the stacks ``e_hat`` and ``x``
+    ``(m, n, n)``, one product per block on views of the whole matrices:
+    the symmetrized ``E11 - E_hat[:, block] @ X[:, :, block]``."""
+    out = []
+    for start, stop in groups:
+        b = e_hat[:, start:stop, start:stop] - e_hat[:, start:stop] @ x[:, :, start:stop]
+        out.append(0.5 * (b + b.conj().swapaxes(1, 2)))
+    return out
+
+
+def tie_gaps_loop(d: np.ndarray, groups) -> tuple[list[tuple[int, int]], list[float]]:
+    """The reference tie guard's data: the multi-member blocks and, one block
+    at a time, the smallest in-block gap ``d[i] - d[i + 1]`` of each."""
+    multi = [(start, stop) for start, stop in groups if stop - start >= 2]
+    return multi, [(d[start : stop - 1] - d[start + 1 : stop]).min() for start, stop in multi]
 
 
 class OracleCalls(list):

@@ -1,13 +1,25 @@
 import numpy as np
 import pytest
 
-from conftest import degenerate_instance, rand_hermitian, rand_unitary
+from dataclasses import replace
+
+from conftest import (
+    SCALE_EXPONENTS,
+    STACK_SPECS,
+    degenerate_instance,
+    n_matrix_loop,
+    rand_hermitian,
+    rand_unitary,
+    scaled_record,
+    tie_gaps_loop,
+)
 from eigpert import rayleigh
 from eigpert import (
     DegenerateDirectionError,
     GapTooSmallError,
     ModeError,
     PreconditionError,
+    SpectralDecomposition,
     aligned_perturbation,
     conjugate_to_eigenbasis,
     eigenvector_derivative,
@@ -214,6 +226,71 @@ class TestClosedForms:
             ap = aligned_perturbation(*degenerate_instance(rng, spec))
             assert np.array_equal(rs_coefficients(ap)[2], reference_a2(ap))
             assert np.array_equal(n_matrix(ap), reference_n(ap))
+
+
+class TestStackedN:
+    """``N`` forms every column of a multi-member block in one ``np.matmul``
+    over the stack of columns, with the bits of the per-column loop."""
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("n", sorted(STACK_SPECS))
+    def test_matches_the_column_loop(self, n, layout):
+        rng = np.random.default_rng([n, 17])
+        for k in range(10):
+            ap = scaled_record(rng, STACK_SPECS[n], SCALE_EXPONENTS[k % 5])
+            if layout == "F":
+                ap = replace(ap, e_hat=np.asfortranarray(ap.e_hat))
+            mmat = m_matrix(ap.base, ap.blocks)
+            assert rayleigh._n_matrix(ap, mmat).tobytes() == n_matrix_loop(ap, mmat).tobytes()
+
+    @pytest.mark.parametrize("stack", [1, 100])
+    @pytest.mark.parametrize("layout", ["strided", "contiguous"])
+    @pytest.mark.parametrize("n", [2, 3, 6, 9, 20, 60, 100])
+    def test_matmul_stack_rounds_as_matrix_vector_products(self, n, layout, stack):
+        # The premise: np.matmul(fh, X[:, :, None]) gives the bits of
+        # fh @ X[j] for every row j, in either layout of fh.
+        rng = np.random.default_rng([n, stack])
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        fh = g.conj().T if layout == "strided" else np.ascontiguousarray(g.conj().T)
+        x = rng.standard_normal((stack, n)) + 1j * rng.standard_normal((stack, n))
+        x *= 2.0 ** np.resize(SCALE_EXPONENTS, stack)[:, None]
+        stacked = np.matmul(fh, x[:, :, None])
+        for j in range(stack):
+            assert stacked[j, :, 0].tobytes() == (fh @ x[j]).tobytes()
+
+
+class TestStackedTieGuard:
+    """The tie guard's smallest gap per block, found in one expression, is the
+    per-block loop's, and a refusal names the block the loop names."""
+
+    @pytest.mark.parametrize("spec", [(3, 2, 1), (1, 2, 3, 1, 2), (4,) * 15, STACK_SPECS[60], (5,)])
+    def test_names_the_block_the_loop_names(self, spec):
+        rng = np.random.default_rng(len(spec))
+        n = sum(spec)
+        base = SpectralDecomposition(u=np.eye(n, dtype=complex), lam=np.repeat(-np.arange(len(spec), dtype=float), spec))
+        for k in range(40):
+            d = np.sort(rng.standard_normal(n))[::-1]
+            # Plant exact ties and near ties at random places, some across
+            # block boundaries, where they do not count.
+            for i in rng.choice(n - 1, size=k % 4, replace=False):
+                d[i + 1] = d[i] - (0.0 if k % 2 else 1e-12)
+            if k % 5 == 4:
+                rng.shuffle(d)
+            ap = conjugate_to_eigenbasis(base, np.diag(d).astype(complex))
+            multi, gaps = tie_gaps_loop(ap.e_hat_diag, ap.blocks.groups)
+            # Planted gaps are at most 1e-12 and the others far above the
+            # threshold, so the norm's upper bound decides without the oracle.
+            if all(g > rayleigh.STRICT_DIAGONAL_TOL * ap.norm.upper for g in gaps):
+                rayleigh._require_untied(ap)
+                continue
+            j = int(np.argmin(gaps))
+            with pytest.raises(DegenerateDirectionError) as info:
+                rayleigh._require_untied(ap)
+            assert f"(gap {gaps[j]:.3e}) inside eigenvalue block [{multi[j][0]}, {multi[j][1]})" in str(info.value)
+
+    def test_ties_across_a_boundary_pass(self):
+        base = SpectralDecomposition(u=np.eye(4, dtype=complex), lam=np.array([1.0, 1.0, 0.0, 0.0]))
+        rayleigh._require_untied(conjugate_to_eigenbasis(base, np.diag([1.0, 0.5, 0.5, 0.0]).astype(complex)))
 
 
 class TestScaleEquivariance:

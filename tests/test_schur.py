@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import degenerate_instance, rand_hermitian
+from conftest import (
+    SCALE_EXPONENTS,
+    STACK_SPECS,
+    complements_loop,
+    degenerate_instance,
+    rand_hermitian,
+    scaled_record,
+)
 from eigpert import (
     ConvergenceError,
     EnsembleConfig,
@@ -357,3 +364,48 @@ class TestFixedPoint:
         with pytest.raises(ConvergenceError) as info:
             schur._fixed_point(e_hat, w, 0, 6, "full")
         assert info.value.member == int(np.argmax(counts))
+
+
+class TestStackedComplements:
+    """The complements of all the blocks of one size come from one batched
+    product, with the bits of one product per block on views of the whole
+    ``E_hat`` and ``X``."""
+
+    @pytest.mark.parametrize("variant", ["full", "simplified"])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("members", [1, 100])
+    @pytest.mark.parametrize("n", sorted(STACK_SPECS))
+    def test_matches_the_block_loop(self, n, members, layout, variant):
+        spec = STACK_SPECS[n]
+        rng = np.random.default_rng([n, members])
+        # A lone member at each scale, or one stack that cycles through them.
+        runs = [[x] for x in SCALE_EXPONENTS] if members == 1 else [np.resize(SCALE_EXPONENTS, members)]
+        for exponents in runs:
+            aps = [scaled_record(rng, spec, int(x)) for x in exponents]
+            e_hat = np.stack([ap.e_hat for ap in aps])
+            if layout == "F":
+                e_hat = np.ascontiguousarray(e_hat.swapaxes(1, 2)).swapaxes(1, 2)
+            w = schur._weights(aps)
+            groups = aps[0].blocks.groups
+            want = complements_loop(e_hat, schur._fixed_point(e_hat, w, 0, n, variant), groups)
+            got = schur._complements_stack(e_hat, w, groups, variant)
+            assert len(got) == len(groups)
+            for b, ref in zip(got, want):
+                assert np.ascontiguousarray(b).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("spec, sizes", [((4,) * 15, 1), (STACK_SPECS[60], 3), ((3, 2, 1), 3), ((5,), 1)])
+    def test_one_product_per_block_size(self, monkeypatch, spec, sizes):
+        calls = []
+        real = schur._complement
+
+        def counting(*args):
+            calls.append(args[1].shape)
+            return real(*args)
+
+        monkeypatch.setattr(schur, "_complement", counting)
+        ap = scaled_record(np.random.default_rng(3), spec, 0)
+        for variant in ("full", "simplified"):
+            calls.clear()
+            refined_eigenvalues(ap, variant)
+            assert len(calls) == sizes
+            assert sum(k for k, _ in calls) == len(spec)

@@ -7,7 +7,8 @@ and diff the two outputs:
 
 Each line is ``name sha256``.  The outputs cover the ``eigpert converge``
 CSVs of every predictor, ``paper-example``, ``predict`` and ``derivative``
-on generated instances, the demos, full predictions at n = 60, the bytes
+on generated instances, the demos, full predictions at n = 60 (with two
+stored bases alternating, and on a layout of mixed block sizes), the bytes
 of the library's result records, the raw bytes of the generated instances
 themselves, so that a change to the random streams shows as its own line,
 the oracle's own outputs on a stack that mixes sizes 1 to 60, and the
@@ -94,6 +95,10 @@ LARGE_SEEDS = (1, 2)
 LARGE_SPEC = (4,) * 15
 LARGE_T = (1e-3, 1e-2, 1e-1)
 
+# An n = 60 layout that mixes four block sizes, so that the Schur complements
+# of several sizes are stacked, 1 x 1 blocks among them.
+LARGE_MIXED_SPEC = (4, 3, 2, 1) * 6
+
 
 def _bytes(value) -> bytes:
     """Bytes of a value: an array's dtype, shape and raw data (so signed zeros
@@ -139,7 +144,7 @@ def instances() -> None:
     ensembles = [(spec, seed, trials) for spec, seeds, trials, _ in STUDIES for seed in seeds]
     _, seed, spec, trials, _ = GAP_STUDY
     ensembles.append((spec, seed, trials))
-    ensembles.extend((LARGE_SPEC, seed, 1) for seed in LARGE_SEEDS)
+    ensembles.extend((spec, seed, 1) for spec in (LARGE_SPEC, LARGE_MIXED_SPEC) for seed in LARGE_SEEDS)
     for spec, seed, trials in ensembles:
         _record(
             f"instances/{','.join(map(str, spec))}/seed{seed}/trials{trials}",
@@ -256,25 +261,42 @@ def column_matches() -> None:
         _record(f"alignment/align_columns/n{n}", *matched)
 
 
+def _prediction(base: jacobi.SpectralDecomposition, e: np.ndarray) -> tuple:
+    """Every output of a full prediction of ``A + E`` from the stored
+    decomposition ``base`` of ``A``."""
+    ap = alignment.blockwise_diagonalize(alignment.conjugate_to_eigenbasis(base, matrices.hermitian(e)))
+    mmat = alignment.m_matrix(ap.base, ap.blocks)
+    return (
+        first_order.first_order_eigenvalues(ap),
+        first_order.u_approx(ap, mmat),
+        schur.refined_eigenvalues(ap, "full"),
+        schur.refined_eigenvalues(ap, "simplified"),
+        rayleigh.rs_coefficients(ap),
+        rayleigh.eigenvector_derivative(ap, mmat),
+    )
+
+
 def large_instances() -> None:
-    """Every output of a full prediction of ``A + t F`` at n = 60 from the
-    stored decomposition of ``A``."""
+    """Full predictions of ``A + t F`` at n = 60 from the stored
+    decomposition of ``A``: each instance's t in turn, then the two
+    instances' predictions alternating, so that memos of base-only data
+    switch bases between calls, then a layout of mixed block sizes."""
+    stored = {}
     for seed in LARGE_SEEDS:
         a, f = _instance(seed, LARGE_SPEC)
+        stored[seed] = jacobi.eigh(a), f
+        for t in LARGE_T:
+            _record(f"predict_n60/seed{seed}/t{t}", *_prediction(stored[seed][0], t * f))
+    for t in LARGE_T:
+        for seed in LARGE_SEEDS:
+            base, f = stored[seed]
+            _record(f"predict_n60/alternating/seed{seed}/t{t}", *_prediction(base, t * f))
+    blocks = ",".join(map(str, LARGE_MIXED_SPEC))
+    for seed in LARGE_SEEDS:
+        a, f = _instance(seed, LARGE_MIXED_SPEC)
         base = jacobi.eigh(a)
         for t in LARGE_T:
-            e = matrices.hermitian(t * f)
-            ap = alignment.blockwise_diagonalize(alignment.conjugate_to_eigenbasis(base, e))
-            mmat = alignment.m_matrix(ap.base, ap.blocks)
-            _record(
-                f"predict_n60/seed{seed}/t{t}",
-                first_order.first_order_eigenvalues(ap),
-                first_order.u_approx(ap, mmat),
-                schur.refined_eigenvalues(ap, "full"),
-                schur.refined_eigenvalues(ap, "simplified"),
-                rayleigh.rs_coefficients(ap),
-                rayleigh.eigenvector_derivative(ap, mmat),
-            )
+            _record(f"predict_n60/{blocks}/seed{seed}/t{t}", *_prediction(base, t * f))
 
 
 def main() -> int:
