@@ -314,11 +314,12 @@ def _base_memo(compute):
 @_base_memo
 def _margins(lam: np.ndarray, blocks: BlockStructure) -> np.ndarray:
     """Each block's distance from the other eigenvalues."""
-    starts, stops = np.array(blocks.groups).T
     # lam is sorted and rho inside its block: the nearest others are its
     # neighbours, and a missing neighbour is infinitely far.
-    lam, rho = np.r_[np.inf, lam, -np.inf], np.asarray(blocks.rep_values)
-    return as_readonly(np.minimum(np.abs(lam[starts] - rho), np.abs(lam[stops + 1] - rho)))
+    lam, rho = np.concatenate(([np.inf], lam, [-np.inf])), np.array(blocks.rep_values)
+    above = lam[[start for start, _ in blocks.groups]]
+    below = lam[[stop + 1 for _, stop in blocks.groups]]
+    return as_readonly(np.minimum(np.abs(above - rho), np.abs(below - rho)))
 
 
 def _aligned_stack(
