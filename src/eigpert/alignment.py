@@ -162,12 +162,6 @@ class LazyNorm:
         self._compute = compute
         self._value: float | None = None
 
-    @classmethod
-    def of(cls, e_hat: np.ndarray) -> "LazyNorm":
-        """Bounds from the column norms and the Frobenius norm of ``e_hat``,
-        the oracle norm ``max |eigh(e_hat).lam|`` deferred."""
-        return _lazy_norms(e_hat[None])[0]
-
     @property
     def value(self) -> float:
         if self._value is None:
@@ -183,8 +177,11 @@ class LazyNorm:
 
 
 def _lazy_norms(e_hat: np.ndarray) -> list[LazyNorm]:
-    """:meth:`LazyNorm.of` of each member of a stack ``(k, n, n)``, the bounds
-    of all of them as one expression."""
+    """The :class:`LazyNorm` of each member of the symmetrized stack
+    ``e_hat`` ``(k, n, n)``: bounds from its column norms and its Frobenius
+    norm, all of them as one expression, and the oracle norm
+    ``max |eigh(e_hat[i]).lam|`` deferred.  ``e_hat`` is exactly Hermitian,
+    so the deferred solve goes to the oracle's array entry."""
     _, n, _ = e_hat.shape
     mag = np.abs(e_hat)
     peak = mag.max(axis=(1, 2))
@@ -201,7 +198,7 @@ def _lazy_norms(e_hat: np.ndarray) -> list[LazyNorm]:
     upper = fro + slack
 
     def oracle(m: np.ndarray) -> Callable[[], float]:
-        return lambda: float(np.abs(jacobi._eigvalsh_stack([m])[0]).max())
+        return lambda: float(np.abs(jacobi._solve_stack(m[None], vectors=False)).max())
 
     return [LazyNorm(lo, up, oracle(m)) for lo, up, m in zip(lower.tolist(), upper.tolist(), e_hat)]
 
@@ -367,35 +364,32 @@ def blockwise_diagonalize(ap: AlignedPerturbation) -> AlignedPerturbation:
     """Rotate the base inside each degeneracy block so ``e_hat`` is block-wise
     diagonal with non-increasing in-block diagonal entries.
 
-    The blocks' rotations are solved as one oracle call, all blocks of one
-    size stacked.  The eigenvalue vector is untouched and the rotated basis
-    still diagonalizes the base matrix.  Applying this to input that is already
-    block-wise diagonal only re-imposes the column phase convention.
+    The rotations are solved in one oracle call per block size.  The
+    eigenvalue vector is untouched and the rotated basis still diagonalizes
+    the base matrix.  Applying this to input that is already block-wise
+    diagonal only re-imposes the column phase convention.
     """
     return _blockwise_diagonalize_stack([ap])[0]
 
 
 def _blockwise_diagonalize_stack(aps: list[AlignedPerturbation]) -> list[AlignedPerturbation]:
-    """:func:`blockwise_diagonalize` of each perturbation of one size, with one
-    oracle call for the blocks of all of them, and the rotations of all the
-    blocks of one size applied as one batched product; each result has the
-    bits of its solo rotation."""
+    """:func:`blockwise_diagonalize` of each perturbation of one size: the
+    blocks of one size of all of them gathered from the stacked ``E_hat`` by
+    one index, solved in one oracle call and their rotations applied as one
+    batched product; each result has the bits of its solo rotation."""
     by_size: dict[int, list[tuple[int, int]]] = {}
     for i, ap in enumerate(aps):
         for start, stop in ap.blocks.groups:
             if stop - start >= 2:
                 by_size.setdefault(stop - start, []).append((i, start))
-    rotations = jacobi.eigh_stack(
-        [aps[i].e_hat[s : s + size, s : s + size] for size, pairs in by_size.items() for i, s in pairs],
-        tol=BLOCK_TOL,
-    )
-    # Per block size, each block's member (a column) and its index range.
-    ranges = [(np.array(p)[:, :1], np.array(p)[:, 1:] + np.arange(size)) for size, p in by_size.items()]
+    e_hat = np.array([ap.e_hat for ap in aps])
     u = np.array([ap.base.u for ap in aps])
-    done = 0
-    for member, cols in ranges:
-        r = np.array([d.u for d in rotations[done : done + len(member)]])
-        done += len(member)
+    for size, pairs in by_size.items():
+        # Each block's member (a column) and its index range (a row).
+        member, start = np.array(pairs).T[:, :, None]
+        cols = start + np.arange(size)
+        # E_hat is symmetrized, so each block is exactly Hermitian as stored.
+        r = jacobi._solve_stack(e_hat[member[:, :, None], cols[:, :, None], cols[:, None, :]], BLOCK_TOL)[0]
         # u[member, :, cols] is (blocks, size, n): each block's columns as rows.
         rotated = np.ascontiguousarray(u[member, :, cols].swapaxes(1, 2)) @ r
         u[member, :, cols] = rotated.swapaxes(1, 2)

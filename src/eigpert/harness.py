@@ -8,9 +8,9 @@ generator is a counter, so a study draws every trial's stream as one
 convergence studies pair each predictor against the eigendecomposition
 oracle over a decreasing t-grid and fit the error's log-log slope.
 
-A study stacks its oracle calls across its trials, one call per stage (see
-:func:`convergence_study`), so it makes at most five calls whatever its
-number of trials.  Every other stage is an array expression over the
+A study stacks its oracle calls across its trials, one call per stage and
+block size (see :func:`convergence_study`), so their number does not grow
+with its number of trials.  Every other stage is an array expression over the
 ``(trials, t, n, n)`` stack: the conjugations, the Schur fixed point (each
 member stopping on its own test), the expansion's coefficients, the
 residuals, the eigenvector study's column match, the error norms and the
@@ -196,10 +196,10 @@ def _instances(cfg: EnsembleConfig, trials) -> list[tuple[np.ndarray, np.ndarray
     q_draws, directions = draws[0::2], draws[1::2]
     grams, where = _grams(directions)
     # A member's lam does not depend on its stack or on whether u is solved for.
-    solved = jacobi.eigh_stack([*q_draws, *grams])
+    solved = jacobi.eigh_stack([*q_draws, *(g for stack in grams for g in stack)])
     q = np.array([d.u for d in solved[: len(q_draws)]])
     a = hermitian(q @ spectra @ q.conj().swapaxes(1, 2))
-    norms = _norms([d.lam[0] for d in solved[len(q_draws) :]], where)
+    norms = _norms([[d.lam[0] for d in solved[len(q_draws) :]]], where)
     f = directions / np.array(norms)[:, None, None]
     return list(zip(a, f))
 
@@ -326,6 +326,7 @@ def _errors(predictor: str, aps: list, instances: list, grid: np.ndarray) -> np.
         gaps = first_order._residuals(u, lam[:, None], e_t, e_hat_t, mmat[:, None])
         return np.reshape(operator_norms(gaps.reshape(-1, n, n)), (trials, steps))
     exact = np.array([a for a, _ in instances])[:, None] + t * np.array([f for _, f in instances])[:, None]
+    # A + t F is exactly Hermitian as stored, a sum of two such matrices.
     exact = exact.reshape(-1, n, n)
     if predictor == "eigvec_first_order":
         # _admit has run the tie guard: the derivative is formed without it.
@@ -333,7 +334,7 @@ def _errors(predictor: str, aps: list, instances: list, grid: np.ndarray) -> np.
         u_hat = rayleigh._series(t, u, u_prime[:, None])
         # The oracle's u are column-major, and the column match rounds as
         # np.vdot on columns so laid out: the stack keeps that layout.
-        exacts_t = np.array([d.u.T for d in jacobi.eigh_stack(exact)]).reshape(u_hat.shape)
+        exacts_t = np.ascontiguousarray(jacobi._solve_stack(exact)[0].swapaxes(1, 2)).reshape(u_hat.shape)
         # One column match per degeneracy structure, over all its (trial, t) members.
         gaps = np.empty(u_hat.shape, dtype=np.complex128)
         for groups, members in _by_structure(aps).items():
@@ -348,7 +349,7 @@ def _errors(predictor: str, aps: list, instances: list, grid: np.ndarray) -> np.
         pred = rayleigh._series(grid[:, None], lam[:, None], a1[:, None], rayleigh._a2(e_hat, mmat)[:, None])
     else:
         pred = _schur_predictions(predictor, aps, e_hat_t)
-    lams = np.array(jacobi._eigvalsh_stack(exact))
+    lams = jacobi._solve_stack(exact, vectors=False)
     return np.abs(lams - pred.reshape(-1, n)).max(axis=1).reshape(trials, steps)
 
 
@@ -364,26 +365,23 @@ def _schur_predictions(predictor: str, aps: list, e_hat_t: np.ndarray) -> np.nda
     """Schur-refined eigenvalues ``(trials, t, n)`` from ``E_hat`` stacked
     as ``(trials, t, n, n)``: one fixed point for all the trials that share
     a degeneracy structure and all their t, each trial's weights shared by
-    its t, and one oracle call for every complement."""
+    its t, and one oracle call per block size and structure."""
     variant = "full" if predictor == "schur_full" else "simplified"
     trials, steps, n = e_hat_t.shape[:3]
     w = schur._weights(aps)
     complements, where = [], []
     for groups, members in _by_structure(aps).items():
         stack = e_hat_t[members].reshape(-1, n, n)
-        bs = schur._complements_stack(stack, np.repeat(w[members], steps, axis=0), groups, variant)
-        rho = np.array([aps[k].blocks.rep_values for k in members])
-        for g, ((start, stop), b) in enumerate(zip(groups, bs)):
-            complements.extend(b)
-            where.append((members, start, stop, rho[:, g, None, None]))
-    betas = schur._complement_eigenvalues(complements)
+        # Each member's representative value at each index.
+        rho = np.array([aps[k].blocks.rep_values for k in members])[:, aps[members[0]].blocks.block_id()]
+        for index, b in schur._complements_stack(stack, np.repeat(w[members], steps, axis=0), groups, variant):
+            complements.append(b)
+            where.append((members, index, rho[:, None, index]))
     pred = np.empty((trials, steps, n))
-    done = 0
-    for members, start, stop, rho in where:
-        beta = np.array(betas[done : done + members.size * steps])
-        done += members.size * steps
+    for (members, index, rho), beta in zip(where, schur._complement_eigenvalues(complements)):
         # The blocks are contiguous and cover every index in order.
-        pred[members, :, start:stop] = rho + beta.reshape(-1, steps, stop - start)
+        beta = beta.reshape(members.size, steps, *index.shape)
+        pred[members[:, None, None, None], np.arange(steps)[:, None, None], index] = rho + beta
     return pred
 
 
@@ -397,18 +395,19 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     rows and no slope; more than half failing aborts the study.  The
     reported slope is the worst (smallest) per-trial slope.
 
-    Each oracle stage is one call for all trials:
+    Each oracle stage serves all trials at once:
 
     1. the instances' ``Q`` draws together with the Gram matrices of their
        directions, whose top eigenvalues give the directions' norms;
     2. the base decompositions;
-    3. the block-wise rotations;
-    4. the Schur complements, for the Schur predictors;
+    3. the block-wise rotations, one call per block size;
+    4. the Schur complements, for the Schur predictors, one call per block
+       size of each degeneracy structure;
     5. the exact solves of ``A + t F`` over the admitted trials and the
        t-grid, for every predictor but ``u_ap_residual``;
     6. the error matrices' norms, for the matrix-valued predictors.
 
-    No predictor needs both 4 and 6, so a study makes at most five calls.
+    No predictor needs both 4 and 6, so a study has at most five stages.
     The oracle gives every stack member the bits of its solo solve, and every
     other stage is a batched array expression over the ``(trials, t)``
     stack whose members round as they do alone, so the study is the same
@@ -419,7 +418,9 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     """
     grid = np.array(cfg.t_grid)
     instances = _instances(cfg, range(cfg.trials))
-    bases = jacobi.eigh_stack([a for a, _ in instances])
+    # The instances' A are exactly Hermitian, as hermitian built them.
+    u, lam = jacobi._solve_stack(np.array([a for a, _ in instances]))[:2]
+    bases = [jacobi.SpectralDecomposition(u_k, lam_k) for u_k, lam_k in zip(u, lam)]
     aps = alignment._blockwise_diagonalize_stack(
         alignment._conjugate_stack(bases, hermitian(np.array([f for _, f in instances])))
     )

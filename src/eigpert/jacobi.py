@@ -27,6 +27,13 @@ stacked over the eigenvector accumulator ``u``; callers that read only
 eigenvalues sweep ``a`` alone and get eigenvalue arrays back.  Nothing
 computed from ``a`` reads ``u``, so ``lam``, sweeps, off mass and errors
 keep their bits.
+
+Validation happens at the public entry, :func:`eigh_stack`: it checks and
+symmetrizes its input with :func:`~eigpert.matrices.hermitian`, groups it by
+size and builds the records.  The package's own callers hold stacks of one
+size on which ``hermitian`` would change no bit (``E_hat`` blocks, Schur
+complements, ``A + t F``), so they call the array entry ``_solve_stack``,
+which checks finiteness only and returns arrays.
 """
 
 from __future__ import annotations
@@ -49,10 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_SWEEPS = 64
-
-# The eigenvector matrix of every 1 x 1 member.
-_UNIT = as_readonly(np.ones((1, 1), dtype=np.complex128))
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -211,14 +214,26 @@ def _sweep(w: np.ndarray, floor: np.ndarray) -> np.ndarray:
     return w
 
 
-def _solve(
-    a: np.ndarray, index: list[int], total: int, tol: float, max_sweeps: int, vectors: bool
-) -> tuple[SpectralDecomposition, ...] | np.ndarray:
-    """Diagonalize the Hermitian stack ``a`` of shape ``(k, n, n)``: one
-    :class:`SpectralDecomposition` per member if ``vectors``, else the
-    eigenvalues ``(k, n)``; ``index`` holds the members' positions among the
-    ``total`` matrices of the call, which a :class:`ConvergenceError` reports."""
+def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True, max_sweeps=DEFAULT_MAX_SWEEPS, index=None, total=None):
+    """The array entry: solve ``a`` ``(k, n, n)``, complex128 matrices of one
+    size, each exactly Hermitian as stored.  Only finiteness is checked, with
+    :func:`eigh`'s error.  Returns ``u`` ``(k, n, n)``, ``lam`` ``(k, n)`` and
+    each member's sweeps and off mass, or ``lam`` alone unless ``vectors``,
+    each member with the bits of :func:`eigh` on it.  ``tol`` defaults to
+    ``1e-13 * n``; ``index`` and ``total`` number the members in a
+    :class:`ConvergenceError` (by default, their positions in ``a``)."""
     k, n, _ = a.shape
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite (no NaN or Inf)")
+    if n == 1:
+        # A 1 x 1 member is diagonal: solving it would scale it by an exact
+        # power of two, make no sweep and scale it back, so its entry is its
+        # eigenvalue, bit for bit.
+        lam = as_readonly(a.real.reshape(k, 1).copy())
+        u = as_readonly(np.ones((k, 1, 1), dtype=np.complex128))
+        return (u, lam, np.zeros(k, dtype=np.intp), np.zeros(k)) if vectors else lam
+    tol = 1e-13 * n if tol is None else tol
+    index, total = range(k) if index is None else index, k if total is None else total
     # Largest entry of each member brought into [0.5, 1) by an exact power
     # of two; every rotation parameter is scale-invariant, so this changes
     # no bits for inputs whose squared entries stay in range.
@@ -270,10 +285,7 @@ def _solve(
     if not vectors:
         return lam
     u = as_readonly(normalize_column_phases(w[n:].transpose(2, 1, 0)[member, order].swapaxes(1, 2)))
-    return tuple(
-        SpectralDecomposition(u=u[i], lam=lam[i], sweeps=int(sweeps[i]), off_mass=float(off[i]))
-        for i in range(k)
-    )
+    return u, lam, sweeps, off
 
 
 def eigh_stack(
@@ -282,7 +294,8 @@ def eigh_stack(
     """Diagonalize many Hermitian matrices, those of one size as one stack.
 
     ``hs`` is a sequence of square matrices, or an array ``(k, n, n)``; each
-    is validated and symmetrized on entry.  Matrices of equal size are
+    is validated and symmetrized here, at the public entry (the package's
+    own exactly Hermitian stacks skip this).  Matrices of equal size are
     solved together, every step of the solver acting on all of them at once,
     so stacking small solves shares their per-step overhead.  Entry ``i`` of
     the result is bit for bit ``eigh(hs[i], tol, max_sweeps)``.
@@ -299,12 +312,6 @@ def eigh_stack(
         after that many sweeps, :class:`ConvergenceError` names the first
         such matrix and carries its final off-diagonal mass.
     """
-    return _stack(hs, tol, max_sweeps)
-
-
-def _stack(hs, tol: float | None = None, max_sweeps: int = DEFAULT_MAX_SWEEPS, vectors: bool = True):
-    """:func:`eigh_stack`, or with ``vectors`` false, the eigenvalues of each
-    matrix alone, with the bits of its ``lam``."""
     if tol is not None and not 1e-15 <= tol < np.inf:
         raise ValueError(f"tol must be finite and at least 1e-15, got {tol}")
     members = [np.asarray(h, dtype=np.complex128) for h in hs]
@@ -319,22 +326,11 @@ def _stack(hs, tol: float | None = None, max_sweeps: int = DEFAULT_MAX_SWEEPS, v
         for h in members:
             hermitian(h)  # raises the error of the first invalid member
         raise
-    out: dict[int, SpectralDecomposition | np.ndarray] = {}
-    for (n, _), index, a in zip(by_shape, by_shape.values(), stacks):
-        if n == 1:
-            # A 1 x 1 member is diagonal: solving it would scale it by an
-            # exact power of two, make no sweep and scale it back, so its
-            # entry is its eigenvalue, bit for bit.
-            lam = as_readonly(a.real.reshape(-1, 1).copy())
-            solved = [SpectralDecomposition(_UNIT, x, 0, 0.0) for x in lam] if vectors else lam
-        else:
-            tol_n = 1e-13 * n if tol is None else tol
-            solved = _solve(a, index, len(members), tol_n, max_sweeps, vectors)
-        out.update(zip(index, solved))
+    out: dict[int, SpectralDecomposition] = {}
+    for index, a in zip(by_shape.values(), stacks):
+        u, lam, sweeps, off = _solve_stack(a, tol, True, max_sweeps, index, len(members))
+        out.update(zip(index, map(SpectralDecomposition, u, lam, sweeps.tolist(), off.tolist())))
     return tuple(out[i] for i in range(len(members)))
-
-
-_eigvalsh_stack = functools.partial(_stack, vectors=False)
 
 
 def eigh(h, tol: float | None = None, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> SpectralDecomposition:

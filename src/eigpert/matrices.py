@@ -121,15 +121,16 @@ def operator_norms(ms) -> list[float]:
     from . import jacobi  # deferred; jacobi imports this module's constructors
 
     grams, where = _grams(ms)
-    return _norms([lam[0] for lam in jacobi._eigvalsh_stack(grams)], where)
+    return _norms([jacobi._solve_stack(g, vectors=False)[:, 0] for g in grams], where)
 
 
 def _grams(ms) -> tuple[list[np.ndarray], tuple[list[int], list[np.ndarray], int]]:
-    """The Gram-forming half of :func:`operator_norms`: the Gram matrix of
-    each nonzero matrix in ``ms`` after scaling it by an exact power of two
-    to unit largest entry, formed on the smaller side (same nonzero
-    spectrum), and what :func:`_norms` needs to finish from their top
-    eigenvalues.  The oracle symmetrizes the Gram matrices on entry."""
+    """The Gram-forming half of :func:`operator_norms`: per shape, the stack
+    of the Gram matrices of the nonzero matrices in ``ms`` after scaling each
+    by an exact power of two to unit largest entry, formed on the smaller
+    side (same nonzero spectrum), and what :func:`_norms` needs to finish
+    from their top eigenvalues.  A Gram product is Hermitian only to
+    round-off, so it is symmetrized as :func:`hermitian` would do it."""
     by_shape: dict[tuple[int, ...], list[int]] = {}
     members = []
     for i, m in enumerate(ms):
@@ -148,22 +149,26 @@ def _grams(ms) -> tuple[list[np.ndarray], tuple[list[int], list[np.ndarray], int
             raise ValueError("matrix entries must be finite (no NaN or Inf)")
         peak = np.abs(m).max(axis=(1, 2))
         live = np.flatnonzero(peak)  # a zero matrix has norm 0 and needs no solve
+        if live.size == 0:
+            continue
         exponent = np.frexp(peak[live])[1]
         m = _ldexp(m[live], -exponent[:, None, None])
         mh = m.conj().swapaxes(1, 2)
+        gram = m @ mh if rows <= cols else mh @ m
         index.extend(group[j] for j in live)
         exponents.append(exponent)
-        grams.extend(m @ mh if rows <= cols else mh @ m)
+        grams.append(0.5 * (gram + gram.conj().swapaxes(1, 2)))
     return grams, (index, exponents, len(members))
 
 
 def _norms(top, where: tuple[list[int], list[np.ndarray], int]) -> list[float]:
     """The finishing half of :func:`operator_norms`: the norms from the top
-    eigenvalue of each Gram matrix that :func:`_grams` formed."""
+    eigenvalues of the stacks of Gram matrices that :func:`_grams` formed,
+    one array per stack."""
     index, exponents, count = where
     out = np.zeros(count)
     if index:
-        out[index] = np.ldexp(np.sqrt(np.maximum(top, 0.0)), np.concatenate(exponents))
+        out[index] = np.ldexp(np.sqrt(np.maximum(np.concatenate(top), 0.0)), np.concatenate(exponents))
     return out.tolist()
 
 

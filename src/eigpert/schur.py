@@ -151,11 +151,12 @@ def _complement(e_hat: np.ndarray, index: np.ndarray, rows: np.ndarray, cols: np
     return 0.5 * (b + b.conj().swapaxes(-1, -2))
 
 
-def _complement_eigenvalues(bs) -> tuple[np.ndarray, ...]:
-    """Eigenvalues of symmetrized Schur complements, from one oracle call that
-    stacks the complements of each size; a 1 x 1 complement needs no sweep
-    and comes back as its own entry, the power-of-two prescale being exact."""
-    return jacobi._eigvalsh_stack(bs)
+def _complement_eigenvalues(bs) -> list[np.ndarray]:
+    """Eigenvalues ``(..., l)`` of each of ``bs``, stacks ``(..., l, l)`` of
+    symmetrized Schur complements, one size per stack: one oracle call per
+    stack, through the array entry, as a complement is exactly Hermitian; a
+    1 x 1 complement needs no sweep and comes back as its own entry."""
+    return [jacobi._solve_stack(b.reshape(-1, *b.shape[-2:]), vectors=False).reshape(b.shape[:-1]) for b in bs]
 
 
 def schur_data(ap: AlignedPerturbation, block_index: int) -> SchurData:
@@ -199,31 +200,37 @@ def refined_eigenvalues(ap: AlignedPerturbation, variant: str = "full") -> np.nd
     ``variant="simplified"`` stops at its first iterate, which replaces ``K``
     by ``diag(tau - rho)`` (error ``O(||E||^3)``).  Entry ``j`` of the result
     pairs with the ``j``-th exact eigenvalue in non-increasing order.  The
-    complements' eigenvalues come from one oracle call.
+    complements' eigenvalues come from one oracle call per block size.
     """
     if variant not in ("full", "simplified"):
         raise ValueError(f"unknown variant {variant!r}; expected 'full' or 'simplified'")
-    rhos, bs = _complements(ap, variant)
+    sized = _complements(ap, variant)
+    rho = np.asarray(ap.blocks.rep_values)[ap.blocks.block_id()]
+    out = np.empty(ap.n)
     # The blocks are contiguous and cover every index in order.
-    return np.concatenate([rho + beta for rho, beta in zip(rhos, _complement_eigenvalues(bs))])
+    for (index, _), beta in zip(sized, _complement_eigenvalues([b for _, b in sized])):
+        out[index] = rho[index] + beta
+    return out
 
 
-def _complements(ap: AlignedPerturbation, variant: str) -> tuple[list[float], list[np.ndarray]]:
-    """Every block's representative value and symmetrized Schur complement,
-    in block order, once the gap guard admits ``ap``: the one-member case of
-    :func:`_complements_stack`."""
+def _complements(ap: AlignedPerturbation, variant: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per block size, the blocks' indices ``(k, l)`` and symmetrized Schur
+    complements ``(k, l, l)``, once the gap guard admits ``ap``: the
+    one-member case of :func:`_complements_stack`."""
     _require_gap(ap, DEFAULT_MARGIN_FACTOR)
-    bs = _complements_stack(ap.e_hat[None], _weights_of(ap.base.lam, ap.blocks)[None], ap.blocks.groups, variant)
-    return list(ap.blocks.rep_values), [b[0] for b in bs]
+    sized = _complements_stack(ap.e_hat[None], _weights_of(ap.base.lam, ap.blocks)[None], ap.blocks.groups, variant)
+    return [(index, b[0]) for index, b in sized]
 
 
-def _complements_stack(e_hat: np.ndarray, w: np.ndarray, groups, variant: str) -> list[np.ndarray]:
-    """Every block's symmetrized Schur complement, one stack ``(m, l, l)`` per
-    block in block order, for the members of ``e_hat`` ``(m, n, n)`` that
-    share the degeneracy ``groups``, from one fixed point with weights ``w``.
-    The caller has applied the gap guard.  Their eigenvalues are left to
+def _complements_stack(e_hat: np.ndarray, w: np.ndarray, groups, variant: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every block's symmetrized Schur complement for the members of
+    ``e_hat`` ``(m, n, n)`` that share the degeneracy ``groups``, from one
+    fixed point with weights ``w``, as one pair per block size in order of
+    first appearance: the indices ``(k, l)`` of the ``k`` blocks of size
+    ``l``, in block order, and their complements ``(m, k, l, l)``.  The
+    caller has applied the gap guard.  Their eigenvalues are left to
     :func:`_complement_eigenvalues`, so that callers can solve the
-    complements of many perturbations in one oracle call.
+    complements of many perturbations in one oracle call per size.
 
     The blocks of one size make one batched product.  Each block's product
     has the bits of ``E_hat[:, block] @ X[:, :, block]`` on views of the
@@ -239,19 +246,12 @@ def _complements_stack(e_hat: np.ndarray, w: np.ndarray, groups, variant: str) -
     order = np.concatenate([np.arange(*groups[g]) for blocks in by_size.values() for g in blocks])
     # take lays its copies out row-major; x[:, :, order] would not.
     rows, cols = e_hat.take(order, axis=1), x.take(order, axis=2)
-    out: list = [None] * len(groups)
-    done = 0
+    out, done = [], 0
     for size, blocks in by_size.items():
         span = slice(done, done + len(blocks) * size)
-        done = span.stop
-        b = _complement(
-            e_hat,
-            order[span].reshape(-1, size),
-            rows[:, span].reshape(m, -1, size, n),
-            cols[:, :, span].reshape(m, n, -1, size).swapaxes(1, 2),
-        )
-        for i, g in enumerate(blocks):
-            out[g] = b[:, i]
+        done, index = span.stop, order[span].reshape(-1, size)
+        x_cols = cols[:, :, span].reshape(m, n, -1, size).swapaxes(1, 2)
+        out.append((index, _complement(e_hat, index, rows[:, span].reshape(m, -1, size, n), x_cols)))
     return out
 
 
@@ -286,10 +286,14 @@ def vc_membership(ap: AlignedPerturbation, c: float, diag_tol: float) -> VcRepor
             worst_gap_ratio=math.inf,
             degenerate_zero=has_multi,
         )
-    _, bs = _complements(ap, "full")
-    off = tuple(float(np.abs(b - np.diag(np.diag(b))).max()) for b in bs)
+    sized = _complements(ap, "full")
+    off = np.empty(len(ap.blocks.groups))
+    for index, b in sized:
+        off[ap.blocks.block_id()[index[:, 0]]] = np.abs(b - b * np.eye(b.shape[-1])).max(axis=(1, 2))
+    off = tuple(off.tolist())
     # beta is sorted, so the closest pair is adjacent; a 1 x 1 block has none.
-    gaps = [float((b[:-1] - b[1:]).min()) for b in _complement_eigenvalues(bs) if b.size >= 2]
+    betas = _complement_eigenvalues([b for _, b in sized])
+    gaps = [float((beta[:, :-1] - beta[:, 1:]).min()) for beta in betas if beta.shape[1] >= 2]
     return VcReport(
         member=max(off) <= diag_tol * ap.e_norm and min(gaps, default=math.inf) >= c * ap.e_norm,
         per_block_off_diagonal=off,

@@ -9,6 +9,8 @@ own SplitMix64 streams are exercised separately in the harness tests.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -128,28 +130,45 @@ class OracleCalls(list):
     def __init__(self) -> None:
         super().__init__()
         self.vectors: list[bool] = []
+        self.caller = None
 
     def clear(self) -> None:
         super().clear()
         self.vectors.clear()
+        self.caller = None
+
+
+def assert_exactly_hermitian(a) -> None:
+    """The precondition of the oracle's array entry: one complex128 stack
+    of square matrices of one size that :func:`hermitian` would not change
+    by a bit, so exact conjugate symmetry and a +0 imaginary diagonal."""
+    assert isinstance(a, np.ndarray) and a.dtype == np.complex128
+    assert a.ndim == 3 and a.shape[1] == a.shape[2]
+    assert hermitian(a).tobytes() == np.ascontiguousarray(a).tobytes()
+    assert not np.signbit(np.diagonal(a, axis1=1, axis2=2).imag).any()
 
 
 @pytest.fixture
 def oracle_calls(monkeypatch):
     """Record every oracle call made after it is set up, full solves and
-    eigenvalue-only ones alike.  ``eigh`` goes through ``eigh_stack``, so
-    single solves are recorded too, as one-member calls."""
+    eigenvalue-only ones alike, and check the array entry's precondition
+    on each.  Every solve goes through the array entry ``_solve_stack``,
+    ``eigh`` and ``eigh_stack`` too, one stack per matrix size; the stacks
+    one caller solves in a row, such as the sizes of one ``eigh_stack``
+    call or of one stage's Schur complements, are recorded as one call."""
     calls = OracleCalls()
+    real = jacobi._solve_stack
 
-    def recording(real, vectors):
-        def counting(hs, *args, **kwargs):
-            hs = list(hs)
-            calls.append([np.shape(h)[0] for h in hs])
+    def recording(a, tol=None, vectors=True, *args, **kwargs):
+        assert_exactly_hermitian(a)
+        caller = sys._getframe(1)
+        if caller is calls.caller and calls.vectors[-1] == vectors:
+            calls[-1].extend([a.shape[1]] * len(a))
+        else:
+            calls.append([a.shape[1]] * len(a))
             calls.vectors.append(vectors)
-            return real(hs, *args, **kwargs)
+        calls.caller = caller
+        return real(a, tol, vectors, *args, **kwargs)
 
-        return counting
-
-    monkeypatch.setattr(jacobi, "eigh_stack", recording(jacobi.eigh_stack, True))
-    monkeypatch.setattr(jacobi, "_eigvalsh_stack", recording(jacobi._eigvalsh_stack, False))
+    monkeypatch.setattr(jacobi, "_solve_stack", recording)
     return calls

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_hermitian, rand_unitary
+from conftest import assert_exactly_hermitian, rand_hermitian, rand_unitary
 from eigpert import (
     ConvergenceError,
     SpectralDecomposition,
@@ -18,7 +18,7 @@ from eigpert import (
     operator_norm,
     residual,
 )
-from eigpert.jacobi import _eigvalsh_stack, _schedule
+from eigpert.jacobi import DEFAULT_MAX_SWEEPS, _schedule, _solve_stack
 
 
 def fro(m) -> float:
@@ -291,18 +291,18 @@ class TestStack:
         for k in (1, 7, 8, 33, 100):
             for d, e in zip(eigh_stack(members[:k]), solo):
                 assert same_bits(d, e)
-            for lam, e in zip(_eigvalsh_stack(members[:k]), solo):
+            for lam, e in zip(_solve_stack(hermitian(np.stack(members[:k])), vectors=False), solo):
                 assert same_values(lam, e)
 
     @pytest.mark.parametrize("x", [-0.0, 2.0**-1074, 1e-300, 1e300])
     def test_one_by_one_is_its_own_eigenvalue(self, x):
         rng = np.random.default_rng(3)
         members = [rand_hermitian(rng, 3), np.array([[x]]), rand_hermitian(rng, 2), np.array([[complex(x, 0.0)]])]
-        for solve in (eigh_stack, _eigvalsh_stack):
-            out = solve(members)
-            for i in (1, 3):
-                lam = out[i] if solve is _eigvalsh_stack else out[i].lam
-                assert lam.dtype == np.float64 and lam.tobytes() == np.array([x]).tobytes()
+        out = eigh_stack(members)
+        values = _solve_stack(hermitian(np.stack([members[1], members[3]])), vectors=False)
+        for i, lam in zip((1, 3), values):
+            for got in (out[i].lam, lam):
+                assert got.dtype == np.float64 and got.tobytes() == np.array([x]).tobytes()
         for i in (1, 3):
             d = eigh_stack(members)[i]
             assert (d.sweeps, d.off_mass) == (0, 0.0)
@@ -311,11 +311,15 @@ class TestStack:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1.0 + 1.0j, 1e-300j])
     def test_one_by_one_is_still_validated(self, bad):
-        for solve in (eigh_stack, _eigvalsh_stack):
-            with pytest.raises(ValueError):
-                solve([np.eye(2), np.array([[bad]])])
-            with pytest.raises(ValueError):
-                solve([[[bad]]])
+        with pytest.raises(ValueError):
+            eigh_stack([np.eye(2), np.array([[bad]])])
+        with pytest.raises(ValueError):
+            eigh_stack([[[bad]]])
+        if not np.isfinite(bad):
+            # The array entry checks finiteness only; symmetry is its callers' to keep.
+            for vectors in (True, False):
+                with pytest.raises(ValueError):
+                    _solve_stack(np.full((2, 1, 1), bad, dtype=np.complex128), vectors=vectors)
 
 
 class TestSchedule:
@@ -394,6 +398,22 @@ def same_values(lam, full) -> bool:
     )
 
 
+def eigenvalues_only(members, tol=None, max_sweeps=DEFAULT_MAX_SWEEPS):
+    """The eigenvalue-only solve of each matrix in ``members``, validated as
+    :func:`eigh_stack` validates it and solved by the array entry, the
+    matrices of one size as one stack numbered by their places in
+    ``members``."""
+    by_size = {}
+    for i, h in enumerate(members):
+        by_size.setdefault(np.shape(h)[0], []).append(i)
+    out = [None] * len(members)
+    for index in by_size.values():
+        a = hermitian(np.stack([np.asarray(members[i], dtype=np.complex128) for i in index]))
+        for i, lam in zip(index, _solve_stack(a, tol, False, max_sweeps, index, len(members))):
+            out[i] = lam
+    return out
+
+
 class TestEigenvaluesOnly:
     """The eigenvalue-only solve sweeps ``a`` without the accumulator ``u``
     and returns eigenvalue arrays with the bits of the full solve's ``lam``."""
@@ -408,7 +428,7 @@ class TestEigenvaluesOnly:
             scale_by(data.draw(dyadic_matrices(square=True, rows=n)), data.draw(st.integers(-1000, 996)))
             for n in sizes
         ]
-        for d, full in zip(_eigvalsh_stack(members), eigh_stack(members)):
+        for d, full in zip(eigenvalues_only(members), eigh_stack(members)):
             assert same_values(d, full)
 
     @pytest.mark.parametrize("scale", [2.0**-1000, 1e-300, 1e-7, 1.0, 1e5, 1e300])
@@ -421,17 +441,17 @@ class TestEigenvaluesOnly:
             np.zeros((5, 5)),
         ]
         fulls = eigh_stack(members)
-        for d, full in zip(_eigvalsh_stack(members), fulls):
+        for d, full in zip(eigenvalues_only(members), fulls):
             assert same_values(d, full)
         assert len({d.sweeps for d in fulls}) >= 3
         for h in (members[4], members[7]):
-            assert same_values(_eigvalsh_stack([h], tol=1e-15)[0], eigh(h, tol=1e-15))
+            assert same_values(eigenvalues_only([h], tol=1e-15)[0], eigh(h, tol=1e-15))
 
     def test_convergence_error_is_the_full_solves(self):
         rng = np.random.default_rng(71)
         members = [np.diag([1.0, 2.0, 3.0])] + [rand_hermitian(rng, n) for n in (5, 3, 5)]
         raised = []
-        for solve in (eigh_stack, _eigvalsh_stack):
+        for solve in (eigh_stack, eigenvalues_only):
             with pytest.raises(ConvergenceError) as info:
                 solve(members, max_sweeps=1)
             raised.append(info.value)
@@ -439,6 +459,76 @@ class TestEigenvaluesOnly:
         assert values.member == full.member == 2
         assert values.off_mass == full.off_mass > 0.0
         assert str(values) == str(full)
+
+
+def entry_members(rng, n):
+    """100 exactly Hermitian ``n x n`` matrices that stop after different
+    numbers of sweeps, each scaled by a power of two from 2**-1000 to
+    2**990: dense, tied, diagonal and zero members.  At n = 60, where a
+    dense solve is slow, the dense and tied members are near-diagonal."""
+    members = []
+    for j in range(100):
+        kind = j % 10
+        if kind == 8:
+            h = np.diag(rng.standard_normal(n))
+        elif kind == 9:
+            h = np.zeros((n, n))
+        elif n == 60:
+            h = np.diag(rng.standard_normal(n)) + 2.0 ** -int(rng.integers(20, 48)) * rand_hermitian(rng, n)
+        elif kind == 7:
+            h = tied_hermitian(rng, [2.0] * (n - 1) + [-1.0])
+        else:
+            h = rand_hermitian(rng, n)
+        members.append(scale_by(hermitian(h), int(rng.integers(-1000, 991))))
+    return np.stack(members)
+
+
+class TestSolveStack:
+    """The oracle's array entry: one exactly Hermitian stack of one size in,
+    arrays out, each member with the bits of :func:`eigh` on it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 9, 60])
+    def test_members_match_solo_eigh(self, n):
+        rng = np.random.default_rng(2000 + n)
+        stack = entry_members(rng, n)
+        assert_exactly_hermitian(stack)
+        solo = [eigh(h) for h in stack]
+        if n > 1:
+            assert len({d.sweeps for d in solo}) >= min(n, 3)
+        for k in (1, 7, 100):
+            u, lam, sweeps, off = _solve_stack(stack[:k])
+            assert (u.shape, lam.shape, sweeps.shape, off.shape) == ((k, n, n), (k, n), (k,), (k,))
+            for d, *got in zip(solo, u, lam, sweeps.tolist(), off.tolist()):
+                assert same_bits(d, SpectralDecomposition(*got))
+            values = _solve_stack(stack[:k], vectors=False)
+            assert values.shape == (k, n)
+            for d, lam_k in zip(solo, values):
+                assert same_values(lam_k, d)
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_non_finite_member_raises_as_eigh(self, n):
+        rng = np.random.default_rng(n)
+        for bad in (np.nan, np.inf, -np.inf):
+            stack = np.stack([rand_hermitian(rng, n) for _ in range(5)])
+            stack[3, 0, n - 1] = bad
+            with pytest.raises(ValueError) as alone:
+                eigh(stack[3])
+            for vectors in (True, False):
+                with pytest.raises(ValueError) as entry:
+                    _solve_stack(stack, vectors=vectors)
+                assert str(entry.value) == str(alone.value)
+
+    def test_convergence_error_names_the_member(self):
+        rng = np.random.default_rng(53)
+        stack = np.stack([np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).astype(complex)] + [rand_hermitian(rng, 6) for _ in range(3)])
+        with pytest.raises(ConvergenceError) as solo:
+            eigh(stack[1], max_sweeps=2)
+        for vectors in (True, False):
+            with pytest.raises(ConvergenceError) as info:
+                _solve_stack(stack, vectors=vectors, max_sweeps=2)
+            assert info.value.member == 1
+            assert info.value.off_mass == solo.value.off_mass > 0.0
+            assert "stack member 1 of 4" in str(info.value)
 
 
 @st.composite

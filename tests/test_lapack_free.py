@@ -5,7 +5,7 @@ stays in the tests, as the reference the package is checked against."""
 import numpy as np
 import pytest
 
-from conftest import degenerate_instance
+from conftest import degenerate_instance, rand_hermitian
 from eigpert import (
     PREDICTORS,
     EnsembleConfig,
@@ -22,6 +22,7 @@ from eigpert import (
     u_approx,
     vc_membership,
 )
+from eigpert.jacobi import _solve_stack
 
 LAPACK_ENTRY_POINTS = ("solve", "inv", "eigh", "eigvalsh", "eig", "svd", "lstsq")
 
@@ -76,3 +77,11 @@ def test_convergence_study(no_lapack, predictor):
 
 def test_paper_example(no_lapack):
     assert paper_example_regression().passed
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_array_entry(no_lapack, n):
+    rng = np.random.default_rng(73)
+    stack = np.stack([rand_hermitian(rng, n) for _ in range(3)])
+    _solve_stack(stack)
+    _solve_stack(stack, vectors=False)

@@ -230,9 +230,13 @@ def records(tag: str, a: np.ndarray, f: np.ndarray) -> None:
 
 
 def oracle() -> None:
-    """The oracle's own outputs, with and without eigenvectors, on one stack
-    that mixes the sizes of ``ORACLE_STACK`` in its input order; one line
-    per size and solver."""
+    """The oracle's own outputs on one stack that mixes the sizes of
+    ``ORACLE_STACK`` in its input order: per size, the public
+    ``eigh_stack`` records, the eigenvalue-only solve, and the array entry
+    ``_solve_stack`` with and without eigenvectors on the size's members,
+    symmetrized as the public entry symmetrizes them.  The eigenvalue-only
+    lines keep the name ``oracle/_eigvalsh_stack``, so that their hashes
+    compare with those of older trees."""
     by_size = []
     for n, count, spec in ORACLE_STACK:
         cfg = harness.EnsembleConfig(seed=7, n=n, block_spec=spec, trials=count // 2, predictor="first_order")
@@ -240,11 +244,14 @@ def oracle() -> None:
         by_size.append([h * 2.0 ** ORACLE_EXPONENTS[j % 5] for j, h in enumerate(m for pair in pairs for m in pair)])
     members = [m for row in itertools.zip_longest(*by_size) for m in row if m is not None]
     full = jacobi.eigh_stack(members)
-    values = jacobi._eigvalsh_stack(members)
     for n, *_ in ORACLE_STACK:
         index = [i for i, m in enumerate(members) if m.shape[0] == n]
+        stack = matrices.hermitian(np.stack([members[i] for i in index]))
+        u, lam, sweeps, off = jacobi._solve_stack(stack)
+        values = jacobi._solve_stack(stack, vectors=False)
         _record(f"oracle/eigh_stack/n{n}", *((full[i].lam, full[i].u, full[i].sweeps, full[i].off_mass) for i in index))
-        _record(f"oracle/_eigvalsh_stack/n{n}", *(values[i] for i in index))
+        _record(f"oracle/_eigvalsh_stack/n{n}", *values)
+        _record(f"oracle/solve_stack/n{n}", u, lam, sweeps, off, values)
 
 
 def column_matches() -> None:
