@@ -125,17 +125,32 @@ def tie_gaps_loop(d: np.ndarray, groups) -> tuple[list[tuple[int, int]], list[fl
 
 class OracleCalls(list):
     """Per oracle call, in call order, the list of its matrices' dimensions;
-    ``vectors[i]`` tells whether call ``i`` solved for eigenvectors too."""
+    ``vectors[i]`` tells whether call ``i`` solved for eigenvectors too, and
+    ``stages[i]`` names the function outside :mod:`eigpert.jacobi` that made
+    it, the nearest one that is not a comprehension or a lambda."""
 
     def __init__(self) -> None:
         super().__init__()
         self.vectors: list[bool] = []
-        self.caller = None
+        self.stages: list[str] = []
 
     def clear(self) -> None:
         super().clear()
         self.vectors.clear()
-        self.caller = None
+        self.stages.clear()
+
+    def shapes(self) -> list[tuple[str, int, bool]]:
+        """Each call as ``(stage, size, vectors)``, without its member count."""
+        return [(stage, sizes[0], vectors) for stage, sizes, vectors in zip(self.stages, self, self.vectors)]
+
+
+def _stage(frame) -> str:
+    """The name of the function that made an oracle call from ``frame``: the
+    first frame outside :mod:`eigpert.jacobi` that is not a comprehension or
+    a lambda."""
+    while frame.f_globals.get("__name__") == jacobi.__name__ or frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return frame.f_code.co_name
 
 
 def assert_exactly_hermitian(a) -> None:
@@ -153,21 +168,16 @@ def oracle_calls(monkeypatch):
     """Record every oracle call made after it is set up, full solves and
     eigenvalue-only ones alike, and check the array entry's precondition
     on each.  Every solve goes through the array entry ``_solve_stack``,
-    ``eigh`` and ``eigh_stack`` too, one stack per matrix size; the stacks
-    one caller solves in a row, such as the sizes of one ``eigh_stack``
-    call or of one stage's Schur complements, are recorded as one call."""
+    ``eigh`` and ``eigh_stack`` too, one stack per matrix size, so each
+    stack solved is one record."""
     calls = OracleCalls()
     real = jacobi._solve_stack
 
     def recording(a, tol=None, vectors=True, *args, **kwargs):
         assert_exactly_hermitian(a)
-        caller = sys._getframe(1)
-        if caller is calls.caller and calls.vectors[-1] == vectors:
-            calls[-1].extend([a.shape[1]] * len(a))
-        else:
-            calls.append([a.shape[1]] * len(a))
-            calls.vectors.append(vectors)
-        calls.caller = caller
+        calls.append([a.shape[1]] * len(a))
+        calls.vectors.append(vectors)
+        calls.stages.append(_stage(sys._getframe(1)))
         return real(a, tol, vectors, *args, **kwargs)
 
     monkeypatch.setattr(jacobi, "_solve_stack", recording)

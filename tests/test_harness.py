@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -436,12 +437,16 @@ class TestStackedStudy:
 
     @pytest.mark.parametrize("predictor", PREDICTORS)
     def test_oracle_calls_do_not_depend_on_trials(self, predictor, oracle_calls):
-        counts = []
+        counts, shapes = [], []
         for trials in (3, 20):
             oracle_calls.clear()
             convergence_study(EnsembleConfig(predictor=predictor, trials=trials, **ACCEPTANCE))
             counts.append(len(oracle_calls))
+            shapes.append(oracle_calls.shapes())
         assert counts[0] == counts[1] <= 6
+        # Every stage solves each matrix size in one call, whatever the trials.
+        assert shapes[0] == shapes[1]
+        assert len(set(shapes[0])) == len(shapes[0])
 
     @pytest.mark.parametrize("predictor", ["schur_full", "schur_simplified"])
     def test_schur_stack_mixes_block_structures(self, predictor):
@@ -516,12 +521,18 @@ class TestStackedStudy:
         # and the error norms do not.
         assert oracle_calls[0] == [6] * (2 * 3)
         stages = [True, True, True]
+        calls = [("_instances", True), ("convergence_study", True), ("_blockwise_diagonalize_stack", True)]
         if predictor in ("schur_full", "schur_simplified"):
             stages.append(False)
+            # One call per complement size: the 2 x 2 and the 1 x 1 blocks.
+            calls += [("_complement_eigenvalues", False)] * 2
         if predictor == "eigvec_first_order":
             stages.append(True)
+            calls.append(("_errors", True))
         stages.append(False)
-        assert oracle_calls.vectors == stages
+        calls.append(("operator_norms" if predictor in ("eigvec_first_order", "u_ap_residual") else "_errors", False))
+        assert list(zip(oracle_calls.stages, oracle_calls.vectors)) == calls
+        assert [vectors for (_, vectors), _ in itertools.groupby(calls)] == stages
 
 
 class TestCsv:

@@ -18,6 +18,7 @@ from eigpert import (
     operator_norm,
     residual,
 )
+from eigpert import jacobi
 from eigpert.jacobi import DEFAULT_MAX_SWEEPS, _schedule, _solve_stack
 
 
@@ -529,6 +530,17 @@ class TestSolveStack:
             assert info.value.member == 1
             assert info.value.off_mass == solo.value.off_mass > 0.0
             assert "stack member 1 of 4" in str(info.value)
+
+    def test_spy_records_each_call_of_a_loop(self, oracle_calls):
+        # A caller that solves member by member in one loop shows as one
+        # record per member, so the call-count tests see such a loop.
+        stack = entry_members(np.random.default_rng(5), 3)[:4]
+        oracle_calls.clear()
+        for h in stack:
+            jacobi._solve_stack(h[None], vectors=False)
+        assert oracle_calls == [[3]] * 4
+        assert oracle_calls.vectors == [False] * 4
+        assert oracle_calls.stages == ["test_spy_records_each_call_of_a_loop"] * 4
 
 
 @st.composite

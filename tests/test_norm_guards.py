@@ -266,6 +266,7 @@ def test_prediction_makes_no_full_size_oracle_call(oracle_calls):
     assert oracle_calls == [[3] * 4] * 3
     # The Schur complements need eigenvalues only.
     assert oracle_calls.vectors == [True, False, False]
+    assert oracle_calls.stages == ["_blockwise_diagonalize_stack"] + ["_complement_eigenvalues"] * 2
 
 
 def test_norm_oracle_runs_once_per_chain(oracle_calls):
@@ -285,3 +286,5 @@ def test_norm_oracle_runs_once_per_chain(oracle_calls):
     )
     assert oracle_calls == [[6]]
     assert oracle_calls.vectors == [False]
+    # The deferred norm solve runs on the first read of LazyNorm.value.
+    assert oracle_calls.stages == ["value"]
