@@ -23,7 +23,7 @@ from .matrices import (
     parse_hermitian,
     parse_matrix,
 )
-from .jacobi import SpectralDecomposition, eigh, eigh_stack, normalize_column_phases, residual
+from .jacobi import SpectralDecomposition, eigh, eigh_stack, residual
 from .alignment import (
     MODE_BLOCKWISE,
     MODE_RAW,
@@ -37,7 +37,6 @@ from .alignment import (
     scaled,
 )
 from .first_order import (
-    decomposition_residual,
     first_order_eigenvalues,
     gershgorin_intervals,
     u_approx,

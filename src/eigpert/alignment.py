@@ -10,13 +10,14 @@ Schur refinement and the line expansion alike.  Every record is built by
 or rescaled by :func:`scaled`.  The cone-membership test,
 which needs Schur complements, lives in :mod:`eigpert.schur`.
 
-Each quantity that depends on the base alone (the grouping of one
-eigenvalue vector, ``M``, the gap margins, and in other modules the Schur
-weights and the same-block mask) has its own small memo, keyed on the exact
-bytes of ``lam`` and of the block structure (:func:`_base_memo`), so many
-perturbations of one stored decomposition compute it once.  A miss computes
-what the call would compute without the memo, and the stacked paths of a
-convergence study, whose bases differ trial by trial, do not use them.
+Everything that depends on the base alone (the grouping of ``lam``, ``M``,
+the Schur weights ``W``, the gap margins and the same-block mask) is one
+read-only :class:`_BaseData`, built once per :func:`conjugate_to_eigenbasis`
+result and carried by every record derived from it.  A single base takes it
+from one memo keyed on the exact bytes of ``lam``, so many perturbations of
+one stored decomposition build it once; a convergence study, whose bases
+differ trial by trial, builds all of its trials' data in one stacked pass
+and leaves the memo alone.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ BLOCK_TOL = 1e-14
 MODE_RAW = "raw"
 MODE_BLOCKWISE = "blockwise_diagonal"
 
-# Stored decompositions whose base-only arrays each memo keeps.
+# Stored decompositions whose base-only data the memo keeps.
 _MEMO_SIZE = 4
 
 
@@ -73,6 +74,13 @@ def _require_blockwise(ap: AlignedPerturbation, what: str) -> None:
             f"{what} needs a block-wise diagonal perturbation; "
             f"apply blockwise_diagonalize first (mode is {ap.mode!r})"
         )
+
+
+def _require_m(ap: AlignedPerturbation, mmat) -> None:
+    """Reject an ``mmat`` that is not ``n x n``: any other shape broadcasts
+    against ``E_hat`` into a plausible wrong matrix."""
+    if np.shape(mmat) != (ap.n, ap.n):
+        raise ValueError(f"M must have shape {(ap.n, ap.n)}, got {np.shape(mmat)}")
 
 
 @dataclass(frozen=True)
@@ -108,22 +116,45 @@ def group_eigenvalues(lam) -> BlockStructure:
     With no absolute floor, scaling ``lam`` by a positive factor leaves the
     groups unchanged except for a gap within rounding of the tolerance.
     """
+    return _base_data(lam).blocks
+
+
+@dataclass(frozen=True)
+class _BaseData:
+    """What depends on the base alone, read-only: the grouping ``blocks`` of
+    ``lam``, the inverse-gap matrix ``m`` (:func:`m_matrix`), the Schur
+    weights ``w`` (``1 / (lam_i - rho_j)``, ``rho_j`` the representative
+    value of the block of ``j``, across blocks and 0 inside them), each
+    block's distance ``margins`` from the other eigenvalues, the pairs
+    ``same`` of distinct indices in one block and the columns ``same_cols``
+    that hold such a pair."""
+
+    blocks: BlockStructure
+    m: np.ndarray
+    w: np.ndarray
+    margins: np.ndarray
+    same: np.ndarray
+    same_cols: np.ndarray
+
+
+def _base_data(lam) -> _BaseData:
+    """The base-only data of the eigenvalue vector ``lam``, from the memo."""
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("expected a nonempty 1-d eigenvalue vector")
-    return _grouping(lam.tobytes())
+    return _memo(lam.tobytes())
 
 
 @functools.lru_cache(_MEMO_SIZE)
-def _grouping(lam: bytes) -> BlockStructure:
-    """:func:`group_eigenvalues` of the float64 vector with the bytes ``lam``."""
-    return _group_stack(np.frombuffer(lam)[None])[0]
+def _memo(lam: bytes) -> _BaseData:
+    """:func:`_base_data` of the float64 vector with the bytes ``lam``, so
+    that -0.0 and 0.0 make different bases."""
+    return _base_data_stack(np.frombuffer(lam)[None])[0]
 
 
-def _group_stack(lam: np.ndarray) -> list[BlockStructure]:
-    """:func:`group_eigenvalues` of each row of ``lam`` ``(k, n)``, the rows
-    that split alike averaged as one stack, each row's block summed along
-    its own contiguous run as a lone vector is."""
+def _base_data_stack(lam: np.ndarray) -> list[_BaseData]:
+    """The base-only data of each row of ``lam`` ``(k, n)``, the rows that
+    split alike built as one stack."""
     if np.any(lam[:, 1:] > lam[:, :-1]):
         raise ValueError("eigenvalues must be non-increasing")
     tol = DEFAULT_REL_GAP_TOL * np.abs(lam).max(axis=1)
@@ -134,12 +165,40 @@ def _group_stack(lam: np.ndarray) -> list[BlockStructure]:
     out: list = [None] * len(lam)
     for members in patterns.values():
         bounds = [0, *(np.flatnonzero(split[members[0]]) + 1).tolist(), lam.shape[1]]
-        groups = tuple(zip(bounds[:-1], bounds[1:]))
-        rows = lam[members]
-        reps = [(rows[:, s:e].sum(axis=1) / (e - s)).tolist() for s, e in groups]
-        for i, rep_values in zip(members, zip(*reps)):
-            out[i] = BlockStructure(groups=groups, rep_values=rep_values)
+        for i, data in zip(members, _base_data_rows(lam[members], tuple(zip(bounds[:-1], bounds[1:])))):
+            out[i] = data
     return out
+
+
+def _base_data_rows(lam: np.ndarray, groups: tuple[tuple[int, int], ...]) -> list[_BaseData]:
+    """The base-only data of each row of ``lam`` ``(k, n)`` with the
+    degeneracy ``groups``: each block's representative value summed along
+    the row's own contiguous run, as a lone vector is, and every array one
+    expression over the rows."""
+    reps = np.array([lam[:, s:e].sum(axis=1) / (e - s) for s, e in groups]).T
+    bid = np.repeat(np.arange(len(groups), dtype=np.intp), [e - s for s, e in groups])
+    cross = bid[:, None] != bid[None, :]
+
+    def inverse_gaps(rho: np.ndarray) -> np.ndarray:
+        """``1 / (lam[i] - rho[j])`` for ``i`` and ``j`` in different blocks, 0 in one."""
+        out = np.zeros(lam.shape + lam.shape[-1:])
+        np.divide(1.0, lam[:, :, None] - rho[:, None, :], out=out, where=cross)
+        return out
+
+    m, w = as_readonly(inverse_gaps(lam)), as_readonly(inverse_gaps(reps[:, bid]))
+    # lam is sorted and rho inside its block: the nearest others are its
+    # neighbours, and a missing neighbour is infinitely far.
+    edge = np.full((len(lam), 1), np.inf)
+    padded = np.concatenate((edge, lam, -edge), axis=1)
+    above, below = padded[:, [start for start, _ in groups]], padded[:, [stop + 1 for _, stop in groups]]
+    margins = as_readonly(np.minimum(np.abs(above - reps), np.abs(below - reps)))
+    same = as_readonly(~cross & ~np.eye(bid.size, dtype=bool))
+    cols = as_readonly(np.flatnonzero(same.any(axis=0)))
+    # Each member's arrays are views of the read-only stacks, read-only too.
+    return [
+        _BaseData(BlockStructure(groups, tuple(r)), m_k, w_k, g_k, same, cols)
+        for r, m_k, w_k, g_k in zip(reps.tolist(), m, w, margins)
+    ]
 
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -211,6 +270,7 @@ class AlignedPerturbation:
     diagonal) and ``e_hat_off`` (the zero-diagonal rest) satisfy
     ``diag(e_hat_diag) + e_hat_off == e_hat`` exactly.  ``mode`` records
     whether the basis has been rotated to make ``e_hat`` block-wise diagonal.
+    ``data`` holds what depends on the base alone, ``blocks`` among it.
     ``norm`` holds ``||E||`` lazily; it is shared with every perturbation
     derived by :func:`blockwise_diagonalize` and (scaled) by :func:`scaled`.
     Guards that compare ``||E||`` with a threshold go through
@@ -219,7 +279,7 @@ class AlignedPerturbation:
     """
 
     base: jacobi.SpectralDecomposition
-    blocks: BlockStructure
+    data: _BaseData
     e: np.ndarray
     e_hat: np.ndarray
     mode: str
@@ -228,6 +288,10 @@ class AlignedPerturbation:
     @property
     def n(self) -> int:
         return int(self.base.lam.size)
+
+    @property
+    def blocks(self) -> BlockStructure:
+        return self.data.blocks
 
     @property
     def e_hat_diag(self) -> np.ndarray:
@@ -277,7 +341,7 @@ def _require_gap(ap: AlignedPerturbation, factor: float, blocks=None) -> None:
     ``DEFAULT_MARGIN_FACTOR`` the Schur fixed point contracts."""
     if len(ap.blocks.groups) < 2:
         return
-    margin = _margins(ap.base.lam, ap.blocks)
+    margin = ap.data.margins
     index = np.arange(margin.size) if blocks is None else np.asarray(blocks)
     _require_above(ap, margin[index], factor, lambda k: GapTooSmallError(
         f"block {index[k]}: separation {margin[index[k]]:.3e} from other eigenvalues "
@@ -285,60 +349,26 @@ def _require_gap(ap: AlignedPerturbation, factor: float, blocks=None) -> None:
     ))
 
 
-def _base_memo(compute):
-    """Memoize ``compute(lam, blocks)``, a quantity that depends on the base
-    alone.  The key is the bytes of ``lam`` and of ``blocks.rep_values``, so
-    that -0.0 and 0.0 differ, and ``blocks.groups`` as pairs of ints, whose
-    equality is exact.  ``compute`` gets ``lam`` as float64 and a block
-    structure equal to ``blocks``, and must return read-only data."""
-
-    @functools.lru_cache(_MEMO_SIZE)
-    def cached(lam: bytes, groups: tuple, rep_values: bytes):
-        return compute(np.frombuffer(lam), BlockStructure(groups, tuple(np.frombuffer(rep_values).tolist())))
-
-    @functools.wraps(compute)
-    def memoized(lam: np.ndarray, blocks: BlockStructure):
-        return cached(
-            np.asarray(lam, dtype=np.float64).tobytes(),
-            tuple(map(tuple, blocks.groups)),
-            np.asarray(blocks.rep_values, dtype=np.float64).tobytes(),
-        )
-
-    memoized.cache_info, memoized.cache_clear = cached.cache_info, cached.cache_clear
-    return memoized
-
-
-@_base_memo
-def _margins(lam: np.ndarray, blocks: BlockStructure) -> np.ndarray:
-    """Each block's distance from the other eigenvalues."""
-    # lam is sorted and rho inside its block: the nearest others are its
-    # neighbours, and a missing neighbour is infinitely far.
-    lam, rho = np.concatenate(([np.inf], lam, [-np.inf])), np.array(blocks.rep_values)
-    above = lam[[start for start, _ in blocks.groups]]
-    below = lam[[stop + 1 for _, stop in blocks.groups]]
-    return as_readonly(np.minimum(np.abs(above - rho), np.abs(below - rho)))
-
-
 def _aligned_stack(
     bases: list[jacobi.SpectralDecomposition],
     u: np.ndarray,
-    blocks: list[BlockStructure],
+    data: list[_BaseData],
     e: np.ndarray,
     mode: str,
     norms,
 ) -> list[AlignedPerturbation]:
     """The records of the read-only Hermitian stack ``e`` ``(k, n, n)``, member
-    ``i`` in the eigenbasis of ``bases[i]``, whose vectors ``u`` stacks,
-    conjugated as one batched product; ``norms`` of ``None`` are bounded
-    from the ``E_hat``."""
+    ``i`` in the eigenbasis of ``bases[i]``, whose vectors ``u`` stacks and
+    whose base-only data is ``data[i]``, conjugated as one batched product;
+    ``norms`` of ``None`` are bounded from the ``E_hat``."""
     e_hat = u.conj().swapaxes(1, 2) @ e @ u
     e_hat = as_readonly(0.5 * (e_hat + e_hat.conj().swapaxes(1, 2)))
     # ||E|| equals max |eigenvalue of E_hat|; the oracle computes it only
     # when a guard's threshold falls between the bounds.
     norms = _lazy_norms(e_hat) if norms is None else norms
     return [
-        AlignedPerturbation(base=base, blocks=g, e=e_k, e_hat=h, mode=mode, norm=norm)
-        for base, g, e_k, h, norm in zip(bases, blocks, e, e_hat, norms)
+        AlignedPerturbation(base=base, data=d, e=e_k, e_hat=h, mode=mode, norm=norm)
+        for base, d, e_k, h, norm in zip(bases, data, e, e_hat, norms)
     ]
 
 
@@ -347,17 +377,15 @@ def conjugate_to_eigenbasis(base: jacobi.SpectralDecomposition, e) -> AlignedPer
     e = hermitian(e)
     if e.shape != base.u.shape:
         raise ValueError(f"perturbation shape {e.shape} does not match base {base.u.shape}")
-    return _conjugate_stack([base], e[None])[0]
+    return _aligned_stack([base], np.array([base.u]), [_base_data(base.lam)], as_readonly(e[None]), MODE_RAW, None)[0]
 
 
 def _conjugate_stack(bases: list[jacobi.SpectralDecomposition], e: np.ndarray) -> list[AlignedPerturbation]:
     """:func:`conjugate_to_eigenbasis` of each member of the Hermitian stack
-    ``e`` ``(k, n, n)`` in the eigenbasis of its base, which has its shape."""
-    if len(bases) == 1:
-        blocks = [group_eigenvalues(bases[0].lam)]
-    else:
-        blocks = _group_stack(np.array([base.lam for base in bases]))
-    return _aligned_stack(bases, np.array([base.u for base in bases]), blocks, as_readonly(e), MODE_RAW, None)
+    ``e`` ``(k, n, n)`` in the eigenbasis of its base, which has its shape;
+    the bases' data is built as one stack, not taken from the memo."""
+    data = _base_data_stack(np.array([base.lam for base in bases]))
+    return _aligned_stack(bases, np.array([base.u for base in bases]), data, as_readonly(e), MODE_RAW, None)
 
 
 def blockwise_diagonalize(ap: AlignedPerturbation) -> AlignedPerturbation:
@@ -393,10 +421,10 @@ def _blockwise_diagonalize_stack(aps: list[AlignedPerturbation]) -> list[Aligned
         # u[member, :, cols] is (blocks, size, n): each block's columns as rows.
         rotated = np.ascontiguousarray(u[member, :, cols].swapaxes(1, 2)) @ r
         u[member, :, cols] = rotated.swapaxes(1, 2)
-    u = as_readonly(jacobi.normalize_column_phases(u))
+    u = as_readonly(jacobi._normalize_column_phases(u))
     bases = [jacobi.SpectralDecomposition(u=u_k, lam=ap.base.lam) for u_k, ap in zip(u, aps)]
     e = as_readonly(np.array([ap.e for ap in aps]))
-    return _aligned_stack(bases, u, [ap.blocks for ap in aps], e, MODE_BLOCKWISE, [ap.norm for ap in aps])
+    return _aligned_stack(bases, u, [ap.data for ap in aps], e, MODE_BLOCKWISE, [ap.norm for ap in aps])
 
 
 def scaled(ap: AlignedPerturbation, t: float) -> AlignedPerturbation:
@@ -422,28 +450,21 @@ def aligned_perturbation(a, e) -> AlignedPerturbation:
 def m_matrix(base: jacobi.SpectralDecomposition, blocks: BlockStructure) -> np.ndarray:
     """Inverse-gap matrix: ``M[i, j] = 1 / (lam[i] - lam[j])`` across blocks,
     zero inside blocks and on the diagonal.  Real and exactly antisymmetric.
-    Each call returns a fresh, writable copy of the memoized matrix."""
+    Each call returns a fresh, writable copy of the base's read-only ``M``."""
     if blocks.n != base.lam.size:
         raise ValueError("block structure does not cover the eigenvalue vector")
-    return np.array(_m_matrix(base.lam, blocks))
+    data = _base_data(base.lam)
+    if blocks.groups != data.blocks.groups:
+        data = _base_data_rows(np.asarray(base.lam, dtype=np.float64)[None], tuple(blocks.groups))[0]
+    return np.array(data.m)
 
 
-@_base_memo
-def _m_matrix(lam: np.ndarray, blocks: BlockStructure) -> np.ndarray:
-    """:func:`m_matrix`, read-only."""
-    return as_readonly(_inverse_gaps(lam[None], blocks.block_id()[None], lam[None])[0])
-
-
-def _inverse_gaps(lam: np.ndarray, bid: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """``1 / (lam[i] - rho[j])`` where indices ``i`` and ``j`` lie in
-    different blocks and 0 where they share one, for stacks ``(k, n)`` of
-    eigenvalues, block ids and column values.  With ``rho = lam`` this is
-    :func:`m_matrix`; with each block's representative value it is the
-    Schur fixed point's weight matrix."""
-    cross = bid[:, :, None] != bid[:, None, :]
-    out = np.zeros(cross.shape)
-    np.divide(1.0, lam[:, :, None] - rho[:, None, :], out=out, where=cross)
-    return out
+def _by_structure(aps: list[AlignedPerturbation]) -> dict[tuple[tuple[int, int], ...], np.ndarray]:
+    """Positions of the records in ``aps`` by their degeneracy groups."""
+    index: dict[tuple[tuple[int, int], ...], list[int]] = {}
+    for i, ap in enumerate(aps):
+        index.setdefault(ap.blocks.groups, []).append(i)
+    return {groups: np.array(members) for groups, members in index.items()}
 
 
 def align_columns(candidate: np.ndarray, reference: np.ndarray, groups) -> np.ndarray:

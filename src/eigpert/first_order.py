@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .alignment import AlignedPerturbation, _require_blockwise
+from .alignment import AlignedPerturbation, _require_blockwise, _require_m
 from .matrices import operator_norm
 
 __all__ = [
     "first_order_eigenvalues",
     "gershgorin_intervals",
     "u_approx",
-    "decomposition_residual",
     "approx_decomposition_residual",
 ]
 
@@ -54,6 +53,7 @@ def u_approx(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
     ``||M * E_hat||^2`` exactly, not merely to first order.
     """
     _require_blockwise(ap, "the first-order eigenvector formula")
+    _require_m(ap, mmat)
     return _u_approx(ap.base.u, mmat, ap.e_hat)
 
 
@@ -62,17 +62,11 @@ def _u_approx(u: np.ndarray, mmat: np.ndarray, e_hat: np.ndarray) -> np.ndarray:
     return u @ (np.eye(e_hat.shape[-1], dtype=np.complex128) - mmat * e_hat)
 
 
-def decomposition_residual(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
-    """The first-order reconstruction ``U_ap diag(lam + E_hat_diag) U_ap*``
-    minus ``A + E``."""
-    _require_blockwise(ap, "the first-order eigenvector formula")
-    return _residuals(ap.base.u, ap.base.lam, ap.e, ap.e_hat, mmat)
-
-
 def _residuals(u, lam, e, e_hat, mmat) -> np.ndarray:
-    """:func:`decomposition_residual` over stacks: ``u``, ``e``, ``e_hat``
-    and ``mmat`` ``(..., n, n)`` and ``lam`` ``(..., n)`` broadcast against
-    each other, every product batched."""
+    """The first-order reconstruction ``U_ap diag(lam + E_hat_diag) U_ap*``
+    minus ``A + E``, over stacks: ``u``, ``e``, ``e_hat`` and ``mmat``
+    ``(..., n, n)`` and ``lam`` ``(..., n)`` broadcast against each other,
+    every product batched."""
     u_ap = _u_approx(u, mmat, e_hat)
     target = u @ _diag(lam) @ u.conj().swapaxes(-1, -2) + e
     rebuilt = u_ap @ _diag(_eigenvalues(lam, e_hat)) @ u_ap.conj().swapaxes(-1, -2)
@@ -88,7 +82,9 @@ def _diag(d: np.ndarray) -> np.ndarray:
 
 
 def approx_decomposition_residual(ap: AlignedPerturbation, mmat: np.ndarray) -> float:
-    """Operator-norm gap between ``A + E`` and its first-order reconstruction,
-    the norm of :func:`decomposition_residual`.  Decays quadratically in
+    """Operator-norm gap between ``A + E`` and its first-order reconstruction
+    ``U_ap diag(lam + E_hat_diag) U_ap*``.  Decays quadratically in
     ``||E||``."""
-    return operator_norm(decomposition_residual(ap, mmat))
+    _require_blockwise(ap, "the first-order eigenvector formula")
+    _require_m(ap, mmat)
+    return operator_norm(_residuals(ap.base.u, ap.base.lam, ap.e, ap.e_hat, mmat))

@@ -319,8 +319,7 @@ def _errors(predictor: str, aps: list, instances: list, grid: np.ndarray) -> np.
     lam = np.array([ap.base.lam for ap in aps])
     e_hat = np.array([ap.e_hat for ap in aps])
     e_hat_t = t * e_hat[:, None]
-    if predictor in ("u_ap_residual", "rs_second_order", "eigvec_first_order"):
-        mmat = alignment._inverse_gaps(lam, np.array([ap.blocks.block_id() for ap in aps]), lam)
+    mmat = np.array([ap.data.m for ap in aps])
     if predictor == "u_ap_residual":
         e_t = t * np.array([ap.e for ap in aps])[:, None]
         gaps = first_order._residuals(u, lam[:, None], e_t, e_hat_t, mmat[:, None])
@@ -330,14 +329,14 @@ def _errors(predictor: str, aps: list, instances: list, grid: np.ndarray) -> np.
     exact = exact.reshape(-1, n, n)
     if predictor == "eigvec_first_order":
         # _admit has run the tie guard: the derivative is formed without it.
-        u_prime = np.array([rayleigh._derivative(ap, m, rayleigh._n_matrix(ap, m)) for ap, m in zip(aps, mmat)])
+        u_prime = np.array([rayleigh._derivative(ap, ap.data.m, rayleigh._n_matrix(ap)) for ap in aps])
         u_hat = rayleigh._series(t, u, u_prime[:, None])
         # The oracle's u are column-major, and the column match rounds as
         # np.vdot on columns so laid out: the stack keeps that layout.
         exacts_t = np.ascontiguousarray(jacobi._solve_stack(exact)[0].swapaxes(1, 2)).reshape(u_hat.shape)
         # One column match per degeneracy structure, over all its (trial, t) members.
         gaps = np.empty(u_hat.shape, dtype=np.complex128)
-        for groups, members in _by_structure(aps).items():
+        for groups, members in alignment._by_structure(aps).items():
             v = u_hat[members].reshape(-1, n, n)
             matched = alignment._align_stack(exacts_t[members].reshape(-1, n, n).swapaxes(1, 2), v, groups)
             gaps[members] = (matched - v).reshape(-1, steps, n, n)
@@ -348,41 +347,9 @@ def _errors(predictor: str, aps: list, instances: list, grid: np.ndarray) -> np.
         a1 = np.diagonal(e_hat, axis1=1, axis2=2).real
         pred = rayleigh._series(grid[:, None], lam[:, None], a1[:, None], rayleigh._a2(e_hat, mmat)[:, None])
     else:
-        pred = _schur_predictions(predictor, aps, e_hat_t)
+        pred = schur._refined_stack(aps, e_hat_t, predictor.removeprefix("schur_"))[0]
     lams = jacobi._solve_stack(exact, vectors=False)
     return np.abs(lams - pred.reshape(-1, n)).max(axis=1).reshape(trials, steps)
-
-
-def _by_structure(aps: list) -> dict[tuple[tuple[int, int], ...], np.ndarray]:
-    """Positions of the records in ``aps`` by their degeneracy groups."""
-    index: dict[tuple[tuple[int, int], ...], list[int]] = {}
-    for i, ap in enumerate(aps):
-        index.setdefault(ap.blocks.groups, []).append(i)
-    return {groups: np.array(members) for groups, members in index.items()}
-
-
-def _schur_predictions(predictor: str, aps: list, e_hat_t: np.ndarray) -> np.ndarray:
-    """Schur-refined eigenvalues ``(trials, t, n)`` from ``E_hat`` stacked
-    as ``(trials, t, n, n)``: one fixed point for all the trials that share
-    a degeneracy structure and all their t, each trial's weights shared by
-    its t, and one oracle call per block size and structure."""
-    variant = "full" if predictor == "schur_full" else "simplified"
-    trials, steps, n = e_hat_t.shape[:3]
-    w = schur._weights(aps)
-    complements, where = [], []
-    for groups, members in _by_structure(aps).items():
-        stack = e_hat_t[members].reshape(-1, n, n)
-        # Each member's representative value at each index.
-        rho = np.array([aps[k].blocks.rep_values for k in members])[:, aps[members[0]].blocks.block_id()]
-        for index, b in schur._complements_stack(stack, np.repeat(w[members], steps, axis=0), groups, variant):
-            complements.append(b)
-            where.append((members, index, rho[:, None, index]))
-    pred = np.empty((trials, steps, n))
-    for (members, index, rho), beta in zip(where, schur._complement_eigenvalues(complements)):
-        # The blocks are contiguous and cover every index in order.
-        beta = beta.reshape(members.size, steps, *index.shape)
-        pred[members[:, None, None, None], np.arange(steps)[:, None, None], index] = rho + beta
-    return pred
 
 
 def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:

@@ -52,7 +52,6 @@ __all__ = [
     "eigh",
     "eigh_stack",
     "residual",
-    "normalize_column_phases",
 ]
 
 DEFAULT_MAX_SWEEPS = 64
@@ -76,7 +75,7 @@ class SpectralDecomposition:
         return int(self.lam.size)
 
 
-def normalize_column_phases(u: np.ndarray) -> np.ndarray:
+def _normalize_column_phases(u: np.ndarray) -> np.ndarray:
     """Phase each column so its largest-modulus entry is real and nonnegative.
 
     Ties in modulus resolve to the smallest row index, which keeps the
@@ -284,7 +283,7 @@ def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True, max_sweeps=DEFAU
     lam = as_readonly(np.ldexp(lam_unit[member, order], exponent[:, None]))
     if not vectors:
         return lam
-    u = as_readonly(normalize_column_phases(w[n:].transpose(2, 1, 0)[member, order].swapaxes(1, 2)))
+    u = as_readonly(_normalize_column_phases(w[n:].transpose(2, 1, 0)[member, order].swapaxes(1, 2)))
     return u, lam, sweeps, off
 
 

@@ -15,7 +15,10 @@ branches underdetermined and raise ``DegenerateDirectionError``.
 :class:`LineExpansion` with one helper, ``_expansion``.  The convergence
 studies read the same coefficients for all their trials at once (``a2`` with
 ``_a2``, which needs no ``N``) and evaluate them over the t-grid with
-``_series``, as :meth:`LineExpansion.at` does at one ``t``.
+``_series``, as :meth:`LineExpansion.at` does at one ``t``.  ``M`` and the
+same-block pairs of ``N`` depend on the base alone: every function here
+reads them from the perturbation's base-only data (``ap.data``), built once
+per base in :mod:`eigpert.alignment`.
 """
 
 from __future__ import annotations
@@ -29,12 +32,10 @@ from . import jacobi
 from .alignment import (
     DEFAULT_MARGIN_FACTOR,
     AlignedPerturbation,
-    BlockStructure,
-    _base_memo,
-    _m_matrix,
     _require_above,
     _require_blockwise,
     _require_gap,
+    _require_m,
     aligned_perturbation,
 )
 from .errors import DegenerateDirectionError
@@ -92,7 +93,7 @@ def rs_coefficients(ap: AlignedPerturbation) -> tuple[np.ndarray, np.ndarray, np
     """
     _require_blockwise(ap, "the second-order eigenvalue expansion")
     _require_untied(ap)
-    a2 = _a2(ap.e_hat[None], _m_matrix(ap.base.lam, ap.blocks)[None])[0]
+    a2 = _a2(ap.e_hat[None], ap.data.m[None])[0]
     return np.array(ap.base.lam, copy=True), np.array(ap.e_hat_diag, copy=True), a2
 
 
@@ -122,15 +123,14 @@ def n_matrix(ap: AlignedPerturbation) -> np.ndarray:
     """
     _require_blockwise(ap, "the eigenvector derivative")
     _require_untied(ap)
-    return _n_matrix(ap, _m_matrix(ap.base.lam, ap.blocks))
+    return _n_matrix(ap)
 
 
-def _n_matrix(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
-    """:func:`n_matrix` from ``M`` without its guards, for callers that have
-    run them."""
+def _n_matrix(ap: AlignedPerturbation) -> np.ndarray:
+    """:func:`n_matrix` without its guards, for callers that have run them."""
     n = ap.n
-    same, cols = _same_block(ap.base.lam, ap.blocks)
-    mf = mmat * ap.e_hat
+    same, cols = ap.data.same, ap.data.same_cols
+    mf = ap.data.m * ap.e_hat
     fh = ap.e_hat.conj().T
     # Each column of a multi-member block as its own matrix-vector product,
     # which rounds exactly as the per-column definition does; one matrix
@@ -144,18 +144,11 @@ def _n_matrix(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
     return out
 
 
-@_base_memo
-def _same_block(lam: np.ndarray, blocks: BlockStructure) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs ``i != j`` of one block, and the columns that hold such a pair."""
-    bid = blocks.block_id()
-    same = as_readonly((bid[:, None] == bid[None, :]) & ~np.eye(bid.size, dtype=bool))
-    return same, as_readonly(np.flatnonzero(same.any(axis=0)))
-
-
 def eigenvector_derivative(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
     """Derivative at ``t = 0`` of the eigenvector matrix of ``A + t F``:
     ``U (N - M * F_hat)``.  Dropping ``N`` is wrong whenever a degeneracy
     block reacts to the direction by rotating internally."""
+    _require_m(ap, mmat)
     return _derivative(ap, mmat, n_matrix(ap))
 
 
@@ -180,6 +173,7 @@ def predict_eigensystem(
     """Evaluate at ``t`` (may be negative) the expansion that
     :func:`line_expansion` builds, here on ``ap`` and ``mmat``: a tied
     direction raises first, then :meth:`LineExpansion.at` guards the gaps."""
+    _require_m(ap, mmat)
     return _expansion(ap, mmat).at(t)
 
 
@@ -237,4 +231,4 @@ def _expansion(ap: AlignedPerturbation, mmat: np.ndarray) -> LineExpansion:
 def line_expansion(a, f) -> LineExpansion:
     """Build the full second-order expansion of ``A + t F`` from dense input."""
     ap = aligned_perturbation(a, f)
-    return _expansion(ap, _m_matrix(ap.base.lam, ap.blocks))
+    return _expansion(ap, ap.data.m)

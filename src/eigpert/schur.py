@@ -23,12 +23,13 @@ Review 15(4), 1973).  The simplified variant is the first iterate; the
 full one stops once an update is at most ``4 eps max|X|``.  The fixed point
 runs on a stack of perturbations, one batched product per iteration, and
 each member stops on its own test, as the oracle's members do, so a member
-gets the bits of its solo run.  ``W`` depends on the base alone: a
-prediction from a stored decomposition takes it from a memo, and a
-convergence study iterates all of its ``(trial, t)`` members at once, each
-trial's ``W`` shared by its t-grid.  The complements of all the blocks of
-one size are formed as one batched product, each block's product with the
-strides of its own.
+gets the bits of its solo run.  ``W`` depends on the base alone, so it is
+read from the perturbation's base-only data (``ap.data``).  One stacked
+path forms the refined eigenvalues: a convergence study iterates all of its
+``(trial, t)`` members at once, each trial's ``W`` shared by its t-grid,
+and :func:`refined_eigenvalues` and :func:`vc_membership` run it as a stack
+of one.  The complements of all the blocks of one size are formed as one
+batched product, each block's product with the strides of its own.
 
 The complements also decide membership in the cone of perturbation
 directions along which every block's complement stays diagonal and its
@@ -43,15 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jacobi
-from .alignment import (
-    _EPS,
-    DEFAULT_MARGIN_FACTOR,
-    AlignedPerturbation,
-    BlockStructure,
-    _base_memo,
-    _inverse_gaps,
-    _require_gap,
-)
+from .alignment import _EPS, DEFAULT_MARGIN_FACTOR, AlignedPerturbation, _by_structure, _require_gap
 from .errors import ConvergenceError
 from .matrices import as_readonly, operator_norm
 
@@ -91,23 +84,6 @@ class SchurData:
     d: np.ndarray
     lambda_tau: np.ndarray
     beta: np.ndarray
-
-
-def _weights(aps: list[AlignedPerturbation]) -> np.ndarray:
-    """``W`` of each record, stacked ``(k, n, n)``: ``1 / (lam_i - rho_j)``,
-    ``rho_j`` the representative value of the block of ``j``, across blocks
-    and 0 inside them.  It depends on the base alone, so every scaling of a
-    perturbation shares it."""
-    bid = np.array([ap.blocks.block_id() for ap in aps])
-    rho = np.array([np.asarray(ap.blocks.rep_values)[b] for ap, b in zip(aps, bid)])
-    return _inverse_gaps(np.array([ap.base.lam for ap in aps]), bid, rho)
-
-
-@_base_memo
-def _weights_of(lam: np.ndarray, blocks: BlockStructure) -> np.ndarray:
-    """``W`` of one base, read-only: :func:`_weights` of one record."""
-    bid = blocks.block_id()
-    return as_readonly(_inverse_gaps(lam[None], bid[None], np.asarray(blocks.rep_values)[bid][None])[0])
 
 
 def _fixed_point(e_hat: np.ndarray, w: np.ndarray, start: int, stop: int, variant: str) -> np.ndarray:
@@ -173,7 +149,7 @@ def _schur_data(ap: AlignedPerturbation, block_index: int) -> tuple[SchurData, n
     _require_gap(ap, DEFAULT_MARGIN_FACTOR, [block_index])
     start, stop = groups[block_index]
     e_hat = ap.e_hat[None]
-    x = _fixed_point(e_hat, _weights_of(ap.base.lam, ap.blocks)[None, :, start:stop], start, stop, "full")
+    x = _fixed_point(e_hat, ap.data.w[None, :, start:stop], start, stop, "full")
     b = _complement(e_hat, np.arange(start, stop)[None], e_hat[:, None, start:stop], x[:, None])[0, 0]
     x = x[0]
     (beta,) = _complement_eigenvalues([b])
@@ -200,26 +176,14 @@ def refined_eigenvalues(ap: AlignedPerturbation, variant: str = "full") -> np.nd
     ``variant="simplified"`` stops at its first iterate, which replaces ``K``
     by ``diag(tau - rho)`` (error ``O(||E||^3)``).  Entry ``j`` of the result
     pairs with the ``j``-th exact eigenvalue in non-increasing order.  The
-    complements' eigenvalues come from one oracle call per block size.
+    complements' eigenvalues come from one oracle call per block size.  This
+    is the one-member case of the stacked path a convergence study runs.
     """
     if variant not in ("full", "simplified"):
         raise ValueError(f"unknown variant {variant!r}; expected 'full' or 'simplified'")
-    sized = _complements(ap, variant)
-    rho = np.asarray(ap.blocks.rep_values)[ap.blocks.block_id()]
-    out = np.empty(ap.n)
-    # The blocks are contiguous and cover every index in order.
-    for (index, _), beta in zip(sized, _complement_eigenvalues([b for _, b in sized])):
-        out[index] = rho[index] + beta
-    return out
-
-
-def _complements(ap: AlignedPerturbation, variant: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per block size, the blocks' indices ``(k, l)`` and symmetrized Schur
-    complements ``(k, l, l)``, once the gap guard admits ``ap``: the
-    one-member case of :func:`_complements_stack`."""
     _require_gap(ap, DEFAULT_MARGIN_FACTOR)
-    sized = _complements_stack(ap.e_hat[None], _weights_of(ap.base.lam, ap.blocks)[None], ap.blocks.groups, variant)
-    return [(index, b[0]) for index, b in sized]
+    pred, _ = _refined_stack([ap], ap.e_hat[None, None], variant)
+    return pred[0, 0]
 
 
 def _complements_stack(e_hat: np.ndarray, w: np.ndarray, groups, variant: str) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -255,6 +219,33 @@ def _complements_stack(e_hat: np.ndarray, w: np.ndarray, groups, variant: str) -
     return out
 
 
+def _refined_stack(aps: list[AlignedPerturbation], e_hat: np.ndarray, variant: str) -> tuple[np.ndarray, list]:
+    """Schur-refined eigenvalues ``(k, s, n)`` of ``E_hat`` stacked as
+    ``(k, s, n, n)``, the ``s`` members of row ``i`` in the eigenbasis of
+    ``aps[i]``, whose gap guards have admitted them; and per degeneracy
+    structure and block size, the rows of that structure, the blocks'
+    indices ``(b, l)``, their complements ``(rows, s, b, l, l)`` and those
+    complements' eigenvalues ``(rows, s, b, l)``.  One fixed point serves all
+    the rows that share a structure and all their members, each row's ``W``
+    shared by its members, and one oracle call each block size and
+    structure."""
+    k, s, n = e_hat.shape[:3]
+    w = np.array([ap.data.w for ap in aps])
+    parts = []
+    for groups, rows in _by_structure(aps).items():
+        stack, weights = e_hat[rows].reshape(-1, n, n), np.repeat(w[rows], s, axis=0)
+        for index, b in _complements_stack(stack, weights, groups, variant):
+            parts.append((rows, index, b.reshape(rows.size, s, *b.shape[1:])))
+    pred = np.empty((k, s, n))
+    betas = _complement_eigenvalues([b for _, _, b in parts])
+    for (rows, index, _), beta in zip(parts, betas):
+        # Each row's representative value at each index of the blocks.
+        rho = np.array([aps[i].blocks.rep_values for i in rows])[:, aps[rows[0]].blocks.block_id()[index]]
+        # The blocks are contiguous and cover every index in order.
+        pred[rows[:, None, None, None], np.arange(s)[:, None, None], index] = rho[:, None] + beta
+    return pred, [(*part, beta) for part, beta in zip(parts, betas)]
+
+
 @dataclass(frozen=True)
 class VcReport:
     """Witnesses for the diagonal-cone membership test."""
@@ -286,14 +277,14 @@ def vc_membership(ap: AlignedPerturbation, c: float, diag_tol: float) -> VcRepor
             worst_gap_ratio=math.inf,
             degenerate_zero=has_multi,
         )
-    sized = _complements(ap, "full")
+    _require_gap(ap, DEFAULT_MARGIN_FACTOR)
+    _, parts = _refined_stack([ap], ap.e_hat[None, None], "full")
     off = np.empty(len(ap.blocks.groups))
-    for index, b in sized:
-        off[ap.blocks.block_id()[index[:, 0]]] = np.abs(b - b * np.eye(b.shape[-1])).max(axis=(1, 2))
+    for _, index, b, _ in parts:
+        off[ap.blocks.block_id()[index[:, 0]]] = np.abs(b - b * np.eye(b.shape[-1])).max(axis=(-2, -1))[0, 0]
     off = tuple(off.tolist())
     # beta is sorted, so the closest pair is adjacent; a 1 x 1 block has none.
-    betas = _complement_eigenvalues([b for _, b in sized])
-    gaps = [float((beta[:, :-1] - beta[:, 1:]).min()) for beta in betas if beta.shape[1] >= 2]
+    gaps = [float((beta[..., :-1] - beta[..., 1:]).min()) for *_, beta in parts if beta.shape[-1] >= 2]
     return VcReport(
         member=max(off) <= diag_tol * ap.e_norm and min(gaps, default=math.inf) >= c * ap.e_norm,
         per_block_off_diagonal=off,

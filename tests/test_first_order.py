@@ -6,12 +6,14 @@ from eigpert import (
     ModeError,
     aligned_perturbation,
     conjugate_to_eigenbasis,
+    eigenvector_derivative,
     eigh,
     first_order_eigenvalues,
     gershgorin_intervals,
     hermitian,
     m_matrix,
     operator_norm,
+    predict_eigensystem,
     scaled,
     u_approx,
 )
@@ -166,3 +168,27 @@ class TestConvergenceRate:
             errs.append(np.abs(xi - exact).max())
         slope = np.polyfit(np.log10(ts), np.log10(errs), 1)[0]
         assert slope >= 1.8
+
+
+@pytest.mark.parametrize(
+    "predict",
+    [
+        u_approx,
+        eigenvector_derivative,
+        lambda ap, mmat: predict_eigensystem(ap, mmat, 0.01),
+        approx_decomposition_residual,
+    ],
+    ids=["u_approx", "eigenvector_derivative", "predict_eigensystem", "approx_decomposition_residual"],
+)
+@pytest.mark.parametrize(
+    "shape",
+    [lambda m: m[0], lambda m: m[:1], lambda m: m[0, 1], lambda m: m[:, :-1]],
+    ids=["n", "1xn", "scalar", "nx(n-1)"],
+)
+def test_m_of_another_shape_is_rejected(predict, shape):
+    # Any M but n x n would broadcast against E_hat into a wrong matrix of the right shape.
+    rng = np.random.default_rng(29)
+    ap = aligned_perturbation(*degenerate_instance(rng, (2, 2, 1, 1)))
+    mmat = m_matrix(ap.base, ap.blocks)
+    with pytest.raises(ValueError, match=r"M must have shape \(6, 6\)"):
+        predict(ap, shape(mmat))

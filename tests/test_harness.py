@@ -21,7 +21,6 @@ from eigpert import (
     blockwise_diagonalize,
     conjugate_to_eigenbasis,
     convergence_study,
-    decomposition_residual,
     eigh,
     eigh_stack,
     first_order_eigenvalues,
@@ -36,7 +35,7 @@ from eigpert import (
     report_to_csv,
     scaled,
 )
-from eigpert import alignment, harness, rayleigh
+from eigpert import alignment, first_order, harness, rayleigh, schur
 from eigpert.harness import (
     _hermitian_draws,
     _instances,
@@ -337,7 +336,8 @@ def reference_trial_errors(predictor, a, f, t_grid):
             gaps.append(align_columns_loop(exact.u, u_hat, ap.blocks.groups) - u_hat)
             continue
         else:
-            gaps.append(decomposition_residual(scaled(ap, t), mmat))
+            at_t = scaled(ap, t)
+            gaps.append(first_order._residuals(at_t.base.u, at_t.base.lam, at_t.e, at_t.e_hat, mmat))
             continue
         points.append((t, float(np.abs(exact.lam - pred).max())))
     if gaps:
@@ -459,8 +459,8 @@ class TestStackedStudy:
                 aps.append(blockwise_diagonalize(conjugate_to_eigenbasis(eigh(a), f)))
         grid = np.array([0.1, 0.01, 0.001])
         e_hat_t = grid[:, None, None] * np.array([ap.e_hat for ap in aps])[:, None]
-        pred = harness._schur_predictions(predictor, aps, e_hat_t)
         variant = predictor.removeprefix("schur_")
+        pred, _ = schur._refined_stack(aps, e_hat_t, variant)
         for ap, row in zip(aps, pred):
             for t, p in zip(grid, row):
                 assert np.array_equal(p, refined_eigenvalues(scaled(ap, t), variant))

@@ -241,7 +241,7 @@ class TestStackedN:
             if layout == "F":
                 ap = replace(ap, e_hat=np.asfortranarray(ap.e_hat))
             mmat = m_matrix(ap.base, ap.blocks)
-            assert rayleigh._n_matrix(ap, mmat).tobytes() == n_matrix_loop(ap, mmat).tobytes()
+            assert rayleigh._n_matrix(ap).tobytes() == n_matrix_loop(ap, mmat).tobytes()
 
     @pytest.mark.parametrize("stack", [1, 100])
     @pytest.mark.parametrize("layout", ["strided", "contiguous"])

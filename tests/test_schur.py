@@ -284,11 +284,22 @@ def solved_complement(ap, g):
 
 
 def by_block(sized):
-    """The complements that ``schur._complements`` or
-    ``schur._complements_stack`` return per block size, as one per block in
-    block order."""
+    """The complements that ``schur._complements_stack`` returns per block
+    size, as one per block in block order."""
     starts = {int(rows[0]): b[..., i, :, :] for index, b in sized for i, rows in enumerate(index)}
     return [starts[start] for start in sorted(starts)]
+
+
+def complements(ap, variant="full"):
+    """The complements that :func:`refined_eigenvalues` forms for ``ap`` on
+    the stacked Schur path, as one per block in block order."""
+    _, parts = schur._refined_stack([ap], ap.e_hat[None, None], variant)
+    return by_block([(index, b[0, 0]) for _, index, b, _ in parts])
+
+
+def weights(aps):
+    """The stacked ``W`` of the records ``aps``, from their base-only data."""
+    return np.array([ap.data.w for ap in aps])
 
 
 class TestFixedPoint:
@@ -308,7 +319,7 @@ class TestFixedPoint:
     )
     def test_matches_per_block_solves(self, sizes, e_norm):
         ap = diagonal_problem(sizes, e_norm, seed=len(sizes))
-        bs = by_block(schur._complements(ap, "full"))
+        bs = complements(ap)
         for g in range(len(sizes)):
             want = solved_complement(ap, g)
             tol = 1e-14 * max(float(np.abs(want).max()), 1e-300)
@@ -326,7 +337,7 @@ class TestFixedPoint:
         g = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
         h = 0.5 * (g + g.conj().T)
         ap = blockwise_diagonalize(conjugate_to_eigenbasis(eigh(a), (0.05 / np.linalg.norm(h, 2)) * h))
-        bs = by_block(schur._complements(ap, "full"))
+        bs = complements(ap)
         for k, b in enumerate(bs):
             want = solved_complement(ap, k)
             assert np.abs(b - want).max() <= 1e-14 * float(np.abs(want).max())
@@ -347,7 +358,7 @@ class TestFixedPoint:
         # touched again.
         aps = [diagonal_problem((2, 2, 1, 1), e_norm, seed=3) for e_norm in (0.01, 0.2, 0.3, 0.1)]
         e_hat = np.stack([ap.e_hat for ap in aps])
-        w = schur._weights(aps)
+        w = weights(aps)
 
         def iterations(k):
             for cap in range(1, 61):
@@ -402,7 +413,7 @@ class TestStackedComplements:
             e_hat = np.stack([ap.e_hat for ap in aps])
             if layout == "F":
                 e_hat = np.ascontiguousarray(e_hat.swapaxes(1, 2)).swapaxes(1, 2)
-            w = schur._weights(aps)
+            w = weights(aps)
             groups = aps[0].blocks.groups
             got = by_block(schur._complements_stack(e_hat, w, groups, variant))
             want = complements_loop(e_hat, points[-1], groups)
