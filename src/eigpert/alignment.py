@@ -16,7 +16,7 @@ read-only :class:`_BaseData`, built once per :func:`conjugate_to_eigenbasis`
 result and carried by every record derived from it.  A single base takes it
 from one memo keyed on the exact bytes of ``lam``, so many perturbations of
 one stored decomposition build it once; a convergence study, whose bases
-differ trial by trial, builds all of its trials' data in one stacked pass
+differ trial by trial but split alike, builds its data in one stacked pass
 and leaves the memo alone.
 """
 
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import jacobi
-from .errors import GapTooSmallError, ModeError
+from .errors import GapTooSmallError, ModeError, StudyError
 from .matrices import as_readonly, hermitian
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "BlockStructure",
     "LazyNorm",
     "AlignedPerturbation",
-    "group_eigenvalues",
     "conjugate_to_eigenbasis",
     "blockwise_diagonalize",
     "scaled",
@@ -107,19 +106,7 @@ class BlockStructure:
         return np.repeat(np.arange(len(self.groups), dtype=np.intp), self.sizes)
 
 
-def group_eigenvalues(lam) -> BlockStructure:
-    """Split a non-increasing eigenvalue vector into degeneracy groups.
-
-    Adjacent values belong to one group when their gap is at most
-    ``DEFAULT_REL_GAP_TOL * max|lam|``; a gap exactly at the tolerance still
-    joins (the boundary tie goes to the earlier, larger-eigenvalue group).
-    With no absolute floor, scaling ``lam`` by a positive factor leaves the
-    groups unchanged except for a gap within rounding of the tolerance.
-    """
-    return _base_data(lam).blocks
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _BaseData:
     """What depends on the base alone, read-only: the grouping ``blocks`` of
     ``lam``, the inverse-gap matrix ``m`` (:func:`m_matrix`), the Schur
@@ -153,21 +140,24 @@ def _memo(lam: bytes) -> _BaseData:
 
 
 def _base_data_stack(lam: np.ndarray) -> list[_BaseData]:
-    """The base-only data of each row of ``lam`` ``(k, n)``, the rows that
-    split alike built as one stack."""
+    """The base-only data of each row of ``lam`` ``(k, n)``, as one stack.
+
+    Adjacent values of a non-increasing row belong to one group when their
+    gap is at most ``DEFAULT_REL_GAP_TOL * max|lam|``; a gap exactly at the
+    tolerance still joins (the boundary tie goes to the earlier,
+    larger-eigenvalue group).  With no absolute floor, scaling a row by a
+    positive factor leaves its groups unchanged except for a gap within
+    rounding of the tolerance.  Rows that split otherwise than the first
+    raise :class:`StudyError`."""
     if np.any(lam[:, 1:] > lam[:, :-1]):
         raise ValueError("eigenvalues must be non-increasing")
     tol = DEFAULT_REL_GAP_TOL * np.abs(lam).max(axis=1)
     split = lam[:, :-1] - lam[:, 1:] > tol[:, None]
-    patterns: dict[bytes, list[int]] = {}
-    for i, row in enumerate(split):
-        patterns.setdefault(row.tobytes(), []).append(i)
-    out: list = [None] * len(lam)
-    for members in patterns.values():
-        bounds = [0, *(np.flatnonzero(split[members[0]]) + 1).tolist(), lam.shape[1]]
-        for i, data in zip(members, _base_data_rows(lam[members], tuple(zip(bounds[:-1], bounds[1:])))):
-            out[i] = data
-    return out
+    other = np.flatnonzero((split != split[0]).any(axis=1))
+    if other.size:
+        raise StudyError(f"row {other[0]} of {len(lam)} splits into other degeneracy groups than row 0")
+    bounds = [0, *(np.flatnonzero(split[0]) + 1).tolist(), lam.shape[1]]
+    return _base_data_rows(lam, tuple(zip(bounds[:-1], bounds[1:])))
 
 
 def _base_data_rows(lam: np.ndarray, groups: tuple[tuple[int, int], ...]) -> list[_BaseData]:
@@ -262,7 +252,7 @@ def _lazy_norms(e_hat: np.ndarray) -> list[LazyNorm]:
     return [LazyNorm(lo, up, oracle(m)) for lo, up, m in zip(lower.tolist(), upper.tolist(), e_hat)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignedPerturbation:
     """A Hermitian perturbation expressed in the eigenbasis of the base matrix.
 
@@ -380,12 +370,14 @@ def conjugate_to_eigenbasis(base: jacobi.SpectralDecomposition, e) -> AlignedPer
     return _aligned_stack([base], np.array([base.u]), [_base_data(base.lam)], as_readonly(e[None]), MODE_RAW, None)[0]
 
 
-def _conjugate_stack(bases: list[jacobi.SpectralDecomposition], e: np.ndarray) -> list[AlignedPerturbation]:
+def _conjugate_stack(u: np.ndarray, lam: np.ndarray, e: np.ndarray) -> list[AlignedPerturbation]:
     """:func:`conjugate_to_eigenbasis` of each member of the Hermitian stack
-    ``e`` ``(k, n, n)`` in the eigenbasis of its base, which has its shape;
-    the bases' data is built as one stack, not taken from the memo."""
-    data = _base_data_stack(np.array([base.lam for base in bases]))
-    return _aligned_stack(bases, np.array([base.u for base in bases]), data, as_readonly(e), MODE_RAW, None)
+    ``e`` ``(k, n, n)`` in the eigenbasis ``u[i], lam[i]`` of the solved
+    stacks, whose data is built as one stack, not taken from the memo."""
+    # Row-major, as stacked from records: a BLAS may pick kernels by layout.
+    u = np.ascontiguousarray(u)
+    bases = [jacobi.SpectralDecomposition(u_k, lam_k) for u_k, lam_k in zip(u, lam)]
+    return _aligned_stack(bases, u, _base_data_stack(lam), as_readonly(e), MODE_RAW, None)
 
 
 def blockwise_diagonalize(ap: AlignedPerturbation) -> AlignedPerturbation:
@@ -457,14 +449,6 @@ def m_matrix(base: jacobi.SpectralDecomposition, blocks: BlockStructure) -> np.n
     if blocks.groups != data.blocks.groups:
         data = _base_data_rows(np.asarray(base.lam, dtype=np.float64)[None], tuple(blocks.groups))[0]
     return np.array(data.m)
-
-
-def _by_structure(aps: list[AlignedPerturbation]) -> dict[tuple[tuple[int, int], ...], np.ndarray]:
-    """Positions of the records in ``aps`` by their degeneracy groups."""
-    index: dict[tuple[tuple[int, int], ...], list[int]] = {}
-    for i, ap in enumerate(aps):
-        index.setdefault(ap.blocks.groups, []).append(i)
-    return {groups: np.array(members) for groups, members in index.items()}
 
 
 def align_columns(candidate: np.ndarray, reference: np.ndarray, groups) -> np.ndarray:

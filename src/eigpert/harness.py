@@ -8,9 +8,10 @@ generator is a counter, so a study draws every trial's stream as one
 convergence studies pair each predictor against the eigendecomposition
 oracle over a decreasing t-grid and fit the error's log-log slope.
 
-A study stacks its oracle calls across its trials, one call per stage and
-block size (see :func:`convergence_study`), so their number does not grow
-with its number of trials.  Every other stage is an array expression over the
+A study is one stack of one degeneracy structure, from the draw to the
+errors.  It stacks its oracle calls across its trials, one call per stage
+and block size (see :func:`convergence_study`), so their number does not
+grow with its number of trials.  Every other stage is an array expression over the
 ``(trials, t, n, n)`` stack: the conjugations, the Schur fixed point (each
 member stopping on its own test), the expansion's coefficients, the
 residuals, the eigenvector study's column match, the error norms and the
@@ -170,18 +171,19 @@ def generate_instance(cfg: EnsembleConfig, trial: int) -> tuple[np.ndarray, np.n
     representative eigenvalues separated by at least 1; F is a random
     Hermitian direction of unit operator norm.
     """
-    return _instances(cfg, [trial])[0]
+    a, f = _instances(cfg, [trial])
+    return a[0], f[0]
 
 
-def _instances(cfg: EnsembleConfig, trials) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`generate_instance` of each trial, drawn as one array: row ``k``
-    is the stream at ``mix(seed + (k + 1) * golden)`` (re-scrambled, as raw
-    offsets give shifted copies of one stream).  It holds one uniform per
-    block for the representative values, ``2 n^2`` outputs for a Hermitian
-    matrix whose eigenvectors ``Q`` rotate A's spectrum, then ``2 n^2`` for
-    the direction.  One oracle call diagonalizes all the ``Q`` draws and,
-    in the same stack, the Gram matrices of the directions, whose top
-    eigenvalues give their norms."""
+def _instances(cfg: EnsembleConfig, trials) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`generate_instance` of each trial as stacks ``A, F``, drawn as
+    one array: row ``k`` is the stream at ``mix(seed + (k + 1) * golden)``
+    (re-scrambled, as raw offsets give shifted copies of one stream).  It
+    holds one uniform per block for the representative values, ``2 n^2``
+    outputs for a Hermitian matrix whose eigenvectors ``Q`` rotate A's
+    spectrum, then ``2 n^2`` for the direction.  One call to the oracle's
+    array entry solves the ``Q`` draws and, in the same stack, the
+    directions' Gram matrices, whose top eigenvalues give their norms."""
     n, blocks = cfg.n, len(cfg.block_spec)
     keys = np.array([(cfg.seed + (operator.index(k) + 1) * _GOLDEN) & _MASK for k in trials], np.uint64)
     x = _stream(_mix(keys), blocks + 4 * n * n)
@@ -195,13 +197,14 @@ def _instances(cfg: EnsembleConfig, trials) -> list[tuple[np.ndarray, np.ndarray
     draws = _hermitian_draws(x[:, blocks:], n)
     q_draws, directions = draws[0::2], draws[1::2]
     grams, where = _grams(directions)
-    # A member's lam does not depend on its stack or on whether u is solved for.
-    solved = jacobi.eigh_stack([*q_draws, *(g for stack in grams for g in stack)])
-    q = np.array([d.u for d in solved[: len(q_draws)]])
+    # One size, exactly Hermitian as stored; a member's lam does not depend on its stack.
+    u, lam = jacobi._solve_stack(np.concatenate([q_draws, *grams]))[:2]
+    # Q row-major, as the instances were pinned with: a BLAS may pick kernels by layout.
+    q = np.ascontiguousarray(u[: len(q_draws)])
     a = hermitian(q @ spectra @ q.conj().swapaxes(1, 2))
-    norms = _norms([[d.lam[0] for d in solved[len(q_draws) :]]], where)
+    norms = _norms([lam[len(q_draws) :, 0]], where)
     f = directions / np.array(norms)[:, None, None]
-    return list(zip(a, f))
+    return a, f
 
 
 @dataclass(frozen=True)
@@ -306,10 +309,10 @@ def _admit(predictor: str, ap: alignment.AlignedPerturbation, t_max: float) -> N
         alignment._require_gap(ap, alignment.DEFAULT_MARGIN_FACTOR * t_max)
 
 
-def _errors(predictor: str, aps: list, instances: list, grid: np.ndarray) -> np.ndarray:
-    """Errors ``(trials, t)`` of the predictor against the oracle over trials
-    whose guards have admitted them, each stage one array expression over
-    the ``(trials, t, n, n)`` stack or one oracle call.
+def _errors(predictor: str, aps: list, a: np.ndarray, f: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Errors ``(trials, t)`` of the predictor against the oracle on the
+    admitted trials' instances ``a`` and ``f``, each stage one array
+    expression over the ``(trials, t, n, n)`` stack or one oracle call.
 
     Eigenvalue predictors report the largest error over indices, matrix-valued
     ones the operator norm of the error matrix."""
@@ -324,23 +327,19 @@ def _errors(predictor: str, aps: list, instances: list, grid: np.ndarray) -> np.
         e_t = t * np.array([ap.e for ap in aps])[:, None]
         gaps = first_order._residuals(u, lam[:, None], e_t, e_hat_t, mmat[:, None])
         return np.reshape(operator_norms(gaps.reshape(-1, n, n)), (trials, steps))
-    exact = np.array([a for a, _ in instances])[:, None] + t * np.array([f for _, f in instances])[:, None]
     # A + t F is exactly Hermitian as stored, a sum of two such matrices.
-    exact = exact.reshape(-1, n, n)
+    exact = (a[:, None] + t * f[:, None]).reshape(-1, n, n)
     if predictor == "eigvec_first_order":
         # _admit has run the tie guard: the derivative is formed without it.
         u_prime = np.array([rayleigh._derivative(ap, ap.data.m, rayleigh._n_matrix(ap)) for ap in aps])
         u_hat = rayleigh._series(t, u, u_prime[:, None])
         # The oracle's u are column-major, and the column match rounds as
         # np.vdot on columns so laid out: the stack keeps that layout.
-        exacts_t = np.ascontiguousarray(jacobi._solve_stack(exact)[0].swapaxes(1, 2)).reshape(u_hat.shape)
-        # One column match per degeneracy structure, over all its (trial, t) members.
-        gaps = np.empty(u_hat.shape, dtype=np.complex128)
-        for groups, members in alignment._by_structure(aps).items():
-            v = u_hat[members].reshape(-1, n, n)
-            matched = alignment._align_stack(exacts_t[members].reshape(-1, n, n).swapaxes(1, 2), v, groups)
-            gaps[members] = (matched - v).reshape(-1, steps, n, n)
-        return np.reshape(operator_norms(gaps.reshape(-1, n, n)), (trials, steps))
+        exacts_t = np.ascontiguousarray(jacobi._solve_stack(exact)[0].swapaxes(1, 2)).swapaxes(1, 2)
+        # One column match over every (trial, t) member.
+        v = u_hat.reshape(-1, n, n)
+        gaps = alignment._align_stack(exacts_t, v, aps[0].blocks.groups) - v
+        return np.reshape(operator_norms(gaps), (trials, steps))
     if predictor == "first_order":
         pred = first_order._eigenvalues(lam[:, None], e_hat_t)
     elif predictor == "rs_second_order":
@@ -368,8 +367,7 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
        directions, whose top eigenvalues give the directions' norms;
     2. the base decompositions;
     3. the block-wise rotations, one call per block size;
-    4. the Schur complements, for the Schur predictors, one call per block
-       size of each degeneracy structure;
+    4. the Schur complements of the Schur predictors, one call per block size;
     5. the exact solves of ``A + t F`` over the admitted trials and the
        t-grid, for every predictor but ``u_ap_residual``;
     6. the error matrices' norms, for the matrix-valued predictors.
@@ -380,17 +378,16 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     stack whose members round as they do alone, so the study is the same
     as one solved trial by trial.  That includes the eigenvector study's
     gauge match of the exact eigenvectors to the predicted ones, made once
-    per degeneracy structure for all its ``(trial, t)`` members.  The guards decide once per trial, at the
-    largest ``t``, before any exact solve, so a refused trial costs none.
+    for all its ``(trial, t)`` members.  The trials share one degeneracy
+    structure; bases that split otherwise raise :class:`StudyError`.  The
+    guards decide once per trial, at the largest ``t``, before any exact
+    solve, so a refused trial costs none.
     """
     grid = np.array(cfg.t_grid)
-    instances = _instances(cfg, range(cfg.trials))
-    # The instances' A are exactly Hermitian, as hermitian built them.
-    u, lam = jacobi._solve_stack(np.array([a for a, _ in instances]))[:2]
-    bases = [jacobi.SpectralDecomposition(u_k, lam_k) for u_k, lam_k in zip(u, lam)]
-    aps = alignment._blockwise_diagonalize_stack(
-        alignment._conjugate_stack(bases, hermitian(np.array([f for _, f in instances])))
-    )
+    a, f = _instances(cfg, range(cfg.trials))
+    # A is exactly Hermitian, as hermitian built it; F is such a draw over a real norm.
+    u, lam = jacobi._solve_stack(a)[:2]
+    aps = alignment._blockwise_diagonalize_stack(alignment._conjugate_stack(u, lam, f))
     kept: list[int] = []
     failed: list[int] = []
     for trial, ap in enumerate(aps):
@@ -403,7 +400,7 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
             kept.append(trial)
     rows, fits = [], []
     if kept:
-        errors = _errors(cfg.predictor, [aps[k] for k in kept], [instances[k] for k in kept], grid)
+        errors = _errors(cfg.predictor, [aps[k] for k in kept], a[kept], f[kept], grid)
         scales = [float(np.abs(aps[k].base.lam).max()) for k in kept]
         for trial, fit, trial_errors in zip(kept, _fits(grid, errors, scales), errors.tolist()):
             if isinstance(fit, StudyError):

@@ -31,9 +31,9 @@ keep their bits.
 Validation happens at the public entry, :func:`eigh_stack`: it checks and
 symmetrizes its input with :func:`~eigpert.matrices.hermitian`, groups it by
 size and builds the records.  The package's own callers hold stacks of one
-size on which ``hermitian`` would change no bit (``E_hat`` blocks, Schur
-complements, ``A + t F``), so they call the array entry ``_solve_stack``,
-which checks finiteness only and returns arrays.
+size on which ``hermitian`` would change no bit (random draws, ``E_hat``
+blocks, Schur complements, ``A + t F``), so they call the array entry
+``_solve_stack``, which checks finiteness only and returns arrays.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ __all__ = [
 
 DEFAULT_MAX_SWEEPS = 64
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Unitary eigenvector matrix ``u`` and non-increasing real eigenvalues ``lam``.
 

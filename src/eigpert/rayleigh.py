@@ -157,7 +157,7 @@ def _derivative(ap: AlignedPerturbation, mmat: np.ndarray, n_mat: np.ndarray) ->
     return ap.base.u @ (n_mat - mmat * ap.e_hat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigensystemPrediction:
     """Second-order eigenvalues and first-order eigenvectors at one ``t``."""
 
@@ -177,7 +177,7 @@ def predict_eigensystem(
     return _expansion(ap, mmat).at(t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineExpansion:
     """Everything the expansion of ``A + t F`` needs, computed once."""
 
@@ -215,7 +215,8 @@ def _series(t, *coefficients):
 def _expansion(ap: AlignedPerturbation, mmat: np.ndarray) -> LineExpansion:
     """The expansion of ``ap``; ``mmat`` is stored as given, flags and all."""
     a0, a1, a2 = rs_coefficients(ap)
-    n_mat = n_matrix(ap)
+    # rs_coefficients has run the guards of n_matrix: they run once.
+    n_mat = _n_matrix(ap)
     return LineExpansion(
         base=ap.base,
         ap=ap,

@@ -26,10 +26,11 @@ each member stops on its own test, as the oracle's members do, so a member
 gets the bits of its solo run.  ``W`` depends on the base alone, so it is
 read from the perturbation's base-only data (``ap.data``).  One stacked
 path forms the refined eigenvalues: a convergence study iterates all of its
-``(trial, t)`` members at once, each trial's ``W`` shared by its t-grid,
-and :func:`refined_eigenvalues` and :func:`vc_membership` run it as a stack
-of one.  The complements of all the blocks of one size are formed as one
-batched product, each block's product with the strides of its own.
+``(trial, t)`` members, of one degeneracy structure, at once, each trial's
+``W`` shared by its t-grid, and :func:`refined_eigenvalues` and
+:func:`vc_membership` run it as a stack of one.  The complements of all
+the blocks of one size are formed as one batched product, each block's
+product with the strides of its own.
 
 The complements also decide membership in the cone of perturbation
 directions along which every block's complement stays diagonal and its
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jacobi
-from .alignment import _EPS, DEFAULT_MARGIN_FACTOR, AlignedPerturbation, _by_structure, _require_gap
+from .alignment import _EPS, DEFAULT_MARGIN_FACTOR, AlignedPerturbation, _require_gap
 from .errors import ConvergenceError
 from .matrices import as_readonly, operator_norm
 
@@ -67,7 +68,7 @@ MAX_ITERATIONS = 60
 _STOP_TOL = 4.0 * _EPS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchurData:
     """Partitioned perturbation data for one eigenvalue block.
 
@@ -222,27 +223,23 @@ def _complements_stack(e_hat: np.ndarray, w: np.ndarray, groups, variant: str) -
 def _refined_stack(aps: list[AlignedPerturbation], e_hat: np.ndarray, variant: str) -> tuple[np.ndarray, list]:
     """Schur-refined eigenvalues ``(k, s, n)`` of ``E_hat`` stacked as
     ``(k, s, n, n)``, the ``s`` members of row ``i`` in the eigenbasis of
-    ``aps[i]``, whose gap guards have admitted them; and per degeneracy
-    structure and block size, the rows of that structure, the blocks'
-    indices ``(b, l)``, their complements ``(rows, s, b, l, l)`` and those
-    complements' eigenvalues ``(rows, s, b, l)``.  One fixed point serves all
-    the rows that share a structure and all their members, each row's ``W``
-    shared by its members, and one oracle call each block size and
-    structure."""
+    ``aps[i]``, all of one degeneracy structure, whose gap guards have
+    admitted them; and per block size, the blocks' indices ``(b, l)``,
+    their complements ``(k, s, b, l, l)`` and those complements' eigenvalues
+    ``(k, s, b, l)``.  One fixed point serves every member, each row's ``W``
+    shared by its members, and one oracle call each block size."""
     k, s, n = e_hat.shape[:3]
-    w = np.array([ap.data.w for ap in aps])
-    parts = []
-    for groups, rows in _by_structure(aps).items():
-        stack, weights = e_hat[rows].reshape(-1, n, n), np.repeat(w[rows], s, axis=0)
-        for index, b in _complements_stack(stack, weights, groups, variant):
-            parts.append((rows, index, b.reshape(rows.size, s, *b.shape[1:])))
+    blocks = aps[0].blocks
+    w = np.repeat(np.array([ap.data.w for ap in aps]), s, axis=0)
+    sized = _complements_stack(e_hat.reshape(-1, n, n), w, blocks.groups, variant)
+    parts = [(index, b.reshape(k, s, *b.shape[1:])) for index, b in sized]
+    betas = _complement_eigenvalues([b for _, b in parts])
+    # Each row's representative value at each index.
+    rho = np.array([ap.blocks.rep_values for ap in aps])[:, blocks.block_id()]
     pred = np.empty((k, s, n))
-    betas = _complement_eigenvalues([b for _, _, b in parts])
-    for (rows, index, _), beta in zip(parts, betas):
-        # Each row's representative value at each index of the blocks.
-        rho = np.array([aps[i].blocks.rep_values for i in rows])[:, aps[rows[0]].blocks.block_id()[index]]
+    for (index, _), beta in zip(parts, betas):
         # The blocks are contiguous and cover every index in order.
-        pred[rows[:, None, None, None], np.arange(s)[:, None, None], index] = rho[:, None] + beta
+        pred[:, :, index] = rho[:, None, index] + beta
     return pred, [(*part, beta) for part, beta in zip(parts, betas)]
 
 
@@ -280,7 +277,7 @@ def vc_membership(ap: AlignedPerturbation, c: float, diag_tol: float) -> VcRepor
     _require_gap(ap, DEFAULT_MARGIN_FACTOR)
     _, parts = _refined_stack([ap], ap.e_hat[None, None], "full")
     off = np.empty(len(ap.blocks.groups))
-    for _, index, b, _ in parts:
+    for index, b, _ in parts:
         off[ap.blocks.block_id()[index[:, 0]]] = np.abs(b - b * np.eye(b.shape[-1])).max(axis=(-2, -1))[0, 0]
     off = tuple(off.tolist())
     # beta is sorted, so the closest pair is adjacent; a 1 x 1 block has none.
@@ -293,7 +290,7 @@ def vc_membership(ap: AlignedPerturbation, c: float, diag_tol: float) -> VcRepor
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityDiagnostic:
     """Block-triangular similarity transform of the perturbed matrix.
 

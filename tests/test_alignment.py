@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -17,13 +18,16 @@ from eigpert import (
     eigh,
     first_order_eigenvalues,
     hermitian,
+    line_expansion,
     m_matrix,
     operator_norm,
     refined_eigenvalues,
     scaled,
+    schur_data,
+    schur_similarity_diagnostic,
     vc_membership,
 )
-from eigpert.alignment import DEFAULT_REL_GAP_TOL, _align_stack, group_eigenvalues
+from eigpert.alignment import DEFAULT_REL_GAP_TOL, _align_stack, _base_data
 
 # Sorting A = diag(0, 0, 1) non-increasingly permutes the input frame by this.
 PERM3 = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
@@ -33,17 +37,17 @@ EXAMPLE_F3 = np.array([[1, 0, 1], [0, 0, 1], [1, 1, 0]], dtype=float)
 
 class TestGrouping:
     def test_exact_tie(self):
-        bs = group_eigenvalues([5.0, 5.0, 3.0])
+        bs = _base_data([5.0, 5.0, 3.0]).blocks
         assert bs.groups == ((0, 2), (2, 3))
         assert bs.rep_values == (5.0, 3.0)
         assert bs.sizes == (2, 1)
 
     def test_gap_above_tolerance_stays_split(self):
-        bs = group_eigenvalues([1.0, 0.999, 0.0])
+        bs = _base_data([1.0, 0.999, 0.0]).blocks
         assert bs.groups == ((0, 1), (1, 2), (2, 3))
 
     def test_double_zero_eigenvalue(self):
-        bs = group_eigenvalues([1.0, 0.0, 0.0])
+        bs = _base_data([1.0, 0.0, 0.0]).blocks
         assert bs.groups == ((0, 1), (1, 3))
         assert bs.rep_values == (1.0, 0.0)
 
@@ -51,26 +55,26 @@ class TestGrouping:
         # max |lam| = 1, so the tolerance is exactly DEFAULT_REL_GAP_TOL and
         # so is the last gap, 0 - (-tol).
         tol = DEFAULT_REL_GAP_TOL
-        bs = group_eigenvalues([1.0, 0.0, -tol])
+        bs = _base_data([1.0, 0.0, -tol]).blocks
         assert bs.groups == ((0, 1), (1, 3))
-        bs = group_eigenvalues([1.0, 0.0, -np.nextafter(tol, 1.0)])
+        bs = _base_data([1.0, 0.0, -np.nextafter(tol, 1.0)]).blocks
         assert bs.groups == ((0, 1), (1, 2), (2, 3))
 
     def test_tolerance_scales_with_magnitude(self):
         # A gap of 1 is far below tol * max|lam| here, so it must merge.
-        bs = group_eigenvalues([1e12, 1e12 - 1.0])
+        bs = _base_data([1e12, 1e12 - 1.0]).blocks
         assert len(bs.groups) == 1
 
     def test_rejects_increasing(self):
         with pytest.raises(ValueError, match="non-increasing"):
-            group_eigenvalues([1.0, 2.0])
+            _base_data([1.0, 2.0]).blocks
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            group_eigenvalues([])
+            _base_data([]).blocks
 
     def test_block_id(self):
-        bs = group_eigenvalues([5.0, 5.0, 3.0])
+        bs = _base_data([5.0, 5.0, 3.0]).blocks
         assert list(bs.block_id()) == [0, 0, 1]
 
 
@@ -95,7 +99,7 @@ class TestScaleInvariantGrouping:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(lam=spectra(), k=st.integers(-1000, 1000))
     def test_groups_unchanged_by_powers_of_two(self, lam, k):
-        assert group_eigenvalues(np.ldexp(lam, k)).groups == group_eigenvalues(lam).groups
+        assert _base_data(np.ldexp(lam, k)).blocks.groups == _base_data(lam).blocks.groups
 
     def test_predictions_scale_with_the_matrix(self):
         # An absolute floor on the grouping tolerance would merge the three
@@ -484,3 +488,28 @@ class TestAlignStack:
         z = np.vecdot(c.swapaxes(-1, -2)[..., :, None, :], r.swapaxes(-1, -2)[..., None, :, :])
         want = [[[np.vdot(ci[:, k], ri[:, j]) for j in range(n)] for k in range(n)] for ci, ri in zip(c, r)]
         assert same_bits(z, np.array(want))
+
+
+# Each result record that holds arrays, from the worked example's expansion.
+ARRAY_RECORDS = {
+    "SpectralDecomposition": lambda lex: lex.base,
+    "_BaseData": lambda lex: lex.ap.data,
+    "AlignedPerturbation": lambda lex: lex.ap,
+    "SchurData": lambda lex: schur_data(scaled(lex.ap, 0.01), 0),
+    "SimilarityDiagnostic": lambda lex: schur_similarity_diagnostic(scaled(lex.ap, 0.01), 0),
+    "LineExpansion": lambda lex: lex,
+    "EigensystemPrediction": lambda lex: lex.at(0.01),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_RECORDS))
+def test_array_records_compare_and_hash_by_identity(name):
+    # Field-wise equality would ask an array for its truth value and hashing
+    # would hash an array; a record is equal only to itself instead.
+    record = ARRAY_RECORDS[name](line_expansion(EXAMPLE_A3, EXAMPLE_F3))
+    assert type(record).__name__ == name
+    twin = copy.deepcopy(record)
+    assert record == record and not (record != record)
+    assert record != twin and not (record == twin)
+    assert hash(record) == hash(record)
+    assert len({record, twin, record}) == 2

@@ -35,7 +35,7 @@ from eigpert import (
     report_to_csv,
     scaled,
 )
-from eigpert import alignment, first_order, harness, rayleigh, schur
+from eigpert import alignment, first_order, harness, jacobi, rayleigh
 from eigpert.harness import (
     _hermitian_draws,
     _instances,
@@ -142,10 +142,23 @@ class TestGenerators:
         a, f = generate_instance(cfg, trial)
         assert hashlib.sha256(a.tobytes() + f.tobytes()).hexdigest() == digest
 
+    def test_instances_make_one_array_entry_call(self, monkeypatch, oracle_calls):
+        # The Q draws and the directions' Gram matrices share one call to the
+        # array entry, whose precondition the recorder checks; the public
+        # entry would validate and wrap data that is exactly Hermitian.
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh_stack called")
+
+        monkeypatch.setattr(jacobi, "eigh_stack", refuse)
+        cfg = EnsembleConfig(seed=3, n=5, block_spec=(2, 2, 1), trials=4, predictor="first_order")
+        a, f = _instances(cfg, range(4))
+        assert a.shape == f.shape == (4, 5, 5)
+        assert oracle_calls == [[5] * 8] and oracle_calls.stages == ["_instances"]
+
     @pytest.mark.parametrize("seed, spec", [(1, (2, 2, 1, 1)), (-3, (3, 2, 1)), (2**64, (1,))])
     def test_stacked_draws_match_each_trial(self, seed, spec):
         cfg = EnsembleConfig(seed=seed, n=sum(spec), block_spec=spec, trials=4, predictor="first_order")
-        for trial, (a, f) in enumerate(_instances(cfg, range(4))):
+        for trial, (a, f) in enumerate(zip(*_instances(cfg, range(4)))):
             a1, f1 = generate_instance(cfg, trial)
             assert a.tobytes() == a1.tobytes() and f.tobytes() == f1.tobytes()
 
@@ -448,22 +461,20 @@ class TestStackedStudy:
         assert shapes[0] == shapes[1]
         assert len(set(shapes[0])) == len(shapes[0])
 
-    @pytest.mark.parametrize("predictor", ["schur_full", "schur_simplified"])
-    def test_schur_stack_mixes_block_structures(self, predictor):
-        # Trials whose degeneracy structures differ share the stack and the
-        # complements' oracle call; each keeps its solo bits.
-        aps = []
-        for spec in ((2, 2, 1, 1), (3, 2, 1), (2, 2, 1, 1)):
-            cfg = EnsembleConfig(seed=4, n=6, block_spec=spec, trials=2, predictor=predictor)
-            for a, f in harness._instances(cfg, range(2)):
-                aps.append(blockwise_diagonalize(conjugate_to_eigenbasis(eigh(a), f)))
-        grid = np.array([0.1, 0.01, 0.001])
-        e_hat_t = grid[:, None, None] * np.array([ap.e_hat for ap in aps])[:, None]
-        variant = predictor.removeprefix("schur_")
-        pred, _ = schur._refined_stack(aps, e_hat_t, variant)
-        for ap, row in zip(aps, pred):
-            for t, p in zip(grid, row):
-                assert np.array_equal(p, refined_eigenvalues(scaled(ap, t), variant))
+    @pytest.mark.parametrize("predictor", PREDICTORS)
+    def test_stack_refuses_mixed_block_structures(self, monkeypatch, predictor):
+        # A study is one stack of one degeneracy structure.  Bases that split
+        # otherwise are refused with a typed error before any prediction, so
+        # no trial is ever given the first trial's groups.
+        stacks = [
+            _instances(EnsembleConfig(seed=4, n=6, block_spec=spec, trials=2, predictor=predictor), range(2))
+            for spec in ((2, 2, 1, 1), (3, 2, 1))
+        ]
+        mixed = tuple(np.concatenate(x) for x in zip(*stacks))
+        monkeypatch.setattr(harness, "_instances", lambda cfg, trials: mixed)
+        cfg = EnsembleConfig(seed=4, n=6, block_spec=(2, 2, 1, 1), trials=4, predictor=predictor)
+        with pytest.raises(StudyError, match="row 2 of 4 splits into other degeneracy groups"):
+            convergence_study(cfg)
 
     def test_second_order_eigenvalues_never_build_n(self, monkeypatch):
         # The closed-form a2 needs no rotation generator.
@@ -493,8 +504,8 @@ class TestStackedStudy:
         assert len(calls) == 20 * per_trial
 
     def test_one_column_match_per_block_structure(self, monkeypatch):
-        # Every (trial, t) member of one degeneracy structure is matched in one
-        # stacked call; no member goes through the one-member align_columns.
+        # Every (trial, t) member of the study's one degeneracy structure is
+        # matched in one stacked call; none goes through align_columns.
         calls = []
         real = alignment._align_stack
 

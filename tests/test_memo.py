@@ -26,7 +26,7 @@ from eigpert import (
     vc_membership,
 )
 from eigpert import alignment, first_order, harness, rayleigh, schur
-from eigpert.alignment import group_eigenvalues
+from eigpert.alignment import _base_data
 
 MEMO = alignment._memo
 
@@ -72,7 +72,7 @@ def test_equal_bits_from_distinct_arrays_hit():
     assert first.base.lam is not second.base.lam
     assert counts() == (1, 1)
     assert second.data is first.data
-    assert group_eigenvalues(list(LAM)) is second.blocks
+    assert _base_data(list(LAM)).blocks is second.blocks
     assert counts() == (2, 1)
 
 
@@ -95,7 +95,7 @@ def test_other_bits_miss(other):
 
 
 def test_signed_zero_eigenvalues_group_apart():
-    assert group_eigenvalues([1.0, 0.0]) is not group_eigenvalues([1.0, -0.0])
+    assert _base_data([1.0, 0.0]).blocks is not _base_data([1.0, -0.0]).blocks
     assert counts() == (0, 2)
 
 

@@ -391,17 +391,32 @@ class TestLineExpansion:
         assert np.array_equal(lex.u_prime, eigenvector_derivative(ap, lex.m_mat))
         assert lex.base is ap.base
 
-    def test_computes_n_matrix_once(self, monkeypatch):
+    @staticmethod
+    def count_calls(monkeypatch, name: str) -> list:
+        """Record the argument of every call of ``rayleigh.<name>`` from now on."""
         calls = []
-        real = rayleigh.n_matrix
+        real = getattr(rayleigh, name)
 
         def counting(ap):
             calls.append(ap)
             return real(ap)
 
-        monkeypatch.setattr(rayleigh, "n_matrix", counting)
-        line_expansion(EXAMPLE_A3, EXAMPLE_F3)
-        assert len(calls) == 1
+        monkeypatch.setattr(rayleigh, name, counting)
+        return calls
+
+    def test_computes_n_matrix_once(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "_n_matrix")
+        lex = line_expansion(EXAMPLE_A3, EXAMPLE_F3)
+        assert len(calls) == 1 and calls[0] is lex.ap
+
+    def test_runs_the_tie_guard_once(self, monkeypatch):
+        # rs_coefficients and n_matrix each run the guard; their expansion
+        # decides once for both.
+        calls = self.count_calls(monkeypatch, "_require_untied")
+        lex = line_expansion(EXAMPLE_A3, EXAMPLE_F3)
+        assert len(calls) == 1 and calls[0] is lex.ap
+        predict_eigensystem(lex.ap, lex.m_mat, 0.01)
+        assert len(calls) == 2
 
     def test_at_matches_predict(self):
         rng = np.random.default_rng(101)

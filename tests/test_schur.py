@@ -294,7 +294,7 @@ def complements(ap, variant="full"):
     """The complements that :func:`refined_eigenvalues` forms for ``ap`` on
     the stacked Schur path, as one per block in block order."""
     _, parts = schur._refined_stack([ap], ap.e_hat[None, None], variant)
-    return by_block([(index, b[0, 0]) for _, index, b, _ in parts])
+    return by_block([(index, b[0, 0]) for index, b, _ in parts])
 
 
 def weights(aps):

@@ -49,12 +49,15 @@ from eigpert import alignment, first_order, harness, jacobi, matrices, rayleigh,
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 # (block_spec, seeds, trials, exit code) of the convergence studies, all at
-# n = sum(block_spec).
+# n = sum(block_spec).  The last two reach 9 rows and more, where products
+# and column matches round by the layout of their inputs.
 STUDIES = (
     ((2, 2, 1, 1), (1, 11, 12, 13), 20, 0),
     ((3, 2, 1), (2,), 9, 0),
     ((1, 1, 1, 1), (2,), 9, 0),
     ((4,), (2,), 9, 1),
+    ((4, 3, 2, 1), (9,), 20, 0),
+    ((4, 3, 2, 1, 1, 4, 3, 2), (9,), 20, 0),
 )
 
 # (predictors, seed, block_spec, trials, t-grid) of studies whose first t
@@ -240,7 +243,7 @@ def oracle() -> None:
     by_size = []
     for n, count, spec in ORACLE_STACK:
         cfg = harness.EnsembleConfig(seed=7, n=n, block_spec=spec, trials=count // 2, predictor="first_order")
-        pairs = harness._instances(cfg, range(count // 2))
+        pairs = zip(*harness._instances(cfg, range(count // 2)))
         by_size.append([h * 2.0 ** ORACLE_EXPONENTS[j % 5] for j, h in enumerate(m for pair in pairs for m in pair)])
     members = [m for row in itertools.zip_longest(*by_size) for m in row if m is not None]
     full = jacobi.eigh_stack(members)
@@ -259,7 +262,7 @@ def column_matches() -> None:
     for n, count, spec in ALIGN_STACK:
         cfg = harness.EnsembleConfig(seed=8, n=n, block_spec=spec, trials=count, predictor="first_order")
         matched = []
-        for j, (a, f) in enumerate(harness._instances(cfg, range(count))):
+        for j, (a, f) in enumerate(zip(*harness._instances(cfg, range(count)))):
             ap = alignment.blockwise_diagonalize(alignment.conjugate_to_eigenbasis(jacobi.eigh(a), f))
             candidate = jacobi.eigh(a + ALIGN_T * f).u * 2.0 ** ORACLE_EXPONENTS[j % 5]
             if j % 2:
