@@ -5,10 +5,10 @@ downstream works with the conjugated perturbation ``E_hat = U* E U``.  This
 module groups eigenvalues into degeneracy blocks, rotates ``U`` inside each
 block so ``E_hat`` becomes block-wise diagonal with non-increasing in-block
 diagonal, and builds the inverse-gap matrix ``M``.  Its one gap guard serves
-Schur refinement and the line expansion alike.  Every record is built by
-``_aligned_stack``, one batched conjugation for a stack of perturbations,
-or rescaled by :func:`scaled`.  The cone-membership test,
-which needs Schur complements, lives in :mod:`eigpert.schur`.
+Schur refinement and the line expansion alike.  ``_conjugate`` and
+``_rotate_blocks`` do the work on a stack that shares one degeneracy
+structure: a convergence study builds no record, and each record is built
+from a stack of one.  The cone-membership test lives in :mod:`eigpert.schur`.
 
 Everything that depends on the base alone (the grouping of ``lam``, ``M``,
 the Schur weights ``W``, the gap margins and the same-block mask) is one
@@ -16,8 +16,8 @@ read-only :class:`_BaseData`, built once per :func:`conjugate_to_eigenbasis`
 result and carried by every record derived from it.  A single base takes it
 from one memo keyed on the exact bytes of ``lam``, so many perturbations of
 one stored decomposition build it once; a convergence study, whose bases
-differ trial by trial but split alike, builds its data in one stacked pass
-and leaves the memo alone.
+differ trial by trial but split alike, builds the same arrays for all its
+trials in one stacked pass and leaves the memo alone.
 """
 
 from __future__ import annotations
@@ -103,7 +103,12 @@ class BlockStructure:
 
     def block_id(self) -> np.ndarray:
         """Per-index group number, as an int array of length n."""
-        return np.repeat(np.arange(len(self.groups), dtype=np.intp), self.sizes)
+        return _block_id(self.groups)
+
+
+def _block_id(groups) -> np.ndarray:
+    """:meth:`BlockStructure.block_id` of the ``groups``."""
+    return np.repeat(np.arange(len(groups), dtype=np.intp), [stop - start for start, stop in groups])
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +134,8 @@ def _base_data(lam) -> _BaseData:
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("expected a nonempty 1-d eigenvalue vector")
+    if not np.isfinite(lam).all():
+        raise ValueError("eigenvalues must be finite")
     return _memo(lam.tobytes())
 
 
@@ -136,11 +143,14 @@ def _base_data(lam) -> _BaseData:
 def _memo(lam: bytes) -> _BaseData:
     """:func:`_base_data` of the float64 vector with the bytes ``lam``, so
     that -0.0 and 0.0 make different bases."""
-    return _base_data_stack(np.frombuffer(lam)[None])[0]
+    row = np.frombuffer(lam)[None]
+    groups = _groups(row)
+    reps, m, w, margins = _base_data_rows(row, groups)
+    return _BaseData(BlockStructure(groups, tuple(reps[0].tolist())), m[0], w[0], margins[0], *_same_block(groups))
 
 
-def _base_data_stack(lam: np.ndarray) -> list[_BaseData]:
-    """The base-only data of each row of ``lam`` ``(k, n)``, as one stack.
+def _groups(lam: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The degeneracy groups of every row of the finite ``lam`` ``(k, n)``.
 
     Adjacent values of a non-increasing row belong to one group when their
     gap is at most ``DEFAULT_REL_GAP_TOL * max|lam|``; a gap exactly at the
@@ -157,16 +167,16 @@ def _base_data_stack(lam: np.ndarray) -> list[_BaseData]:
     if other.size:
         raise StudyError(f"row {other[0]} of {len(lam)} splits into other degeneracy groups than row 0")
     bounds = [0, *(np.flatnonzero(split[0]) + 1).tolist(), lam.shape[1]]
-    return _base_data_rows(lam, tuple(zip(bounds[:-1], bounds[1:])))
+    return tuple(zip(bounds[:-1], bounds[1:]))
 
 
-def _base_data_rows(lam: np.ndarray, groups: tuple[tuple[int, int], ...]) -> list[_BaseData]:
-    """The base-only data of each row of ``lam`` ``(k, n)`` with the
-    degeneracy ``groups``: each block's representative value summed along
-    the row's own contiguous run, as a lone vector is, and every array one
-    expression over the rows."""
+def _base_data_rows(lam: np.ndarray, groups: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...]:
+    """The read-only stacks of each row of ``lam`` ``(k, n)`` with the
+    degeneracy ``groups``: the representative values, each summed along the
+    row's own contiguous run as a lone vector is, and the ``m``, ``w`` and
+    ``margins`` of :class:`_BaseData`, each one expression over the rows."""
     reps = np.array([lam[:, s:e].sum(axis=1) / (e - s) for s, e in groups]).T
-    bid = np.repeat(np.arange(len(groups), dtype=np.intp), [e - s for s, e in groups])
+    bid = _block_id(groups)
     cross = bid[:, None] != bid[None, :]
 
     def inverse_gaps(rho: np.ndarray) -> np.ndarray:
@@ -175,20 +185,21 @@ def _base_data_rows(lam: np.ndarray, groups: tuple[tuple[int, int], ...]) -> lis
         np.divide(1.0, lam[:, :, None] - rho[:, None, :], out=out, where=cross)
         return out
 
-    m, w = as_readonly(inverse_gaps(lam)), as_readonly(inverse_gaps(reps[:, bid]))
+    m, w = inverse_gaps(lam), inverse_gaps(reps[:, bid])
     # lam is sorted and rho inside its block: the nearest others are its
     # neighbours, and a missing neighbour is infinitely far.
     edge = np.full((len(lam), 1), np.inf)
     padded = np.concatenate((edge, lam, -edge), axis=1)
     above, below = padded[:, [start for start, _ in groups]], padded[:, [stop + 1 for _, stop in groups]]
-    margins = as_readonly(np.minimum(np.abs(above - reps), np.abs(below - reps)))
-    same = as_readonly(~cross & ~np.eye(bid.size, dtype=bool))
-    cols = as_readonly(np.flatnonzero(same.any(axis=0)))
-    # Each member's arrays are views of the read-only stacks, read-only too.
-    return [
-        _BaseData(BlockStructure(groups, tuple(r)), m_k, w_k, g_k, same, cols)
-        for r, m_k, w_k, g_k in zip(reps.tolist(), m, w, margins)
-    ]
+    margins = np.minimum(np.abs(above - reps), np.abs(below - reps))
+    return tuple(as_readonly(x) for x in (reps, m, w, margins))
+
+
+def _same_block(groups) -> tuple[np.ndarray, np.ndarray]:
+    """The ``same`` and ``same_cols`` of :class:`_BaseData` for ``groups``."""
+    bid = _block_id(groups)
+    same = as_readonly((bid[:, None] == bid[None, :]) & ~np.eye(bid.size, dtype=bool))
+    return same, as_readonly(np.flatnonzero(same.any(axis=0)))
 
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -297,8 +308,8 @@ class AlignedPerturbation:
         return self.norm.value
 
 
-def norm_allows(ap: AlignedPerturbation, ok: Callable[[float], bool]) -> bool:
-    """``ok(ap.e_norm)`` for a guard ``ok`` that holds below some norm and
+def norm_allows(norm: LazyNorm, ok: Callable[[float], bool]) -> bool:
+    """``ok(norm.value)`` for a guard ``ok`` that holds below some norm and
     fails above it, such as ``lambda e: margin > 2.0 * e``.
 
     The certified bounds decide first: ``ok(upper)`` implies ``ok`` at the
@@ -306,22 +317,22 @@ def norm_allows(ap: AlignedPerturbation, ok: Callable[[float], bool]) -> bool:
     rounded arithmetic is monotone.  Only a threshold between the bounds
     costs an oracle call.
     """
-    if ok(ap.norm.upper):
+    if ok(norm.upper):
         return True
-    if not ok(ap.norm.lower):
+    if not ok(norm.lower):
         return False
-    return ok(ap.e_norm)
+    return ok(norm.value)
 
 
-def _require_above(ap: AlignedPerturbation, values, factor: float, refuse) -> None:
-    """Raise ``refuse(k)`` unless every ``values[k]`` exceeds ``factor * ||E||``.
-    The guard is monotone in the value, so one :func:`norm_allows` decision
-    on the smallest value decides them all; a refusal names the smallest."""
+def _allows(norm: LazyNorm, values, factor: float) -> bool:
+    """Whether every ``values[k]`` exceeds ``factor`` times the norm, the
+    decision of every guard here.  The guard is monotone in the value, so one
+    :func:`norm_allows` decision on the smallest value decides them all; a
+    refusal names the smallest."""
     if len(values) == 0:
-        return
-    k = int(np.argmin(values))
-    if not norm_allows(ap, lambda e: float(values[k]) > factor * e):
-        raise refuse(k)
+        return True
+    least = float(np.min(values))
+    return norm_allows(norm, lambda e: least > factor * e)
 
 
 def _require_gap(ap: AlignedPerturbation, factor: float, blocks=None) -> None:
@@ -331,35 +342,21 @@ def _require_gap(ap: AlignedPerturbation, factor: float, blocks=None) -> None:
     ``DEFAULT_MARGIN_FACTOR`` the Schur fixed point contracts."""
     if len(ap.blocks.groups) < 2:
         return
-    margin = ap.data.margins
-    index = np.arange(margin.size) if blocks is None else np.asarray(blocks)
-    _require_above(ap, margin[index], factor, lambda k: GapTooSmallError(
-        f"block {index[k]}: separation {margin[index[k]]:.3e} from other eigenvalues "
-        f"does not exceed {factor:g} * ||E|| = {factor * ap.e_norm:.3e}; blocks may mix"
-    ))
+    index = np.arange(ap.data.margins.size) if blocks is None else np.asarray(blocks)
+    margin = ap.data.margins[index]
+    if not _allows(ap.norm, margin, factor):
+        k = int(np.argmin(margin))
+        raise GapTooSmallError(
+            f"block {index[k]}: separation {margin[k]:.3e} from other eigenvalues "
+            f"does not exceed {factor:g} * ||E|| = {factor * ap.e_norm:.3e}; blocks may mix"
+        )
 
 
-def _aligned_stack(
-    bases: list[jacobi.SpectralDecomposition],
-    u: np.ndarray,
-    data: list[_BaseData],
-    e: np.ndarray,
-    mode: str,
-    norms,
-) -> list[AlignedPerturbation]:
-    """The records of the read-only Hermitian stack ``e`` ``(k, n, n)``, member
-    ``i`` in the eigenbasis of ``bases[i]``, whose vectors ``u`` stacks and
-    whose base-only data is ``data[i]``, conjugated as one batched product;
-    ``norms`` of ``None`` are bounded from the ``E_hat``."""
+def _conjugate(u: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``U* E U`` of each member of the stacks ``u``, row-major, and ``e``
+    ``(k, n, n)``: one batched product, symmetrized, read-only."""
     e_hat = u.conj().swapaxes(1, 2) @ e @ u
-    e_hat = as_readonly(0.5 * (e_hat + e_hat.conj().swapaxes(1, 2)))
-    # ||E|| equals max |eigenvalue of E_hat|; the oracle computes it only
-    # when a guard's threshold falls between the bounds.
-    norms = _lazy_norms(e_hat) if norms is None else norms
-    return [
-        AlignedPerturbation(base=base, data=d, e=e_k, e_hat=h, mode=mode, norm=norm)
-        for base, d, e_k, h, norm in zip(bases, data, e, e_hat, norms)
-    ]
+    return as_readonly(0.5 * (e_hat + e_hat.conj().swapaxes(1, 2)))
 
 
 def conjugate_to_eigenbasis(base: jacobi.SpectralDecomposition, e) -> AlignedPerturbation:
@@ -367,17 +364,11 @@ def conjugate_to_eigenbasis(base: jacobi.SpectralDecomposition, e) -> AlignedPer
     e = hermitian(e)
     if e.shape != base.u.shape:
         raise ValueError(f"perturbation shape {e.shape} does not match base {base.u.shape}")
-    return _aligned_stack([base], np.array([base.u]), [_base_data(base.lam)], as_readonly(e[None]), MODE_RAW, None)[0]
-
-
-def _conjugate_stack(u: np.ndarray, lam: np.ndarray, e: np.ndarray) -> list[AlignedPerturbation]:
-    """:func:`conjugate_to_eigenbasis` of each member of the Hermitian stack
-    ``e`` ``(k, n, n)`` in the eigenbasis ``u[i], lam[i]`` of the solved
-    stacks, whose data is built as one stack, not taken from the memo."""
-    # Row-major, as stacked from records: a BLAS may pick kernels by layout.
-    u = np.ascontiguousarray(u)
-    bases = [jacobi.SpectralDecomposition(u_k, lam_k) for u_k, lam_k in zip(u, lam)]
-    return _aligned_stack(bases, u, _base_data_stack(lam), as_readonly(e), MODE_RAW, None)
+    data = _base_data(base.lam)
+    # A row-major copy of u: a BLAS may pick kernels by layout.
+    e_hat = _conjugate(np.array([base.u]), e[None])
+    # ||E|| is max |eigenvalue of E_hat|, solved only if a guard's bounds cannot decide.
+    return AlignedPerturbation(base, data, as_readonly(e), e_hat[0], MODE_RAW, _lazy_norms(e_hat)[0])
 
 
 def blockwise_diagonalize(ap: AlignedPerturbation) -> AlignedPerturbation:
@@ -389,34 +380,33 @@ def blockwise_diagonalize(ap: AlignedPerturbation) -> AlignedPerturbation:
     the base matrix.  Applying this to input that is already block-wise
     diagonal only re-imposes the column phase convention.
     """
-    return _blockwise_diagonalize_stack([ap])[0]
+    u = _rotate_blocks(ap.base.u[None], ap.e_hat[None], ap.blocks.groups)
+    base = jacobi.SpectralDecomposition(u=u[0], lam=ap.base.lam)
+    return replace(ap, base=base, e_hat=_conjugate(u, ap.e[None])[0], mode=MODE_BLOCKWISE)
 
 
-def _blockwise_diagonalize_stack(aps: list[AlignedPerturbation]) -> list[AlignedPerturbation]:
-    """:func:`blockwise_diagonalize` of each perturbation of one size: the
-    blocks of one size of all of them gathered from the stacked ``E_hat`` by
-    one index, solved in one oracle call and their rotations applied as one
-    batched product; each result has the bits of its solo rotation."""
-    by_size: dict[int, list[tuple[int, int]]] = {}
-    for i, ap in enumerate(aps):
-        for start, stop in ap.blocks.groups:
-            if stop - start >= 2:
-                by_size.setdefault(stop - start, []).append((i, start))
-    e_hat = np.array([ap.e_hat for ap in aps])
-    u = np.array([ap.base.u for ap in aps])
-    for size, pairs in by_size.items():
-        # Each block's member (a column) and its index range (a row).
-        member, start = np.array(pairs).T[:, :, None]
-        cols = start + np.arange(size)
+def _rotate_blocks(u: np.ndarray, e_hat: np.ndarray, groups) -> np.ndarray:
+    """The eigenvectors ``u`` ``(k, n, n)`` rotated inside each block of the
+    shared ``groups`` so that each member's ``e_hat`` becomes block-wise
+    diagonal: row-major, phase-normalized, read-only.  The blocks of one size
+    of all members are solved in one oracle call and rotated as one batched
+    product; each member gets the bits of its solo rotation."""
+    u = np.array(u, dtype=np.complex128, order="C")
+    by_size: dict[int, list[int]] = {}
+    for start, stop in groups:
+        if stop - start >= 2:
+            by_size.setdefault(stop - start, []).append(start)
+    member = np.arange(len(u))[:, None, None]
+    for size, starts in by_size.items():
+        cols = (np.array(starts)[:, None] + np.arange(size))[None]
         # E_hat is symmetrized, so each block is exactly Hermitian as stored.
-        r = jacobi._solve_stack(e_hat[member[:, :, None], cols[:, :, None], cols[:, None, :]], BLOCK_TOL)[0]
-        # u[member, :, cols] is (blocks, size, n): each block's columns as rows.
-        rotated = np.ascontiguousarray(u[member, :, cols].swapaxes(1, 2)) @ r
-        u[member, :, cols] = rotated.swapaxes(1, 2)
-    u = as_readonly(jacobi._normalize_column_phases(u))
-    bases = [jacobi.SpectralDecomposition(u=u_k, lam=ap.base.lam) for u_k, ap in zip(u, aps)]
-    e = as_readonly(np.array([ap.e for ap in aps]))
-    return _aligned_stack(bases, u, [ap.data for ap in aps], e, MODE_BLOCKWISE, [ap.norm for ap in aps])
+        blocks = e_hat[member[..., None], cols[..., :, None], cols[..., None, :]]
+        r = jacobi._solve_stack(blocks.reshape(-1, size, size), BLOCK_TOL)[0]
+        # u[member, :, cols] is (k, blocks, size, n): each block's columns as rows.
+        columns = np.ascontiguousarray(u[member, :, cols].swapaxes(-1, -2))
+        rotated = columns.reshape(-1, *columns.shape[-2:]) @ r
+        u[member, :, cols] = rotated.reshape(columns.shape).swapaxes(-1, -2)
+    return as_readonly(jacobi._normalize_column_phases(u))
 
 
 def scaled(ap: AlignedPerturbation, t: float) -> AlignedPerturbation:
@@ -442,13 +432,16 @@ def aligned_perturbation(a, e) -> AlignedPerturbation:
 def m_matrix(base: jacobi.SpectralDecomposition, blocks: BlockStructure) -> np.ndarray:
     """Inverse-gap matrix: ``M[i, j] = 1 / (lam[i] - lam[j])`` across blocks,
     zero inside blocks and on the diagonal.  Real and exactly antisymmetric.
-    Each call returns a fresh, writable copy of the base's read-only ``M``."""
-    if blocks.n != base.lam.size:
-        raise ValueError("block structure does not cover the eigenvalue vector")
+    Each call returns a fresh, writable copy of the base's read-only ``M``.
+    The groups must split ``0..n`` into nonempty ranges in order."""
     data = _base_data(base.lam)
-    if blocks.groups != data.blocks.groups:
-        data = _base_data_rows(np.asarray(base.lam, dtype=np.float64)[None], tuple(blocks.groups))[0]
-    return np.array(data.m)
+    groups = tuple(blocks.groups)
+    bounds = [0, *(stop for _, stop in groups)]
+    if [start for start, _ in groups] != bounds[:-1] or bounds[-1] != base.lam.size or any(s >= e for s, e in groups):
+        raise ValueError(f"block structure {groups} does not split 0..{base.lam.size} into nonempty ranges in order")
+    if groups == data.blocks.groups:
+        return np.array(data.m)
+    return np.array(_base_data_rows(np.asarray(base.lam, dtype=np.float64)[None], groups)[1][0])
 
 
 def align_columns(candidate: np.ndarray, reference: np.ndarray, groups) -> np.ndarray:

@@ -9,16 +9,16 @@ convergence studies pair each predictor against the eigendecomposition
 oracle over a decreasing t-grid and fit the error's log-log slope.
 
 A study is one stack of one degeneracy structure, from the draw to the
-errors.  It stacks its oracle calls across its trials, one call per stage
-and block size (see :func:`convergence_study`), so their number does not
-grow with its number of trials.  Every other stage is an array expression over the
-``(trials, t, n, n)`` stack: the conjugations, the Schur fixed point (each
-member stopping on its own test), the expansion's coefficients, the
-residuals, the eigenvector study's column match, the error norms and the
-least-squares fits.  The guards decide
-once per trial, at the largest ``t``.  Each member of a batched product or
-a per-member reduction rounds as it does alone, so the output is the same,
-bit for bit, as solving trial by trial.
+errors, and builds no record.  It stacks its oracle calls across its
+trials, one call per stage and block size (see :func:`convergence_study`),
+so their number does not grow with its number of trials.  Every other stage
+is an array expression over the ``(trials, t, n, n)`` stack: the
+conjugations and rotations, the guards (one pass, deciding once per trial
+at the largest ``t``), the Schur fixed point (each member stopping on its
+own test), the expansion's coefficients, the residuals, the eigenvector
+study's column match, the error norms and the least-squares fits.  Each
+member of a batched product or a per-member reduction rounds as it does
+alone, so the output is the same, bit for bit, as solving trial by trial.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import alignment, first_order, jacobi, rayleigh, schur
-from .errors import PreconditionError, StudyError
+from .errors import StudyError
 # operator_norm is not called here; the benchmark's tracer test wraps this binding.
 from .matrices import _grams, _norms, as_readonly, hermitian, operator_norm, operator_norms  # noqa: F401
 
@@ -298,47 +298,48 @@ class ConvergenceReport:
     failed_trials: tuple[int, ...] = field(default=())
 
 
-def _admit(predictor: str, ap: alignment.AlignedPerturbation, t_max: float) -> None:
-    """Raise :class:`PreconditionError` unless the predictor's guards admit
-    ``ap`` along a t-grid whose largest entry is ``t_max``.  The gap guard
-    holds for every ``t`` once it holds for the largest, so one decision
-    decides the grid."""
-    if predictor in ("rs_second_order", "eigvec_first_order"):
-        rayleigh._require_untied(ap)
-    if predictor not in ("first_order", "u_ap_residual"):
-        alignment._require_gap(ap, alignment.DEFAULT_MARGIN_FACTOR * t_max)
+def _admitted(predictor: str, groups, e_hat: np.ndarray, margins: np.ndarray, norms, t_max: float) -> np.ndarray:
+    """Whether the predictor's guards, deciding as for a record, admit each
+    trial of the stacks along a t-grid whose largest entry is ``t_max``; the
+    gap guard holds for every ``t`` once it holds for the largest."""
+    tie = predictor in ("rs_second_order", "eigvec_first_order")
+    gap = predictor not in ("first_order", "u_ap_residual") and len(groups) >= 2
+    ties = rayleigh._tie_gaps(np.diagonal(e_hat, axis1=1, axis2=2).real, groups)
+    factor = alignment.DEFAULT_MARGIN_FACTOR * t_max
+    return np.array([
+        (not tie or alignment._allows(norm, ties[k], rayleigh.STRICT_DIAGONAL_TOL))
+        and (not gap or alignment._allows(norm, margins[k], factor))
+        for k, norm in enumerate(norms)
+    ], dtype=bool)
 
 
-def _errors(predictor: str, aps: list, a: np.ndarray, f: np.ndarray, grid: np.ndarray) -> np.ndarray:
+def _errors(predictor: str, grid: np.ndarray, groups, a, f, u, lam, e_hat, reps, mmat, w) -> np.ndarray:
     """Errors ``(trials, t)`` of the predictor against the oracle on the
-    admitted trials' instances ``a`` and ``f``, each stage one array
-    expression over the ``(trials, t, n, n)`` stack or one oracle call.
+    admitted trials' stacks, all of the degeneracy ``groups``, each stage
+    one array expression over the ``(trials, t, n, n)`` stack or one oracle
+    call.
 
     Eigenvalue predictors report the largest error over indices, matrix-valued
     ones the operator norm of the error matrix."""
-    trials, steps, n = len(aps), grid.size, aps[0].n
+    trials, steps, n = len(u), grid.size, u.shape[-1]
     t = grid[:, None, None]
-    u = np.array([ap.base.u for ap in aps])[:, None]
-    lam = np.array([ap.base.lam for ap in aps])
-    e_hat = np.array([ap.e_hat for ap in aps])
     e_hat_t = t * e_hat[:, None]
-    mmat = np.array([ap.data.m for ap in aps])
     if predictor == "u_ap_residual":
-        e_t = t * np.array([ap.e for ap in aps])[:, None]
-        gaps = first_order._residuals(u, lam[:, None], e_t, e_hat_t, mmat[:, None])
+        gaps = first_order._residuals(u[:, None], lam[:, None], t * f[:, None], e_hat_t, mmat[:, None])
         return np.reshape(operator_norms(gaps.reshape(-1, n, n)), (trials, steps))
     # A + t F is exactly Hermitian as stored, a sum of two such matrices.
     exact = (a[:, None] + t * f[:, None]).reshape(-1, n, n)
     if predictor == "eigvec_first_order":
-        # _admit has run the tie guard: the derivative is formed without it.
-        u_prime = np.array([rayleigh._derivative(ap, ap.data.m, rayleigh._n_matrix(ap)) for ap in aps])
-        u_hat = rayleigh._series(t, u, u_prime[:, None])
+        # The guard pass has run the tie guard: N is formed without it.
+        n_mat = rayleigh._n_matrix(e_hat, mmat, *alignment._same_block(groups))
+        u_prime = rayleigh._derivative(u, mmat, e_hat, n_mat)
+        u_hat = rayleigh._series(t, u[:, None], u_prime[:, None])
         # The oracle's u are column-major, and the column match rounds as
         # np.vdot on columns so laid out: the stack keeps that layout.
         exacts_t = np.ascontiguousarray(jacobi._solve_stack(exact)[0].swapaxes(1, 2)).swapaxes(1, 2)
         # One column match over every (trial, t) member.
         v = u_hat.reshape(-1, n, n)
-        gaps = alignment._align_stack(exacts_t, v, aps[0].blocks.groups) - v
+        gaps = alignment._align_stack(exacts_t, v, groups) - v
         return np.reshape(operator_norms(gaps), (trials, steps))
     if predictor == "first_order":
         pred = first_order._eigenvalues(lam[:, None], e_hat_t)
@@ -346,7 +347,7 @@ def _errors(predictor: str, aps: list, a: np.ndarray, f: np.ndarray, grid: np.nd
         a1 = np.diagonal(e_hat, axis1=1, axis2=2).real
         pred = rayleigh._series(grid[:, None], lam[:, None], a1[:, None], rayleigh._a2(e_hat, mmat)[:, None])
     else:
-        pred = schur._refined_stack(aps, e_hat_t, predictor.removeprefix("schur_"))[0]
+        pred = schur._refined_stack(e_hat_t, w, reps, groups, predictor.removeprefix("schur_"))[0]
     lams = jacobi._solve_stack(exact, vectors=False)
     return np.abs(lams - pred.reshape(-1, n)).max(axis=1).reshape(trials, steps)
 
@@ -387,22 +388,21 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     a, f = _instances(cfg, range(cfg.trials))
     # A is exactly Hermitian, as hermitian built it; F is such a draw over a real norm.
     u, lam = jacobi._solve_stack(a)[:2]
-    aps = alignment._blockwise_diagonalize_stack(alignment._conjugate_stack(u, lam, f))
-    kept: list[int] = []
-    failed: list[int] = []
-    for trial, ap in enumerate(aps):
-        try:
-            # The grid is strictly decreasing: its first entry is the largest.
-            _admit(cfg.predictor, ap, cfg.t_grid[0])
-        except PreconditionError:
-            failed.append(trial)
-        else:
-            kept.append(trial)
+    groups = alignment._groups(lam)
+    reps, mmat, w, margins = alignment._base_data_rows(lam, groups)
+    # Row-major, as a lone base is conjugated: a BLAS may pick kernels by layout.
+    raw = alignment._conjugate(np.ascontiguousarray(u), f)
+    norms = alignment._lazy_norms(raw)
+    u = alignment._rotate_blocks(u, raw, groups)
+    e_hat = alignment._conjugate(u, f)
+    # The grid is strictly decreasing: its first entry is the largest.
+    admitted = _admitted(cfg.predictor, groups, e_hat, margins, norms, cfg.t_grid[0])
+    kept, failed = np.flatnonzero(admitted), np.flatnonzero(~admitted).tolist()
     rows, fits = [], []
-    if kept:
-        errors = _errors(cfg.predictor, [aps[k] for k in kept], a[kept], f[kept], grid)
-        scales = [float(np.abs(aps[k].base.lam).max()) for k in kept]
-        for trial, fit, trial_errors in zip(kept, _fits(grid, errors, scales), errors.tolist()):
+    if kept.size:
+        errors = _errors(cfg.predictor, grid, groups, *(x[kept] for x in (a, f, u, lam, e_hat, reps, mmat, w)))
+        scales = np.abs(lam[kept]).max(axis=1)
+        for trial, fit, trial_errors in zip(kept.tolist(), _fits(grid, errors, scales), errors.tolist()):
             if isinstance(fit, StudyError):
                 failed.append(trial)
                 continue
@@ -464,11 +464,6 @@ class RegressionReport:
         return all(c.passed for c in self.clauses)
 
 
-def _to_input_frame(perm: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Undo the sort permutation on a matrix that lives in eigen-coordinates."""
-    return perm @ x @ perm.T
-
-
 def paper_example_regression() -> RegressionReport:
     """Drive every capability through the built-in worked example and check
     the five landmark facts about it.
@@ -503,7 +498,7 @@ def paper_example_regression() -> RegressionReport:
     )
 
     # (ii) and (iii): the rotation generator and the derivative, input frame.
-    nm = _to_input_frame(perm, rayleigh.n_matrix(ap))
+    nm = perm @ rayleigh.n_matrix(ap) @ perm.T
     dev_n = float(np.abs(nm - EXAMPLE_N).max())
     clauses.append(
         ClauseResult(

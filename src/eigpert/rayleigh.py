@@ -13,12 +13,13 @@ branches underdetermined and raise ``DegenerateDirectionError``.
 
 :func:`line_expansion` and :func:`predict_eigensystem` build their
 :class:`LineExpansion` with one helper, ``_expansion``.  The convergence
-studies read the same coefficients for all their trials at once (``a2`` with
-``_a2``, which needs no ``N``) and evaluate them over the t-grid with
-``_series``, as :meth:`LineExpansion.at` does at one ``t``.  ``M`` and the
-same-block pairs of ``N`` depend on the base alone: every function here
-reads them from the perturbation's base-only data (``ap.data``), built once
-per base in :mod:`eigpert.alignment`.
+studies read the coefficients (``_a2``, ``_n_matrix``, ``_derivative``)
+and the tie guard's gaps (``_tie_gaps``) for all their trials at once, each
+one array expression over a stack of which a record is the stack of one,
+and evaluate them over the t-grid with ``_series``.  ``M`` and the
+same-block pairs of ``N`` depend on the base alone: a record reads them from
+its base-only data (``ap.data``), built once per base in
+:mod:`eigpert.alignment`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import jacobi
 from .alignment import (
     DEFAULT_MARGIN_FACTOR,
     AlignedPerturbation,
-    _require_above,
+    _allows,
     _require_blockwise,
     _require_gap,
     _require_m,
@@ -57,26 +58,30 @@ __all__ = [
 STRICT_DIAGONAL_TOL = 1e-8
 
 
-def _require_untied(ap: AlignedPerturbation) -> None:
-    """Reject in-block diagonal gaps of ``F_hat`` at most
-    ``STRICT_DIAGONAL_TOL * ||F||``."""
-    groups = ap.blocks.groups
-    multi = [(start, stop) for start, stop in groups if stop - start >= 2]
-    if not multi:
-        return
-    d = ap.e_hat_diag
+def _tie_gaps(d: np.ndarray, groups) -> np.ndarray:
+    """The smallest gap ``d[i] - d[i + 1]`` inside each multi-member block of
+    ``groups``, of each diagonal ``d`` ``(..., n)``, as one reduction."""
+    multi = [start for start, stop in groups if stop - start >= 2]
     # Each gap d[i] - d[i + 1] sits at i, and one across a block boundary
     # counts as infinite, so the run from a multi-member block's start to the
     # next such start has that block's smallest gap for minimum; min does
     # not round and passes a NaN on, as the block's own min does.
-    gap = d[:-1] - d[1:]
-    gap[[stop - 1 for _, stop in groups[:-1]]] = np.inf
-    gaps = np.minimum.reduceat(gap, [start for start, _ in multi])
-    _require_above(ap, gaps, STRICT_DIAGONAL_TOL, lambda k: DegenerateDirectionError(
-        f"direction has tied diagonal entries (gap {gaps[k]:.3e}) inside eigenvalue block "
-        f"[{multi[k][0]}, {multi[k][1]}); the perturbed eigenvector branches are not "
-        "determined to first order"
-    ))
+    gap = d[..., :-1] - d[..., 1:]
+    gap[..., [stop - 1 for _, stop in groups[:-1]]] = np.inf
+    return np.minimum.reduceat(gap, multi, axis=-1)
+
+
+def _require_untied(ap: AlignedPerturbation) -> None:
+    """Reject in-block diagonal gaps of ``F_hat`` at most
+    ``STRICT_DIAGONAL_TOL * ||F||``."""
+    gaps = _tie_gaps(ap.e_hat_diag, ap.blocks.groups)
+    if not _allows(ap.norm, gaps, STRICT_DIAGONAL_TOL):
+        k = int(np.argmin(gaps))
+        start, stop = [(start, stop) for start, stop in ap.blocks.groups if stop - start >= 2][k]
+        raise DegenerateDirectionError(
+            f"direction has tied diagonal entries (gap {gaps[k]:.3e}) inside eigenvalue block "
+            f"[{start}, {stop}); the perturbed eigenvector branches are not determined to first order"
+        )
 
 
 def rs_coefficients(ap: AlignedPerturbation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,24 +128,24 @@ def n_matrix(ap: AlignedPerturbation) -> np.ndarray:
     """
     _require_blockwise(ap, "the eigenvector derivative")
     _require_untied(ap)
-    return _n_matrix(ap)
+    return _n_matrix(ap.e_hat[None], ap.data.m[None], ap.data.same, ap.data.same_cols)[0]
 
 
-def _n_matrix(ap: AlignedPerturbation) -> np.ndarray:
-    """:func:`n_matrix` without its guards, for callers that have run them."""
-    n = ap.n
-    same, cols = ap.data.same, ap.data.same_cols
-    mf = ap.data.m * ap.e_hat
-    fh = ap.e_hat.conj().T
+def _n_matrix(e_hat: np.ndarray, mmat: np.ndarray, same: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """:func:`n_matrix` of each member of the stacks ``e_hat`` and ``mmat``
+    ``(k, n, n)``, without its guards, from the shared ``same`` and ``cols``."""
+    mf = mmat * e_hat
+    fh = e_hat.conj().swapaxes(1, 2)
     # Each column of a multi-member block as its own matrix-vector product,
     # which rounds exactly as the per-column definition does; one matrix
     # product would not.  np.matmul makes one such product per member of the
     # stack of contiguous columns.
-    num = np.zeros((n, n), dtype=np.complex128)
-    num[:, cols] = np.matmul(fh, np.ascontiguousarray(mf[:, cols].T)[:, :, None])[:, :, 0].T
-    d = ap.e_hat_diag
-    out = np.zeros((n, n), dtype=np.complex128)
-    np.divide(num, d[:, None] - d[None, :], out=out, where=same)
+    num = np.zeros(e_hat.shape, dtype=np.complex128)
+    columns = np.ascontiguousarray(mf[:, :, cols].swapaxes(1, 2))[..., None]
+    num[:, :, cols] = np.matmul(fh[:, None], columns)[..., 0].swapaxes(1, 2)
+    d = np.diagonal(e_hat, axis1=1, axis2=2).real
+    out = np.zeros(e_hat.shape, dtype=np.complex128)
+    np.divide(num, d[:, :, None] - d[:, None, :], out=out, where=same)
     return out
 
 
@@ -149,12 +154,12 @@ def eigenvector_derivative(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndar
     ``U (N - M * F_hat)``.  Dropping ``N`` is wrong whenever a degeneracy
     block reacts to the direction by rotating internally."""
     _require_m(ap, mmat)
-    return _derivative(ap, mmat, n_matrix(ap))
+    return _derivative(ap.base.u, mmat, ap.e_hat, n_matrix(ap))
 
 
-def _derivative(ap: AlignedPerturbation, mmat: np.ndarray, n_mat: np.ndarray) -> np.ndarray:
-    """``U (N - M * F_hat)`` from ``N`` computed by the caller."""
-    return ap.base.u @ (n_mat - mmat * ap.e_hat)
+def _derivative(u: np.ndarray, mmat: np.ndarray, e_hat: np.ndarray, n_mat: np.ndarray) -> np.ndarray:
+    """``U (N - M * F_hat)`` from ``N`` computed by the caller, over stacks."""
+    return u @ (n_mat - mmat * e_hat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +221,7 @@ def _expansion(ap: AlignedPerturbation, mmat: np.ndarray) -> LineExpansion:
     """The expansion of ``ap``; ``mmat`` is stored as given, flags and all."""
     a0, a1, a2 = rs_coefficients(ap)
     # rs_coefficients has run the guards of n_matrix: they run once.
-    n_mat = _n_matrix(ap)
+    n_mat = _n_matrix(ap.e_hat[None], ap.data.m[None], ap.data.same, ap.data.same_cols)[0]
     return LineExpansion(
         base=ap.base,
         ap=ap,
@@ -225,7 +230,7 @@ def _expansion(ap: AlignedPerturbation, mmat: np.ndarray) -> LineExpansion:
         a1=as_readonly(a1),
         a2=as_readonly(a2),
         n_mat=as_readonly(n_mat),
-        u_prime=as_readonly(_derivative(ap, mmat, n_mat)),
+        u_prime=as_readonly(_derivative(ap.base.u, mmat, ap.e_hat, n_mat)),
     )
 
 

@@ -25,12 +25,12 @@ runs on a stack of perturbations, one batched product per iteration, and
 each member stops on its own test, as the oracle's members do, so a member
 gets the bits of its solo run.  ``W`` depends on the base alone, so it is
 read from the perturbation's base-only data (``ap.data``).  One stacked
-path forms the refined eigenvalues: a convergence study iterates all of its
-``(trial, t)`` members, of one degeneracy structure, at once, each trial's
-``W`` shared by its t-grid, and :func:`refined_eigenvalues` and
-:func:`vc_membership` run it as a stack of one.  The complements of all
-the blocks of one size are formed as one batched product, each block's
-product with the strides of its own.
+path forms the refined eigenvalues from arrays: a convergence study
+iterates all of its ``(trial, t)`` members, of one degeneracy structure, at
+once, each trial's ``W`` shared by its t-grid, and a record is a stack of
+one (:func:`refined_eigenvalues`, :func:`vc_membership`).  The complements
+of all the blocks of one size are formed as one batched product, each
+block's product with the strides of its own.
 
 The complements also decide membership in the cone of perturbation
 directions along which every block's complement stays diagonal and its
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jacobi
-from .alignment import _EPS, DEFAULT_MARGIN_FACTOR, AlignedPerturbation, _require_gap
+from .alignment import _EPS, DEFAULT_MARGIN_FACTOR, AlignedPerturbation, _block_id, _require_gap
 from .errors import ConvergenceError
 from .matrices import as_readonly, operator_norm
 
@@ -183,8 +183,7 @@ def refined_eigenvalues(ap: AlignedPerturbation, variant: str = "full") -> np.nd
     if variant not in ("full", "simplified"):
         raise ValueError(f"unknown variant {variant!r}; expected 'full' or 'simplified'")
     _require_gap(ap, DEFAULT_MARGIN_FACTOR)
-    pred, _ = _refined_stack([ap], ap.e_hat[None, None], variant)
-    return pred[0, 0]
+    return _refined(ap, variant)[0][0, 0]
 
 
 def _complements_stack(e_hat: np.ndarray, w: np.ndarray, groups, variant: str) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -220,22 +219,27 @@ def _complements_stack(e_hat: np.ndarray, w: np.ndarray, groups, variant: str) -
     return out
 
 
-def _refined_stack(aps: list[AlignedPerturbation], e_hat: np.ndarray, variant: str) -> tuple[np.ndarray, list]:
+def _refined(ap: AlignedPerturbation, variant: str) -> tuple[np.ndarray, list]:
+    """:func:`_refined_stack` of the record ``ap``, as a stack of one."""
+    reps = np.array([ap.blocks.rep_values])
+    return _refined_stack(ap.e_hat[None, None], ap.data.w[None], reps, ap.blocks.groups, variant)
+
+
+def _refined_stack(e_hat: np.ndarray, w: np.ndarray, reps: np.ndarray, groups, variant: str) -> tuple[np.ndarray, list]:
     """Schur-refined eigenvalues ``(k, s, n)`` of ``E_hat`` stacked as
-    ``(k, s, n, n)``, the ``s`` members of row ``i`` in the eigenbasis of
-    ``aps[i]``, all of one degeneracy structure, whose gap guards have
-    admitted them; and per block size, the blocks' indices ``(b, l)``,
-    their complements ``(k, s, b, l, l)`` and those complements' eigenvalues
-    ``(k, s, b, l)``.  One fixed point serves every member, each row's ``W``
-    shared by its members, and one oracle call each block size."""
+    ``(k, s, n, n)``, the ``s`` members of row ``i`` sharing the weights
+    ``w[i]`` ``(n, n)`` and the representative values ``reps[i]`` of one
+    degeneracy ``groups``, whose gap guards have admitted them; and per
+    block size, the blocks' indices ``(b, l)``, their complements
+    ``(k, s, b, l, l)`` and those complements' eigenvalues ``(k, s, b, l)``.
+    One fixed point serves every member and one oracle call each block
+    size."""
     k, s, n = e_hat.shape[:3]
-    blocks = aps[0].blocks
-    w = np.repeat(np.array([ap.data.w for ap in aps]), s, axis=0)
-    sized = _complements_stack(e_hat.reshape(-1, n, n), w, blocks.groups, variant)
+    sized = _complements_stack(e_hat.reshape(-1, n, n), np.repeat(w, s, axis=0), groups, variant)
     parts = [(index, b.reshape(k, s, *b.shape[1:])) for index, b in sized]
     betas = _complement_eigenvalues([b for _, b in parts])
     # Each row's representative value at each index.
-    rho = np.array([ap.blocks.rep_values for ap in aps])[:, blocks.block_id()]
+    rho = reps[:, _block_id(groups)]
     pred = np.empty((k, s, n))
     for (index, _), beta in zip(parts, betas):
         # The blocks are contiguous and cover every index in order.
@@ -275,7 +279,7 @@ def vc_membership(ap: AlignedPerturbation, c: float, diag_tol: float) -> VcRepor
             degenerate_zero=has_multi,
         )
     _require_gap(ap, DEFAULT_MARGIN_FACTOR)
-    _, parts = _refined_stack([ap], ap.e_hat[None, None], "full")
+    _, parts = _refined(ap, "full")
     off = np.empty(len(ap.blocks.groups))
     for index, b, _ in parts:
         off[ap.blocks.block_id()[index[:, 0]]] = np.abs(b - b * np.eye(b.shape[-1])).max(axis=(-2, -1))[0, 0]

@@ -10,7 +10,9 @@ from conftest import align_columns_loop, degenerate_instance, rand_hermitian, ra
 from eigpert import (
     MODE_BLOCKWISE,
     MODE_RAW,
+    BlockStructure,
     GapTooSmallError,
+    SpectralDecomposition,
     align_columns,
     aligned_perturbation,
     blockwise_diagonalize,
@@ -188,6 +190,18 @@ class TestBlockwiseDiagonalize:
         assert np.array_equal(done.base.u, raw.base.u)
         assert np.array_equal(done.e_hat, raw.e_hat)
 
+    @pytest.mark.parametrize("spec", [(1, 1, 1, 1), (2, 2, 1), (4,) * 4])
+    def test_rotated_eigenvectors_are_row_major(self, spec):
+        # The oracle's eigenvectors come back column-major; the rotated ones
+        # are laid out row-major whatever the input's order, with or without
+        # a block to rotate, as products downstream may round by layout.
+        rng = np.random.default_rng(len(spec))
+        a, f = degenerate_instance(rng, spec)
+        base = eigh(a)
+        for u in (base.u, np.asfortranarray(base.u), np.ascontiguousarray(base.u)):
+            ap = blockwise_diagonalize(conjugate_to_eigenbasis(SpectralDecomposition(u=u, lam=base.lam), f))
+            assert ap.base.u.flags.c_contiguous
+
     def test_worked_example_block_already_diagonal(self):
         ap = aligned_perturbation(EXAMPLE_A3, EXAMPLE_F3)
         # the degenerate block of F_hat is diag(1, 0): already decreasing,
@@ -291,6 +305,41 @@ class TestMMatrix:
                 lam = np.diag(ap.base.lam.astype(complex))
                 lhs = m * (lam @ ap.e_hat - ap.e_hat @ lam)
                 assert np.abs(lhs - ap.e_hat_off).max() <= 1e-13 * ap.e_norm
+
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            ((1, 3), (0, 1), (3, 4)),
+            ((0, 2), (1, 4)),
+            ((0, 1), (2, 4)),
+            ((0, 2), (2, 2), (2, 4)),
+            ((0, 2), (2, 3)),
+            ((0, 2), (2, 5)),
+            (),
+        ],
+        ids=["unsorted", "overlapping", "gapped", "empty_group", "short", "long", "no_groups"],
+    )
+    def test_rejects_malformed_block_structures(self, groups):
+        # Each would otherwise give a plausible wrong M, a divide-by-zero
+        # warning or a bare broadcasting error.
+        base = SpectralDecomposition(u=np.eye(4, dtype=complex), lam=np.array([3.0, 2.0, 1.0, 0.0]))
+        with pytest.raises(ValueError, match=r"does not split 0\.\.4 into nonempty ranges in order"):
+            m_matrix(base, BlockStructure(groups, tuple(0.0 for _ in groups)))
+
+
+@pytest.mark.parametrize(
+    "lam", [[3.0, np.nan, 0.0], [np.inf, 2.0, 0.0], [3.0, 2.0, -np.inf]], ids=["nan", "inf", "-inf"]
+)
+def test_non_finite_eigenvalues_are_refused(lam):
+    # A NaN would join every index into one block, and an infinity would
+    # make the inverse gaps warn; both are usage errors.
+    base = SpectralDecomposition(u=np.eye(3, dtype=complex), lam=np.array(lam))
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        conjugate_to_eigenbasis(base, np.zeros((3, 3)))
+    blocks = BlockStructure(((0, 1), (1, 2), (2, 3)), (0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        m_matrix(base, blocks)
 
 
 class TestVcMembership:

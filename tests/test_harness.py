@@ -476,9 +476,41 @@ class TestStackedStudy:
         with pytest.raises(StudyError, match="row 2 of 4 splits into other degeneracy groups"):
             convergence_study(cfg)
 
+    @pytest.mark.parametrize("predictor", PREDICTORS)
+    def test_builds_no_aligned_perturbation(self, monkeypatch, predictor):
+        # A study keeps its bases, E_hat and norms as stacked arrays from the
+        # draw to the errors; a single prediction still builds its records.
+        calls = []
+        real = alignment.AlignedPerturbation.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(type(self))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(alignment.AlignedPerturbation, "__init__", counting)
+        convergence_study(EnsembleConfig(predictor=predictor, trials=3, **ACCEPTANCE))
+        assert calls == []
+        a, f = generate_instance(EnsembleConfig(predictor=predictor, trials=1, **ACCEPTANCE), 0)
+        blockwise_diagonalize(conjugate_to_eigenbasis(eigh(a), f))
+        assert len(calls) == 2
+
+    def test_rotated_eigenvectors_are_row_major(self, monkeypatch):
+        # The study's rotated u, like a record's, are laid out row-major.
+        rotated = []
+        real = alignment._rotate_blocks
+
+        def recording(*args):
+            rotated.append(real(*args))
+            return rotated[-1]
+
+        monkeypatch.setattr(alignment, "_rotate_blocks", recording)
+        convergence_study(EnsembleConfig(predictor="eigvec_first_order", trials=3, **ACCEPTANCE))
+        assert [u.shape[0] for u in rotated] == [3]
+        assert rotated[0].flags.c_contiguous
+
     def test_second_order_eigenvalues_never_build_n(self, monkeypatch):
         # The closed-form a2 needs no rotation generator.
-        def refuse(ap):
+        def refuse(*args):
             raise AssertionError("n_matrix called")
 
         monkeypatch.setattr(rayleigh, "n_matrix", refuse)
@@ -495,9 +527,9 @@ class TestStackedStudy:
         calls = []
         real = alignment.norm_allows
 
-        def counting(ap, ok):
-            calls.append(ap)
-            return real(ap, ok)
+        def counting(norm, ok):
+            calls.append(norm)
+            return real(norm, ok)
 
         monkeypatch.setattr(alignment, "norm_allows", counting)
         convergence_study(EnsembleConfig(predictor=predictor, trials=20, **ACCEPTANCE))
@@ -532,7 +564,7 @@ class TestStackedStudy:
         # and the error norms do not.
         assert oracle_calls[0] == [6] * (2 * 3)
         stages = [True, True, True]
-        calls = [("_instances", True), ("convergence_study", True), ("_blockwise_diagonalize_stack", True)]
+        calls = [("_instances", True), ("convergence_study", True), ("_rotate_blocks", True)]
         if predictor in ("schur_full", "schur_simplified"):
             stages.append(False)
             # One call per complement size: the 2 x 2 and the 1 x 1 blocks.

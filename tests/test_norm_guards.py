@@ -178,9 +178,9 @@ def norm_decisions(monkeypatch):
     calls = []
     real = alignment.norm_allows
 
-    def counting(ap, ok):
-        calls.append(ap)
-        return real(ap, ok)
+    def counting(norm, ok):
+        calls.append(norm)
+        return real(norm, ok)
 
     for module in (alignment, rayleigh, schur):
         if hasattr(module, "norm_allows"):
@@ -266,7 +266,7 @@ def test_prediction_makes_no_full_size_oracle_call(oracle_calls):
     assert oracle_calls == [[3] * 4] * 3
     # The Schur complements need eigenvalues only.
     assert oracle_calls.vectors == [True, False, False]
-    assert oracle_calls.stages == ["_blockwise_diagonalize_stack"] + ["_complement_eigenvalues"] * 2
+    assert oracle_calls.stages == ["_rotate_blocks"] + ["_complement_eigenvalues"] * 2
 
 
 def test_norm_oracle_runs_once_per_chain(oracle_calls):

@@ -230,7 +230,8 @@ class TestClosedForms:
 
 class TestStackedN:
     """``N`` forms every column of a multi-member block in one ``np.matmul``
-    over the stack of columns, with the bits of the per-column loop."""
+    over the stack of columns, with the bits of the per-column loop, and a
+    stack of records gives each member the bits of its stack of one."""
 
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("n", sorted(STACK_SPECS))
@@ -241,7 +242,20 @@ class TestStackedN:
             if layout == "F":
                 ap = replace(ap, e_hat=np.asfortranarray(ap.e_hat))
             mmat = m_matrix(ap.base, ap.blocks)
-            assert rayleigh._n_matrix(ap).tobytes() == n_matrix_loop(ap, mmat).tobytes()
+            got = rayleigh._n_matrix(ap.e_hat[None], mmat[None], ap.data.same, ap.data.same_cols)[0]
+            assert got.tobytes() == n_matrix_loop(ap, mmat).tobytes()
+        # A 100-member stack: from 9 rows up, products round by layout, and
+        # a change that touches a few members shows only member by member.
+        aps = [scaled_record(rng, STACK_SPECS[n], x) for x in np.resize(SCALE_EXPONENTS, 100)]
+        e_hat = np.stack([ap.e_hat for ap in aps])
+        if layout == "F":
+            e_hat = np.ascontiguousarray(e_hat.swapaxes(1, 2)).swapaxes(1, 2)
+        mmat = np.stack([ap.data.m for ap in aps])
+        same, cols = aps[0].data.same, aps[0].data.same_cols
+        stacked = rayleigh._n_matrix(e_hat, mmat, same, cols)
+        for i in range(len(aps)):
+            alone = rayleigh._n_matrix(e_hat[i : i + 1], mmat[i : i + 1], same, cols)
+            assert stacked[i].tobytes() == alone[0].tobytes()
 
     @pytest.mark.parametrize("stack", [1, 100])
     @pytest.mark.parametrize("layout", ["strided", "contiguous"])
@@ -393,13 +407,13 @@ class TestLineExpansion:
 
     @staticmethod
     def count_calls(monkeypatch, name: str) -> list:
-        """Record the argument of every call of ``rayleigh.<name>`` from now on."""
+        """Record the first argument of every call of ``rayleigh.<name>`` from now on."""
         calls = []
         real = getattr(rayleigh, name)
 
-        def counting(ap):
-            calls.append(ap)
-            return real(ap)
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
 
         monkeypatch.setattr(rayleigh, name, counting)
         return calls
@@ -407,7 +421,9 @@ class TestLineExpansion:
     def test_computes_n_matrix_once(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "_n_matrix")
         lex = line_expansion(EXAMPLE_A3, EXAMPLE_F3)
-        assert len(calls) == 1 and calls[0] is lex.ap
+        # The record's E_hat, as a stack of one.
+        assert len(calls) == 1 and calls[0].shape == (1, 3, 3)
+        assert np.shares_memory(calls[0], lex.ap.e_hat)
 
     def test_runs_the_tie_guard_once(self, monkeypatch):
         # rs_coefficients and n_matrix each run the guard; their expansion

@@ -293,7 +293,7 @@ def by_block(sized):
 def complements(ap, variant="full"):
     """The complements that :func:`refined_eigenvalues` forms for ``ap`` on
     the stacked Schur path, as one per block in block order."""
-    _, parts = schur._refined_stack([ap], ap.e_hat[None, None], variant)
+    _, parts = schur._refined(ap, variant)
     return by_block([(index, b[0, 0]) for index, b, _ in parts])
 
 

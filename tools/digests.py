@@ -6,9 +6,10 @@ and diff the two outputs:
     python tools/digests.py > after.txt
 
 Each line is ``name sha256``.  The outputs cover the ``eigpert converge``
-CSVs of every predictor, ``paper-example``, ``predict`` and ``derivative``
-on generated instances, the demos, full predictions at n = 60 (with two
-stored bases alternating, and on a layout of mixed block sizes), the bytes
+CSVs of every predictor (and of three at n = 60), ``paper-example``,
+``predict`` and ``derivative`` on generated instances, the demos, full
+predictions at n = 60 (with two stored bases alternating, and on a layout
+of mixed block sizes), the bytes
 of the library's result records, the raw bytes of the generated instances
 themselves, so that a change to the random streams shows as its own line,
 the oracle's own outputs on a stack that mixes sizes 1 to 60, and the
@@ -102,6 +103,11 @@ LARGE_T = (1e-3, 1e-2, 1e-1)
 # of several sizes are stacked, 1 x 1 blocks among them.
 LARGE_MIXED_SPEC = (4, 3, 2, 1) * 6
 
+# (predictors, trials) of the convergence studies at n = 60, on both layouts
+# above and the first seed: the predictors whose stacked products and column
+# matches round by the layout of the study's rotated eigenvectors.
+LARGE_STUDY = (("eigvec_first_order", "schur_full", "u_ap_residual"), 3)
+
 
 def _bytes(value) -> bytes:
     """Bytes of a value: an array's dtype, shape and raw data (so signed zeros
@@ -166,6 +172,15 @@ def studies(runner: Runner) -> None:
                     "--n", str(sum(spec)), "--blocks", blocks, "--trials", str(trials),
                     expect=expect,
                 )
+    predictors, trials = LARGE_STUDY
+    for spec in (LARGE_SPEC, LARGE_MIXED_SPEC):
+        blocks = ",".join(map(str, spec))
+        for predictor in predictors:
+            runner.cli(
+                f"converge/{predictor}/{blocks}/seed{LARGE_SEEDS[0]}",
+                "converge", "--predictor", predictor, "--seed", str(LARGE_SEEDS[0]),
+                "--n", str(sum(spec)), "--blocks", blocks, "--trials", str(trials),
+            )
     predictors, seed, spec, trials, grid = GAP_STUDY
     blocks = ",".join(map(str, spec))
     for predictor in predictors:
