@@ -23,7 +23,7 @@ from .matrices import (
     parse_hermitian,
     parse_matrix,
 )
-from .jacobi import SpectralDecomposition, eigh, eigh_stack, residual
+from .jacobi import SpectralDecomposition, eigh, residual
 from .alignment import (
     MODE_BLOCKWISE,
     MODE_RAW,

@@ -86,16 +86,20 @@ def _require_m(ap: AlignedPerturbation, mmat) -> None:
 class BlockStructure:
     """Contiguous degeneracy groups of a non-increasing eigenvalue vector.
 
-    ``groups`` holds half-open ``(start, stop)`` index ranges; ``rep_values``
-    holds one representative (mean) eigenvalue per group.
+    ``groups`` holds nonempty half-open ``(start, stop)`` index ranges that
+    split ``0..stop`` in order; ``rep_values`` holds one representative
+    (mean) eigenvalue per group.
     """
 
     groups: tuple[tuple[int, int], ...]
     rep_values: tuple[float, ...]
 
-    @property
-    def n(self) -> int:
-        return self.groups[-1][1]
+    def __post_init__(self) -> None:
+        bounds = [0, *(stop for _, stop in self.groups)]
+        if [start for start, _ in self.groups] != bounds[:-1] or any(s >= e for s, e in self.groups):
+            raise ValueError(f"block structure {self.groups} does not split 0..{bounds[-1]} into nonempty ranges in order")
+        if len(self.rep_values) != len(self.groups):
+            raise ValueError(f"{len(self.rep_values)} representative values for {len(self.groups)} groups")
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -361,6 +365,8 @@ def _conjugate(u: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 def conjugate_to_eigenbasis(base: jacobi.SpectralDecomposition, e) -> AlignedPerturbation:
     """Express a Hermitian perturbation in the eigenbasis of ``base`` (raw mode)."""
+    if np.shape(base.u) != np.shape(base.lam) * 2:
+        raise ValueError(f"base eigenvalues of shape {np.shape(base.lam)} do not match eigenvectors {np.shape(base.u)}")
     e = hermitian(e)
     if e.shape != base.u.shape:
         raise ValueError(f"perturbation shape {e.shape} does not match base {base.u.shape}")
@@ -433,11 +439,10 @@ def m_matrix(base: jacobi.SpectralDecomposition, blocks: BlockStructure) -> np.n
     """Inverse-gap matrix: ``M[i, j] = 1 / (lam[i] - lam[j])`` across blocks,
     zero inside blocks and on the diagonal.  Real and exactly antisymmetric.
     Each call returns a fresh, writable copy of the base's read-only ``M``.
-    The groups must split ``0..n`` into nonempty ranges in order."""
+    The groups must split ``0..n``."""
     data = _base_data(base.lam)
     groups = tuple(blocks.groups)
-    bounds = [0, *(stop for _, stop in groups)]
-    if [start for start, _ in groups] != bounds[:-1] or bounds[-1] != base.lam.size or any(s >= e for s, e in groups):
+    if (groups[-1][1] if groups else 0) != base.lam.size:
         raise ValueError(f"block structure {groups} does not split 0..{base.lam.size} into nonempty ranges in order")
     if groups == data.blocks.groups:
         return np.array(data.m)

@@ -196,13 +196,13 @@ def _instances(cfg: EnsembleConfig, trials) -> tuple[np.ndarray, np.ndarray]:
     spectra[:, np.arange(n), np.arange(n)] = np.repeat(reps, cfg.block_spec, axis=1)
     draws = _hermitian_draws(x[:, blocks:], n)
     q_draws, directions = draws[0::2], draws[1::2]
-    grams, where = _grams(directions)
+    gram, where = _grams(directions)
     # One size, exactly Hermitian as stored; a member's lam does not depend on its stack.
-    u, lam = jacobi._solve_stack(np.concatenate([q_draws, *grams]))[:2]
+    u, lam = jacobi._solve_stack(np.concatenate([q_draws, gram]))[:2]
     # Q row-major, as the instances were pinned with: a BLAS may pick kernels by layout.
     q = np.ascontiguousarray(u[: len(q_draws)])
     a = hermitian(q @ spectra @ q.conj().swapaxes(1, 2))
-    norms = _norms([lam[len(q_draws) :, 0]], where)
+    norms = _norms(lam[len(q_draws) :, 0], where)
     f = directions / np.array(norms)[:, None, None]
     return a, f
 

@@ -28,12 +28,12 @@ eigenvalues sweep ``a`` alone and get eigenvalue arrays back.  Nothing
 computed from ``a`` reads ``u``, so ``lam``, sweeps, off mass and errors
 keep their bits.
 
-Validation happens at the public entry, :func:`eigh_stack`: it checks and
-symmetrizes its input with :func:`~eigpert.matrices.hermitian`, groups it by
-size and builds the records.  The package's own callers hold stacks of one
-size on which ``hermitian`` would change no bit (random draws, ``E_hat``
-blocks, Schur complements, ``A + t F``), so they call the array entry
-``_solve_stack``, which checks finiteness only and returns arrays.
+Every solve goes through the array entry ``_solve_stack``: one stack of one
+size in, finiteness checked only, arrays out.  The public :func:`eigh`
+validates and symmetrizes its one matrix, solves it as a stack of one and
+builds the record.  The package's own callers hold stacks on which
+:func:`~eigpert.matrices.hermitian` would change no bit (random draws,
+``E_hat`` blocks, Schur complements, ``A + t F``), so they call the entry.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "DEFAULT_MAX_SWEEPS",
     "SpectralDecomposition",
     "eigh",
-    "eigh_stack",
     "residual",
 ]
 
@@ -213,14 +212,14 @@ def _sweep(w: np.ndarray, floor: np.ndarray) -> np.ndarray:
     return w
 
 
-def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True, max_sweeps=DEFAULT_MAX_SWEEPS, index=None, total=None):
+def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True, max_sweeps=DEFAULT_MAX_SWEEPS):
     """The array entry: solve ``a`` ``(k, n, n)``, complex128 matrices of one
     size, each exactly Hermitian as stored.  Only finiteness is checked, with
     :func:`eigh`'s error.  Returns ``u`` ``(k, n, n)``, ``lam`` ``(k, n)`` and
     each member's sweeps and off mass, or ``lam`` alone unless ``vectors``,
     each member with the bits of :func:`eigh` on it.  ``tol`` defaults to
-    ``1e-13 * n``; ``index`` and ``total`` number the members in a
-    :class:`ConvergenceError` (by default, their positions in ``a``)."""
+    ``1e-13 * n``; a :class:`ConvergenceError` names the member by its
+    position in ``a``."""
     k, n, _ = a.shape
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
@@ -232,7 +231,6 @@ def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True, max_sweeps=DEFAU
         u = as_readonly(np.ones((k, 1, 1), dtype=np.complex128))
         return (u, lam, np.zeros(k, dtype=np.intp), np.zeros(k)) if vectors else lam
     tol = 1e-13 * n if tol is None else tol
-    index, total = range(k) if index is None else index, k if total is None else total
     # Largest entry of each member brought into [0.5, 1) by an exact power
     # of two; every rotation parameter is scale-invariant, so this changes
     # no bits for inputs whose squared entries stay in range.
@@ -270,12 +268,12 @@ def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True, max_sweeps=DEFAU
     off = np.ldexp(off, exponent)
     if failed.size:
         i = int(failed[0])
-        where = f"stack member {index[i]} of {total}: " if total > 1 else ""
+        where = f"stack member {i} of {k}: " if k > 1 else ""
         raise ConvergenceError(
             f"{where}Jacobi sweep limit {max_sweeps} reached with off-diagonal mass "
             f"{off[i]:.3e} (target {tol * np.abs(a[i]).max():.3e})",
             off_mass=float(off[i]),
-            member=index[i],
+            member=i,
         )
     member = np.arange(k)[:, None]
     lam_unit = np.diagonal(w[:n]).real
@@ -287,62 +285,21 @@ def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True, max_sweeps=DEFAU
     return u, lam, sweeps, off
 
 
-def eigh_stack(
-    hs, tol: float | None = None, max_sweeps: int = DEFAULT_MAX_SWEEPS
-) -> tuple[SpectralDecomposition, ...]:
-    """Diagonalize many Hermitian matrices, those of one size as one stack.
+def eigh(h, tol: float | None = None, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> SpectralDecomposition:
+    """Diagonalize one Hermitian matrix ``h``, validated and symmetrized on
+    entry with :func:`~eigpert.matrices.hermitian`.
 
-    ``hs`` is a sequence of square matrices, or an array ``(k, n, n)``; each
-    is validated and symmetrized here, at the public entry (the package's
-    own exactly Hermitian stacks skip this).  Matrices of equal size are
-    solved together, every step of the solver acting on all of them at once,
-    so stacking small solves shares their per-step overhead.  Entry ``i`` of
-    the result is bit for bit ``eigh(hs[i], tol, max_sweeps)``.
-
-    Parameters
-    ----------
-    tol : float, optional
-        Termination tolerance, finite and at least 1e-15.  Defaults to ``1e-13 * n``.
-        A matrix stops sweeping once its off-diagonal Frobenius mass falls
-        below ``tol`` times a lower bound on its spectral norm (its largest
-        entry modulus), so the mass is below ``tol * ||h||`` at termination.
-    max_sweeps : int
-        Sweep budget per matrix.  If a matrix is still above its target
-        after that many sweeps, :class:`ConvergenceError` names the first
-        such matrix and carries its final off-diagonal mass.
+    ``tol`` is the termination tolerance, finite and at least 1e-15, by
+    default ``1e-13 * n``: the solve stops once the off-diagonal Frobenius
+    mass falls below ``tol`` times a lower bound on the spectral norm (the
+    largest entry modulus), so the mass is below ``tol * ||h||`` at
+    termination.  If the mass is still above that after ``max_sweeps``
+    sweeps, :class:`ConvergenceError` carries its final value.
     """
     if tol is not None and not 1e-15 <= tol < np.inf:
         raise ValueError(f"tol must be finite and at least 1e-15, got {tol}")
-    members = [np.asarray(h, dtype=np.complex128) for h in hs]
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for i, h in enumerate(members):
-        if h.ndim != 2:
-            dense(h)  # raises: a stack of them would read as one matrix
-        by_shape.setdefault(h.shape, []).append(i)
-    try:
-        stacks = [hermitian(np.stack([members[i] for i in index])) for index in by_shape.values()]
-    except ValueError:
-        for h in members:
-            hermitian(h)  # raises the error of the first invalid member
-        raise
-    out: dict[int, SpectralDecomposition] = {}
-    for index, a in zip(by_shape.values(), stacks):
-        u, lam, sweeps, off = _solve_stack(a, tol, True, max_sweeps, index, len(members))
-        out.update(zip(index, map(SpectralDecomposition, u, lam, sweeps.tolist(), off.tolist())))
-    return tuple(out[i] for i in range(len(members)))
-
-
-def eigh(h, tol: float | None = None, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> SpectralDecomposition:
-    """Diagonalize one Hermitian matrix: :func:`eigh_stack` of one member.
-
-    Parameters
-    ----------
-    h : array_like
-        Square Hermitian matrix (validated and symmetrized on entry).
-    tol, max_sweeps
-        As for :func:`eigh_stack`.
-    """
-    return eigh_stack([h], tol=tol, max_sweeps=max_sweeps)[0]
+    u, lam, sweeps, off = _solve_stack(hermitian(dense(h))[None], tol, True, max_sweeps)
+    return SpectralDecomposition(u[0], lam[0], int(sweeps[0]), float(off[0]))
 
 
 def residual(h, d: SpectralDecomposition) -> float:

@@ -102,7 +102,8 @@ def hermitian(entries) -> np.ndarray:
 
 
 def operator_norm(m) -> float:
-    """Spectral norm (largest singular value) of a rectangular complex matrix.
+    """Spectral norm (largest singular value) of a rectangular complex matrix;
+    a 1-d input is read as one row.
 
     Computed as the square root of the top eigenvalue of the Gram matrix,
     which goes through the package's own eigensolver so that every norm used
@@ -110,65 +111,56 @@ def operator_norm(m) -> float:
     first scaled by an exact power of two to unit largest entry, so the Gram
     matrix neither underflows nor overflows at any representable scale.
     """
-    return operator_norms([m])[0]
+    m = np.asarray(m, dtype=np.complex128)
+    m = m[None] if m.ndim == 1 else m
+    if m.ndim != 2:
+        raise ValueError(f"expected a matrix, got {m.ndim}-d data")
+    return operator_norms(m[None])[0]
 
 
 def operator_norms(ms) -> list[float]:
-    """:func:`operator_norm` of each matrix in ``ms``, a sequence of matrices
-    or an array ``(k, r, c)``.  The matrices of one shape are checked,
-    scaled and multiplied as one stack, and one oracle call serves all of
-    their Gram matrices."""
+    """:func:`operator_norm` of each matrix in ``ms``, an array ``(k, r, c)``
+    or a sequence of matrices that share one shape.  The matrices are
+    checked, scaled and multiplied as one stack, and one oracle call serves
+    all of their Gram matrices."""
     from . import jacobi  # deferred; jacobi imports this module's constructors
 
-    grams, where = _grams(ms)
-    return _norms([jacobi._solve_stack(g, vectors=False)[:, 0] for g in grams], where)
+    gram, where = _grams(ms)
+    # A stack of empty matrices has no Gram entry to solve.
+    return _norms(jacobi._solve_stack(gram, vectors=False)[:, 0] if gram.size else np.zeros(0), where)
 
 
-def _grams(ms) -> tuple[list[np.ndarray], tuple[list[int], list[np.ndarray], int]]:
-    """The Gram-forming half of :func:`operator_norms`: per shape, the stack
-    of the Gram matrices of the nonzero matrices in ``ms`` after scaling each
-    by an exact power of two to unit largest entry, formed on the smaller
-    side (same nonzero spectrum), and what :func:`_norms` needs to finish
-    from their top eigenvalues.  A Gram product is Hermitian only to
-    round-off, so it is symmetrized as :func:`hermitian` would do it."""
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    members = []
-    for i, m in enumerate(ms):
-        m = np.asarray(m, dtype=np.complex128)
-        if m.ndim == 1:
-            m = m.reshape(1, -1)
-        if m.ndim != 2:
-            raise ValueError(f"expected a matrix, got {m.ndim}-d data")
-        members.append(m)
-        if m.size:
-            by_shape.setdefault(m.shape, []).append(i)
-    index, exponents, grams = [], [], []
-    for (rows, cols), group in by_shape.items():
-        m = np.array([members[i] for i in group])
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must be finite (no NaN or Inf)")
-        peak = np.abs(m).max(axis=(1, 2))
-        live = np.flatnonzero(peak)  # a zero matrix has norm 0 and needs no solve
-        if live.size == 0:
-            continue
-        exponent = np.frexp(peak[live])[1]
-        m = _ldexp(m[live], -exponent[:, None, None])
-        mh = m.conj().swapaxes(1, 2)
-        gram = m @ mh if rows <= cols else mh @ m
-        index.extend(group[j] for j in live)
-        exponents.append(exponent)
-        grams.append(0.5 * (gram + gram.conj().swapaxes(1, 2)))
-    return grams, (index, exponents, len(members))
+def _grams(ms) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, int]]:
+    """The Gram-forming half of :func:`operator_norms`: the stack of the Gram
+    matrices of the nonzero matrices in ``ms`` after scaling each by an
+    exact power of two to unit largest entry, formed on the smaller side
+    (same nonzero spectrum), and what :func:`_norms` needs to finish from
+    their top eigenvalues.  A Gram product is Hermitian only to round-off,
+    so it is symmetrized as :func:`hermitian` would do it."""
+    try:
+        m = np.asarray(ms, dtype=np.complex128)
+    except ValueError:
+        m = None  # numpy's error for matrices of different shapes
+    if m is None or m.ndim != 3:
+        raise ValueError("operator_norms needs matrices that share one shape, as a (k, r, c) stack")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite (no NaN or Inf)")
+    k, rows, cols = m.shape
+    peak = np.abs(m).max(axis=(1, 2), initial=0.0)
+    live = np.flatnonzero(peak)  # a zero matrix has norm 0 and needs no solve
+    exponent = np.frexp(peak[live])[1]
+    m = _ldexp(m[live], -exponent[:, None, None])
+    mh = m.conj().swapaxes(1, 2)
+    gram = m @ mh if rows <= cols else mh @ m
+    return 0.5 * (gram + gram.conj().swapaxes(1, 2)), (live, exponent, k)
 
 
-def _norms(top, where: tuple[list[int], list[np.ndarray], int]) -> list[float]:
+def _norms(top: np.ndarray, where: tuple[np.ndarray, np.ndarray, int]) -> list[float]:
     """The finishing half of :func:`operator_norms`: the norms from the top
-    eigenvalues of the stacks of Gram matrices that :func:`_grams` formed,
-    one array per stack."""
-    index, exponents, count = where
+    eigenvalues of the Gram matrices that :func:`_grams` formed."""
+    live, exponent, count = where
     out = np.zeros(count)
-    if index:
-        out[index] = np.ldexp(np.sqrt(np.maximum(np.concatenate(top), 0.0)), np.concatenate(exponents))
+    out[live] = np.ldexp(np.sqrt(np.maximum(top, 0.0)), exponent)
     return out.tolist()
 
 

@@ -168,8 +168,7 @@ def oracle_calls(monkeypatch):
     """Record every oracle call made after it is set up, full solves and
     eigenvalue-only ones alike, and check the array entry's precondition
     on each.  Every solve goes through the array entry ``_solve_stack``,
-    ``eigh`` and ``eigh_stack`` too, one stack per matrix size, so each
-    stack solved is one record."""
+    ``eigh`` too as a stack of one, so each stack solved is one record."""
     calls = OracleCalls()
     real = jacobi._solve_stack
 

@@ -80,6 +80,26 @@ class TestGrouping:
         assert list(bs.block_id()) == [0, 0, 1]
 
 
+class TestBlockStructure:
+    @pytest.mark.parametrize(
+        "groups",
+        [((1, 3), (0, 1), (3, 4)), ((0, 2), (1, 4)), ((0, 1), (2, 4)), ((0, 2), (2, 2), (2, 4)), ((1, 4),)],
+        ids=["unsorted", "overlapping", "gapped", "empty_group", "late_start"],
+    )
+    def test_rejects_groups_that_do_not_split_a_range(self, groups):
+        with pytest.raises(ValueError, match=r"does not split 0\.\.4 into nonempty ranges in order"):
+            BlockStructure(groups, tuple(0.0 for _ in groups))
+
+    def test_rejects_a_representative_count_other_than_the_groups(self):
+        for reps in ((), (1.0,), (1.0, 0.0, -1.0)):
+            with pytest.raises(ValueError, match="representative values for 2 groups"):
+                BlockStructure(((0, 2), (2, 3)), reps)
+
+    def test_the_empty_split_is_valid(self):
+        blocks = BlockStructure((), ())
+        assert blocks.sizes == () and blocks.block_id().size == 0
+
+
 # Relative offsets inside a cluster, on both sides of the default tolerance.
 _OFFSETS = (0.0, 1e-12, 3e-9, 1e-8, 3e-8, 1e-6, 1e-3)
 
@@ -167,6 +187,18 @@ class TestConjugate:
         base = eigh(np.eye(2))
         with pytest.raises(ValueError, match="match"):
             conjugate_to_eigenbasis(base, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "u, lam",
+        [(np.eye(3), [2.0, 1.0]), (np.eye(2), [3.0, 2.0, 1.0]), (np.eye(3)[:, :2], [2.0, 1.0])],
+        ids=["lam_short", "lam_long", "u_not_square"],
+    )
+    def test_rejects_a_base_whose_lam_does_not_match_its_u(self, u, lam):
+        # Such a base used to give a record of the wrong size, or numpy's
+        # bare broadcasting error later on.
+        base = SpectralDecomposition(u=u.astype(complex), lam=np.array(lam))
+        with pytest.raises(ValueError, match="do not match eigenvectors"):
+            conjugate_to_eigenbasis(base, np.zeros(u.shape[:1] * 2))
 
 
 class TestBlockwiseDiagonalize:

@@ -13,11 +13,11 @@ from eigpert import (
     SpectralDecomposition,
     align_columns,
     eigh,
-    eigh_stack,
     hermitian,
     operator_norm,
     residual,
 )
+import eigpert
 from eigpert import jacobi
 from eigpert.jacobi import DEFAULT_MAX_SWEEPS, _schedule, _solve_stack
 
@@ -138,8 +138,6 @@ class TestControls:
         # Such a tolerance used to stop after 0 sweeps and return the diagonal.
         with pytest.raises(ValueError, match="finite"):
             eigh([[1.0, 2.0], [2.0, -1.0]], tol=tol)
-        with pytest.raises(ValueError, match="finite"):
-            eigh_stack([np.eye(2)], tol=tol)
 
     def test_tighter_tol_accepted(self):
         d = eigh([[3.0, 0.1], [0.1, 1.0]], tol=1e-15)
@@ -183,6 +181,14 @@ def tied_hermitian(rng, lam):
     return hermitian(q @ np.diag(np.asarray(lam, dtype=complex)) @ q.conj().T)
 
 
+def solve_records(members, max_sweeps=DEFAULT_MAX_SWEEPS):
+    """The full solve of ``members``, matrices of one size, as one stack
+    through the array entry, symmetrized as :func:`eigh` symmetrizes each
+    matrix: one record per member."""
+    u, lam, sweeps, off = _solve_stack(hermitian(np.stack(members)), None, True, max_sweeps)
+    return [SpectralDecomposition(*d) for d in zip(u, lam, sweeps.tolist(), off.tolist())]
+
+
 class TestStack:
     def test_mixed_stack_matches_solo_bit_for_bit(self):
         rng = np.random.default_rng(41)
@@ -194,7 +200,7 @@ class TestStack:
             rand_hermitian(rng, 6, scale=1e-7),
             rand_hermitian(rng, 6, scale=1e5) + 1e3 * np.eye(6),
         ]
-        stacked = eigh_stack(members)
+        stacked = solve_records(members)
         for h, d in zip(members, stacked):
             assert same_bits(d, eigh(h))
         # The members stop after different numbers of sweeps; the diagonal
@@ -202,20 +208,9 @@ class TestStack:
         sweeps = [d.sweeps for d in stacked]
         assert sweeps[1] == sweeps[2] == 0
         assert len(set(sweeps)) >= 3
-        # The same matrices as an array, and in another order.
-        for d, e in zip(stacked, eigh_stack(np.stack(members))):
+        # The same matrices in another order.
+        for d, e in zip(stacked[::-1], solve_records(members[::-1])):
             assert same_bits(d, e)
-        for d, e in zip(stacked[::-1], eigh_stack(members[::-1])):
-            assert same_bits(d, e)
-
-    def test_sizes_are_solved_separately_in_input_order(self):
-        rng = np.random.default_rng(43)
-        members = [rand_hermitian(rng, n) for n in (1, 4, 2, 4, 1, 7, 2)]
-        members.append(np.array([[-3.5]]))
-        for h, d in zip(members, eigh_stack(members)):
-            assert d.n == h.shape[0]
-            assert same_bits(d, eigh(h))
-        assert eigh_stack([]) == ()
 
     def test_random_stacks_match_solo(self):
         rng = np.random.default_rng(47)
@@ -225,26 +220,8 @@ class TestStack:
                 rand_hermitian(rng, n, scale=10.0 ** rng.integers(-4, 5))
                 for _ in range(int(rng.integers(1, 6)))
             ]
-            for h, d in zip(members, eigh_stack(members)):
+            for h, d in zip(members, solve_records(members)):
                 assert same_bits(d, eigh(h))
-
-    def test_rejects_as_the_first_invalid_member_alone(self):
-        # The members of each size are validated as one stack; the error is
-        # still that of the first invalid member in input order.
-        good2, good3 = np.eye(2), np.diag([1.0, 2.0, 3.0])
-        asym3 = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
-        nan2 = np.array([[1.0, np.nan], [np.nan, 1.0]])
-        for members, first_bad in (
-            ([good3, nan2, asym3, good2], nan2),
-            ([good2, asym3, good3, nan2], asym3),
-            ([good3, good2, [1.0, 2.0], asym3], [1.0, 2.0]),
-            ([good2, np.ones((2, 3)), nan2], np.ones((2, 3))),
-        ):
-            with pytest.raises(ValueError) as alone:
-                hermitian(first_bad)
-            with pytest.raises(ValueError) as stacked:
-                eigh_stack(members)
-            assert str(stacked.value) == str(alone.value)
 
     def test_convergence_error_names_the_failing_member(self):
         rng = np.random.default_rng(53)
@@ -252,11 +229,16 @@ class TestStack:
         with pytest.raises(ConvergenceError) as solo:
             eigh(members[1], max_sweeps=2)
         with pytest.raises(ConvergenceError) as stacked:
-            eigh_stack(members, max_sweeps=2)
+            solve_records(members, max_sweeps=2)
         assert stacked.value.member == 1
         assert stacked.value.off_mass == solo.value.off_mass > 0.0
         assert "stack member 1 of 3" in str(stacked.value)
         assert solo.value.member == 0
+
+    def test_no_public_stack_entry(self):
+        # Every stack is solved by the array entry; the public entry is eigh.
+        assert not hasattr(eigpert, "eigh_stack") and not hasattr(jacobi, "eigh_stack")
+        assert "eigh_stack" not in jacobi.__all__
 
     def test_stats_on_results(self):
         rng = np.random.default_rng(59)
@@ -290,32 +272,26 @@ class TestStack:
         solo = [eigh(h) for h in members]
         assert len({d.sweeps for d in solo}) >= min(n, 3)
         for k in (1, 7, 8, 33, 100):
-            for d, e in zip(eigh_stack(members[:k]), solo):
+            for d, e in zip(solve_records(members[:k]), solo):
                 assert same_bits(d, e)
             for lam, e in zip(_solve_stack(hermitian(np.stack(members[:k])), vectors=False), solo):
                 assert same_values(lam, e)
 
     @pytest.mark.parametrize("x", [-0.0, 2.0**-1074, 1e-300, 1e300])
     def test_one_by_one_is_its_own_eigenvalue(self, x):
-        rng = np.random.default_rng(3)
-        members = [rand_hermitian(rng, 3), np.array([[x]]), rand_hermitian(rng, 2), np.array([[complex(x, 0.0)]])]
-        out = eigh_stack(members)
-        values = _solve_stack(hermitian(np.stack([members[1], members[3]])), vectors=False)
-        for i, lam in zip((1, 3), values):
-            for got in (out[i].lam, lam):
+        members = [np.array([[x]]), np.array([[complex(x, 0.0)]])]
+        values = _solve_stack(hermitian(np.stack(members)), vectors=False)
+        for h, d, lam in zip(members, solve_records(members), values):
+            for got in (d.lam, lam):
                 assert got.dtype == np.float64 and got.tobytes() == np.array([x]).tobytes()
-        for i in (1, 3):
-            d = eigh_stack(members)[i]
             assert (d.sweeps, d.off_mass) == (0, 0.0)
             assert d.u.dtype == np.complex128 and np.array_equal(d.u, [[1.0]])
-            assert same_bits(d, eigh(members[i]))
+            assert same_bits(d, eigh(h))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1.0 + 1.0j, 1e-300j])
     def test_one_by_one_is_still_validated(self, bad):
         with pytest.raises(ValueError):
-            eigh_stack([np.eye(2), np.array([[bad]])])
-        with pytest.raises(ValueError):
-            eigh_stack([[[bad]]])
+            eigh([[bad]])
         if not np.isfinite(bad):
             # The array entry checks finiteness only; symmetry is its callers' to keep.
             for vectors in (True, False):
@@ -400,19 +376,18 @@ def same_values(lam, full) -> bool:
 
 
 def eigenvalues_only(members, tol=None, max_sweeps=DEFAULT_MAX_SWEEPS):
-    """The eigenvalue-only solve of each matrix in ``members``, validated as
-    :func:`eigh_stack` validates it and solved by the array entry, the
-    matrices of one size as one stack numbered by their places in
-    ``members``."""
-    by_size = {}
-    for i, h in enumerate(members):
-        by_size.setdefault(np.shape(h)[0], []).append(i)
-    out = [None] * len(members)
-    for index in by_size.values():
-        a = hermitian(np.stack([np.asarray(members[i], dtype=np.complex128) for i in index]))
-        for i, lam in zip(index, _solve_stack(a, tol, False, max_sweeps, index, len(members))):
-            out[i] = lam
-    return out
+    """The eigenvalue-only solve of ``members``, matrices of one size, as one
+    stack through the array entry, symmetrized as :func:`eigh` symmetrizes
+    each matrix."""
+    return list(_solve_stack(hermitian(np.stack(members)), tol, False, max_sweeps))
+
+
+def by_size(members):
+    """``members`` as lists of matrices of one size, one list per size."""
+    sizes = {}
+    for h in members:
+        sizes.setdefault(np.shape(h)[0], []).append(h)
+    return list(sizes.values())
 
 
 class TestEigenvaluesOnly:
@@ -422,18 +397,19 @@ class TestEigenvaluesOnly:
     @_PROPERTY
     @given(data=st.data())
     def test_matches_the_full_solve(self, data):
-        # Sizes 1-8 mixed in one call, each member scaled from 2**-1000 to
-        # 2**996 (about 6.7e299).
-        sizes = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
+        # One stack of up to five members of size 1-8, each scaled from
+        # 2**-1000 to 2**996 (about 6.7e299).
+        n = data.draw(st.integers(1, 8))
         members = [
             scale_by(data.draw(dyadic_matrices(square=True, rows=n)), data.draw(st.integers(-1000, 996)))
-            for n in sizes
+            for _ in range(data.draw(st.integers(1, 5)))
         ]
-        for d, full in zip(eigenvalues_only(members), eigh_stack(members)):
+        for d, full in zip(eigenvalues_only(members), solve_records(members)):
             assert same_values(d, full)
 
     @pytest.mark.parametrize("scale", [2.0**-1000, 1e-300, 1e-7, 1.0, 1e5, 1e300])
     def test_seeded_stacks_of_mixed_sizes(self, scale):
+        # Sizes 1 to 8, one stack per size.
         rng = np.random.default_rng(67)
         members = [rand_hermitian(rng, n, scale=scale) for n in (1, 2, 3, 4, 5, 6, 7, 8, 3, 8, 1)]
         members += [
@@ -441,23 +417,26 @@ class TestEigenvaluesOnly:
             np.diag([3.0, -1.0, 2.0, 0.5, 0.5, 7.0]),
             np.zeros((5, 5)),
         ]
-        fulls = eigh_stack(members)
-        for d, full in zip(eigenvalues_only(members), fulls):
-            assert same_values(d, full)
-        assert len({d.sweeps for d in fulls}) >= 3
+        sweeps = set()
+        for stack in by_size(members):
+            fulls = solve_records(stack)
+            for d, full in zip(eigenvalues_only(stack), fulls):
+                assert same_values(d, full)
+            sweeps.update(d.sweeps for d in fulls)
+        assert len(sweeps) >= 3
         for h in (members[4], members[7]):
             assert same_values(eigenvalues_only([h], tol=1e-15)[0], eigh(h, tol=1e-15))
 
     def test_convergence_error_is_the_full_solves(self):
         rng = np.random.default_rng(71)
-        members = [np.diag([1.0, 2.0, 3.0])] + [rand_hermitian(rng, n) for n in (5, 3, 5)]
+        members = [np.diag([1.0, 2.0, 3.0, 4.0, 5.0])] + [rand_hermitian(rng, 5) for _ in range(3)]
         raised = []
-        for solve in (eigh_stack, eigenvalues_only):
+        for solve in (solve_records, eigenvalues_only):
             with pytest.raises(ConvergenceError) as info:
                 solve(members, max_sweeps=1)
             raised.append(info.value)
         full, values = raised
-        assert values.member == full.member == 2
+        assert values.member == full.member == 1
         assert values.off_mass == full.off_mass > 0.0
         assert str(values) == str(full)
 

@@ -9,6 +9,7 @@ from eigpert import (
     format_matrix,
     hermitian,
     operator_norm,
+    operator_norms,
     parse_hermitian,
     parse_matrix,
 )
@@ -285,6 +286,7 @@ class TestOperatorNorm:
 
     def test_zero(self):
         assert operator_norm(np.zeros((3, 2))) == 0.0
+        assert operator_norm(np.zeros((0, 3))) == 0.0
 
     def test_hermitian_input_is_max_abs_eigenvalue(self):
         h = np.diag([3.0, -7.0, 2.0]).astype(complex)
@@ -316,3 +318,20 @@ class TestOperatorNorm:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             operator_norm([[np.inf]])
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(31)
+        ms = rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4))
+        ms[2] = 0.0
+        norms = [operator_norm(m) for m in ms]
+        assert operator_norms(ms) == operator_norms(list(ms)) == norms
+        assert norms[2] == 0.0
+
+    @pytest.mark.parametrize(
+        "ms",
+        [[np.eye(2), np.eye(3)], [np.ones((2, 3)), np.ones((3, 2))], [np.eye(2), [1.0, 2.0]], np.eye(2)],
+        ids=["two_sizes", "transposed", "matrix_and_row", "one_matrix"],
+    )
+    def test_stack_refuses_matrices_of_two_shapes(self, ms):
+        with pytest.raises(ValueError, match="share one shape"):
+            operator_norms(ms)

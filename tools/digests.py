@@ -12,8 +12,9 @@ predictions at n = 60 (with two stored bases alternating, and on a layout
 of mixed block sizes), the bytes
 of the library's result records, the raw bytes of the generated instances
 themselves, so that a change to the random streams shows as its own line,
-the oracle's own outputs on a stack that mixes sizes 1 to 60, and the
-column match of ``align_columns`` at sizes 1 to 60.
+the oracle's own outputs on stacks of sizes 1 to 60, ``operator_norms``
+on stacks of square and rectangular shapes, and the column match of
+``align_columns`` at sizes 1 to 60.
 The refusal paths are covered too: a ``predict`` whose ``t`` passes the gap
 between eigenvalue blocks, and studies whose largest ``t`` does so for some
 trials.  All inputs come from ``harness.generate_instance``.  A command's
@@ -29,7 +30,6 @@ still printed.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 import subprocess
 import sys
@@ -83,6 +83,9 @@ ORACLE_STACK = (
     (1, 100, (1,)), (2, 100, (2,)), (5, 100, (2, 2, 1)), (6, 100, (2, 2, 1, 1)), (60, 10, (4,) * 15),
 )
 ORACLE_EXPONENTS = (0, -1000, 990, -300, 300)
+
+# (rows, columns) of the seeded stacks whose operator norms are digested.
+NORM_SHAPES = ((6, 6), (3, 7), (9, 2), (60, 60))
 
 # (size, members, block_spec) of the seeded column matches: each member
 # matches the oracle's eigenvectors of A + t F, scaled by a power of two, to
@@ -248,28 +251,36 @@ def records(tag: str, a: np.ndarray, f: np.ndarray) -> None:
 
 
 def oracle() -> None:
-    """The oracle's own outputs on one stack that mixes the sizes of
-    ``ORACLE_STACK`` in its input order: per size, the public
-    ``eigh_stack`` records, the eigenvalue-only solve, and the array entry
-    ``_solve_stack`` with and without eigenvectors on the size's members,
-    symmetrized as the public entry symmetrizes them.  The eigenvalue-only
-    lines keep the name ``oracle/_eigvalsh_stack``, so that their hashes
-    compare with those of older trees."""
-    by_size = []
+    """The oracle's own outputs on the seeded stacks of ``ORACLE_STACK``, one
+    stack per size: ``eigh`` on each member, the eigenvalue-only solve, and
+    the array entry ``_solve_stack`` with and without eigenvectors on the
+    stack, symmetrized as ``eigh`` symmetrizes a matrix.  The lines keep the
+    names ``oracle/eigh_stack`` and ``oracle/_eigvalsh_stack`` of older
+    trees, whose stacked solves gave each member the bits of ``eigh``, so
+    that their hashes compare."""
     for n, count, spec in ORACLE_STACK:
         cfg = harness.EnsembleConfig(seed=7, n=n, block_spec=spec, trials=count // 2, predictor="first_order")
         pairs = zip(*harness._instances(cfg, range(count // 2)))
-        by_size.append([h * 2.0 ** ORACLE_EXPONENTS[j % 5] for j, h in enumerate(m for pair in pairs for m in pair)])
-    members = [m for row in itertools.zip_longest(*by_size) for m in row if m is not None]
-    full = jacobi.eigh_stack(members)
-    for n, *_ in ORACLE_STACK:
-        index = [i for i, m in enumerate(members) if m.shape[0] == n]
-        stack = matrices.hermitian(np.stack([members[i] for i in index]))
+        members = [h * 2.0 ** ORACLE_EXPONENTS[j % 5] for j, h in enumerate(m for pair in pairs for m in pair)]
+        stack = matrices.hermitian(np.stack(members))
         u, lam, sweeps, off = jacobi._solve_stack(stack)
         values = jacobi._solve_stack(stack, vectors=False)
-        _record(f"oracle/eigh_stack/n{n}", *((full[i].lam, full[i].u, full[i].sweeps, full[i].off_mass) for i in index))
+        _record(f"oracle/eigh_stack/n{n}", *((d.lam, d.u, d.sweeps, d.off_mass) for d in map(jacobi.eigh, members)))
         _record(f"oracle/_eigvalsh_stack/n{n}", *values)
         _record(f"oracle/solve_stack/n{n}", u, lam, sweeps, off, values)
+
+
+def norms() -> None:
+    """``operator_norms`` on one seeded stack per shape of ``NORM_SHAPES``:
+    the leading ``r x c`` corners of generated instances, each scaled by a
+    power of two, with one zero member among them."""
+    for rows, cols in NORM_SHAPES:
+        n = max(rows, cols)
+        cfg = harness.EnsembleConfig(seed=10, n=n, block_spec=(1,) * n, trials=5, predictor="first_order")
+        pairs = zip(*harness._instances(cfg, range(5)))
+        members = [h[:rows, :cols] * 2.0 ** ORACLE_EXPONENTS[j % 5] for j, h in enumerate(m for pair in pairs for m in pair)]
+        members.insert(3, np.zeros((rows, cols)))
+        _record(f"matrices/operator_norms/{rows}x{cols}", matrices.operator_norms(members))
 
 
 def column_matches() -> None:
@@ -333,6 +344,7 @@ def main() -> int:
         small_instances(runner, Path(tmp))
     large_instances()
     oracle()
+    norms()
     for demo in sorted((ROOT / "demos").glob("*.py")):
         runner.run(f"demo/{demo.name}", [sys.executable, str(demo)])
     column_matches()
