@@ -34,11 +34,25 @@ validates and symmetrizes its one matrix, solves it as a stack of one and
 builds the record.  The package's own callers hold stacks on which
 :func:`~eigpert.matrices.hermitian` would change no bit (random draws,
 ``E_hat`` blocks, Schur complements, ``A + t F``), so they call the entry.
+
+A step is about 30 numpy calls whatever the stack's size, so a solve costs
+about sweeps x steps x 30 calls, and for small matrices that call overhead,
+not arithmetic, is its cost.  A solve therefore allocates its stack once and
+builds one plan for each set of members it sweeps: a spare buffer of the
+stack's shape, which each step's gather fills and the next step works in
+(ping-pong), the strided views of each buffer that a step reads and writes,
+built when a step first works in that buffer, each step's gather, and the
+work arrays of a step and of the per-sweep symmetrization.  A step then
+allocates one small array, and a sweep none.  When members converge, the
+others are gathered into a plan of their own size.  A plan belongs to one
+call, so solves share no buffers; only the index data of the schedule is
+cached, read-only.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,18 +136,18 @@ def _schedule(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _moves(n: int) -> tuple[np.ndarray, ...]:
-    """Per step, the gather that takes the stacked ``[a; u]``, its entries
-    flattened in row-major order, from that step's index order to the next
-    step's (the last step returns to the first): rows and columns of ``a``
-    and columns of ``u`` move, rows of ``u`` stay.  Its first ``n * n``
-    entries are the gather of ``a`` alone."""
+def _moves(n: int, height: int) -> tuple[np.ndarray, ...]:
+    """Per step, the gather that takes a stack of ``height`` rows, ``a``
+    (``height = n``) or ``[a; u]`` (``height = 2 n``), its rows flattened
+    in row-major order, from that step's index order to the next step's
+    (the last step returns to the first): rows and columns of ``a`` and
+    columns of ``u`` move, rows of ``u`` stay."""
     orders = _schedule(n)
     moves = []
     for order, following in zip(orders, orders[1:] + orders[:1]):
         seat = {index: position for position, index in enumerate(order)}
         cols = np.array([seat[index] for index in following], dtype=np.intp)
-        rows = np.concatenate((cols, np.arange(n, 2 * n)))
+        rows = np.concatenate((cols, np.arange(n, height)))
         gather = (rows[:, None] * n + cols).ravel()
         gather.setflags(write=False)
         moves.append(gather)
@@ -153,63 +167,116 @@ def _off_mass(a: np.ndarray) -> np.ndarray:
     return np.sqrt(sq.sum(axis=1))
 
 
-def _sweep(w: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """One round-robin sweep over ``w = [a; u]``, a stack ``(2n, n, k)`` of
-    matrices ``a`` stacked over the eigenvector accumulators ``u``, or over
-    ``w = a`` alone, a stack ``(n, n, k)``; the ``k`` members come last.
+class _Plan:
+    """Everything the sweeps over one stack ``w`` ``(height, n, k)`` need,
+    built once: ``w`` and a spare of its shape as ping-pong buffers, the
+    strided views of each buffer that a step reads and writes (built when a
+    step first works in that buffer), each step's gather, and a step's work
+    arrays.  A plan lives for one solve and one set of live members, whose
+    pivot floors are ``floor``; ``current`` is the buffer that holds the
+    stack."""
+
+    __slots__ = ("floor", "buffers", "flats", "views", "current", "moves", "work", "sym")
+
+    def __init__(self, w: np.ndarray, floor: np.ndarray):
+        height, n, k = w.shape
+        m = n // 2
+        spare = np.empty_like(w)
+        self.floor, self.buffers, self.views, self.current = floor, (w, spare), [None, None], 0
+        self.flats = (w.reshape(height * n, k), spare.reshape(height * n, k))
+        self.moves = _moves(n, height)
+        c = np.empty((m, k))
+        coef = np.empty((2, m, k), np.complex128)
+        coef_conj = np.empty_like(coef)
+        cols, rows = (height, 2, m, k), (2, m, n, k)
+        self.work = (
+            np.empty((m, k)),  # |b|
+            np.empty((m, k)),  # d
+            np.empty((m, k)),  # t
+            c,
+            c[:, None],  # c against the rows
+            np.empty((m, k), bool),  # the pivots that rotate
+            coef, coef[0], coef[1],  # the columns' coefficients, and their halves
+            coef_conj[0], coef_conj[1], coef_conj[:, :, None],  # the rows' coefficients
+            np.empty(cols, np.complex128), np.empty(cols, np.complex128),  # col_c, col_s
+            np.empty(rows, np.complex128), np.empty(rows, np.complex128),  # row_c, row_s
+        )
+        # The symmetrization's buffer, and then the member-major copy of
+        # ``a`` whose off mass is reduced.
+        self.sym = np.empty((n, n, k), dtype=np.complex128)
+
+    def step_views(self) -> tuple:
+        """The views of the current buffer that a step reads and writes."""
+        i = self.current
+        if self.views[i] is None:
+            w, flat = self.buffers[i], self.flats[i]
+            height, n, k = w.shape
+            m = n // 2
+            cols = w[:, : 2 * m].reshape(height, 2, m, k)
+            rows = w[: 2 * m].reshape(2, m, n, k)
+            self.views[i] = (
+                flat[: m * (n + 1) : n + 1].real,  # a[i, i]
+                flat[m * (n + 1) : 2 * m * (n + 1) : n + 1].real,  # a[m + i, m + i]
+                flat[m : m + m * (n + 1) : n + 1],  # a[i, m + i]
+                flat[m * n : m * n + m * (n + 1) : n + 1],  # a[m + i, i]
+                cols,
+                cols[:, ::-1],
+                rows,
+                rows[::-1],
+                flat[: n * n : n + 1].imag,
+            )
+        return self.views[i]
+
+
+def _sweep(plan: _Plan) -> np.ndarray:
+    """One round-robin sweep over the plan's stack ``w = [a; u]``, a stack
+    ``(2n, n, k)`` of matrices ``a`` stacked over the eigenvector
+    accumulators ``u``, or ``w = a`` alone, a stack ``(n, n, k)``; the ``k``
+    members come last.
 
     Each step rotates its pivots in every member at once; a pivot whose
-    modulus is at most its member's ``floor`` rotates by the identity
+    modulus is at most its member's floor rotates by the identity
     (``c = 1, s = 0``), which leaves every value as it was.  Every operation
     is elementwise, so its innermost loop runs over the members and a step
-    costs about as much for a stack as for one matrix.  Returns the stack in
-    the first step's index order.
+    costs about as much for a stack as for one matrix.  Each step writes
+    its result in place and gathers it into the other buffer; returns the
+    buffer that holds the stack, in the first step's index order.
     """
-    height, n, k = w.shape
-    m = n // 2
-    # Work arrays reused by every step: allocating them afresh each step
-    # costs more than the arithmetic at n = 60.
-    spare = np.empty_like(w)
-    coef = np.empty((2, m, k), dtype=np.complex128)
-    col_c = np.empty((height, 2, m, k), dtype=np.complex128)
-    col_s = np.empty_like(col_c)
-    row_c = np.empty((2, m, n, k), dtype=np.complex128)
-    row_s = np.empty_like(row_c)
-    for move in _moves(n):
-        flat = w.reshape(height * n, k)
-        app = flat[: m * (n + 1) : n + 1]  # a[i, i]
-        aqq = flat[m * (n + 1) : 2 * m * (n + 1) : n + 1]  # a[m + i, m + i]
-        b = flat[m : m + m * (n + 1) : n + 1]  # a[i, m + i]
-        b_low = flat[m * n : m * n + m * (n + 1) : n + 1]  # a[m + i, i]
-        absb = np.abs(b)
-        rotate = absb > floor
+    (absb, d, t, c, c_rows, rotate, coef, coef_0, coef_1, conj_0, conj_1, coef_rows,
+     col_c, col_s, row_c, row_s) = plan.work
+    floor, flats = plan.floor, plan.flats
+    for move in plan.moves:
+        app, aqq, b, b_low, cols, cols_swapped, rows, rows_swapped, diag_imag = plan.step_views()
+        np.abs(b, out=absb)
+        np.greater(absb, floor, out=rotate)
         # t = tan of the rotation angle, the smaller-modulus root of
         # t^2 - 2 tau t - 1 = 0 with tau = (a[q, q] - a[p, p]) / (2 |b|), so
         # the angle stays below 45 degrees; written as r = t / |b| so that
         # no division by |b| is needed.  Pivots that do not rotate get r = 0.
-        d = app.real - aqq.real
-        r = np.copysign(2.0 / (np.abs(d) + np.hypot(d, 2.0 * absb)), d)
-        r = np.where(rotate, r, 0.0)
-        c = 1.0 / np.hypot(1.0, r * absb)
+        np.subtract(app, aqq, out=d)
+        np.hypot(d, np.multiply(2.0, absb, out=t), out=t)
+        np.add(np.abs(d, out=c), t, out=t)
+        np.copysign(np.divide(2.0, t, out=t), d, out=t)
+        r = np.where(rotate, t, 0.0)
+        np.divide(1.0, np.hypot(1.0, np.multiply(r, absb, out=c), out=c), out=c)
         # Columns of a and u: x' = c x + s y, y' = c y - conj(s) x for the
         # column pair (x, y) = (i, m + i), with s = c r conj(b); then the rows
         # of a with the conjugate coefficients.
-        np.multiply(c * r, b.conj(), out=coef[0])
-        np.negative(coef[0].conj(), out=coef[1])
-        cols = w[:, : 2 * m].reshape(height, 2, m, k)
+        np.multiply(np.multiply(c, r, out=r), np.conjugate(b, out=coef_1), out=coef_0)
+        np.negative(np.conjugate(coef_0, out=conj_0), out=coef_1)
+        np.negative(coef_0, out=conj_1)
         np.multiply(cols, c, out=col_c)
-        np.multiply(cols[:, ::-1], coef, out=col_s)
+        np.multiply(cols_swapped, coef, out=col_s)
         np.add(col_c, col_s, out=cols)
-        rows = w[: 2 * m].reshape(2, m, n, k)
-        np.multiply(rows, c[:, None], out=row_c)
-        np.multiply(rows[::-1], coef.conj()[:, :, None], out=row_s)
+        np.multiply(rows, c_rows, out=row_c)
+        np.multiply(rows_swapped, coef_rows, out=row_s)
         np.add(row_c, row_s, out=rows)
         np.copyto(b, 0.0, where=rotate)
         np.copyto(b_low, 0.0, where=rotate)
-        flat[: n * n : n + 1].imag = 0.0
-        np.take(flat, move[: height * n], axis=0, out=spare.reshape(height * n, k), mode="clip")
-        w, spare = spare, w
-    return w
+        diag_imag[...] = 0.0
+        np.take(flats[plan.current], move, axis=0, out=flats[1 - plan.current], mode="clip")
+        plan.current = 1 - plan.current
+    return plan.buffers[plan.current]
 
 
 def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True, max_sweeps=DEFAULT_MAX_SWEEPS):
@@ -244,26 +311,45 @@ def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True, max_sweeps=DEFAU
     # Entries below this floor cannot push the off mass back over target.
     floor = target / (2.0 * n)
     off = _off_mass(unit)
+    # The members still sweeping, their stack as the last sweep left it,
+    # their off masses, targets and floors, and the sweeps each has made.
+    live, state, plan, done = np.arange(k), w, None, 0
+    live_off, live_target, live_floor = off, target, floor
     sweeps = np.zeros(k, dtype=np.intp)
     # A pivot block with b = 0 and equal diagonal entries divides by zero;
     # its rotation is masked.
     with np.errstate(divide="ignore"):
-        for _ in range(max_sweeps):
-            live = np.flatnonzero(off > target)
-            if live.size == 0:
+        for done in range(max_sweeps):
+            going = live_off > live_target
+            count = np.count_nonzero(going)
+            if count == 0:
                 break
-            # Converged members are left out of the sweep, so they keep
-            # exactly the bits they stopped at.
-            part = _sweep(w if live.size == k else w[..., live], floor[live])
-            part[:n] = 0.5 * (part[:n] + part[:n].conj().swapaxes(0, 1))
+            if count < live.size:
+                # Converged members are left out of later sweeps, so they
+                # keep exactly the bits they stopped at; the others move to
+                # a plan of their own size.
+                stopped = live[~going]
+                w[..., stopped], off[stopped], sweeps[stopped] = state[..., ~going], live_off[~going], done
+                live, state, plan = live[going], state.compress(going, axis=2), None
+                live_off, live_target, live_floor = live_off[going], live_target[going], live_floor[going]
+            if plan is None:
+                plan = _Plan(state, live_floor)
+            state = _sweep(plan)
+            top = state[:n]
+            np.conjugate(top.swapaxes(0, 1), out=plan.sym)
+            np.add(top, plan.sym, out=plan.sym)
+            np.multiply(0.5, plan.sym, out=top)
             # The mass is reduced member by member on a member-major copy,
             # so each member rounds as it does alone.
-            off[live] = _off_mass(np.ascontiguousarray(part[:n].transpose(2, 0, 1)))
-            sweeps[live] += 1
-            if live.size == k:
-                w = part
-            else:
-                w[..., live] = part
+            member_major = plan.sym.reshape(live.size, n, n)
+            np.copyto(member_major, top.transpose(2, 0, 1))
+            live_off = _off_mass(member_major)
+        else:
+            done = max_sweeps
+    if live.size == k:
+        w, off, sweeps[:] = state, live_off, done
+    else:
+        w[..., live], off[live], sweeps[live] = state, live_off, done
     failed = np.flatnonzero(off > target)
     off = np.ldexp(off, exponent)
     if failed.size:
@@ -294,10 +380,17 @@ def eigh(h, tol: float | None = None, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> S
     mass falls below ``tol`` times a lower bound on the spectral norm (the
     largest entry modulus), so the mass is below ``tol * ||h||`` at
     termination.  If the mass is still above that after ``max_sweeps``
-    sweeps, :class:`ConvergenceError` carries its final value.
+    sweeps, :class:`ConvergenceError` carries its final value;
+    ``max_sweeps`` is a non-negative integer, and 0 makes no sweep.
     """
     if tol is not None and not 1e-15 <= tol < np.inf:
         raise ValueError(f"tol must be finite and at least 1e-15, got {tol}")
+    try:
+        sweeps_valid = operator.index(max_sweeps) >= 0
+    except TypeError:
+        sweeps_valid = False
+    if not sweeps_valid:
+        raise ValueError(f"max_sweeps must be a non-negative integer, got {max_sweeps!r}")
     u, lam, sweeps, off = _solve_stack(hermitian(dense(h))[None], tol, True, max_sweeps)
     return SpectralDecomposition(u[0], lam[0], int(sweeps[0]), float(off[0]))
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 
@@ -116,11 +118,9 @@ class TestSolverInvariants:
             assert shift <= operator_norm(e) * (1 + 1e-10)
 
     def test_determinism(self):
+        # Bytes, not values: np.array_equal cannot see the sign of a zero.
         h = rand_hermitian(np.random.default_rng(5), 6)
-        d1 = eigh(h)
-        d2 = eigh(h)
-        assert np.array_equal(d1.lam, d2.lam)
-        assert np.array_equal(d1.u, d2.u)
+        assert same_bits(eigh(h), eigh(h))
 
 
 class TestControls:
@@ -128,6 +128,16 @@ class TestControls:
         with pytest.raises(ConvergenceError) as exc:
             eigh([[3.0, 0.1], [0.1, 1.0]], max_sweeps=0)
         assert exc.value.off_mass > 0.0
+
+    @pytest.mark.parametrize("max_sweeps", [-1, 1.5, None, "3"])
+    def test_max_sweeps_must_be_a_non_negative_integer(self, max_sweeps):
+        # -1 used to raise ConvergenceError, the others a bare TypeError.
+        with pytest.raises(ValueError, match="max_sweeps must be a non-negative integer"):
+            eigh([[3.0, 0.1], [0.1, 1.0]], max_sweeps=max_sweeps)
+
+    def test_max_sweeps_takes_any_integer_type(self):
+        h = [[3.0, 0.1], [0.1, 1.0]]
+        assert same_bits(eigh(h, max_sweeps=np.int64(3)), eigh(h, max_sweeps=3))
 
     def test_tol_floor(self):
         with pytest.raises(ValueError, match="1e-15"):
@@ -509,6 +519,64 @@ class TestSolveStack:
             assert info.value.member == 1
             assert info.value.off_mass == solo.value.off_mass > 0.0
             assert "stack member 1 of 4" in str(info.value)
+
+    def test_a_solve_does_not_depend_on_earlier_solves(self):
+        # Each solve builds its own buffers: after stacks of other sizes and
+        # member counts, and a solve of the same shape that raised
+        # ConvergenceError, a stack gets the bytes of its first solve.
+        rng = np.random.default_rng(61)
+        stack = entry_members(rng, 6)[:40]
+        first = [*_solve_stack(stack), _solve_stack(stack, vectors=False)]
+        for n, count in ((6, 7), (5, 40), (6, 100), (2, 3), (9, 1)):
+            others = entry_members(rng, n)[:count]
+            _solve_stack(others)
+            _solve_stack(others, vectors=False)
+        failing = np.stack([rand_hermitian(rng, 6) for _ in range(40)])
+        for vectors in (True, False):
+            with pytest.raises(ConvergenceError):
+                _solve_stack(failing, vectors=vectors, max_sweeps=1)
+        again = [*_solve_stack(stack), _solve_stack(stack, vectors=False)]
+        assert [x.tobytes() for x in again] == [x.tobytes() for x in first]
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_input_kept_and_no_memory_shared(self, n):
+        # Members stop after different numbers of sweeps, so converged
+        # members are written back while the others sweep on.
+        stack = entry_members(np.random.default_rng(3000 + n), n)[:20]
+        before = stack.tobytes()
+        stack.setflags(write=False)
+        for vectors in (True, False):
+            outputs = list(_solve_stack(stack)) if vectors else [_solve_stack(stack, vectors=False)]
+            assert stack.tobytes() == before
+            for i, x in enumerate(outputs):
+                assert not np.shares_memory(x, stack)
+                assert not any(np.shares_memory(x, y) for y in outputs[i + 1:])
+
+    def test_two_threads_get_their_solo_bytes(self):
+        # A solve keeps its buffers to itself, so two threads that solve
+        # different stacks of one shape at once each get their solo bytes.
+        rng = np.random.default_rng(67)
+        stacks = [entry_members(rng, 6)[:50] for _ in range(2)]
+        solo = [[x.tobytes() for x in _solve_stack(s)] for s in stacks]
+        results = [[], []]
+
+        def solve(i):
+            for _ in range(20):
+                results[i].append([x.tobytes() for x in _solve_stack(stacks[i])])
+
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, expected in zip(results, solo):
+            assert got == [expected] * 20
 
     def test_spy_records_each_call_of_a_loop(self, oracle_calls):
         # A caller that solves member by member in one loop shows as one

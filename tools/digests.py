@@ -9,22 +9,22 @@ Each line is ``name sha256``.  The outputs cover the ``eigpert converge``
 CSVs of every predictor (and of three at n = 60), ``paper-example``,
 ``predict`` and ``derivative`` on generated instances, the demos, full
 predictions at n = 60 (with two stored bases alternating, and on a layout
-of mixed block sizes), the bytes
-of the library's result records, the raw bytes of the generated instances
-themselves, so that a change to the random streams shows as its own line,
-the oracle's own outputs on stacks of sizes 1 to 60, ``operator_norms``
-on stacks of square and rectangular shapes, and the column match of
-``align_columns`` at sizes 1 to 60.
+of mixed block sizes), the bytes of the library's result records, the raw
+bytes of the generated instances themselves, so that a change to the
+random streams shows as its own line, the oracle's own outputs on stacks
+of sizes 1 to 60 and on structured stacks with exact zeros,
+``operator_norms`` on stacks of square and rectangular shapes, and the
+column match of ``align_columns`` at sizes 1 to 60.
 The refusal paths are covered too: a ``predict`` whose ``t`` passes the gap
 between eigenvalue blocks, and studies whose largest ``t`` does so for some
-trials.  All inputs come from ``harness.generate_instance``.  A command's
-digest covers its exit code and stdout.  The script exits 1 if any command
-it runs exits otherwise than expected, or prints to stdout when it is
-expected to fail.  Commands are expected to exit 0 except for the
-single-block studies, where every prediction is exact to round-off, so the
-fit finds no points above its noise floor and the study fails by design,
-and for the refused ``predict``, which exits 3.  The other digests are
-still printed.
+trials.  All inputs come from ``harness.generate_instance``, some with
+entries zeroed.  A command's digest covers its exit code and stdout.  The
+script exits 1 if any command it runs exits otherwise than expected, or
+prints to stdout when it is expected to fail.  Commands are expected to
+exit 0 except for the single-block studies, where every prediction is exact
+to round-off, so the fit finds no points above its noise floor and the
+study fails by design, and for the refused ``predict``, which exits 3.  The
+other digests are still printed.
 """
 
 from __future__ import annotations
@@ -83,6 +83,10 @@ ORACLE_STACK = (
     (1, 100, (1,)), (2, 100, (2,)), (5, 100, (2, 2, 1)), (6, 100, (2, 2, 1, 1)), (60, 10, (4,) * 15),
 )
 ORACLE_EXPONENTS = (0, -1000, 990, -300, 300)
+
+# The block layout of the structured oracle stack at n = 60: its members are
+# exactly zero off these blocks.
+STRUCTURED_SPEC = (4, 3, 2, 1) * 6
 
 # (rows, columns) of the seeded stacks whose operator norms are digested.
 NORM_SHAPES = ((6, 6), (3, 7), (9, 2), (60, 60))
@@ -270,6 +274,31 @@ def oracle() -> None:
         _record(f"oracle/solve_stack/n{n}", u, lam, sweeps, off, values)
 
 
+def structured() -> None:
+    """The array entry, with and without eigenvectors, on seeded stacks with
+    exact zeros: the real parts of 6 x 6 instances (real symmetric, so the
+    eigenvectors carry zero imaginary parts of either sign); the two
+    matrices of a 60 x 60 instance zeroed off the blocks of
+    ``STRUCTURED_SPEC``; and 6 x 6 members that stop after 0 sweeps
+    (diagonal, with ties), 1 sweep (zero off the diagonal except at the
+    first step's pivot pairs) and several."""
+    cfg = harness.EnsembleConfig(seed=11, n=6, block_spec=(2, 2, 1, 1), trials=5, predictor="first_order")
+    a, f = harness._instances(cfg, range(5))
+    stacks = {"real_symmetric/n6": np.concatenate([a, f]).real}
+    cfg = harness.EnsembleConfig(seed=11, n=60, block_spec=STRUCTURED_SPEC, trials=1, predictor="first_order")
+    label = np.repeat(np.arange(len(STRUCTURED_SPEC)), STRUCTURED_SPEC)
+    stacks["block_diagonal/n60"] = np.concatenate(harness._instances(cfg, range(1))) * (label[:, None] == label)
+    diagonal = np.diagonal(f, axis1=1, axis2=2)
+    tied = diagonal[:, [0, 0, 2, 2, 2, 5]][:, :, None] * np.eye(6)
+    pivots = np.eye(6) + np.eye(6, k=3) + np.eye(6, k=-3)
+    kinds = (tied, f * pivots, f, a)
+    stacks["mixed_sweeps/n6"] = np.stack([kind[j] for j in range(3) for kind in kinds])
+    for name, stack in stacks.items():
+        stack = matrices.hermitian(stack)
+        u, lam, sweeps, off = jacobi._solve_stack(stack)
+        _record(f"oracle/structured/{name}", u, lam, sweeps, off, jacobi._solve_stack(stack, vectors=False))
+
+
 def norms() -> None:
     """``operator_norms`` on one seeded stack per shape of ``NORM_SHAPES``:
     the leading ``r x c`` corners of generated instances, each scaled by a
@@ -344,6 +373,7 @@ def main() -> int:
         small_instances(runner, Path(tmp))
     large_instances()
     oracle()
+    structured()
     norms()
     for demo in sorted((ROOT / "demos").glob("*.py")):
         runner.run(f"demo/{demo.name}", [sys.executable, str(demo)])
