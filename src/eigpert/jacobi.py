@@ -43,10 +43,10 @@ stack's shape, which each step's gather fills and the next step works in
 (ping-pong), the strided views of each buffer that a step reads and writes,
 built when a step first works in that buffer, each step's gather, and the
 work arrays of a step and of the per-sweep symmetrization.  A step then
-allocates one small array, and a sweep none.  When members converge, the
-others are gathered into a plan of their own size.  A plan belongs to one
-call, so solves share no buffers; only the index data of the schedule is
-cached, read-only.
+allocates one small array, and no buffer is allocated again per sweep.
+When members converge, the others are gathered into a plan of their own
+size.  A plan belongs to one call, so solves share no buffers; only the
+index data of the schedule is cached, read-only.
 """
 
 from __future__ import annotations
