@@ -43,7 +43,6 @@ __all__ = [
     "conjugate_to_eigenbasis",
     "blockwise_diagonalize",
     "scaled",
-    "norm_allows",
     "m_matrix",
     "align_columns",
     "aligned_perturbation",
@@ -76,10 +75,13 @@ def _require_blockwise(ap: AlignedPerturbation, what: str) -> None:
 
 
 def _require_m(ap: AlignedPerturbation, mmat) -> None:
-    """Reject an ``mmat`` that is not ``n x n``: any other shape broadcasts
-    against ``E_hat`` into a plausible wrong matrix."""
+    """Reject an ``mmat`` other than the record's own ``M`` (``ap.data.m``),
+    which every formula reads instead: ``M`` is a function of the base, and
+    any other matrix gives a plausible wrong prediction."""
     if np.shape(mmat) != (ap.n, ap.n):
         raise ValueError(f"M must have shape {(ap.n, ap.n)}, got {np.shape(mmat)}")
+    if not np.array_equal(mmat, ap.data.m):
+        raise ValueError("M is not the inverse-gap matrix of the base; pass m_matrix(ap.base, ap.blocks)")
 
 
 @dataclass(frozen=True)
@@ -100,10 +102,6 @@ class BlockStructure:
             raise ValueError(f"block structure {self.groups} does not split 0..{bounds[-1]} into nonempty ranges in order")
         if len(self.rep_values) != len(self.groups):
             raise ValueError(f"{len(self.rep_values)} representative values for {len(self.groups)} groups")
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(stop - start for start, stop in self.groups)
 
     def block_id(self) -> np.ndarray:
         """Per-index group number, as an int array of length n."""
@@ -275,12 +273,12 @@ class AlignedPerturbation:
     diagonal) and ``e_hat_off`` (the zero-diagonal rest) satisfy
     ``diag(e_hat_diag) + e_hat_off == e_hat`` exactly.  ``mode`` records
     whether the basis has been rotated to make ``e_hat`` block-wise diagonal.
-    ``data`` holds what depends on the base alone, ``blocks`` among it.
+    ``data`` holds what depends on the base alone, ``blocks`` and ``M``
+    among it; the formulas read ``M`` from there and refuse any other.
     ``norm`` holds ``||E||`` lazily; it is shared with every perturbation
     derived by :func:`blockwise_diagonalize` and (scaled) by :func:`scaled`.
-    Guards that compare ``||E||`` with a threshold go through
-    :func:`norm_allows`, which runs the oracle only when the certified bounds
-    cannot decide.
+    Guards that compare ``||E||`` with a threshold go through ``_allows``,
+    which runs the oracle only when the certified bounds cannot decide.
     """
 
     base: jacobi.SpectralDecomposition
@@ -312,31 +310,25 @@ class AlignedPerturbation:
         return self.norm.value
 
 
-def norm_allows(norm: LazyNorm, ok: Callable[[float], bool]) -> bool:
-    """``ok(norm.value)`` for a guard ``ok`` that holds below some norm and
-    fails above it, such as ``lambda e: margin > 2.0 * e``.
-
-    The certified bounds decide first: ``ok(upper)`` implies ``ok`` at the
-    oracle's value and ``not ok(lower)`` implies its failure there, because
-    rounded arithmetic is monotone.  Only a threshold between the bounds
-    costs an oracle call.
-    """
-    if ok(norm.upper):
-        return True
-    if not ok(norm.lower):
-        return False
-    return ok(norm.value)
-
-
 def _allows(norm: LazyNorm, values, factor: float) -> bool:
-    """Whether every ``values[k]`` exceeds ``factor`` times the norm, the
-    decision of every guard here.  The guard is monotone in the value, so one
-    :func:`norm_allows` decision on the smallest value decides them all; a
-    refusal names the smallest."""
+    """Whether every ``values[k]`` exceeds ``factor`` times the norm's
+    oracle value, the decision of every guard here.  The guard is monotone
+    in the value, so one decision on the smallest value decides them all; a
+    refusal names the smallest.
+
+    The certified bounds decide first: passing at ``upper`` implies passing
+    at the oracle's value and failing at ``lower`` implies failing there,
+    because rounded arithmetic is monotone.  Only a threshold between the
+    bounds costs an oracle call.
+    """
     if len(values) == 0:
         return True
     least = float(np.min(values))
-    return norm_allows(norm, lambda e: least > factor * e)
+    if least > factor * norm.upper:
+        return True
+    if not least > factor * norm.lower:
+        return False
+    return least > factor * norm.value
 
 
 def _require_gap(ap: AlignedPerturbation, factor: float, blocks=None) -> None:
@@ -439,14 +431,13 @@ def m_matrix(base: jacobi.SpectralDecomposition, blocks: BlockStructure) -> np.n
     """Inverse-gap matrix: ``M[i, j] = 1 / (lam[i] - lam[j])`` across blocks,
     zero inside blocks and on the diagonal.  Real and exactly antisymmetric.
     Each call returns a fresh, writable copy of the base's read-only ``M``.
-    The groups must split ``0..n``."""
+    ``blocks`` must have the grouping of ``base.lam`` (a record's ``blocks``);
+    any other grouping raises ``ValueError``."""
     data = _base_data(base.lam)
     groups = tuple(blocks.groups)
-    if (groups[-1][1] if groups else 0) != base.lam.size:
-        raise ValueError(f"block structure {groups} does not split 0..{base.lam.size} into nonempty ranges in order")
-    if groups == data.blocks.groups:
-        return np.array(data.m)
-    return np.array(_base_data_rows(np.asarray(base.lam, dtype=np.float64)[None], groups)[1][0])
+    if groups != data.blocks.groups:
+        raise ValueError(f"block structure {groups} is not the grouping {data.blocks.groups} of the base")
+    return np.array(data.m)
 
 
 def align_columns(candidate: np.ndarray, reference: np.ndarray, groups) -> np.ndarray:

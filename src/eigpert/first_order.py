@@ -50,11 +50,12 @@ def u_approx(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
     """First-order eigenvector matrix ``U (I - M * E_hat)``.
 
     ``M * E_hat`` is skew-Hermitian, so the result is orthonormal up to
-    ``||M * E_hat||^2`` exactly, not merely to first order.
+    ``||M * E_hat||^2`` exactly, not merely to first order.  ``mmat`` must
+    equal the record's own ``M`` (:func:`~eigpert.alignment.m_matrix`).
     """
     _require_blockwise(ap, "the first-order eigenvector formula")
     _require_m(ap, mmat)
-    return _u_approx(ap.base.u, mmat, ap.e_hat)
+    return _u_approx(ap.base.u, ap.data.m, ap.e_hat)
 
 
 def _u_approx(u: np.ndarray, mmat: np.ndarray, e_hat: np.ndarray) -> np.ndarray:
@@ -84,7 +85,7 @@ def _diag(d: np.ndarray) -> np.ndarray:
 def approx_decomposition_residual(ap: AlignedPerturbation, mmat: np.ndarray) -> float:
     """Operator-norm gap between ``A + E`` and its first-order reconstruction
     ``U_ap diag(lam + E_hat_diag) U_ap*``.  Decays quadratically in
-    ``||E||``."""
+    ``||E||``.  ``mmat`` must equal the record's own ``M``."""
     _require_blockwise(ap, "the first-order eigenvector formula")
     _require_m(ap, mmat)
-    return operator_norm(_residuals(ap.base.u, ap.base.lam, ap.e, ap.e_hat, mmat))
+    return operator_norm(_residuals(ap.base.u, ap.base.lam, ap.e, ap.e_hat, ap.data.m))

@@ -52,7 +52,6 @@ index data of the schedule is cached, read-only.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,25 +88,24 @@ class SpectralDecomposition:
 
 
 def _normalize_column_phases(u: np.ndarray) -> np.ndarray:
-    """Phase each column so its largest-modulus entry is real and nonnegative.
+    """Phase each column of each member of the complex stack ``u``
+    ``(k, n, m)``, in place, so its largest-modulus entry is real and
+    nonnegative; returns ``u``, its memory layout unchanged.
 
     Ties in modulus resolve to the smallest row index, which keeps the
-    convention deterministic.  ``u`` may be a stack ``(..., n, m)``; every
-    column of every matrix is phased independently.
+    convention deterministic.
     """
-    out = np.array(u, dtype=np.complex128, copy=True)
-    stack = out.reshape(-1, *out.shape[-2:])
-    member = np.arange(stack.shape[0])[:, None]
-    col = np.arange(stack.shape[2])
-    row = np.argmax(np.abs(stack), axis=1)
-    z = stack[member, row, col]
+    member = np.arange(u.shape[0])[:, None]
+    col = np.arange(u.shape[2])
+    row = np.argmax(np.abs(u), axis=1)
+    z = u[member, row, col]
     az = np.abs(z)
     phase = np.ones_like(z)
     np.divide(z.conj(), az, out=phase, where=az > 0.0)
-    stack *= phase[:, None, :]
+    u *= phase[:, None, :]
     # Drop the round-off imaginary residue of the phased entry.
-    stack[member, row, col] = stack[member, row, col].real
-    return out
+    u[member, row, col] = u[member, row, col].real
+    return u
 
 
 @functools.lru_cache(maxsize=None)
@@ -371,27 +369,17 @@ def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True, max_sweeps=DEFAU
     return u, lam, sweeps, off
 
 
-def eigh(h, tol: float | None = None, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> SpectralDecomposition:
+def eigh(h) -> SpectralDecomposition:
     """Diagonalize one Hermitian matrix ``h``, validated and symmetrized on
     entry with :func:`~eigpert.matrices.hermitian`.
 
-    ``tol`` is the termination tolerance, finite and at least 1e-15, by
-    default ``1e-13 * n``: the solve stops once the off-diagonal Frobenius
-    mass falls below ``tol`` times a lower bound on the spectral norm (the
-    largest entry modulus), so the mass is below ``tol * ||h||`` at
-    termination.  If the mass is still above that after ``max_sweeps``
-    sweeps, :class:`ConvergenceError` carries its final value;
-    ``max_sweeps`` is a non-negative integer, and 0 makes no sweep.
+    The solve stops once the off-diagonal Frobenius mass falls below
+    ``1e-13 n`` times a lower bound on the spectral norm (the largest entry
+    modulus), so the mass is below ``1e-13 n ||h||`` at termination.  If
+    the mass is still above that after ``DEFAULT_MAX_SWEEPS`` sweeps,
+    :class:`ConvergenceError` carries its final value.
     """
-    if tol is not None and not 1e-15 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and at least 1e-15, got {tol}")
-    try:
-        sweeps_valid = operator.index(max_sweeps) >= 0
-    except TypeError:
-        sweeps_valid = False
-    if not sweeps_valid:
-        raise ValueError(f"max_sweeps must be a non-negative integer, got {max_sweeps!r}")
-    u, lam, sweeps, off = _solve_stack(hermitian(dense(h))[None], tol, True, max_sweeps)
+    u, lam, sweeps, off = _solve_stack(hermitian(dense(h))[None])
     return SpectralDecomposition(u[0], lam[0], int(sweeps[0]), float(off[0]))
 
 

@@ -152,9 +152,10 @@ def _n_matrix(e_hat: np.ndarray, mmat: np.ndarray, same: np.ndarray, cols: np.nd
 def eigenvector_derivative(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
     """Derivative at ``t = 0`` of the eigenvector matrix of ``A + t F``:
     ``U (N - M * F_hat)``.  Dropping ``N`` is wrong whenever a degeneracy
-    block reacts to the direction by rotating internally."""
+    block reacts to the direction by rotating internally.  ``mmat`` must
+    equal the record's own ``M``."""
     _require_m(ap, mmat)
-    return _derivative(ap.base.u, mmat, ap.e_hat, n_matrix(ap))
+    return _derivative(ap.base.u, ap.data.m, ap.e_hat, n_matrix(ap))
 
 
 def _derivative(u: np.ndarray, mmat: np.ndarray, e_hat: np.ndarray, n_mat: np.ndarray) -> np.ndarray:
@@ -176,15 +177,17 @@ def predict_eigensystem(
     t: float,
 ) -> EigensystemPrediction:
     """Evaluate at ``t`` (may be negative) the expansion that
-    :func:`line_expansion` builds, here on ``ap`` and ``mmat``: a tied
-    direction raises first, then :meth:`LineExpansion.at` guards the gaps."""
+    :func:`line_expansion` builds, here on ``ap``: a tied direction raises
+    first, then :meth:`LineExpansion.at` guards the gaps.  ``mmat`` must
+    equal the record's own ``M``."""
     _require_m(ap, mmat)
-    return _expansion(ap, mmat).at(t)
+    return _expansion(ap).at(t)
 
 
 @dataclass(frozen=True, eq=False)
 class LineExpansion:
-    """Everything the expansion of ``A + t F`` needs, computed once."""
+    """Everything the expansion of ``A + t F`` needs, computed once;
+    ``m_mat`` is the record's own read-only ``M``."""
 
     base: jacobi.SpectralDecomposition
     ap: AlignedPerturbation
@@ -217,24 +220,24 @@ def _series(t, *coefficients):
     return out
 
 
-def _expansion(ap: AlignedPerturbation, mmat: np.ndarray) -> LineExpansion:
-    """The expansion of ``ap``; ``mmat`` is stored as given, flags and all."""
+def _expansion(ap: AlignedPerturbation) -> LineExpansion:
+    """The expansion of ``ap``, from its own ``M`` (``ap.data.m``)."""
     a0, a1, a2 = rs_coefficients(ap)
     # rs_coefficients has run the guards of n_matrix: they run once.
     n_mat = _n_matrix(ap.e_hat[None], ap.data.m[None], ap.data.same, ap.data.same_cols)[0]
     return LineExpansion(
         base=ap.base,
         ap=ap,
-        m_mat=mmat,
+        m_mat=ap.data.m,
         a0=as_readonly(a0),
         a1=as_readonly(a1),
         a2=as_readonly(a2),
         n_mat=as_readonly(n_mat),
-        u_prime=as_readonly(_derivative(ap.base.u, mmat, ap.e_hat, n_mat)),
+        u_prime=as_readonly(_derivative(ap.base.u, ap.data.m, ap.e_hat, n_mat)),
     )
 
 
 def line_expansion(a, f) -> LineExpansion:
     """Build the full second-order expansion of ``A + t F`` from dense input."""
     ap = aligned_perturbation(a, f)
-    return _expansion(ap, ap.data.m)
+    return _expansion(ap)

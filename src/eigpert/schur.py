@@ -40,6 +40,7 @@ eigenvalues well separated (:func:`vc_membership`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,6 +146,10 @@ def _schur_data(ap: AlignedPerturbation, block_index: int) -> tuple[SchurData, n
     """:func:`schur_data` and ``X = K^{-1} C*``, the block's columns of the
     fixed point on the rest rows."""
     groups = ap.blocks.groups
+    try:
+        block_index = operator.index(block_index)
+    except TypeError:
+        raise ValueError(f"block index must be an integer, got {block_index!r}") from None
     if not 0 <= block_index < len(groups):
         raise ValueError(f"block index {block_index} out of range for {len(groups)} blocks")
     _require_gap(ap, DEFAULT_MARGIN_FACTOR, [block_index])

@@ -42,7 +42,6 @@ class TestGrouping:
         bs = _base_data([5.0, 5.0, 3.0]).blocks
         assert bs.groups == ((0, 2), (2, 3))
         assert bs.rep_values == (5.0, 3.0)
-        assert bs.sizes == (2, 1)
 
     def test_gap_above_tolerance_stays_split(self):
         bs = _base_data([1.0, 0.999, 0.0]).blocks
@@ -97,7 +96,7 @@ class TestBlockStructure:
 
     def test_the_empty_split_is_valid(self):
         blocks = BlockStructure((), ())
-        assert blocks.sizes == () and blocks.block_id().size == 0
+        assert blocks.groups == () and blocks.block_id().size == 0
 
 
 # Relative offsets inside a cluster, on both sides of the default tolerance.
@@ -137,7 +136,7 @@ class TestScaleInvariantGrouping:
             a = hermitian(s * (q @ d @ q.conj().T))
             e = hermitian(1e-3 * s * f)
             ap = aligned_perturbation(a, e)
-            assert ap.blocks.sizes == (2, 2, 2)
+            assert ap.blocks.groups == ((0, 2), (2, 4), (4, 6))
             exact = eigh(a + e).lam
             predictions = (
                 first_order_eigenvalues(ap),
@@ -217,7 +216,7 @@ class TestBlockwiseDiagonalize:
         a = rand_hermitian(rng, 4)
         e = rand_hermitian(rng, 4, scale=0.1)
         raw = conjugate_to_eigenbasis(eigh(a), e)
-        assert all(size == 1 for size in raw.blocks.sizes)
+        assert raw.blocks.groups == ((0, 1), (1, 2), (2, 3), (3, 4))
         done = blockwise_diagonalize(raw)
         assert np.array_equal(done.base.u, raw.base.u)
         assert np.array_equal(done.e_hat, raw.e_hat)
@@ -340,23 +339,24 @@ class TestMMatrix:
 
 
     @pytest.mark.parametrize(
-        "groups",
+        "groups, message",
         [
-            ((1, 3), (0, 1), (3, 4)),
-            ((0, 2), (1, 4)),
-            ((0, 1), (2, 4)),
-            ((0, 2), (2, 2), (2, 4)),
-            ((0, 2), (2, 3)),
-            ((0, 2), (2, 5)),
-            (),
+            (((1, 3), (0, 1), (3, 4)), r"does not split 0\.\.4 into nonempty ranges in order"),
+            (((0, 2), (1, 4)), r"does not split 0\.\.4 into nonempty ranges in order"),
+            (((0, 1), (2, 4)), r"does not split 0\.\.4 into nonempty ranges in order"),
+            (((0, 2), (2, 2), (2, 4)), r"does not split 0\.\.4 into nonempty ranges in order"),
+            # Valid structures of other sizes: not the grouping of the base.
+            (((0, 2), (2, 3)), r"is not the grouping \(\(0, 1\), \(1, 2\), \(2, 3\), \(3, 4\)\) of the base"),
+            (((0, 2), (2, 5)), r"is not the grouping \(\(0, 1\), \(1, 2\), \(2, 3\), \(3, 4\)\) of the base"),
+            ((), r"is not the grouping \(\(0, 1\), \(1, 2\), \(2, 3\), \(3, 4\)\) of the base"),
         ],
         ids=["unsorted", "overlapping", "gapped", "empty_group", "short", "long", "no_groups"],
     )
-    def test_rejects_malformed_block_structures(self, groups):
+    def test_rejects_malformed_block_structures(self, groups, message):
         # Each would otherwise give a plausible wrong M, a divide-by-zero
         # warning or a bare broadcasting error.
         base = SpectralDecomposition(u=np.eye(4, dtype=complex), lam=np.array([3.0, 2.0, 1.0, 0.0]))
-        with pytest.raises(ValueError, match=r"does not split 0\.\.4 into nonempty ranges in order"):
+        with pytest.raises(ValueError, match=message):
             m_matrix(base, BlockStructure(groups, tuple(0.0 for _ in groups)))
 
 

@@ -170,7 +170,8 @@ class TestConvergenceRate:
         assert slope >= 1.8
 
 
-@pytest.mark.parametrize(
+# The four formulas that take M from the caller.
+M_TAKERS = pytest.mark.parametrize(
     "predict",
     [
         u_approx,
@@ -180,6 +181,9 @@ class TestConvergenceRate:
     ],
     ids=["u_approx", "eigenvector_derivative", "predict_eigensystem", "approx_decomposition_residual"],
 )
+
+
+@M_TAKERS
 @pytest.mark.parametrize(
     "shape",
     [lambda m: m[0], lambda m: m[:1], lambda m: m[0, 1], lambda m: m[:, :-1]],
@@ -192,3 +196,40 @@ def test_m_of_another_shape_is_rejected(predict, shape):
     mmat = m_matrix(ap.base, ap.blocks)
     with pytest.raises(ValueError, match=r"M must have shape \(6, 6\)"):
         predict(ap, shape(mmat))
+
+
+def one_ulp_up(m):
+    m = np.array(m)
+    m[0, 5] = np.nextafter(m[0, 5], np.inf)
+    return m
+
+
+@M_TAKERS
+@pytest.mark.parametrize("change", [lambda m: 2.0 * m, one_ulp_up], ids=["doubled", "one_entry"])
+def test_m_other_than_the_records_is_rejected(predict, change):
+    # M is a function of the base; an n x n matrix with other values would
+    # give a plausible wrong prediction.
+    rng = np.random.default_rng(29)
+    ap = aligned_perturbation(*degenerate_instance(rng, (2, 2, 1, 1)))
+    mmat = m_matrix(ap.base, ap.blocks)
+    assert mmat[0, 5] != 0.0
+    with pytest.raises(ValueError, match="not the inverse-gap matrix of the base"):
+        predict(ap, change(mmat))
+
+
+def result_bytes(result) -> list[bytes]:
+    if hasattr(result, "u_hat"):
+        return [result.xi_hat.tobytes(), result.u_hat.tobytes()]
+    return [np.asarray(result).tobytes()]
+
+
+@M_TAKERS
+def test_an_equal_copy_of_m_gives_the_records_bytes(predict):
+    # Every formula computes with the record's own M, whatever the layout,
+    # dtype or signed zeros of the equal matrix it was passed.
+    rng = np.random.default_rng(29)
+    ap = aligned_perturbation(*degenerate_instance(rng, (2, 2, 1, 1)))
+    mmat = m_matrix(ap.base, ap.blocks)
+    own = result_bytes(predict(ap, ap.data.m))
+    for copy in (mmat, np.asfortranarray(mmat), mmat.astype(np.complex128), np.where(mmat == 0.0, -0.0, mmat)):
+        assert result_bytes(predict(ap, copy)) == own

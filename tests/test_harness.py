@@ -515,13 +515,13 @@ class TestStackedStudy:
         # The gap guard decides at the largest t, once per trial and not once
         # per t; the expansion's tie guard adds its own one decision.
         calls = []
-        real = alignment.norm_allows
+        real = alignment._allows
 
-        def counting(norm, ok):
+        def counting(norm, values, factor):
             calls.append(norm)
-            return real(norm, ok)
+            return real(norm, values, factor)
 
-        monkeypatch.setattr(alignment, "norm_allows", counting)
+        monkeypatch.setattr(alignment, "_allows", counting)
         convergence_study(EnsembleConfig(predictor=predictor, trials=20, **ACCEPTANCE))
         assert len(calls) == 20 * per_trial
 

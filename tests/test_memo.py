@@ -128,17 +128,13 @@ def test_cached_arrays_are_read_only_and_m_matrix_is_fresh():
     ids=["split", "merged"],
 )
 def test_m_matrix_of_other_blocks_leaves_the_memo_alone(blocks):
-    # A block structure that is not the grouping of lam gets the M of its
-    # own blocks, built without the memo.
+    # A valid block structure that is not the grouping of lam is refused
+    # after one memo lookup, and nothing is built or stored for it.
     lam = np.array([3.0, 3.0 - 2.0**-30, 1.0, 0.0, -2.0**-30, -2.0])
     ap = record(lam)
-    bid = blocks.block_id()
-    with np.errstate(divide="ignore"):
-        want = np.where(bid[:, None] != bid[None, :], 1.0 / (lam[:, None] - lam[None, :]), 0.0)
     hits, misses = counts()
-    got = m_matrix(ap.base, blocks)
-    assert np.array_equal(got, want)
-    assert not np.array_equal(got, ap.data.m)
+    with pytest.raises(ValueError, match="is not the grouping"):
+        m_matrix(ap.base, blocks)
     assert counts() == (hits + 1, misses)
     assert m_matrix(ap.base, ap.blocks).tobytes() == ap.data.m.tobytes()
 

@@ -173,18 +173,18 @@ def test_one_gap_for_every_predictor(norm, refused):
 
 @pytest.fixture
 def norm_decisions(monkeypatch):
-    """Count calls of ``alignment.norm_allows``, patched in every module that
+    """Count calls of ``alignment._allows``, patched in every module that
     binds the name so that a guard anywhere is counted."""
     calls = []
-    real = alignment.norm_allows
+    real = alignment._allows
 
-    def counting(norm, ok):
+    def counting(norm, values, factor):
         calls.append(norm)
-        return real(norm, ok)
+        return real(norm, values, factor)
 
     for module in (alignment, rayleigh, schur):
-        if hasattr(module, "norm_allows"):
-            monkeypatch.setattr(module, "norm_allows", counting)
+        if hasattr(module, "_allows"):
+            monkeypatch.setattr(module, "_allows", counting)
     return calls
 
 

@@ -81,6 +81,25 @@ class TestSchurData:
         with pytest.raises(ValueError, match="out of range"):
             schur_data(ap, 2)
 
+    @pytest.mark.parametrize("index", [1.0, "1", None], ids=["float", "str", "none"])
+    def test_block_index_must_be_an_integer(self, index):
+        # Anything without __index__ is refused by name, before any indexing.
+        ap = aligned_perturbation(np.diag([1.0, 0.0]), np.zeros((2, 2)))
+        for call in (schur_data, schur_similarity_diagnostic):
+            with pytest.raises(ValueError, match="block index must be an integer"):
+                call(ap, index)
+
+    @pytest.mark.parametrize("index", [True, np.int64(1), np.uint8(1)], ids=["bool", "int64", "uint8"])
+    def test_integer_types_index_as_plain_ints(self, index):
+        # Any integer type, bool included, indexes as the plain int it
+        # converts to, and the record stores that int.
+        ap = aligned_perturbation(np.diag([3.0, 1.0]), hermitian([[0.0, 0.1], [0.1, 0.0]]))
+        sd, want = schur_data(ap, index), schur_data(ap, 1)
+        assert type(sd.block_index) is int and sd.block_index == 1
+        assert (sd.rho, sd.b.tobytes(), sd.beta.tobytes()) == (want.rho, want.b.tobytes(), want.beta.tobytes())
+        got = schur_similarity_diagnostic(ap, index).transformed
+        assert got.tobytes() == schur_similarity_diagnostic(ap, 1).transformed.tobytes()
+
     def test_partition_reconstructs_e_hat(self):
         rng = np.random.default_rng(29)
         for _ in range(10):
