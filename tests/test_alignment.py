@@ -300,6 +300,10 @@ class TestScaled:
                 scaled(ap, bad)
 
 
+MALFORMED = r"does not split 0\.\.4 into nonempty ranges in order"
+NOT_THE_BASES = r"is not the grouping \(\(0, 1\), \(1, 2\), \(2, 3\), \(3, 4\)\) of the base"
+
+
 class TestMMatrix:
     def test_worked_example_in_input_frame(self):
         ap = aligned_perturbation(EXAMPLE_A3, EXAMPLE_F3)
@@ -341,14 +345,14 @@ class TestMMatrix:
     @pytest.mark.parametrize(
         "groups, message",
         [
-            (((1, 3), (0, 1), (3, 4)), r"does not split 0\.\.4 into nonempty ranges in order"),
-            (((0, 2), (1, 4)), r"does not split 0\.\.4 into nonempty ranges in order"),
-            (((0, 1), (2, 4)), r"does not split 0\.\.4 into nonempty ranges in order"),
-            (((0, 2), (2, 2), (2, 4)), r"does not split 0\.\.4 into nonempty ranges in order"),
+            (((1, 3), (0, 1), (3, 4)), MALFORMED),
+            (((0, 2), (1, 4)), MALFORMED),
+            (((0, 1), (2, 4)), MALFORMED),
+            (((0, 2), (2, 2), (2, 4)), MALFORMED),
             # Valid structures of other sizes: not the grouping of the base.
-            (((0, 2), (2, 3)), r"is not the grouping \(\(0, 1\), \(1, 2\), \(2, 3\), \(3, 4\)\) of the base"),
-            (((0, 2), (2, 5)), r"is not the grouping \(\(0, 1\), \(1, 2\), \(2, 3\), \(3, 4\)\) of the base"),
-            ((), r"is not the grouping \(\(0, 1\), \(1, 2\), \(2, 3\), \(3, 4\)\) of the base"),
+            (((0, 2), (2, 3)), NOT_THE_BASES),
+            (((0, 2), (2, 5)), NOT_THE_BASES),
+            ((), NOT_THE_BASES),
         ],
         ids=["unsorted", "overlapping", "gapped", "empty_group", "short", "long", "no_groups"],
     )
