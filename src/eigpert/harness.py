@@ -32,7 +32,7 @@ import numpy as np
 from . import alignment, first_order, jacobi, rayleigh, schur
 from .errors import StudyError
 # operator_norm is not called here; the benchmark's tracer test wraps this binding.
-from .matrices import _grams, _norms, as_readonly, hermitian, operator_norm, operator_norms  # noqa: F401
+from .matrices import _grams, _norms, _real, as_readonly, hermitian, operator_norm, operator_norms  # noqa: F401
 
 __all__ = [
     "DEFAULT_T_GRID",
@@ -141,7 +141,7 @@ class EnsembleConfig:
             object.__setattr__(self, "block_spec", tuple(map(operator.index, self.block_spec)))
         except TypeError as exc:
             raise ValueError(f"seed, n, trials and block sizes must be integers: {exc}") from None
-        object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
+        object.__setattr__(self, "t_grid", tuple(_real(t, "t_grid") for t in self.t_grid))
         if self.n < 1:
             raise ValueError("dimension must be at least 1")
         if not self.block_spec or any(b < 1 for b in self.block_spec):

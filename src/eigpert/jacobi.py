@@ -196,8 +196,8 @@ class _Plan:
             np.empty((m, k), bool),  # the pivots that rotate
             coef, coef[0], coef[1],  # the columns' coefficients, and their halves
             coef_conj[0], coef_conj[1], coef_conj[:, :, None],  # the rows' coefficients
-            np.empty(cols, np.complex128), np.empty(cols, np.complex128),  # col_c, col_s
-            np.empty(rows, np.complex128), np.empty(rows, np.complex128),  # row_c, row_s
+            np.empty(cols, np.complex128),  # col_s
+            np.empty(rows, np.complex128),  # row_s
         )
         # The symmetrization's buffer, and then the member-major copy of
         # ``a`` whose off mass is reduced.
@@ -241,7 +241,7 @@ def _sweep(plan: _Plan) -> np.ndarray:
     buffer that holds the stack, in the first step's index order.
     """
     (absb, d, t, c, c_rows, rotate, coef, coef_0, coef_1, conj_0, conj_1, coef_rows,
-     col_c, col_s, row_c, row_s) = plan.work
+     col_s, row_s) = plan.work
     floor, flats = plan.floor, plan.flats
     for move in plan.moves:
         app, aqq, b, b_low, cols, cols_swapped, rows, rows_swapped, diag_imag = plan.step_views()
@@ -263,12 +263,13 @@ def _sweep(plan: _Plan) -> np.ndarray:
         np.multiply(np.multiply(c, r, out=r), np.conjugate(b, out=coef_1), out=coef_0)
         np.negative(np.conjugate(coef_0, out=conj_0), out=coef_1)
         np.negative(coef_0, out=conj_1)
-        np.multiply(cols, c, out=col_c)
+        # The swapped terms are read before the pairs are scaled in place.
         np.multiply(cols_swapped, coef, out=col_s)
-        np.add(col_c, col_s, out=cols)
-        np.multiply(rows, c_rows, out=row_c)
+        np.multiply(cols, c, out=cols)
+        np.add(cols, col_s, out=cols)
         np.multiply(rows_swapped, coef_rows, out=row_s)
-        np.add(row_c, row_s, out=rows)
+        np.multiply(rows, c_rows, out=rows)
+        np.add(rows, row_s, out=rows)
         np.copyto(b, 0.0, where=rotate)
         np.copyto(b_low, 0.0, where=rotate)
         diag_imag[...] = 0.0

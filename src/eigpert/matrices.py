@@ -37,6 +37,15 @@ def as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _real(x, name: str) -> float:
+    """``float(x)`` for a real scalar ``x``; a complex one, which ``float``
+    would truncate to its real part or refuse with a bare ``TypeError``,
+    raises ``ValueError`` naming the argument ``name``."""
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} must be real, got {x!r}")
+    return float(x)
+
+
 def _ldexp(m: np.ndarray, exponent) -> np.ndarray:
     """``m * 2**exponent`` for a complex array, exact unless a result leaves
     the normal range; ``exponent`` broadcasts against ``m``."""

@@ -40,7 +40,7 @@ from .alignment import (
     aligned_perturbation,
 )
 from .errors import DegenerateDirectionError
-from .matrices import as_readonly
+from .matrices import _real, as_readonly
 
 __all__ = [
     "STRICT_DIAGONAL_TOL",
@@ -181,6 +181,7 @@ def predict_eigensystem(
     first, then :meth:`LineExpansion.at` guards the gaps.  ``mmat`` must
     equal the record's own ``M``."""
     _require_m(ap, mmat)
+    t = _real(t, "t")
     return _expansion(ap).at(t)
 
 
@@ -201,7 +202,7 @@ class LineExpansion:
     def at(self, t: float) -> EigensystemPrediction:
         """The expansion at a finite ``t``, once every block stands farther
         than ``DEFAULT_MARGIN_FACTOR |t| ||F||`` from the other eigenvalues."""
-        t = float(t)
+        t = _real(t, "t")
         if not math.isfinite(t):
             raise ValueError(f"t must be finite, got {t}")
         _require_gap(self.ap, DEFAULT_MARGIN_FACTOR * abs(t))

@@ -32,6 +32,13 @@ one (:func:`refined_eigenvalues`, :func:`vc_membership`).  The complements
 of all the blocks of one size are formed as one batched product, each
 block's product with the strides of its own.
 
+A record's full variant also serves its simplified one: the first iterate
+it starts from is the simplified fixed point, so one batched product per
+block size forms both variants' complements and one oracle call per block
+size solves both, each member with its solo bits.  The record keeps both
+results for its lifetime, so a later call for the simplified variant or
+for :func:`vc_membership` runs its guard and reuses them.
+
 The complements also decide membership in the cone of perturbation
 directions along which every block's complement stays diagonal and its
 eigenvalues well separated (:func:`vc_membership`).
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +56,7 @@ import numpy as np
 from . import jacobi
 from .alignment import _EPS, DEFAULT_MARGIN_FACTOR, AlignedPerturbation, _block_id, _require_gap
 from .errors import ConvergenceError
-from .matrices import as_readonly, operator_norm
+from .matrices import _real, as_readonly, operator_norm
 
 __all__ = [
     "DEFAULT_MARGIN_FACTOR",
@@ -92,15 +100,21 @@ def _fixed_point(e_hat: np.ndarray, w: np.ndarray, start: int, stop: int, varian
     """Columns ``start:stop`` of the fixed point, or of its first iterate for
     the simplified variant, of each member of the stack ``e_hat`` ``(m, n, n)``
     with its weights ``w`` ``(m, n, stop - start)``; their blocks' margins
-    must have been checked.  All members iterate as one batched product and
-    each stops on its own test, so each gets the bits of its solo call."""
+    must have been checked."""
     c = e_hat[:, :, start:stop]
     x = w * c  # the first iterate, from X = 0
-    if variant == "simplified":
-        return x
+    return x if variant == "simplified" else _iterate(e_hat, w, c, x)
+
+
+def _iterate(e_hat: np.ndarray, w: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The fixed point of ``X = W o (C - E_hat X)`` from the first iterate
+    ``x``, which is left as it was.  All members iterate as one batched
+    product and each stops on its own test, so each gets the bits of its
+    solo call."""
     live, step = np.arange(len(x)), np.full(len(x), math.inf)
     for _ in range(1, MAX_ITERATIONS):
         # Members that have stopped are left out, so they keep their bits.
+        # The first pass has every member live, so it rebinds x.
         whole = live.size == len(x)
         part = slice(None) if whole else live
         prev = x[part]
@@ -120,11 +134,11 @@ def _fixed_point(e_hat: np.ndarray, w: np.ndarray, start: int, stop: int, varian
 
 
 def _complement(e_hat: np.ndarray, index: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Symmetrized ``B = E11 - E_hat[block, :] X[:, block]`` ``(m, k, l, l)``
-    of each member of the stack ``e_hat`` ``(m, n, n)`` and each of ``k``
-    blocks of size ``l``, whose indices are the rows of ``index``; ``rows``
-    ``(m, k, l, n)`` and ``cols`` ``(m, k, n, l)`` hold each block's rows of
-    ``E_hat`` and columns of ``X``."""
+    """Symmetrized ``B = E11 - E_hat[block, :] X[:, block]`` ``(..., m, k, l,
+    l)`` of each member of the stack ``e_hat`` ``(m, n, n)`` and each of
+    ``k`` blocks of size ``l``, whose indices are the rows of ``index``;
+    ``rows`` ``(m, k, l, n)`` and ``cols`` ``(..., m, k, n, l)`` hold each
+    block's rows of ``E_hat`` and its columns of one or more ``X``."""
     b = e_hat[:, index[:, :, None], index[:, None, :]] - rows @ cols
     return 0.5 * (b + b.conj().swapaxes(-1, -2))
 
@@ -182,13 +196,14 @@ def refined_eigenvalues(ap: AlignedPerturbation, variant: str = "full") -> np.nd
     ``variant="simplified"`` stops at its first iterate, which replaces ``K``
     by ``diag(tau - rho)`` (error ``O(||E||^3)``).  Entry ``j`` of the result
     pairs with the ``j``-th exact eigenvalue in non-increasing order.  The
-    complements' eigenvalues come from one oracle call per block size.  This
-    is the one-member case of the stacked path a convergence study runs.
+    complements' eigenvalues come from one oracle call per block size; the
+    full variant forms and solves the simplified complements alongside its
+    own, so a later call for either variant on the same record reuses them.
     """
     if variant not in ("full", "simplified"):
         raise ValueError(f"unknown variant {variant!r}; expected 'full' or 'simplified'")
     _require_gap(ap, DEFAULT_MARGIN_FACTOR)
-    return _refined(ap, variant)[0][0, 0]
+    return _refined(ap, variant)[0][0, 0].copy()
 
 
 def _complements_stack(e_hat: np.ndarray, w: np.ndarray, groups, variant: str) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -199,7 +214,15 @@ def _complements_stack(e_hat: np.ndarray, w: np.ndarray, groups, variant: str) -
     ``l``, in block order, and their complements ``(m, k, l, l)``.  The
     caller has applied the gap guard.  Their eigenvalues are left to
     :func:`_complement_eigenvalues`, so that callers can solve the
-    complements of many perturbations in one oracle call per size.
+    complements of many perturbations in one oracle call per size."""
+    x = _fixed_point(e_hat, w, 0, e_hat.shape[-1], variant)
+    return [(index, b[0]) for index, b in _complements(e_hat, (x,), groups)]
+
+
+def _complements(e_hat: np.ndarray, xs, groups) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per block size, as :func:`_complements_stack`, the indices of its
+    blocks and their complements ``(v, m, k, l, l)`` with each of the ``v``
+    fixed points ``xs``, each ``(m, n, n)``.
 
     The blocks of one size make one batched product.  Each block's product
     has the bits of ``E_hat[:, block] @ X[:, :, block]`` on views of the
@@ -208,26 +231,60 @@ def _complements_stack(e_hat: np.ndarray, w: np.ndarray, groups, variant: str) -
     columns are gathered once, block by block in order of size, into
     ``n x n`` matrices, and each size takes views of them."""
     m, n = e_hat.shape[0], e_hat.shape[-1]
-    x = _fixed_point(e_hat, w, 0, n, variant)
     by_size: dict[int, list[int]] = {}
     for g, (start, stop) in enumerate(groups):
         by_size.setdefault(stop - start, []).append(g)
     order = np.concatenate([np.arange(*groups[g]) for blocks in by_size.values() for g in blocks])
-    # take lays its copies out row-major; x[:, :, order] would not.
-    rows, cols = e_hat.take(order, axis=1), x.take(order, axis=2)
+    # take lays its copies out row-major; x[..., order] would not.
+    rows, cols = e_hat.take(order, axis=1), np.empty((len(xs), m, n, n), np.complex128)
+    for x, out in zip(xs, cols):
+        x.take(order, axis=2, out=out)
     out, done = [], 0
     for size, blocks in by_size.items():
         span = slice(done, done + len(blocks) * size)
         done, index = span.stop, order[span].reshape(-1, size)
-        x_cols = cols[:, :, span].reshape(m, n, -1, size).swapaxes(1, 2)
+        x_cols = cols[..., span].reshape(len(xs), m, n, -1, size).swapaxes(2, 3)
         out.append((index, _complement(e_hat, index, rows[:, span].reshape(m, -1, size, n), x_cols)))
     return out
 
 
+# Each record's Schur refinements by variant, as _refined_stack returns them.
+_REFINED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _refined(ap: AlignedPerturbation, variant: str) -> tuple[np.ndarray, list]:
-    """:func:`_refined_stack` of the record ``ap``, as a stack of one."""
+    """:func:`_refined_stack` of the record ``ap``, as a stack of one, kept
+    for the record's lifetime; the caller has applied the gap guard.
+
+    The full variant's first iterate is the simplified variant's fixed
+    point, so the full variant forms both kinds of complement from one
+    fixed point and solves both in one oracle call per block size, whose
+    members each get their solo bits.  A record derived from ``ap`` is
+    another object and computes its own."""
+    done = _REFINED.get(ap, {})
+    if variant not in done:
+        done = _refine_record(ap, variant)
+        _REFINED[ap] = done
+    return done[variant]
+
+
+def _refine_record(ap: AlignedPerturbation, variant: str) -> dict[str, tuple[np.ndarray, list]]:
+    """The refinements of ``ap`` that ``variant`` computes, by variant: the
+    simplified one alone, or the full one with the simplified one beside it,
+    the two as the two members of a stack of one base."""
+    e_hat, w = ap.e_hat[None], ap.data.w[None]
+    first = _fixed_point(e_hat, w, 0, ap.n, "simplified")
+    if variant == "simplified":
+        names, xs = ("simplified",), (first,)
+    else:
+        names, xs = ("full", "simplified"), (_iterate(e_hat, w, e_hat, first), first)
+    parts = [(index, b.swapaxes(0, 1)) for index, b in _complements(e_hat, xs, ap.blocks.groups)]
     reps = np.array([ap.blocks.rep_values])
-    return _refined_stack(ap.e_hat[None, None], ap.data.w[None], reps, ap.blocks.groups, variant)
+    pred, parts = _predictions(reps, ap.blocks.groups, parts, _complement_eigenvalues([b for _, b in parts]))
+    return {
+        name: (pred[:, v : v + 1], [(index, b[:, v : v + 1], beta[:, v : v + 1]) for index, b, beta in parts])
+        for v, name in enumerate(names)
+    }
 
 
 def _refined_stack(e_hat: np.ndarray, w: np.ndarray, reps: np.ndarray, groups, variant: str) -> tuple[np.ndarray, list]:
@@ -242,10 +299,17 @@ def _refined_stack(e_hat: np.ndarray, w: np.ndarray, reps: np.ndarray, groups, v
     k, s, n = e_hat.shape[:3]
     sized = _complements_stack(e_hat.reshape(-1, n, n), np.repeat(w, s, axis=0), groups, variant)
     parts = [(index, b.reshape(k, s, *b.shape[1:])) for index, b in sized]
-    betas = _complement_eigenvalues([b for _, b in parts])
+    return _predictions(reps, groups, parts, _complement_eigenvalues([b for _, b in parts]))
+
+
+def _predictions(reps: np.ndarray, groups, parts, betas) -> tuple[np.ndarray, list]:
+    """:func:`_refined_stack`'s result from its ``parts``, the indices and
+    complements ``(k, s, b, l, l)`` of each block size, and their
+    eigenvalues ``betas``."""
+    k, s = parts[0][1].shape[:2]
     # Each row's representative value at each index.
     rho = reps[:, _block_id(groups)]
-    pred = np.empty((k, s, n))
+    pred = np.empty((k, s, rho.shape[1]))
     for (index, _), beta in zip(parts, betas):
         # The blocks are contiguous and cover every index in order.
         pred[:, :, index] = rho[:, None, index] + beta
@@ -273,6 +337,7 @@ def vc_membership(ap: AlignedPerturbation, c: float, diag_tol: float) -> VcRepor
     strictly and all-zero Schur eigenvalues cannot satisfy it.  Otherwise the
     complements need the gap guard that :func:`refined_eigenvalues` applies.
     """
+    c, diag_tol = _real(c, "c"), _real(diag_tol, "diag_tol")
     if not (c >= 0.0 and diag_tol >= 0.0):
         raise ValueError("c and diag_tol must be nonnegative")
     has_multi = any(stop - start >= 2 for start, stop in ap.blocks.groups)

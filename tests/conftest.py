@@ -31,6 +31,10 @@ STACK_SPECS = {
 # Powers of two that scale the records of the stacked-premise tests.
 SCALE_EXPONENTS = (-1000, -500, 0, 500, 1000)
 
+# Complex scalars that a real argument refuses, numpy's and Python's, with
+# and without an imaginary part: float() would truncate or refuse them.
+COMPLEX_SCALARS = (1 + 1j, 0.5 + 0j, np.complex128(0.01 + 5j), np.complex64(0.5))
+
 
 def rand_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import align_columns_loop, degenerate_instance, rand_hermitian, rand_unitary
+from conftest import COMPLEX_SCALARS, align_columns_loop, degenerate_instance, rand_hermitian, rand_unitary
 from eigpert import (
     MODE_BLOCKWISE,
     MODE_RAW,
@@ -299,6 +299,12 @@ class TestScaled:
             with pytest.raises(ValueError):
                 scaled(ap, bad)
 
+    @pytest.mark.parametrize("t", COMPLEX_SCALARS)
+    def test_rejects_complex(self, t):
+        ap = aligned_perturbation(np.diag([1.0, 1.0, 0.0]), hermitian(0.01 * EXAMPLE_F3))
+        with pytest.raises(ValueError, match="t must be real"):
+            scaled(ap, t)
+
 
 MALFORMED = r"does not split 0\.\.4 into nonempty ranges in order"
 NOT_THE_BASES = r"is not the grouping \(\(0, 1\), \(1, 2\), \(2, 3\), \(3, 4\)\) of the base"
@@ -423,6 +429,14 @@ class TestVcMembership:
         ap = aligned_perturbation(np.diag([1.0, 1.0, 0.0]), hermitian(0.01 * EXAMPLE_F3))
         with pytest.raises(ValueError, match="nonnegative"):
             vc_membership(ap, c=c, diag_tol=diag_tol)
+
+    @pytest.mark.parametrize("z", COMPLEX_SCALARS)
+    def test_rejects_complex_thresholds(self, z):
+        ap = aligned_perturbation(np.diag([1.0, 1.0, 0.0]), hermitian(0.01 * EXAMPLE_F3))
+        with pytest.raises(ValueError, match="c must be real"):
+            vc_membership(ap, z, 1.0)
+        with pytest.raises(ValueError, match="diag_tol must be real"):
+            vc_membership(ap, 1.0, z)
 
 
 class TestAlignColumns:

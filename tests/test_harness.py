@@ -228,6 +228,8 @@ class TestEnsembleConfig:
             (dict(n=4, block_spec=(2, 2), trials=2.5), "integers"),
             (dict(n=5, block_spec=(2.5, 3.5)), "integers"),
             (dict(n=4, block_spec=(2, 2), t_grid=(1e-1, 1e-2)), "at least 3"),
+            (dict(n=4, block_spec=(2, 2), t_grid=(1e-1, np.complex128(1e-2 + 5j), 1e-3)), "t_grid must be real"),
+            (dict(n=4, block_spec=(2, 2), t_grid=(1e-1, 1e-2, 1e-3 + 0j)), "t_grid must be real"),
         ],
     )
     def test_rejections(self, kwargs, message):

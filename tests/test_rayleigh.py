@@ -4,6 +4,7 @@ import pytest
 from dataclasses import replace
 
 from conftest import (
+    COMPLEX_SCALARS,
     SCALE_EXPONENTS,
     STACK_SPECS,
     degenerate_instance,
@@ -448,6 +449,14 @@ class TestLineExpansion:
         lex = line_expansion(EXAMPLE_A3, EXAMPLE_F3)
         with pytest.raises(GapTooSmallError):
             lex.at(0.5)
+
+    @pytest.mark.parametrize("t", COMPLEX_SCALARS)
+    def test_complex_t_is_refused(self, t):
+        # float() would evaluate the expansion at the real part alone.
+        lex = line_expansion(EXAMPLE_A3, EXAMPLE_F3)
+        for call in (lambda: lex.at(t), lambda: predict_eigensystem(lex.ap, lex.m_mat, t)):
+            with pytest.raises(ValueError, match="t must be real"):
+                call()
 
 
 # One block, where no gap guard applies, and the worked example's two blocks.

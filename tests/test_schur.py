@@ -26,6 +26,7 @@ from eigpert import (
     scaled,
     schur_data,
     schur_similarity_diagnostic,
+    vc_membership,
 )
 from eigpert import schur
 
@@ -446,13 +447,116 @@ class TestStackedComplements:
         real = schur._complement
 
         def counting(*args):
-            calls.append(args[1].shape)
+            # The blocks in the product, and the fixed points it serves.
+            calls.append((len(args[1]), len(args[3])))
             return real(*args)
 
         monkeypatch.setattr(schur, "_complement", counting)
-        ap = scaled_record(np.random.default_rng(3), spec, 0)
-        for variant in ("full", "simplified"):
+        ap, fresh = (scaled_record(np.random.default_rng(3), spec, 0) for _ in range(2))
+        # The full variant forms its own and the simplified complements in
+        # one product per block size; the simplified variant then reuses
+        # them, and on a record of its own forms its own alone.
+        for record, variant, points, products in ((ap, "full", 2, 1), (ap, "simplified", 2, 0), (fresh, "simplified", 1, 1)):
             calls.clear()
-            refined_eigenvalues(ap, variant)
-            assert len(calls) == sizes
-            assert sum(k for k, _ in calls) == len(spec)
+            refined_eigenvalues(record, variant)
+            assert len(calls) == products * sizes
+            assert sum(k for k, _ in calls) == products * len(spec)
+            assert all(v == points for _, v in calls)
+
+
+def stacked(ap, variant):
+    """The record path without the shared refinement: the stacked path on
+    ``ap`` as a stack of one, each variant from its own fixed point and
+    oracle call."""
+    reps = np.array([ap.blocks.rep_values])
+    return schur._refined_stack(ap.e_hat[None, None], ap.data.w[None], reps, ap.blocks.groups, variant)
+
+
+def fresh_record(spec=STACK_SPECS[60]):
+    """A new record, equal in every byte to every other one it returns."""
+    return blockwise_diagonalize(scaled_record(np.random.default_rng(29), spec, 0))
+
+
+def no_fixed_point(*args):
+    raise AssertionError("the fixed point ran")
+
+
+class TestSharedRefinement:
+    """The full variant serves the simplified one and the cone test from one
+    fixed point and one oracle call per block size, kept per record."""
+
+    @pytest.mark.parametrize("n", sorted(STACK_SPECS))
+    def test_simplified_after_full_makes_no_oracle_call(self, monkeypatch, oracle_calls, n):
+        ap = fresh_record(STACK_SPECS[n])
+        full = refined_eigenvalues(ap, "full")
+        # One call per block size, each solving both variants' complements.
+        sizes = len(set(STACK_SPECS[n]))
+        assert oracle_calls.stages[-sizes:] == ["_complement_eigenvalues"] * sizes
+        assert sum(oracle_calls[-sizes:], []) == sorted(2 * STACK_SPECS[n], key=STACK_SPECS[n].index)
+        # vc_membership reads the norm from the oracle; it is solved here.
+        ap.e_norm
+        oracle_calls.clear()
+        monkeypatch.setattr(schur, "_fixed_point", no_fixed_point)
+        monkeypatch.setattr(schur, "_iterate", no_fixed_point)
+        simplified = refined_eigenvalues(ap, "simplified")
+        report = vc_membership(ap, 0.1, 0.5)
+        assert refined_eigenvalues(ap, "full").tobytes() == full.tobytes()
+        assert oracle_calls == []
+        monkeypatch.undo()
+        assert simplified.tobytes() == refined_eigenvalues(fresh_record(STACK_SPECS[n]), "simplified").tobytes()
+        assert report == vc_membership(fresh_record(STACK_SPECS[n]), 0.1, 0.5)
+
+    @pytest.mark.parametrize("n", sorted(STACK_SPECS))
+    @pytest.mark.parametrize("variant", ["full", "simplified"])
+    def test_fresh_records_keep_the_stacked_bits(self, n, variant):
+        pred, parts = stacked(fresh_record(STACK_SPECS[n]), variant)
+        assert refined_eigenvalues(fresh_record(STACK_SPECS[n]), variant).tobytes() == pred[0, 0].tobytes()
+        # Either variant first, then the other, on one record.
+        ap = fresh_record(STACK_SPECS[n])
+        other = "simplified" if variant == "full" else "full"
+        refined_eigenvalues(ap, other)
+        got, got_parts = schur._refined(ap, variant)
+        assert refined_eigenvalues(ap, variant).tobytes() == pred[0, 0].tobytes()
+        for (index, b, beta), (want_index, want_b, want_beta) in zip(got_parts, parts, strict=True):
+            assert np.array_equal(index, want_index)
+            assert b.tobytes() == want_b.tobytes() and beta.tobytes() == want_beta.tobytes()
+
+    @pytest.mark.parametrize("n", sorted(STACK_SPECS))
+    def test_vc_membership_keeps_the_stacked_report(self, monkeypatch, n):
+        report = vc_membership(fresh_record(STACK_SPECS[n]), 0.1, 0.5)
+        monkeypatch.setattr(schur, "_refined", stacked)
+        assert report == vc_membership(fresh_record(STACK_SPECS[n]), 0.1, 0.5)
+
+    @pytest.mark.parametrize("derive", [blockwise_diagonalize, lambda ap: scaled(ap, 0.5)], ids=["blockwise", "scaled"])
+    def test_derived_records_recompute(self, oracle_calls, derive):
+        ap = fresh_record()
+        refined_eigenvalues(ap, "full")
+        derived = derive(ap)
+        oracle_calls.clear()
+        simplified = refined_eigenvalues(derived, "simplified")
+        assert oracle_calls.stages == ["_complement_eigenvalues"] * len(set(STACK_SPECS[60]))
+        assert simplified.tobytes() == stacked(derived, "simplified")[0][0, 0].tobytes()
+
+    def test_a_failed_full_caches_nothing(self, monkeypatch):
+        ap = diagonal_problem((2, 2, 1, 1), 0.1, seed=5)
+        monkeypatch.setattr(schur, "MAX_ITERATIONS", 1)
+        with pytest.raises(ConvergenceError, match="after 1 iterations"):
+            refined_eigenvalues(ap, "full")
+        assert ap not in schur._REFINED
+        want = stacked(diagonal_problem((2, 2, 1, 1), 0.1, seed=5), "simplified")[0][0, 0]
+        assert refined_eigenvalues(ap, "simplified").tobytes() == want.tobytes()
+        with pytest.raises(ConvergenceError, match="after 1 iterations"):
+            refined_eigenvalues(ap, "full")
+        monkeypatch.undo()
+        assert refined_eigenvalues(ap, "full").tobytes() == stacked(ap, "full")[0][0, 0].tobytes()
+
+    @pytest.mark.parametrize("variant", ["full", "simplified"])
+    def test_repeated_calls_return_fresh_writable_arrays(self, variant):
+        ap = fresh_record()
+        first = refined_eigenvalues(ap, variant)
+        want = first.tobytes()
+        first[:] = np.nan
+        second = refined_eigenvalues(ap, variant)
+        assert second.flags.writeable and not np.shares_memory(first, second)
+        assert second.tobytes() == want
+        assert refined_eigenvalues(ap, variant).tobytes() == want
