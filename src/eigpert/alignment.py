@@ -5,13 +5,10 @@ downstream works with the conjugated perturbation ``E_hat = U* E U``.  This
 module groups eigenvalues into degeneracy blocks, rotates ``U`` inside each
 block so ``E_hat`` becomes block-wise diagonal with non-increasing in-block
 diagonal, and builds the inverse-gap matrix ``M``.  Its one gap guard serves
-Schur refinement and the line expansion alike.  The guard compares with
-``||E||`` in three tiers (:class:`LazyNorm`): certified bounds from the
-column and Frobenius norms first, then a certified bound from three
-squarings of ``E_hat``, and only then the oracle's ``n x n`` solve.
-``_conjugate`` and ``_rotate_blocks`` do the work on a stack that shares
-one degeneracy structure: a convergence study builds no record, and each
-record is built from a stack of one.  The cone-membership test lives in :mod:`eigpert.schur`.
+Schur refinement and the line expansion alike.  ``_conjugate`` and
+``_rotate_blocks`` do the work on a stack that shares one degeneracy
+structure: a convergence study builds no record, and each record is built
+from a stack of one.  The cone-membership test lives in :mod:`eigpert.schur`.
 
 Everything that depends on the base alone (the grouping of ``lam``, ``M``,
 the Schur weights ``W``, the gap margins and the same-block mask) is one
@@ -34,7 +31,7 @@ import numpy as np
 
 from . import jacobi
 from .errors import GapTooSmallError, ModeError, StudyError
-from .matrices import _ldexp, _real, as_readonly, hermitian
+from .matrices import _real, as_readonly, hermitian
 
 __all__ = [
     "DEFAULT_REL_GAP_TOL",
@@ -209,11 +206,6 @@ def _same_block(groups) -> tuple[np.ndarray, np.ndarray]:
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Squarings of the middle tier's bound ||E^(2^k)||_F^(2^-k) on ||E||: it
-# exceeds ||E|| by a factor of at most n^(2^-(k+1)), n^(1/16) at k = 3.
-_SQUARINGS = 3
-
-
 class LazyNorm:
     """``||E||`` as the oracle computes it, evaluated on first read and cached,
     with certified bounds ``lower <= value <= upper`` available up front.
@@ -221,23 +213,16 @@ class LazyNorm:
     The bounds hold for the oracle's value, not merely for the exact norm:
     they are widened by a slack covering the oracle's termination error and
     its round-off, so a decision the bounds settle is the decision the
-    oracle's value would give.  Between them and the oracle stands a third
-    tier, an upper bound from ``squaring``, often far tighter than
-    ``upper``; it too is computed on first use and cached, and without
-    ``squaring`` it is ``upper``.
+    oracle's value would give.
     """
 
-    __slots__ = ("lower", "upper", "_compute", "_value", "_bound", "_squared")
+    __slots__ = ("lower", "upper", "_compute", "_value")
 
-    def __init__(
-        self, lower: float, upper: float, compute: Callable[[], float], squaring: Callable[[], float] | None = None
-    ) -> None:
+    def __init__(self, lower: float, upper: float, compute: Callable[[], float]) -> None:
         self.lower = lower
         self.upper = upper
         self._compute = compute
         self._value: float | None = None
-        self._bound = squaring
-        self._squared: float | None = None if squaring else upper
 
     @property
     def value(self) -> float:
@@ -246,27 +231,19 @@ class LazyNorm:
             self._compute = None
         return self._value
 
-    def _squaring_upper(self) -> float:
-        """The middle tier's certified upper bound on the value."""
-        if self._squared is None:
-            self._squared = self._bound()
-            self._bound = None
-        return self._squared
-
     def scaled(self, t: float) -> "LazyNorm":
         """The norm of ``t E`` for ``t > 0``: ``t`` times this value, so the
-        oracle and the squaring still run at most once for the whole chain.
-        Rounded multiplication by ``t`` is monotone, so the bounds stay
-        certified."""
-        return LazyNorm(t * self.lower, t * self.upper, lambda: t * self.value, lambda: t * self._squaring_upper())
+        oracle still runs at most once for the whole chain.  Rounded
+        multiplication by ``t`` is monotone, so the bounds stay certified."""
+        return LazyNorm(t * self.lower, t * self.upper, lambda: t * self.value)
 
 
 def _lazy_norms(e_hat: np.ndarray) -> list[LazyNorm]:
     """The :class:`LazyNorm` of each member of the symmetrized stack
     ``e_hat`` ``(k, n, n)``: bounds from its column norms and its Frobenius
-    norm, all of them as one expression, and the squaring bound and the
-    oracle norm ``max |eigh(e_hat[i]).lam|`` deferred.  ``e_hat`` is exactly
-    Hermitian, so the deferred solve goes to the oracle's array entry."""
+    norm, all of them as one expression, and the oracle norm
+    ``max |eigh(e_hat[i]).lam|`` deferred.  ``e_hat`` is exactly Hermitian,
+    so the deferred solve goes to the oracle's array entry."""
     _, n, _ = e_hat.shape
     mag = np.abs(e_hat)
     peak = mag.max(axis=(1, 2))
@@ -285,53 +262,7 @@ def _lazy_norms(e_hat: np.ndarray) -> list[LazyNorm]:
     def oracle(m: np.ndarray) -> Callable[[], float]:
         return lambda: float(np.abs(jacobi._solve_stack(m[None], vectors=False)).max())
 
-    def squaring(m: np.ndarray, slack: float) -> Callable[[], float]:
-        return lambda: _squaring_bound(m) + slack
-
-    return [
-        LazyNorm(lo, up, oracle(m), squaring(m, sl))
-        for lo, up, sl, m in zip(lower.tolist(), upper.tolist(), slack.tolist(), e_hat)
-    ]
-
-
-def _squaring_bound(e_hat: np.ndarray) -> float:
-    """A certified upper bound on the exact 2-norm of the Hermitian
-    ``e_hat`` ``(n, n)``: ``||S^(2^k)||_F^(2^-k)`` with ``k = _SQUARINGS``,
-    for ``S`` the matrix scaled by an exact power of two to largest entry in
-    ``[0.5, 1)``, scaled back.  As ``||S||_2^(2^k) = ||S^(2^k)||_2 <=
-    ||S^(2^k)||_F <= sqrt(n) ||S||_2^(2^k)`` for a Hermitian ``S``, it
-    exceeds the norm by a factor of at most ``n^(2^-(k+1))`` (Bhatia,
-    *Matrix Analysis*, ch. IV).  Scaling by a power of two scales it
-    exactly, while the entries stay normal.
-
-    The computed powers are widened to a bound on the exact ones.  A
-    complex product's entries err by at most ``gamma |P| |P|`` (Higham,
-    *Accuracy and Stability*, 2nd ed., sections 3.5-3.6), so by at most
-    ``gamma ||P||_F^2`` in the Frobenius norm, and an error ``err`` in ``P``
-    becomes at most ``err (2 ||P||_F + err)`` in its square.  A computed
-    Frobenius norm errs by at most ``(n^2 + 2) eps`` relative, and ``tiny``
-    covers every underflow, far below ``||S^(2^k)||_F >= 2^-(2^k)``."""
-    n = e_hat.shape[-1]
-    peak = float(np.abs(e_hat).max())
-    if peak == 0.0:
-        return 0.0
-    exponent = math.frexp(peak)[1]
-    p = _ldexp(e_hat, -exponent)
-    gamma = 2.0 * (n + 2) * _EPS
-    widen = 1.0 + (n * n + 2) * _EPS
-    tiny = n * n * 2.0**-500
-    err = tiny
-    for _ in range(_SQUARINGS):
-        fro = float(np.linalg.norm(p)) * widen + tiny
-        err = err * (2.0 * fro + err) + gamma * fro * fro + tiny
-        p = p @ p
-    fro = float(np.linalg.norm(p)) * widen + tiny
-    # A few ulps more for the rounding of this arithmetic and of the root.
-    root = ((fro + err) * (1.0 + 16.0 * _EPS)) ** (2.0**-_SQUARINGS) * (1.0 + 4.0 * _EPS)
-    try:
-        return math.ldexp(root, exponent)
-    except OverflowError:  # beyond the largest float, the bound is no bound
-        return math.inf
+    return [LazyNorm(lo, up, oracle(m)) for lo, up, m in zip(lower.tolist(), upper.tolist(), e_hat)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,9 +318,8 @@ def _allows(norm: LazyNorm, values, factor: float) -> bool:
 
     The certified bounds decide first: passing at ``upper`` implies passing
     at the oracle's value and failing at ``lower`` implies failing there,
-    because rounded arithmetic is monotone.  A threshold between them tries
-    the squaring bound, three ``n x n`` products, and passes if it can;
-    only what that leaves open costs an oracle call.
+    because rounded arithmetic is monotone.  Only a threshold between the
+    bounds costs an oracle call.
     """
     if len(values) == 0:
         return True
@@ -398,8 +328,6 @@ def _allows(norm: LazyNorm, values, factor: float) -> bool:
         return True
     if not least > factor * norm.lower:
         return False
-    if least > factor * norm._squaring_upper():
-        return True
     return least > factor * norm.value
 
 

@@ -181,7 +181,6 @@ def predict_eigensystem(
     first, then :meth:`LineExpansion.at` guards the gaps.  ``mmat`` must
     equal the record's own ``M``."""
     _require_m(ap, mmat)
-    t = _real(t, "t")
     return _expansion(ap).at(t)
 
 

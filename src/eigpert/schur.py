@@ -35,9 +35,12 @@ block's product with the strides of its own.
 A record's full variant also serves its simplified one: the first iterate
 it starts from is the simplified fixed point, so one batched product per
 block size forms both variants' complements and one oracle call per block
-size solves both, each member with its solo bits.  The record keeps both
-results for its lifetime, so a later call for the simplified variant or
-for :func:`vc_membership` runs its guard and reuses them.
+size solves both, each member with its solo bits.  The record keeps what
+it has computed for its lifetime, so a later call for the simplified
+variant or for :func:`vc_membership` runs its guard and reuses it.
+:func:`vc_membership` reads the full complements alone and computes only
+those, as a full call does on a record that already has the simplified
+variant.
 
 The complements also decide membership in the cone of perturbation
 directions along which every block's complement stays diagonal and its
@@ -110,21 +113,34 @@ def _iterate(e_hat: np.ndarray, w: np.ndarray, c: np.ndarray, x: np.ndarray) -> 
     """The fixed point of ``X = W o (C - E_hat X)`` from the first iterate
     ``x``, which is left as it was.  All members iterate as one batched
     product and each stops on its own test, so each gets the bits of its
-    solo call."""
+    solo call.  While every member is live, the iterates alternate between
+    two buffers of their own.
+
+    The test compares the moduli of the update and of the iterate.  A
+    computed modulus lies between half and twice the larger of its real and
+    imaginary parts, so a member whose update's largest part exceeds twice
+    the threshold at twice the iterate's largest part passes it: only a
+    pass where some member may stop, and the last, whose update an error
+    reports, take the moduli."""
     live, step = np.arange(len(x)), np.full(len(x), math.inf)
-    for _ in range(1, MAX_ITERATIONS):
+    iterates, diff = (np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype)), np.empty(x.shape, x.dtype)
+    for i in range(1, MAX_ITERATIONS):
         # Members that have stopped are left out, so they keep their bits.
-        # The first pass has every member live, so it rebinds x.
-        whole = live.size == len(x)
-        part = slice(None) if whole else live
-        prev = x[part]
-        new = w[part] * (c[part] - e_hat[part] @ prev)
-        step = np.abs(new - prev).max(axis=(1, 2))
-        if whole:
+        if live.size == len(x):
+            prev, new = x, iterates[i % 2]
+            np.multiply(w, np.subtract(c, np.matmul(e_hat, prev, out=new), out=new), out=new)
             x = new
         else:
+            prev = x[live]
+            # Row-major, as the buffers are, for the test's views.
+            new = np.multiply(w[live], c[live] - e_hat[live] @ prev, order="C")
             x[live] = new
-        going = step > _STOP_TOL * np.abs(new).max(axis=(1, 2))
+        change = np.subtract(new, prev, out=diff[: len(new)])
+        step = np.abs(change.view(np.float64)).max(axis=(1, 2))
+        going = step > 2.0 * (_STOP_TOL * (2.0 * np.abs(new.view(np.float64)).max(axis=(1, 2))))
+        if i == MAX_ITERATIONS - 1 or not going.all():
+            step = np.abs(change).max(axis=(1, 2))
+            going = step > _STOP_TOL * np.abs(new).max(axis=(1, 2))
         live, step = live[going], step[going]
         if live.size == 0:
             return x
@@ -203,7 +219,9 @@ def refined_eigenvalues(ap: AlignedPerturbation, variant: str = "full") -> np.nd
     if variant not in ("full", "simplified"):
         raise ValueError(f"unknown variant {variant!r}; expected 'full' or 'simplified'")
     _require_gap(ap, DEFAULT_MARGIN_FACTOR)
-    return _refined(ap, variant)[0][0, 0].copy()
+    # The full variant brings the simplified one along for a later call.
+    variants = ("full", "simplified") if variant == "full" else (variant,)
+    return _refined(ap, variants)[0][0, 0].copy()
 
 
 def _complements_stack(e_hat: np.ndarray, w: np.ndarray, groups, variant: str) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -238,7 +256,7 @@ def _complements(e_hat: np.ndarray, xs, groups) -> list[tuple[np.ndarray, np.nda
     # take lays its copies out row-major; x[..., order] would not.
     rows, cols = e_hat.take(order, axis=1), np.empty((len(xs), m, n, n), np.complex128)
     for x, out in zip(xs, cols):
-        x.take(order, axis=2, out=out)
+        x.take(order, axis=2, out=out, mode="clip")
     out, done = [], 0
     for size, blocks in by_size.items():
         span = slice(done, done + len(blocks) * size)
@@ -252,38 +270,36 @@ def _complements(e_hat: np.ndarray, xs, groups) -> list[tuple[np.ndarray, np.nda
 _REFINED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _refined(ap: AlignedPerturbation, variant: str) -> tuple[np.ndarray, list]:
-    """:func:`_refined_stack` of the record ``ap``, as a stack of one, kept
-    for the record's lifetime; the caller has applied the gap guard.
-
-    The full variant's first iterate is the simplified variant's fixed
-    point, so the full variant forms both kinds of complement from one
-    fixed point and solves both in one oracle call per block size, whose
-    members each get their solo bits.  A record derived from ``ap`` is
+def _refined(ap: AlignedPerturbation, variants: tuple[str, ...]) -> tuple[np.ndarray, list]:
+    """:func:`_refined_stack` of the record ``ap`` for ``variants[0]``, as a
+    stack of one, kept for the record's lifetime; those of the other
+    ``variants`` that the record does not keep yet are computed with it.
+    The caller has applied the gap guard.  A record derived from ``ap`` is
     another object and computes its own."""
-    done = _REFINED.get(ap, {})
-    if variant not in done:
-        done = _refine_record(ap, variant)
-        _REFINED[ap] = done
-    return done[variant]
+    kept = _REFINED.get(ap, {})
+    if variants[0] not in kept:
+        kept = {**kept, **_refine_record(ap, [v for v in variants if v not in kept])}
+        _REFINED[ap] = kept
+    return kept[variants[0]]
 
 
-def _refine_record(ap: AlignedPerturbation, variant: str) -> dict[str, tuple[np.ndarray, list]]:
-    """The refinements of ``ap`` that ``variant`` computes, by variant: the
-    simplified one alone, or the full one with the simplified one beside it,
-    the two as the two members of a stack of one base."""
+def _refine_record(ap: AlignedPerturbation, variants: list[str]) -> dict[str, tuple[np.ndarray, list]]:
+    """The refinements of ``ap`` for ``variants``, by variant, as the members
+    of a stack of one base.  The full variant's first iterate is the
+    simplified variant's fixed point, so both kinds of complement come from
+    one fixed point, one batched product per block size, and one oracle call
+    per block size, whose members each get their solo bits."""
     e_hat, w = ap.e_hat[None], ap.data.w[None]
     first = _fixed_point(e_hat, w, 0, ap.n, "simplified")
-    if variant == "simplified":
-        names, xs = ("simplified",), (first,)
-    else:
-        names, xs = ("full", "simplified"), (_iterate(e_hat, w, e_hat, first), first)
+    xs = [first if v == "simplified" else _iterate(e_hat, w, e_hat, first) for v in variants]
     parts = [(index, b.swapaxes(0, 1)) for index, b in _complements(e_hat, xs, ap.blocks.groups)]
     reps = np.array([ap.blocks.rep_values])
     pred, parts = _predictions(reps, ap.blocks.groups, parts, _complement_eigenvalues([b for _, b in parts]))
+    if len(variants) == 1:
+        return {variants[0]: (pred, parts)}
     return {
-        name: (pred[:, v : v + 1], [(index, b[:, v : v + 1], beta[:, v : v + 1]) for index, b, beta in parts])
-        for v, name in enumerate(names)
+        v: (pred[:, i : i + 1], [(index, b[:, i : i + 1], beta[:, i : i + 1]) for index, b, beta in parts])
+        for i, v in enumerate(variants)
     }
 
 
@@ -349,7 +365,7 @@ def vc_membership(ap: AlignedPerturbation, c: float, diag_tol: float) -> VcRepor
             degenerate_zero=has_multi,
         )
     _require_gap(ap, DEFAULT_MARGIN_FACTOR)
-    _, parts = _refined(ap, "full")
+    _, parts = _refined(ap, ("full",))
     off = np.empty(len(ap.blocks.groups))
     for index, b, _ in parts:
         off[ap.blocks.block_id()[index[:, 0]]] = np.abs(b - b * np.eye(b.shape[-1])).max(axis=(-2, -1))[0, 0]

@@ -5,12 +5,9 @@ on an n x n matrix."""
 
 import math
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import rand_hermitian
 from eigpert import (
@@ -35,7 +32,6 @@ from eigpert import (
     vc_membership,
 )
 from eigpert import alignment, rayleigh, schur
-from eigpert.harness import EnsembleConfig, generate_instance
 from eigpert.alignment import LazyNorm
 from eigpert.rayleigh import STRICT_DIAGONAL_TOL
 from eigpert.schur import DEFAULT_MARGIN_FACTOR
@@ -293,138 +289,3 @@ def test_norm_oracle_runs_once_per_chain(oracle_calls):
     assert oracle_calls.vectors == [False]
     # The deferred norm solve runs on the first read of LazyNorm.value.
     assert oracle_calls.stages == ["value"]
-
-
-def test_prediction_above_the_frobenius_tier_makes_no_full_size_solve(oracle_calls, monkeypatch):
-    # At n = 120 and ||E|| = 0.2, 2 ||E|| clears every margin but 2 ||E||_F
-    # does not, so only the squaring tier stands between the guards and an
-    # n x n solve.
-    n = 120
-    cfg = EnsembleConfig(seed=1, n=n, block_spec=(4,) * 30, trials=1, predictor="first_order")
-    a, f = generate_instance(cfg, 0)
-    base, e = eigh(a), 0.2 * f
-
-    def chain():
-        ap = blockwise_diagonalize(conjugate_to_eigenbasis(base, e))
-        assert 2.0 * ap.norm.upper > ap.data.margins.min() > 2.0 * ap.norm.lower
-        mmat = m_matrix(ap.base, ap.blocks)
-        prediction = predict_eigensystem(ap, mmat, 1.0)
-        outputs = (
-            first_order_eigenvalues(ap),
-            u_approx(ap, mmat),
-            refined_eigenvalues(ap, "full"),
-            refined_eigenvalues(ap, "simplified"),
-            *rs_coefficients(ap),
-            eigenvector_derivative(ap, mmat),
-            prediction.xi_hat,
-            prediction.u_hat,
-        )
-        return [np.asarray(x).tobytes() for x in outputs]
-
-    oracle_calls.clear()
-    got = chain()
-    assert n not in {size for size, in map(set, oracle_calls)}
-    monkeypatch.setattr(alignment, "_squaring_bound", lambda m: math.inf)
-    oracle_calls.clear()
-    assert chain() == got
-    # Without the tier, the chain solves E_hat once, for ||E||.
-    assert [calls for calls in oracle_calls if n in calls] == [[n]]
-
-
-def hermitian_direction(kind, n, seed):
-    """An exactly Hermitian ``n x n`` direction: dense, rank one, where the
-    squaring bound is tight, or diagonal, whose exact norm is its largest
-    entry modulus."""
-    rng = np.random.default_rng(seed)
-    if kind == "dense":
-        return rand_hermitian(rng, n)
-    if kind == "rank_one":
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return hermitian(np.outer(x, x.conj()))
-    return np.diag(rng.standard_normal(n)).astype(np.complex128)
-
-
-def ldexp(e, k):
-    """``e * 2**k``, exact while the entries stay normal."""
-    return np.ldexp(e.real, k) + 1j * np.ldexp(e.imag, k)
-
-
-def lazy_norm(e):
-    return alignment._lazy_norms(e[None])[0]
-
-
-KINDS = st.sampled_from(["dense", "rank_one", "diagonal"])
-
-
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(1, 40), kind=KINDS, seed=st.integers(0, 2**32 - 1))
-def test_squaring_tier_bounds_the_oracle_norm(n, kind, seed):
-    e = hermitian_direction(kind, n, seed)
-    for k in (-500, -250, 0, 250, 500):
-        norm = lazy_norm(ldexp(e, k))
-        assert norm._squaring_upper() >= norm.value
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 40), kind=KINDS, seed=st.integers(0, 2**32 - 1), k=st.integers(-500, 500))
-def test_squaring_tier_is_power_of_two_equivariant(n, kind, seed, k):
-    e = hermitian_direction(kind, n, seed)
-    assert alignment._squaring_bound(ldexp(e, k)) == math.ldexp(alignment._squaring_bound(e), k)
-    assert lazy_norm(ldexp(e, k))._squaring_upper() == math.ldexp(lazy_norm(e)._squaring_upper(), k)
-
-
-@pytest.mark.parametrize("n", [3, 5, 12, 40])
-def test_squaring_bound_covers_its_round_off(n):
-    # m s s* for a vector s of units 1, 1j, -1, -1j is exact as stored, and
-    # its norm is exactly n m, which the bound equals in exact arithmetic;
-    # the computed powers round either way.  So the bound must reach n m,
-    # compared exactly, without the slack that covers the oracle.
-    rng = np.random.default_rng(n)
-    units = np.array([1, 1j, -1, -1j])
-    for _ in range(100):
-        s = units[rng.integers(4, size=n)]
-        m = rng.uniform(0.5, 1.0) * 2.0 ** int(rng.integers(-60, 60))
-        assert Fraction(alignment._squaring_bound(m * np.outer(s, s.conj()))) >= n * Fraction(m)
-    assert alignment._squaring_bound(np.zeros((n, n), dtype=np.complex128)) == 0.0
-
-
-def test_squaring_bound_past_the_largest_float_is_infinite():
-    # Its entries are finite, but the bound on its norm is not a float.
-    assert alignment._squaring_bound(np.full((2, 2), 1.7e308, dtype=np.complex128)) == math.inf
-
-
-@pytest.mark.parametrize("kind", ["dense", "rank_one", "diagonal"])
-@pytest.mark.parametrize("n", [2, 7, 30])
-def test_thresholds_at_the_squaring_bound_decide_as_the_oracle(kind, n):
-    norm = lazy_norm(hermitian_direction(kind, n, seed=n))
-    # The squaring bound, its four neighbours either way, and the oracle's
-    # value with its two.
-    near = [norm._squaring_upper(), norm.value]
-    for start in list(near):
-        for direction in (-math.inf, math.inf):
-            x = start
-            for _ in range(4 if start != norm.value else 1):
-                x = math.nextafter(x, direction)
-                near.append(x)
-    for q in near:
-        for factor in (1.0, DEFAULT_MARGIN_FACTOR):
-            fresh = lazy_norm(hermitian_direction(kind, n, seed=n))
-            assert alignment._allows(fresh, [factor * q], factor) == (factor * q > factor * norm.value)
-
-
-def test_the_squaring_tier_runs_once_per_chain(monkeypatch):
-    calls = []
-    real = alignment._squaring_bound
-    monkeypatch.setattr(alignment, "_squaring_bound", lambda m: calls.append(m) or real(m))
-    rng = np.random.default_rng(31)
-    norm = lazy_norm(rand_hermitian(rng, 30))
-    chain = norm.scaled(0.5).scaled(3.0)
-    assert calls == []
-    # A threshold between the Frobenius bounds, above the squaring bound.
-    least = 0.5 * (norm.lower + norm.upper)
-    assert norm.lower < 1.2 * norm.value < least < norm.upper
-    assert alignment._allows(chain, [1.5 * least], 1.0)
-    assert alignment._allows(norm, [least], 1.0)
-    assert alignment._allows(norm.scaled(0.5), [0.5 * least], 1.0)
-    assert len(calls) == 1
-    assert chain._squaring_upper() == 3.0 * (0.5 * norm._squaring_upper())

@@ -313,7 +313,7 @@ def by_block(sized):
 def complements(ap, variant="full"):
     """The complements that :func:`refined_eigenvalues` forms for ``ap`` on
     the stacked Schur path, as one per block in block order."""
-    _, parts = schur._refined(ap, variant)
+    _, parts = schur._refined(ap, (variant,))
     return by_block([(index, b[0, 0]) for index, b, _ in parts])
 
 
@@ -403,6 +403,51 @@ class TestFixedPoint:
         with pytest.raises(ConvergenceError) as info:
             schur._fixed_point(e_hat, w, 0, 6, "full")
         assert info.value.member == int(np.argmax(counts))
+
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("cap", [60, 3, 8])
+    def test_stop_test_decides_as_the_moduli(self, monkeypatch, layout, cap):
+        # The bounds from the larger real or imaginary parts must never stop
+        # a member, or keep one going, other than the moduli would, down to
+        # updates in the subnormal range; a capped run reports the same
+        # update of the same member.
+        aps = [diagonal_problem((3, 2, 1, 1), e_norm, seed=7) for e_norm in (0.01, 0.3, 1e-300, 0.1, 0.0, 0.45)]
+        e_hat = np.asarray(np.stack([ap.e_hat for ap in aps]), order=layout)
+        w = np.asarray(weights(aps), order=layout)
+        x = w * e_hat
+        monkeypatch.setattr(schur, "MAX_ITERATIONS", cap)
+        try:
+            want = moduli_fixed_point(e_hat, w, x)
+        except ConvergenceError as error:
+            with pytest.raises(ConvergenceError) as info:
+                schur._iterate(e_hat, w, e_hat, x)
+            assert (str(info.value), info.value.member) == (str(error), error.member)
+            assert info.value.off_mass == error.off_mass
+        else:
+            assert schur._iterate(e_hat, w, e_hat, x).tobytes() == want.tobytes()
+
+
+def moduli_fixed_point(e_hat, w, x):
+    """The fixed point of ``schur._iterate`` with its stop test on the
+    moduli of every pass, as a reference."""
+    live, step = np.arange(len(x)), np.full(len(x), np.inf)
+    for _ in range(1, schur.MAX_ITERATIONS):
+        whole = live.size == len(x)
+        part = slice(None) if whole else live
+        prev = x[part]
+        new = w[part] * (e_hat[part] - e_hat[part] @ prev)
+        step = np.abs(new - prev).max(axis=(1, 2))
+        if whole:
+            x = new
+        else:
+            x[live] = new
+        going = step > schur._STOP_TOL * np.abs(new).max(axis=(1, 2))
+        live, step = live[going], step[going]
+        if live.size == 0:
+            return x
+    message = f"Schur fixed point: stack member {live[0]} of {len(x)}: update {step[0]:.3e} after {schur.MAX_ITERATIONS} iterations"
+    raise ConvergenceError(message, off_mass=float(step[0]), member=int(live[0]))
 
 
 class TestStackedComplements:
@@ -506,6 +551,24 @@ class TestSharedRefinement:
         assert simplified.tobytes() == refined_eigenvalues(fresh_record(STACK_SPECS[n]), "simplified").tobytes()
         assert report == vc_membership(fresh_record(STACK_SPECS[n]), 0.1, 0.5)
 
+    @pytest.mark.parametrize("first, then", [("simplified", "full"), ("vc_membership", "simplified")])
+    def test_a_call_solves_only_what_the_record_lacks(self, oracle_calls, first, then):
+        # The simplified variant alone and vc_membership compute one variant;
+        # a full call after a simplified one computes the full one alone.
+        spec = STACK_SPECS[60]
+        one_variant = sorted(spec, key=spec.index)
+        ap = fresh_record(spec)
+        ap.e_norm
+        for call in (first, then):
+            oracle_calls.clear()
+            vc_membership(ap, 0.1, 0.5) if call == "vc_membership" else refined_eigenvalues(ap, call)
+            assert sum(oracle_calls, []) == one_variant
+        oracle_calls.clear()
+        for variant in ("full", "simplified"):
+            refined_eigenvalues(ap, variant)
+        vc_membership(ap, 0.1, 0.5)
+        assert oracle_calls == []
+
     @pytest.mark.parametrize("n", sorted(STACK_SPECS))
     @pytest.mark.parametrize("variant", ["full", "simplified"])
     def test_fresh_records_keep_the_stacked_bits(self, n, variant):
@@ -515,7 +578,7 @@ class TestSharedRefinement:
         ap = fresh_record(STACK_SPECS[n])
         other = "simplified" if variant == "full" else "full"
         refined_eigenvalues(ap, other)
-        got, got_parts = schur._refined(ap, variant)
+        got, got_parts = schur._refined(ap, (variant,))
         assert refined_eigenvalues(ap, variant).tobytes() == pred[0, 0].tobytes()
         for (index, b, beta), (want_index, want_b, want_beta) in zip(got_parts, parts, strict=True):
             assert np.array_equal(index, want_index)
@@ -524,7 +587,7 @@ class TestSharedRefinement:
     @pytest.mark.parametrize("n", sorted(STACK_SPECS))
     def test_vc_membership_keeps_the_stacked_report(self, monkeypatch, n):
         report = vc_membership(fresh_record(STACK_SPECS[n]), 0.1, 0.5)
-        monkeypatch.setattr(schur, "_refined", stacked)
+        monkeypatch.setattr(schur, "_refined", lambda ap, variants: stacked(ap, variants[0]))
         assert report == vc_membership(fresh_record(STACK_SPECS[n]), 0.1, 0.5)
 
     @pytest.mark.parametrize("derive", [blockwise_diagonalize, lambda ap: scaled(ap, 0.5)], ids=["blockwise", "scaled"])
