@@ -350,9 +350,15 @@ def _require_gap(ap: AlignedPerturbation, factor: float, blocks=None) -> None:
 
 def _conjugate(u: np.ndarray, e: np.ndarray) -> np.ndarray:
     """``U* E U`` of each member of the stacks ``u``, row-major, and ``e``
-    ``(k, n, n)``: one batched product, symmetrized, read-only."""
-    e_hat = u.conj().swapaxes(1, 2) @ e @ u
-    return as_readonly(0.5 * (e_hat + e_hat.conj().swapaxes(1, 2)))
+    ``(k, n, n)``: one batched product, symmetrized, read-only.  A finite
+    ``E`` whose conjugation overflows raises ``ValueError`` here, where it
+    is made, not as a non-finite matrix in a later step."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_hat = u.conj().swapaxes(1, 2) @ e @ u
+        e_hat = 0.5 * (e_hat + e_hat.conj().swapaxes(1, 2))
+    if not np.isfinite(e_hat).all():
+        raise ValueError("U* E U overflows the floating-point range; scale the perturbation down")
+    return as_readonly(e_hat)
 
 
 def conjugate_to_eigenbasis(base: jacobi.SpectralDecomposition, e) -> AlignedPerturbation:

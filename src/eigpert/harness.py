@@ -185,7 +185,10 @@ def _instances(cfg: EnsembleConfig, trials) -> tuple[np.ndarray, np.ndarray]:
     array entry solves the ``Q`` draws and, in the same stack, the
     directions' Gram matrices, whose top eigenvalues give their norms."""
     n, blocks = cfg.n, len(cfg.block_spec)
-    keys = np.array([(cfg.seed + (operator.index(k) + 1) * _GOLDEN) & _MASK for k in trials], np.uint64)
+    try:
+        keys = np.array([(cfg.seed + (operator.index(k) + 1) * _GOLDEN) & _MASK for k in trials], np.uint64)
+    except TypeError as exc:
+        raise ValueError(f"trial must be an integer: {exc}") from None
     x = _stream(_mix(keys), blocks + 4 * n * n)
     u = _uniforms(x[:, :blocks])
     # Block by block, as one running value: a cumsum would round differently.
@@ -347,7 +350,7 @@ def _errors(predictor: str, grid: np.ndarray, groups, a, f, u, lam, e_hat, reps,
         a1 = np.diagonal(e_hat, axis1=1, axis2=2).real
         pred = rayleigh._series(grid[:, None], lam[:, None], a1[:, None], rayleigh._a2(e_hat, mmat)[:, None])
     else:
-        pred = schur._refined_stack(e_hat_t, w, reps, groups, predictor.removeprefix("schur_"))[0]
+        pred = schur._refined_stack(e_hat_t, w, reps, groups, (predictor.removeprefix("schur_"),))[0][0]
     lams = jacobi._solve_stack(exact, vectors=False)
     return np.abs(lams - pred.reshape(-1, n)).max(axis=1).reshape(trials, steps)
 

@@ -24,23 +24,20 @@ full one stops once an update is at most ``4 eps max|X|``.  The fixed point
 runs on a stack of perturbations, one batched product per iteration, and
 each member stops on its own test, as the oracle's members do, so a member
 gets the bits of its solo run.  ``W`` depends on the base alone, so it is
-read from the perturbation's base-only data (``ap.data``).  One stacked
-path forms the refined eigenvalues from arrays: a convergence study
-iterates all of its ``(trial, t)`` members, of one degeneracy structure, at
-once, each trial's ``W`` shared by its t-grid, and a record is a stack of
-one (:func:`refined_eigenvalues`, :func:`vc_membership`).  The complements
-of all the blocks of one size are formed as one batched product, each
-block's product with the strides of its own.
+read from the perturbation's base-only data (``ap.data``).
 
-A record's full variant also serves its simplified one: the first iterate
-it starts from is the simplified fixed point, so one batched product per
-block size forms both variants' complements and one oracle call per block
-size solves both, each member with its solo bits.  The record keeps what
-it has computed for its lifetime, so a later call for the simplified
-variant or for :func:`vc_membership` runs its guard and reuses it.
-:func:`vc_membership` reads the full complements alone and computes only
-those, as a full call does on a record that already has the simplified
-variant.
+One stacked path forms the refined eigenvalues, for any set of variants:
+the first iterate is the simplified variant's fixed point and the full one
+iterates on from it, so one batched product per block size forms every
+requested variant's complements, each block's product with the strides of
+its own, and one oracle call per block size solves them, each member with
+its solo bits.  A convergence study runs it on all of its ``(trial, t)``
+members, of one degeneracy structure, at once, each trial's ``W`` shared
+by its t-grid.  A record is the same call as a stack of one, for whichever
+variants it does not hold yet: it keeps what it has computed for its
+lifetime, a full call brings the simplified variant along, and a later
+call for either variant or for :func:`vc_membership`, which reads the full
+complements alone, runs its guard and reuses it.
 
 The complements also decide membership in the cone of perturbation
 directions along which every block's complement stays diagonal and its
@@ -97,16 +94,6 @@ class SchurData:
     d: np.ndarray
     lambda_tau: np.ndarray
     beta: np.ndarray
-
-
-def _fixed_point(e_hat: np.ndarray, w: np.ndarray, start: int, stop: int, variant: str) -> np.ndarray:
-    """Columns ``start:stop`` of the fixed point, or of its first iterate for
-    the simplified variant, of each member of the stack ``e_hat`` ``(m, n, n)``
-    with its weights ``w`` ``(m, n, stop - start)``; their blocks' margins
-    must have been checked."""
-    c = e_hat[:, :, start:stop]
-    x = w * c  # the first iterate, from X = 0
-    return x if variant == "simplified" else _iterate(e_hat, w, c, x)
 
 
 def _iterate(e_hat: np.ndarray, w: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -184,8 +171,9 @@ def _schur_data(ap: AlignedPerturbation, block_index: int) -> tuple[SchurData, n
         raise ValueError(f"block index {block_index} out of range for {len(groups)} blocks")
     _require_gap(ap, DEFAULT_MARGIN_FACTOR, [block_index])
     start, stop = groups[block_index]
-    e_hat = ap.e_hat[None]
-    x = _fixed_point(e_hat, ap.data.w[None, :, start:stop], start, stop, "full")
+    e_hat, w = ap.e_hat[None], ap.data.w[None, :, start:stop]
+    c = e_hat[:, :, start:stop]
+    x = _iterate(e_hat, w, c, w * c)
     b = _complement(e_hat, np.arange(start, stop)[None], e_hat[:, None, start:stop], x[:, None])[0, 0]
     x = x[0]
     (beta,) = _complement_eigenvalues([b])
@@ -224,23 +212,59 @@ def refined_eigenvalues(ap: AlignedPerturbation, variant: str = "full") -> np.nd
     return _refined(ap, variants)[0][0, 0].copy()
 
 
-def _complements_stack(e_hat: np.ndarray, w: np.ndarray, groups, variant: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every block's symmetrized Schur complement for the members of
-    ``e_hat`` ``(m, n, n)`` that share the degeneracy ``groups``, from one
-    fixed point with weights ``w``, as one pair per block size in order of
-    first appearance: the indices ``(k, l)`` of the ``k`` blocks of size
-    ``l``, in block order, and their complements ``(m, k, l, l)``.  The
-    caller has applied the gap guard.  Their eigenvalues are left to
-    :func:`_complement_eigenvalues`, so that callers can solve the
-    complements of many perturbations in one oracle call per size."""
-    x = _fixed_point(e_hat, w, 0, e_hat.shape[-1], variant)
-    return [(index, b[0]) for index, b in _complements(e_hat, (x,), groups)]
+# Each record's Schur refinements by variant, as _refined_stack returns them.
+_REFINED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _refined(ap: AlignedPerturbation, variants: tuple[str, ...]) -> tuple[np.ndarray, list]:
+    """:func:`_refined_stack` of the record ``ap`` for ``variants[0]``, as a
+    stack of one, kept for the record's lifetime; those of the other
+    ``variants`` that the record does not keep yet are computed in the same
+    call.  The caller has applied the gap guard.  A record derived from
+    ``ap`` is another object and computes its own."""
+    kept = _REFINED.get(ap, {})
+    if variants[0] not in kept:
+        lacking = tuple(v for v in variants if v not in kept)
+        reps = np.array([ap.blocks.rep_values])
+        done = _refined_stack(ap.e_hat[None, None], ap.data.w[None], reps, ap.blocks.groups, lacking)
+        kept = {**kept, **dict(zip(lacking, done))}
+        _REFINED[ap] = kept
+    return kept[variants[0]]
+
+
+def _refined_stack(e_hat: np.ndarray, w: np.ndarray, reps: np.ndarray, groups, variants) -> list[tuple]:
+    """Per variant of ``variants``, the Schur-refined eigenvalues ``(k, s,
+    n)`` of ``E_hat`` stacked as ``(k, s, n, n)``, the ``s`` members of row
+    ``i`` sharing the weights ``w[i]`` ``(n, n)`` and the representative
+    values ``reps[i]`` of one degeneracy ``groups``, whose gap guards have
+    admitted them; and per block size, the blocks' indices ``(b, l)``, their
+    complements ``(k, s, b, l, l)`` and those complements' eigenvalues
+    ``(k, s, b, l)``.  The first iterate is the simplified variant and the
+    full one iterates on from it, so the variants share one fixed point,
+    one batched product per block size and one oracle call per block size,
+    whose members each get their solo bits."""
+    k, s, n = e_hat.shape[:3]
+    e_hat, w = e_hat.reshape(-1, n, n), np.repeat(w, s, axis=0)
+    first = w * e_hat  # from X = 0
+    xs = [first if v == "simplified" else _iterate(e_hat, w, e_hat, first) for v in variants]
+    parts = [(index, b.reshape(len(xs), k, s, *b.shape[2:])) for index, b in _complements(e_hat, xs, groups)]
+    betas = _complement_eigenvalues([b for _, b in parts])
+    # Each row's representative value at each index.
+    rho = reps[:, _block_id(groups)]
+    pred = np.empty((len(xs), k, s, n))
+    for (index, _), beta in zip(parts, betas):
+        # The blocks are contiguous and cover every index in order.
+        pred[..., index] = rho[:, None, index] + beta
+    return [(pred[v], [(index, b[v], beta[v]) for (index, b), beta in zip(parts, betas)]) for v in range(len(xs))]
 
 
 def _complements(e_hat: np.ndarray, xs, groups) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per block size, as :func:`_complements_stack`, the indices of its
-    blocks and their complements ``(v, m, k, l, l)`` with each of the ``v``
-    fixed points ``xs``, each ``(m, n, n)``.
+    """Every block's symmetrized Schur complement for the members of
+    ``e_hat`` ``(m, n, n)`` that share the degeneracy ``groups``, with each
+    of the ``v`` fixed points ``xs``, each ``(m, n, n)``, as one pair per
+    block size in order of first appearance: the indices ``(k, l)`` of the
+    ``k`` blocks of size ``l``, in block order, and their complements ``(v,
+    m, k, l, l)``.
 
     The blocks of one size make one batched product.  Each block's product
     has the bits of ``E_hat[:, block] @ X[:, :, block]`` on views of the
@@ -264,72 +288,6 @@ def _complements(e_hat: np.ndarray, xs, groups) -> list[tuple[np.ndarray, np.nda
         x_cols = cols[..., span].reshape(len(xs), m, n, -1, size).swapaxes(2, 3)
         out.append((index, _complement(e_hat, index, rows[:, span].reshape(m, -1, size, n), x_cols)))
     return out
-
-
-# Each record's Schur refinements by variant, as _refined_stack returns them.
-_REFINED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _refined(ap: AlignedPerturbation, variants: tuple[str, ...]) -> tuple[np.ndarray, list]:
-    """:func:`_refined_stack` of the record ``ap`` for ``variants[0]``, as a
-    stack of one, kept for the record's lifetime; those of the other
-    ``variants`` that the record does not keep yet are computed with it.
-    The caller has applied the gap guard.  A record derived from ``ap`` is
-    another object and computes its own."""
-    kept = _REFINED.get(ap, {})
-    if variants[0] not in kept:
-        kept = {**kept, **_refine_record(ap, [v for v in variants if v not in kept])}
-        _REFINED[ap] = kept
-    return kept[variants[0]]
-
-
-def _refine_record(ap: AlignedPerturbation, variants: list[str]) -> dict[str, tuple[np.ndarray, list]]:
-    """The refinements of ``ap`` for ``variants``, by variant, as the members
-    of a stack of one base.  The full variant's first iterate is the
-    simplified variant's fixed point, so both kinds of complement come from
-    one fixed point, one batched product per block size, and one oracle call
-    per block size, whose members each get their solo bits."""
-    e_hat, w = ap.e_hat[None], ap.data.w[None]
-    first = _fixed_point(e_hat, w, 0, ap.n, "simplified")
-    xs = [first if v == "simplified" else _iterate(e_hat, w, e_hat, first) for v in variants]
-    parts = [(index, b.swapaxes(0, 1)) for index, b in _complements(e_hat, xs, ap.blocks.groups)]
-    reps = np.array([ap.blocks.rep_values])
-    pred, parts = _predictions(reps, ap.blocks.groups, parts, _complement_eigenvalues([b for _, b in parts]))
-    if len(variants) == 1:
-        return {variants[0]: (pred, parts)}
-    return {
-        v: (pred[:, i : i + 1], [(index, b[:, i : i + 1], beta[:, i : i + 1]) for index, b, beta in parts])
-        for i, v in enumerate(variants)
-    }
-
-
-def _refined_stack(e_hat: np.ndarray, w: np.ndarray, reps: np.ndarray, groups, variant: str) -> tuple[np.ndarray, list]:
-    """Schur-refined eigenvalues ``(k, s, n)`` of ``E_hat`` stacked as
-    ``(k, s, n, n)``, the ``s`` members of row ``i`` sharing the weights
-    ``w[i]`` ``(n, n)`` and the representative values ``reps[i]`` of one
-    degeneracy ``groups``, whose gap guards have admitted them; and per
-    block size, the blocks' indices ``(b, l)``, their complements
-    ``(k, s, b, l, l)`` and those complements' eigenvalues ``(k, s, b, l)``.
-    One fixed point serves every member and one oracle call each block
-    size."""
-    k, s, n = e_hat.shape[:3]
-    sized = _complements_stack(e_hat.reshape(-1, n, n), np.repeat(w, s, axis=0), groups, variant)
-    parts = [(index, b.reshape(k, s, *b.shape[1:])) for index, b in sized]
-    return _predictions(reps, groups, parts, _complement_eigenvalues([b for _, b in parts]))
-
-
-def _predictions(reps: np.ndarray, groups, parts, betas) -> tuple[np.ndarray, list]:
-    """:func:`_refined_stack`'s result from its ``parts``, the indices and
-    complements ``(k, s, b, l, l)`` of each block size, and their
-    eigenvalues ``betas``."""
-    k, s = parts[0][1].shape[:2]
-    # Each row's representative value at each index.
-    rho = reps[:, _block_id(groups)]
-    pred = np.empty((k, s, rho.shape[1]))
-    for (index, _), beta in zip(parts, betas):
-        # The blocks are contiguous and cover every index in order.
-        pred[:, :, index] = rho[:, None, index] + beta
-    return pred, [(*part, beta) for part, beta in zip(parts, betas)]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,23 @@ class TestConjugate:
         base = SpectralDecomposition(u=u.astype(complex), lam=np.array(lam))
         with pytest.raises(ValueError, match="do not match eigenvectors"):
             conjugate_to_eigenbasis(base, np.zeros(u.shape[:1] * 2))
+
+    @pytest.mark.parametrize("warnings_as", ["error", "ignore"])
+    @pytest.mark.parametrize("entry", ["first_order", "aligned_perturbation", "line_expansion"])
+    def test_an_overflowing_conjugation_is_refused(self, entry, warnings_as):
+        # Finite inputs whose U* E U overflows: the records held inf, and
+        # under error::RuntimeWarning a bare RuntimeWarning escaped.
+        lam, e = np.array([3e300, 0.0, -3e300]), np.full((3, 3), 1e308)
+        base = SpectralDecomposition(u=np.eye(3, dtype=complex), lam=lam)
+        calls = {
+            "first_order": lambda: first_order_eigenvalues(blockwise_diagonalize(conjugate_to_eigenbasis(base, e))),
+            "aligned_perturbation": lambda: aligned_perturbation(np.diag(lam), e),
+            "line_expansion": lambda: line_expansion(np.diag(lam), e),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter(warnings_as, RuntimeWarning)
+            with pytest.raises(ValueError, match="overflows"):
+                calls[entry]()
 
 
 class TestBlockwiseDiagonalize:

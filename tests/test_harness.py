@@ -162,8 +162,13 @@ class TestGenerators:
             a, f = generate_instance(cfg, index)
             a3, f3 = generate_instance(cfg, 3)
             assert a.tobytes() == a3.tobytes() and f.tobytes() == f3.tobytes()
-        with pytest.raises(TypeError):
-            generate_instance(cfg, 3.0)
+
+    @pytest.mark.parametrize("trial", [3.0, 1.5, "3", None], ids=["whole_float", "float", "str", "none"])
+    def test_trial_must_be_an_integer(self, trial):
+        # A bare TypeError from operator.index used to come out.
+        cfg = EnsembleConfig(seed=5, n=5, block_spec=(2, 2, 1), trials=4, predictor="first_order")
+        with pytest.raises(ValueError, match="trial must be an integer"):
+            generate_instance(cfg, trial)
 
     def test_instance_is_reproducible(self):
         cfg = EnsembleConfig(seed=5, n=5, block_spec=(2, 2, 1), trials=3, predictor="first_order")

@@ -251,13 +251,13 @@ class TestSimilarityDiagnostic:
 
     def test_runs_the_fixed_point_once(self, monkeypatch):
         calls = []
-        real = schur._fixed_point
+        real = schur._iterate
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(schur, "_fixed_point", counting)
+        monkeypatch.setattr(schur, "_iterate", counting)
         ap = aligned_perturbation(EXAMPLE_A3, hermitian(0.1 * EXAMPLE_F3))
         schur_similarity_diagnostic(ap, 0)
         assert len(calls) == 1
@@ -304,8 +304,8 @@ def solved_complement(ap, g):
 
 
 def by_block(sized):
-    """The complements that ``schur._complements_stack`` returns per block
-    size, as one per block in block order."""
+    """The complements ``(index, b)`` that ``schur._complements`` forms per
+    block size, as one per block in block order."""
     starts = {int(rows[0]): b[..., i, :, :] for index, b in sized for i, rows in enumerate(index)}
     return [starts[start] for start in sorted(starts)]
 
@@ -320,6 +320,12 @@ def complements(ap, variant="full"):
 def weights(aps):
     """The stacked ``W`` of the records ``aps``, from their base-only data."""
     return np.array([ap.data.w for ap in aps])
+
+
+def fixed_point(e_hat, w):
+    """The full variant's fixed point of the stack ``e_hat`` with weights
+    ``w``, iterated from its first iterate as the refinement does."""
+    return schur._iterate(e_hat, w, e_hat, w * e_hat)
 
 
 class TestFixedPoint:
@@ -384,7 +390,7 @@ class TestFixedPoint:
             for cap in range(1, 61):
                 monkeypatch.setattr(schur, "MAX_ITERATIONS", cap)
                 try:
-                    schur._fixed_point(e_hat[k : k + 1], w[k : k + 1], 0, 6, "full")
+                    fixed_point(e_hat[k : k + 1], w[k : k + 1])
                     return cap
                 except ConvergenceError:
                     pass
@@ -394,14 +400,14 @@ class TestFixedPoint:
         assert len(set(counts)) == len(counts)
         monkeypatch.setattr(schur, "MAX_ITERATIONS", 60)
         for lo, hi in ((0, 4), (1, 3), (2, 4)):
-            stacked = schur._fixed_point(e_hat[lo:hi], w[lo:hi], 0, 6, "full")
+            stacked = fixed_point(e_hat[lo:hi], w[lo:hi])
             for k in range(lo, hi):
-                alone = schur._fixed_point(e_hat[k : k + 1], w[k : k + 1], 0, 6, "full")
+                alone = fixed_point(e_hat[k : k + 1], w[k : k + 1])
                 assert np.array_equal(stacked[k - lo], alone[0])
         # A cap that stops the slowest member alone names it.
         monkeypatch.setattr(schur, "MAX_ITERATIONS", max(counts) - 1)
         with pytest.raises(ConvergenceError) as info:
-            schur._fixed_point(e_hat, w, 0, 6, "full")
+            fixed_point(e_hat, w)
         assert info.value.member == int(np.argmax(counts))
 
 
@@ -462,13 +468,13 @@ class TestStackedComplements:
     def test_matches_the_block_loop(self, monkeypatch, n, members, layout, variant):
         # The loop runs on the fixed point that the stacked call computes.
         points = []
-        real = schur._fixed_point
+        real = schur._complements
 
-        def recording(*args):
-            points.append(real(*args))
-            return points[-1]
+        def recording(e_hat, xs, groups):
+            points.append(xs[0])
+            return real(e_hat, xs, groups)
 
-        monkeypatch.setattr(schur, "_fixed_point", recording)
+        monkeypatch.setattr(schur, "_complements", recording)
         spec = STACK_SPECS[n]
         rng = np.random.default_rng([n, members])
         # A lone member at each scale, or one stack that cycles through them.
@@ -480,7 +486,9 @@ class TestStackedComplements:
                 e_hat = np.ascontiguousarray(e_hat.swapaxes(1, 2)).swapaxes(1, 2)
             w = weights(aps)
             groups = aps[0].blocks.groups
-            got = by_block(schur._complements_stack(e_hat, w, groups, variant))
+            reps = np.array([ap.blocks.rep_values for ap in aps])
+            [(_, parts)] = schur._refined_stack(e_hat[:, None], w, reps, groups, (variant,))
+            got = by_block([(index, b[:, 0]) for index, b, _ in parts])
             want = complements_loop(e_hat, points[-1], groups)
             assert len(got) == len(groups)
             for b, ref in zip(got, want):
@@ -514,7 +522,7 @@ def stacked(ap, variant):
     ``ap`` as a stack of one, each variant from its own fixed point and
     oracle call."""
     reps = np.array([ap.blocks.rep_values])
-    return schur._refined_stack(ap.e_hat[None, None], ap.data.w[None], reps, ap.blocks.groups, variant)
+    return schur._refined_stack(ap.e_hat[None, None], ap.data.w[None], reps, ap.blocks.groups, (variant,))[0]
 
 
 def fresh_record(spec=STACK_SPECS[60]):
@@ -541,7 +549,7 @@ class TestSharedRefinement:
         # vc_membership reads the norm from the oracle; it is solved here.
         ap.e_norm
         oracle_calls.clear()
-        monkeypatch.setattr(schur, "_fixed_point", no_fixed_point)
+        monkeypatch.setattr(schur, "_refined_stack", no_fixed_point)
         monkeypatch.setattr(schur, "_iterate", no_fixed_point)
         simplified = refined_eigenvalues(ap, "simplified")
         report = vc_membership(ap, 0.1, 0.5)
@@ -623,3 +631,64 @@ class TestSharedRefinement:
         assert second.flags.writeable and not np.shares_memory(first, second)
         assert second.tobytes() == want
         assert refined_eigenvalues(ap, variant).tobytes() == want
+
+
+ONE_PATH_SPECS = [(2, 2, 1, 1), (3, 2, 1), (5,), (4,) * 15, (4, 3, 2, 1) * 6]
+
+
+def study_stack(spec, k, s):
+    """A ``(k, s)`` study stack of ``spec``: row ``i`` is a base of its own,
+    with its own ``W``, and its members the records of that base's ``E``
+    scaled by ``s`` factors.  Returns the stacked ``E_hat``, ``W`` and
+    representative values, and the records row by row."""
+    records = []
+    for i in range(k):
+        ap = scaled_record(np.random.default_rng([len(spec), i]), spec, (0, 3, -2)[i])
+        records.append([scaled(ap, t) for t in (1.0, 0.5, 0.25, 0.7, 0.125)[:s]])
+    e_hat = np.array([[r.e_hat for r in row] for row in records])
+    w = np.array([row[0].data.w for row in records])
+    reps = np.array([row[0].blocks.rep_values for row in records])
+    return e_hat, w, reps, records
+
+
+def same_parts(got, want):
+    for (index, b, beta), (want_index, want_b, want_beta) in zip(got, want, strict=True):
+        assert np.array_equal(index, want_index)
+        assert b.tobytes() == want_b.tobytes() and beta.tobytes() == want_beta.tobytes()
+
+
+class TestOnePath:
+    """Records and studies refine through one call for any set of variants:
+    a variant asked for with another keeps the bytes it has alone, and a
+    study member the bytes of its own record."""
+
+    @pytest.mark.parametrize("variants", [("full", "simplified"), ("simplified", "full")])
+    @pytest.mark.parametrize("k, s", [(1, 1), (3, 5)])
+    @pytest.mark.parametrize("spec", ONE_PATH_SPECS, ids=str)
+    def test_variants_together_keep_their_single_bits(self, oracle_calls, spec, k, s, variants):
+        e_hat, w, reps, records = study_stack(spec, k, s)
+        groups = records[0][0].blocks.groups
+        oracle_calls.clear()
+        together = schur._refined_stack(e_hat, w, reps, groups, variants)
+        # One oracle call per block size serves both variants.
+        assert oracle_calls.stages == ["_complement_eigenvalues"] * len(set(spec))
+        assert len(together) == len(variants)
+        for variant, (pred, parts) in zip(variants, together):
+            [(want, want_parts)] = schur._refined_stack(e_hat, w, reps, groups, (variant,))
+            assert pred.shape == (k, s, sum(spec))
+            assert pred.tobytes() == want.tobytes()
+            same_parts(parts, want_parts)
+
+    @pytest.mark.parametrize("variant", ["full", "simplified"])
+    @pytest.mark.parametrize("spec", ONE_PATH_SPECS, ids=str)
+    def test_study_members_are_their_records_refinements(self, spec, variant):
+        e_hat, w, reps, records = study_stack(spec, 3, 5)
+        [(pred, parts)] = schur._refined_stack(e_hat, w, reps, records[0][0].blocks.groups, (variant,))
+        for i, row in enumerate(records):
+            for j, ap in enumerate(row):
+                assert refined_eigenvalues(ap, variant).tobytes() == pred[i, j].tobytes()
+                _, record_parts = schur._refined(ap, (variant,))
+                same_parts(
+                    [(index, b[0, 0], beta[0, 0]) for index, b, beta in record_parts],
+                    [(index, b[i, j], beta[i, j]) for index, b, beta in parts],
+                )
