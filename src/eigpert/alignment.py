@@ -356,7 +356,7 @@ def _conjugate(u: np.ndarray, e: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         e_hat = u.conj().swapaxes(1, 2) @ e @ u
         e_hat = 0.5 * (e_hat + e_hat.conj().swapaxes(1, 2))
-    if not np.isfinite(e_hat).all():
+    if not np.isfinite(e_hat.view(np.float64)).all():
         raise ValueError("U* E U overflows the floating-point range; scale the perturbation down")
     return as_readonly(e_hat)
 
