@@ -61,13 +61,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_derivative(args: argparse.Namespace) -> int:
-    expansion = rayleigh.line_expansion(_read_hermitian(args.a), _read_hermitian(args.f))
-    inverse_gap_term = expansion.m_mat * expansion.ap.e_hat
-    sys.stdout.write(matrices.format_matrix(expansion.n_mat))
+    # Not the line expansion: its a2 may overflow where N and U'(0) do not.
+    ap = alignment.aligned_perturbation(_read_hermitian(args.a), _read_hermitian(args.f))
+    sys.stdout.write(matrices.format_matrix(rayleigh.n_matrix(ap)))
     sys.stdout.write("\n")
-    sys.stdout.write(matrices.format_matrix(inverse_gap_term))
+    sys.stdout.write(matrices.format_matrix(ap.data.m * ap.e_hat))
     sys.stdout.write("\n")
-    sys.stdout.write(matrices.format_matrix(expansion.u_prime))
+    sys.stdout.write(matrices.format_matrix(rayleigh.eigenvector_derivative(ap, ap.data.m)))
     return 0
 
 

@@ -21,12 +21,11 @@ reduction, the off-diagonal mass, runs on a member-major copy along one
 contiguous row per member, so each member of a stack gets exactly the bits
 it would get if solved alone.  Each member is scaled by an exact power of
 two to unit largest entry before solving, so the off-diagonal mass neither
-underflows nor overflows at any representable input scale; a 1 x 1 member
-needs no solve and is its own eigenvalue.  The rotations act on ``a``
-stacked over the eigenvector accumulator ``u``; callers that read only
-eigenvalues sweep ``a`` alone and get eigenvalue arrays back.  Nothing
-computed from ``a`` reads ``u``, so ``lam``, sweeps, off mass and errors
-keep their bits.
+underflows nor overflows at any representable input scale.  The rotations
+act on ``a`` stacked over the eigenvector accumulator ``u``; callers that
+read only eigenvalues sweep ``a`` alone and get eigenvalue arrays back.
+Nothing computed from ``a`` reads ``u``, so ``lam``, sweeps, off mass and
+errors keep their bits.
 
 Every solve goes through the array entry ``_solve_stack``: one stack of one
 size in, finiteness checked only, arrays out.  The public :func:`eigh`
@@ -35,18 +34,15 @@ builds the record.  The package's own callers hold stacks on which
 :func:`~eigpert.matrices.hermitian` would change no bit (random draws,
 ``E_hat`` blocks, Schur complements, ``A + t F``), so they call the entry.
 
-A step is about 30 numpy calls whatever the stack's size, so a solve costs
-about sweeps x steps x 30 calls, and for small matrices that call overhead,
-not arithmetic, is its cost.  A solve therefore allocates its stack once and
-builds one plan for each set of members it sweeps: a spare buffer of the
-stack's shape, which each step's gather fills and the next step works in
-(ping-pong), the strided views of each buffer that a step reads and writes,
-built when a step first works in that buffer, each step's gather, and the
-work arrays of a step and of the per-sweep symmetrization.  A step then
-allocates one small array, and no buffer is allocated again per sweep.
-When members converge, the others are gathered into a plan of their own
-size.  A plan belongs to one call, so solves share no buffers; only the
-index data of the schedule is cached, read-only.
+A step is about 30 numpy calls whatever the stack's size, so for small
+matrices call overhead, not arithmetic, is a solve's cost.  A solve allocates
+its stack once, and the generator ``_sweeps`` makes what the sweeps over one
+set of live members need once, as locals: a spare buffer that each step's
+gather fills and the next step works in (ping-pong), the strided views of
+both buffers that a step reads and writes, and a step's work arrays.  It
+yields the buffer that holds the stack after each sweep.  When members
+converge, the others are gathered into a new generator of their own size.
+Nothing is shared between solves but the schedule's read-only index data.
 """
 
 from __future__ import annotations
@@ -81,10 +77,6 @@ class SpectralDecomposition:
     lam: np.ndarray
     sweeps: int | None = None
     off_mass: float | None = None
-
-    @property
-    def n(self) -> int:
-        return int(self.lam.size)
 
 
 def _normalize_column_phases(u: np.ndarray) -> np.ndarray:
@@ -165,117 +157,91 @@ def _off_mass(a: np.ndarray) -> np.ndarray:
     return np.sqrt(sq.sum(axis=1))
 
 
-class _Plan:
-    """Everything the sweeps over one stack ``w`` ``(height, n, k)`` need,
-    built once: ``w`` and a spare of its shape as ping-pong buffers, the
-    strided views of each buffer that a step reads and writes (built when a
-    step first works in that buffer), each step's gather, and a step's work
-    arrays.  A plan lives for one solve and one set of live members, whose
-    pivot floors are ``floor``; ``current`` is the buffer that holds the
-    stack."""
-
-    __slots__ = ("floor", "buffers", "flats", "views", "current", "moves", "work", "sym")
-
-    def __init__(self, w: np.ndarray, floor: np.ndarray):
-        height, n, k = w.shape
-        m = n // 2
-        spare = np.empty_like(w)
-        self.floor, self.buffers, self.views, self.current = floor, (w, spare), [None, None], 0
-        self.flats = (w.reshape(height * n, k), spare.reshape(height * n, k))
-        self.moves = _moves(n, height)
-        c = np.empty((m, k))
-        coef = np.empty((2, m, k), np.complex128)
-        coef_conj = np.empty_like(coef)
-        cols, rows = (height, 2, m, k), (2, m, n, k)
-        self.work = (
-            np.empty((m, k)),  # |b|
-            np.empty((m, k)),  # d
-            np.empty((m, k)),  # t
-            c,
-            c[:, None],  # c against the rows
-            np.empty((m, k), bool),  # the pivots that rotate
-            coef, coef[0], coef[1],  # the columns' coefficients, and their halves
-            coef_conj[0], coef_conj[1], coef_conj[:, :, None],  # the rows' coefficients
-            np.empty(cols, np.complex128),  # col_s
-            np.empty(rows, np.complex128),  # row_s
-        )
-        # The symmetrization's buffer, and then the member-major copy of
-        # ``a`` whose off mass is reduced.
-        self.sym = np.empty((n, n, k), dtype=np.complex128)
-
-    def step_views(self) -> tuple:
-        """The views of the current buffer that a step reads and writes."""
-        i = self.current
-        if self.views[i] is None:
-            w, flat = self.buffers[i], self.flats[i]
-            height, n, k = w.shape
-            m = n // 2
-            cols = w[:, : 2 * m].reshape(height, 2, m, k)
-            rows = w[: 2 * m].reshape(2, m, n, k)
-            self.views[i] = (
-                flat[: m * (n + 1) : n + 1].real,  # a[i, i]
-                flat[m * (n + 1) : 2 * m * (n + 1) : n + 1].real,  # a[m + i, m + i]
-                flat[m : m + m * (n + 1) : n + 1],  # a[i, m + i]
-                flat[m * n : m * n + m * (n + 1) : n + 1],  # a[m + i, i]
-                cols,
-                cols[:, ::-1],
-                rows,
-                rows[::-1],
-                flat[: n * n : n + 1].imag,
-            )
-        return self.views[i]
+def _step_views(w: np.ndarray) -> tuple:
+    """The views of the stack ``w`` ``(height, n, k)`` that a step reads and
+    writes, the first its rows flattened for the step's gather."""
+    height, n, k = w.shape
+    m = n // 2
+    flat = w.reshape(height * n, k)
+    cols = w[:, : 2 * m].reshape(height, 2, m, k)
+    rows = w[: 2 * m].reshape(2, m, n, k)
+    return (
+        flat,
+        flat[: m * (n + 1) : n + 1].real,  # a[i, i]
+        flat[m * (n + 1) : 2 * m * (n + 1) : n + 1].real,  # a[m + i, m + i]
+        flat[m : m + m * (n + 1) : n + 1],  # a[i, m + i]
+        flat[m * n : m * n + m * (n + 1) : n + 1],  # a[m + i, i]
+        cols,
+        cols[:, ::-1],
+        rows,
+        rows[::-1],
+        flat[: n * n : n + 1].imag,  # the diagonal of a
+    )
 
 
-def _sweep(plan: _Plan) -> np.ndarray:
-    """One round-robin sweep over the plan's stack ``w = [a; u]``, a stack
-    ``(2n, n, k)`` of matrices ``a`` stacked over the eigenvector
-    accumulators ``u``, or ``w = a`` alone, a stack ``(n, n, k)``; the ``k``
-    members come last.
+def _sweeps(w: np.ndarray, floor: np.ndarray):
+    """Round-robin sweeps over ``w = [a; u]``, a stack ``(2n, n, k)`` of
+    matrices ``a`` stacked over the eigenvector accumulators ``u``, or
+    ``w = a`` alone, a stack ``(n, n, k)``, whose members' pivot floors are
+    ``floor``; the ``k`` members come last.  After each sweep, yields the
+    buffer that holds the stack, in the first step's index order.
 
     Each step rotates its pivots in every member at once; a pivot whose
     modulus is at most its member's floor rotates by the identity
     (``c = 1, s = 0``), which leaves every value as it was.  Every operation
     is elementwise, so its innermost loop runs over the members and a step
     costs about as much for a stack as for one matrix.  Each step writes
-    its result in place and gathers it into the other buffer; returns the
-    buffer that holds the stack, in the first step's index order.
+    its result in place and gathers it into the other buffer.
     """
-    (absb, d, t, c, c_rows, rotate, coef, coef_0, coef_1, conj_0, conj_1, coef_rows,
-     col_s, row_s) = plan.work
-    floor, flats = plan.floor, plan.flats
-    for move in plan.moves:
-        app, aqq, b, b_low, cols, cols_swapped, rows, rows_swapped, diag_imag = plan.step_views()
-        np.abs(b, out=absb)
-        np.greater(absb, floor, out=rotate)
-        # t = tan of the rotation angle, the smaller-modulus root of
-        # t^2 - 2 tau t - 1 = 0 with tau = (a[q, q] - a[p, p]) / (2 |b|), so
-        # the angle stays below 45 degrees; written as r = t / |b| so that
-        # no division by |b| is needed.  Pivots that do not rotate get r = 0.
-        np.subtract(app, aqq, out=d)
-        np.hypot(d, np.multiply(2.0, absb, out=t), out=t)
-        np.add(np.abs(d, out=c), t, out=t)
-        np.copysign(np.divide(2.0, t, out=t), d, out=t)
-        r = np.where(rotate, t, 0.0)
-        np.divide(1.0, np.hypot(1.0, np.multiply(r, absb, out=c), out=c), out=c)
-        # Columns of a and u: x' = c x + s y, y' = c y - conj(s) x for the
-        # column pair (x, y) = (i, m + i), with s = c r conj(b); then the rows
-        # of a with the conjugate coefficients.
-        np.multiply(np.multiply(c, r, out=r), np.conjugate(b, out=coef_1), out=coef_0)
-        np.negative(np.conjugate(coef_0, out=conj_0), out=coef_1)
-        np.negative(coef_0, out=conj_1)
-        # The swapped terms are read before the pairs are scaled in place.
-        np.multiply(cols_swapped, coef, out=col_s)
-        np.multiply(cols, c, out=cols)
-        np.add(cols, col_s, out=cols)
-        np.multiply(rows_swapped, coef_rows, out=row_s)
-        np.multiply(rows, c_rows, out=rows)
-        np.add(rows, row_s, out=rows)
-        np.copyto(b, 0.0, where=rotate)
-        np.copyto(b_low, 0.0, where=rotate)
-        diag_imag[...] = 0.0
-        np.take(flats[plan.current], move, axis=0, out=flats[1 - plan.current], mode="clip")
-        plan.current = 1 - plan.current
-    return plan.buffers[plan.current]
+    height, n, k = w.shape
+    m = n // 2
+    buffers = (w, np.empty_like(w))
+    views = [_step_views(buffer) for buffer in buffers]
+    moves = _moves(n, height)
+    absb, d, t, c = np.empty((4, m, k))
+    c_rows = c[:, None]
+    rotate = np.empty((m, k), bool)
+    coef = np.empty((2, m, k), np.complex128)  # the columns' coefficients
+    coef_conj = np.empty_like(coef)  # the rows' coefficients
+    (coef_0, coef_1), (conj_0, conj_1), coef_rows = coef, coef_conj, coef_conj[:, :, None]
+    col_s = np.empty((height, 2, m, k), np.complex128)
+    row_s = np.empty((2, m, n, k), np.complex128)
+    current = 0
+    while True:
+        for move in moves:
+            flat, app, aqq, b, b_low, cols, cols_swapped, rows, rows_swapped, diag_imag = views[current]
+            np.abs(b, out=absb)
+            np.greater(absb, floor, out=rotate)
+            # t = tan of the rotation angle, the smaller-modulus root of
+            # t^2 - 2 tau t - 1 = 0 with tau = (a[q, q] - a[p, p]) / (2 |b|),
+            # so the angle stays below 45 degrees; written as r = t / |b| so
+            # that no division by |b| is needed.  Pivots that do not rotate
+            # get r = 0.
+            np.subtract(app, aqq, out=d)
+            np.hypot(d, np.multiply(2.0, absb, out=t), out=t)
+            np.add(np.abs(d, out=c), t, out=t)
+            np.copysign(np.divide(2.0, t, out=t), d, out=t)
+            r = np.where(rotate, t, 0.0)
+            np.divide(1.0, np.hypot(1.0, np.multiply(r, absb, out=c), out=c), out=c)
+            # Columns of a and u: x' = c x + s y, y' = c y - conj(s) x for the
+            # column pair (x, y) = (i, m + i), with s = c r conj(b); then the
+            # rows of a with the conjugate coefficients.
+            np.multiply(np.multiply(c, r, out=r), np.conjugate(b, out=coef_1), out=coef_0)
+            np.negative(np.conjugate(coef_0, out=conj_0), out=coef_1)
+            np.negative(coef_0, out=conj_1)
+            # The swapped terms are read before the pairs are scaled in place.
+            np.multiply(cols_swapped, coef, out=col_s)
+            np.multiply(cols, c, out=cols)
+            np.add(cols, col_s, out=cols)
+            np.multiply(rows_swapped, coef_rows, out=row_s)
+            np.multiply(rows, c_rows, out=rows)
+            np.add(rows, row_s, out=rows)
+            np.copyto(b, 0.0, where=rotate)
+            np.copyto(b_low, 0.0, where=rotate)
+            diag_imag[...] = 0.0
+            current = 1 - current
+            np.take(flat, move, axis=0, out=views[current][0], mode="clip")
+        yield buffers[current]
 
 
 def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True, max_sweeps=DEFAULT_MAX_SWEEPS):
@@ -289,13 +255,6 @@ def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True, max_sweeps=DEFAU
     k, n, _ = a.shape
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
-    if n == 1:
-        # A 1 x 1 member is diagonal: solving it would scale it by an exact
-        # power of two, make no sweep and scale it back, so its entry is its
-        # eigenvalue, bit for bit.
-        lam = as_readonly(a.real.reshape(k, 1).copy())
-        u = as_readonly(np.ones((k, 1, 1), dtype=np.complex128))
-        return (u, lam, np.zeros(k, dtype=np.intp), np.zeros(k)) if vectors else lam
     tol = 1e-13 * n if tol is None else tol
     # Largest entry of each member brought into [0.5, 1) by an exact power
     # of two; every rotation parameter is scale-invariant, so this changes
@@ -312,7 +271,7 @@ def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True, max_sweeps=DEFAU
     off = _off_mass(unit)
     # The members still sweeping, their stack as the last sweep left it,
     # their off masses, targets and floors, and the sweeps each has made.
-    live, state, plan, done = np.arange(k), w, None, 0
+    live, state, sweeper, done = np.arange(k), w, None, 0
     live_off, live_target, live_floor = off, target, floor
     sweeps = np.zeros(k, dtype=np.intp)
     # A pivot block with b = 0 and equal diagonal entries divides by zero;
@@ -326,21 +285,23 @@ def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True, max_sweeps=DEFAU
             if count < live.size:
                 # Converged members are left out of later sweeps, so they
                 # keep exactly the bits they stopped at; the others move to
-                # a plan of their own size.
+                # a generator of their own size.
                 stopped = live[~going]
                 w[..., stopped], off[stopped], sweeps[stopped] = state[..., ~going], live_off[~going], done
-                live, state, plan = live[going], state.compress(going, axis=2), None
+                live, state, sweeper = live[going], state.compress(going, axis=2), None
                 live_off, live_target, live_floor = live_off[going], live_target[going], live_floor[going]
-            if plan is None:
-                plan = _Plan(state, live_floor)
-            state = _sweep(plan)
+            if sweeper is None:
+                # The symmetrization's buffer, and then the member-major copy
+                # of ``a`` whose off mass is reduced.
+                sweeper, sym = _sweeps(state, live_floor), np.empty((n, n, live.size), np.complex128)
+            state = next(sweeper)
             top = state[:n]
-            np.conjugate(top.swapaxes(0, 1), out=plan.sym)
-            np.add(top, plan.sym, out=plan.sym)
-            np.multiply(0.5, plan.sym, out=top)
+            np.conjugate(top.swapaxes(0, 1), out=sym)
+            np.add(top, sym, out=sym)
+            np.multiply(0.5, sym, out=top)
             # The mass is reduced member by member on a member-major copy,
             # so each member rounds as it does alone.
-            member_major = plan.sym.reshape(live.size, n, n)
+            member_major = sym.reshape(live.size, n, n)
             np.copyto(member_major, top.transpose(2, 0, 1))
             live_off = _off_mass(member_major)
         else:

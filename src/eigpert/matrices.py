@@ -50,8 +50,8 @@ def _ldexp(m: np.ndarray, exponent) -> np.ndarray:
     """``m * 2**exponent`` for a complex array, exact unless a result leaves
     the normal range; ``exponent`` broadcasts against ``m``."""
     out = np.empty_like(m)
-    out.real = np.ldexp(m.real, exponent)
-    out.imag = np.ldexp(m.imag, exponent)
+    np.ldexp(m.real, exponent, out=out.real)
+    np.ldexp(m.imag, exponent, out=out.imag)
     return out
 
 

@@ -40,7 +40,7 @@ from .alignment import (
     aligned_perturbation,
 )
 from .errors import DegenerateDirectionError
-from .matrices import _real, as_readonly
+from .matrices import _ldexp, _real, as_readonly
 
 __all__ = [
     "STRICT_DIAGONAL_TOL",
@@ -108,10 +108,14 @@ def _a2(e_hat: np.ndarray, mmat: np.ndarray) -> np.ndarray:
     power of two."""
     mag = np.abs(e_hat)
     exponent = np.frexp(mag.max(axis=(1, 2)))[1]
-    weighted = mmat * np.ldexp(mag, -exponent[:, None, None]) ** 2
-    # Row sums of the contiguous transpose round exactly as summing each
-    # column on its own does; a strided column sum would not.
-    return np.ldexp(-np.ascontiguousarray(weighted.swapaxes(1, 2)).sum(axis=2), 2 * exponent[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = mmat * np.ldexp(mag, -exponent[:, None, None]) ** 2
+        # Row sums of the contiguous transpose round exactly as summing each
+        # column on its own does; a strided column sum would not.
+        a2 = np.ldexp(-np.ascontiguousarray(weighted.swapaxes(1, 2)).sum(axis=2), 2 * exponent[:, None])
+    if not np.isfinite(a2).all():
+        raise ValueError("the second-order coefficient a2 overflows the floating-point range")
+    return a2
 
 
 def n_matrix(ap: AlignedPerturbation) -> np.ndarray:
@@ -133,20 +137,37 @@ def n_matrix(ap: AlignedPerturbation) -> np.ndarray:
 
 def _n_matrix(e_hat: np.ndarray, mmat: np.ndarray, same: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """:func:`n_matrix` of each member of the stacks ``e_hat`` and ``mmat``
-    ``(k, n, n)``, without its guards, from the shared ``same`` and ``cols``."""
-    mf = mmat * e_hat
-    fh = e_hat.conj().swapaxes(1, 2)
+    ``(k, n, n)``, without its guards, from the shared ``same`` and ``cols``.
+
+    Both factors of the product are scaled by exact powers of two, so that
+    it neither underflows nor overflows: the power of ``F_hat`` cancels
+    against its diagonal gaps, and that of ``M * F_hat`` is restored at the
+    end."""
+    f_exp = np.maximum(_exponent(e_hat.real), _exponent(e_hat.imag))
+    unit = _ldexp(e_hat, -f_exp)
+    fh = unit.conj().swapaxes(1, 2)
     # Each column of a multi-member block as its own matrix-vector product,
     # which rounds exactly as the per-column definition does; one matrix
     # product would not.  np.matmul makes one such product per member of the
-    # stack of contiguous columns.
+    # stack of contiguous columns, scaled in place through its real view.
     num = np.zeros(e_hat.shape, dtype=np.complex128)
-    columns = np.ascontiguousarray(mf[:, :, cols].swapaxes(1, 2))[..., None]
-    num[:, :, cols] = np.matmul(fh[:, None], columns)[..., 0].swapaxes(1, 2)
-    d = np.diagonal(e_hat, axis1=1, axis2=2).real
+    columns = np.ascontiguousarray((mmat * unit)[:, :, cols].swapaxes(1, 2))
+    parts = columns.view(np.float64)
+    mf_exp = _exponent(parts)
+    np.ldexp(parts, -mf_exp, out=parts)
+    num[:, :, cols] = np.matmul(fh[:, None], columns[..., None])[..., 0].swapaxes(1, 2)
+    d = np.diagonal(unit, axis1=1, axis2=2).real
     out = np.zeros(e_hat.shape, dtype=np.complex128)
     np.divide(num, d[:, :, None] - d[:, None, :], out=out, where=same)
+    parts = out.view(np.float64)
+    np.ldexp(parts, f_exp + mf_exp, out=parts)
     return out
+
+
+def _exponent(x: np.ndarray) -> np.ndarray:
+    """The power of two that brings the largest magnitude of each member of
+    the real stack ``x`` ``(k, m, n)`` into [0.5, 1), shaped ``(k, 1, 1)``."""
+    return np.frexp(np.abs(x).max(axis=(1, 2), initial=0.0))[1][:, None, None]
 
 
 def eigenvector_derivative(ap: AlignedPerturbation, mmat: np.ndarray) -> np.ndarray:
@@ -205,10 +226,11 @@ class LineExpansion:
         if not math.isfinite(t):
             raise ValueError(f"t must be finite, got {t}")
         _require_gap(self.ap, DEFAULT_MARGIN_FACTOR * abs(t))
-        return EigensystemPrediction(
-            xi_hat=as_readonly(_series(t, self.a0, self.a1, self.a2)),
-            u_hat=as_readonly(_series(t, self.base.u, self.u_prime)),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            xi_hat, u_hat = _series(t, self.a0, self.a1, self.a2), _series(t, self.base.u, self.u_prime)
+        if not (np.isfinite(xi_hat).all() and np.isfinite(u_hat).all()):
+            raise ValueError(f"the expansion at t = {t} overflows the floating-point range")
+        return EigensystemPrediction(xi_hat=as_readonly(xi_hat), u_hat=as_readonly(u_hat))
 
 
 def _series(t, *coefficients):

@@ -92,21 +92,42 @@ def align_columns_loop(candidate: np.ndarray, reference: np.ndarray, groups) -> 
     return out
 
 
+def scaled_by(x: np.ndarray, exponent: int) -> np.ndarray:
+    """``x * 2**exponent``, the real and imaginary parts scaled apart, in
+    the memory layout of ``x``."""
+    out = np.empty_like(x)
+    out.real, out.imag = np.ldexp(x.real, exponent), np.ldexp(x.imag, exponent)
+    return out
+
+
+def unit_exponent(x: np.ndarray) -> int:
+    """The power of two that brings the largest real or imaginary part of
+    ``x`` into [0.5, 1)."""
+    return int(np.frexp(max(np.abs(x.real).max(initial=0.0), np.abs(x.imag).max(initial=0.0)))[1])
+
+
 def n_matrix_loop(ap, mmat: np.ndarray) -> np.ndarray:
     """The reference ``N``: one matrix-vector product ``F_hat* (M * F_hat)[:, j]``
-    per column ``j`` of a multi-member block, on the contiguous column."""
+    per column ``j`` of a multi-member block, on the contiguous column, with
+    ``F_hat`` and then those columns of ``M * F_hat`` scaled to unit largest
+    part by powers of two, which the in-block gaps of the scaled ``F_hat``
+    and a last scaling undo."""
     n = ap.n
     bid = ap.blocks.block_id()
     same = (bid[:, None] == bid[None, :]) & ~np.eye(n, dtype=bool)
-    mf = mmat * ap.e_hat
-    fh = ap.e_hat.conj().T
+    multi = np.flatnonzero(same.any(axis=0))
+    f_exp = unit_exponent(ap.e_hat)
+    f = scaled_by(ap.e_hat, -f_exp)
+    mf = mmat * f
+    mf_exp = unit_exponent(mf[:, multi])
+    fh = f.conj().T
     num = np.zeros((n, n), dtype=np.complex128)
-    for j in np.flatnonzero(same.any(axis=0)):
-        num[:, j] = fh @ np.ascontiguousarray(mf[:, j])
-    d = ap.e_hat_diag
+    for j in multi:
+        num[:, j] = fh @ scaled_by(np.ascontiguousarray(mf[:, j]), -mf_exp)
+    d = np.diagonal(f).real
     out = np.zeros((n, n), dtype=np.complex128)
     np.divide(num, d[:, None] - d[None, :], out=out, where=same)
-    return out
+    return scaled_by(out, f_exp + mf_exp)
 
 
 def complements_loop(e_hat: np.ndarray, x: np.ndarray, groups) -> list[np.ndarray]:

@@ -485,6 +485,10 @@ class TestAlignColumns:
         with pytest.raises(ValueError):
             align_columns(np.eye(2), np.eye(3), [(0, 2)])
 
+    def test_refuses_1d_input(self):
+        with pytest.raises(ValueError, match="expected matrices, got 1-d data"):
+            align_columns(np.ones(3), np.ones(3), [(0, 3)])
+
     @pytest.mark.parametrize(
         "groups",
         [[(0, 5)], [(2, 1)], [(1, 1)], [(-1, 2)], [(0, 2), (1, 3)]],

@@ -8,11 +8,14 @@ from eigpert import (
     EnsembleConfig,
     aligned_perturbation,
     convergence_study,
+    eigenvector_derivative,
     eigh,
     first_order_eigenvalues,
     format_matrix,
+    generate_instance,
     hermitian,
     line_expansion,
+    n_matrix,
     parse_matrix,
     refined_eigenvalues,
     report_to_csv,
@@ -141,6 +144,19 @@ class TestDerivative:
         assert np.abs(u_prime - lex.u_prime).max() <= 1e-15
         # the derivative splits into the in-block rotation and the gap term
         assert np.abs((n_mat - gap_term) - lex.base.u.conj().T @ u_prime).max() <= 1e-13
+
+    def test_direction_past_the_range_of_a2(self, tmp_path, capsys):
+        # At 2**540, a2 overflows but N and U'(0) are representable: the
+        # command prints them, bit for bit as the library computes them.
+        cfg = EnsembleConfig(seed=1, n=6, block_spec=(2, 2, 1, 1), trials=1, predictor="first_order")
+        a, f = generate_instance(cfg, 0)
+        f = 2.0**540 * f
+        args = ["--a", write_matrix(tmp_path, "a.txt", a), "--f", write_matrix(tmp_path, "f.txt", f)]
+        assert main(["derivative", *args]) == 0
+        parts = capsys.readouterr().out.split("\n\n")
+        ap = aligned_perturbation(a, f)
+        assert np.array_equal(parse_matrix(parts[0]), n_matrix(ap))
+        assert np.array_equal(parse_matrix(parts[2]), eigenvector_derivative(ap, ap.data.m))
 
     def test_tied_direction_exit_code(self, tmp_path, capsys):
         a = write_matrix(tmp_path, "a.txt", np.diag([4.0, 4.0, 1.0]))

@@ -71,6 +71,11 @@ class TestParse:
         with pytest.raises(MatrixParseError, match="expected 3 rows"):
             parse_matrix("3\n1 2 3\n4 5 6\n")
 
+    def test_missing_rows_without_final_newline(self):
+        with pytest.raises(MatrixParseError, match="expected 2 rows, got 1") as exc:
+            parse_matrix("2\n1 2")
+        assert (exc.value.line, exc.value.column) == (3, 1)
+
     def test_trailing_content(self):
         with pytest.raises(MatrixParseError) as exc:
             parse_matrix("1\n5\njunk\n")
@@ -126,6 +131,11 @@ class TestRoundTrip:
     def test_extreme_magnitudes(self):
         m = np.array([[1e-308, 1e308], [5e-324, -1e-200]], dtype=complex)
         assert bit_equal(parse_matrix(format_matrix(m)), m)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 2, 2)])
+    def test_format_refuses_empty_and_3d_input(self, shape):
+        with pytest.raises(ValueError, match=r"expected a nonempty 2-d matrix, got shape \(" + f"{shape[0]}"):
+            format_matrix(np.zeros(shape))
 
 
 class TestConstructors:
@@ -287,6 +297,10 @@ class TestOperatorNorm:
     def test_zero(self):
         assert operator_norm(np.zeros((3, 2))) == 0.0
         assert operator_norm(np.zeros((0, 3))) == 0.0
+
+    def test_refuses_3d_input(self):
+        with pytest.raises(ValueError, match="expected a matrix, got 3-d data"):
+            operator_norm(np.zeros((2, 2, 2)))
 
     def test_hermitian_input_is_max_abs_eigenvalue(self):
         h = np.diag([3.0, -7.0, 2.0]).astype(complex)

@@ -17,6 +17,7 @@ from conftest import (
 from eigpert import rayleigh
 from eigpert import (
     DegenerateDirectionError,
+    EnsembleConfig,
     GapTooSmallError,
     ModeError,
     PreconditionError,
@@ -25,6 +26,7 @@ from eigpert import (
     conjugate_to_eigenbasis,
     eigenvector_derivative,
     eigh,
+    generate_instance,
     hermitian,
     line_expansion,
     m_matrix,
@@ -51,6 +53,12 @@ def worked_example():
 
 def to_input_frame(x):
     return PERM3 @ x @ PERM3.T
+
+
+def seed_instance():
+    """The generated ``(A, F)`` of seed 1 with blocks (2, 2, 1, 1), ``||F|| = 1``."""
+    cfg = EnsembleConfig(seed=1, n=6, block_spec=(2, 2, 1, 1), trials=1, predictor="first_order")
+    return generate_instance(cfg, 0)
 
 
 class TestCoefficients:
@@ -331,6 +339,46 @@ class TestScaleEquivariance:
             assert np.array_equal(a2, a2_one) and np.array_equal(n, n_one)
         assert np.abs(a2 - a2_one).max() <= 1e-14 * np.abs(a2_one).max()
         assert np.abs(n - n_one).max() <= 1e-14 * np.abs(n_one).max()
+
+    @pytest.mark.parametrize("k", [-1000, -700, -540, -520, -300, 300, 515, 540, 700, 1000])
+    def test_first_order_eigenvectors_scale_exactly_with_the_direction(self, k):
+        # F alone scaled by 2**k: N and U'(0) scale by exactly 2**k.  Formed
+        # without a prescale, F_hat* (M * F_hat) went subnormal below about
+        # 2**-520 (N = 0 from 2**-540) and overflowed to NaN from 2**515.
+        a, f = seed_instance()
+        one, ap = aligned_perturbation(a, f), aligned_perturbation(a, 2.0**k * f)
+        assert np.array_equal(n_matrix(ap), 2.0**k * n_matrix(one))
+        derivative = eigenvector_derivative(ap, ap.data.m)
+        assert np.array_equal(derivative, 2.0**k * eigenvector_derivative(one, one.data.m))
+        if k < 0:
+            # The line expansion's too, where its a2 does not overflow.
+            lex = line_expansion(a, 2.0**k * f)
+            assert np.array_equal(lex.n_mat, 2.0**k * n_matrix(one))
+            assert np.array_equal(lex.u_prime, derivative)
+
+
+class TestOverflow:
+    """Second-order results past the floating-point range are refused with
+    ``ValueError``, not returned as ``inf`` or NaN."""
+
+    def test_a2_overflow_is_refused(self):
+        a, f = seed_instance()
+        ap = aligned_perturbation(a, 2.0**515 * f)
+        for call in (lambda: rs_coefficients(ap), lambda: line_expansion(a, 2.0**515 * f)):
+            with pytest.raises(ValueError, match="a2 overflows"):
+                call()
+
+    # t * t overflows; times a2 it gives inf, or NaN where a2 underflowed to 0.
+    @pytest.mark.parametrize(("s", "t"), [(1e-156, 5e154), (1e-170, 5e168)], ids=["inf", "nan"])
+    def test_expansion_overflow_is_refused(self, s, t):
+        a, f = seed_instance()
+        lex = line_expansion(a, s * f)
+        for call in (lambda: lex.at(t), lambda: predict_eigensystem(lex.ap, lex.m_mat, t)):
+            with pytest.raises(ValueError, match="overflows the floating-point range") as exc:
+                call()
+            assert not isinstance(exc.value, PreconditionError)
+        # Where t * t stays finite, the expansion evaluates.
+        assert np.isfinite(lex.at(1e150).xi_hat).all()
 
 
 class TestPredict:

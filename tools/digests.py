@@ -14,7 +14,8 @@ bytes of the generated instances themselves, so that a change to the
 random streams shows as its own line, the oracle's own outputs on stacks
 of sizes 1 to 60 and on structured stacks with exact zeros,
 ``operator_norms`` on stacks of square and rectangular shapes, and the
-column match of ``align_columns`` at sizes 1 to 60.
+column match of ``align_columns`` at sizes 1 to 60, and ``N`` and ``U'(0)``
+of the small instances with ``F`` scaled far past unit scale.
 The refusal paths are covered too: a ``predict`` whose ``t`` passes the gap
 between eigenvalue blocks, and studies whose largest ``t`` does so for some
 trials.  All inputs come from ``harness.generate_instance``, some with
@@ -72,6 +73,11 @@ GAP_STUDY = (
 
 # (seed, block_spec) of the small instances for `predict`, `derivative` and the records.
 SMALL = ((1, (2, 2, 1, 1)), (2, (3, 2, 1)), (3, (4,)))
+
+# Powers of two that scale F of the small instances for N and U'(0): past
+# the range where F_hat* (M * F_hat), formed unscaled, would underflow or
+# overflow.
+DIRECTION_EXPONENTS = (-1000, -540, 540, 1000)
 
 # A t past every gap of the first small instance: its gaps are below 2 and
 # ||F|| = 1, so both the line expansion and the Schur refinement refuse.
@@ -254,6 +260,18 @@ def records(tag: str, a: np.ndarray, f: np.ndarray) -> None:
         )
 
 
+def scaled_directions() -> None:
+    """``n_matrix`` and ``eigenvector_derivative`` of each small instance
+    with ``F`` scaled by each power of two of ``DIRECTION_EXPONENTS``."""
+    for seed, spec in SMALL:
+        a, f = _instance(seed, spec)
+        for k in DIRECTION_EXPONENTS:
+            ap = alignment.aligned_perturbation(a, 2.0**k * f)
+            tag = f"2^{k}/seed{seed}/{','.join(map(str, spec))}"
+            _record(f"n_matrix/{tag}", rayleigh.n_matrix(ap))
+            _record(f"eigenvector_derivative/{tag}", rayleigh.eigenvector_derivative(ap, ap.data.m))
+
+
 def oracle() -> None:
     """The oracle's own outputs on the seeded stacks of ``ORACLE_STACK``, one
     stack per size: ``eigh`` on each member, the eigenvalue-only solve, and
@@ -378,6 +396,7 @@ def main() -> int:
     for demo in sorted((ROOT / "demos").glob("*.py")):
         runner.run(f"demo/{demo.name}", [sys.executable, str(demo)])
     column_matches()
+    scaled_directions()
     return 1 if runner.failed else 0
 
 
