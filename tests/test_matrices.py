@@ -134,7 +134,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("shape", [(0, 3), (2, 2, 2)])
     def test_format_refuses_empty_and_3d_input(self, shape):
-        with pytest.raises(ValueError, match=r"expected a nonempty 2-d matrix, got shape \(" + f"{shape[0]}"):
+        with pytest.raises(ValueError, match="expected a nonempty 2-d matrix"):
             format_matrix(np.zeros(shape))
 
 
