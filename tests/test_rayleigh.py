@@ -342,9 +342,10 @@ class TestScaleEquivariance:
 
     @pytest.mark.parametrize("k", [-1000, -700, -540, -520, -300, 300, 515, 540, 700, 1000])
     def test_first_order_eigenvectors_scale_exactly_with_the_direction(self, k):
-        # F alone scaled by 2**k: N and U'(0) scale by exactly 2**k.  Formed
-        # without a prescale, F_hat* (M * F_hat) went subnormal below about
-        # 2**-520 (N = 0 from 2**-540) and overflowed to NaN from 2**515.
+        # F alone scaled by 2**k: N and U'(0) scale by exactly 2**k.  The
+        # k lie past both ends of the range where F_hat* (M * F_hat) can be
+        # formed unscaled: it goes subnormal below about 2**-520 (N = 0 from
+        # 2**-540) and overflows to NaN from 2**515.
         a, f = seed_instance()
         one, ap = aligned_perturbation(a, f), aligned_perturbation(a, 2.0**k * f)
         assert np.array_equal(n_matrix(ap), 2.0**k * n_matrix(one))
