@@ -31,7 +31,7 @@ import numpy as np
 
 from . import jacobi
 from .errors import GapTooSmallError, ModeError, StudyError
-from .matrices import _real, as_readonly, hermitian
+from .matrices import _real, _symmetrized, as_readonly, hermitian
 
 __all__ = [
     "DEFAULT_REL_GAP_TOL",
@@ -354,8 +354,7 @@ def _conjugate(u: np.ndarray, e: np.ndarray) -> np.ndarray:
     ``E`` whose conjugation overflows raises ``ValueError`` here, where it
     is made, not as a non-finite matrix in a later step."""
     with np.errstate(over="ignore", invalid="ignore"):
-        e_hat = u.conj().swapaxes(1, 2) @ e @ u
-        e_hat = 0.5 * (e_hat + e_hat.conj().swapaxes(1, 2))
+        e_hat = _symmetrized(u.conj().swapaxes(1, 2) @ e @ u)
     if not np.isfinite(e_hat.view(np.float64)).all():
         raise ValueError("U* E U overflows the floating-point range; scale the perturbation down")
     return as_readonly(e_hat)
@@ -396,13 +395,10 @@ def _rotate_blocks(u: np.ndarray, e_hat: np.ndarray, groups) -> np.ndarray:
     of all members are solved in one oracle call and rotated as one batched
     product; each member gets the bits of its solo rotation."""
     u = np.array(u, dtype=np.complex128, order="C")
-    by_size: dict[int, list[int]] = {}
-    for start, stop in groups:
-        if stop - start >= 2:
-            by_size.setdefault(stop - start, []).append(start)
     member = np.arange(len(u))[:, None, None]
-    for size, starts in by_size.items():
-        cols = (np.array(starts)[:, None] + np.arange(size))[None]
+    for size, cols in _blocks_by_size(groups).items():
+        if size == 1:
+            continue
         # E_hat is symmetrized, so each block is exactly Hermitian as stored.
         blocks = e_hat[member[..., None], cols[..., :, None], cols[..., None, :]]
         r = jacobi._solve_stack(blocks.reshape(-1, size, size), BLOCK_TOL)[0]
@@ -411,6 +407,16 @@ def _rotate_blocks(u: np.ndarray, e_hat: np.ndarray, groups) -> np.ndarray:
         rotated = columns.reshape(-1, *columns.shape[-2:]) @ r
         u[member, :, cols] = rotated.reshape(columns.shape).swapaxes(-1, -2)
     return as_readonly(jacobi._normalize_column_phases(u))
+
+
+def _blocks_by_size(groups) -> dict[int, np.ndarray]:
+    """The blocks of ``groups``, ``(start, stop)`` ranges, by size in order
+    of first appearance: for each size ``l``, the indices ``(k, l)`` of its
+    ``k`` blocks, in block order."""
+    by_size: dict[int, list[int]] = {}
+    for start, stop in groups:
+        by_size.setdefault(stop - start, []).append(start)
+    return {size: np.array(starts)[:, None] + np.arange(size) for size, starts in by_size.items()}
 
 
 def scaled(ap: AlignedPerturbation, t: float) -> AlignedPerturbation:
@@ -500,12 +506,16 @@ def _align_stack(candidate: np.ndarray, reference: np.ndarray, groups) -> np.nda
         # np.hypot rounds as the scalar abs of a complex; np.abs of a complex
         # array does not, and a one-ulp difference can flip a choice.
         modulus = np.hypot(z.real, z.imag)
+        picks = np.empty((len(z), stop - start), np.intp)
         for j in range(stop - start):
             # argmax takes the first maximum: ties go to the smallest index.
-            k = np.argmax(modulus[..., j], axis=1)
+            k = picks[:, j] = np.argmax(modulus[..., j], axis=1)
             modulus[members, k] = -np.inf
-            # Formed as the loop forms it, in scalar arithmetic: numpy's array
-            # loops for complex numbers need not round alike (np.abs does not).
-            phase = np.array([w / abs(w) if abs(w) > 0.0 else 1.0 for w in z[members, k, j]], dtype=np.complex128)
-            out[..., start + j] = c[members, :, k] * phase[:, None]
+        w = z[members[:, None], picks, np.arange(stop - start)]
+        m = np.hypot(w.real, w.imag)
+        # w / abs(w) as numpy divides a complex by a real (1 where abs(w) is 0 or NaN), part by part.
+        phase, live = np.ones_like(w), m > 0.0
+        wr, wi, scl = w.real[live], w.imag[live], 1.0 / m[live]
+        phase.real[live], phase.imag[live] = (wr + wi * 0.0) * scl, (wi - wr * 0.0) * scl
+        out[..., start:stop] = (c[members[:, None], :, picks] * phase[..., None]).swapaxes(1, 2)
     return out

@@ -32,7 +32,7 @@ import numpy as np
 from . import alignment, first_order, jacobi, rayleigh, schur
 from .errors import StudyError
 # operator_norm is not called here; the benchmark's tracer test wraps this binding.
-from .matrices import _grams, _norms, _real, as_readonly, hermitian, operator_norm, operator_norms  # noqa: F401
+from .matrices import _grams, _norms, _real, _symmetrized, as_readonly, operator_norm, operator_norms  # noqa: F401
 
 __all__ = [
     "DEFAULT_T_GRID",
@@ -98,9 +98,8 @@ def _hermitian_draws(x: np.ndarray, n: int) -> np.ndarray:
     g = np.empty(u1.shape, dtype=np.complex128)
     g.real = r * _libm(math.cos, theta)
     g.imag = r * _libm(math.sin, theta)
-    g = g.reshape(-1, n, n)
     # Exactly Hermitian as stored, with a real diagonal: nothing to validate.
-    return 0.5 * (g + g.conj().transpose(0, 2, 1))
+    return _symmetrized(g.reshape(-1, n, n))
 
 
 def random_unitary(seed: int, n: int) -> np.ndarray:
@@ -204,7 +203,7 @@ def _instances(cfg: EnsembleConfig, trials) -> tuple[np.ndarray, np.ndarray]:
     u, lam = jacobi._solve_stack(np.concatenate([q_draws, gram]))[:2]
     # Q row-major, as the instances were pinned with: a BLAS may pick kernels by layout.
     q = np.ascontiguousarray(u[: len(q_draws)])
-    a = hermitian(q @ spectra @ q.conj().swapaxes(1, 2))
+    a = _symmetrized(q @ spectra @ q.conj().swapaxes(1, 2))
     norms = _norms(lam[len(q_draws) :, 0], where)
     f = directions / np.array(norms)[:, None, None]
     return a, f
@@ -389,7 +388,7 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     """
     grid = np.array(cfg.t_grid)
     a, f = _instances(cfg, range(cfg.trials))
-    # A is exactly Hermitian, as hermitian built it; F is such a draw over a real norm.
+    # A is exactly Hermitian, as _symmetrized built it; F is such a draw over a real norm.
     u, lam = jacobi._solve_stack(a)[:2]
     groups = alignment._groups(lam)
     reps, mmat, w, margins = alignment._base_data_rows(lam, groups)

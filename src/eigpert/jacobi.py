@@ -30,9 +30,10 @@ errors keep their bits.
 Every solve goes through the array entry ``_solve_stack``: one stack of one
 size in, finiteness checked only, arrays out.  The public :func:`eigh`
 validates and symmetrizes its one matrix, solves it as a stack of one and
-builds the record.  The package's own callers hold stacks on which
-:func:`~eigpert.matrices.hermitian` would change no bit (random draws,
-``E_hat`` blocks, Schur complements, ``A + t F``), so they call the entry.
+builds the record.  The package's own callers hold stacks that
+:func:`~eigpert.matrices._symmetrized` made (draws, ``A``, Gram matrices,
+``E_hat`` blocks, Schur complements) or would not change (``A + t F``), so
+they call the entry.
 
 A step is about 30 numpy calls whatever the stack's size, so for small
 matrices call overhead, not arithmetic, is a solve's cost.  A solve allocates
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .matrices import _ldexp, as_readonly, dense, hermitian, operator_norm
+from .matrices import _ldexp, as_readonly, hermitian, operator_norm
 
 __all__ = [
     "DEFAULT_MAX_SWEEPS",
@@ -244,14 +245,15 @@ def _sweeps(w: np.ndarray, floor: np.ndarray):
         yield buffers[current]
 
 
-def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True, max_sweeps=DEFAULT_MAX_SWEEPS):
+def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True):
     """The array entry: solve ``a`` ``(k, n, n)``, complex128 matrices of one
     size, each exactly Hermitian as stored.  Only finiteness is checked, with
     :func:`eigh`'s error.  Returns ``u`` ``(k, n, n)``, ``lam`` ``(k, n)`` and
     each member's sweeps and off mass, or ``lam`` alone unless ``vectors``,
     each member with the bits of :func:`eigh` on it.  ``tol`` defaults to
-    ``1e-13 * n``; a :class:`ConvergenceError` names the member by its
-    position in ``a``."""
+    ``1e-13 * n``; a :class:`ConvergenceError` after ``DEFAULT_MAX_SWEEPS``
+    sweeps names the member by its position in ``a``.  Each sweep ends with
+    :func:`~eigpert.matrices._symmetrized`, formed in place in a reused buffer."""
     k, n, _ = a.shape
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
@@ -277,10 +279,10 @@ def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True, max_sweeps=DEFAU
     # A pivot block with b = 0 and equal diagonal entries divides by zero;
     # its rotation is masked.
     with np.errstate(divide="ignore"):
-        for done in range(max_sweeps):
+        for done in range(DEFAULT_MAX_SWEEPS + 1):
             going = live_off > live_target
             count = np.count_nonzero(going)
-            if count == 0:
+            if count == 0 or done == DEFAULT_MAX_SWEEPS:
                 break
             if count < live.size:
                 # Converged members are left out of later sweeps, so they
@@ -304,8 +306,6 @@ def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True, max_sweeps=DEFAU
             member_major = sym.reshape(live.size, n, n)
             np.copyto(member_major, top.transpose(2, 0, 1))
             live_off = _off_mass(member_major)
-        else:
-            done = max_sweeps
     if live.size == k:
         w, off, sweeps[:] = state, live_off, done
     else:
@@ -316,7 +316,7 @@ def _solve_stack(a: np.ndarray, tol=None, vectors: bool = True, max_sweeps=DEFAU
         i = int(failed[0])
         where = f"stack member {i} of {k}: " if k > 1 else ""
         raise ConvergenceError(
-            f"{where}Jacobi sweep limit {max_sweeps} reached with off-diagonal mass "
+            f"{where}Jacobi sweep limit {DEFAULT_MAX_SWEEPS} reached with off-diagonal mass "
             f"{off[i]:.3e} (target {tol * np.abs(a[i]).max():.3e})",
             off_mass=float(off[i]),
             member=i,
@@ -341,7 +341,7 @@ def eigh(h) -> SpectralDecomposition:
     the mass is still above that after ``DEFAULT_MAX_SWEEPS`` sweeps,
     :class:`ConvergenceError` carries its final value.
     """
-    u, lam, sweeps, off = _solve_stack(hermitian(dense(h))[None])
+    u, lam, sweeps, off = _solve_stack(hermitian(h)[None])
     return SpectralDecomposition(u[0], lam[0], int(sweeps[0]), float(off[0]))
 
 

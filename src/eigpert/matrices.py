@@ -67,47 +67,41 @@ def dense(entries) -> np.ndarray:
     return m
 
 
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """``(m + m^H) / 2`` of each matrix of ``m`` ``(..., n, n)``: exactly
+    Hermitian as stored, with a +0 imaginary diagonal.  The oracle's array
+    entry needs stacks on which this changes no bit."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
 def hermitian(entries) -> np.ndarray:
     """Build a Hermitian matrix, averaging away round-off level asymmetry.
 
-    The result equals its conjugate transpose exactly as stored and has exactly
-    real diagonal entries (the average of ``z`` and ``conj(z)`` has zero
-    imaginary part in IEEE arithmetic).  Input whose asymmetry exceeds
-    ``DEFAULT_ASYMMETRY_TOL`` relative to the largest entry is rejected, not
-    repaired.  A stack ``(k, n, n)`` is checked and symmetrized in one pass:
-    each member gets the bits it gets alone, and the first member that fails
-    raises the error it raises alone.
+    The result is :func:`_symmetrized` of the input, exactly Hermitian as
+    stored.  Input whose asymmetry exceeds ``DEFAULT_ASYMMETRY_TOL``
+    relative to the largest entry is rejected, not repaired.
     """
-    m = np.asarray(entries, dtype=np.complex128)
-    stacked = m.ndim == 3 and len(m) > 0
-    # The members share one shape, so the first fails any check of it first.
-    first = dense(m[0] if stacked else m)
-    if first.shape[0] != first.shape[1]:
-        raise ValueError(f"Hermitian matrix must be square, got {first.shape}")
-    m = m if stacked else first[None]
+    m = dense(entries)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"Hermitian matrix must be square, got {m.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.abs(m).max(axis=(1, 2))
+        scale = np.abs(m).max()
         # From 2**1022 up, |m| and m - m^H can overflow; m / 4 decides instead.
-        shift = 2 * (scale >= 2.0**1022)
-        big = shift.any()
-        q = _ldexp(m, -shift[:, None, None]) if big else m
-        q_scale = np.abs(q).max(axis=(1, 2)) if big else scale
-        asym = np.abs(q - q.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        bad = (asym > DEFAULT_ASYMMETRY_TOL * q_scale.clip(1e-300)) | ~np.isfinite(m).all(axis=(1, 2))
-        if bad.any():
-            i = int(np.argmax(bad))
-            dense(m[i])  # raises if that member is not finite
+        shift = 2 if scale >= 2.0**1022 else 0
+        q = _ldexp(m, -shift) if shift else m
+        q_scale = np.abs(q).max() if shift else scale
+        asym = np.abs(q - q.conj().T).max()
+        if asym > DEFAULT_ASYMMETRY_TOL * max(q_scale, 1e-300):
             raise ValueError(
-                f"input is not Hermitian: asymmetry {asym[i] * 2.0 ** shift[i]:.3e} exceeds "
-                f"{DEFAULT_ASYMMETRY_TOL:.1e} relative to scale {q_scale[i] * 2.0 ** shift[i]:.3e}"
+                f"input is not Hermitian: asymmetry {asym * 2.0**shift:.3e} exceeds "
+                f"{DEFAULT_ASYMMETRY_TOL:.1e} relative to scale {q_scale * 2.0**shift:.3e}"
             )
-        out = 0.5 * (m + m.conj().swapaxes(1, 2))
+        out = _symmetrized(m)
     # A sum overflows only from 2**1022 up.  Halving first cannot overflow;
     # it is not the default because halving a subnormal entry rounds it.
-    for i in np.flatnonzero(shift) if big else ():
-        if not np.isfinite(out[i]).all():
-            out[i] = 0.5 * m[i] + 0.5 * m[i].conj().T
-    return out if stacked else out[0]
+    if shift and not np.isfinite(out).all():
+        out = 0.5 * m + 0.5 * m.conj().T
+    return out
 
 
 def operator_norm(m) -> float:
@@ -145,7 +139,7 @@ def _grams(ms) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, int]]:
     exact power of two to unit largest entry, formed on the smaller side
     (same nonzero spectrum), and what :func:`_norms` needs to finish from
     their top eigenvalues.  A Gram product is Hermitian only to round-off,
-    so it is symmetrized as :func:`hermitian` would do it."""
+    so it is symmetrized."""
     try:
         m = np.asarray(ms, dtype=np.complex128)
     except ValueError:
@@ -161,7 +155,7 @@ def _grams(ms) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, int]]:
     m = _ldexp(m[live], -exponent[:, None, None])
     mh = m.conj().swapaxes(1, 2)
     gram = m @ mh if rows <= cols else mh @ m
-    return 0.5 * (gram + gram.conj().swapaxes(1, 2)), (live, exponent, k)
+    return _symmetrized(gram), (live, exponent, k)
 
 
 def _norms(top: np.ndarray, where: tuple[np.ndarray, np.ndarray, int]) -> list[float]:

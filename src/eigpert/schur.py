@@ -54,9 +54,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jacobi
-from .alignment import _EPS, DEFAULT_MARGIN_FACTOR, AlignedPerturbation, _block_id, _require_gap
+from .alignment import _EPS, DEFAULT_MARGIN_FACTOR, AlignedPerturbation, _block_id, _blocks_by_size, _require_gap
 from .errors import ConvergenceError
-from .matrices import _real, as_readonly, operator_norm
+from .matrices import _real, _symmetrized, as_readonly, operator_norm
 
 __all__ = [
     "DEFAULT_MARGIN_FACTOR",
@@ -142,8 +142,7 @@ def _complement(e_hat: np.ndarray, index: np.ndarray, rows: np.ndarray, cols: np
     ``k`` blocks of size ``l``, whose indices are the rows of ``index``;
     ``rows`` ``(m, k, l, n)`` and ``cols`` ``(..., m, k, n, l)`` hold each
     block's rows of ``E_hat`` and its columns of one or more ``X``."""
-    b = e_hat[:, index[:, :, None], index[:, None, :]] - rows @ cols
-    return 0.5 * (b + b.conj().swapaxes(-1, -2))
+    return _symmetrized(e_hat[:, index[:, :, None], index[:, None, :]] - rows @ cols)
 
 
 def _complement_eigenvalues(bs) -> list[np.ndarray]:
@@ -273,18 +272,15 @@ def _complements(e_hat: np.ndarray, xs, groups) -> list[tuple[np.ndarray, np.nda
     columns are gathered once, block by block in order of size, into
     ``n x n`` matrices, and each size takes views of them."""
     m, n = e_hat.shape[0], e_hat.shape[-1]
-    by_size: dict[int, list[int]] = {}
-    for g, (start, stop) in enumerate(groups):
-        by_size.setdefault(stop - start, []).append(g)
-    order = np.concatenate([np.arange(*groups[g]) for blocks in by_size.values() for g in blocks])
+    by_size = _blocks_by_size(groups)
+    order = np.concatenate([index.ravel() for index in by_size.values()])
     # take lays its copies out row-major; x[..., order] would not.
     rows, cols = e_hat.take(order, axis=1), np.empty((len(xs), m, n, n), np.complex128)
     for x, out in zip(xs, cols):
         x.take(order, axis=2, out=out, mode="clip")
-    out, done = [], 0
-    for size, blocks in by_size.items():
-        span = slice(done, done + len(blocks) * size)
-        done, index = span.stop, order[span].reshape(-1, size)
+    out, stop = [], 0
+    for size, index in by_size.items():
+        span = slice(stop, stop := stop + index.size)
         x_cols = cols[..., span].reshape(len(xs), m, n, -1, size).swapaxes(2, 3)
         out.append((index, _complement(e_hat, index, rows[:, span].reshape(m, -1, size, n), x_cols)))
     return out

@@ -596,6 +596,23 @@ class TestAlignStack:
         # The second column was taken for the first reference column.
         assert matched[1, 0] != 0.0 and matched[1, 1] == 0.0
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_phases_of_special_overlaps_match_the_loop(self, rows):
+        # Against the first unit vector a column overlaps in the conjugate of
+        # its first entry: every pair of real and imaginary parts from
+        # signed zeros and subnormals to the largest finite value, whose
+        # modulus underflows or overflows and whose phase is formed by array
+        # arithmetic instead of the loop's scalar division.
+        tiny = np.finfo(float)
+        specials = [0.0, 5e-324, tiny.tiny, 1e-300, 1e300, tiny.max]
+        specials += [-x for x in specials]
+        parts = np.array([(x, y) for x in specials for y in specials])
+        candidate = np.zeros((len(parts), rows, 1), np.complex128)
+        candidate[:, 0, 0].real, candidate[:, 0, 0].imag = parts[:, 0], -parts[:, 1]
+        reference = np.zeros_like(candidate)
+        reference[:, 0] = 1.0
+        self.matches_the_loop(candidate, reference, [(0, 1)])
+
     @pytest.mark.parametrize("n", [2, 3, 6, 8, 9, 20, 60])
     @pytest.mark.parametrize("column_major", [False, True], ids=["strided", "contiguous"])
     def test_vecdot_rounds_as_vdot(self, n, column_major):

@@ -22,7 +22,7 @@ from eigpert import (
 )
 import eigpert
 from eigpert import jacobi
-from eigpert.jacobi import DEFAULT_MAX_SWEEPS, _schedule, _solve_stack
+from eigpert.jacobi import _schedule, _solve_stack
 
 
 def fro(m) -> float:
@@ -135,9 +135,10 @@ class TestControls:
         with pytest.raises(TypeError):
             eigh(np.eye(2), max_sweeps=3)
 
-    def test_sweep_budget_exhaustion(self):
+    def test_sweep_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(jacobi, "DEFAULT_MAX_SWEEPS", 0)
         with pytest.raises(ConvergenceError) as exc:
-            solve_records([[[3.0, 0.1], [0.1, 1.0]]], max_sweeps=0)
+            solve_records([[[3.0, 0.1], [0.1, 1.0]]])
         assert exc.value.off_mass > 0.0
 
     def test_tighter_tol_accepted(self):
@@ -182,11 +183,17 @@ def tied_hermitian(rng, lam):
     return hermitian(q @ np.diag(np.asarray(lam, dtype=complex)) @ q.conj().T)
 
 
-def solve_records(members, tol=None, max_sweeps=DEFAULT_MAX_SWEEPS):
+def hermitian_stack(members) -> np.ndarray:
+    """``members``, matrices of one size, each validated and symmetrized as
+    :func:`eigh` does it, as one stack."""
+    return np.stack([hermitian(h) for h in members])
+
+
+def solve_records(members, tol=None):
     """The full solve of ``members``, matrices of one size, as one stack
     through the array entry, symmetrized as :func:`eigh` symmetrizes each
     matrix: one record per member."""
-    u, lam, sweeps, off = _solve_stack(hermitian(np.stack(members)), tol, True, max_sweeps)
+    u, lam, sweeps, off = _solve_stack(hermitian_stack(members), tol, True)
     return [SpectralDecomposition(*d) for d in zip(u, lam, sweeps.tolist(), off.tolist())]
 
 
@@ -224,13 +231,14 @@ class TestStack:
             for h, d in zip(members, solve_records(members)):
                 assert same_bits(d, eigh(h))
 
-    def test_convergence_error_names_the_failing_member(self):
+    def test_convergence_error_names_the_failing_member(self, monkeypatch):
         rng = np.random.default_rng(53)
         members = [np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), rand_hermitian(rng, 6), rand_hermitian(rng, 6)]
+        monkeypatch.setattr(jacobi, "DEFAULT_MAX_SWEEPS", 2)
         with pytest.raises(ConvergenceError) as solo:
-            solve_records([members[1]], max_sweeps=2)
+            solve_records([members[1]])
         with pytest.raises(ConvergenceError) as stacked:
-            solve_records(members, max_sweeps=2)
+            solve_records(members)
         assert stacked.value.member == 1
         assert stacked.value.off_mass == solo.value.off_mass > 0.0
         assert "stack member 1 of 3" in str(stacked.value)
@@ -275,13 +283,13 @@ class TestStack:
         for k in (1, 7, 8, 33, 100):
             for d, e in zip(solve_records(members[:k]), solo):
                 assert same_bits(d, e)
-            for lam, e in zip(_solve_stack(hermitian(np.stack(members[:k])), vectors=False), solo):
+            for lam, e in zip(_solve_stack(hermitian_stack(members[:k]), vectors=False), solo):
                 assert same_values(lam, e)
 
     @pytest.mark.parametrize("x", [-0.0, 2.0**-1074, 1e-300, 1e300])
     def test_one_by_one_is_its_own_eigenvalue(self, x):
         members = [np.array([[x]]), np.array([[complex(x, 0.0)]])]
-        values = _solve_stack(hermitian(np.stack(members)), vectors=False)
+        values = _solve_stack(hermitian_stack(members), vectors=False)
         for h, d, lam in zip(members, solve_records(members), values):
             for got in (d.lam, lam):
                 assert got.dtype == np.float64 and got.tobytes() == np.array([x]).tobytes()
@@ -376,11 +384,11 @@ def same_values(lam, full) -> bool:
     )
 
 
-def eigenvalues_only(members, tol=None, max_sweeps=DEFAULT_MAX_SWEEPS):
+def eigenvalues_only(members, tol=None):
     """The eigenvalue-only solve of ``members``, matrices of one size, as one
     stack through the array entry, symmetrized as :func:`eigh` symmetrizes
     each matrix."""
-    return list(_solve_stack(hermitian(np.stack(members)), tol, False, max_sweeps))
+    return list(_solve_stack(hermitian_stack(members), tol, False))
 
 
 def by_size(members):
@@ -428,13 +436,14 @@ class TestEigenvaluesOnly:
         for h in (members[4], members[7]):
             assert same_values(eigenvalues_only([h], tol=1e-15)[0], solve_records([h], tol=1e-15)[0])
 
-    def test_convergence_error_is_the_full_solves(self):
+    def test_convergence_error_is_the_full_solves(self, monkeypatch):
         rng = np.random.default_rng(71)
         members = [np.diag([1.0, 2.0, 3.0, 4.0, 5.0])] + [rand_hermitian(rng, 5) for _ in range(3)]
+        monkeypatch.setattr(jacobi, "DEFAULT_MAX_SWEEPS", 1)
         raised = []
         for solve in (solve_records, eigenvalues_only):
             with pytest.raises(ConvergenceError) as info:
-                solve(members, max_sweeps=1)
+                solve(members)
             raised.append(info.value)
         full, values = raised
         assert values.member == full.member == 1
@@ -499,19 +508,20 @@ class TestSolveStack:
                     _solve_stack(stack, vectors=vectors)
                 assert str(entry.value) == str(alone.value)
 
-    def test_convergence_error_names_the_member(self):
+    def test_convergence_error_names_the_member(self, monkeypatch):
         rng = np.random.default_rng(53)
         stack = np.stack([np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).astype(complex)] + [rand_hermitian(rng, 6) for _ in range(3)])
+        monkeypatch.setattr(jacobi, "DEFAULT_MAX_SWEEPS", 2)
         with pytest.raises(ConvergenceError) as solo:
-            solve_records([stack[1]], max_sweeps=2)
+            solve_records([stack[1]])
         for vectors in (True, False):
             with pytest.raises(ConvergenceError) as info:
-                _solve_stack(stack, vectors=vectors, max_sweeps=2)
+                _solve_stack(stack, vectors=vectors)
             assert info.value.member == 1
             assert info.value.off_mass == solo.value.off_mass > 0.0
             assert "stack member 1 of 4" in str(info.value)
 
-    def test_a_solve_does_not_depend_on_earlier_solves(self):
+    def test_a_solve_does_not_depend_on_earlier_solves(self, monkeypatch):
         # Each solve builds its own buffers: after stacks of other sizes and
         # member counts, and a solve of the same shape that raised
         # ConvergenceError, a stack gets the bytes of its first solve.
@@ -523,9 +533,11 @@ class TestSolveStack:
             _solve_stack(others)
             _solve_stack(others, vectors=False)
         failing = np.stack([rand_hermitian(rng, 6) for _ in range(40)])
-        for vectors in (True, False):
-            with pytest.raises(ConvergenceError):
-                _solve_stack(failing, vectors=vectors, max_sweeps=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(jacobi, "DEFAULT_MAX_SWEEPS", 1)
+            for vectors in (True, False):
+                with pytest.raises(ConvergenceError):
+                    _solve_stack(failing, vectors=vectors)
         again = [*_solve_stack(stack), _solve_stack(stack, vectors=False)]
         assert [x.tobytes() for x in again] == [x.tobytes() for x in first]
 

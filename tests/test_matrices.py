@@ -163,6 +163,13 @@ class TestConstructors:
             hermitian([[1, 2], [3, 4]])
         with pytest.raises(ValueError, match="square"):
             hermitian(np.ones((2, 3)))
+        # Asymmetry at subnormal scale, and non-finite entries.
+        for bad in ([[5e-324, 1e-300], [0.0, 5e-324]], [[0.0, 2e-312], [0.0, 0.0]]):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                hermitian(bad)
+        for bad in ([[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.inf], [-np.inf, 1.0]]):
+            with pytest.raises(ValueError, match="finite"):
+                hermitian(bad)
 
     def test_hermitian_does_not_overflow(self):
         h = hermitian([[1e308, 0], [0, 1]])
@@ -206,81 +213,18 @@ class TestConstructors:
                     assert np.isfinite(h).all() and np.array_equal(h, h.conj().T)
         assert overflowed > 0
 
+    def test_hermitian_refuses_a_stack(self):
+        # One matrix in, one out: stacks are symmetrized inside the package.
+        for stack in (np.zeros((3, 2, 2)), np.stack([np.eye(2)] * 2), np.ones((0, 2, 2))):
+            with pytest.raises(ValueError, match="expected a 2-d matrix, got 3-d data"):
+                hermitian(stack)
+
     def test_hermitian_tolerates_roundoff(self):
         base = np.array([[1.0, 0.25 + 0.5j], [0.25 - 0.5j, 2.0]])
         bumped = base.copy()
         bumped[0, 1] += 1e-15
         h = hermitian(bumped)
         assert np.array_equal(h, h.conj().T)
-
-
-def mixed_scale_members(rng, n):
-    """Valid Hermitian matrices from subnormal to near-overflow scale, each
-    with a subnormal entry; some overflow ``m + m^H``."""
-    members = []
-    for scale in (5e-324, 1e-310, 1e-300, 1.0, 1e300, 3e307, 1e308):
-        g = scale * (rng.uniform(-1.7, 1.7, (n, n)) + 1j * rng.uniform(-1.7, 1.7, (n, n)))
-        m = 0.5 * g + 0.5 * g.conj().T
-        m[-1, -1] = 5e-324
-        members.append(m)
-    return members
-
-
-class TestStackedHermitian:
-    """A stack ``(k, n, n)`` is validated and symmetrized in one pass, with
-    the bytes and the errors of the per-matrix calls."""
-
-    def test_bytes_match_each_member(self):
-        rng = np.random.default_rng(29)
-        for n in (1, 2, 5):
-            members = mixed_scale_members(rng, n)
-            bumped = members[3].copy()
-            bumped[0, -1] += 1e-15  # round-off asymmetry, averaged away
-            members.append(bumped)
-            stack = np.stack(members)
-            h = hermitian(stack)
-            assert h.shape == stack.shape
-            for got, m in zip(h, members):
-                assert bit_equal(got, hermitian(m))
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            [[1.0, 2.0], [3.0, 4.0]],
-            [[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]],
-            [[1.0, 1.7e308], [-1.7e308, 1.0]],
-            [[5e-324, 1e-300], [0.0, 5e-324]],
-            [[0.0, 2e-312], [0.0, 0.0]],
-            [[1.0, np.nan], [np.nan, 1.0]],
-            [[np.inf, 0.0], [0.0, 1.0]],
-            [[1.0, np.inf], [-np.inf, 1.0]],
-        ],
-    )
-    def test_rejects_as_the_member_alone(self, bad):
-        with pytest.raises(ValueError) as alone:
-            hermitian(bad)
-        good = mixed_scale_members(np.random.default_rng(31), 2)
-        for position in (0, 3, len(good)):
-            members = good[:position] + [np.array(bad, dtype=complex)] + good[position:]
-            with pytest.raises(ValueError) as stacked:
-                hermitian(np.stack(members))
-            assert str(stacked.value) == str(alone.value)
-
-    def test_first_invalid_member_raises(self):
-        asym = np.array([[1.0, 2.0], [3.0, 4.0]])
-        nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
-        with pytest.raises(ValueError, match="not Hermitian"):
-            hermitian(np.stack([np.eye(2), asym, nan]))
-        with pytest.raises(ValueError, match="finite"):
-            hermitian(np.stack([np.eye(2), nan, asym]))
-
-    def test_shape_rejections(self):
-        with pytest.raises(ValueError, match="square"):
-            hermitian(np.ones((3, 2, 4)))
-        with pytest.raises(ValueError, match="positive"):
-            hermitian(np.ones((3, 0, 0)))
-        with pytest.raises(ValueError, match="2-d"):
-            hermitian(np.ones((0, 2, 2)))
 
 
 class TestOperatorNorm:

@@ -12,7 +12,8 @@ predictions at n = 60 (with two stored bases alternating, and on a layout
 of mixed block sizes), the bytes of the library's result records, the raw
 bytes of the generated instances themselves, so that a change to the
 random streams shows as its own line, the oracle's own outputs on stacks
-of sizes 1 to 60 and on structured stacks with exact zeros,
+of sizes 1 to 60 and on structured stacks with exact zeros, ``hermitian``
+near overflow, at subnormal scale and just inside its asymmetry tolerance,
 ``operator_norms`` on stacks of square and rectangular shapes, and the
 column match of ``align_columns`` at sizes 1 to 60, and ``N`` and ``U'(0)``
 of the small instances with ``F`` scaled far past unit scale.
@@ -276,15 +277,15 @@ def oracle() -> None:
     """The oracle's own outputs on the seeded stacks of ``ORACLE_STACK``, one
     stack per size: ``eigh`` on each member, the eigenvalue-only solve, and
     the array entry ``_solve_stack`` with and without eigenvectors on the
-    stack, symmetrized as ``eigh`` symmetrizes a matrix.  The lines keep the
-    names ``oracle/eigh_stack`` and ``oracle/_eigvalsh_stack`` of older
+    stack of the members, each symmetrized as ``eigh`` symmetrizes it.  The
+    lines keep the names ``oracle/eigh_stack`` and ``oracle/_eigvalsh_stack`` of older
     trees, whose stacked solves gave each member the bits of ``eigh``, so
     that their hashes compare."""
     for n, count, spec in ORACLE_STACK:
         cfg = harness.EnsembleConfig(seed=7, n=n, block_spec=spec, trials=count // 2, predictor="first_order")
         pairs = zip(*harness._instances(cfg, range(count // 2)))
         members = [h * 2.0 ** ORACLE_EXPONENTS[j % 5] for j, h in enumerate(m for pair in pairs for m in pair)]
-        stack = matrices.hermitian(np.stack(members))
+        stack = np.stack([matrices.hermitian(h) for h in members])
         u, lam, sweeps, off = jacobi._solve_stack(stack)
         values = jacobi._solve_stack(stack, vectors=False)
         _record(f"oracle/eigh_stack/n{n}", *((d.lam, d.u, d.sweeps, d.off_mass) for d in map(jacobi.eigh, members)))
@@ -312,9 +313,35 @@ def structured() -> None:
     kinds = (tied, f * pivots, f, a)
     stacks["mixed_sweeps/n6"] = np.stack([kind[j] for j in range(3) for kind in kinds])
     for name, stack in stacks.items():
-        stack = matrices.hermitian(stack)
+        stack = np.stack([matrices.hermitian(h) for h in stack])
         u, lam, sweeps, off = jacobi._solve_stack(stack)
         _record(f"oracle/structured/{name}", u, lam, sweeps, off, jacobi._solve_stack(stack, vectors=False))
+
+
+def hermitians() -> None:
+    """``hermitian`` on seeded members, each alone: members of 6 x 6
+    instances whose largest entry modulus is scaled into ``[2**1022,
+    2**1023)`` (the asymmetry is checked on ``m / 4``) and into ``[2**1023,
+    2**1024)`` (``m + m^H`` overflows, so ``m / 2 + m^H / 2`` is taken);
+    members whose entries are all subnormal, one entry raised by the least
+    subnormal so that the average rounds; and members at several scales
+    with an asymmetry of 0.9 of the tolerance in one entry."""
+    cfg = harness.EnsembleConfig(seed=12, n=6, block_spec=(2, 2, 1, 1), trials=5, predictor="first_order")
+    members = [m for pair in zip(*harness._instances(cfg, range(5))) for m in pair]
+
+    def at(m: np.ndarray, exponent: int) -> np.ndarray:
+        """``m`` scaled by a power of two to largest entry modulus in ``[2**(exponent - 1), 2**exponent)``."""
+        return matrices._ldexp(m, exponent - int(np.frexp(np.abs(m).max())[1]))
+
+    big = [at(m, 1023 + j % 2) for j, m in enumerate(members)]
+    small = [at(m, -1030) for m in members]
+    for m in small[1::2]:
+        m[0, -1] += 5e-324
+    near = [at(m, (0, -1000, 990, -300, 1024)[j % 5]) for j, m in enumerate(members)]
+    for m in near:
+        m[0, -1] += 0.9 * matrices.DEFAULT_ASYMMETRY_TOL * np.abs(m).max()
+    for name, ms in (("overflow", big), ("subnormal", small), ("near_tolerance", near)):
+        _record(f"matrices/hermitian/{name}", *map(matrices.hermitian, ms))
 
 
 def norms() -> None:
@@ -392,6 +419,7 @@ def main() -> int:
     large_instances()
     oracle()
     structured()
+    hermitians()
     norms()
     for demo in sorted((ROOT / "demos").glob("*.py")):
         runner.run(f"demo/{demo.name}", [sys.executable, str(demo)])
