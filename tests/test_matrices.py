@@ -13,6 +13,7 @@ from eigpert import (
     parse_hermitian,
     parse_matrix,
 )
+from eigpert.matrices import _symmetrized
 
 
 def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -163,13 +164,26 @@ class TestConstructors:
             hermitian([[1, 2], [3, 4]])
         with pytest.raises(ValueError, match="square"):
             hermitian(np.ones((2, 3)))
-        # Asymmetry at subnormal scale, and non-finite entries.
-        for bad in ([[5e-324, 1e-300], [0.0, 5e-324]], [[0.0, 2e-312], [0.0, 0.0]]):
-            with pytest.raises(ValueError, match="not Hermitian"):
-                hermitian(bad)
-        for bad in ([[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.inf], [-np.inf, 1.0]]):
-            with pytest.raises(ValueError, match="finite"):
-                hermitian(bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([[1.0, 2.0], [3.0, 4.0]], "not Hermitian"),
+            ([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]], "not Hermitian"),
+            ([[1.0, 1.7e308], [-1.7e308, 1.0]], "not Hermitian"),
+            ([[5e-324, 1e-300], [0.0, 5e-324]], "not Hermitian"),
+            ([[0.0, 2e-312], [0.0, 0.0]], "not Hermitian"),
+            ([[1.0, np.nan], [np.nan, 1.0]], "finite"),
+            ([[np.inf, 0.0], [0.0, 1.0]], "finite"),
+            ([[1.0, np.inf], [-np.inf, 1.0]], "finite"),
+        ],
+    )
+    def test_hermitian_rejects_each_invalid_matrix(self, bad, message):
+        # Asymmetry at every scale from subnormal to near overflow, and
+        # non-finite entries, as real and as complex input.
+        for entries in (bad, np.array(bad, dtype=complex)):
+            with pytest.raises(ValueError, match=message):
+                hermitian(entries)
 
     def test_hermitian_does_not_overflow(self):
         h = hermitian([[1e308, 0], [0, 1]])
@@ -212,6 +226,25 @@ class TestConstructors:
                     overflowed += 1
                     assert np.isfinite(h).all() and np.array_equal(h, h.conj().T)
         assert overflowed > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_symmetrized_stack_matches_each_member(self, n):
+        # The package symmetrizes its own stacks with _symmetrized; on
+        # members whose sums stay finite it gives hermitian's bytes.
+        rng = np.random.default_rng(29 + n)
+        members = []
+        for scale in (5e-324, 1e-310, 1e-300, 1.0, 1e300):
+            g = scale * (rng.uniform(-1.7, 1.7, (n, n)) + 1j * rng.uniform(-1.7, 1.7, (n, n)))
+            m = 0.5 * g + 0.5 * g.conj().T
+            m[-1, -1] = 5e-324
+            members.append(m)
+        bumped = members[3].copy()
+        bumped[0, -1] += 1e-15  # round-off asymmetry, averaged away
+        members.append(bumped)
+        stack = _symmetrized(np.stack(members))
+        assert stack.shape == (len(members), n, n)
+        for got, m in zip(stack, members):
+            assert bit_equal(got, hermitian(m))
 
     def test_hermitian_refuses_a_stack(self):
         # One matrix in, one out: stacks are symmetrized inside the package.
