@@ -54,9 +54,9 @@ DEFAULT_REL_GAP_TOL = 1e-8
 # Each block must stand farther than this times ||E|| from the other eigenvalues.
 DEFAULT_MARGIN_FACTOR = 2.0
 
-# Oracle tolerance for the in-block rotations.  The default, 1e-13 times the
-# block size, bounds the in-block off-diagonal mass left in E_hat only by
-# 1e-13 * size * ||E||; this bounds it by 1e-14 ||E|| at any block size.
+# Oracle tolerance for the in-block rotations.  The default, jacobi._TOL_PER_ROW
+# times the block size, bounds the in-block off-diagonal mass left in E_hat only
+# by 1e-13 * size * ||E||; this bounds it by 1e-14 ||E|| at any block size.
 BLOCK_TOL = 1e-14
 
 MODE_RAW = "raw"
@@ -204,8 +204,6 @@ def _same_block(groups) -> tuple[np.ndarray, np.ndarray]:
     return same, as_readonly(np.flatnonzero(same.any(axis=0)))
 
 
-_EPS = float(np.finfo(np.float64).eps)
-
 class LazyNorm:
     """``||E||`` as the oracle computes it, evaluated on first read and cached,
     with certified bounds ``lower <= value <= upper`` available up front.
@@ -251,11 +249,7 @@ def _lazy_norms(e_hat: np.ndarray) -> list[LazyNorm]:
     # zero member stays zero, and so do its bounds.
     col = ((mag / np.where(peak > 0.0, peak, 1.0)[:, None, None]) ** 2).sum(axis=1)
     fro = peak * np.sqrt(col.sum(axis=1))
-    # Termination leaves off-diagonal mass at most 1e-13 n max|entry|
-    # (jacobi.eigh's default tolerance); each of at most
-    # DEFAULT_MAX_SWEEPS sweeps of n(n-1)/2 rotations moves the
-    # spectrum by a few ulps of ||E||_F.
-    slack = 1e-13 * n * peak + 16.0 * jacobi.DEFAULT_MAX_SWEEPS * n * n * _EPS * fro
+    slack = jacobi._eigenvalue_slack(n, peak, fro)
     lower = np.maximum(0.0, peak * np.sqrt(col.max(axis=1)) - slack)
     upper = fro + slack
 
@@ -423,13 +417,17 @@ def scaled(ap: AlignedPerturbation, t: float) -> AlignedPerturbation:
     """The same aligned perturbation with ``E`` replaced by ``t E`` (t > 0).
 
     Positive scaling preserves block-wise diagonality and the in-block
-    ordering, so the mode carries over.
+    ordering, so the mode carries over.  A product that overflows raises
+    ``ValueError``.
     """
     t = _real(t, "t")
     if not (t > 0.0) or not math.isfinite(t):
         raise ValueError(f"scale factor must be positive and finite, got {t}")
-    e, e_hat = as_readonly(t * ap.e), as_readonly(t * ap.e_hat)
-    return replace(ap, e=e, e_hat=e_hat, norm=ap.norm.scaled(t))
+    with np.errstate(over="ignore"):
+        e, e_hat = t * ap.e, t * ap.e_hat
+    if not (np.isfinite(e).all() and np.isfinite(e_hat).all()):
+        raise ValueError(f"t E overflows the floating-point range at t = {t:g}; scale the perturbation down")
+    return replace(ap, e=as_readonly(e), e_hat=as_readonly(e_hat), norm=ap.norm.scaled(t))
 
 
 def aligned_perturbation(a, e) -> AlignedPerturbation:
@@ -475,6 +473,8 @@ def align_columns(candidate: np.ndarray, reference: np.ndarray, groups) -> np.nd
         raise ValueError("candidate and reference shapes differ")
     if candidate.ndim != 2:
         raise ValueError(f"expected matrices, got {candidate.ndim}-d data")
+    if not (np.isfinite(candidate).all() and np.isfinite(reference).all()):
+        raise ValueError("matrix entries must be finite (no NaN or Inf)")
     groups = [(start, stop) for start, stop in groups]
     columns = candidate.shape[1]
     if not all(0 <= start < stop <= columns for start, stop in groups):

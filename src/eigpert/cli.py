@@ -13,12 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alignment, harness, jacobi, matrices, rayleigh, schur
-from .errors import (
-    ConvergenceError,
-    MatrixParseError,
-    PreconditionError,
-    StudyError,
-)
+from .errors import ConvergenceError, PreconditionError, StudyError
 from .first_order import first_order_eigenvalues
 
 __all__ = ["main"]
@@ -143,13 +138,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 0 if code == 0 else 2
+        return 0 if exc.code == 0 else 2
     try:
         return args.func(args)
-    except MatrixParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except PreconditionError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -231,18 +231,9 @@ def parse_matrix(text: str) -> np.ndarray:
             raise MatrixParseError(f"expected {rows} rows, got {row}", lineno + 1, 1)
         tokens = list(_TOKEN_RE.finditer(line_text))
         if len(tokens) != cols:
-            if len(tokens) > cols:
-                bad = tokens[cols]
-                raise MatrixParseError(
-                    f"expected {cols} entries per row, got {len(tokens)}",
-                    lineno + 1,
-                    bad.start() + 1,
-                )
-            raise MatrixParseError(
-                f"expected {cols} entries per row, got {len(tokens)}",
-                lineno + 1,
-                len(line_text) + 1,
-            )
+            # At the first extra token, or past the end of a short row.
+            column = tokens[cols].start() + 1 if len(tokens) > cols else len(line_text) + 1
+            raise MatrixParseError(f"expected {cols} entries per row, got {len(tokens)}", lineno + 1, column)
         for col_index, mt in enumerate(tokens):
             out[row, col_index] = _parse_entry(mt.group(0), lineno + 1, mt.start() + 1)
         row += 1
@@ -250,17 +241,12 @@ def parse_matrix(text: str) -> np.ndarray:
         raise MatrixParseError(
             f"expected {rows} rows, got {row}", len(lines) + 1, 1
         )
-    if not np.isfinite(out).all():
-        raise MatrixParseError("non-finite value in matrix", first + 1, 1)
     return out
 
 
 def parse_hermitian(text: str) -> np.ndarray:
     """Parse a square matrix and validate/symmetrize it as Hermitian."""
-    m = parse_matrix(text)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got {m.shape}")
-    return hermitian(m)
+    return hermitian(parse_matrix(text))
 
 
 def _format_real(x: float) -> str:

@@ -12,6 +12,7 @@ from eigpert import (
     MODE_BLOCKWISE,
     MODE_RAW,
     BlockStructure,
+    EnsembleConfig,
     GapTooSmallError,
     SpectralDecomposition,
     align_columns,
@@ -20,6 +21,7 @@ from eigpert import (
     conjugate_to_eigenbasis,
     eigh,
     first_order_eigenvalues,
+    generate_instance,
     hermitian,
     line_expansion,
     m_matrix,
@@ -323,6 +325,19 @@ class TestScaled:
         with pytest.raises(ValueError, match="t must be real"):
             scaled(ap, t)
 
+    @pytest.mark.parametrize("warnings_as", ["error", "ignore"])
+    def test_an_overflowing_product_is_refused(self, warnings_as):
+        # The record held inf in e and e_hat, so first-order eigenvalues read
+        # +-inf and Gershgorin intervals (inf, nan); under
+        # error::RuntimeWarning a bare RuntimeWarning escaped.
+        cfg = EnsembleConfig(seed=1, n=6, block_spec=(2, 2, 1, 1), trials=1, predictor="first_order")
+        a, f = generate_instance(cfg, 0)
+        ap = aligned_perturbation(a, 1e300 * f)
+        with warnings.catch_warnings():
+            warnings.simplefilter(warnings_as, RuntimeWarning)
+            with pytest.raises(ValueError, match="overflows"):
+                scaled(ap, 1e10)
+
 
 MALFORMED = r"does not split 0\.\.4 into nonempty ranges in order"
 NOT_THE_BASES = r"is not the grouping \(\(0, 1\), \(1, 2\), \(2, 3\), \(3, 4\)\) of the base"
@@ -488,6 +503,17 @@ class TestAlignColumns:
     def test_refuses_1d_input(self):
         with pytest.raises(ValueError, match="expected matrices, got 1-d data"):
             align_columns(np.ones(3), np.ones(3), [(0, 3)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("side", ["candidate", "reference"])
+    def test_refuses_non_finite_input(self, bad, side):
+        # A NaN candidate came back as a NaN column, with no error.
+        u = rand_unitary(np.random.default_rng(103), 3)
+        spoiled = u.copy()
+        spoiled[1, 2] = bad
+        args = (spoiled, u) if side == "candidate" else (u, spoiled)
+        with pytest.raises(ValueError, match=r"matrix entries must be finite \(no NaN or Inf\)"):
+            align_columns(*args, [(0, 3)])
 
     @pytest.mark.parametrize(
         "groups",

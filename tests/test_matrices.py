@@ -66,7 +66,7 @@ class TestParse:
     def test_too_few_entries(self):
         with pytest.raises(MatrixParseError) as exc:
             parse_matrix("2\n1\n3 4\n")
-        assert exc.value.line == 2
+        assert (exc.value.line, exc.value.column) == (2, 2)
 
     def test_missing_rows(self):
         with pytest.raises(MatrixParseError, match="expected 3 rows"):

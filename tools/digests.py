@@ -14,19 +14,22 @@ bytes of the generated instances themselves, so that a change to the
 random streams shows as its own line, the oracle's own outputs on stacks
 of sizes 1 to 60 and on structured stacks with exact zeros, ``hermitian``
 near overflow, at subnormal scale and just inside its asymmetry tolerance,
-``operator_norms`` on stacks of square and rectangular shapes, and the
-column match of ``align_columns`` at sizes 1 to 60, and ``N`` and ``U'(0)``
-of the small instances with ``F`` scaled far past unit scale.
+``operator_norms`` on stacks of square and rectangular shapes, the
+certified bounds of ``||E||`` on stacks from subnormal to ``1e300`` scale,
+the column match of ``align_columns`` at sizes 1 to 60, and ``N`` and
+``U'(0)`` of the small instances with ``F`` scaled far past unit scale.
 The refusal paths are covered too: a ``predict`` whose ``t`` passes the gap
-between eigenvalue blocks, and studies whose largest ``t`` does so for some
-trials.  All inputs come from ``harness.generate_instance``, some with
-entries zeroed.  A command's digest covers its exit code and stdout.  The
-script exits 1 if any command it runs exits otherwise than expected, or
-prints to stdout when it is expected to fail.  Commands are expected to
-exit 0 except for the single-block studies, where every prediction is exact
-to round-off, so the fit finds no points above its noise floor and the
-study fails by design, and for the refused ``predict``, which exits 3.  The
-other digests are still printed.
+between eigenvalue blocks, studies whose largest ``t`` does so for some
+trials, and the message, line and column of each malformed matrix text of
+``PARSE_REFUSALS``.  All other inputs come from
+``harness.generate_instance``, some with entries zeroed.  A command's
+digest covers its exit code and stdout.  The script exits 1 if any command
+it runs exits otherwise than expected, or prints to stdout when it is
+expected to fail.  Commands are expected to exit 0 except for the
+single-block studies, where every prediction is exact to round-off, so the
+fit finds no points above its noise floor and the study fails by design,
+and for the refused ``predict``, which exits 3.  The other digests are
+still printed.
 """
 
 from __future__ import annotations
@@ -94,6 +97,14 @@ ORACLE_EXPONENTS = (0, -1000, 990, -300, 300)
 # The block layout of the structured oracle stack at n = 60: its members are
 # exactly zero off these blocks.
 STRUCTURED_SPEC = (4, 3, 2, 1) * 6
+
+# Matrix texts that parse_matrix refuses: a short row, a long row, an
+# overflowing entry, a bad header, too few rows and trailing content.
+PARSE_REFUSALS = ("2\n1 2\n3\n", "2\n1 2 3\n4 5\n", "2\n1 2\n3 1e999\n", "2x2\n1\n", "3\n1 2 3\n", "1\n5\n\njunk\n")
+
+# Exponents of the powers of two that scale the seeded stacks whose ||E||
+# bounds are digested: subnormal entries up to entries near 1e300.
+NORM_BOUND_EXPONENTS = (-1060, -1000, -300, 0, 300, 990, 997)
 
 # (rows, columns) of the seeded stacks whose operator norms are digested.
 NORM_SHAPES = ((6, 6), (3, 7), (9, 2), (60, 60))
@@ -357,6 +368,31 @@ def norms() -> None:
         _record(f"matrices/operator_norms/{rows}x{cols}", matrices.operator_norms(members))
 
 
+def parse_refusals() -> None:
+    """The message, line and column of each refusal of ``PARSE_REFUSALS``."""
+    refusals = []
+    for text in PARSE_REFUSALS:
+        try:
+            matrices.parse_matrix(text)
+        except matrices.MatrixParseError as exc:
+            refusals.append((str(exc), exc.line, exc.column))
+    _record("matrices/parse_refusals", refusals)
+
+
+def lazy_norm_bounds() -> None:
+    """``lower`` and ``upper`` of each member's ``||E||`` bounds on seeded
+    stacks of sizes 1, 6 and 60, each member scaled by a power of two of
+    ``NORM_BOUND_EXPONENTS``, with one zero member among them."""
+    bounds = []
+    for n in (1, 6, 60):
+        cfg = harness.EnsembleConfig(seed=13, n=n, block_spec=(1,) * n, trials=7, predictor="first_order")
+        stack = np.concatenate(harness._instances(cfg, range(7)))
+        stack = matrices._ldexp(stack, np.resize(NORM_BOUND_EXPONENTS, len(stack))[:, None, None])
+        stack[3] = 0.0
+        bounds.extend((norm.lower, norm.upper) for norm in alignment._lazy_norms(stack))
+    _record("alignment/lazy_norm_bounds", bounds)
+
+
 def column_matches() -> None:
     """``align_columns`` on the members of ``ALIGN_STACK``, one line per size."""
     for n, count, spec in ALIGN_STACK:
@@ -421,6 +457,8 @@ def main() -> int:
     structured()
     hermitians()
     norms()
+    parse_refusals()
+    lazy_norm_bounds()
     for demo in sorted((ROOT / "demos").glob("*.py")):
         runner.run(f"demo/{demo.name}", [sys.executable, str(demo)])
     column_matches()
