@@ -343,7 +343,7 @@ def _require_gap(ap: AlignedPerturbation, factor: float, blocks=None) -> None:
 
 
 def _conjugate(u: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """``U* E U`` of each member of the stacks ``u``, row-major, and ``e``
+    """``U* E U`` of each member of the stacks ``u`` and ``e``
     ``(k, n, n)``: one batched product, symmetrized, read-only.  A finite
     ``E`` whose conjugation overflows raises ``ValueError`` here, where it
     is made, not as a non-finite matrix in a later step."""
@@ -362,8 +362,7 @@ def conjugate_to_eigenbasis(base: jacobi.SpectralDecomposition, e) -> AlignedPer
     if e.shape != base.u.shape:
         raise ValueError(f"perturbation shape {e.shape} does not match base {base.u.shape}")
     data = _base_data(base.lam)
-    # A row-major copy of u: a BLAS may pick kernels by layout.
-    e_hat = _conjugate(np.array([base.u]), e[None])
+    e_hat = _conjugate(base.u[None], e[None])
     # ||E|| is max |eigenvalue of E_hat|, solved only if a guard's bounds cannot decide.
     return AlignedPerturbation(base, data, as_readonly(e), e_hat[0], MODE_RAW, _lazy_norms(e_hat)[0])
 
@@ -388,6 +387,8 @@ def _rotate_blocks(u: np.ndarray, e_hat: np.ndarray, groups) -> np.ndarray:
     diagonal: row-major, phase-normalized, read-only.  The blocks of one size
     of all members are solved in one oracle call and rotated as one batched
     product; each member gets the bits of its solo rotation."""
+    # Row-major: column matches on these round by layout from 9 rows up
+    # (np.vdot's kernels), and align_columns/n9, n20 and n60 move without it.
     u = np.array(u, dtype=np.complex128, order="C")
     member = np.arange(len(u))[:, None, None]
     for size, cols in _blocks_by_size(groups).items():
@@ -397,7 +398,7 @@ def _rotate_blocks(u: np.ndarray, e_hat: np.ndarray, groups) -> np.ndarray:
         blocks = e_hat[member[..., None], cols[..., :, None], cols[..., None, :]]
         r = jacobi._solve_stack(blocks.reshape(-1, size, size), BLOCK_TOL)[0]
         # u[member, :, cols] is (k, blocks, size, n): each block's columns as rows.
-        columns = np.ascontiguousarray(u[member, :, cols].swapaxes(-1, -2))
+        columns = u[member, :, cols].swapaxes(-1, -2)
         rotated = columns.reshape(-1, *columns.shape[-2:]) @ r
         u[member, :, cols] = rotated.reshape(columns.shape).swapaxes(-1, -2)
     return as_readonly(jacobi._normalize_column_phases(u))

@@ -69,17 +69,9 @@ def _residuals(u, lam, e, e_hat, mmat) -> np.ndarray:
     ``(..., n, n)`` and ``lam`` ``(..., n)`` broadcast against each other,
     every product batched."""
     u_ap = _u_approx(u, mmat, e_hat)
-    target = u @ _diag(lam) @ u.conj().swapaxes(-1, -2) + e
-    rebuilt = u_ap @ _diag(_eigenvalues(lam, e_hat)) @ u_ap.conj().swapaxes(-1, -2)
+    target = (u * lam[..., None, :]) @ u.conj().swapaxes(-1, -2) + e
+    rebuilt = (u_ap * _eigenvalues(lam, e_hat)[..., None, :]) @ u_ap.conj().swapaxes(-1, -2)
     return rebuilt - target
-
-
-def _diag(d: np.ndarray) -> np.ndarray:
-    """Complex diagonal matrices with the real diagonals ``d`` ``(..., n)``."""
-    n = d.shape[-1]
-    out = np.zeros(d.shape + (n,), dtype=np.complex128)
-    out[..., np.arange(n), np.arange(n)] = d
-    return out
 
 
 def approx_decomposition_residual(ap: AlignedPerturbation, mmat: np.ndarray) -> float:

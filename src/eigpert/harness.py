@@ -194,16 +194,13 @@ def _instances(cfg: EnsembleConfig, trials) -> tuple[np.ndarray, np.ndarray]:
     reps = u.copy()
     for k in range(1, blocks):
         reps[:, k] = reps[:, k - 1] - 1.0 - u[:, k]
-    spectra = np.zeros((len(keys), n, n), dtype=np.complex128)
-    spectra[:, np.arange(n), np.arange(n)] = np.repeat(reps, cfg.block_spec, axis=1)
     draws = _hermitian_draws(x[:, blocks:], n)
     q_draws, directions = draws[0::2], draws[1::2]
     gram, where = _grams(directions)
     # One size, exactly Hermitian as stored; a member's lam does not depend on its stack.
     u, lam = jacobi._solve_stack(np.concatenate([q_draws, gram]))[:2]
-    # Q row-major, as the instances were pinned with: a BLAS may pick kernels by layout.
-    q = np.ascontiguousarray(u[: len(q_draws)])
-    a = _symmetrized(q @ spectra @ q.conj().swapaxes(1, 2))
+    q = u[: len(q_draws)]
+    a = _symmetrized((q * np.repeat(reps, cfg.block_spec, axis=1)[:, None]) @ q.conj().swapaxes(1, 2))
     norms = _norms(lam[len(q_draws) :, 0], where)
     f = directions / np.array(norms)[:, None, None]
     return a, f
@@ -336,12 +333,10 @@ def _errors(predictor: str, grid: np.ndarray, groups, a, f, u, lam, e_hat, reps,
         n_mat = rayleigh._n_matrix(e_hat, mmat, *alignment._same_block(groups))
         u_prime = rayleigh._derivative(u, mmat, e_hat, n_mat)
         u_hat = rayleigh._series(t, u[:, None], u_prime[:, None])
-        # The oracle's u are column-major, and the column match rounds as
-        # np.vdot on columns so laid out: the stack keeps that layout.
-        exacts_t = np.ascontiguousarray(jacobi._solve_stack(exact)[0].swapaxes(1, 2)).swapaxes(1, 2)
-        # One column match over every (trial, t) member.
+        # One column match over every (trial, t) member.  It rounds by the
+        # layout of the oracle's u, column-major as the oracle returns them.
         v = u_hat.reshape(-1, n, n)
-        gaps = alignment._align_stack(exacts_t, v, groups) - v
+        gaps = alignment._align_stack(jacobi._solve_stack(exact)[0], v, groups) - v
         return np.reshape(operator_norms(gaps), (trials, steps))
     if predictor == "first_order":
         pred = first_order._eigenvalues(lam[:, None], e_hat_t)
@@ -392,8 +387,7 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     u, lam = jacobi._solve_stack(a)[:2]
     groups = alignment._groups(lam)
     reps, mmat, w, margins = alignment._base_data_rows(lam, groups)
-    # Row-major, as a lone base is conjugated: a BLAS may pick kernels by layout.
-    raw = alignment._conjugate(np.ascontiguousarray(u), f)
+    raw = alignment._conjugate(u, f)
     norms = alignment._lazy_norms(raw)
     u = alignment._rotate_blocks(u, raw, groups)
     e_hat = alignment._conjugate(u, f)

@@ -360,10 +360,10 @@ def eigh(h) -> SpectralDecomposition:
 
 
 def residual(h, d: SpectralDecomposition) -> float:
-    """Operator-norm reconstruction error ``||u diag(lam) u* - h||``."""
+    """Operator-norm reconstruction error ``||u diag(lam) u* - h||``, ``lam`` of shape ``(n,)``."""
     h = hermitian(h)
-    if d.u.shape != h.shape or d.lam.size != h.shape[0]:
+    if d.u.shape != h.shape or np.shape(d.lam) != (h.shape[0],):
         raise ValueError(
             f"decomposition of size {d.lam.size} does not match matrix {h.shape}"
         )
-    return operator_norm(d.u @ np.diag(d.lam) @ d.u.conj().T - h)
+    return operator_norm((d.u * d.lam) @ d.u.conj().T - h)

@@ -113,7 +113,8 @@ def _iterate(e_hat: np.ndarray, w: np.ndarray, c: np.ndarray, x: np.ndarray) -> 
     iterates, diff = (np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype)), np.empty(x.shape, x.dtype)
     for i in range(1, MAX_ITERATIONS):
         # Members that have stopped are left out, so they keep their bits.
-        # Iterating the whole stack instead made n = 6 schur_full studies about 6% slower.
+        # Iterating the whole stack instead made n = 6 schur_full studies about 6% slower,
+        # and the compacting branch alone, even while all are live, the n = 60 step about 15%.
         if live.size == len(x):
             prev, new = x, iterates[i % 2]
             np.multiply(w, np.subtract(c, np.matmul(e_hat, prev, out=new), out=new), out=new)

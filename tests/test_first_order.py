@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import degenerate_instance, rand_hermitian
+from conftest import SCALE_EXPONENTS, STACK_SPECS, degenerate_instance, rand_hermitian, rand_unitary
 from eigpert import (
     ModeError,
+    SpectralDecomposition,
     aligned_perturbation,
+    blockwise_diagonalize,
     conjugate_to_eigenbasis,
     eigenvector_derivative,
     eigh,
@@ -144,6 +146,24 @@ class TestResidual:
     def test_two_level_bound(self):
         ap, mmat = two_level_instance()
         assert approx_decomposition_residual(ap, mmat) <= 0.01
+
+    @pytest.mark.parametrize("exponent", SCALE_EXPONENTS)
+    @pytest.mark.parametrize("n", [6, 60])
+    def test_scaled_columns_match_the_diagonal_matrix_products(self, n, exponent):
+        # U and U_ap scaled column by column are U diag(lam) and U_ap diag(xi)
+        # up to the sign of zero entries, which the norm does not see; the
+        # base spectrum holds exact zeros.
+        rng = np.random.default_rng([n, 43])
+        spec = STACK_SPECS[n]
+        lam = np.repeat(-np.arange(len(spec), dtype=float), spec) * 2.0**exponent
+        base = SpectralDecomposition(u=rand_unitary(rng, n), lam=lam)
+        e = rand_hermitian(rng, n, scale=0.01 * 2.0**exponent)
+        ap = blockwise_diagonalize(conjugate_to_eigenbasis(base, e))
+        mmat = m_matrix(ap.base, ap.blocks)
+        u, u_ap = ap.base.u, u_approx(ap, mmat)
+        target = u @ np.diag(lam) @ u.conj().T + ap.e
+        rebuilt = u_ap @ np.diag(first_order_eigenvalues(ap)) @ u_ap.conj().T
+        assert approx_decomposition_residual(ap, mmat) == operator_norm(rebuilt - target)
 
     def test_quadratic_in_perturbation_size(self):
         rng = np.random.default_rng(19)

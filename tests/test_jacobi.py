@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_exactly_hermitian, rand_hermitian, rand_unitary
+from conftest import SCALE_EXPONENTS, STACK_SPECS, assert_exactly_hermitian, rand_hermitian, rand_unitary
 from eigpert import (
     ConvergenceError,
     SpectralDecomposition,
@@ -165,9 +165,31 @@ class TestResidual:
         d = SpectralDecomposition(u=np.eye(2, dtype=complex), lam=np.zeros(2))
         assert residual(np.zeros((2, 2)), d) == 0.0
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            residual(np.zeros((3, 3)), eigh(np.eye(2)))
+    @pytest.mark.parametrize(
+        "d",
+        [
+            eigh(np.eye(2)),
+            # Of n entries but not of shape (n,): a column would scale rows of u.
+            SpectralDecomposition(u=np.eye(3, dtype=complex), lam=np.zeros((3, 1))),
+            SpectralDecomposition(u=np.eye(3, dtype=complex), lam=np.zeros((1, 3))),
+        ],
+        ids=["2x2", "lam_nx1", "lam_1xn"],
+    )
+    def test_dimension_mismatch(self, d):
+        with pytest.raises(ValueError, match="does not match"):
+            residual(np.zeros((3, 3)), d)
+
+    @pytest.mark.parametrize("exponent", SCALE_EXPONENTS)
+    @pytest.mark.parametrize("n", [6, 60])
+    def test_scaled_columns_match_the_diagonal_matrix_product(self, n, exponent):
+        # u scaled column by column is u @ diag(lam) up to the sign of zero
+        # entries, which the norm does not see; the spectrum holds exact zeros.
+        rng = np.random.default_rng([n, 41])
+        spec = STACK_SPECS[n]
+        lam = np.repeat(-np.arange(len(spec), dtype=float), spec) * 2.0**exponent
+        d = SpectralDecomposition(u=rand_unitary(rng, n), lam=lam)
+        h = rand_hermitian(rng, n, scale=2.0**exponent)
+        assert residual(h, d) == operator_norm(d.u @ np.diag(d.lam) @ d.u.conj().T - h)
 
 
 def same_bits(d1, d2) -> bool:

@@ -16,8 +16,10 @@ of sizes 1 to 60 and on structured stacks with exact zeros, ``hermitian``
 near overflow, at subnormal scale and just inside its asymmetry tolerance,
 ``operator_norms`` on stacks of square and rectangular shapes, the
 certified bounds of ``||E||`` on stacks from subnormal to ``1e300`` scale,
-the column match of ``align_columns`` at sizes 1 to 60, and ``N`` and
-``U'(0)`` of the small instances with ``F`` scaled far past unit scale.
+the column match of ``align_columns`` at sizes 1 to 60, ``N`` and
+``U'(0)`` of the small instances with ``F`` scaled far past unit scale, and
+the stages of a convergence study on seeded stacks of 10 and 100
+instances, whose lines move when a change touches a few members.
 The refusal paths are covered too: a ``predict`` whose ``t`` passes the gap
 between eigenvalue blocks, studies whose largest ``t`` does so for some
 trials, and the message, line and column of each malformed matrix text of
@@ -118,6 +120,14 @@ ALIGN_STACK = (
     (9, 10, (3, 3, 2, 1)), (20, 6, (4, 4, 4, 4, 2, 2)), (60, 2, (4,) * 15),
 )
 ALIGN_T = 1e-2
+
+# (block_spec, members) of the seeded instance stacks whose study pipeline
+# is digested as one stack: from 9 rows up products round by layout, and a
+# change that touches a few members of a 100-member stack shows on no
+# single-instance line.  Its Schur refinement and first-order residuals are
+# taken at E = t F for one t.
+STUDY_STACKS = (((2, 3, 1, 3), 100), ((4, 1, 3, 2, 4, 2, 4), 100), ((4, 3, 2) * 4 + (4,) * 6, 10))
+STUDY_STACK_T = 1e-2
 
 # Seeds of the n = 60 instances, their layout, and the scales t of E = t F.
 LARGE_SEEDS = (1, 2)
@@ -393,6 +403,31 @@ def lazy_norm_bounds() -> None:
     _record("alignment/lazy_norm_bounds", bounds)
 
 
+def study_stacks() -> None:
+    """The stages of ``convergence_study`` on each seeded stack of
+    ``STUDY_STACKS``: the instances, the oracle's ``u`` and ``lam``, ``U* F U``,
+    the block-wise rotation and the re-conjugation, both Schur variants'
+    eigenvalues, complements and complement eigenvalues, and the norms of
+    the first-order residuals.  Unit-stride columns of ``X`` in the 1 x 1
+    complements move the lines at n = 9 and 20."""
+    for spec, count in STUDY_STACKS:
+        cfg = harness.EnsembleConfig(seed=14, n=sum(spec), block_spec=spec, trials=count, predictor="first_order")
+        a, f = harness._instances(cfg, range(count))
+        u, lam = jacobi._solve_stack(a)[:2]
+        groups = alignment._groups(lam)
+        reps, mmat, w, _ = alignment._base_data_rows(lam, groups)
+        raw = alignment._conjugate(u, f)
+        rotated = alignment._rotate_blocks(u, raw, groups)
+        e_hat = alignment._conjugate(rotated, f)
+        t = STUDY_STACK_T
+        refined = schur._refined_stack(t * e_hat[:, None], w, reps, groups, ("full", "simplified"))
+        gaps = first_order._residuals(rotated, lam, t * f, t * e_hat, mmat)
+        _record(
+            f"study_stack/{','.join(map(str, spec))}/seed14/members{count}",
+            a, f, u, lam, raw, rotated, e_hat, refined, matrices.operator_norms(gaps),
+        )
+
+
 def column_matches() -> None:
     """``align_columns`` on the members of ``ALIGN_STACK``, one line per size."""
     for n, count, spec in ALIGN_STACK:
@@ -463,6 +498,7 @@ def main() -> int:
         runner.run(f"demo/{demo.name}", [sys.executable, str(demo)])
     column_matches()
     scaled_directions()
+    study_stacks()
     return 1 if runner.failed else 0
 
 
