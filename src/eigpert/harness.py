@@ -6,7 +6,10 @@ that studies reproduce bit-identically across library versions.  The
 generator is a counter, so a study draws every trial's stream as one
 ``uint64`` array and its matrices from it, with no generator object.  The
 convergence studies pair each predictor against the eigendecomposition
-oracle over a decreasing t-grid and fit the error's log-log slope.
+oracle over a decreasing t-grid and fit the error's log-log slope.  The
+oracle solves each exact matrix warm, as ``U* (A + t F) U`` with the
+trial's stored base ``U``: a unitary similarity of the actual matrix,
+nearly diagonal already, that shares nothing with the predictions but ``U``.
 
 A study is one stack of one degeneracy structure, from the draw to the
 errors, and builds no record.  It stacks its oracle calls across its
@@ -318,8 +321,11 @@ def _errors(predictor: str, grid: np.ndarray, groups, a, f, u, lam, e_hat, reps,
     one array expression over the ``(trials, t, n, n)`` stack or one oracle
     call.
 
-    Eigenvalue predictors report the largest error over indices, matrix-valued
-    ones the operator norm of the error matrix."""
+    The oracle solves ``U* (A + t F) U`` with each trial's rotated ``U``,
+    never from ``E_hat``, whose errors would then reach both sides of the
+    check; eigenvectors ``V`` map back as ``U V``.  Eigenvalue predictors
+    report the largest error over indices, matrix-valued ones the operator
+    norm of the error matrix."""
     trials, steps, n = len(u), grid.size, u.shape[-1]
     t = grid[:, None, None]
     e_hat_t = t * e_hat[:, None]
@@ -327,16 +333,19 @@ def _errors(predictor: str, grid: np.ndarray, groups, a, f, u, lam, e_hat, reps,
         gaps = first_order._residuals(u[:, None], lam[:, None], t * f[:, None], e_hat_t, mmat[:, None])
         return np.reshape(operator_norms(gaps.reshape(-1, n, n)), (trials, steps))
     # A + t F is exactly Hermitian as stored, a sum of two such matrices.
-    exact = (a[:, None] + t * f[:, None]).reshape(-1, n, n)
+    # U* (A + t F) U is diagonal up to O(t), so the oracle takes fewer sweeps.
+    u_rep = np.repeat(u, steps, axis=0)
+    warm = alignment._conjugate(u_rep, (a[:, None] + t * f[:, None]).reshape(-1, n, n))
     if predictor == "eigvec_first_order":
         # The guard pass has run the tie guard: N is formed without it.
         n_mat = rayleigh._n_matrix(e_hat, mmat, *alignment._same_block(groups))
         u_prime = rayleigh._derivative(u, mmat, e_hat, n_mat)
         u_hat = rayleigh._series(t, u[:, None], u_prime[:, None])
-        # One column match over every (trial, t) member.  It rounds by the
-        # layout of the oracle's u, column-major as the oracle returns them.
+        # One column match over every (trial, t) member, of the exact
+        # eigenvectors U V mapped back from the warm solve.  It rounds by
+        # their layout, row-major as the product U V is formed.
         v = u_hat.reshape(-1, n, n)
-        gaps = alignment._align_stack(jacobi._solve_stack(exact)[0], v, groups) - v
+        gaps = alignment._align_stack(u_rep @ jacobi._solve_stack(warm)[0], v, groups) - v
         return np.reshape(operator_norms(gaps), (trials, steps))
     if predictor == "first_order":
         pred = first_order._eigenvalues(lam[:, None], e_hat_t)
@@ -345,7 +354,7 @@ def _errors(predictor: str, grid: np.ndarray, groups, a, f, u, lam, e_hat, reps,
         pred = rayleigh._series(grid[:, None], lam[:, None], a1[:, None], rayleigh._a2(e_hat, mmat)[:, None])
     else:
         pred = schur._refined_stack(e_hat_t, w, reps, groups, (predictor.removeprefix("schur_"),))[0][0]
-    lams = jacobi._solve_stack(exact, vectors=False)
+    lams = jacobi._solve_stack(warm, vectors=False)
     return np.abs(lams - pred.reshape(-1, n)).max(axis=1).reshape(trials, steps)
 
 
@@ -366,8 +375,9 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     2. the base decompositions;
     3. the block-wise rotations, one call per block size;
     4. the Schur complements of the Schur predictors, one call per block size;
-    5. the exact solves of ``A + t F`` over the admitted trials and the
-       t-grid, for every predictor but ``u_ap_residual``;
+    5. the warm exact solves, of ``U* (A + t F) U`` with each trial's
+       rotated ``U`` over the admitted trials and the t-grid, for every
+       predictor but ``u_ap_residual``; eigenvectors ``V`` map back as ``U V``;
     6. the error matrices' norms, for the matrix-valued predictors.
 
     No predictor needs both 4 and 6, so a study has at most five stages.

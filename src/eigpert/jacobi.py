@@ -364,6 +364,7 @@ def residual(h, d: SpectralDecomposition) -> float:
     h = hermitian(h)
     if d.u.shape != h.shape or np.shape(d.lam) != (h.shape[0],):
         raise ValueError(
-            f"decomposition of size {d.lam.size} does not match matrix {h.shape}"
+            f"decomposition with u of shape {d.u.shape} and lam of shape {np.shape(d.lam)} "
+            f"does not match matrix {h.shape}"
         )
     return operator_norm((d.u * d.lam) @ d.u.conj().T - h)

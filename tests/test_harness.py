@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -332,7 +333,9 @@ def reference_trial_errors(predictor, a, f, t_grid):
     scale = max(1.0, float(np.abs(base.lam).max()))
     points = []
     gaps = []
-    exacts = [eigh(a + t * f) if predictor != "u_ap_residual" else None for t in t_grid]
+    # The oracle solves U_ap* (A + t F) U_ap, whose eigenvectors map back as U_ap V.
+    u_ap = ap.base.u
+    exacts = [eigh(u_ap.conj().T @ (a + t * f) @ u_ap) if predictor != "u_ap_residual" else None for t in t_grid]
     for t, exact in zip(t_grid, exacts):
         if predictor == "first_order":
             pred = first_order_eigenvalues(scaled(ap, t))
@@ -343,7 +346,7 @@ def reference_trial_errors(predictor, a, f, t_grid):
             pred = predict_eigensystem(ap, mmat, t).xi_hat
         elif predictor == "eigvec_first_order":
             u_hat = predict_eigensystem(ap, mmat, t).u_hat
-            gaps.append(align_columns_loop(exact.u, u_hat, ap.blocks.groups) - u_hat)
+            gaps.append(align_columns_loop(u_ap @ exact.u, u_hat, ap.blocks.groups) - u_hat)
             continue
         else:
             at_t = scaled(ap, t)
@@ -573,6 +576,116 @@ class TestStackedStudy:
         calls.append(("operator_norms" if predictor in ("eigvec_first_order", "u_ap_residual") else "_errors", False))
         assert list(zip(oracle_calls.stages, oracle_calls.vectors)) == calls
         assert [vectors for (_, vectors), _ in itertools.groupby(calls)] == stages
+
+
+@pytest.fixture
+def exact_stage(monkeypatch):
+    """Each oracle call that ``harness._errors`` makes, as ``(matrices,
+    eigenvalues)``: the stack it was given and the eigenvalues it returned."""
+    calls = []
+    real = jacobi._solve_stack
+
+    def recording(a, tol=None, vectors=True):
+        out = real(a, tol, vectors)
+        if sys._getframe(1).f_code.co_name == "_errors":
+            calls.append((np.array(a), np.array(out[1] if vectors else out)))
+        return out
+
+    monkeypatch.setattr(jacobi, "_solve_stack", recording)
+    return calls
+
+
+def admitted_instances(cfg, report):
+    """``(A + t F, U_ap)`` of each trial that the study's guards admitted and
+    each t, in stack order, from public functions; no trial of the ensembles
+    below fails its fit, so the failed trials are the refused ones."""
+    out = []
+    for trial in sorted(set(range(cfg.trials)) - set(report.failed_trials)):
+        a, f = generate_instance(cfg, trial)
+        u_ap = blockwise_diagonalize(conjugate_to_eigenbasis(eigh(a), f)).base.u
+        out.extend((a + t * f, u_ap) for t in cfg.t_grid)
+    return out
+
+
+def study_inputs(cfg):
+    """The arguments that ``convergence_study`` passes ``_errors`` when its
+    guards admit every trial."""
+    a, f = _instances(cfg, range(cfg.trials))
+    u, lam = jacobi._solve_stack(a)[:2]
+    groups = alignment._groups(lam)
+    reps, mmat, w, _ = alignment._base_data_rows(lam, groups)
+    u = alignment._rotate_blocks(u, alignment._conjugate(u, f), groups)
+    return np.array(cfg.t_grid), groups, a, f, u, lam, alignment._conjugate(u, f), reps, mmat, w
+
+
+class TestWarmExactStage:
+    """The exact solves of a study are warm: the oracle gets ``U_ap* (A + t
+    F) U_ap``, a unitary similarity of the actual matrix, never ``E_hat``."""
+
+    @pytest.mark.parametrize("predictor", PREDICTORS)
+    def test_oracle_calls_keep_their_number_and_shapes(self, predictor, oracle_calls):
+        convergence_study(EnsembleConfig(predictor=predictor, trials=20, **ACCEPTANCE))
+        # The Q draws with the Gram matrices, the bases, the rotations of
+        # the two 2-blocks, then each predictor's own stages.
+        expected = [(40, 6), (20, 6), (40, 2)]
+        if predictor in ("schur_full", "schur_simplified"):
+            expected += [(200, 2), (200, 1)]
+        if predictor != "u_ap_residual":
+            expected.append((100, 6))
+        if predictor in ("eigvec_first_order", "u_ap_residual"):
+            expected.append((100, 6))
+        assert [(len(sizes), sizes[0]) for sizes in oracle_calls] == expected
+
+    @pytest.mark.parametrize("predictor", ["first_order", "schur_full", "eigvec_first_order"])
+    @pytest.mark.parametrize(
+        "ensemble", [dict(ACCEPTANCE, trials=5), PARTIAL, LARGE], ids=["acceptance", "partial", "large"]
+    )
+    def test_the_oracle_gets_the_conjugated_actual_matrix(self, predictor, ensemble, exact_stage):
+        cfg = EnsembleConfig(predictor=predictor, **ensemble)
+        report = convergence_study(cfg)
+        members = admitted_instances(cfg, report)
+        ((warm, _),) = exact_stage
+        assert len(warm) == len(members)
+        for got, (exact, u_ap) in zip(warm, members):
+            assert got.tobytes() == alignment._conjugate(u_ap[None], exact[None])[0].tobytes()
+
+    def test_warm_solves_take_fewer_sweeps(self, exact_stage):
+        cfg = EnsembleConfig(predictor="first_order", trials=20, **ACCEPTANCE)
+        report = convergence_study(cfg)
+        ((warm, _),) = exact_stage
+        cold = np.array([exact for exact, _ in admitted_instances(cfg, report)])
+        # 2.35 warm against 4.9 cold when this was written.
+        assert jacobi._solve_stack(warm)[2].mean() <= 3.0
+        assert jacobi._solve_stack(cold)[2].mean() >= 4.5
+
+    @pytest.mark.parametrize(
+        "ensemble",
+        [dict(ACCEPTANCE, trials=20), PARTIAL, SIMPLE, LARGE],
+        ids=["acceptance", "partial", "simple", "large"],
+    )
+    def test_warm_eigenvalues_are_within_the_oracle_slack(self, ensemble, exact_stage):
+        cfg = EnsembleConfig(predictor="first_order", **ensemble)
+        report = convergence_study(cfg)
+        ((_, warm),) = exact_stage
+        cold = np.array([exact for exact, _ in admitted_instances(cfg, report)])
+        slack = jacobi._eigenvalue_slack(
+            cfg.n, np.abs(cold).max(axis=(1, 2)), np.linalg.norm(cold, axis=(1, 2))
+        )[:, None]
+        assert np.all(np.abs(warm - jacobi._solve_stack(cold, vectors=False)) <= slack)
+        # LAPACK, as a reference from outside the package.
+        assert np.all(np.abs(warm - np.linalg.eigvalsh(cold)[:, ::-1]) <= slack)
+
+    def test_the_exact_stage_is_independent_of_e_hat(self, exact_stage):
+        # The predictions read E_hat and the exact solves do not: an error
+        # in E_hat moves the errors and leaves the oracle's input alone.
+        grid, groups, *args = study_inputs(EnsembleConfig(predictor="first_order", trials=20, **ACCEPTANCE))
+        errors = harness._errors("first_order", grid, groups, *args)
+        args[4] = args[4] * 1.01
+        skewed = harness._errors("first_order", grid, groups, *args)
+        (warm, lams), (skewed_warm, skewed_lams) = exact_stage
+        assert skewed_warm.tobytes() == warm.tobytes()
+        assert skewed_lams.tobytes() == lams.tobytes()
+        assert np.all(skewed != errors)
 
 
 class TestCsv:

@@ -176,8 +176,10 @@ class TestResidual:
         ids=["2x2", "lam_nx1", "lam_1xn"],
     )
     def test_dimension_mismatch(self, d):
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(ValueError, match="does not match") as refusal:
             residual(np.zeros((3, 3)), d)
+        # The refusal names lam's shape: (3, 1) for lam_nx1, which a size of 3 would hide.
+        assert f"lam of shape {np.shape(d.lam)} " in str(refusal.value)
 
     @pytest.mark.parametrize("exponent", SCALE_EXPONENTS)
     @pytest.mark.parametrize("n", [6, 60])

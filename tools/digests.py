@@ -19,7 +19,8 @@ certified bounds of ``||E||`` on stacks from subnormal to ``1e300`` scale,
 the column match of ``align_columns`` at sizes 1 to 60, ``N`` and
 ``U'(0)`` of the small instances with ``F`` scaled far past unit scale, and
 the stages of a convergence study on seeded stacks of 10 and 100
-instances, whose lines move when a change touches a few members.
+instances, its warm exact solves among them, whose lines move when a change
+touches a few members.
 The refusal paths are covered too: a ``predict`` whose ``t`` passes the gap
 between eigenvalue blocks, studies whose largest ``t`` does so for some
 trials, and the message, line and column of each malformed matrix text of
@@ -409,7 +410,10 @@ def study_stacks() -> None:
     the block-wise rotation and the re-conjugation, both Schur variants'
     eigenvalues, complements and complement eigenvalues, and the norms of
     the first-order residuals.  Unit-stride columns of ``X`` in the 1 x 1
-    complements move the lines at n = 9 and 20."""
+    complements move the lines at n = 9 and 20.  A second line per stack
+    holds the warm exact stage on the default t-grid: ``U* (A + t F) U``
+    with the rotated ``U``, the oracle's eigenvalues of it and its
+    eigenvectors mapped back as ``U V``."""
     for spec, count in STUDY_STACKS:
         cfg = harness.EnsembleConfig(seed=14, n=sum(spec), block_spec=spec, trials=count, predictor="first_order")
         a, f = harness._instances(cfg, range(count))
@@ -422,10 +426,13 @@ def study_stacks() -> None:
         t = STUDY_STACK_T
         refined = schur._refined_stack(t * e_hat[:, None], w, reps, groups, ("full", "simplified"))
         gaps = first_order._residuals(rotated, lam, t * f, t * e_hat, mmat)
-        _record(
-            f"study_stack/{','.join(map(str, spec))}/seed14/members{count}",
-            a, f, u, lam, raw, rotated, e_hat, refined, matrices.operator_norms(gaps),
-        )
+        name = f"study_stack/{','.join(map(str, spec))}/seed14/members{count}"
+        _record(name, a, f, u, lam, raw, rotated, e_hat, refined, matrices.operator_norms(gaps))
+        grid = np.array(harness.DEFAULT_T_GRID)[:, None, None]
+        u_rep = np.repeat(rotated, grid.size, axis=0)
+        warm = alignment._conjugate(u_rep, (a[:, None] + grid * f[:, None]).reshape(-1, *a.shape[1:]))
+        v, warm_lam = jacobi._solve_stack(warm)[:2]
+        _record(f"{name}/warm_exact", warm, warm_lam, u_rep @ v)
 
 
 def column_matches() -> None:
