@@ -220,8 +220,9 @@ class LoglogFit:
 def fit_loglog(ts, errors, scale: float) -> LoglogFit:
     """Least-squares slope of log10(error) against log10(t).
 
-    ``ts`` must be positive and finite and ``errors`` finite and
-    non-negative, one error per t; other input raises ``ValueError``.
+    ``ts`` must be positive and finite, ``errors`` finite and non-negative,
+    one error per t, and ``scale`` a finite real; other input raises
+    ``ValueError``.
     Points at or below the noise floor ``1000 * eps * max(1, scale)`` are
     dropped; fewer than 3 surviving points, or fewer than 2 distinct t among
     them, make the slope meaningless and raise :class:`StudyError` instead
@@ -229,6 +230,8 @@ def fit_loglog(ts, errors, scale: float) -> LoglogFit:
     """
     ts = np.asarray(ts, dtype=np.float64)
     errors = np.asarray(errors, dtype=np.float64)
+    if not math.isfinite(scale := _real(scale, "scale")):
+        raise ValueError(f"scale must be finite, got {scale}")
     if ts.ndim != 1 or errors.shape != ts.shape:
         raise ValueError(f"need one error per t, got shapes {ts.shape} and {errors.shape}")
     (fit,) = _fits(ts, errors[None], [scale])

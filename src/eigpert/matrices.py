@@ -266,10 +266,12 @@ def _format_entry(z: complex) -> str:
 
 def format_matrix(m) -> str:
     """Render a matrix in the text exchange format (17 significant digits, LF,
-    header ``"rows cols"``)."""
+    header ``"rows cols"``), refusing non-finite entries as :func:`dense` does."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"expected a nonempty 2-d matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite (no NaN or Inf)")
     rows, cols = m.shape
     body = [" ".join(_format_entry(z) for z in m[i, :]) for i in range(rows)]
     return "\n".join([f"{rows} {cols}"] + body) + "\n"

@@ -23,8 +23,8 @@ Review 15(4), 1973).  The simplified variant is the first iterate; the
 full one stops once an update is at most ``4 eps max|X|``.  The fixed point
 runs on a stack of perturbations, one batched product per iteration, and
 each member stops on its own test, as the oracle's members do, so a member
-gets the bits of its solo run.  ``W`` depends on the base alone, so it is
-read from the perturbation's base-only data (``ap.data``).
+gets the bits of its solo run; the live ones are gathered only when some
+stop.  ``W`` depends on the base alone and comes from ``ap.data``.
 
 One stacked path forms the refined eigenvalues, for any set of variants:
 the first iterate is the simplified variant's fixed point and the full one
@@ -98,10 +98,10 @@ class SchurData:
 
 def _iterate(e_hat: np.ndarray, w: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The fixed point of ``X = W o (C - E_hat X)`` from the first iterate
-    ``x``, which is left as it was.  All members iterate as one batched
-    product and each stops on its own test, so each gets the bits of its
-    solo call.  While every member is live, the iterates alternate between
-    two buffers of their own.
+    ``x``, which is left as it was.  The live members iterate as one batched
+    product in two reused buffers and each stops on its own test, so each
+    gets the bits of its solo call: the stopped ones go to the result, and
+    only then are the others gathered, with their ``E_hat``, ``W`` and ``C``.
 
     The test compares the moduli of the update and of the iterate.  A
     computed modulus lies between half and twice the larger of its real and
@@ -109,31 +109,25 @@ def _iterate(e_hat: np.ndarray, w: np.ndarray, c: np.ndarray, x: np.ndarray) -> 
     the threshold at twice the iterate's largest part passes it: only a
     pass where some member may stop, and the last, whose update an error
     reports, take the moduli."""
-    live, step = np.arange(len(x)), np.full(len(x), math.inf)
+    out, live, step = np.empty(x.shape, x.dtype), np.arange(len(x)), np.full(len(x), math.inf)
     iterates, diff = (np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype)), np.empty(x.shape, x.dtype)
     for i in range(1, MAX_ITERATIONS):
-        # Members that have stopped are left out, so they keep their bits.
-        # Iterating the whole stack instead made n = 6 schur_full studies about 6% slower,
-        # and the compacting branch alone, even while all are live, the n = 60 step about 15%.
-        if live.size == len(x):
-            prev, new = x, iterates[i % 2]
-            np.multiply(w, np.subtract(c, np.matmul(e_hat, prev, out=new), out=new), out=new)
-            x = new
-        else:
-            prev = x[live]
-            # Row-major, as the buffers are, for the test's views.
-            new = np.multiply(w[live], c[live] - e_hat[live] @ prev, order="C")
-            x[live] = new
-        change = np.subtract(new, prev, out=diff[: len(new)])
+        new = iterates[i % 2][: live.size]
+        np.multiply(w, np.subtract(c, np.matmul(e_hat, x, out=new), out=new), out=new)
+        change = np.subtract(new, x, out=diff[: live.size])
         step = np.abs(change.view(np.float64)).max(axis=(1, 2))
         going = step > 2.0 * (_STOP_TOL * (2.0 * np.abs(new.view(np.float64)).max(axis=(1, 2))))
         if i == MAX_ITERATIONS - 1 or not going.all():
             step = np.abs(change).max(axis=(1, 2))
             going = step > _STOP_TOL * np.abs(new).max(axis=(1, 2))
-        live, step = live[going], step[going]
-        if live.size == 0:
-            return x
-    where = f"stack member {live[0]} of {len(x)}: " if len(x) > 1 else ""
+        x = new
+        if not going.all():
+            out[live[~going]] = new[~going]
+            live, step = live[going], step[going]
+            if live.size == 0:
+                return out
+            x, e_hat, w, c = (a.compress(going, axis=0) for a in (new, e_hat, w, c))
+    where = f"stack member {live[0]} of {len(out)}: " if len(out) > 1 else ""
     message = f"Schur fixed point: {where}update {step[0]:.3e} after {MAX_ITERATIONS} iterations"
     raise ConvergenceError(message, off_mass=float(step[0]), member=int(live[0]))
 

@@ -282,6 +282,18 @@ class TestFitLoglog:
         with pytest.raises(error):
             fit_loglog(ts, errors, scale=1.0)
 
+    @pytest.mark.parametrize(
+        "scale",
+        # NaN used to fit against the floor of scale 1, infinity to raise
+        # StudyError and a complex scale a bare TypeError.
+        [math.nan, math.inf, -math.inf, 1.0 + 1.0j, np.complex128(2.0)],
+        ids=["nan", "inf", "minus_inf", "complex", "numpy_complex"],
+    )
+    def test_rejects_a_scale_that_is_not_a_finite_real(self, scale):
+        ts = np.array([1e-1, 1e-2, 1e-3, 1e-4])
+        with pytest.raises(ValueError, match="^scale must be"):
+            fit_loglog(ts, 3.0 * ts**2, scale=scale)
+
     def test_constant_errors_define_r_squared(self):
         ts = np.array([1e-1, 1e-2, 1e-3])
         fit = fit_loglog(ts, [0.25, 0.25, 0.25], scale=1.0)

@@ -133,6 +133,19 @@ class TestRoundTrip:
         m = np.array([[1e-308, 1e308], [5e-324, -1e-200]], dtype=complex)
         assert bit_equal(parse_matrix(format_matrix(m)), m)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [[[math.nan, 1], [math.inf, 2 + 1j]], [[1, complex(0, -math.inf)]], [[complex(2, math.nan)]]],
+        ids=["nan_and_inf", "inf_imaginary", "nan_imaginary"],
+    )
+    def test_format_refuses_what_parse_refuses(self, entries):
+        # Non-finite entries used to be written as text that parse_matrix refuses.
+        with pytest.raises(ValueError) as want:
+            dense(entries)
+        with pytest.raises(ValueError) as got:
+            format_matrix(entries)
+        assert str(got.value) == str(want.value)
+
     @pytest.mark.parametrize("shape", [(0, 3), (2, 2, 2)])
     def test_format_refuses_empty_and_3d_input(self, shape):
         with pytest.raises(ValueError, match="expected a nonempty 2-d matrix"):

@@ -378,19 +378,26 @@ class TestFixedPoint:
         # The simplified variant is one iteration and never reaches the cap.
         refined_eigenvalues(ap, "simplified")
 
-    def test_stacked_members_keep_their_solo_bits(self, monkeypatch):
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_stacked_members_keep_their_solo_bits(self, monkeypatch, layout):
         # Members closer to the margin contract more slowly, so each stops
         # after its own number of iterations; a stopped member is never
-        # touched again.
+        # touched again, and no input is ever written to.
         aps = [diagonal_problem((2, 2, 1, 1), e_norm, seed=3) for e_norm in (0.01, 0.2, 0.3, 0.1)]
-        e_hat = np.stack([ap.e_hat for ap in aps])
-        w = weights(aps)
+        e_hat = np.asarray(np.stack([ap.e_hat for ap in aps]), order=layout)
+        w = np.asarray(weights(aps), order=layout)
+        # C has E_hat's values in an array of its own, so a write to either shows.
+        inputs = (e_hat, w, e_hat.copy(order="K"), w * e_hat)
+        before = [a.tobytes() for a in inputs]
+
+        def solve(part):
+            return schur._iterate(*(a[part] for a in inputs))
 
         def iterations(k):
             for cap in range(1, 61):
                 monkeypatch.setattr(schur, "MAX_ITERATIONS", cap)
                 try:
-                    fixed_point(e_hat[k : k + 1], w[k : k + 1])
+                    solve(slice(k, k + 1))
                     return cap
                 except ConvergenceError:
                     pass
@@ -400,14 +407,15 @@ class TestFixedPoint:
         assert len(set(counts)) == len(counts)
         monkeypatch.setattr(schur, "MAX_ITERATIONS", 60)
         for lo, hi in ((0, 4), (1, 3), (2, 4)):
-            stacked = fixed_point(e_hat[lo:hi], w[lo:hi])
+            stacked = solve(slice(lo, hi))
             for k in range(lo, hi):
-                alone = fixed_point(e_hat[k : k + 1], w[k : k + 1])
+                alone = solve(slice(k, k + 1))
                 assert np.array_equal(stacked[k - lo], alone[0])
+        assert [a.tobytes() for a in inputs] == before
         # A cap that stops the slowest member alone names it.
         monkeypatch.setattr(schur, "MAX_ITERATIONS", max(counts) - 1)
         with pytest.raises(ConvergenceError) as info:
-            fixed_point(e_hat, w)
+            solve(slice(None))
         assert info.value.member == int(np.argmax(counts))
 
 

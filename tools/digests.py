@@ -20,7 +20,8 @@ the column match of ``align_columns`` at sizes 1 to 60, ``N`` and
 ``U'(0)`` of the small instances with ``F`` scaled far past unit scale, and
 the stages of a convergence study on seeded stacks of 10 and 100
 instances, its warm exact solves among them, whose lines move when a change
-touches a few members.
+touches a few members, and the Schur fixed point alone on seeded stacks
+whose members stop after different numbers of passes, in both layouts.
 The refusal paths are covered too: a ``predict`` whose ``t`` passes the gap
 between eigenvalue blocks, studies whose largest ``t`` does so for some
 trials, and the message, line and column of each malformed matrix text of
@@ -54,6 +55,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from eigpert import alignment, first_order, harness, jacobi, matrices, rayleigh, schur  # noqa: E402
+from eigpert.errors import ConvergenceError  # noqa: E402
 
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
@@ -129,6 +131,14 @@ ALIGN_T = 1e-2
 # taken at E = t F for one t.
 STUDY_STACKS = (((2, 3, 1, 3), 100), ((4, 1, 3, 2, 4, 2, 4), 100), ((4, 3, 2) * 4 + (4,) * 6, 10))
 STUDY_STACK_T = 1e-2
+
+# (block_spec, members) of the seeded stacks whose Schur fixed point is
+# digested alone, member j at E = t F for the t of ITERATE_T at j modulo its
+# length, so that the members stop after 5 to 17 passes; and the cap of the
+# capped runs, below the slowest members' passes.
+ITERATE_STACKS = (((2, 2, 1, 1), 12), ((4, 3, 2, 1), 12), ((4,) * 15, 6))
+ITERATE_T = (1e-4, 1e-2, 0.05, 0.1, 0.2, 0.24)
+ITERATE_CAP = 12
 
 # Seeds of the n = 60 instances, their layout, and the scales t of E = t F.
 LARGE_SEEDS = (1, 2)
@@ -435,6 +445,38 @@ def study_stacks() -> None:
         _record(f"{name}/warm_exact", warm, warm_lam, u_rep @ v)
 
 
+def iterates() -> None:
+    """``schur._iterate`` on each seeded stack of ``ITERATE_STACKS``, its
+    inputs row-major and column-major: on the whole ``E_hat``, as the
+    refinement runs it, and on the first block's columns of ``W`` and ``E_hat``,
+    as ``schur_data`` does; then the message, member and off mass of the
+    whole stack's run capped at ``ITERATE_CAP`` passes."""
+    for spec, count in ITERATE_STACKS:
+        cfg = harness.EnsembleConfig(seed=15, n=sum(spec), block_spec=spec, trials=count, predictor="first_order")
+        a, f = harness._instances(cfg, range(count))
+        u, lam = jacobi._solve_stack(a)[:2]
+        groups = alignment._groups(lam)
+        w = alignment._base_data_rows(lam, groups)[2]
+        rotated = alignment._rotate_blocks(u, alignment._conjugate(u, f), groups)
+        e_hat = alignment._conjugate(rotated, f) * np.resize(ITERATE_T, count)[:, None, None]
+        name = f"schur/iterate/{','.join(map(str, spec))}/seed15/members{count}"
+        stop = groups[0][1]
+        for layout in ("C", "F"):
+            e, ws = np.asarray(e_hat, order=layout), np.asarray(w, order=layout)
+            cols, w_cols = e[:, :, :stop], ws[:, :, :stop]
+            whole = schur._iterate(e, ws, e, ws * e)
+            _record(f"{name}/{layout}", whole, schur._iterate(e, w_cols, cols, w_cols * cols))
+        default = schur.MAX_ITERATIONS
+        schur.MAX_ITERATIONS = ITERATE_CAP
+        try:
+            capped = schur._iterate(e_hat, w, e_hat, w * e_hat)
+        except ConvergenceError as exc:
+            capped = (str(exc), exc.member, exc.off_mass)
+        finally:
+            schur.MAX_ITERATIONS = default
+        _record(f"{name}/capped{ITERATE_CAP}", capped)
+
+
 def column_matches() -> None:
     """``align_columns`` on the members of ``ALIGN_STACK``, one line per size."""
     for n, count, spec in ALIGN_STACK:
@@ -506,6 +548,7 @@ def main() -> int:
     column_matches()
     scaled_directions()
     study_stacks()
+    iterates()
     return 1 if runner.failed else 0
 
 
