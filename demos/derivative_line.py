@@ -30,7 +30,7 @@ print("in-block rotation generator N:")
 print(lex.n_mat.real)
 print()
 print("inverse-gap term M * F_hat:")
-print((lex.m_mat * lex.ap.e_hat).real)
+print((lex.ap.data.m * lex.ap.e_hat).real)
 print()
 print("derivative U'(0) = U (N - M * F_hat):")
 print(lex.u_prime.real)
@@ -47,7 +47,7 @@ print("  solver eigenvalues    :", np.round(exact.lam, 6))
 print(f"  eigenvector error ||U(t) - (U + t U'(0))|| = "
       f"{np.abs(aligned - pred.u_hat).max():.2e}")
 
-naive = lex.base.u + t * (lex.base.u @ (-lex.m_mat * lex.ap.e_hat))
+naive = lex.ap.base.u + t * (lex.ap.base.u @ (-lex.ap.data.m * lex.ap.e_hat))
 aligned_naive = align_columns(exact.u, naive, lex.ap.blocks.groups)
 gap = np.abs(aligned_naive - naive).max()
 print(f"  without N the error is {gap:.2e}, i.e. {gap / t:.3f} * t -- first order wrong,")

@@ -205,43 +205,46 @@ def _same_block(groups) -> tuple[np.ndarray, np.ndarray]:
 
 
 class LazyNorm:
-    """``||E||`` as the oracle computes it, evaluated on first read and cached,
-    with certified bounds ``lower <= value <= upper`` available up front.
+    """``||E||`` of each member of a stack as the oracle computes it, each
+    member solved on its first read and cached, with certified bounds
+    ``lower <= value <= upper``, ``(k,)`` arrays, available up front.
 
     The bounds hold for the oracle's value, not merely for the exact norm:
     they are widened by a slack covering the oracle's termination error and
     its round-off, so a decision the bounds settle is the decision the
-    oracle's value would give.
+    oracle's value would give.  A record's norm is a stack of one.
     """
 
     __slots__ = ("lower", "upper", "_compute", "_value")
 
-    def __init__(self, lower: float, upper: float, compute: Callable[[], float]) -> None:
+    def __init__(self, lower: np.ndarray, upper: np.ndarray, compute: Callable[[np.ndarray], np.ndarray]) -> None:
         self.lower = lower
         self.upper = upper
         self._compute = compute
-        self._value: float | None = None
+        self._value = np.full(lower.shape, np.nan)
 
-    @property
-    def value(self) -> float:
-        if self._value is None:
-            self._value = self._compute()
-            self._compute = None
-        return self._value
+    def value(self, members: np.ndarray) -> np.ndarray:
+        """The oracle's norms of the ``members``, a boolean mask ``(k,)``;
+        those not known yet are solved in one call."""
+        unknown = members & np.isnan(self._value)
+        if unknown.any():
+            self._value[unknown] = self._compute(unknown)
+        return self._value[members]
 
     def scaled(self, t: float) -> "LazyNorm":
-        """The norm of ``t E`` for ``t > 0``: ``t`` times this value, so the
-        oracle still runs at most once for the whole chain.  Rounded
-        multiplication by ``t`` is monotone, so the bounds stay certified."""
-        return LazyNorm(t * self.lower, t * self.upper, lambda: t * self.value)
+        """The norms of ``t E`` for ``t > 0``: ``t`` times these values, so
+        the oracle still runs at most once per member for the whole chain.
+        Rounded multiplication by ``t`` is monotone, so the bounds stay
+        certified."""
+        return LazyNorm(t * self.lower, t * self.upper, lambda members: t * self.value(members))
 
 
-def _lazy_norms(e_hat: np.ndarray) -> list[LazyNorm]:
-    """The :class:`LazyNorm` of each member of the symmetrized stack
-    ``e_hat`` ``(k, n, n)``: bounds from its column norms and its Frobenius
-    norm, all of them as one expression, and the oracle norm
-    ``max |eigh(e_hat[i]).lam|`` deferred.  ``e_hat`` is exactly Hermitian,
-    so the deferred solve goes to the oracle's array entry."""
+def _lazy_norms(e_hat: np.ndarray) -> LazyNorm:
+    """The :class:`LazyNorm` of the symmetrized stack ``e_hat`` ``(k, n,
+    n)``: bounds from each member's column norms and Frobenius norm, all of
+    them as one expression, and the oracle norms ``max |eigh(e_hat[i]).lam|``
+    deferred.  ``e_hat`` is exactly Hermitian, so the deferred solves go to
+    the oracle's array entry, which gives each member its solo bits."""
     _, n, _ = e_hat.shape
     mag = np.abs(e_hat)
     peak = mag.max(axis=(1, 2))
@@ -251,12 +254,9 @@ def _lazy_norms(e_hat: np.ndarray) -> list[LazyNorm]:
     fro = peak * np.sqrt(col.sum(axis=1))
     slack = jacobi._eigenvalue_slack(n, peak, fro)
     lower = np.maximum(0.0, peak * np.sqrt(col.max(axis=1)) - slack)
-    upper = fro + slack
-
-    def oracle(m: np.ndarray) -> Callable[[], float]:
-        return lambda: float(np.abs(jacobi._solve_stack(m[None], vectors=False)).max())
-
-    return [LazyNorm(lo, up, oracle(m)) for lo, up, m in zip(lower.tolist(), upper.tolist(), e_hat)]
+    return LazyNorm(
+        lower, fro + slack, lambda members: np.abs(jacobi._solve_stack(e_hat[members], vectors=False)).max(axis=1)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,10 +269,11 @@ class AlignedPerturbation:
     whether the basis has been rotated to make ``e_hat`` block-wise diagonal.
     ``data`` holds what depends on the base alone, ``blocks`` and ``M``
     among it; the formulas read ``M`` from there and refuse any other.
-    ``norm`` holds ``||E||`` lazily; it is shared with every perturbation
-    derived by :func:`blockwise_diagonalize` and (scaled) by :func:`scaled`.
-    Guards that compare ``||E||`` with a threshold go through ``_allows``,
-    which runs the oracle only when the certified bounds cannot decide.
+    ``norm`` holds ``||E||`` lazily, as a stack of one; it is shared with
+    every perturbation derived by :func:`blockwise_diagonalize` and (scaled)
+    by :func:`scaled`.  Guards that compare ``||E||`` with a threshold go
+    through ``_allows``, which runs the oracle only when the certified bounds
+    cannot decide; ``e_norm`` reads the oracle's value as a float.
     """
 
     base: jacobi.SpectralDecomposition
@@ -301,28 +302,26 @@ class AlignedPerturbation:
     @property
     def e_norm(self) -> float:
         """``||E||`` from the oracle; the first read on a chain computes it."""
-        return self.norm.value
+        return float(self.norm.value(np.ones(1, dtype=bool))[0])
 
 
-def _allows(norm: LazyNorm, values, factor: float) -> bool:
-    """Whether every ``values[k]`` exceeds ``factor`` times the norm's
-    oracle value, the decision of every guard here.  The guard is monotone
-    in the value, so one decision on the smallest value decides them all; a
-    refusal names the smallest.
+def _allows(norm: LazyNorm, least: np.ndarray, factor: float) -> np.ndarray:
+    """Whether each member's smallest checked value ``least`` ``(k,)``
+    exceeds ``factor`` times its oracle norm, the decision of every guard
+    here: the guard is monotone in the value, so the decision on the
+    smallest decides every value, and a refusal names the smallest.  A
+    member with no value to check passes ``inf``; a NaN fails.
 
     The certified bounds decide first: passing at ``upper`` implies passing
     at the oracle's value and failing at ``lower`` implies failing there,
-    because rounded arithmetic is monotone.  Only a threshold between the
-    bounds costs an oracle call.
+    because rounded arithmetic is monotone.  Only the members between their
+    bounds cost an oracle call, one for all of them.
     """
-    if len(values) == 0:
-        return True
-    least = float(np.min(values))
-    if least > factor * norm.upper:
-        return True
-    if not least > factor * norm.lower:
-        return False
-    return least > factor * norm.value
+    allowed = least > factor * norm.upper
+    between = ~allowed & (least > factor * norm.lower)
+    if between.any():
+        allowed[between] = least[between] > factor * norm.value(between)
+    return allowed
 
 
 def _require_gap(ap: AlignedPerturbation, factor: float, blocks=None) -> None:
@@ -334,7 +333,7 @@ def _require_gap(ap: AlignedPerturbation, factor: float, blocks=None) -> None:
         return
     index = np.arange(ap.data.margins.size) if blocks is None else np.asarray(blocks)
     margin = ap.data.margins[index]
-    if not _allows(ap.norm, margin, factor):
+    if not _allows(ap.norm, margin.min(keepdims=True), factor)[0]:
         k = int(np.argmin(margin))
         raise GapTooSmallError(
             f"block {index[k]}: separation {margin[k]:.3e} from other eigenvalues "
@@ -364,7 +363,7 @@ def conjugate_to_eigenbasis(base: jacobi.SpectralDecomposition, e) -> AlignedPer
     data = _base_data(base.lam)
     e_hat = _conjugate(base.u[None], e[None])
     # ||E|| is max |eigenvalue of E_hat|, solved only if a guard's bounds cannot decide.
-    return AlignedPerturbation(base, data, as_readonly(e), e_hat[0], MODE_RAW, _lazy_norms(e_hat)[0])
+    return AlignedPerturbation(base, data, as_readonly(e), e_hat[0], MODE_RAW, _lazy_norms(e_hat))
 
 
 def blockwise_diagonalize(ap: AlignedPerturbation) -> AlignedPerturbation:

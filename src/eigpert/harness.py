@@ -16,7 +16,7 @@ errors, and builds no record.  It stacks its oracle calls across its
 trials, one call per stage and block size (see :func:`convergence_study`),
 so their number does not grow with its number of trials.  Every other stage
 is an array expression over the ``(trials, t, n, n)`` stack: the
-conjugations and rotations, the guards (one pass, deciding once per trial
+conjugations and rotations, the guards (one decision each over all trials
 at the largest ``t``), the Schur fixed point (each member stopping on its
 own test), the expansion's coefficients, the residuals, the eigenvector
 study's column match, the error norms and the least-squares fits.  Each
@@ -303,19 +303,19 @@ class ConvergenceReport:
     failed_trials: tuple[int, ...] = field(default=())
 
 
-def _admitted(predictor: str, groups, e_hat: np.ndarray, margins: np.ndarray, norms, t_max: float) -> np.ndarray:
+def _admitted(predictor: str, groups, e_hat: np.ndarray, margins: np.ndarray, norm, t_max: float) -> np.ndarray:
     """Whether the predictor's guards, deciding as for a record, admit each
     trial of the stacks along a t-grid whose largest entry is ``t_max``; the
-    gap guard holds for every ``t`` once it holds for the largest."""
-    tie = predictor in ("rs_second_order", "eigvec_first_order")
-    gap = predictor not in ("first_order", "u_ap_residual") and len(groups) >= 2
-    ties = rayleigh._tie_gaps(np.diagonal(e_hat, axis1=1, axis2=2).real, groups)
-    factor = alignment.DEFAULT_MARGIN_FACTOR * t_max
-    return np.array([
-        (not tie or alignment._allows(norm, ties[k], rayleigh.STRICT_DIAGONAL_TOL))
-        and (not gap or alignment._allows(norm, margins[k], factor))
-        for k, norm in enumerate(norms)
-    ], dtype=bool)
+    gap guard holds for every ``t`` once it holds for the largest.  A tied
+    trial checks ``inf`` at the gap guard, which its bounds pass unsolved."""
+    admitted = np.ones(len(e_hat), dtype=bool)
+    if predictor in ("rs_second_order", "eigvec_first_order"):
+        ties = rayleigh._tie_gaps(np.diagonal(e_hat, axis1=1, axis2=2).real, groups)
+        admitted = alignment._allows(norm, ties.min(axis=1, initial=np.inf), rayleigh.STRICT_DIAGONAL_TOL)
+    if predictor not in ("first_order", "u_ap_residual") and len(groups) >= 2:
+        least = np.where(admitted, margins.min(axis=1), np.inf)
+        admitted &= alignment._allows(norm, least, alignment.DEFAULT_MARGIN_FACTOR * t_max)
+    return admitted
 
 
 def _errors(predictor: str, grid: np.ndarray, groups, a, f, u, lam, e_hat, reps, mmat, w) -> np.ndarray:
@@ -390,9 +390,9 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     as one solved trial by trial.  That includes the eigenvector study's
     gauge match of the exact eigenvectors to the predicted ones, made once
     for all its ``(trial, t)`` members.  The trials share one degeneracy
-    structure; bases that split otherwise raise :class:`StudyError`.  The
-    guards decide once per trial, at the largest ``t``, before any exact
-    solve, so a refused trial costs none.
+    structure; bases that split otherwise raise :class:`StudyError`.  Each
+    guard decides all trials at once, at the largest ``t`` and with one norm
+    solve at most, before any exact solve, so a refused trial costs none.
     """
     grid = np.array(cfg.t_grid)
     a, f = _instances(cfg, range(cfg.trials))
@@ -401,11 +401,11 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     groups = alignment._groups(lam)
     reps, mmat, w, margins = alignment._base_data_rows(lam, groups)
     raw = alignment._conjugate(u, f)
-    norms = alignment._lazy_norms(raw)
+    norm = alignment._lazy_norms(raw)
     u = alignment._rotate_blocks(u, raw, groups)
     e_hat = alignment._conjugate(u, f)
     # The grid is strictly decreasing: its first entry is the largest.
-    admitted = _admitted(cfg.predictor, groups, e_hat, margins, norms, cfg.t_grid[0])
+    admitted = _admitted(cfg.predictor, groups, e_hat, margins, norm, cfg.t_grid[0])
     kept, failed = np.flatnonzero(admitted), np.flatnonzero(~admitted).tolist()
     rows, fits = [], []
     if kept.size:

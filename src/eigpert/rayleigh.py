@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jacobi
 from .alignment import (
     DEFAULT_MARGIN_FACTOR,
     AlignedPerturbation,
@@ -75,7 +74,7 @@ def _require_untied(ap: AlignedPerturbation) -> None:
     """Reject in-block diagonal gaps of ``F_hat`` at most
     ``STRICT_DIAGONAL_TOL * ||F||``."""
     gaps = _tie_gaps(ap.e_hat_diag, ap.blocks.groups)
-    if not _allows(ap.norm, gaps, STRICT_DIAGONAL_TOL):
+    if not _allows(ap.norm, gaps.min(initial=np.inf, keepdims=True), STRICT_DIAGONAL_TOL)[0]:
         k = int(np.argmin(gaps))
         start, stop = [(start, stop) for start, stop in ap.blocks.groups if stop - start >= 2][k]
         raise DegenerateDirectionError(
@@ -207,12 +206,10 @@ def predict_eigensystem(
 
 @dataclass(frozen=True, eq=False)
 class LineExpansion:
-    """Everything the expansion of ``A + t F`` needs, computed once;
-    ``m_mat`` is the record's own read-only ``M``."""
+    """Everything the expansion of ``A + t F`` needs, computed once; the
+    record ``ap`` holds the base and its own read-only ``M``."""
 
-    base: jacobi.SpectralDecomposition
     ap: AlignedPerturbation
-    m_mat: np.ndarray
     a0: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
@@ -227,7 +224,7 @@ class LineExpansion:
             raise ValueError(f"t must be finite, got {t}")
         _require_gap(self.ap, DEFAULT_MARGIN_FACTOR * abs(t))
         with np.errstate(over="ignore", invalid="ignore"):
-            xi_hat, u_hat = _series(t, self.a0, self.a1, self.a2), _series(t, self.base.u, self.u_prime)
+            xi_hat, u_hat = _series(t, self.a0, self.a1, self.a2), _series(t, self.ap.base.u, self.u_prime)
         if not (np.isfinite(xi_hat).all() and np.isfinite(u_hat).all()):
             raise ValueError(f"the expansion at t = {t} overflows the floating-point range")
         return EigensystemPrediction(xi_hat=as_readonly(xi_hat), u_hat=as_readonly(u_hat))
@@ -248,9 +245,7 @@ def _expansion(ap: AlignedPerturbation) -> LineExpansion:
     # rs_coefficients has run the guards of n_matrix: they run once.
     n_mat = _n_matrix(ap.e_hat[None], ap.data.m[None], ap.data.same, ap.data.same_cols)[0]
     return LineExpansion(
-        base=ap.base,
         ap=ap,
-        m_mat=ap.data.m,
         a0=as_readonly(a0),
         a1=as_readonly(a1),
         a2=as_readonly(a2),

@@ -96,12 +96,12 @@ class SchurData:
     beta: np.ndarray
 
 
-def _iterate(e_hat: np.ndarray, w: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _iterate(e_hat: np.ndarray, w: np.ndarray, cols: slice, x: np.ndarray) -> np.ndarray:
     """The fixed point of ``X = W o (C - E_hat X)`` from the first iterate
-    ``x``, which is left as it was.  The live members iterate as one batched
-    product in two reused buffers and each stops on its own test, so each
-    gets the bits of its solo call: the stopped ones go to the result, and
-    only then are the others gathered, with their ``E_hat``, ``W`` and ``C``.
+    ``x``, which is left as it was; ``C`` is the view ``E_hat[..., cols]``.
+    The live members iterate as one batched product in two reused buffers,
+    each stopping on its own test with the bits of its solo call; the
+    stopped ones go to the result before the others are gathered.
 
     The test compares the moduli of the update and of the iterate.  A
     computed modulus lies between half and twice the larger of its real and
@@ -113,7 +113,7 @@ def _iterate(e_hat: np.ndarray, w: np.ndarray, c: np.ndarray, x: np.ndarray) -> 
     iterates, diff = (np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype)), np.empty(x.shape, x.dtype)
     for i in range(1, MAX_ITERATIONS):
         new = iterates[i % 2][: live.size]
-        np.multiply(w, np.subtract(c, np.matmul(e_hat, x, out=new), out=new), out=new)
+        np.multiply(w, np.subtract(e_hat[..., cols], np.matmul(e_hat, x, out=new), out=new), out=new)
         change = np.subtract(new, x, out=diff[: live.size])
         step = np.abs(change.view(np.float64)).max(axis=(1, 2))
         going = step > 2.0 * (_STOP_TOL * (2.0 * np.abs(new.view(np.float64)).max(axis=(1, 2))))
@@ -126,7 +126,7 @@ def _iterate(e_hat: np.ndarray, w: np.ndarray, c: np.ndarray, x: np.ndarray) -> 
             live, step = live[going], step[going]
             if live.size == 0:
                 return out
-            x, e_hat, w, c = (a.compress(going, axis=0) for a in (new, e_hat, w, c))
+            x, e_hat, w = (a.compress(going, axis=0) for a in (new, e_hat, w))
     where = f"stack member {live[0]} of {len(out)}: " if len(out) > 1 else ""
     message = f"Schur fixed point: {where}update {step[0]:.3e} after {MAX_ITERATIONS} iterations"
     raise ConvergenceError(message, off_mass=float(step[0]), member=int(live[0]))
@@ -167,8 +167,7 @@ def _schur_data(ap: AlignedPerturbation, block_index: int) -> tuple[SchurData, n
     _require_gap(ap, DEFAULT_MARGIN_FACTOR, [block_index])
     start, stop = groups[block_index]
     e_hat, w = ap.e_hat[None], ap.data.w[None, :, start:stop]
-    c = e_hat[:, :, start:stop]
-    x = _iterate(e_hat, w, c, w * c)
+    x = _iterate(e_hat, w, slice(start, stop), w * e_hat[:, :, start:stop])
     b = _complement(e_hat, np.arange(start, stop)[None], e_hat[:, None, start:stop], x[:, None])[0, 0]
     x = x[0]
     (beta,) = _complement_eigenvalues([b])
@@ -241,7 +240,7 @@ def _refined_stack(e_hat: np.ndarray, w: np.ndarray, reps: np.ndarray, groups, v
     k, s, n = e_hat.shape[:3]
     e_hat, w = e_hat.reshape(-1, n, n), np.repeat(w, s, axis=0)
     first = w * e_hat  # from X = 0
-    xs = [first if v == "simplified" else _iterate(e_hat, w, e_hat, first) for v in variants]
+    xs = [first if v == "simplified" else _iterate(e_hat, w, slice(None), first) for v in variants]
     parts = [(index, b.reshape(len(xs), k, s, *b.shape[2:])) for index, b in _complements(e_hat, xs, groups)]
     betas = _complement_eigenvalues([b for _, b in parts])
     # Each row's representative value at each index.

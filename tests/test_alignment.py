@@ -656,7 +656,7 @@ class TestAlignStack:
 
 # Each result record that holds arrays, from the worked example's expansion.
 ARRAY_RECORDS = {
-    "SpectralDecomposition": lambda lex: lex.base,
+    "SpectralDecomposition": lambda lex: lex.ap.base,
     "_BaseData": lambda lex: lex.ap.data,
     "AlignedPerturbation": lambda lex: lex.ap,
     "SchurData": lambda lex: schur_data(scaled(lex.ap, 0.01), 0),

@@ -531,21 +531,31 @@ class TestStackedStudy:
         assert report.failed_trials == ()
 
     @pytest.mark.parametrize(
-        "predictor, per_trial", [("schur_full", 1), ("rs_second_order", 2), ("eigvec_first_order", 2)]
+        "predictor, guards", [("schur_full", 1), ("rs_second_order", 2), ("eigvec_first_order", 2)]
     )
-    def test_one_gap_decision_per_trial(self, monkeypatch, predictor, per_trial):
-        # The gap guard decides at the largest t, once per trial and not once
-        # per t; the expansion's tie guard adds its own one decision.
+    @pytest.mark.parametrize("trials", [3, 20])
+    def test_one_decision_per_guard_per_study(self, monkeypatch, predictor, guards, trials):
+        # Each guard decides every trial in one call, at the largest t and
+        # not once per t or per trial; the expansion's tie guard adds its own.
         calls = []
         real = alignment._allows
 
-        def counting(norm, values, factor):
-            calls.append(norm)
-            return real(norm, values, factor)
+        def counting(norm, least, factor):
+            calls.append(least.shape)
+            return real(norm, least, factor)
 
         monkeypatch.setattr(alignment, "_allows", counting)
-        convergence_study(EnsembleConfig(predictor=predictor, trials=20, **ACCEPTANCE))
-        assert len(calls) == 20 * per_trial
+        convergence_study(EnsembleConfig(predictor=predictor, trials=trials, **ACCEPTANCE))
+        assert calls == [(trials,)] * guards
+
+    @pytest.mark.parametrize("predictor", ["schur_full", "schur_simplified", "rs_second_order", "eigvec_first_order"])
+    def test_undecided_norms_are_one_solve(self, predictor, oracle_calls):
+        # On this ensemble the bounds settle no trial's gap guard at the
+        # largest t: every trial's norm goes to the oracle, all in one call.
+        report = convergence_study(EnsembleConfig(predictor=predictor, **PARTIAL))
+        assert report.failed_trials == (4, 6, 8)
+        norm_solves = [call for call, stage in zip(oracle_calls, oracle_calls.stages) if stage == "value"]
+        assert norm_solves == [[6] * 10]
 
     def test_one_column_match_per_block_structure(self, monkeypatch):
         # Every (trial, t) member of the study's one degeneracy structure is

@@ -45,8 +45,8 @@ FAR = (-0.5, 0.5)
 def exact_only(ap):
     """The same perturbation with both bounds equal to the oracle's norm, so
     every guard decides on that value, as it did before bounds existed."""
-    value = ap.e_norm
-    return replace(ap, norm=LazyNorm(value, value, lambda: value))
+    value = np.array([ap.e_norm])
+    return replace(ap, norm=LazyNorm(value, value, lambda members: value[members]))
 
 
 def outcome(call):
@@ -289,3 +289,56 @@ def test_norm_oracle_runs_once_per_chain(oracle_calls):
     assert oracle_calls.vectors == [False]
     # The deferred norm solve runs on the first read of LazyNorm.value.
     assert oracle_calls.stages == ["value"]
+
+
+def stacked_records(seed, k=4, n=5):
+    """``k`` raw records on one diagonal base, and the stack of their ``E_hat``."""
+    rng = np.random.default_rng(seed)
+    base = identity_base(np.arange(n, 0.0, -1.0))
+    records = [conjugate_to_eigenbasis(base, rand_hermitian(rng, n)) for _ in range(k)]
+    return records, np.array([ap.e_hat for ap in records])
+
+
+def test_stacked_norm_solves_each_member_once(oracle_calls):
+    # A stack's norms are solved for the members read and not known yet, in
+    # one call per read, once per member for the whole scaled chain; each
+    # has the bits of its record's norm.
+    records, stack = stacked_records(29)
+    solo = np.array([ap.e_norm for ap in records])
+    norm = alignment._lazy_norms(stack)
+    half, every = norm.scaled(0.5), np.ones(len(stack), dtype=bool)
+    oracle_calls.clear()
+    some = np.array([True, False, True, False])
+    assert half.value(some).tobytes() == (0.5 * solo[some]).tobytes()
+    assert oracle_calls == [[5, 5]]
+    assert norm.value(every).tobytes() == solo.tobytes()
+    assert oracle_calls == [[5, 5], [5, 5]]
+    assert half.value(every).tobytes() == (0.5 * solo).tobytes()
+    assert norm.scaled(3.0).value(some).tobytes() == (3.0 * solo[some]).tobytes()
+    assert len(oracle_calls) == 2
+    assert oracle_calls.stages == ["value", "value"]
+    assert np.all(norm.lower <= solo) and np.all(solo <= norm.upper)
+    assert np.array_equal(half.lower, 0.5 * norm.lower) and np.array_equal(half.upper, 0.5 * norm.upper)
+
+
+def test_stack_decides_each_member_as_alone(oracle_calls):
+    # Far above its upper bound passes and a NaN fails without a solve; the
+    # two members whose thresholds fall between their bounds share one
+    # solve and decide on their oracle norms: one exactly at the threshold
+    # fails, one an ulp above it passes.
+    records, stack = stacked_records(31)
+    solo = np.array([ap.e_norm for ap in records])
+    norm = alignment._lazy_norms(stack)
+    factor = 2.0
+    least = np.array([
+        4.0 * factor * norm.upper[0],
+        factor * solo[1],
+        np.nextafter(factor * solo[2], np.inf),
+        np.nan,
+    ])
+    assert np.all(factor * norm.lower[1:3] < least[1:3]) and np.all(least[1:3] < factor * norm.upper[1:3])
+    oracle_calls.clear()
+    assert alignment._allows(norm, least, factor).tolist() == [True, False, True, False]
+    assert oracle_calls == [[5, 5]]
+    for k, ap in enumerate(records):
+        assert alignment._allows(ap.norm, least[k : k + 1], factor).tolist() == [least[k] > factor * solo[k]]

@@ -374,7 +374,7 @@ class TestOverflow:
     def test_expansion_overflow_is_refused(self, s, t):
         a, f = seed_instance()
         lex = line_expansion(a, s * f)
-        for call in (lambda: lex.at(t), lambda: predict_eigensystem(lex.ap, lex.m_mat, t)):
+        for call in (lambda: lex.at(t), lambda: predict_eigensystem(lex.ap, lex.ap.data.m, t)):
             with pytest.raises(ValueError, match="overflows the floating-point range") as exc:
                 call()
             assert not isinstance(exc.value, PreconditionError)
@@ -451,9 +451,8 @@ class TestLineExpansion:
         assert np.array_equal(lex.a1, a1)
         assert np.array_equal(lex.a2, a2)
         assert np.array_equal(lex.n_mat, n_matrix(ap))
-        assert np.array_equal(lex.m_mat, m_matrix(ap.base, ap.blocks))
-        assert np.array_equal(lex.u_prime, eigenvector_derivative(ap, lex.m_mat))
-        assert lex.base is ap.base
+        assert np.array_equal(lex.ap.data.m, m_matrix(ap.base, ap.blocks))
+        assert np.array_equal(lex.u_prime, eigenvector_derivative(ap, lex.ap.data.m))
 
     @staticmethod
     def count_calls(monkeypatch, name: str) -> list:
@@ -481,7 +480,7 @@ class TestLineExpansion:
         calls = self.count_calls(monkeypatch, "_require_untied")
         lex = line_expansion(EXAMPLE_A3, EXAMPLE_F3)
         assert len(calls) == 1 and calls[0] is lex.ap
-        predict_eigensystem(lex.ap, lex.m_mat, 0.01)
+        predict_eigensystem(lex.ap, lex.ap.data.m, 0.01)
         assert len(calls) == 2
 
     def test_at_matches_predict(self):
@@ -490,7 +489,7 @@ class TestLineExpansion:
         lex = line_expansion(a, f)
         for t in (0.0, 0.01, -0.02):
             via_at = lex.at(t)
-            direct = predict_eigensystem(lex.ap, lex.m_mat, t)
+            direct = predict_eigensystem(lex.ap, lex.ap.data.m, t)
             assert np.array_equal(via_at.xi_hat, direct.xi_hat)
             assert np.array_equal(via_at.u_hat, direct.u_hat)
 
@@ -503,7 +502,7 @@ class TestLineExpansion:
     def test_complex_t_is_refused(self, t):
         # float() would evaluate the expansion at the real part alone.
         lex = line_expansion(EXAMPLE_A3, EXAMPLE_F3)
-        for call in (lambda: lex.at(t), lambda: predict_eigensystem(lex.ap, lex.m_mat, t)):
+        for call in (lambda: lex.at(t), lambda: predict_eigensystem(lex.ap, lex.ap.data.m, t)):
             with pytest.raises(ValueError, match="t must be real"):
                 call()
 
@@ -513,7 +512,7 @@ class TestLineExpansion:
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
 def test_non_finite_t_is_a_usage_error(a, t):
     lex = line_expansion(a, EXAMPLE_F3)
-    calls = (lambda: lex.at(t), lambda: predict_eigensystem(lex.ap, lex.m_mat, t))
+    calls = (lambda: lex.at(t), lambda: predict_eigensystem(lex.ap, lex.ap.data.m, t))
     for call in calls:
         with pytest.raises(ValueError, match="finite") as exc:
             call()

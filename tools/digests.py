@@ -410,7 +410,8 @@ def lazy_norm_bounds() -> None:
         stack = np.concatenate(harness._instances(cfg, range(7)))
         stack = matrices._ldexp(stack, np.resize(NORM_BOUND_EXPONENTS, len(stack))[:, None, None])
         stack[3] = 0.0
-        bounds.extend((norm.lower, norm.upper) for norm in alignment._lazy_norms(stack))
+        norm = alignment._lazy_norms(stack)
+        bounds.extend(zip(norm.lower.tolist(), norm.upper.tolist()))
     _record("alignment/lazy_norm_bounds", bounds)
 
 
@@ -464,12 +465,12 @@ def iterates() -> None:
         for layout in ("C", "F"):
             e, ws = np.asarray(e_hat, order=layout), np.asarray(w, order=layout)
             cols, w_cols = e[:, :, :stop], ws[:, :, :stop]
-            whole = schur._iterate(e, ws, e, ws * e)
-            _record(f"{name}/{layout}", whole, schur._iterate(e, w_cols, cols, w_cols * cols))
+            whole = schur._iterate(e, ws, slice(None), ws * e)
+            _record(f"{name}/{layout}", whole, schur._iterate(e, w_cols, slice(None, stop), w_cols * cols))
         default = schur.MAX_ITERATIONS
         schur.MAX_ITERATIONS = ITERATE_CAP
         try:
-            capped = schur._iterate(e_hat, w, e_hat, w * e_hat)
+            capped = schur._iterate(e_hat, w, slice(None), w * e_hat)
         except ConvergenceError as exc:
             capped = (str(exc), exc.member, exc.off_mass)
         finally:
