@@ -7,9 +7,11 @@ generator is a counter, so a study draws every trial's stream as one
 ``uint64`` array and its matrices from it, with no generator object.  The
 convergence studies pair each predictor against the eigendecomposition
 oracle over a decreasing t-grid and fit the error's log-log slope.  The
-oracle solves each exact matrix warm, as ``U* (A + t F) U`` with the
-trial's stored base ``U``: a unitary similarity of the actual matrix,
-nearly diagonal already, that shares nothing with the predictions but ``U``.
+oracle solves each base warm, as ``Q* A Q`` with the trial's drawn ``Q``,
+and each exact matrix warm, as ``U* (A + t F) U`` with the trial's stored
+base ``U``: unitary similarities of the actual matrices, nearly diagonal
+already.  ``Q`` comes from the draw, not from a prediction, so the check
+shares nothing with the predictions but ``U``.
 
 A study is one stack of one degeneracy structure, from the draw to the
 errors, and builds no record.  It stacks its oracle calls across its
@@ -178,14 +180,21 @@ def generate_instance(cfg: EnsembleConfig, trial: int) -> tuple[np.ndarray, np.n
 
 
 def _instances(cfg: EnsembleConfig, trials) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`generate_instance` of each trial as stacks ``A, F``, drawn as
-    one array: row ``k`` is the stream at ``mix(seed + (k + 1) * golden)``
-    (re-scrambled, as raw offsets give shifted copies of one stream).  It
-    holds one uniform per block for the representative values, ``2 n^2``
-    outputs for a Hermitian matrix whose eigenvectors ``Q`` rotate A's
-    spectrum, then ``2 n^2`` for the direction.  One call to the oracle's
-    array entry solves the ``Q`` draws and, in the same stack, the
-    directions' Gram matrices, whose top eigenvalues give their norms."""
+    """:func:`generate_instance` of each trial as stacks ``A, F``: the
+    first two stacks of :func:`_draws`."""
+    return _draws(cfg, trials)[:2]
+
+
+def _draws(cfg: EnsembleConfig, trials) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacks ``A, F, Q`` of the trials, drawn as one array: row ``k`` is
+    the stream at ``mix(seed + (k + 1) * golden)`` (re-scrambled, as raw
+    offsets give shifted copies of one stream).  It holds one uniform per
+    block for the representative values, ``2 n^2`` outputs for a Hermitian
+    matrix whose eigenvectors ``Q`` rotate A's spectrum, ``A = Q diag(reps)
+    Q*``, then ``2 n^2`` for the direction.  One call to the oracle's array
+    entry solves the ``Q`` draws and, in the same stack, the directions'
+    Gram matrices, whose top eigenvalues give their norms.  ``Q`` is
+    returned so that a study can solve its base warm, as ``Q* A Q``."""
     n, blocks = cfg.n, len(cfg.block_spec)
     try:
         keys = np.array([(cfg.seed + (operator.index(k) + 1) * _GOLDEN) & _MASK for k in trials], np.uint64)
@@ -206,7 +215,7 @@ def _instances(cfg: EnsembleConfig, trials) -> tuple[np.ndarray, np.ndarray]:
     a = _symmetrized((q * np.repeat(reps, cfg.block_spec, axis=1)[:, None]) @ q.conj().swapaxes(1, 2))
     norms = _norms(lam[len(q_draws) :, 0], where)
     f = directions / np.array(norms)[:, None, None]
-    return a, f
+    return a, f, q
 
 
 @dataclass(frozen=True)
@@ -293,7 +302,10 @@ class StudyRow:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Per-point errors plus the worst-trial fit, which is what gets gated."""
+    """Per-point errors plus the worst-trial fit, which is what gets gated.
+    ``failure_reasons`` says why each trial of ``failed_trials`` failed:
+    ``"tie guard"``, ``"gap guard"`` or the text of its fit's
+    :class:`StudyError`."""
 
     rows: tuple[StudyRow, ...]
     slope: float
@@ -301,21 +313,26 @@ class ConvergenceReport:
     r_squared: float
     trial_slopes: tuple[float, ...]
     failed_trials: tuple[int, ...] = field(default=())
+    failure_reasons: tuple[str, ...] = field(default=())
 
 
-def _admitted(predictor: str, groups, e_hat: np.ndarray, margins: np.ndarray, norm, t_max: float) -> np.ndarray:
-    """Whether the predictor's guards, deciding as for a record, admit each
-    trial of the stacks along a t-grid whose largest entry is ``t_max``; the
-    gap guard holds for every ``t`` once it holds for the largest.  A tied
-    trial checks ``inf`` at the gap guard, which its bounds pass unsolved."""
-    admitted = np.ones(len(e_hat), dtype=bool)
+def _refusals(predictor: str, groups, e_hat: np.ndarray, margins: np.ndarray, norm, t_max: float) -> np.ndarray:
+    """Which of the predictor's guards, deciding as for a record, refuses
+    each trial of the stacks along a t-grid whose largest entry is
+    ``t_max``: ``"tie guard"``, ``"gap guard"``, or ``""`` where both admit
+    it; the gap guard holds for every ``t`` once it holds for the largest.
+    A tied trial checks ``inf`` at the gap guard, which its bounds pass
+    unsolved."""
+    reasons = np.full(len(e_hat), "", dtype=object)
+    untied = np.ones(len(e_hat), dtype=bool)
     if predictor in ("rs_second_order", "eigvec_first_order"):
         ties = rayleigh._tie_gaps(np.diagonal(e_hat, axis1=1, axis2=2).real, groups)
-        admitted = alignment._allows(norm, ties.min(axis=1, initial=np.inf), rayleigh.STRICT_DIAGONAL_TOL)
+        untied = alignment._allows(norm, ties.min(axis=1, initial=np.inf), rayleigh.STRICT_DIAGONAL_TOL)
+        reasons[~untied] = "tie guard"
     if predictor not in ("first_order", "u_ap_residual") and len(groups) >= 2:
-        least = np.where(admitted, margins.min(axis=1), np.inf)
-        admitted &= alignment._allows(norm, least, alignment.DEFAULT_MARGIN_FACTOR * t_max)
-    return admitted
+        least = np.where(untied, margins.min(axis=1), np.inf)
+        reasons[~alignment._allows(norm, least, alignment.DEFAULT_MARGIN_FACTOR * t_max)] = "gap guard"
+    return reasons
 
 
 def _errors(predictor: str, grid: np.ndarray, groups, a, f, u, lam, e_hat, reps, mmat, w) -> np.ndarray:
@@ -367,15 +384,18 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     Eigenvalue predictors report the largest error over indices at each t,
     matrix-valued ones the operator norm of the error matrix.  Trials whose
     predictor preconditions fail, or whose errors leave too few points above
-    the noise floor to fit, are recorded in ``failed_trials`` and give no
-    rows and no slope; more than half failing aborts the study.  The
-    reported slope is the worst (smallest) per-trial slope.
+    the noise floor to fit, are recorded in ``failed_trials``, each with its
+    reason in ``failure_reasons``, and give no rows and no slope; more than
+    half failing aborts the study, naming the first failed trial and its
+    reason.  The reported slope is the worst (smallest) per-trial slope.
 
     Each oracle stage serves all trials at once:
 
     1. the instances' ``Q`` draws together with the Gram matrices of their
        directions, whose top eigenvalues give the directions' norms;
-    2. the base decompositions;
+    2. the base decompositions, solved warm as ``Q* A Q`` with each trial's
+       drawn ``Q``: diagonal to round-off, so the oracle stops after 0
+       sweeps; eigenvectors ``V`` map back as ``U = Q V``;
     3. the block-wise rotations, one call per block size;
     4. the Schur complements of the Schur predictors, one call per block size;
     5. the warm exact solves, of ``U* (A + t F) U`` with each trial's
@@ -395,9 +415,11 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     solve at most, before any exact solve, so a refused trial costs none.
     """
     grid = np.array(cfg.t_grid)
-    a, f = _instances(cfg, range(cfg.trials))
-    # A is exactly Hermitian, as _symmetrized built it; F is such a draw over a real norm.
-    u, lam = jacobi._solve_stack(a)[:2]
+    a, f, q = _draws(cfg, range(cfg.trials))
+    # Q* A Q is diagonal to round-off, so the oracle stops at once; F is
+    # exactly Hermitian, a draw over a real norm.
+    v, lam = jacobi._solve_stack(alignment._conjugate(q, a))[:2]
+    u = q @ v
     groups = alignment._groups(lam)
     reps, mmat, w, margins = alignment._base_data_rows(lam, groups)
     raw = alignment._conjugate(u, f)
@@ -405,21 +427,25 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     u = alignment._rotate_blocks(u, raw, groups)
     e_hat = alignment._conjugate(u, f)
     # The grid is strictly decreasing: its first entry is the largest.
-    admitted = _admitted(cfg.predictor, groups, e_hat, margins, norm, cfg.t_grid[0])
-    kept, failed = np.flatnonzero(admitted), np.flatnonzero(~admitted).tolist()
+    reasons = _refusals(cfg.predictor, groups, e_hat, margins, norm, cfg.t_grid[0])
+    kept = np.flatnonzero(reasons == "")
+    failed = {trial: reasons[trial] for trial in np.flatnonzero(reasons != "").tolist()}
     rows, fits = [], []
     if kept.size:
         errors = _errors(cfg.predictor, grid, groups, *(x[kept] for x in (a, f, u, lam, e_hat, reps, mmat, w)))
         scales = np.abs(lam[kept]).max(axis=1)
         for trial, fit, trial_errors in zip(kept.tolist(), _fits(grid, errors, scales), errors.tolist()):
             if isinstance(fit, StudyError):
-                failed.append(trial)
+                failed[trial] = str(fit)
                 continue
             fits.append(fit)
             rows.extend(StudyRow(trial, t, error) for t, error in zip(cfg.t_grid, trial_errors))
+    failed = dict(sorted(failed.items()))
     if 2 * len(failed) > cfg.trials:
+        first = next(iter(failed))
         raise StudyError(
-            f"{len(failed)} of {cfg.trials} trials failed predictor preconditions or their fit"
+            f"{len(failed)} of {cfg.trials} trials failed predictor preconditions or their fit; "
+            f"trial {first}: {failed[first]}"
         )
     worst = min(range(len(fits)), key=lambda k: fits[k].slope)
     return ConvergenceReport(
@@ -428,7 +454,8 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
         intercept=fits[worst].intercept,
         r_squared=fits[worst].r_squared,
         trial_slopes=tuple(f.slope for f in fits),
-        failed_trials=tuple(sorted(failed)),
+        failed_trials=tuple(failed),
+        failure_reasons=tuple(failed.values()),
     )
 
 

@@ -15,8 +15,10 @@ from eigpert import (
     EXAMPLE_U_PRIME,
     PREDICTORS,
     ConvergenceReport,
+    DegenerateDirectionError,
     EnsembleConfig,
-    PreconditionError,
+    GapTooSmallError,
+    SpectralDecomposition,
     StudyError,
     StudyRow,
     blockwise_diagonalize,
@@ -37,6 +39,7 @@ from eigpert import (
 )
 from eigpert import alignment, first_order, harness, jacobi, rayleigh
 from eigpert.harness import (
+    _draws,
     _hermitian_draws,
     _instances,
     _stream,
@@ -148,7 +151,7 @@ class TestGenerators:
         cfg = EnsembleConfig(seed=3, n=5, block_spec=(2, 2, 1), trials=4, predictor="first_order")
         a, f = _instances(cfg, range(4))
         assert a.shape == f.shape == (4, 5, 5)
-        assert oracle_calls == [[5] * 8] and oracle_calls.stages == ["_instances"]
+        assert oracle_calls == [[5] * 8] and oracle_calls.stages == ["_draws"]
 
     @pytest.mark.parametrize("seed, spec", [(1, (2, 2, 1, 1)), (-3, (3, 2, 1)), (2**64, (1,))])
     def test_stacked_draws_match_each_trial(self, seed, spec):
@@ -332,14 +335,30 @@ class TestConvergenceStudy:
             predictor="schur_full",
             t_grid=(0.9, 0.8, 0.7),
         )
-        with pytest.raises(StudyError, match="failed predictor preconditions"):
+        with pytest.raises(StudyError, match="failed predictor preconditions or their fit; trial 0: gap guard"):
+            convergence_study(cfg)
+
+    def test_failing_study_names_the_first_failed_trial(self):
+        # A single block: every prediction is exact to round-off, so no fit
+        # finds points above its noise floor.
+        cfg = EnsembleConfig(seed=1, n=2, block_spec=(2,), trials=2, predictor="eigvec_first_order")
+        with pytest.raises(StudyError, match=r"2 of 2 trials failed .*; trial 0: only 0 of 5 error samples"):
             convergence_study(cfg)
 
 
-def reference_trial_errors(predictor, a, f, t_grid):
+def warm_base(cfg, trial):
+    """``(A, F)`` of one trial and its base as a study solves it, from
+    public functions and the draw's ``Q``: warm, as ``Q* A Q``, with the
+    eigenvectors ``V`` mapped back as ``Q V``."""
+    a, f, q = (x[0] for x in _draws(cfg, [trial]))
+    warm = eigh(q.conj().T @ a @ q)
+    return a, f, SpectralDecomposition(q @ warm.u, warm.lam)
+
+
+def reference_trial_errors(predictor, a, f, base, t_grid):
     """Errors of one predictor against the oracle along the t-grid, one
-    trial at a time, and the scale of its noise floor."""
-    base = eigh(a)
+    trial at a time from its base decomposition, and the scale of its
+    noise floor."""
     ap = blockwise_diagonalize(conjugate_to_eigenbasis(base, f))
     mmat = m_matrix(ap.base, ap.blocks)
     scale = max(1.0, float(np.abs(base.lam).max()))
@@ -372,20 +391,23 @@ def reference_trial_errors(predictor, a, f, t_grid):
 
 def reference_study(cfg):
     """The convergence study solved trial by trial, with the package's public
-    functions: the reference that the stacked study must reproduce bit for
-    bit."""
-    rows, fits, failed = [], [], []
+    functions and each draw's ``Q``: the reference that the stacked study
+    must reproduce bit for bit."""
+    rows, fits, failed = [], [], {}
     for trial in range(cfg.trials):
-        a, f = generate_instance(cfg, trial)
+        a, f, base = warm_base(cfg, trial)
         try:
-            points, scale = reference_trial_errors(cfg.predictor, a, f, cfg.t_grid)
-        except PreconditionError:
-            failed.append(trial)
+            points, scale = reference_trial_errors(cfg.predictor, a, f, base, cfg.t_grid)
+        except DegenerateDirectionError:
+            failed[trial] = "tie guard"
+            continue
+        except GapTooSmallError:
+            failed[trial] = "gap guard"
             continue
         try:
             fits.append(fit_loglog([p[0] for p in points], [p[1] for p in points], scale))
-        except StudyError:
-            failed.append(trial)
+        except StudyError as exc:
+            failed[trial] = str(exc)
             continue
         rows.extend(StudyRow(trial, t, error) for t, error in points)
     if 2 * len(failed) > cfg.trials:
@@ -397,7 +419,8 @@ def reference_study(cfg):
         intercept=fits[worst].intercept,
         r_squared=fits[worst].r_squared,
         trial_slopes=tuple(f.slope for f in fits),
-        failed_trials=tuple(sorted(failed)),
+        failed_trials=tuple(failed),
+        failure_reasons=tuple(failed.values()),
     )
 
 
@@ -457,8 +480,27 @@ class TestStackedStudy:
         self.failing_fits(monkeypatch, {0, 1})
         assert convergence_study(cfg).failed_trials == (0, 1, 4, 6, 8)
         self.failing_fits(monkeypatch, {0, 1, 2})
-        with pytest.raises(StudyError, match="6 of 10 trials failed"):
+        with pytest.raises(StudyError, match="6 of 10 trials failed .*; trial 0: too few points"):
             convergence_study(cfg)
+
+    def test_failed_trials_carry_their_reasons(self, monkeypatch):
+        # Trials 1 and 4 are made tied; trial 4 would fail the gap guard
+        # too, but a tied trial is refused by the tie guard alone.  The
+        # fit's first row is then trial 0.
+        real = rayleigh._tie_gaps
+
+        def tied(diagonal, groups):
+            gaps = real(diagonal, groups).copy()
+            gaps[[1, 4]] = 0.0
+            return gaps
+
+        monkeypatch.setattr(rayleigh, "_tie_gaps", tied)
+        self.failing_fits(monkeypatch, {0})
+        report = convergence_study(EnsembleConfig(predictor="rs_second_order", **PARTIAL))
+        assert report.failed_trials == (0, 1, 4, 6, 8)
+        assert report.failure_reasons == (
+            "too few points above the noise floor", "tie guard", "tie guard", "gap guard", "gap guard"
+        )
 
     @pytest.mark.parametrize("predictor", PREDICTORS)
     def test_oracle_calls_do_not_depend_on_trials(self, predictor, oracle_calls):
@@ -479,11 +521,11 @@ class TestStackedStudy:
         # otherwise are refused with a typed error before any prediction, so
         # no trial is ever given the first trial's groups.
         stacks = [
-            _instances(EnsembleConfig(seed=4, n=6, block_spec=spec, trials=2, predictor=predictor), range(2))
+            _draws(EnsembleConfig(seed=4, n=6, block_spec=spec, trials=2, predictor=predictor), range(2))
             for spec in ((2, 2, 1, 1), (3, 2, 1))
         ]
         mixed = tuple(np.concatenate(x) for x in zip(*stacks))
-        monkeypatch.setattr(harness, "_instances", lambda cfg, trials: mixed)
+        monkeypatch.setattr(harness, "_draws", lambda cfg, trials: mixed)
         cfg = EnsembleConfig(seed=4, n=6, block_spec=(2, 2, 1, 1), trials=4, predictor=predictor)
         with pytest.raises(StudyError, match="row 2 of 4 splits into other degeneracy groups"):
             convergence_study(cfg)
@@ -586,7 +628,7 @@ class TestStackedStudy:
         # and the error norms do not.
         assert oracle_calls[0] == [6] * (2 * 3)
         stages = [True, True, True]
-        calls = [("_instances", True), ("convergence_study", True), ("_rotate_blocks", True)]
+        calls = [("_draws", True), ("convergence_study", True), ("_rotate_blocks", True)]
         if predictor in ("schur_full", "schur_simplified"):
             stages.append(False)
             # One call per complement size: the 2 x 2 and the 1 x 1 blocks.
@@ -623,8 +665,8 @@ def admitted_instances(cfg, report):
     below fails its fit, so the failed trials are the refused ones."""
     out = []
     for trial in sorted(set(range(cfg.trials)) - set(report.failed_trials)):
-        a, f = generate_instance(cfg, trial)
-        u_ap = blockwise_diagonalize(conjugate_to_eigenbasis(eigh(a), f)).base.u
+        a, f, base = warm_base(cfg, trial)
+        u_ap = blockwise_diagonalize(conjugate_to_eigenbasis(base, f)).base.u
         out.extend((a + t * f, u_ap) for t in cfg.t_grid)
     return out
 
@@ -632,8 +674,9 @@ def admitted_instances(cfg, report):
 def study_inputs(cfg):
     """The arguments that ``convergence_study`` passes ``_errors`` when its
     guards admit every trial."""
-    a, f = _instances(cfg, range(cfg.trials))
-    u, lam = jacobi._solve_stack(a)[:2]
+    a, f, q = _draws(cfg, range(cfg.trials))
+    v, lam = jacobi._solve_stack(alignment._conjugate(q, a))[:2]
+    u = q @ v
     groups = alignment._groups(lam)
     reps, mmat, w, _ = alignment._base_data_rows(lam, groups)
     u = alignment._rotate_blocks(u, alignment._conjugate(u, f), groups)
@@ -708,6 +751,64 @@ class TestWarmExactStage:
         assert skewed_warm.tobytes() == warm.tobytes()
         assert skewed_lams.tobytes() == lams.tobytes()
         assert np.all(skewed != errors)
+
+
+@pytest.fixture
+def base_stage(monkeypatch):
+    """Each oracle call that ``convergence_study`` itself makes, as
+    ``(matrices, vectors, outputs)``."""
+    calls = []
+    real = jacobi._solve_stack
+
+    def recording(a, tol=None, vectors=True):
+        out = real(a, tol, vectors)
+        if sys._getframe(1).f_code.co_name == "convergence_study":
+            calls.append((np.array(a), vectors, out))
+        return out
+
+    monkeypatch.setattr(jacobi, "_solve_stack", recording)
+    return calls
+
+
+class TestWarmBaseStage:
+    """The base stage of a study is warm: the oracle gets ``Q* A Q`` with
+    each trial's drawn ``Q``, diagonal to round-off, and its eigenvectors
+    ``V`` map back as ``Q V``."""
+
+    @pytest.mark.parametrize(
+        "ensemble", [dict(ACCEPTANCE, trials=5), PARTIAL, LARGE], ids=["acceptance", "partial", "large"]
+    )
+    def test_the_oracle_gets_q_star_a_q(self, ensemble, base_stage):
+        cfg = EnsembleConfig(predictor="first_order", **ensemble)
+        convergence_study(cfg)
+        ((warm, vectors, _),) = base_stage
+        a, _, q = _draws(cfg, range(cfg.trials))
+        assert vectors and warm.shape == (cfg.trials, cfg.n, cfg.n)
+        assert warm.tobytes() == alignment._conjugate(q, a).tobytes()
+
+    def test_the_base_takes_no_sweeps(self, base_stage):
+        cfg = EnsembleConfig(predictor="first_order", trials=20, **ACCEPTANCE)
+        convergence_study(cfg)
+        ((_, _, (_, _, sweeps, _)),) = base_stage
+        a = _instances(cfg, range(cfg.trials))[0]
+        # 0 warm against 4.5 cold when this was written.
+        assert sweeps.mean() == 0.0
+        assert jacobi._solve_stack(a)[2].mean() >= 4.0
+
+    @pytest.mark.parametrize(
+        "ensemble",
+        [dict(ACCEPTANCE, trials=20), PARTIAL, SIMPLE, LARGE],
+        ids=["acceptance", "partial", "simple", "large"],
+    )
+    def test_base_eigenvalues_are_within_the_oracle_slack(self, ensemble, base_stage):
+        cfg = EnsembleConfig(predictor="first_order", **ensemble)
+        convergence_study(cfg)
+        ((_, _, (_, warm, _, _)),) = base_stage
+        a = _instances(cfg, range(cfg.trials))[0]
+        slack = jacobi._eigenvalue_slack(cfg.n, np.abs(a).max(axis=(1, 2)), np.linalg.norm(a, axis=(1, 2)))[:, None]
+        assert np.all(np.abs(warm - jacobi._solve_stack(a, vectors=False)) <= slack)
+        # LAPACK, as a reference from outside the package.
+        assert np.all(np.abs(warm - np.linalg.eigvalsh(a)[:, ::-1]) <= slack)
 
 
 class TestCsv:

@@ -19,9 +19,10 @@ certified bounds of ``||E||`` on stacks from subnormal to ``1e300`` scale,
 the column match of ``align_columns`` at sizes 1 to 60, ``N`` and
 ``U'(0)`` of the small instances with ``F`` scaled far past unit scale, and
 the stages of a convergence study on seeded stacks of 10 and 100
-instances, its warm exact solves among them, whose lines move when a change
-touches a few members, and the Schur fixed point alone on seeded stacks
-whose members stop after different numbers of passes, in both layouts.
+instances, its warm base and warm exact solves among them, whose lines
+move when a change touches a few members, and the Schur fixed point alone
+on seeded stacks whose members stop after different numbers of passes, in
+both layouts.
 The refusal paths are covered too: a ``predict`` whose ``t`` passes the gap
 between eigenvalue blocks, studies whose largest ``t`` does so for some
 trials, and the message, line and column of each malformed matrix text of
@@ -415,6 +416,18 @@ def lazy_norm_bounds() -> None:
     _record("alignment/lazy_norm_bounds", bounds)
 
 
+def _drawn_q(cfg: harness.EnsembleConfig, trials: int) -> np.ndarray:
+    """The eigenvectors ``Q`` of each trial's draw, with ``A = Q diag(reps)
+    Q*``, rebuilt from the stream helpers alone, so that the lines that read
+    them compare across trees that do not return ``Q`` with ``A``.  The
+    oracle gives each member the bits of its solo solve, so the ``Q`` draws
+    solved without the directions' Gram matrices are the same."""
+    n, blocks = cfg.n, len(cfg.block_spec)
+    keys = np.array([(cfg.seed + (k + 1) * harness._GOLDEN) & harness._MASK for k in range(trials)], np.uint64)
+    x = harness._stream(harness._mix(keys), blocks + 4 * n * n)
+    return jacobi._solve_stack(harness._hermitian_draws(x[:, blocks:], n)[0::2])[0]
+
+
 def study_stacks() -> None:
     """The stages of ``convergence_study`` on each seeded stack of
     ``STUDY_STACKS``: the instances, the oracle's ``u`` and ``lam``, ``U* F U``,
@@ -424,7 +437,11 @@ def study_stacks() -> None:
     complements move the lines at n = 9 and 20.  A second line per stack
     holds the warm exact stage on the default t-grid: ``U* (A + t F) U``
     with the rotated ``U``, the oracle's eigenvalues of it and its
-    eigenvectors mapped back as ``U V``."""
+    eigenvectors mapped back as ``U V``.  A third holds the warm base stage:
+    ``Q* A Q`` with each trial's drawn ``Q``, the oracle's eigenvalues of it
+    and its eigenvectors mapped back as ``Q V``.  The first two lines keep
+    the cold base ``u`` and ``lam`` of ``A``, so that their hashes compare
+    with older trees."""
     for spec, count in STUDY_STACKS:
         cfg = harness.EnsembleConfig(seed=14, n=sum(spec), block_spec=spec, trials=count, predictor="first_order")
         a, f = harness._instances(cfg, range(count))
@@ -444,6 +461,10 @@ def study_stacks() -> None:
         warm = alignment._conjugate(u_rep, (a[:, None] + grid * f[:, None]).reshape(-1, *a.shape[1:]))
         v, warm_lam = jacobi._solve_stack(warm)[:2]
         _record(f"{name}/warm_exact", warm, warm_lam, u_rep @ v)
+        q = _drawn_q(cfg, count)
+        base = alignment._conjugate(q, a)
+        v, base_lam = jacobi._solve_stack(base)[:2]
+        _record(f"{name}/warm_base", base, base_lam, q @ v)
 
 
 def iterates() -> None:
