@@ -513,9 +513,7 @@ def _align_stack(candidate: np.ndarray, reference: np.ndarray, groups) -> np.nda
             modulus[members, k] = -np.inf
         w = z[members[:, None], picks, np.arange(stop - start)]
         m = np.hypot(w.real, w.imag)
-        # w / abs(w) as numpy divides a complex by a real (1 where abs(w) is 0 or NaN), part by part.
-        phase, live = np.ones_like(w), m > 0.0
-        wr, wi, scl = w.real[live], w.imag[live], 1.0 / m[live]
-        phase.real[live], phase.imag[live] = (wr + wi * 0.0) * scl, (wi - wr * 0.0) * scl
+        # w / abs(w) as numpy divides a complex by a real, 1 where abs(w) is 0 or NaN.
+        phase = np.divide(w, m, out=np.ones_like(w), where=m > 0.0)
         out[..., start:stop] = (c[members[:, None], :, picks] * phase[..., None]).swapaxes(1, 2)
     return out

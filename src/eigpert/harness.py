@@ -14,16 +14,18 @@ already.  ``Q`` comes from the draw, not from a prediction, so the check
 shares nothing with the predictions but ``U``.
 
 A study is one stack of one degeneracy structure, from the draw to the
-errors, and builds no record.  It stacks its oracle calls across its
-trials, one call per stage and block size (see :func:`convergence_study`),
-so their number does not grow with its number of trials.  Every other stage
-is an array expression over the ``(trials, t, n, n)`` stack: the
-conjugations and rotations, the guards (one decision each over all trials
-at the largest ``t``), the Schur fixed point (each member stopping on its
-own test), the expansion's coefficients, the residuals, the eigenvector
-study's column match, the error norms and the least-squares fits.  Each
-member of a batched product or a per-member reduction rounds as it does
-alone, so the output is the same, bit for bit, as solving trial by trial.
+errors, and builds no record.  Its stages from the draw to ``E_hat`` are
+one helper, :func:`_aligned`, which its tests and digests call too.  It
+stacks its oracle calls across its trials, one call per stage and block
+size (see :func:`convergence_study`), so their number does not grow with
+its number of trials.  Every other stage is an array expression over the
+``(trials, t, n, n)`` stack: the conjugations and rotations, the guards
+(one decision each over all trials at the largest ``t``), the Schur fixed
+point (each member stopping on its own test), the expansion's coefficients,
+the residuals, the eigenvector study's column match, the error norms and
+the least-squares fits.  Each member of a batched product or a per-member
+reduction rounds as it does alone, so the output is the same, bit for bit,
+as solving trial by trial.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def _hermitian_draws(x: np.ndarray, n: int) -> np.ndarray:
 
 def random_unitary(seed: int, n: int) -> np.ndarray:
     """Eigenvector matrix of the Hermitian draw from the stream at ``seed``.
-    Studies draw theirs stacked (see :func:`_instances`); this stays public
+    Studies draw theirs stacked (see :func:`_draws`); this stays public
     because the benchmark's per-layer metrics are listed by it."""
     h = _hermitian_draws(_stream(np.array([seed & _MASK], np.uint64), 2 * n * n), n)[0]
     return np.array(jacobi.eigh(h).u, copy=True)
@@ -175,14 +177,8 @@ def generate_instance(cfg: EnsembleConfig, trial: int) -> tuple[np.ndarray, np.n
     representative eigenvalues separated by at least 1; F is a random
     Hermitian direction of unit operator norm.
     """
-    a, f = _instances(cfg, [trial])
+    a, f, _ = _draws(cfg, [trial])
     return a[0], f[0]
-
-
-def _instances(cfg: EnsembleConfig, trials) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`generate_instance` of each trial as stacks ``A, F``: the
-    first two stacks of :func:`_draws`."""
-    return _draws(cfg, trials)[:2]
 
 
 def _draws(cfg: EnsembleConfig, trials) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -378,6 +374,22 @@ def _errors(predictor: str, grid: np.ndarray, groups, a, f, u, lam, e_hat, reps,
     return np.abs(lams - pred.reshape(-1, n)).max(axis=1).reshape(trials, steps)
 
 
+def _aligned(a: np.ndarray, f: np.ndarray, q: np.ndarray) -> tuple:
+    """A study's stages from the stacks ``A, F, Q`` of :func:`_draws` to
+    ``E_hat``: ``groups, U, lam, reps, M, W, margins, ||E||, E_hat``, with
+    ``U`` rotated block-wise and ``||E||`` the lazy norms of ``U* F U``
+    before the rotation.  The base is solved warm, as ``Q* A Q``: diagonal
+    to round-off, so the oracle stops at once; ``V`` maps back as ``Q V``."""
+    v, lam = jacobi._solve_stack(alignment._conjugate(q, a))[:2]
+    u = q @ v
+    groups = alignment._groups(lam)
+    # F is exactly Hermitian, a draw over a real norm.
+    raw = alignment._conjugate(u, f)
+    u = alignment._rotate_blocks(u, raw, groups)
+    data = alignment._base_data_rows(lam, groups)
+    return groups, u, lam, *data, alignment._lazy_norms(raw), alignment._conjugate(u, f)
+
+
 def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     """Run the configured predictor against the oracle over all trials.
 
@@ -394,8 +406,7 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     1. the instances' ``Q`` draws together with the Gram matrices of their
        directions, whose top eigenvalues give the directions' norms;
     2. the base decompositions, solved warm as ``Q* A Q`` with each trial's
-       drawn ``Q``: diagonal to round-off, so the oracle stops after 0
-       sweeps; eigenvectors ``V`` map back as ``U = Q V``;
+       drawn ``Q`` (see :func:`_aligned`, which makes stages 2 and 3);
     3. the block-wise rotations, one call per block size;
     4. the Schur complements of the Schur predictors, one call per block size;
     5. the warm exact solves, of ``U* (A + t F) U`` with each trial's
@@ -416,16 +427,7 @@ def convergence_study(cfg: EnsembleConfig) -> ConvergenceReport:
     """
     grid = np.array(cfg.t_grid)
     a, f, q = _draws(cfg, range(cfg.trials))
-    # Q* A Q is diagonal to round-off, so the oracle stops at once; F is
-    # exactly Hermitian, a draw over a real norm.
-    v, lam = jacobi._solve_stack(alignment._conjugate(q, a))[:2]
-    u = q @ v
-    groups = alignment._groups(lam)
-    reps, mmat, w, margins = alignment._base_data_rows(lam, groups)
-    raw = alignment._conjugate(u, f)
-    norm = alignment._lazy_norms(raw)
-    u = alignment._rotate_blocks(u, raw, groups)
-    e_hat = alignment._conjugate(u, f)
+    groups, u, lam, reps, mmat, w, margins, norm, e_hat = _aligned(a, f, q)
     # The grid is strictly decreasing: its first entry is the largest.
     reasons = _refusals(cfg.predictor, groups, e_hat, margins, norm, cfg.t_grid[0])
     kept = np.flatnonzero(reasons == "")

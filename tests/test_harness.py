@@ -41,7 +41,6 @@ from eigpert import alignment, first_order, harness, jacobi, rayleigh
 from eigpert.harness import (
     _draws,
     _hermitian_draws,
-    _instances,
     _stream,
     _uniforms,
     fit_loglog,
@@ -149,14 +148,14 @@ class TestGenerators:
         # The Q draws and the directions' Gram matrices share one call to the
         # array entry, whose precondition the recorder checks.
         cfg = EnsembleConfig(seed=3, n=5, block_spec=(2, 2, 1), trials=4, predictor="first_order")
-        a, f = _instances(cfg, range(4))
+        a, f, _ = _draws(cfg, range(4))
         assert a.shape == f.shape == (4, 5, 5)
         assert oracle_calls == [[5] * 8] and oracle_calls.stages == ["_draws"]
 
     @pytest.mark.parametrize("seed, spec", [(1, (2, 2, 1, 1)), (-3, (3, 2, 1)), (2**64, (1,))])
     def test_stacked_draws_match_each_trial(self, seed, spec):
         cfg = EnsembleConfig(seed=seed, n=sum(spec), block_spec=spec, trials=4, predictor="first_order")
-        for trial, (a, f) in enumerate(zip(*_instances(cfg, range(4)))):
+        for trial, (a, f, _) in enumerate(zip(*_draws(cfg, range(4)))):
             a1, f1 = generate_instance(cfg, trial)
             assert a.tobytes() == a1.tobytes() and f.tobytes() == f1.tobytes()
 
@@ -628,7 +627,7 @@ class TestStackedStudy:
         # and the error norms do not.
         assert oracle_calls[0] == [6] * (2 * 3)
         stages = [True, True, True]
-        calls = [("_draws", True), ("convergence_study", True), ("_rotate_blocks", True)]
+        calls = [("_draws", True), ("_aligned", True), ("_rotate_blocks", True)]
         if predictor in ("schur_full", "schur_simplified"):
             stages.append(False)
             # One call per complement size: the 2 x 2 and the 1 x 1 blocks.
@@ -675,12 +674,24 @@ def study_inputs(cfg):
     """The arguments that ``convergence_study`` passes ``_errors`` when its
     guards admit every trial."""
     a, f, q = _draws(cfg, range(cfg.trials))
-    v, lam = jacobi._solve_stack(alignment._conjugate(q, a))[:2]
-    u = q @ v
-    groups = alignment._groups(lam)
-    reps, mmat, w, _ = alignment._base_data_rows(lam, groups)
-    u = alignment._rotate_blocks(u, alignment._conjugate(u, f), groups)
-    return np.array(cfg.t_grid), groups, a, f, u, lam, alignment._conjugate(u, f), reps, mmat, w
+    groups, u, lam, reps, mmat, w, _, _, e_hat = harness._aligned(a, f, q)
+    return np.array(cfg.t_grid), groups, a, f, u, lam, e_hat, reps, mmat, w
+
+
+@pytest.mark.parametrize(
+    "ensemble", [dict(ACCEPTANCE, trials=20), PARTIAL, LARGE], ids=["acceptance", "partial", "large"]
+)
+def test_aligned_gives_a_subset_the_bytes_of_the_full_stack(ensemble):
+    # Each trial's stages from the draw to E_hat round as alone: a stack of
+    # some of the trials, in another order, gives each its bytes in the whole.
+    cfg = EnsembleConfig(predictor="first_order", **ensemble)
+    groups, u, lam, reps, mmat, w, margins, norm, e_hat = harness._aligned(*_draws(cfg, range(cfg.trials)))
+    for subset in ([cfg.trials - 1, 0, cfg.trials // 2], [cfg.trials // 2]):
+        part = harness._aligned(*_draws(cfg, subset))
+        assert part[0] == groups
+        got = (*part[1:7], part[7].lower, part[7].upper, part[8])
+        for x, whole in zip(got, (u, lam, reps, mmat, w, margins, norm.lower, norm.upper, e_hat)):
+            assert x.tobytes() == whole[subset].tobytes()
 
 
 class TestWarmExactStage:
@@ -755,14 +766,14 @@ class TestWarmExactStage:
 
 @pytest.fixture
 def base_stage(monkeypatch):
-    """Each oracle call that ``convergence_study`` itself makes, as
-    ``(matrices, vectors, outputs)``."""
+    """Each oracle call that ``harness._aligned`` itself makes, the base
+    stage of a study, as ``(matrices, vectors, outputs)``."""
     calls = []
     real = jacobi._solve_stack
 
     def recording(a, tol=None, vectors=True):
         out = real(a, tol, vectors)
-        if sys._getframe(1).f_code.co_name == "convergence_study":
+        if sys._getframe(1).f_code.co_name == "_aligned":
             calls.append((np.array(a), vectors, out))
         return out
 
@@ -790,7 +801,7 @@ class TestWarmBaseStage:
         cfg = EnsembleConfig(predictor="first_order", trials=20, **ACCEPTANCE)
         convergence_study(cfg)
         ((_, _, (_, _, sweeps, _)),) = base_stage
-        a = _instances(cfg, range(cfg.trials))[0]
+        a = _draws(cfg, range(cfg.trials))[0]
         # 0 warm against 4.5 cold when this was written.
         assert sweeps.mean() == 0.0
         assert jacobi._solve_stack(a)[2].mean() >= 4.0
@@ -804,7 +815,7 @@ class TestWarmBaseStage:
         cfg = EnsembleConfig(predictor="first_order", **ensemble)
         convergence_study(cfg)
         ((_, _, (_, warm, _, _)),) = base_stage
-        a = _instances(cfg, range(cfg.trials))[0]
+        a = _draws(cfg, range(cfg.trials))[0]
         slack = jacobi._eigenvalue_slack(cfg.n, np.abs(a).max(axis=(1, 2)), np.linalg.norm(a, axis=(1, 2)))[:, None]
         assert np.all(np.abs(warm - jacobi._solve_stack(a, vectors=False)) <= slack)
         # LAPACK, as a reference from outside the package.

@@ -19,10 +19,11 @@ certified bounds of ``||E||`` on stacks from subnormal to ``1e300`` scale,
 the column match of ``align_columns`` at sizes 1 to 60, ``N`` and
 ``U'(0)`` of the small instances with ``F`` scaled far past unit scale, and
 the stages of a convergence study on seeded stacks of 10 and 100
-instances, its warm base and warm exact solves among them, whose lines
-move when a change touches a few members, and the Schur fixed point alone
-on seeded stacks whose members stop after different numbers of passes, in
-both layouts.
+instances, made by the study's own ``harness._aligned``, its warm base and
+warm exact solves among them, whose lines move when a change touches a
+few members, and the Schur fixed point alone on the ``E_hat`` of such
+stacks, whose members stop after different numbers of passes, in both
+layouts.
 The refusal paths are covered too: a ``predict`` whose ``t`` passes the gap
 between eigenvalue blocks, studies whose largest ``t`` does so for some
 trials, and the message, line and column of each malformed matrix text of
@@ -316,7 +317,7 @@ def oracle() -> None:
     that their hashes compare."""
     for n, count, spec in ORACLE_STACK:
         cfg = harness.EnsembleConfig(seed=7, n=n, block_spec=spec, trials=count // 2, predictor="first_order")
-        pairs = zip(*harness._instances(cfg, range(count // 2)))
+        pairs = zip(*harness._draws(cfg, range(count // 2))[:2])
         members = [h * 2.0 ** ORACLE_EXPONENTS[j % 5] for j, h in enumerate(m for pair in pairs for m in pair)]
         stack = np.stack([matrices.hermitian(h) for h in members])
         u, lam, sweeps, off = jacobi._solve_stack(stack)
@@ -335,11 +336,11 @@ def structured() -> None:
     (diagonal, with ties), 1 sweep (zero off the diagonal except at the
     first step's pivot pairs) and several."""
     cfg = harness.EnsembleConfig(seed=11, n=6, block_spec=(2, 2, 1, 1), trials=5, predictor="first_order")
-    a, f = harness._instances(cfg, range(5))
+    a, f, _ = harness._draws(cfg, range(5))
     stacks = {"real_symmetric/n6": np.concatenate([a, f]).real}
     cfg = harness.EnsembleConfig(seed=11, n=60, block_spec=STRUCTURED_SPEC, trials=1, predictor="first_order")
     label = np.repeat(np.arange(len(STRUCTURED_SPEC)), STRUCTURED_SPEC)
-    stacks["block_diagonal/n60"] = np.concatenate(harness._instances(cfg, range(1))) * (label[:, None] == label)
+    stacks["block_diagonal/n60"] = np.concatenate(harness._draws(cfg, range(1))[:2]) * (label[:, None] == label)
     diagonal = np.diagonal(f, axis1=1, axis2=2)
     tied = diagonal[:, [0, 0, 2, 2, 2, 5]][:, :, None] * np.eye(6)
     pivots = np.eye(6) + np.eye(6, k=3) + np.eye(6, k=-3)
@@ -360,7 +361,7 @@ def hermitians() -> None:
     subnormal so that the average rounds; and members at several scales
     with an asymmetry of 0.9 of the tolerance in one entry."""
     cfg = harness.EnsembleConfig(seed=12, n=6, block_spec=(2, 2, 1, 1), trials=5, predictor="first_order")
-    members = [m for pair in zip(*harness._instances(cfg, range(5))) for m in pair]
+    members = [m for pair in zip(*harness._draws(cfg, range(5))[:2]) for m in pair]
 
     def at(m: np.ndarray, exponent: int) -> np.ndarray:
         """``m`` scaled by a power of two to largest entry modulus in ``[2**(exponent - 1), 2**exponent)``."""
@@ -384,7 +385,7 @@ def norms() -> None:
     for rows, cols in NORM_SHAPES:
         n = max(rows, cols)
         cfg = harness.EnsembleConfig(seed=10, n=n, block_spec=(1,) * n, trials=5, predictor="first_order")
-        pairs = zip(*harness._instances(cfg, range(5)))
+        pairs = zip(*harness._draws(cfg, range(5))[:2])
         members = [h[:rows, :cols] * 2.0 ** ORACLE_EXPONENTS[j % 5] for j, h in enumerate(m for pair in pairs for m in pair)]
         members.insert(3, np.zeros((rows, cols)))
         _record(f"matrices/operator_norms/{rows}x{cols}", matrices.operator_norms(members))
@@ -408,7 +409,7 @@ def lazy_norm_bounds() -> None:
     bounds = []
     for n in (1, 6, 60):
         cfg = harness.EnsembleConfig(seed=13, n=n, block_spec=(1,) * n, trials=7, predictor="first_order")
-        stack = np.concatenate(harness._instances(cfg, range(7)))
+        stack = np.concatenate(harness._draws(cfg, range(7))[:2])
         stack = matrices._ldexp(stack, np.resize(NORM_BOUND_EXPONENTS, len(stack))[:, None, None])
         stack[3] = 0.0
         norm = alignment._lazy_norms(stack)
@@ -416,22 +417,11 @@ def lazy_norm_bounds() -> None:
     _record("alignment/lazy_norm_bounds", bounds)
 
 
-def _drawn_q(cfg: harness.EnsembleConfig, trials: int) -> np.ndarray:
-    """The eigenvectors ``Q`` of each trial's draw, with ``A = Q diag(reps)
-    Q*``, rebuilt from the stream helpers alone, so that the lines that read
-    them compare across trees that do not return ``Q`` with ``A``.  The
-    oracle gives each member the bits of its solo solve, so the ``Q`` draws
-    solved without the directions' Gram matrices are the same."""
-    n, blocks = cfg.n, len(cfg.block_spec)
-    keys = np.array([(cfg.seed + (k + 1) * harness._GOLDEN) & harness._MASK for k in range(trials)], np.uint64)
-    x = harness._stream(harness._mix(keys), blocks + 4 * n * n)
-    return jacobi._solve_stack(harness._hermitian_draws(x[:, blocks:], n)[0::2])[0]
-
-
 def study_stacks() -> None:
     """The stages of ``convergence_study`` on each seeded stack of
-    ``STUDY_STACKS``: the instances, the oracle's ``u`` and ``lam``, ``U* F U``,
-    the block-wise rotation and the re-conjugation, both Schur variants'
+    ``STUDY_STACKS``, as the study makes them with ``harness._aligned``: the
+    instances, the rotated ``U``, the warm base's ``lam``, the base-only
+    data, the bounds of ``||E||``, ``E_hat``, both Schur variants'
     eigenvalues, complements and complement eigenvalues, and the norms of
     the first-order residuals.  Unit-stride columns of ``X`` in the 1 x 1
     complements move the lines at n = 9 and 20.  A second line per stack
@@ -439,49 +429,39 @@ def study_stacks() -> None:
     with the rotated ``U``, the oracle's eigenvalues of it and its
     eigenvectors mapped back as ``U V``.  A third holds the warm base stage:
     ``Q* A Q`` with each trial's drawn ``Q``, the oracle's eigenvalues of it
-    and its eigenvectors mapped back as ``Q V``.  The first two lines keep
-    the cold base ``u`` and ``lam`` of ``A``, so that their hashes compare
-    with older trees."""
+    and its eigenvectors mapped back as ``Q V``."""
     for spec, count in STUDY_STACKS:
         cfg = harness.EnsembleConfig(seed=14, n=sum(spec), block_spec=spec, trials=count, predictor="first_order")
-        a, f = harness._instances(cfg, range(count))
-        u, lam = jacobi._solve_stack(a)[:2]
-        groups = alignment._groups(lam)
-        reps, mmat, w, _ = alignment._base_data_rows(lam, groups)
-        raw = alignment._conjugate(u, f)
-        rotated = alignment._rotate_blocks(u, raw, groups)
-        e_hat = alignment._conjugate(rotated, f)
+        a, f, q = harness._draws(cfg, range(count))
+        groups, u, lam, reps, mmat, w, margins, norm, e_hat = harness._aligned(a, f, q)
         t = STUDY_STACK_T
         refined = schur._refined_stack(t * e_hat[:, None], w, reps, groups, ("full", "simplified"))
-        gaps = first_order._residuals(rotated, lam, t * f, t * e_hat, mmat)
-        name = f"study_stack/{','.join(map(str, spec))}/seed14/members{count}"
-        _record(name, a, f, u, lam, raw, rotated, e_hat, refined, matrices.operator_norms(gaps))
+        gaps = first_order._residuals(u, lam, t * f, t * e_hat, mmat)
+        tag = f"{','.join(map(str, spec))}/seed14/members{count}"
+        stages = (u, lam, reps, mmat, w, margins, norm.lower, norm.upper, e_hat)
+        _record(f"study_stack/warm/{tag}", a, f, *stages, refined, matrices.operator_norms(gaps))
         grid = np.array(harness.DEFAULT_T_GRID)[:, None, None]
-        u_rep = np.repeat(rotated, grid.size, axis=0)
+        u_rep = np.repeat(u, grid.size, axis=0)
         warm = alignment._conjugate(u_rep, (a[:, None] + grid * f[:, None]).reshape(-1, *a.shape[1:]))
         v, warm_lam = jacobi._solve_stack(warm)[:2]
-        _record(f"{name}/warm_exact", warm, warm_lam, u_rep @ v)
-        q = _drawn_q(cfg, count)
+        _record(f"study_stack/warm/{tag}/warm_exact", warm, warm_lam, u_rep @ v)
         base = alignment._conjugate(q, a)
         v, base_lam = jacobi._solve_stack(base)[:2]
-        _record(f"{name}/warm_base", base, base_lam, q @ v)
+        _record(f"study_stack/{tag}/warm_base", base, base_lam, q @ v)
 
 
 def iterates() -> None:
     """``schur._iterate`` on each seeded stack of ``ITERATE_STACKS``, its
-    inputs row-major and column-major: on the whole ``E_hat``, as the
-    refinement runs it, and on the first block's columns of ``W`` and ``E_hat``,
-    as ``schur_data`` does; then the message, member and off mass of the
-    whole stack's run capped at ``ITERATE_CAP`` passes."""
+    inputs row-major and column-major: on the whole ``E_hat`` of the study's
+    stages (``harness._aligned``), as the refinement runs it, and on the
+    first block's columns of ``W`` and ``E_hat``, as ``schur_data`` does;
+    then the message, member and off mass of the whole stack's run capped
+    at ``ITERATE_CAP`` passes."""
     for spec, count in ITERATE_STACKS:
         cfg = harness.EnsembleConfig(seed=15, n=sum(spec), block_spec=spec, trials=count, predictor="first_order")
-        a, f = harness._instances(cfg, range(count))
-        u, lam = jacobi._solve_stack(a)[:2]
-        groups = alignment._groups(lam)
-        w = alignment._base_data_rows(lam, groups)[2]
-        rotated = alignment._rotate_blocks(u, alignment._conjugate(u, f), groups)
-        e_hat = alignment._conjugate(rotated, f) * np.resize(ITERATE_T, count)[:, None, None]
-        name = f"schur/iterate/{','.join(map(str, spec))}/seed15/members{count}"
+        groups, _, _, _, _, w, _, _, e_hat = harness._aligned(*harness._draws(cfg, range(count)))
+        e_hat = e_hat * np.resize(ITERATE_T, count)[:, None, None]
+        name = f"schur/iterate/warm/{','.join(map(str, spec))}/seed15/members{count}"
         stop = groups[0][1]
         for layout in ("C", "F"):
             e, ws = np.asarray(e_hat, order=layout), np.asarray(w, order=layout)
@@ -504,7 +484,7 @@ def column_matches() -> None:
     for n, count, spec in ALIGN_STACK:
         cfg = harness.EnsembleConfig(seed=8, n=n, block_spec=spec, trials=count, predictor="first_order")
         matched = []
-        for j, (a, f) in enumerate(zip(*harness._instances(cfg, range(count)))):
+        for j, (a, f, _) in enumerate(zip(*harness._draws(cfg, range(count)))):
             ap = alignment.blockwise_diagonalize(alignment.conjugate_to_eigenbasis(jacobi.eigh(a), f))
             candidate = jacobi.eigh(a + ALIGN_T * f).u * 2.0 ** ORACLE_EXPONENTS[j % 5]
             if j % 2:
