@@ -235,8 +235,16 @@ class LazyNorm:
         """The norms of ``t E`` for ``t > 0``: ``t`` times these values, so
         the oracle still runs at most once per member for the whole chain.
         Rounded multiplication by ``t`` is monotone, so the bounds stay
-        certified."""
-        return LazyNorm(t * self.lower, t * self.upper, lambda members: t * self.value(members))
+        certified, and a product that overflows is ``inf``, as the exact
+        product rounds."""
+
+        def value(members: np.ndarray) -> np.ndarray:
+            norms = self.value(members)
+            with np.errstate(over="ignore"):
+                return t * norms
+
+        with np.errstate(over="ignore"):
+            return LazyNorm(t * self.lower, t * self.upper, value)
 
 
 def _lazy_norms(e_hat: np.ndarray) -> LazyNorm:
@@ -315,12 +323,16 @@ def _allows(norm: LazyNorm, least: np.ndarray, factor: float) -> np.ndarray:
     The certified bounds decide first: passing at ``upper`` implies passing
     at the oracle's value and failing at ``lower`` implies failing there,
     because rounded arithmetic is monotone.  Only the members between their
-    bounds cost an oracle call, one for all of them.
+    bounds cost an oracle call, one for all of them.  A product that
+    overflows is ``inf``, which decides as the exact product would.
     """
-    allowed = least > factor * norm.upper
-    between = ~allowed & (least > factor * norm.lower)
+    with np.errstate(over="ignore"):
+        allowed = least > factor * norm.upper
+        between = ~allowed & (least > factor * norm.lower)
     if between.any():
-        allowed[between] = least[between] > factor * norm.value(between)
+        value = norm.value(between)
+        with np.errstate(over="ignore"):
+            allowed[between] = least[between] > factor * value
     return allowed
 
 

@@ -2,17 +2,25 @@
 
 Exit codes: 0 success, 1 study or regression failure, 2 usage or parse
 error, 3 numerical precondition failure (gap too small, tied diagonals).
+
+Each command loads only the modules it calls: ``eigh`` and ``predict
+--order 1`` need only what this module imports, ``predict`` imports
+``schur`` for the Schur orders and ``rayleigh`` for order 2, ``derivative``
+imports ``rayleigh``, and ``converge`` and ``paper-example`` import
+``harness``, which loads the rest.  With bytecode caching off, every module
+loaded is compiled again on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import alignment, harness, jacobi, matrices, rayleigh, schur
+from . import alignment, jacobi, matrices
 from .errors import ConvergenceError, PreconditionError, StudyError
 from .first_order import first_order_eigenvalues
 
@@ -38,17 +46,24 @@ def _cmd_eigh(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     a = _read_hermitian(args.a)
     e = _read_hermitian(args.e)
+    if not math.isfinite(args.t):
+        raise ValueError(f"t must be finite, got {args.t}")
     if args.order == "2":
-        expansion = rayleigh.line_expansion(a, e)
-        prediction = expansion.at(args.t)
+        from . import rayleigh
+        prediction = rayleigh.line_expansion(a, e).at(args.t)
         _print_values(prediction.xi_hat)
         sys.stdout.write(matrices.format_matrix(prediction.u_hat))
         return 0
     # Remaining orders predict for the fixed perturbation t * E.
-    ap = alignment.aligned_perturbation(a, args.t * e)
+    with np.errstate(over="ignore"):
+        e = args.t * e
+    if not np.isfinite(e).all():
+        raise ValueError(f"t E overflows the floating-point range at t = {args.t:g}; scale t down")
+    ap = alignment.aligned_perturbation(a, e)
     if args.order == "1":
         xi = first_order_eigenvalues(ap)
     else:
+        from . import schur
         variant = "full" if args.order == "schur" else "simplified"
         xi = schur.refined_eigenvalues(ap, variant=variant)
     _print_values(xi)
@@ -56,6 +71,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_derivative(args: argparse.Namespace) -> int:
+    from . import rayleigh
     # Not the line expansion: its a2 may overflow where N and U'(0) do not.
     ap = alignment.aligned_perturbation(_read_hermitian(args.a), _read_hermitian(args.f))
     sys.stdout.write(matrices.format_matrix(rayleigh.n_matrix(ap)))
@@ -67,6 +83,7 @@ def _cmd_derivative(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
+    from . import harness
     block_spec = tuple(int(part) for part in args.blocks.split(","))
     if args.tgrid is not None:
         t_grid = tuple(float(part) for part in args.tgrid.split(","))
@@ -85,6 +102,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_paper_example(args: argparse.Namespace) -> int:
+    from . import harness
     report = harness.paper_example_regression()
     for clause in report.clauses:
         status = "PASS" if clause.passed else "FAIL"
@@ -120,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_derivative)
 
     p = sub.add_parser("converge", help="convergence-order study, CSV to stdout")
-    p.add_argument("--predictor", required=True, choices=harness.PREDICTORS)
+    p.add_argument("--predictor", required=True, help="a name from harness.PREDICTORS; a wrong one lists them")
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--blocks", required=True, help="comma-separated multiplicities")

@@ -65,6 +65,7 @@ class TestEigh:
 
 
 class TestPredict:
+    ORDERS = ["1", "2", "schur", "schur-simple"]
     A = np.diag([3.0, 1.0])
     E = np.array([[0.0, 0.1], [0.1, 0.0]])
 
@@ -112,13 +113,25 @@ class TestPredict:
         assert code == 2
 
     @pytest.mark.parametrize("a", [np.eye(2), A], ids=["one_block", "two_blocks"])
-    def test_non_finite_t_is_a_usage_error(self, tmp_path, capsys, a):
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_t_is_a_usage_error(self, tmp_path, capsys, a, order, t):
         a = write_matrix(tmp_path, "a.txt", a)
         e = write_matrix(tmp_path, "e.txt", self.E)
-        assert main(["predict", "--order", "2", "--a", a, "--e", e, "--t", "nan"]) == 2
+        assert main(["predict", "--order", order, "--a", a, "--e", e, f"--t={t}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "finite" in captured.err
+        assert f"t must be finite, got {t}" in captured.err
+
+    @pytest.mark.parametrize("order", ["1", "schur", "schur-simple"])
+    def test_overflowing_t_e_is_a_usage_error(self, tmp_path, capsys, order):
+        # Every entry of E is finite and so is t, but 1e308 * 0.1 * 20 is not.
+        a = write_matrix(tmp_path, "a.txt", self.A)
+        e = write_matrix(tmp_path, "e.txt", 20 * self.E)
+        assert main(["predict", "--order", order, "--a", a, "--e", e, "--t", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "t E overflows the floating-point range at t = 1e+308" in captured.err
 
     def test_gap_too_small_exit_code(self, tmp_path, capsys):
         a = write_matrix(tmp_path, "a.txt", np.diag([1.0, 0.0]))

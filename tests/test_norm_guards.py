@@ -12,13 +12,16 @@ import pytest
 from conftest import rand_hermitian
 from eigpert import (
     DegenerateDirectionError,
+    EnsembleConfig,
     GapTooSmallError,
     SpectralDecomposition,
+    aligned_perturbation,
     blockwise_diagonalize,
     conjugate_to_eigenbasis,
     eigenvector_derivative,
     eigh,
     first_order_eigenvalues,
+    generate_instance,
     hermitian,
     line_expansion,
     m_matrix,
@@ -169,6 +172,27 @@ def test_one_gap_for_every_predictor(norm, refused):
                 call()
         else:
             call()
+
+
+@pytest.mark.parametrize("scale", (1e307, 1e308))
+def test_guard_refuses_where_its_threshold_overflows(scale):
+    # At 1e308, 2 ||E|| and the bounds' products overflow to inf, which
+    # decides as the exact products would: the guard refuses, with no
+    # floating-point warning.
+    cfg = EnsembleConfig(seed=1, n=6, block_spec=(2, 2, 1, 1), trials=1, predictor="first_order")
+    a, f = generate_instance(cfg, 0)
+    with pytest.raises(GapTooSmallError, match="block 2: separation"):
+        refined_eigenvalues(aligned_perturbation(a, scale * f))
+
+
+def test_scaled_norm_that_overflows_refuses():
+    # Entries of t E stay finite, but t times the bounds and the norm do not.
+    rng = np.random.default_rng(5)
+    ap = blockwise_diagonalize(conjugate_to_eigenbasis(identity_base([2.0, 2.0, -1.0]), rand_hermitian(rng, 3)))
+    ap_t = scaled(ap, 1.7e308 / max(np.abs(ap.e).max(), np.abs(ap.e_hat).max()))
+    assert np.isinf(ap_t.norm.upper).all()
+    with pytest.raises(GapTooSmallError, match=r"\|\|E\|\| = inf"):
+        refined_eigenvalues(ap_t)
 
 
 @pytest.fixture
