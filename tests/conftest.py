@@ -3,8 +3,11 @@ the per-column and per-block loops that the stacked column match, the
 stacked ``N``, the batched Schur complements and the stacked tie guard must
 reproduce.
 
-Test-local randomness uses numpy's Generator (seeded per test); the package's
-own SplitMix64 streams are exercised separately in the harness tests.
+Degenerate instances (prescribed eigenvalue multiplicities and a unit-norm
+direction) come from the package's own SplitMix64 ensemble, the one the
+studies, the benchmark and the digests draw, with each test's integer seed.
+numpy's Generator (seeded per test) serves only the generic Hermitian and
+unitary draws.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from eigpert import SpectralDecomposition, conjugate_to_eigenbasis, eigh, hermitian, jacobi, operator_norm
+from eigpert import EnsembleConfig, SpectralDecomposition, conjugate_to_eigenbasis, eigh, harness, hermitian, jacobi
 from eigpert.matrices import _symmetrized
 
 # Block layouts of the stacked-premise tests by size n: blocks of one size
@@ -46,22 +49,14 @@ def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.array(eigh(rand_hermitian(rng, n)).u, copy=True)
 
 
-def degenerate_instance(
-    rng: np.random.Generator, block_spec: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(A, F): A with the given eigenvalue multiplicities (representative
-    values separated by at least 1), F a unit-norm Hermitian direction."""
-    n = sum(block_spec)
-    reps = []
-    value = rng.uniform()
-    for size in block_spec:
-        reps.extend([value] * size)
-        value = value - 1.0 - rng.uniform()
-    lam = np.array(reps)
-    q = rand_unitary(rng, n)
-    a = hermitian(q @ np.diag(lam.astype(np.complex128)) @ q.conj().T)
-    f = rand_hermitian(rng, n)
-    return a, hermitian(f / operator_norm(f))
+def degenerate_draws(seed: int, block_spec: tuple[int, ...], count: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``(A, F)`` of trials ``0 .. count - 1`` of the package's ensemble
+    at ``seed``, drawn as one stack by ``harness._draws``: A with the given
+    eigenvalue multiplicities (representative values separated by at least
+    1), F a unit-norm Hermitian direction."""
+    cfg = EnsembleConfig(seed=seed, n=sum(block_spec), block_spec=block_spec, trials=count, predictor="first_order")
+    a, f, _ = harness._draws(cfg, range(count))
+    return list(zip(a, f))
 
 
 def scaled_record(rng: np.random.Generator, spec: tuple[int, ...], exponent: int):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COMPLEX_SCALARS, align_columns_loop, degenerate_instance, rand_hermitian, rand_unitary
+from conftest import COMPLEX_SCALARS, align_columns_loop, degenerate_draws, rand_hermitian, rand_unitary
 from eigpert import (
     MODE_BLOCKWISE,
     MODE_RAW,
@@ -246,8 +246,7 @@ class TestBlockwiseDiagonalize:
         # The oracle's eigenvectors come back column-major; the rotated ones
         # are laid out row-major whatever the input's order, with or without
         # a block to rotate, as products downstream may round by layout.
-        rng = np.random.default_rng(len(spec))
-        a, f = degenerate_instance(rng, spec)
+        [(a, f)] = degenerate_draws(len(spec), spec)
         base = eigh(a)
         for u in (base.u, np.asfortranarray(base.u), np.ascontiguousarray(base.u)):
             ap = blockwise_diagonalize(conjugate_to_eigenbasis(SpectralDecomposition(u=u, lam=base.lam), f))
@@ -261,9 +260,7 @@ class TestBlockwiseDiagonalize:
         assert np.all(ap.base.u.imag == 0)
 
     def test_mode_invariants_on_degenerate_ensemble(self):
-        rng = np.random.default_rng(47)
-        for _ in range(15):
-            a, f = degenerate_instance(rng, (3, 2, 1))
+        for a, f in degenerate_draws(47, (3, 2, 1), 15):
             ap = aligned_perturbation(a, hermitian(0.05 * f))
             bid = ap.blocks.block_id()
             same = (bid[:, None] == bid[None, :]) & ~np.eye(6, dtype=bool)
@@ -273,8 +270,7 @@ class TestBlockwiseDiagonalize:
                 assert np.all(np.diff(d) <= 1e-11 * ap.e_norm)
 
     def test_preserves_spectrum_and_base(self):
-        rng = np.random.default_rng(53)
-        a, f = degenerate_instance(rng, (2, 2))
+        [(a, f)] = degenerate_draws(53, (2, 2))
         base = eigh(a)
         raw = conjugate_to_eigenbasis(base, f)
         done = blockwise_diagonalize(raw)
@@ -288,9 +284,7 @@ class TestBlockwiseDiagonalize:
         )
 
     def test_idempotence(self):
-        rng = np.random.default_rng(59)
-        for _ in range(10):
-            a, f = degenerate_instance(rng, (2, 1, 2))
+        for a, f in degenerate_draws(59, (2, 1, 2), 10):
             once = aligned_perturbation(a, f)
             twice = blockwise_diagonalize(once)
             assert np.abs(twice.e_hat - once.e_hat).max() <= 1e-11 * once.e_norm
@@ -298,8 +292,7 @@ class TestBlockwiseDiagonalize:
 
 class TestScaled:
     def test_linear_fields(self):
-        rng = np.random.default_rng(61)
-        a, f = degenerate_instance(rng, (2, 2))
+        [(a, f)] = degenerate_draws(61, (2, 2))
         ap = aligned_perturbation(a, f)
         t = 0.03
         ap_t = scaled(ap, t)
@@ -312,8 +305,7 @@ class TestScaled:
         assert ap_t.e_norm == t * ap.e_norm
 
     def test_rejects_nonpositive(self):
-        rng = np.random.default_rng(67)
-        a, f = degenerate_instance(rng, (2, 1))
+        [(a, f)] = degenerate_draws(67, (2, 1))
         ap = aligned_perturbation(a, f)
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
@@ -360,9 +352,7 @@ class TestMMatrix:
         assert np.all(m_matrix(ap.base, ap.blocks) == 0)
 
     def test_exact_antisymmetry_and_block_zeros(self):
-        rng = np.random.default_rng(71)
-        for _ in range(10):
-            a, f = degenerate_instance(rng, (2, 2, 1))
+        for a, f in degenerate_draws(71, (2, 2, 1), 10):
             ap = aligned_perturbation(a, f)
             m = m_matrix(ap.base, ap.blocks)
             assert np.array_equal(m, -m.T)
@@ -370,10 +360,8 @@ class TestMMatrix:
             assert np.all(m[bid[:, None] == bid[None, :]] == 0)
 
     def test_commutator_identity(self):
-        rng = np.random.default_rng(73)
         for spec in ((1, 1, 1, 1), (2, 2, 1)):
-            for _ in range(10):
-                a, f = degenerate_instance(rng, spec)
+            for a, f in degenerate_draws(73, spec, 10):
                 ap = aligned_perturbation(a, hermitian(0.2 * f))
                 m = m_matrix(ap.base, ap.blocks)
                 lam = np.diag(ap.base.lam.astype(complex))

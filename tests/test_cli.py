@@ -123,15 +123,21 @@ class TestPredict:
         assert captured.out == ""
         assert f"t must be finite, got {t}" in captured.err
 
-    @pytest.mark.parametrize("order", ["1", "schur", "schur-simple"])
-    def test_overflowing_t_e_is_a_usage_error(self, tmp_path, capsys, order):
-        # Every entry of E is finite and so is t, but 1e308 * 0.1 * 20 is not.
+    @pytest.mark.parametrize(
+        "order, scale, product",
+        [("1", 20, "t E"), ("schur", 20, "t E"), ("schur-simple", 20, "t E"), ("2", 20, "2 |t|"), ("2", 0, "2 |t|")],
+        ids=["1", "schur", "schur-simple", "2", "2-zero_e"],
+    )
+    def test_overflowing_t_e_is_a_usage_error(self, tmp_path, capsys, order, scale, product):
+        # Every entry of E is finite and so is t, but 1e308 * 0.1 * 20 is not;
+        # nor is the line expansion's gap-guard factor 2 |t|, whatever E is.
         a = write_matrix(tmp_path, "a.txt", self.A)
-        e = write_matrix(tmp_path, "e.txt", 20 * self.E)
+        e = write_matrix(tmp_path, "e.txt", scale * self.E)
         assert main(["predict", "--order", order, "--a", a, "--e", e, "--t", "1e308"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "t E overflows the floating-point range at t = 1e+308" in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"{product} overflows the floating-point range at t = 1e+308" in captured.err
 
     def test_gap_too_small_exit_code(self, tmp_path, capsys):
         a = write_matrix(tmp_path, "a.txt", np.diag([1.0, 0.0]))

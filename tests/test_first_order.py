@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import SCALE_EXPONENTS, STACK_SPECS, degenerate_instance, rand_hermitian, rand_unitary
+from conftest import SCALE_EXPONENTS, STACK_SPECS, degenerate_draws, rand_hermitian, rand_unitary
 from eigpert import (
     ModeError,
     SpectralDecomposition,
@@ -62,8 +62,7 @@ class TestEigenvalues:
         assert xi[2] == pytest.approx(0.0, abs=1e-15)
 
     def test_prediction_linear_in_scale(self):
-        rng = np.random.default_rng(5)
-        a, f = degenerate_instance(rng, (2, 2))
+        [(a, f)] = degenerate_draws(5, (2, 2))
         ap = aligned_perturbation(a, f)
         for t in (0.5, 0.03125, 1e-3):
             got = first_order_eigenvalues(scaled(ap, t))
@@ -88,9 +87,7 @@ class TestGershgorin:
             assert r == pytest.approx(wr, abs=1e-15)
 
     def test_oracle_eigenvalues_land_in_union(self):
-        rng = np.random.default_rng(11)
-        for _ in range(15):
-            a, f = degenerate_instance(rng, (2, 2, 1))
+        for a, f in degenerate_draws(11, (2, 2, 1), 15):
             e = hermitian(0.05 * f)
             ap = aligned_perturbation(a, e)
             discs = gershgorin_intervals(ap)
@@ -113,9 +110,7 @@ class TestUApprox:
 
     def test_near_orthonormality_identity(self):
         # U_ap* U_ap equals I + S*S with S = M * E_hat, up to roundoff only
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            a, f = degenerate_instance(rng, (2, 1, 1))
+        for a, f in degenerate_draws(13, (2, 1, 1), 10):
             ap = aligned_perturbation(a, hermitian(0.1 * f))
             mmat = m_matrix(ap.base, ap.blocks)
             s = mmat * ap.e_hat
@@ -128,8 +123,7 @@ class TestUApprox:
             assert defect / ap.e_norm**2 <= ap.n
 
     def test_column_norms_near_one(self):
-        rng = np.random.default_rng(17)
-        a, f = degenerate_instance(rng, (3, 2))
+        [(a, f)] = degenerate_draws(17, (3, 2))
         ap = aligned_perturbation(a, hermitian(0.05 * f))
         mmat = m_matrix(ap.base, ap.blocks)
         s_sq = np.linalg.norm(mmat * ap.e_hat) ** 2
@@ -166,9 +160,7 @@ class TestResidual:
         assert approx_decomposition_residual(ap, mmat) == operator_norm(rebuilt - target)
 
     def test_quadratic_in_perturbation_size(self):
-        rng = np.random.default_rng(19)
-        for _ in range(8):
-            a, f = degenerate_instance(rng, (2, 2))
+        for a, f in degenerate_draws(19, (2, 2), 8):
             ap = aligned_perturbation(a, hermitian(0.1 * f))
             mmat = m_matrix(ap.base, ap.blocks)
             res = approx_decomposition_residual(ap, mmat)
@@ -177,8 +169,7 @@ class TestResidual:
 
 class TestConvergenceRate:
     def test_eigenvalue_error_decays_quadratically(self):
-        rng = np.random.default_rng(23)
-        a, f = degenerate_instance(rng, (2, 1, 1))
+        [(a, f)] = degenerate_draws(23, (2, 1, 1))
         ap = aligned_perturbation(a, f)
         ts = np.array([1e-1, 1e-2, 1e-3])
         errs = []
@@ -211,8 +202,7 @@ M_TAKERS = pytest.mark.parametrize(
 )
 def test_m_of_another_shape_is_rejected(predict, shape):
     # Any M but n x n would broadcast against E_hat into a wrong matrix of the right shape.
-    rng = np.random.default_rng(29)
-    ap = aligned_perturbation(*degenerate_instance(rng, (2, 2, 1, 1)))
+    ap = aligned_perturbation(*degenerate_draws(29, (2, 2, 1, 1))[0])
     mmat = m_matrix(ap.base, ap.blocks)
     with pytest.raises(ValueError, match=r"M must have shape \(6, 6\)"):
         predict(ap, shape(mmat))
@@ -229,8 +219,7 @@ def one_ulp_up(m):
 def test_m_other_than_the_records_is_rejected(predict, change):
     # M is a function of the base; an n x n matrix with other values would
     # give a plausible wrong prediction.
-    rng = np.random.default_rng(29)
-    ap = aligned_perturbation(*degenerate_instance(rng, (2, 2, 1, 1)))
+    ap = aligned_perturbation(*degenerate_draws(29, (2, 2, 1, 1))[0])
     mmat = m_matrix(ap.base, ap.blocks)
     assert mmat[0, 5] != 0.0
     with pytest.raises(ValueError, match="not the inverse-gap matrix of the base"):
@@ -247,8 +236,7 @@ def result_bytes(result) -> list[bytes]:
 def test_an_equal_copy_of_m_gives_the_records_bytes(predict):
     # Every formula computes with the record's own M, whatever the layout,
     # dtype or signed zeros of the equal matrix it was passed.
-    rng = np.random.default_rng(29)
-    ap = aligned_perturbation(*degenerate_instance(rng, (2, 2, 1, 1)))
+    ap = aligned_perturbation(*degenerate_draws(29, (2, 2, 1, 1))[0])
     mmat = m_matrix(ap.base, ap.blocks)
     own = result_bytes(predict(ap, ap.data.m))
     for copy in (mmat, np.asfortranarray(mmat), mmat.astype(np.complex128), np.where(mmat == 0.0, -0.0, mmat)):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import align_columns_loop
+from conftest import align_columns_loop, degenerate_draws
 from eigpert import (
     DEFAULT_T_GRID,
     EXAMPLE_A,
@@ -45,6 +45,13 @@ from eigpert.harness import (
     _uniforms,
     fit_loglog,
     random_unitary,
+)
+
+
+# Every block layout that the suite draws degenerate instances with.
+DRAWN_SPECS = (
+    (2, 1), (2, 2), (3, 1), (3, 2), (5,), (2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 2, 1), (1, 1, 1, 1),
+    (2, 2, 1, 1), (4,) * 4, (3, 2, 2, 1), (4, 3, 2, 1, 2), (1,) * 7, (4,) * 15,
 )
 
 
@@ -186,18 +193,20 @@ class TestGenerators:
         assert not np.array_equal(a0, a1)
         assert not np.array_equal(f0, f1)
 
-    def test_spectrum_matches_block_spec(self):
-        cfg = EnsembleConfig(seed=6, n=6, block_spec=(3, 2, 1), trials=1, predictor="first_order")
-        a, f = generate_instance(cfg, 0)
-        lam = eigh(hermitian(a)).lam
-        reps = [lam[0], lam[3], lam[5]]
-        # multiplicities are exact: within each block the eigenvalues agree
-        # to solver accuracy, across blocks they are separated by at least 1
-        assert np.abs(lam[:3] - reps[0]).max() <= 1e-12
-        assert np.abs(lam[3:5] - reps[1]).max() <= 1e-12
-        assert reps[0] - reps[1] >= 1.0 - 1e-9
-        assert reps[1] - reps[2] >= 1.0 - 1e-9
-        assert abs(operator_norm(f) - 1.0) <= 1e-10
+    @pytest.mark.parametrize("spec", DRAWN_SPECS, ids=lambda spec: ",".join(map(str, spec)))
+    def test_spectrum_matches_block_spec(self, spec):
+        # Multiplicities are exact: within each block the eigenvalues agree
+        # to the oracle's accuracy, and each block stands at least 1 above
+        # the next; ||F|| = 1 to the oracle's accuracy too.
+        n, stops = sum(spec), np.cumsum(spec)
+        for a, f in degenerate_draws(6, spec, 3):
+            lam = eigh(hermitian(a)).lam
+            slack = jacobi._eigenvalue_slack(n, np.abs(a).max(), np.linalg.norm(a))
+            for start, stop in zip(stops - spec, stops):
+                assert np.ptp(lam[start:stop]) <= 2.0 * slack
+            assert np.all(lam[stops[:-1] - 1] - lam[stops[:-1]] >= 1.0 - 2.0 * slack)
+            f_slack = jacobi._eigenvalue_slack(n, np.abs(f).max(), np.linalg.norm(f))
+            assert abs(operator_norm(f) - 1.0) <= f_slack
 
     def test_simple_spectrum_spec(self):
         cfg = EnsembleConfig(seed=6, n=4, block_spec=(1, 1, 1, 1), trials=1, predictor="first_order")

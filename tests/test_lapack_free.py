@@ -5,7 +5,7 @@ stays in the tests, as the reference the package is checked against."""
 import numpy as np
 import pytest
 
-from conftest import degenerate_instance, rand_hermitian
+from conftest import degenerate_draws, rand_hermitian
 from eigpert import (
     PREDICTORS,
     EnsembleConfig,
@@ -56,7 +56,7 @@ def test_the_fixture_refuses(no_lapack):
 
 
 def test_prediction(no_lapack):
-    a, f = degenerate_instance(np.random.default_rng(71), (2, 2, 1, 1))
+    [(a, f)] = degenerate_draws(71, (2, 2, 1, 1))
     ap = aligned_perturbation(a, hermitian(0.05 * f))
     first_order_eigenvalues(ap)
     u_approx(ap, m_matrix(ap.base, ap.blocks))

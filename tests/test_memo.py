@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import degenerate_instance, rand_hermitian
+from conftest import degenerate_draws, rand_hermitian
 from eigpert import (
     BlockStructure,
     EnsembleConfig,
@@ -176,7 +176,7 @@ def predict_all(base, e):
 
 def test_predictions_from_one_base_compute_its_data_once(monkeypatch):
     rng = np.random.default_rng(11)
-    a, _ = degenerate_instance(rng, (4, 3, 2, 1, 2))
+    [(a, _)] = degenerate_draws(11, (4, 3, 2, 1, 2))
     base = eigh(a)
     calls = counting(monkeypatch)
     for _ in range(10):
@@ -200,7 +200,7 @@ def test_a_study_builds_no_single_base_data(monkeypatch, predictor):
 
 def test_a_stored_base_survives_a_study():
     rng = np.random.default_rng(5)
-    a, _ = degenerate_instance(rng, (2, 2, 1, 1))
+    [(a, _)] = degenerate_draws(5, (2, 2, 1, 1))
     base = eigh(a)
     predict_all(base, 1e-2 * rand_hermitian(rng, 6))
     hits, misses = counts()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from conftest import (
     COMPLEX_SCALARS,
     SCALE_EXPONENTS,
     STACK_SPECS,
-    degenerate_instance,
+    degenerate_draws,
     n_matrix_loop,
     rand_hermitian,
     rand_unitary,
@@ -105,9 +107,7 @@ class TestCoefficients:
             rs_coefficients(ap)
 
     def test_quadratic_form_route_agrees(self):
-        rng = np.random.default_rng(71)
-        for _ in range(10):
-            a, f = degenerate_instance(rng, (2, 2, 1))
+        for a, f in degenerate_draws(71, (2, 2, 1), 10):
             ap = aligned_perturbation(a, f)
             _, _, a2 = rs_coefficients(ap)
             lam = ap.base.lam
@@ -170,10 +170,8 @@ class TestNMatrix:
         assert np.array_equal(eigenvector_derivative(ap, mmat), -(ap.base.u @ (mmat * ap.e_hat)))
 
     def test_skew_hermitian_invariants(self):
-        rng = np.random.default_rng(79)
         checked = 0
-        for _ in range(30):
-            a, f = degenerate_instance(rng, (2, 2, 1))
+        for a, f in degenerate_draws(79, (2, 2, 1), 30):
             ap = aligned_perturbation(a, f)
             try:
                 nm = n_matrix(ap)
@@ -230,9 +228,8 @@ class TestClosedForms:
         ids=["15x4", "2211", "3221", "7x1", "5"],
     )
     def test_match_per_index_definitions(self, spec, count):
-        rng = np.random.default_rng(sum(spec) * 100 + len(spec))
-        for _ in range(count):
-            ap = aligned_perturbation(*degenerate_instance(rng, spec))
+        for a, f in degenerate_draws(sum(spec) * 100 + len(spec), spec, count):
+            ap = aligned_perturbation(a, f)
             assert np.array_equal(rs_coefficients(ap)[2], reference_a2(ap))
             assert np.array_equal(n_matrix(ap), reference_n(ap))
 
@@ -381,11 +378,27 @@ class TestOverflow:
         # Where t * t stays finite, the expansion evaluates.
         assert np.isfinite(lex.at(1e150).xi_hat).all()
 
+    @pytest.mark.parametrize("t", [1e308, -1e308, 2.0**1023], ids=["1e308", "-1e308", "least"])
+    @pytest.mark.parametrize("zero_f", [False, True], ids=["f", "zero_f"])
+    def test_overflowing_gap_factor_is_refused(self, t, zero_f):
+        # 2 |t| overflows: the gap guard would compare the gaps with
+        # inf * ||E||, which is NaN, and warns, for F = 0.
+        lex = line_expansion(np.diag([3.0, 1.0]), np.zeros((2, 2))) if zero_f else line_expansion(*seed_instance())
+        message = re.escape(f"2 |t| overflows the floating-point range at t = {t}")
+        for call in (lambda: lex.at(t), lambda: predict_eigensystem(lex.ap, lex.ap.data.m, t)):
+            with pytest.raises(ValueError, match=message) as exc:
+                call()
+            assert not isinstance(exc.value, PreconditionError)
+        # Just below, 2 |t| is finite and the gap guard decides: it refuses
+        # the nonzero F, and for F = 0 the series' t * t overflows.
+        refusal, message = (ValueError, "the expansion at t") if zero_f else (GapTooSmallError, "separation")
+        with pytest.raises(refusal, match=message):
+            lex.at(np.nextafter(2.0**1023, 0.0))
+
 
 class TestPredict:
     def test_t_zero_returns_base(self):
-        rng = np.random.default_rng(83)
-        a, f = degenerate_instance(rng, (2, 2))
+        [(a, f)] = degenerate_draws(83, (2, 2))
         ap = aligned_perturbation(a, f)
         mmat = m_matrix(ap.base, ap.blocks)
         pred = predict_eigensystem(ap, mmat, 0.0)
@@ -442,8 +455,7 @@ class TestPredict:
 
 class TestLineExpansion:
     def test_fields_are_consistent(self):
-        rng = np.random.default_rng(97)
-        a, f = degenerate_instance(rng, (2, 1, 1))
+        [(a, f)] = degenerate_draws(97, (2, 1, 1))
         lex = line_expansion(a, f)
         ap = lex.ap
         a0, a1, a2 = rs_coefficients(ap)
@@ -484,8 +496,7 @@ class TestLineExpansion:
         assert len(calls) == 2
 
     def test_at_matches_predict(self):
-        rng = np.random.default_rng(101)
-        a, f = degenerate_instance(rng, (2, 2))
+        [(a, f)] = degenerate_draws(101, (2, 2))
         lex = line_expansion(a, f)
         for t in (0.0, 0.01, -0.02):
             via_at = lex.at(t)

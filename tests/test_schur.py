@@ -5,7 +5,7 @@ from conftest import (
     SCALE_EXPONENTS,
     STACK_SPECS,
     complements_loop,
-    degenerate_instance,
+    degenerate_draws,
     rand_hermitian,
     scaled_record,
 )
@@ -102,9 +102,7 @@ class TestSchurData:
         assert got.tobytes() == schur_similarity_diagnostic(ap, 1).transformed.tobytes()
 
     def test_partition_reconstructs_e_hat(self):
-        rng = np.random.default_rng(29)
-        for _ in range(10):
-            a, f = degenerate_instance(rng, (2, 2, 1))
+        for a, f in degenerate_draws(29, (2, 2, 1), 10):
             ap = aligned_perturbation(a, hermitian(0.1 * f))
             for g, (start, stop) in enumerate(ap.blocks.groups):
                 sd = schur_data(ap, g)
@@ -116,16 +114,14 @@ class TestSchurData:
                 assert np.array_equal(sd.d, ap.e_hat[order[sd.l :][:, None], order[sd.l :]])
 
     def test_scalar_complement_is_its_oracle_eigenvalue(self):
-        rng = np.random.default_rng(59)
-        a, f = degenerate_instance(rng, (2, 1, 1))
+        [(a, f)] = degenerate_draws(59, (2, 1, 1))
         ap = scaled(aligned_perturbation(a, f), 0.05)
         for g in (1, 2):
             sd = schur_data(ap, g)
             assert np.array_equal(sd.beta, eigh(sd.b).lam)
 
     def test_beta_sorted_nonincreasing(self):
-        rng = np.random.default_rng(31)
-        a, f = degenerate_instance(rng, (3, 1))
+        [(a, f)] = degenerate_draws(31, (3, 1))
         ap = aligned_perturbation(a, hermitian(0.05 * f))
         sd = schur_data(ap, 0)
         assert np.all(np.diff(sd.beta) <= 0)
@@ -156,17 +152,13 @@ class TestRefinedEigenvalues:
         assert np.abs(refined - eigh(a + e).lam).max() <= 1e-12
 
     def test_beats_first_order_by_a_power(self):
-        rng = np.random.default_rng(41)
-        for _ in range(8):
-            a, f = degenerate_instance(rng, (2, 2))
+        for a, f in degenerate_draws(41, (2, 2), 8):
             ap = aligned_perturbation(a, hermitian(0.1 * f))
             gap = np.abs(refined_eigenvalues(ap) - first_order_eigenvalues(ap)).max()
             assert gap <= 3.0 * ap.e_norm**2
 
     def test_simplified_tracks_full_cubically(self):
-        rng = np.random.default_rng(43)
-        for _ in range(8):
-            a, f = degenerate_instance(rng, (2, 1, 2))
+        for a, f in degenerate_draws(43, (2, 1, 2), 8):
             ap = aligned_perturbation(a, hermitian(0.1 * f))
             gap = np.abs(
                 refined_eigenvalues(ap, "full") - refined_eigenvalues(ap, "simplified")
@@ -176,8 +168,7 @@ class TestRefinedEigenvalues:
     def test_simplified_complement_formula(self):
         # B_tilde rebuilt by hand from the partition must match the package's
         # simplified refinement route
-        rng = np.random.default_rng(47)
-        a, f = degenerate_instance(rng, (2, 2))
+        [(a, f)] = degenerate_draws(47, (2, 2))
         ap = aligned_perturbation(a, hermitian(0.1 * f))
         simplified = refined_eigenvalues(ap, "simplified")
         for g, (start, stop) in enumerate(ap.blocks.groups):
@@ -190,8 +181,7 @@ class TestRefinedEigenvalues:
             assert np.abs(b_tilde - sd.b).max() <= 2.0 * ap.e_norm**3
 
     def test_oracle_error_at_small_t(self):
-        rng = np.random.default_rng(53)
-        a, f = degenerate_instance(rng, (2, 2, 1))
+        [(a, f)] = degenerate_draws(53, (2, 2, 1))
         ap = aligned_perturbation(a, f)
         t = 1e-3
         ap_t = scaled(ap, t)
@@ -224,9 +214,7 @@ class TestSimilarityDiagnostic:
         assert np.abs(diag.transformed - (ap.e_hat + 2.0 * np.eye(3))).max() <= 1e-15
 
     def test_explicit_similarity_of_permuted_problem(self):
-        rng = np.random.default_rng(61)
-        for _ in range(6):
-            a, f = degenerate_instance(rng, (2, 2, 1))
+        for a, f in degenerate_draws(61, (2, 2, 1), 6):
             e = hermitian(0.1 * f)
             ap = aligned_perturbation(a, e)
             for g in range(len(ap.blocks.groups)):
@@ -263,8 +251,7 @@ class TestSimilarityDiagnostic:
         assert len(calls) == 1
 
     def test_block_norms(self):
-        rng = np.random.default_rng(67)
-        a, f = degenerate_instance(rng, (2, 2))
+        [(a, f)] = degenerate_draws(67, (2, 2))
         ap = aligned_perturbation(a, hermitian(0.1 * f))
         sd = schur_data(ap, 0)
         diag = schur_similarity_diagnostic(ap, 0)

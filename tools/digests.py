@@ -26,7 +26,8 @@ stacks, whose members stop after different numbers of passes, in both
 layouts.
 The refusal paths are covered too: a ``predict`` whose ``t`` passes the gap
 between eigenvalue blocks, studies whose largest ``t`` does so for some
-trials, and the message, line and column of each malformed matrix text of
+trials, a second-order ``predict`` at a finite ``t`` whose double
+overflows, and the message, line and column of each malformed matrix text of
 ``PARSE_REFUSALS``.  All other inputs come from
 ``harness.generate_instance``, some with entries zeroed.  A command's
 digest covers its exit code and stdout.  The script exits 1 if any command
@@ -34,8 +35,9 @@ it runs exits otherwise than expected, or prints to stdout when it is
 expected to fail.  Commands are expected to exit 0 except for the
 single-block studies, where every prediction is exact to round-off, so the
 fit finds no points above its noise floor and the study fails by design,
-and for the refused ``predict``, which exits 3.  The other digests are
-still printed.
+and for the refused ``predict`` runs: past the gap they exit 3, and at a
+``t`` whose double overflows they exit 2.  The other digests are still
+printed.
 """
 
 from __future__ import annotations
@@ -93,6 +95,13 @@ DIRECTION_EXPONENTS = (-1000, -540, 540, 1000)
 # A t past every gap of the first small instance: its gaps are below 2 and
 # ||F|| = 1, so both the line expansion and the Schur refinement refuse.
 REFUSED_T = "1"
+
+# A finite t whose gap-guard factor 2 |t| overflows, which the line
+# expansion refuses as a usage error: on the first small instance, and with
+# E zeroed on the simple-spectrum instance of OVERFLOW_ZERO_E, as E = 0 in a
+# multi-member block is refused first as a tied direction.
+OVERFLOW_T = "1e308"
+OVERFLOW_ZERO_E = (2, (1, 1, 1, 1))
 
 # (size, members, block_spec) of the seeded stack that digests the oracle
 # itself; each (A, F) instance gives two members, scaled by powers of two.
@@ -265,6 +274,22 @@ def small_instances(runner: Runner, tmp: Path) -> None:
             "--a", str(tmp / f"a{seed}.txt"), "--e", str(tmp / f"f{seed}.txt"), "--t", REFUSED_T,
             expect=3,
         )
+    runner.cli(
+        f"predict/2/t{OVERFLOW_T}/{tag}",
+        "predict", "--order", "2",
+        "--a", str(tmp / f"a{seed}.txt"), "--e", str(tmp / f"f{seed}.txt"), "--t", OVERFLOW_T,
+        expect=2,
+    )
+    seed, spec = OVERFLOW_ZERO_E
+    a, _ = _instance(seed, spec)
+    (tmp / "overflow_a.txt").write_text(matrices.format_matrix(a), encoding="utf-8")
+    (tmp / "zero_e.txt").write_text(matrices.format_matrix(np.zeros_like(a)), encoding="utf-8")
+    runner.cli(
+        f"predict/2/t{OVERFLOW_T}/seed{seed}/{','.join(map(str, spec))}/zero_e",
+        "predict", "--order", "2",
+        "--a", str(tmp / "overflow_a.txt"), "--e", str(tmp / "zero_e.txt"), "--t", OVERFLOW_T,
+        expect=2,
+    )
 
 
 def records(tag: str, a: np.ndarray, f: np.ndarray) -> None:
