@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 study or regression failure, 2 usage or parse
 error, 3 numerical precondition failure (gap too small, tied diagonals).
 
-Each command loads only the modules it calls: ``eigh`` needs only what
-this module imports, ``predict`` imports ``first_order`` for order 1,
+Each command loads only the modules it calls: ``eigh`` and ``predict
+--order 1`` need only what this module imports, ``predict`` imports
 ``schur`` for the Schur orders and ``rayleigh`` for order 2, ``derivative``
 imports ``rayleigh``, and ``converge`` and ``paper-example`` import
 ``harness``, which loads the rest.  With bytecode caching off, every module
@@ -22,20 +22,9 @@ import numpy as np
 
 from . import alignment, jacobi, matrices
 from .errors import ConvergenceError, PreconditionError, StudyError
+from .first_order import first_order_eigenvalues
 
 __all__ = ["main"]
-
-
-def __getattr__(name: str):
-    """Bind ``first_order_eigenvalues`` here on its first read (PEP 562): the
-    name stays readable on this module, as the benchmark's tracer test
-    wraps it, without loading ``first_order`` for every command."""
-    if name != "first_order_eigenvalues":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .first_order import first_order_eigenvalues
-
-    globals()[name] = first_order_eigenvalues
-    return first_order_eigenvalues
 
 
 def _print_values(values) -> None:
@@ -72,8 +61,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         raise ValueError(f"t E overflows the floating-point range at t = {args.t:g}; scale t down")
     ap = alignment.aligned_perturbation(a, e)
     if args.order == "1":
-        from . import first_order
-        xi = first_order.first_order_eigenvalues(ap)
+        xi = first_order_eigenvalues(ap)
     else:
         from . import schur
         variant = "full" if args.order == "schur" else "simplified"

@@ -222,9 +222,10 @@ class LineExpansion:
         t = _real(t, "t")
         if not math.isfinite(t):
             raise ValueError(f"t must be finite, got {t}")
-        if not math.isfinite(DEFAULT_MARGIN_FACTOR * t):
+        factor = DEFAULT_MARGIN_FACTOR * abs(t)
+        if not math.isfinite(factor):
             raise ValueError(f"{DEFAULT_MARGIN_FACTOR:g} |t| overflows the floating-point range at t = {t}")
-        _require_gap(self.ap, DEFAULT_MARGIN_FACTOR * abs(t))
+        _require_gap(self.ap, factor)
         with np.errstate(over="ignore", invalid="ignore"):
             xi_hat, u_hat = _series(t, self.a0, self.a1, self.a2), _series(t, self.ap.base.u, self.u_prime)
         if not (np.isfinite(xi_hat).all() and np.isfinite(u_hat).all()):

@@ -15,7 +15,7 @@ import eigpert
 SRC = str(Path(eigpert.__file__).resolve().parents[1])
 
 # What every command loads: the command-line module and what it imports.
-CLI = {"alignment", "cli", "errors", "jacobi", "matrices"}
+CLI = {"alignment", "cli", "errors", "first_order", "jacobi", "matrices"}
 
 
 def run(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
@@ -50,11 +50,11 @@ def test_first_read_loads_the_defining_module_only():
     "argv, extra",
     [
         (["eigh", "a.txt"], set()),
-        (["predict", "--order", "1", "--a", "a.txt", "--e", "e.txt"], {"first_order"}),
+        (["predict", "--order", "1", "--a", "a.txt", "--e", "e.txt"], set()),
         (["predict", "--order", "2", "--a", "a.txt", "--e", "e.txt"], {"rayleigh"}),
         (["predict", "--order", "schur", "--a", "a.txt", "--e", "e.txt"], {"schur"}),
         (["derivative", "--a", "a.txt", "--f", "e.txt"], {"rayleigh"}),
-        (["paper-example"], {"first_order", "harness", "rayleigh", "schur"}),
+        (["paper-example"], {"harness", "rayleigh", "schur"}),
     ],
     ids=["eigh", "order1", "order2", "schur", "derivative", "paper_example"],
 )
@@ -63,17 +63,6 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
     (tmp_path / "e.txt").write_text(eigpert.format_matrix(np.full((3, 3), 0.1, dtype=complex)))
     code = "from eigpert.cli import main\nassert main(sys.argv[1:]) == 0"
     assert loaded(code, *argv, cwd=tmp_path) == CLI | extra
-
-
-def test_cli_binds_first_order_eigenvalues_on_first_read():
-    code = """
-import eigpert.cli
-fn = eigpert.cli.first_order_eigenvalues
-assert fn is sys.modules["eigpert.first_order"].first_order_eigenvalues
-assert vars(eigpert.cli)["first_order_eigenvalues"] is fn
-assert not hasattr(eigpert.cli, "no_such_name")
-"""
-    assert loaded(code) == CLI | {"first_order"}
 
 
 def test_every_public_name_is_its_modules_object():
