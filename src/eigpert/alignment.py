@@ -317,8 +317,9 @@ def _allows(norm: LazyNorm, least: np.ndarray, factor: float) -> np.ndarray:
     """Whether each member's smallest checked value ``least`` ``(k,)``
     exceeds ``factor`` times its oracle norm, the decision of every guard
     here: the guard is monotone in the value, so the decision on the
-    smallest decides every value, and a refusal names the smallest.  A
-    member with no value to check passes ``inf``; a NaN fails.
+    smallest decides every value, and a refusal names the smallest.  At any
+    factor, ``inf`` passes, and so does ``least >= 0`` where ``||E||`` is
+    exactly 0 (its upper bound or its solved oracle value); a NaN fails.
 
     The certified bounds decide first: passing at ``upper`` implies passing
     at the oracle's value and failing at ``lower`` implies failing there,
@@ -326,13 +327,14 @@ def _allows(norm: LazyNorm, least: np.ndarray, factor: float) -> np.ndarray:
     bounds cost an oracle call, one for all of them.  A product that
     overflows is ``inf``, which decides as the exact product would.
     """
-    with np.errstate(over="ignore"):
-        allowed = least > factor * norm.upper
-        between = ~allowed & (least > factor * norm.lower)
-    if between.any():
-        value = norm.value(between)
+    def passes(least: np.ndarray, bound: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
-            allowed[between] = least[between] > factor * value
+            return (least == np.inf) | ((bound == 0.0) & (least >= 0.0)) | (least > factor * bound)
+
+    allowed = passes(least, norm.upper)
+    between = ~allowed & passes(least, norm.lower)
+    if between.any():
+        allowed[between] = passes(least[between], norm.value(between))
     return allowed
 
 
@@ -341,8 +343,6 @@ def _require_gap(ap: AlignedPerturbation, factor: float, blocks=None) -> None:
     farther than ``factor * ||E||`` from all other eigenvalues: by Weyl's
     bound no eigenvalue can then cross into another block, and at
     ``DEFAULT_MARGIN_FACTOR`` the Schur fixed point contracts."""
-    if len(ap.blocks.groups) < 2:
-        return
     index = np.arange(ap.data.margins.size) if blocks is None else np.asarray(blocks)
     margin = ap.data.margins[index]
     if not _allows(ap.norm, margin.min(keepdims=True), factor)[0]:

@@ -317,15 +317,14 @@ def _refusals(predictor: str, groups, e_hat: np.ndarray, margins: np.ndarray, no
     each trial of the stacks along a t-grid whose largest entry is
     ``t_max``: ``"tie guard"``, ``"gap guard"``, or ``""`` where both admit
     it; the gap guard holds for every ``t`` once it holds for the largest.
-    A tied trial checks ``inf`` at the gap guard, which its bounds pass
-    unsolved."""
+    A tied trial checks ``inf`` at the gap guard, which passes unsolved."""
     reasons = np.full(len(e_hat), "", dtype=object)
     untied = np.ones(len(e_hat), dtype=bool)
     if predictor in ("rs_second_order", "eigvec_first_order"):
         ties = rayleigh._tie_gaps(np.diagonal(e_hat, axis1=1, axis2=2).real, groups)
         untied = alignment._allows(norm, ties.min(axis=1, initial=np.inf), rayleigh.STRICT_DIAGONAL_TOL)
         reasons[~untied] = "tie guard"
-    if predictor not in ("first_order", "u_ap_residual") and len(groups) >= 2:
+    if predictor not in ("first_order", "u_ap_residual"):
         least = np.where(untied, margins.min(axis=1), np.inf)
         reasons[~alignment._allows(norm, least, alignment.DEFAULT_MARGIN_FACTOR * t_max)] = "gap guard"
     return reasons

@@ -9,7 +9,8 @@ inverse-gap matrix ``M``: ``a2 = -colsum(M * |F_hat|^2)``, and ``N`` is
 ``F_hat* (M * F_hat)`` on same-block pairs divided by the in-block diagonal
 gaps of ``F_hat``.  All formulas need ``F_hat`` block-wise diagonal with
 strictly decreasing in-block diagonals; ties leave the perturbed eigenvector
-branches underdetermined and raise ``DegenerateDirectionError``.
+branches underdetermined and raise ``DegenerateDirectionError``.  An exactly
+zero direction passes the tie guard: each of its second-order terms is 0.
 
 :func:`line_expansion` and :func:`predict_eigensystem` build their
 :class:`LineExpansion` with one helper, ``_expansion``.  The convergence
@@ -72,7 +73,7 @@ def _tie_gaps(d: np.ndarray, groups) -> np.ndarray:
 
 def _require_untied(ap: AlignedPerturbation) -> None:
     """Reject in-block diagonal gaps of ``F_hat`` at most
-    ``STRICT_DIAGONAL_TOL * ||F||``."""
+    ``STRICT_DIAGONAL_TOL * ||F||``; an exactly zero ``F``, whose ``N`` is 0, passes."""
     gaps = _tie_gaps(ap.e_hat_diag, ap.blocks.groups)
     if not _allows(ap.norm, gaps.min(initial=np.inf, keepdims=True), STRICT_DIAGONAL_TOL)[0]:
         k = int(np.argmin(gaps))
@@ -156,8 +157,8 @@ def _n_matrix(e_hat: np.ndarray, mmat: np.ndarray, same: np.ndarray, cols: np.nd
     np.ldexp(parts, -mf_exp, out=parts)
     num[:, :, cols] = np.matmul(fh[:, None], columns[..., None])[..., 0].swapaxes(1, 2)
     d = np.diagonal(unit, axis1=1, axis2=2).real
-    out = np.zeros(e_hat.shape, dtype=np.complex128)
-    np.divide(num, d[:, :, None] - d[:, None, :], out=out, where=same)
+    gap = d[:, :, None] - d[:, None, :]
+    out = np.divide(num, gap, out=np.zeros_like(num), where=same & (gap != 0.0))
     parts = out.view(np.float64)
     np.ldexp(parts, f_exp + mf_exp, out=parts)
     return out

@@ -139,6 +139,19 @@ class TestPredict:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert f"{product} overflows the floating-point range at t = 1e+308" in captured.err
 
+    def test_zero_direction_at_order_two(self, tmp_path, capsys):
+        # E = 0 on a double eigenvalue is no tie: order 2 answers with the
+        # eigenvalues order 1 prints and the base's eigenvectors.
+        a = np.diag([3.0, 3.0, 1.0, 0.0])
+        args = ["--a", write_matrix(tmp_path, "a.txt", a), "--e", write_matrix(tmp_path, "e.txt", np.zeros((4, 4)))]
+        assert main(["predict", "--order", "1", *args, "--t", "0.01"]) == 0
+        first = capsys.readouterr().out
+        assert main(["predict", "--order", "2", *args, "--t", "0.01"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[:4] == first.splitlines()
+        _, u_hat = split_values_and_matrix(out, 4)
+        assert np.array_equal(u_hat, aligned_perturbation(a, np.zeros((4, 4))).base.u)
+
     def test_gap_too_small_exit_code(self, tmp_path, capsys):
         a = write_matrix(tmp_path, "a.txt", np.diag([1.0, 0.0]))
         e = write_matrix(tmp_path, "e.txt", [[0.0, 3.0], [3.0, 0.0]])
@@ -176,6 +189,15 @@ class TestDerivative:
         ap = aligned_perturbation(a, f)
         assert np.array_equal(parse_matrix(parts[0]), n_matrix(ap))
         assert np.array_equal(parse_matrix(parts[2]), eigenvector_derivative(ap, ap.data.m))
+
+    def test_zero_direction(self, tmp_path, capsys):
+        a = write_matrix(tmp_path, "a.txt", np.diag([3.0, 3.0, 1.0, 0.0]))
+        f = write_matrix(tmp_path, "f.txt", np.zeros((4, 4)))
+        assert main(["derivative", "--a", a, "--f", f]) == 0
+        parts = capsys.readouterr().out.split("\n\n")
+        assert len(parts) == 3
+        for part in parts:
+            assert np.array_equal(parse_matrix(part if part.endswith("\n") else part + "\n"), np.zeros((4, 4)))
 
     def test_tied_direction_exit_code(self, tmp_path, capsys):
         a = write_matrix(tmp_path, "a.txt", np.diag([4.0, 4.0, 1.0]))

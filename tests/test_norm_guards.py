@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import rand_hermitian
+from conftest import rand_hermitian, scaled_record
 from eigpert import (
     DegenerateDirectionError,
     EnsembleConfig,
@@ -366,3 +366,71 @@ def test_stack_decides_each_member_as_alone(oracle_calls):
     assert oracle_calls == [[5, 5]]
     for k, ap in enumerate(records):
         assert alignment._allows(ap.norm, least[k : k + 1], factor).tolist() == [least[k] > factor * solo[k]]
+
+
+def no_oracle(members):
+    raise AssertionError("the bounds should decide without an oracle call")
+
+
+def unsolved(ap):
+    """``ap`` with its certified bounds and an oracle that must not run."""
+    return replace(ap, norm=LazyNorm(ap.norm.lower, ap.norm.upper, no_oracle))
+
+
+def test_nothing_to_check_passes_at_any_factor():
+    # 1e10 times the upper bound overflows to inf, and inf is not above inf.
+    norm = LazyNorm(np.array([1e307]), np.array([1e308]), no_oracle)
+    assert alignment._allows(norm, np.array([np.inf]), 1e10).tolist() == [True]
+    assert alignment._allows(norm, np.array([np.nan]), 2.0).tolist() == [False]
+
+
+def test_a_zero_norm_passes_every_nonnegative_value():
+    zero = LazyNorm(np.zeros(1), np.zeros(1), no_oracle)
+    assert alignment._allows(zero, np.array([0.0]), STRICT_DIAGONAL_TOL).tolist() == [True]
+    assert alignment._allows(zero, np.array([-1e-300, np.nan]), 2.0).tolist() == [False, False]
+    ap = conjugate_to_eigenbasis(identity_base([2.0, 2.0, 1.0]), np.zeros((3, 3)))
+    assert ap.norm.upper[0] == 0.0
+    assert alignment._allows(exact_only(ap).norm, np.array([0.0]), STRICT_DIAGONAL_TOL).tolist() == [True]
+    # Where the bounds leave it open, an oracle value of 0 passes 0 too, and
+    # a positive one does not.
+    for value, allowed in ((0.0, True), (0.5, False)):
+        norm = LazyNorm(np.zeros(1), np.ones(1), lambda members, value=value: np.full(members.sum(), value))
+        assert alignment._allows(norm, np.array([0.0]), 2.0).tolist() == [allowed]
+
+
+def test_one_block_passes_the_gap_guard_unsolved():
+    # One block's margin is inf, and 2 ||E|| overflows at the upper bound but
+    # not at the lower one: the Schur refinement and the line expansion
+    # still pass without a norm solve.
+    rng = np.random.default_rng(3)
+    f = rand_hermitian(rng, 3)
+    a = 2.0 * np.eye(3)
+    ap = aligned_perturbation(a, 6e307 / np.abs(f).max() * f)
+    with np.errstate(over="ignore"):
+        assert np.isinf(DEFAULT_MARGIN_FACTOR * ap.norm.upper[0])
+        assert np.isfinite(DEFAULT_MARGIN_FACTOR * ap.norm.lower[0])
+    for variant in ("full", "simplified"):
+        assert np.isfinite(refined_eigenvalues(unsolved(ap), variant=variant)).all()
+    assert np.isfinite(schur_data(unsolved(ap), 0).beta).all()
+    lex = line_expansion(a, 1e154 * f)
+    # 2 |t| and t^2 are finite, and 2 |t| times either bound is not.
+    t = 1.2e308 / lex.ap.e_norm
+    with np.errstate(over="ignore"):
+        assert np.isinf(DEFAULT_MARGIN_FACTOR * t * lex.ap.norm.lower[0]) and math.isfinite(t * t)
+    assert np.isfinite(replace(lex, ap=unsolved(lex.ap)).at(t).xi_hat).all()
+
+
+def test_zero_member_of_a_stack_has_zero_n():
+    # No other member's bits move: the in-block gaps of every untied member
+    # are nonzero, and a zero member's are all 0.
+    rng = np.random.default_rng(37)
+    aps = [scaled_record(rng, (3, 2, 1), x) for x in np.resize((0, -500, 500), 100)]
+    e_hat = np.stack([ap.e_hat for ap in aps])
+    e_hat[41] = 0.0
+    mmat = np.stack([ap.data.m for ap in aps])
+    same, cols = aps[0].data.same, aps[0].data.same_cols
+    stacked = rayleigh._n_matrix(e_hat, mmat, same, cols)
+    assert stacked[41].tobytes() == np.zeros((6, 6), dtype=np.complex128).tobytes()
+    for i in range(len(aps)):
+        alone = rayleigh._n_matrix(e_hat[i : i + 1], mmat[i : i + 1], same, cols)
+        assert stacked[i].tobytes() == alone[0].tobytes()

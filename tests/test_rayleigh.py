@@ -453,6 +453,55 @@ class TestPredict:
         assert slope >= 2.5
 
 
+def zero_direction_base(kind):
+    """A base with multi-member blocks for the zero direction: a diagonal
+    one and one drawn from the ensemble."""
+    return np.diag([3.0, 3.0, 1.0, 0.0]) if kind == "diagonal" else degenerate_draws(1, (2, 2, 1, 1))[0][0]
+
+
+class TestZeroDirection:
+    # Every second-order quantity of F = 0 is exactly 0, so the tie guard
+    # passes it, however many members its blocks have.
+
+    @pytest.mark.parametrize("kind", ["diagonal", "drawn"])
+    def test_answers_with_the_base(self, kind):
+        a = zero_direction_base(kind)
+        f = np.zeros_like(a)
+        ap = aligned_perturbation(a, f)
+        mmat = m_matrix(ap.base, ap.blocks)
+        assert any(stop - start >= 2 for start, stop in ap.blocks.groups)
+        a0, a1, a2 = rs_coefficients(ap)
+        assert np.array_equal(a0, ap.base.lam) and np.array_equal(a1, np.zeros(ap.n))
+        assert np.array_equal(a2, np.zeros(ap.n))
+        assert np.array_equal(n_matrix(ap), np.zeros((ap.n, ap.n)))
+        assert np.array_equal(eigenvector_derivative(ap, mmat), np.zeros((ap.n, ap.n)))
+        lex = line_expansion(a, f)
+        for t in (0.01, -0.01):
+            # array_equal: the signed zeros of the series may differ from the base's.
+            for pred in (lex.at(t), predict_eigensystem(ap, mmat, t)):
+                assert np.array_equal(pred.xi_hat, ap.base.lam)
+                assert np.array_equal(pred.u_hat, ap.base.u)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300])
+    def test_a_nonzero_tie_still_raises(self, scale):
+        # The double eigenvalue's block of F_hat is exactly tied, however small F is.
+        a = np.diag([3.0, 3.0, 1.0, 0.0])
+        f = scale * np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.0] * 4])
+        ap = aligned_perturbation(a, f)
+        assert ap.norm.upper[0] > 0.0
+        mmat = m_matrix(ap.base, ap.blocks)
+        calls = (
+            lambda: rs_coefficients(ap),
+            lambda: n_matrix(ap),
+            lambda: eigenvector_derivative(ap, mmat),
+            lambda: predict_eigensystem(ap, mmat, 0.01),
+            lambda: line_expansion(a, f),
+        )
+        for call in calls:
+            with pytest.raises(DegenerateDirectionError, match=r"gap 0\.000e\+00"):
+                call()
+
+
 class TestLineExpansion:
     def test_fields_are_consistent(self):
         [(a, f)] = degenerate_draws(97, (2, 1, 1))

@@ -27,17 +27,18 @@ layouts.
 The refusal paths are covered too: a ``predict`` whose ``t`` passes the gap
 between eigenvalue blocks, studies whose largest ``t`` does so for some
 trials, a second-order ``predict`` at a finite ``t`` whose double
-overflows, and the message, line and column of each malformed matrix text of
-``PARSE_REFUSALS``.  All other inputs come from
-``harness.generate_instance``, some with entries zeroed.  A command's
-digest covers its exit code and stdout.  The script exits 1 if any command
-it runs exits otherwise than expected, or prints to stdout when it is
-expected to fail.  Commands are expected to exit 0 except for the
-single-block studies, where every prediction is exact to round-off, so the
-fit finds no points above its noise floor and the study fails by design,
-and for the refused ``predict`` runs: past the gap they exit 3, and at a
-``t`` whose double overflows they exit 2.  The other digests are still
-printed.
+overflows, and the message, line and column of each malformed matrix text
+of ``PARSE_REFUSALS``.  A zero direction on a base with double eigenvalues
+is covered too: it is no tie, so ``predict --order 2`` and ``derivative``
+answer it.  All other inputs come from ``harness.generate_instance``, some
+with entries zeroed.  A command's digest covers its exit code and stdout.
+The script exits 1 if any command it runs exits otherwise than expected, or
+prints to stdout when it is expected to fail.  Commands, the zero-direction
+ones among them, are expected to exit 0 except for the single-block
+studies, where every prediction is exact to round-off, so the fit finds no
+points above its noise floor and the study fails by design, and for the
+refused ``predict`` runs: past the gap they exit 3, and at a ``t`` whose
+double overflows they exit 2.  The other digests are still printed.
 """
 
 from __future__ import annotations
@@ -98,8 +99,9 @@ REFUSED_T = "1"
 
 # A finite t whose gap-guard factor 2 |t| overflows, which the line
 # expansion refuses as a usage error: on the first small instance, and with
-# E zeroed on the simple-spectrum instance of OVERFLOW_ZERO_E, as E = 0 in a
-# multi-member block is refused first as a tied direction.
+# E zeroed on the simple-spectrum instance of OVERFLOW_ZERO_E.  A zero E
+# passes the tie guard in a multi-member block too, so it would reach the
+# same refusal there.
 OVERFLOW_T = "1e308"
 OVERFLOW_ZERO_E = (2, (1, 1, 1, 1))
 
@@ -290,6 +292,15 @@ def small_instances(runner: Runner, tmp: Path) -> None:
         "--a", str(tmp / "overflow_a.txt"), "--e", str(tmp / "zero_e.txt"), "--t", OVERFLOW_T,
         expect=2,
     )
+    # E = 0 on the double eigenvalues of the first small instance: every
+    # second-order term is 0, and order 2 answers with the base.
+    seed, spec = SMALL[0]
+    tag = f"seed{seed}/{','.join(map(str, spec))}/zero_e"
+    a = tmp / f"a{seed}.txt"
+    zero = tmp / f"zero{seed}.txt"
+    zero.write_text(matrices.format_matrix(np.zeros((sum(spec),) * 2)), encoding="utf-8")
+    runner.cli(f"predict/2/t0.01/{tag}", "predict", "--order", "2", "--a", str(a), "--e", str(zero), "--t", "0.01")
+    runner.cli(f"derivative/{tag}", "derivative", "--a", str(a), "--f", str(zero))
 
 
 def records(tag: str, a: np.ndarray, f: np.ndarray) -> None:
