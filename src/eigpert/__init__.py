@@ -13,7 +13,8 @@ bytecode caching is off and every import compiles its source.
 
 import importlib
 
-# Each public name, by the module that defines it.
+# The one list of each module's package-level names; every module builds its
+# ``__all__`` from its entry here, adding only the names it keeps to itself.
 _EXPORTS = {
     "errors": (
         "ConvergenceError", "DegenerateDirectionError", "GapTooSmallError", "MatrixParseError",

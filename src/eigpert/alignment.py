@@ -29,24 +29,11 @@ from typing import Callable
 
 import numpy as np
 
-from . import jacobi
+from . import _EXPORTS, jacobi
 from .errors import GapTooSmallError, ModeError, StudyError
 from .matrices import _real, _symmetrized, as_readonly, hermitian
 
-__all__ = [
-    "DEFAULT_REL_GAP_TOL",
-    "MODE_RAW",
-    "MODE_BLOCKWISE",
-    "BlockStructure",
-    "LazyNorm",
-    "AlignedPerturbation",
-    "conjugate_to_eigenbasis",
-    "blockwise_diagonalize",
-    "scaled",
-    "m_matrix",
-    "align_columns",
-    "aligned_perturbation",
-]
+__all__ = [*_EXPORTS["alignment"], "DEFAULT_REL_GAP_TOL", "LazyNorm"]
 
 # Relative gap below which adjacent eigenvalues share a degeneracy block.
 DEFAULT_REL_GAP_TOL = 1e-8

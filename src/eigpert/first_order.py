@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _EXPORTS
 from .alignment import AlignedPerturbation, _require_blockwise, _require_m
 from .matrices import operator_norm
 
-__all__ = [
-    "first_order_eigenvalues",
-    "gershgorin_intervals",
-    "u_approx",
-    "approx_decomposition_residual",
-]
+__all__ = [*_EXPORTS["first_order"], "approx_decomposition_residual"]
 
 
 def first_order_eigenvalues(ap: AlignedPerturbation) -> np.ndarray:

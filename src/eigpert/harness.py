@@ -36,31 +36,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import alignment, first_order, jacobi, rayleigh, schur
+from . import _EXPORTS, alignment, first_order, jacobi, rayleigh, schur
 from .errors import StudyError
 # operator_norm is not called here; the benchmark's tracer test wraps this binding.
 from .matrices import _grams, _norms, _real, _symmetrized, as_readonly, operator_norm, operator_norms  # noqa: F401
 
-__all__ = [
-    "DEFAULT_T_GRID",
-    "PREDICTORS",
-    "EnsembleConfig",
-    "LoglogFit",
-    "StudyRow",
-    "ConvergenceReport",
-    "ClauseResult",
-    "RegressionReport",
-    "random_unitary",
-    "generate_instance",
-    "fit_loglog",
-    "convergence_study",
-    "report_to_csv",
-    "paper_example_regression",
-    "EXAMPLE_A",
-    "EXAMPLE_F",
-    "EXAMPLE_N",
-    "EXAMPLE_U_PRIME",
-]
+__all__ = [*_EXPORTS["harness"], "random_unitary", "fit_loglog"]
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -204,12 +185,12 @@ def _draws(cfg: EnsembleConfig, trials) -> tuple[np.ndarray, np.ndarray, np.ndar
         reps[:, k] = reps[:, k - 1] - 1.0 - u[:, k]
     draws = _hermitian_draws(x[:, blocks:], n)
     q_draws, directions = draws[0::2], draws[1::2]
-    gram, where = _grams(directions)
+    gram, exponent = _grams(directions)
     # One size, exactly Hermitian as stored; a member's lam does not depend on its stack.
     u, lam = jacobi._solve_stack(np.concatenate([q_draws, gram]))[:2]
     q = u[: len(q_draws)]
     a = _symmetrized((q * np.repeat(reps, cfg.block_spec, axis=1)[:, None]) @ q.conj().swapaxes(1, 2))
-    norms = _norms(lam[len(q_draws) :, 0], where)
+    norms = _norms(lam[len(q_draws) :, 0], exponent)
     f = directions / np.array(norms)[:, None, None]
     return a, f, q
 

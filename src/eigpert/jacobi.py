@@ -53,15 +53,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import ConvergenceError
 from .matrices import _ldexp, as_readonly, hermitian, operator_norm
 
-__all__ = [
-    "DEFAULT_MAX_SWEEPS",
-    "SpectralDecomposition",
-    "eigh",
-    "residual",
-]
+__all__ = [*_EXPORTS["jacobi"], "DEFAULT_MAX_SWEEPS"]
 
 DEFAULT_MAX_SWEEPS = 64
 

@@ -13,19 +13,10 @@ import re
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import MatrixParseError
 
-__all__ = [
-    "DEFAULT_ASYMMETRY_TOL",
-    "dense",
-    "hermitian",
-    "operator_norm",
-    "operator_norms",
-    "parse_matrix",
-    "parse_hermitian",
-    "format_matrix",
-    "as_readonly",
-]
+__all__ = [*_EXPORTS["matrices"], "DEFAULT_ASYMMETRY_TOL", "as_readonly"]
 
 # Relative asymmetry above which input is rejected instead of symmetrized.
 DEFAULT_ASYMMETRY_TOL = 1e-12
@@ -125,21 +116,22 @@ def operator_norms(ms) -> list[float]:
     """:func:`operator_norm` of each matrix in ``ms``, an array ``(k, r, c)``
     or a sequence of matrices that share one shape.  The matrices are
     checked, scaled and multiplied as one stack, and one oracle call serves
-    all of their Gram matrices."""
+    all of their Gram matrices, a zero matrix's too."""
     from . import jacobi  # deferred; jacobi imports this module's constructors
 
-    gram, where = _grams(ms)
-    # A stack of empty matrices has no Gram entry to solve.
-    return _norms(jacobi._solve_stack(gram, vectors=False)[:, 0] if gram.size else np.zeros(0), where)
+    gram, exponent = _grams(ms)
+    # A stack of empty matrices has no Gram entry to solve; each norm is 0.
+    return _norms(jacobi._solve_stack(gram, vectors=False)[:, 0] if gram.size else np.zeros(len(gram)), exponent)
 
 
-def _grams(ms) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, int]]:
+def _grams(ms) -> tuple[np.ndarray, np.ndarray]:
     """The Gram-forming half of :func:`operator_norms`: the stack of the Gram
-    matrices of the nonzero matrices in ``ms`` after scaling each by an
-    exact power of two to unit largest entry, formed on the smaller side
-    (same nonzero spectrum), and what :func:`_norms` needs to finish from
-    their top eigenvalues.  A Gram product is Hermitian only to round-off,
-    so it is symmetrized."""
+    matrices of the matrices in ``ms`` after scaling each by an exact power
+    of two to unit largest entry, formed on the smaller side (same nonzero
+    spectrum), and the exponents that :func:`_norms` scales back by.  A zero
+    matrix keeps exponent 0 and has a zero Gram matrix, which the oracle
+    returns unswept with top eigenvalue 0.  A Gram product is Hermitian only
+    to round-off, so it is symmetrized."""
     try:
         m = np.asarray(ms, dtype=np.complex128)
     except ValueError:
@@ -148,23 +140,19 @@ def _grams(ms) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, int]]:
         raise ValueError("operator_norms needs matrices that share one shape, as a (k, r, c) stack")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
-    k, rows, cols = m.shape
+    _, rows, cols = m.shape
     peak = np.abs(m).max(axis=(1, 2), initial=0.0)
-    live = np.flatnonzero(peak)  # a zero matrix has norm 0 and needs no solve
-    exponent = np.frexp(peak[live])[1]
-    m = _ldexp(m[live], -exponent[:, None, None])
+    exponent = np.frexp(peak)[1]
+    m = _ldexp(m, -exponent[:, None, None])
     mh = m.conj().swapaxes(1, 2)
     gram = m @ mh if rows <= cols else mh @ m
-    return _symmetrized(gram), (live, exponent, k)
+    return _symmetrized(gram), exponent
 
 
-def _norms(top: np.ndarray, where: tuple[np.ndarray, np.ndarray, int]) -> list[float]:
+def _norms(top: np.ndarray, exponent: np.ndarray) -> list[float]:
     """The finishing half of :func:`operator_norms`: the norms from the top
     eigenvalues of the Gram matrices that :func:`_grams` formed."""
-    live, exponent, count = where
-    out = np.zeros(count)
-    out[live] = np.ldexp(np.sqrt(np.maximum(top, 0.0)), exponent)
-    return out.tolist()
+    return np.ldexp(np.sqrt(np.maximum(top, 0.0)), exponent).tolist()
 
 
 # ---- text exchange format ----

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .alignment import (
     DEFAULT_MARGIN_FACTOR,
     AlignedPerturbation,
@@ -42,16 +43,7 @@ from .alignment import (
 from .errors import DegenerateDirectionError
 from .matrices import _ldexp, _real, as_readonly
 
-__all__ = [
-    "STRICT_DIAGONAL_TOL",
-    "EigensystemPrediction",
-    "LineExpansion",
-    "rs_coefficients",
-    "n_matrix",
-    "eigenvector_derivative",
-    "predict_eigensystem",
-    "line_expansion",
-]
+__all__ = [*_EXPORTS["rayleigh"], "STRICT_DIAGONAL_TOL"]
 
 # In-block diagonal gaps of F_hat must exceed this times ||F|| for the
 # eigenvector branch to be well determined.

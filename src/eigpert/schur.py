@@ -53,21 +53,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jacobi
+from . import _EXPORTS, jacobi
 from .alignment import DEFAULT_MARGIN_FACTOR, AlignedPerturbation, _block_id, _blocks_by_size, _require_gap
 from .errors import ConvergenceError
 from .matrices import _real, _symmetrized, as_readonly, operator_norm
 
-__all__ = [
-    "DEFAULT_MARGIN_FACTOR",
-    "SchurData",
-    "SimilarityDiagnostic",
-    "VcReport",
-    "schur_data",
-    "refined_eigenvalues",
-    "vc_membership",
-    "schur_similarity_diagnostic",
-]
+__all__ = [*_EXPORTS["schur"], "DEFAULT_MARGIN_FACTOR"]
 
 # Fixed-point iterations, the first included, before ConvergenceError.
 MAX_ITERATIONS = 60

@@ -339,3 +339,26 @@ class TestOperatorNorm:
     def test_stack_refuses_matrices_of_two_shapes(self, ms):
         with pytest.raises(ValueError, match="share one shape"):
             operator_norms(ms)
+
+
+class TestZeroMembers:
+    """A zero matrix is solved in the stack's one Gram call like any other
+    member: exponent 0, a zero Gram matrix, and norm exactly +0.0."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 5), (5, 3)], ids=["square", "wide", "tall"])
+    def test_mixed_stack_keeps_each_members_bits(self, shape, oracle_calls):
+        rng = np.random.default_rng(37)
+        nonzero = rng.standard_normal((2, *shape)) + 1j * rng.standard_normal((2, *shape))
+        zero, negative_zero = np.zeros(shape, complex), np.full(shape, complex(-0.0, -0.0))
+        alone = [operator_norms(m[None])[0] for m in nonzero]
+        oracle_calls.clear()
+        norms = operator_norms([zero, nonzero[0], negative_zero, nonzero[1], zero])
+        assert oracle_calls == [[min(shape)] * 5] and oracle_calls.vectors == [False]
+        assert [norms[1], norms[3]] == alone
+        for i in (0, 2, 4):
+            assert norms[i] == 0.0 and not np.signbit(norms[i])
+
+    @pytest.mark.parametrize("shape", [(4, 3, 3), (2, 0, 3), (2, 3, 0), (0, 3, 3)])
+    def test_stacks_with_nothing_to_measure_give_zeros(self, shape):
+        norms = operator_norms(np.zeros(shape))
+        assert norms == [0.0] * shape[0] and not np.signbit(norms).any()

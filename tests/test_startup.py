@@ -82,6 +82,38 @@ assert set(eigpert.__all__) | set(eigpert._SUBMODULES) <= set(dir(eigpert))
     assert "random_unitary" not in eigpert.__all__
 
 
+# The names each layer module exports that the package does not; three of
+# them name per-layer benchmark metrics.
+MODULE_ONLY = {
+    "matrices": ("DEFAULT_ASYMMETRY_TOL", "as_readonly"),
+    "jacobi": ("DEFAULT_MAX_SWEEPS",),
+    "alignment": ("DEFAULT_REL_GAP_TOL", "LazyNorm"),
+    "first_order": ("approx_decomposition_residual",),
+    "schur": ("DEFAULT_MARGIN_FACTOR",),
+    "rayleigh": ("STRICT_DIAGONAL_TOL",),
+    "harness": ("random_unitary", "fit_loglog"),
+}
+
+
+def test_each_modules_all_is_its_table_entry_and_its_own_names():
+    code = f"""
+import importlib
+import eigpert
+
+module_only = {MODULE_ONLY!r}
+assert set(module_only) == set(eigpert._EXPORTS) - {{"errors"}}
+for name, own in module_only.items():
+    module = importlib.import_module("eigpert." + name)
+    names = module.__all__
+    assert len(set(names)) == len(names), name
+    assert set(eigpert._EXPORTS[name]) <= set(names), name
+    rest = set(names) - set(eigpert._EXPORTS[name])
+    assert rest == set(own) and not rest & set(eigpert.__all__), (name, rest)
+    assert all(hasattr(module, attr) for attr in names), name
+"""
+    assert loaded(code) == set(eigpert._EXPORTS)
+
+
 def test_unknown_attribute_is_the_standard_error_and_loads_nothing():
     code = """
 import eigpert
