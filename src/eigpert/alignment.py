@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -269,6 +269,8 @@ class AlignedPerturbation:
     by :func:`scaled`.  Guards that compare ``||E||`` with a threshold go
     through ``_allows``, which runs the oracle only when the certified bounds
     cannot decide; ``e_norm`` reads the oracle's value as a float.
+    ``_refined`` holds the record's Schur refinements by variant; a record
+    derived by ``replace`` starts with an empty one.
     """
 
     base: jacobi.SpectralDecomposition
@@ -277,6 +279,7 @@ class AlignedPerturbation:
     e_hat: np.ndarray
     mode: str
     norm: LazyNorm
+    _refined: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:

@@ -20,11 +20,12 @@ product per iteration serves all blocks, and the gap guard of
 :mod:`eigpert.alignment`, ``min |tau - rho| > DEFAULT_MARGIN_FACTOR ||E||``
 with the factor 2, makes the map contract by less than 1/2 (Stewart, SIAM
 Review 15(4), 1973).  The simplified variant is the first iterate; the
-full one stops once an update is at most ``4 eps max|X|``.  The fixed point
-runs on a stack of perturbations, one batched product per iteration, and
-each member stops on its own test, as the oracle's members do, so a member
-gets the bits of its solo run; the live ones are gathered only when some
-stop.  ``W`` depends on the base alone and comes from ``ap.data``.
+full one stops on the first pass whose update's largest modulus is at most
+``4 eps`` times the iterate's.  The fixed point runs on a stack of
+perturbations, one batched product per iteration, and each member stops on
+its own test, as the oracle's members do, so a member gets the bits of its
+solo run; the live ones are gathered only when some stop.  ``W`` depends on
+the base alone and comes from ``ap.data``.
 
 One stacked path forms the refined eigenvalues, for any set of variants:
 the first iterate is the simplified variant's fixed point and the full one
@@ -34,10 +35,12 @@ its own, and one oracle call per block size solves them, each member with
 its solo bits.  A convergence study runs it on all of its ``(trial, t)``
 members, of one degeneracy structure, at once, each trial's ``W`` shared
 by its t-grid.  A record is the same call as a stack of one, for whichever
-variants it does not hold yet: it keeps what it has computed for its
-lifetime, a full call brings the simplified variant along, and a later
+variants it does not hold yet: it keeps what it has computed in a field
+of its own, a full call brings the simplified variant along, and a later
 call for either variant or for :func:`vc_membership`, which reads the full
-complements alone, runs its guard and reuses it.
+complements alone, runs its guard and reuses it.  A record derived from it
+by ``blockwise_diagonalize`` or ``scaled`` starts with none, and a failed
+call keeps nothing.
 
 The complements also decide membership in the cone of perturbation
 directions along which every block's complement stays diagonal and its
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 import math
 import operator
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,26 +93,17 @@ def _iterate(e_hat: np.ndarray, w: np.ndarray, cols: slice, x: np.ndarray) -> np
     """The fixed point of ``X = W o (C - E_hat X)`` from the first iterate
     ``x``, which is left as it was; ``C`` is the view ``E_hat[..., cols]``.
     The live members iterate as one batched product in two reused buffers,
-    each stopping on its own test with the bits of its solo call; the
-    stopped ones go to the result before the others are gathered.
-
-    The test compares the moduli of the update and of the iterate.  A
-    computed modulus lies between half and twice the larger of its real and
-    imaginary parts, so a member whose update's largest part exceeds twice
-    the threshold at twice the iterate's largest part passes it: only a
-    pass where some member may stop, and the last, whose update an error
-    reports, take the moduli."""
+    each stopping once its update's largest modulus is at most ``_STOP_TOL``
+    times its iterate's, with the bits of its solo call; the stopped ones go
+    to the result before the others are gathered."""
     out, live, step = np.empty(x.shape, x.dtype), np.arange(len(x)), np.full(len(x), math.inf)
     iterates, diff = (np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype)), np.empty(x.shape, x.dtype)
     for i in range(1, MAX_ITERATIONS):
         new = iterates[i % 2][: live.size]
         np.multiply(w, np.subtract(e_hat[..., cols], np.matmul(e_hat, x, out=new), out=new), out=new)
         change = np.subtract(new, x, out=diff[: live.size])
-        step = np.abs(change.view(np.float64)).max(axis=(1, 2))
-        going = step > 2.0 * (_STOP_TOL * (2.0 * np.abs(new.view(np.float64)).max(axis=(1, 2))))
-        if i == MAX_ITERATIONS - 1 or not going.all():
-            step = np.abs(change).max(axis=(1, 2))
-            going = step > _STOP_TOL * np.abs(new).max(axis=(1, 2))
+        step = np.abs(change).max(axis=(1, 2))
+        going = step > _STOP_TOL * np.abs(new).max(axis=(1, 2))
         x = new
         if not going.all():
             out[live[~going]] = new[~going]
@@ -197,23 +190,17 @@ def refined_eigenvalues(ap: AlignedPerturbation, variant: str = "full") -> np.nd
     return _refined(ap, variants)[0][0, 0].copy()
 
 
-# Each record's Schur refinements by variant, as _refined_stack returns them.
-_REFINED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _refined(ap: AlignedPerturbation, variants: tuple[str, ...]) -> tuple[np.ndarray, list]:
     """:func:`_refined_stack` of the record ``ap`` for ``variants[0]``, as a
-    stack of one, kept for the record's lifetime; those of the other
+    stack of one, kept in the record's own ``_refined``; those of the other
     ``variants`` that the record does not keep yet are computed in the same
-    call.  The caller has applied the gap guard.  A record derived from
-    ``ap`` is another object and computes its own."""
-    kept = _REFINED.get(ap, {})
+    call.  The caller has applied the gap guard."""
+    kept = ap._refined
     if variants[0] not in kept:
         lacking = tuple(v for v in variants if v not in kept)
         reps = np.array([ap.blocks.rep_values])
         done = _refined_stack(ap.e_hat[None, None], ap.data.w[None], reps, ap.blocks.groups, lacking)
-        kept = {**kept, **dict(zip(lacking, done))}
-        _REFINED[ap] = kept
+        kept.update(zip(lacking, done))
     return kept[variants[0]]
 
 

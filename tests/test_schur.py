@@ -28,7 +28,7 @@ from eigpert import (
     schur_similarity_diagnostic,
     vc_membership,
 )
-from eigpert import schur
+from eigpert import harness, schur
 
 EXAMPLE_A3 = np.diag([0.0, 0.0, 1.0])
 EXAMPLE_F3 = np.array([[1, 0, 1], [0, 0, 1], [1, 1, 0]], dtype=float)
@@ -406,16 +406,20 @@ class TestFixedPoint:
         assert info.value.member == int(np.argmax(counts))
 
 
+    @pytest.mark.parametrize("stack", ["diagonal", "studies_n6"])
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("cap", [60, 3, 8])
-    def test_stop_test_decides_as_the_moduli(self, monkeypatch, layout, cap):
-        # The bounds from the larger real or imaginary parts must never stop
-        # a member, or keep one going, other than the moduli would, down to
-        # updates in the subnormal range; a capped run reports the same
-        # update of the same member.
-        aps = [diagonal_problem((3, 2, 1, 1), e_norm, seed=7) for e_norm in (0.01, 0.3, 1e-300, 0.1, 0.0, 0.45)]
-        e_hat = np.asarray(np.stack([ap.e_hat for ap in aps]), order=layout)
-        w = np.asarray(weights(aps), order=layout)
+    def test_stop_test_decides_as_the_moduli(self, monkeypatch, stack, layout, cap):
+        # Every member stops, or goes on, as the moduli decide on every pass,
+        # down to updates in the subnormal range and on the stack that the
+        # schur_full study iterates; a capped run reports the same update of
+        # the same member.
+        if stack == "diagonal":
+            aps = [diagonal_problem((3, 2, 1, 1), e_norm, seed=7) for e_norm in (0.01, 0.3, 1e-300, 0.1, 0.0, 0.45)]
+            e_hat, w = np.stack([ap.e_hat for ap in aps]), weights(aps)
+        else:
+            e_hat, w = studies_n6_stack()
+        e_hat, w = np.asarray(e_hat, order=layout), np.asarray(w, order=layout)
         x = w * e_hat
         monkeypatch.setattr(schur, "MAX_ITERATIONS", cap)
         try:
@@ -427,6 +431,16 @@ class TestFixedPoint:
             assert info.value.off_mass == error.off_mass
         else:
             assert schur._iterate(e_hat, w, slice(None), x).tobytes() == want.tobytes()
+
+
+def studies_n6_stack():
+    """``E_hat`` and ``W`` ``(100, 6, 6)`` of the ``studies_n6`` ``schur_full``
+    study (seed 1, blocks (2, 2, 1, 1), 20 trials), as it iterates them: each
+    trial's ``t E_hat`` on the default t-grid, with that trial's ``W``."""
+    cfg = EnsembleConfig(seed=1, n=6, block_spec=(2, 2, 1, 1), trials=20, predictor="schur_full")
+    *_, w, _, _, e_hat = harness._aligned(*harness._draws(cfg, range(cfg.trials)))
+    t = np.array(cfg.t_grid)[:, None, None]
+    return (t * e_hat[:, None]).reshape(-1, cfg.n, cfg.n), np.repeat(w, t.size, axis=0)
 
 
 def moduli_fixed_point(e_hat, w, x):
@@ -593,7 +607,11 @@ class TestSharedRefinement:
         monkeypatch.setattr(schur, "_refined", lambda ap, variants: stacked(ap, variants[0]))
         assert report == vc_membership(fresh_record(STACK_SPECS[n]), 0.1, 0.5)
 
-    @pytest.mark.parametrize("derive", [blockwise_diagonalize, lambda ap: scaled(ap, 0.5)], ids=["blockwise", "scaled"])
+    @pytest.mark.parametrize(
+        "derive",
+        [blockwise_diagonalize, lambda ap: scaled(ap, 0.5), lambda ap: conjugate_to_eigenbasis(ap.base, ap.e)],
+        ids=["blockwise", "scaled", "same_base_and_e"],
+    )
     def test_derived_records_recompute(self, oracle_calls, derive):
         ap = fresh_record()
         refined_eigenvalues(ap, "full")
@@ -608,7 +626,7 @@ class TestSharedRefinement:
         monkeypatch.setattr(schur, "MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError, match="after 1 iterations"):
             refined_eigenvalues(ap, "full")
-        assert ap not in schur._REFINED
+        assert ap._refined == {}
         want = stacked(diagonal_problem((2, 2, 1, 1), 0.1, seed=5), "simplified")[0][0, 0]
         assert refined_eigenvalues(ap, "simplified").tobytes() == want.tobytes()
         with pytest.raises(ConvergenceError, match="after 1 iterations"):
