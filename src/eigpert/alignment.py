@@ -12,17 +12,15 @@ from a stack of one.  The cone-membership test lives in :mod:`eigpert.schur`.
 
 Everything that depends on the base alone (the grouping of ``lam``, ``M``,
 the Schur weights ``W``, the gap margins and the same-block mask) is one
-read-only :class:`_BaseData`, built once per :func:`conjugate_to_eigenbasis`
-result and carried by every record derived from it.  A single base takes it
-from one memo keyed on the exact bytes of ``lam``, so many perturbations of
-one stored decomposition build it once; a convergence study, whose bases
-differ trial by trial but split alike, builds the same arrays for all its
-trials in one stacked pass and leaves the memo alone.
+read-only :class:`_BaseData`, kept on the stored decomposition itself
+(:func:`_base_data`), handed on to its block-wise rotation and carried by
+every record derived from it; a convergence study, whose bases differ trial
+by trial but split alike, builds the same arrays for all its trials in one
+stacked pass and stores none.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -33,7 +31,7 @@ from . import _EXPORTS, jacobi
 from .errors import GapTooSmallError, ModeError, StudyError
 from .matrices import _real, _symmetrized, as_readonly, hermitian
 
-__all__ = [*_EXPORTS["alignment"], "DEFAULT_REL_GAP_TOL", "LazyNorm"]
+__all__ = [*_EXPORTS["alignment"], "DEFAULT_REL_GAP_TOL", "DEFAULT_MARGIN_FACTOR", "LazyNorm"]
 
 # Relative gap below which adjacent eigenvalues share a degeneracy block.
 DEFAULT_REL_GAP_TOL = 1e-8
@@ -48,9 +46,6 @@ BLOCK_TOL = 1e-14
 
 MODE_RAW = "raw"
 MODE_BLOCKWISE = "blockwise_diagonal"
-
-# Stored decompositions whose base-only data the memo keeps.
-_MEMO_SIZE = 4
 
 
 def _require_blockwise(ap: AlignedPerturbation, what: str) -> None:
@@ -118,24 +113,24 @@ class _BaseData:
     same_cols: np.ndarray
 
 
-def _base_data(lam) -> _BaseData:
-    """The base-only data of the eigenvalue vector ``lam``, from the memo."""
-    lam = np.asarray(lam, dtype=np.float64)
+def _base_data(base: jacobi.SpectralDecomposition) -> _BaseData:
+    """The base-only data of ``base``, built on first use and kept on it with
+    the exact bytes of ``lam``: a ``lam`` changed in place (0.0 to -0.0 too)
+    builds anew."""
+    lam = np.asarray(base.lam, dtype=np.float64)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("expected a nonempty 1-d eigenvalue vector")
     if not np.isfinite(lam).all():
         raise ValueError("eigenvalues must be finite")
-    return _memo(lam.tobytes())
-
-
-@functools.lru_cache(_MEMO_SIZE)
-def _memo(lam: bytes) -> _BaseData:
-    """:func:`_base_data` of the float64 vector with the bytes ``lam``, so
-    that -0.0 and 0.0 make different bases."""
-    row = np.frombuffer(lam)[None]
-    groups = _groups(row)
-    reps, m, w, margins = _base_data_rows(row, groups)
-    return _BaseData(BlockStructure(groups, tuple(reps[0].tolist())), m[0], w[0], margins[0], *_same_block(groups))
+    key = lam.tobytes()
+    kept = base._derived.get("alignment")
+    if kept is None or kept[0] != key:
+        row = np.frombuffer(key)[None]
+        groups = _groups(row)
+        reps, m, w, margins = _base_data_rows(row, groups)
+        data = _BaseData(BlockStructure(groups, tuple(reps[0].tolist())), m[0], w[0], margins[0], *_same_block(groups))
+        kept = base._derived["alignment"] = key, data
+    return kept[1]
 
 
 def _groups(lam: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -362,7 +357,7 @@ def conjugate_to_eigenbasis(base: jacobi.SpectralDecomposition, e) -> AlignedPer
     e = hermitian(e)
     if e.shape != base.u.shape:
         raise ValueError(f"perturbation shape {e.shape} does not match base {base.u.shape}")
-    data = _base_data(base.lam)
+    data = _base_data(base)
     e_hat = _conjugate(base.u[None], e[None])
     # ||E|| is max |eigenvalue of E_hat|, solved only if a guard's bounds cannot decide.
     return AlignedPerturbation(base, data, as_readonly(e), e_hat[0], MODE_RAW, _lazy_norms(e_hat))
@@ -379,6 +374,8 @@ def blockwise_diagonalize(ap: AlignedPerturbation) -> AlignedPerturbation:
     """
     u = _rotate_blocks(ap.base.u[None], ap.e_hat[None], ap.blocks.groups)
     base = jacobi.SpectralDecomposition(u=u[0], lam=ap.base.lam)
+    # The same lam, so the same base-only data, still checked on its bytes.
+    base._derived.update(ap.base._derived)
     return replace(ap, base=base, e_hat=_conjugate(u, ap.e[None])[0], mode=MODE_BLOCKWISE)
 
 
@@ -443,12 +440,13 @@ def m_matrix(base: jacobi.SpectralDecomposition, blocks: BlockStructure) -> np.n
     """Inverse-gap matrix: ``M[i, j] = 1 / (lam[i] - lam[j])`` across blocks,
     zero inside blocks and on the diagonal.  Real and exactly antisymmetric.
     Each call returns a fresh, writable copy of the base's read-only ``M``.
-    ``blocks`` must have the grouping of ``base.lam`` (a record's ``blocks``);
-    any other grouping raises ``ValueError``."""
-    data = _base_data(base.lam)
-    groups = tuple(blocks.groups)
-    if groups != data.blocks.groups:
-        raise ValueError(f"block structure {groups} is not the grouping {data.blocks.groups} of the base")
+    ``blocks`` must be the :class:`BlockStructure` of the grouping of ``lam``
+    (a record's ``blocks``); anything else raises ``ValueError``."""
+    if not isinstance(blocks, BlockStructure):
+        raise ValueError(f"blocks must be a BlockStructure, got {type(blocks).__name__}")
+    data = _base_data(base)
+    if blocks.groups != data.blocks.groups:
+        raise ValueError(f"block structure {blocks.groups} is not the grouping {data.blocks.groups} of the base")
     return np.array(data.m)
 
 

@@ -30,7 +30,8 @@ errors keep their bits.
 Every solve goes through the array entry ``_solve_stack``: one stack of one
 size in, finiteness checked only, arrays out.  The public :func:`eigh`
 validates and symmetrizes its one matrix, solves it as a stack of one and
-builds the record.  The package's own callers hold stacks that
+builds the record, the stored base that keeps what the other layers derive
+from it alone.  The package's own callers hold stacks that
 :func:`~eigpert.matrices._symmetrized` made (draws, ``A``, Gram matrices,
 ``E_hat`` blocks, Schur complements) or would not change (``A + t F``), so
 they call the entry.
@@ -49,7 +50,7 @@ Nothing is shared between solves but the schedule's read-only index data.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,13 +84,15 @@ class SpectralDecomposition:
 
     ``sweeps`` and ``off_mass`` are the solver's work and the off-diagonal
     Frobenius mass it stopped at; they are ``None`` for decompositions that
-    did not come from the solver.
+    did not come from the solver.  ``_derived`` keeps, by layer, what the
+    other layers derive from the decomposition alone.
     """
 
     u: np.ndarray
     lam: np.ndarray
     sweeps: int | None = None
     off_mass: float | None = None
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def _normalize_column_phases(u: np.ndarray) -> np.ndarray:

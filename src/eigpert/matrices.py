@@ -207,29 +207,25 @@ def parse_matrix(text: str) -> np.ndarray:
     if first == len(lines):
         raise MatrixParseError("empty input", 1, 1)
     rows, cols = _parse_header(lines[first], first + 1)
-    out = np.empty((rows, cols), dtype=np.complex128)
-    row = 0
+    # From the rows as read: the header alone must not reserve rows x cols entries.
+    parsed = []
     for lineno in range(first + 1, len(lines)):
         line_text = lines[lineno]
-        if row == rows:
+        if len(parsed) == rows:
             if line_text.strip():
                 raise MatrixParseError("unexpected trailing content", lineno + 1, 1)
             continue
         if not line_text.strip():
-            raise MatrixParseError(f"expected {rows} rows, got {row}", lineno + 1, 1)
+            raise MatrixParseError(f"expected {rows} rows, got {len(parsed)}", lineno + 1, 1)
         tokens = list(_TOKEN_RE.finditer(line_text))
         if len(tokens) != cols:
             # At the first extra token, or past the end of a short row.
             column = tokens[cols].start() + 1 if len(tokens) > cols else len(line_text) + 1
             raise MatrixParseError(f"expected {cols} entries per row, got {len(tokens)}", lineno + 1, column)
-        for col_index, mt in enumerate(tokens):
-            out[row, col_index] = _parse_entry(mt.group(0), lineno + 1, mt.start() + 1)
-        row += 1
-    if row < rows:
-        raise MatrixParseError(
-            f"expected {rows} rows, got {row}", len(lines) + 1, 1
-        )
-    return out
+        parsed.append([_parse_entry(mt.group(0), lineno + 1, mt.start() + 1) for mt in tokens])
+    if len(parsed) < rows:
+        raise MatrixParseError(f"expected {rows} rows, got {len(parsed)}", len(lines) + 1, 1)
+    return np.array(parsed, dtype=np.complex128)
 
 
 def parse_hermitian(text: str) -> np.ndarray:

@@ -60,7 +60,7 @@ from .alignment import DEFAULT_MARGIN_FACTOR, AlignedPerturbation, _block_id, _b
 from .errors import ConvergenceError
 from .matrices import _real, _symmetrized, as_readonly, operator_norm
 
-__all__ = [*_EXPORTS["schur"], "DEFAULT_MARGIN_FACTOR"]
+__all__ = list(_EXPORTS["schur"])
 
 # Fixed-point iterations, the first included, before ConvergenceError.
 MAX_ITERATIONS = 60
@@ -323,6 +323,8 @@ class SimilarityDiagnostic:
 
 
 def schur_similarity_diagnostic(ap: AlignedPerturbation, block_index: int) -> SimilarityDiagnostic:
+    """The :class:`SimilarityDiagnostic` of one block, by ``X = K^{-1} C*``:
+    its leading corner is ``rho I + B``; refused as :func:`schur_data` is."""
     sd, x = _schur_data(ap, block_index)
     k = np.diag((sd.lambda_tau - sd.rho).astype(np.complex128)) + sd.d
     lower_left = x @ sd.b

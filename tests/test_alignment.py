@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COMPLEX_SCALARS, align_columns_loop, degenerate_draws, rand_hermitian, rand_unitary
+from conftest import COMPLEX_SCALARS, align_columns_loop, degenerate_draws, rand_hermitian, rand_unitary, scaled_record
 from eigpert import (
     MODE_BLOCKWISE,
     MODE_RAW,
@@ -32,7 +32,7 @@ from eigpert import (
     schur_similarity_diagnostic,
     vc_membership,
 )
-from eigpert.alignment import DEFAULT_REL_GAP_TOL, _align_stack, _base_data
+from eigpert.alignment import DEFAULT_REL_GAP_TOL, _align_stack, _base_data, _groups
 
 # Sorting A = diag(0, 0, 1) non-increasingly permutes the input frame by this.
 PERM3 = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
@@ -40,18 +40,24 @@ EXAMPLE_A3 = np.diag([0.0, 0.0, 1.0])
 EXAMPLE_F3 = np.array([[1, 0, 1], [0, 0, 1], [1, 1, 0]], dtype=float)
 
 
+def grouping(lam) -> BlockStructure:
+    """The grouping that a decomposition with the eigenvalues ``lam`` keeps."""
+    lam = np.asarray(lam, dtype=np.float64)
+    return _base_data(SpectralDecomposition(u=np.eye(lam.size, dtype=complex), lam=lam)).blocks
+
+
 class TestGrouping:
     def test_exact_tie(self):
-        bs = _base_data([5.0, 5.0, 3.0]).blocks
+        bs = grouping([5.0, 5.0, 3.0])
         assert bs.groups == ((0, 2), (2, 3))
         assert bs.rep_values == (5.0, 3.0)
 
     def test_gap_above_tolerance_stays_split(self):
-        bs = _base_data([1.0, 0.999, 0.0]).blocks
+        bs = grouping([1.0, 0.999, 0.0])
         assert bs.groups == ((0, 1), (1, 2), (2, 3))
 
     def test_double_zero_eigenvalue(self):
-        bs = _base_data([1.0, 0.0, 0.0]).blocks
+        bs = grouping([1.0, 0.0, 0.0])
         assert bs.groups == ((0, 1), (1, 3))
         assert bs.rep_values == (1.0, 0.0)
 
@@ -59,26 +65,26 @@ class TestGrouping:
         # max |lam| = 1, so the tolerance is exactly DEFAULT_REL_GAP_TOL and
         # so is the last gap, 0 - (-tol).
         tol = DEFAULT_REL_GAP_TOL
-        bs = _base_data([1.0, 0.0, -tol]).blocks
+        bs = grouping([1.0, 0.0, -tol])
         assert bs.groups == ((0, 1), (1, 3))
-        bs = _base_data([1.0, 0.0, -np.nextafter(tol, 1.0)]).blocks
+        bs = grouping([1.0, 0.0, -np.nextafter(tol, 1.0)])
         assert bs.groups == ((0, 1), (1, 2), (2, 3))
 
     def test_tolerance_scales_with_magnitude(self):
         # A gap of 1 is far below tol * max|lam| here, so it must merge.
-        bs = _base_data([1e12, 1e12 - 1.0]).blocks
+        bs = grouping([1e12, 1e12 - 1.0])
         assert len(bs.groups) == 1
 
     def test_rejects_increasing(self):
         with pytest.raises(ValueError, match="non-increasing"):
-            _base_data([1.0, 2.0]).blocks
+            grouping([1.0, 2.0])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            _base_data([]).blocks
+            grouping([])
 
     def test_block_id(self):
-        bs = _base_data([5.0, 5.0, 3.0]).blocks
+        bs = grouping([5.0, 5.0, 3.0])
         assert list(bs.block_id()) == [0, 0, 1]
 
 
@@ -123,7 +129,7 @@ class TestScaleInvariantGrouping:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(lam=spectra(), k=st.integers(-1000, 1000))
     def test_groups_unchanged_by_powers_of_two(self, lam, k):
-        assert _base_data(np.ldexp(lam, k)).blocks.groups == _base_data(lam).blocks.groups
+        assert _groups(np.ldexp(lam, k)[None]) == _groups(lam[None])
 
     def test_predictions_scale_with_the_matrix(self):
         # An absolute floor on the grouping tolerance would merge the three
@@ -389,6 +395,12 @@ class TestMMatrix:
         base = SpectralDecomposition(u=np.eye(4, dtype=complex), lam=np.array([3.0, 2.0, 1.0, 0.0]))
         with pytest.raises(ValueError, match=message):
             m_matrix(base, BlockStructure(groups, tuple(0.0 for _ in groups)))
+
+    @pytest.mark.parametrize("blocks", [lambda ap: ap.blocks.groups, lambda ap: None], ids=["groups", "none"])
+    def test_rejects_what_is_not_a_block_structure(self, blocks):
+        ap = blockwise_diagonalize(scaled_record(np.random.default_rng(0), (2, 1), 0))
+        with pytest.raises(ValueError, match="blocks must be a BlockStructure, got"):
+            m_matrix(ap.base, blocks(ap))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +59,15 @@ class TestEigh:
         path.write_text("2\n1 2\n3\n", encoding="utf-8")
         assert main(["eigh", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eigh", "predict"])
+    def test_huge_header_is_a_parse_error(self, tmp_path, capsys, command):
+        # Refused from the rows read, not from a reservation of 1e16 entries.
+        path = str(tmp_path / "huge.txt")
+        Path(path).write_text("100000000 100000000\n", encoding="utf-8")
+        argv = ["eigh", path] if command == "eigh" else ["predict", "--order", "1", "--a", path, "--e", path]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: line 2, column 1: expected 100000000 rows, got 0\n"
 
     def test_non_hermitian_file(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "nh.txt", [[0.0, 1.0], [0.0, 0.0]])

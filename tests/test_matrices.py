@@ -77,6 +77,13 @@ class TestParse:
             parse_matrix("2\n1 2")
         assert (exc.value.line, exc.value.column) == (3, 1)
 
+    def test_huge_header_is_refused_before_any_allocation(self):
+        # Reserving 1e16 entries from the header would fail in numpy's
+        # allocator; the matrix is built from the rows actually read.
+        with pytest.raises(MatrixParseError, match="expected 100000000 rows, got 0") as exc:
+            parse_matrix("100000000 100000000\n")
+        assert (exc.value.line, exc.value.column) == (2, 1)
+
     def test_trailing_content(self):
         with pytest.raises(MatrixParseError) as exc:
             parse_matrix("1\n5\njunk\n")

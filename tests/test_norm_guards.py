@@ -35,9 +35,8 @@ from eigpert import (
     vc_membership,
 )
 from eigpert import alignment, rayleigh, schur
-from eigpert.alignment import LazyNorm
+from eigpert.alignment import DEFAULT_MARGIN_FACTOR, LazyNorm
 from eigpert.rayleigh import STRICT_DIAGONAL_TOL
-from eigpert.schur import DEFAULT_MARGIN_FACTOR
 
 # Relative offsets of a guard's threshold from ||E||: inside the bounds'
 # slack, so the oracle decides, and far outside it, so the bounds do.

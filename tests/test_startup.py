@@ -87,9 +87,9 @@ assert set(eigpert.__all__) | set(eigpert._SUBMODULES) <= set(dir(eigpert))
 MODULE_ONLY = {
     "matrices": ("DEFAULT_ASYMMETRY_TOL", "as_readonly"),
     "jacobi": ("DEFAULT_MAX_SWEEPS",),
-    "alignment": ("DEFAULT_REL_GAP_TOL", "LazyNorm"),
+    "alignment": ("DEFAULT_REL_GAP_TOL", "DEFAULT_MARGIN_FACTOR", "LazyNorm"),
     "first_order": ("approx_decomposition_residual",),
-    "schur": ("DEFAULT_MARGIN_FACTOR",),
+    "schur": (),
     "rayleigh": ("STRICT_DIAGONAL_TOL",),
     "harness": ("random_unitary", "fit_loglog"),
 }

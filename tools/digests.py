@@ -547,8 +547,8 @@ def _prediction(base: jacobi.SpectralDecomposition, e: np.ndarray) -> tuple:
 def large_instances() -> None:
     """Full predictions of ``A + t F`` at n = 60 from the stored
     decomposition of ``A``: each instance's t in turn, then the two
-    instances' predictions alternating, so that the memo of base-only data
-    switches bases between calls, then a layout of mixed block sizes."""
+    instances' predictions alternating, so that consecutive calls switch
+    between the two stored bases, then a layout of mixed block sizes."""
     stored = {}
     for seed in LARGE_SEEDS:
         a, f = _instance(seed, LARGE_SPEC)
