@@ -30,6 +30,7 @@ as solving trial by trial.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass, field
@@ -69,23 +70,22 @@ def _uniforms(x: np.ndarray) -> np.ndarray:
     return (x >> np.uint64(11)) * 2.0**-53
 
 
-def _libm(f, x: np.ndarray) -> np.ndarray:
-    """``f`` of the ``math`` module on each entry: the streams are pinned to the
-    C library's ``log``, ``cos`` and ``sin``, and numpy's SIMD kernels may round differently."""
-    return np.array(list(map(f, x.ravel().tolist()))).reshape(x.shape)
+def _libm(f, *xs: np.ndarray) -> np.ndarray:
+    """``f`` of the ``math`` or ``cmath`` module on each entry of ``xs``, arrays
+    of one shape: the streams are pinned to the C library's ``log``, ``cos``
+    and ``sin``, and numpy's SIMD kernels may round differently."""
+    return np.array(list(map(f, *(x.ravel().tolist() for x in xs)))).reshape(xs[0].shape)
 
 
 def _hermitian_draws(x: np.ndarray, n: int) -> np.ndarray:
     """Hermitian ``n x n`` draws (GUE-like), one per ``2 n^2`` outputs of a
     row.  Entry ``(i, j)`` is ``r cos(theta) + i r sin(theta)``, Box-Muller on
-    outputs ``2(i n + j)`` and ``2(i n + j) + 1``."""
+    outputs ``2(i n + j)`` and ``2(i n + j) + 1``, made by ``cmath.rect``, which
+    rounds ``r * cos(theta)`` and ``r * sin(theta)`` once each."""
     # +1 keeps u1 in (0, 1] so the logarithm is finite.
     u1 = _uniforms(x[:, 0::2]) + 2.0**-53
     theta = 2.0 * math.pi * _uniforms(x[:, 1::2])
-    r = np.sqrt(-2.0 * _libm(math.log, u1))
-    g = np.empty(u1.shape, dtype=np.complex128)
-    g.real = r * _libm(math.cos, theta)
-    g.imag = r * _libm(math.sin, theta)
+    g = _libm(cmath.rect, np.sqrt(-2.0 * _libm(math.log, u1)), theta)
     # Exactly Hermitian as stored, with a real diagonal: nothing to validate.
     return _symmetrized(g.reshape(-1, n, n))
 

@@ -44,7 +44,9 @@ gather fills and the next step works in (ping-pong), the strided views of
 both buffers that a step reads and writes, and a step's work arrays.  It
 yields the buffer that holds the stack after each sweep.  When members
 converge, the others are gathered into a new generator of their own size.
-Nothing is shared between solves but the schedule's read-only index data.
+Nothing is shared between solves but the schedule's gathers, read-only
+and cached per size (``_moves``): steps that make the same move share one
+array, so an even size keeps one gather and an odd size ``n``.
 """
 
 from __future__ import annotations
@@ -117,15 +119,20 @@ def _normalize_column_phases(u: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _schedule(n: int) -> tuple[tuple[int, ...], ...]:
-    """Index orders of the steps of one round-robin sweep of size ``n``.
+def _moves(n: int) -> tuple[np.ndarray, ...]:
+    """Per step of one round-robin sweep of size ``n``, the gather that takes
+    ``[a; u]``, its ``2 n`` rows flattened in row-major order, from that
+    step's index order to the next step's (the last step returns to the
+    first): rows and columns of ``a`` and columns of ``u`` move, rows of
+    ``u`` stay.  Its first ``n^2`` entries move ``a`` alone.  Steps that
+    move alike share one read-only array, as all steps of an even size do.
 
     Step ``r`` pivots the pairs ``(L[i], L[m + i])`` for ``i < m = n // 2``,
     where ``L`` is its order; for odd ``n`` the last index of ``L`` sits the
-    step out.  The first order is the identity, and over the sweep every
-    pair of indices is pivoted exactly once.  This is the circle method:
-    one player stays put while the others rotate a seat per step, with a
-    dummy player for odd ``n`` whose partner sits out.
+    step out.  The first order is the identity, each next one the last one
+    moved, and over the sweep every pair of indices is pivoted exactly once.
+    This is the circle method: one player stays put while the others rotate
+    a seat per step, with a dummy player for odd ``n`` whose partner sits out.
     """
     players = list(range(n + n % 2))
     half = len(players) // 2
@@ -136,27 +143,16 @@ def _schedule(n: int) -> tuple[tuple[int, ...], ...]:
         idle = [p for pair in pairs if n in pair for p in pair if p != n]
         orders.append([p for p, _ in kept] + [q for _, q in kept] + idle)
         players = [players[0], players[-1]] + players[1:-1]
-    # Relabel so that the first step's order is the identity.
-    label = {old: new for new, old in enumerate(orders[0])}
-    return tuple(tuple(label[x] for x in order) for order in orders)
-
-
-@functools.lru_cache(maxsize=None)
-def _moves(n: int, height: int) -> tuple[np.ndarray, ...]:
-    """Per step, the gather that takes a stack of ``height`` rows, ``a``
-    (``height = n``) or ``[a; u]`` (``height = 2 n``), its rows flattened
-    in row-major order, from that step's index order to the next step's
-    (the last step returns to the first): rows and columns of ``a`` and
-    columns of ``u`` move, rows of ``u`` stay."""
-    orders = _schedule(n)
-    moves = []
+    # A move names seats, not players, so the moves are those of the orders
+    # relabeled to make the first one the identity.
+    gathers, moves = {}, []
     for order, following in zip(orders, orders[1:] + orders[:1]):
         seat = {index: position for position, index in enumerate(order)}
-        cols = np.array([seat[index] for index in following], dtype=np.intp)
-        rows = np.concatenate((cols, np.arange(n, height)))
-        gather = (rows[:, None] * n + cols).ravel()
-        gather.setflags(write=False)
-        moves.append(gather)
+        cols = tuple(seat[index] for index in following)
+        if cols not in gathers:
+            rows = np.array(cols + tuple(range(n, 2 * n)), dtype=np.intp)
+            gathers[cols] = as_readonly((rows[:, None] * n + rows[:n]).ravel())
+        moves.append(gathers[cols])
     return tuple(moves)
 
 
@@ -207,13 +203,15 @@ def _sweeps(w: np.ndarray, floor: np.ndarray):
     (``c = 1, s = 0``), which leaves every value as it was.  Every operation
     is elementwise, so its innermost loop runs over the members and a step
     costs about as much for a stack as for one matrix.  Each step writes
-    its result in place and gathers it into the other buffer.
+    its result in place and gathers it into the other buffer, with its
+    cached gather of ``[a; u]`` or that gather's first ``n^2`` entries,
+    which move ``a`` alone.
     """
     height, n, k = w.shape
     m = n // 2
     buffers = (w, np.empty_like(w))
     views = [_step_views(buffer) for buffer in buffers]
-    moves = _moves(n, height)
+    moves = [move[: height * n] for move in _moves(n)]
     absb, d, t, c = np.empty((4, m, k))
     c_rows = c[:, None]
     rotate = np.empty((m, k), bool)

@@ -22,7 +22,7 @@ from eigpert import (
 )
 import eigpert
 from eigpert import jacobi
-from eigpert.jacobi import _schedule, _solve_stack
+from eigpert.jacobi import _moves, _solve_stack
 
 
 def fro(m) -> float:
@@ -332,12 +332,23 @@ class TestStack:
                     _solve_stack(np.full((2, 1, 1), bad, dtype=np.complex128), vectors=vectors)
 
 
+def sweep_orders(n):
+    """The index order of each step of one sweep from the identity, each next
+    one the last one moved by its step's gather, and the order the sweep
+    leaves."""
+    order, orders = np.arange(n), []
+    for move in _moves(n):
+        orders.append(tuple(order.tolist()))
+        order = order[move[:n] % n]
+    return orders, tuple(order.tolist())
+
+
 class TestSchedule:
     @pytest.mark.parametrize("n", range(1, 14))
     def test_every_pair_once_per_sweep(self, n):
-        orders = _schedule(n)
+        orders, last = sweep_orders(n)
         assert len(orders) == (n - 1 if n % 2 == 0 else n)
-        assert orders[0] == tuple(range(n))
+        assert orders[0] == last == tuple(range(n))
         m = n // 2
         pivots = Counter()
         for order in orders:
@@ -347,6 +358,36 @@ class TestSchedule:
             pivots.update(step)
         assert sorted(pivots) == [(p, q) for p in range(n) for q in range(p + 1, n)]
         assert set(pivots.values()) <= {1}
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_a_gather_moves_rows_and_columns_of_a_and_columns_of_u(self, n):
+        w = np.arange(2 * n * n).reshape(2 * n, n)
+        for move in _moves(n):
+            assert not move.flags.writeable
+            cols = move[:n] % n
+            rows = np.concatenate((cols, np.arange(n, 2 * n)))
+            assert np.array_equal(w.ravel()[move].reshape(2 * n, n), w[rows][:, cols])
+
+    @pytest.mark.parametrize("n", range(2, 61, 2))
+    def test_every_step_of_an_even_size_shares_one_gather(self, n):
+        assert len({id(move) for move in _moves(n)}) == 1
+
+    @pytest.mark.parametrize("n", range(3, 14, 2))
+    def test_every_step_of_an_odd_size_has_its_own_gather(self, n):
+        assert len({id(move) for move in _moves(n)}) == n
+
+    def test_the_gathers_of_size_240_fit_in_a_megabyte(self):
+        assert sum({id(move): move.nbytes for move in _moves(240)}.values()) <= 10**6
+
+    def test_a_size_builds_its_gathers_once_with_and_without_vectors(self):
+        stack = np.stack([rand_hermitian(np.random.default_rng(seed), 7) for seed in (1, 2)])
+        _moves.cache_clear()
+        _solve_stack(stack)
+        _solve_stack(stack, vectors=False)
+        assert _moves.cache_info().misses == 1
+
+    def test_the_gathers_are_the_one_cache_of_the_oracle(self):
+        assert [name for name, value in vars(jacobi).items() if hasattr(value, "cache_info")] == ["_moves"]
 
 
 # Entries j / 1024 with |j| <= 1024: scaled by 2**k for |k| <= 1000 they

@@ -23,7 +23,9 @@ instances, made by the study's own ``harness._aligned``, its warm base and
 warm exact solves among them, whose lines move when a change touches a
 few members, and the Schur fixed point alone on the ``E_hat`` of such
 stacks, whose members stop after different numbers of passes, in both
-layouts.
+layouts.  The last lines, ``oracle/schedule/n...``, hash the oracle's sweep
+order at sizes 1 to 13 and 60, so that a change to it names its cause
+rather than showing only as moved oracle and study lines.
 The refusal paths are covered too: a ``predict`` whose ``t`` passes the gap
 between eigenvalue blocks, studies whose largest ``t`` does so for some
 trials, a second-order ``predict`` at a finite ``t`` whose double
@@ -567,6 +569,19 @@ def large_instances() -> None:
             _record(f"predict_n60/{blocks}/seed{seed}/t{t}", *_prediction(base, t * f))
 
 
+def schedules() -> None:
+    """The oracle's sweep order at sizes 1 to 13 and 60: the index order of
+    each step of one sweep from the identity, each next one the last one
+    moved by its step's gather (the last back to the identity), so that a
+    change to the order shows as its own line."""
+    for n in (*range(1, 14), 60):
+        order, orders = np.arange(n), []
+        for move in jacobi._moves(n):
+            order = order[move[:n] % n]
+            orders.append(order)
+        _record(f"oracle/schedule/n{n}", orders)
+
+
 def main() -> int:
     runner = Runner()
     instances()
@@ -587,6 +602,7 @@ def main() -> int:
     scaled_directions()
     study_stacks()
     iterates()
+    schedules()
     return 1 if runner.failed else 0
 
 
